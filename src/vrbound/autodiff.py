@@ -2,7 +2,9 @@
 
 A fixed, small set of operations is enough for every gradient this package
 needs: affine maps, ReLU/tanh/sigmoid nonlinearities, Gaussian log densities,
-Bernoulli log masses, log-sum-exp, reshapes and 1-D slices. Graphs are built
+Bernoulli log masses, log-sum-exp, reshapes and last-axis slices. Matrix
+products batch over leading axes as numpy's ``@`` does, so a model can
+evaluate K stacked parameter draws in one graph. Graphs are built
 functionally (fresh leaf nodes per evaluation), a single backward pass
 accumulates vector-Jacobian products in topological order, and broadcasting
 is undone by summing over the broadcast axes. There is deliberately no
@@ -157,19 +159,31 @@ def div(a: Node, b: Node) -> Node:
 
 
 def matmul(a: Node, b: Node) -> Node:
+    """``a @ b`` with numpy semantics: operands of two or more axes are
+    stacks of matrices broadcast over their leading axes, and a vector
+    operand is promoted to a matrix and its axis dropped from the result."""
     va, vb = a.value, b.value
     out = va @ vb
-    if va.ndim == 1 and vb.ndim == 1:
-        parents = ((a, lambda g: g * vb), (b, lambda g: g * va))
-    elif va.ndim == 2 and vb.ndim == 1:
-        parents = ((a, lambda g: np.outer(g, vb)), (b, lambda g: va.T @ g))
-    elif va.ndim == 1 and vb.ndim == 2:
-        parents = ((a, lambda g: vb @ g), (b, lambda g: np.outer(va, g)))
-    elif va.ndim == 2 and vb.ndim == 2:
-        parents = ((a, lambda g: g @ vb.T), (b, lambda g: va.T @ g))
-    else:
-        raise ValueError(f"matmul supports 1-D/2-D operands, got {va.ndim}-D @ {vb.ndim}-D")
-    return Node(out, parents)
+    # Work with the promoted matrices; the VJPs restore the dropped axes of
+    # g, undo the broadcasting of leading axes, and drop the promotion again.
+    ma = va[None, :] if va.ndim == 1 else va
+    mb = vb[:, None] if vb.ndim == 1 else vb
+
+    def promoted(g):
+        g = np.asarray(g)
+        if vb.ndim == 1:
+            g = np.expand_dims(g, -1)
+        if va.ndim == 1:
+            g = np.expand_dims(g, -2)
+        return g
+
+    def vjp_a(g):
+        return _unbroadcast(promoted(g) @ np.swapaxes(mb, -1, -2), ma.shape).reshape(va.shape)
+
+    def vjp_b(g):
+        return _unbroadcast(np.swapaxes(ma, -1, -2) @ promoted(g), mb.shape).reshape(vb.shape)
+
+    return Node(out, ((a, vjp_a), (b, vjp_b)))
 
 
 def exp(a: Node) -> Node:
@@ -242,15 +256,16 @@ def reshape(a: Node, shape: tuple[int, ...]) -> Node:
 
 
 def slice1d(a: Node, start: int, stop: int) -> Node:
-    if a.value.ndim != 1:
-        raise ValueError("slice1d expects a vector node")
+    """``a[..., start:stop]``: a slice of the last axis."""
+    if a.value.ndim < 1:
+        raise ValueError("slice1d expects a node with at least one axis")
 
     def vjp(g):
         out = np.zeros_like(a.value)
-        out[start:stop] = g
+        out[..., start:stop] = g
         return out
 
-    return Node(a.value[start:stop], ((a, vjp),))
+    return Node(a.value[..., start:stop], ((a, vjp),))
 
 
 # ----------------------------------------------------------------------
@@ -272,30 +287,56 @@ def normal_logpdf_sum(x, mean, log_std) -> Node:
 
 
 def normal_logpdf_rows(x, mean, log_std) -> Node:
-    """Row-summed Gaussian log density for (n, d) inputs; returns shape (n,)."""
+    """Gaussian log density summed over the last axis.
+
+    ``x`` and ``mean`` broadcast together, e.g. (n, d) observations against
+    (K, n, d) means give shape (K, n). ``log_std`` is a scalar or one value
+    per coordinate of the last axis (counted once per coordinate), or an
+    array of two or more axes summed row by row.
+    """
     x, mean, log_std = as_node(x), as_node(mean), as_node(log_std)
-    if x.value.ndim != 2:
-        raise ValueError("normal_logpdf_rows expects (n, d) observations")
-    d = x.value.shape[1]
+    shape = np.broadcast_shapes(x.value.shape, mean.value.shape)
+    if not shape:
+        raise ValueError("normal_logpdf_rows expects observations with a last axis")
+    d = shape[-1]
     z = (x - mean) * exp(-log_std)
-    quad = vsum(z * z, axis=1) * (-0.5)
-    if log_std.value.ndim == 2:
-        row_logdet = vsum(log_std, axis=1)
+    quad = vsum(z * z, axis=-1) * (-0.5)
+    if log_std.value.ndim >= 2:
+        row_logdet = vsum(log_std, axis=-1)
     else:
         row_logdet = vsum(log_std) * (d / max(log_std.value.size, 1))
     return quad - row_logdet - 0.5 * d * _LOG_2PI
 
 
 _PROB_FLOOR = 1e-7
+# logit(1 - 1e-7): clipping the logits to +-this is the probability floor.
+_LOGIT_CAP = math.log1p(-_PROB_FLOOR) - math.log(_PROB_FLOOR)
 
 
 def bernoulli_logpmf_rows(logits: Node, targets: np.ndarray) -> Node:
-    """Row-summed Bernoulli log mass; probabilities squashed into
-    [1e-7, 1 - 1e-7] so the value stays finite for any logits."""
+    """Bernoulli log mass summed over the last axis, as one fused node.
+
+    Per element this is x z - softplus(z) = x log p + (1 - x) log(1 - p)
+    with p = sigmoid(z), on logits z clipped to +-logit(1 - 1e-7). That
+    keeps p in [1e-7, 1 - 1e-7], so the value is finite for any logits, and
+    clipped elements get zero gradient.
+    """
     targets = np.asarray(targets, dtype=float)
-    p = clip(sigmoid(logits), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-    per_elem = as_node(targets) * log(p) + as_node(1.0 - targets) * log(as_node(1.0) - p)
-    return vsum(per_elem, axis=1)
+    v = logits.value
+    z = np.clip(v, -_LOGIT_CAP, _LOGIT_CAP)
+    e = np.exp(-np.abs(z))
+    # In-place updates: these arrays are the largest in a VAE graph.
+    softplus = np.log1p(e)
+    softplus += np.maximum(z, 0.0)
+    per_elem = targets * z
+    per_elem -= softplus
+
+    def vjp(g):
+        p = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        inside = (v > -_LOGIT_CAP) & (v < _LOGIT_CAP)
+        return _unbroadcast(np.expand_dims(g, -1) * (targets - p) * inside, v.shape)
+
+    return Node(np.sum(per_elem, axis=-1), ((logits, vjp),))
 
 
 # ----------------------------------------------------------------------

@@ -43,51 +43,64 @@ __all__ = [
 ]
 
 
-def validate_log_weights(log_w) -> np.ndarray:
-    """Check the log-weight invariants and return a float vector.
+def validate_log_weights(log_w, axis: int | None = None) -> np.ndarray:
+    """Check the log-weight invariants and return a float array.
 
-    Entries may be finite or -inf (a zero-density sample); NaN and +inf are
-    rejected, as is an empty or all--inf set.
+    With ``axis=None`` the input is one weight set and a vector comes back.
+    With an integer ``axis`` the input holds one weight set along that axis
+    per remaining index, and the result has that axis moved last (C-ordered,
+    so each set is reduced exactly as a vector would be). Entries may be
+    finite or -inf (a zero-density sample); NaN and +inf are rejected, as is
+    an empty or all--inf set.
     """
-    log_w = np.atleast_1d(np.asarray(log_w, dtype=float))
-    if log_w.ndim != 1:
-        raise ValueError("log weights must form a vector")
-    if log_w.shape[0] == 0:
+    log_w = np.asarray(log_w, dtype=float)
+    if axis is None:
+        log_w = np.atleast_1d(log_w)
+        if log_w.ndim != 1:
+            raise ValueError("log weights must form a vector")
+    else:
+        log_w = np.ascontiguousarray(np.moveaxis(log_w, axis, -1))
+    if log_w.shape[-1] == 0:
         raise ValueError("log weights must be non-empty")
     if np.any(np.isnan(log_w)):
         raise ValueError("log weights must not contain NaN")
     if np.any(np.isposinf(log_w)):
         raise ValueError("log weights must not contain +inf")
-    if not np.any(log_w > -math.inf):
+    if not np.all(np.any(log_w > -math.inf, axis=-1)):
         raise ValueError("at least one log weight must be finite")
     return log_w
 
 
-def mc_vr_estimate(log_w, alpha: float) -> float:
+def mc_vr_estimate(log_w, alpha: float, axis: int | None = None):
     """K-sample Monte Carlo estimate of the bound at order ``alpha``.
+
+    ``axis=None`` estimates from one weight set and returns a float; an
+    integer ``axis`` estimates every weight set along that axis and returns
+    an array without it, each entry bit-identical to the vector call.
 
     A -inf entry contributes zero weight for alpha < 1. For alpha > 1 a
     zero-density sample dominates the power mean and the estimate is -inf;
     the same happens when the min branch (alpha = +inf) selects one.
     """
-    log_w = validate_log_weights(log_w)
-    k = log_w.shape[0]
+    log_w = validate_log_weights(log_w, axis)
+    k = log_w.shape[-1]
     kind = classify_alpha(alpha)
     if k == 1:
         # Every branch collapses to the single log weight; returning it
         # directly keeps the one-sample estimate bit-exactly alpha-free.
-        return float(log_w[0])
-    if kind is AlphaKind.ONE:
-        return float(np.mean(log_w))
-    if kind is AlphaKind.NEG_INF:
-        return float(np.max(log_w))
-    if kind is AlphaKind.POS_INF:
-        return float(np.min(log_w))
-    one_minus = 1.0 - float(alpha)
-    scaled = one_minus * log_w
-    if np.any(np.isposinf(scaled)):
-        return -math.inf
-    return float((logsumexp(scaled) - math.log(k)) / one_minus)
+        est = log_w[..., 0]
+    elif kind is AlphaKind.ONE:
+        est = np.mean(log_w, axis=-1)
+    elif kind is AlphaKind.NEG_INF:
+        est = np.max(log_w, axis=-1)
+    elif kind is AlphaKind.POS_INF:
+        est = np.min(log_w, axis=-1)
+    else:
+        # For alpha > 1 a -inf log weight scales to +inf, so logsumexp is
+        # +inf and the estimate -inf.
+        one_minus = 1.0 - float(alpha)
+        est = (logsumexp(one_minus * log_w, axis=-1) - math.log(k)) / one_minus
+    return float(est) if axis is None else est
 
 
 # ----------------------------------------------------------------------

@@ -45,37 +45,41 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def normalize_weights(log_w: np.ndarray, alpha: float) -> np.ndarray:
+def normalize_weights(log_w: np.ndarray, alpha: float, axis: int | None = None) -> np.ndarray:
     """Simplex weights proportional to exp((1 - alpha) log w).
 
     alpha = 1 gives the uniform vector, alpha = -inf a one-hot at the
     largest log weight, alpha = +inf a one-hot at the smallest; ties break
     toward the lowest index. Adding a constant to every log weight leaves
-    the result unchanged.
+    the result unchanged. With an integer ``axis`` every weight set along
+    that axis is normalized; the result has the input's shape and each set
+    is bit-identical to the vector call.
     """
-    log_w = validate_log_weights(log_w)
-    k = log_w.shape[0]
+    log_w = validate_log_weights(log_w, axis)
+    k = log_w.shape[-1]
     kind = classify_alpha(alpha)
     if kind is AlphaKind.ONE:
-        return np.full(k, 1.0 / k)
-    if kind is AlphaKind.NEG_INF:
-        probs = np.zeros(k)
-        probs[int(np.argmax(log_w))] = 1.0
-        return probs
-    if kind is AlphaKind.POS_INF:
-        probs = np.zeros(k)
-        probs[int(np.argmin(log_w))] = 1.0
-        return probs
-    scaled = (1.0 - float(alpha)) * log_w
-    if np.any(np.isposinf(scaled)):
-        # A zero-density sample raised to a negative power dominates.
-        probs = np.zeros(k)
+        probs = np.full(log_w.shape, 1.0 / k)
+    elif kind is AlphaKind.NEG_INF:
+        probs = _one_hot(np.argmax(log_w, axis=-1), k)
+    elif kind is AlphaKind.POS_INF:
+        probs = _one_hot(np.argmin(log_w, axis=-1), k)
+    else:
+        scaled = (1.0 - float(alpha)) * log_w
+        # A zero-density sample raised to a negative power dominates its set.
         hits = np.isposinf(scaled)
-        probs[hits] = 1.0 / np.count_nonzero(hits)
-        return probs
-    shifted = scaled - np.max(scaled)
-    expw = np.exp(shifted)
-    return expw / np.sum(expw)
+        with np.errstate(invalid="ignore"):
+            expw = np.exp(scaled - np.max(scaled, axis=-1, keepdims=True))
+            probs = np.where(
+                np.any(hits, axis=-1, keepdims=True),
+                hits / np.sum(hits, axis=-1, keepdims=True),
+                expw / np.sum(expw, axis=-1, keepdims=True),
+            )
+    return probs if axis is None else np.moveaxis(probs, -1, axis)
+
+
+def _one_hot(index: np.ndarray, k: int) -> np.ndarray:
+    return (np.arange(k) == np.expand_dims(index, -1)).astype(float)
 
 
 def select_backprop_sample(
@@ -100,9 +104,10 @@ class GaussianReparam:
     """Diagonal-Gaussian reparameterization theta = mu + exp(rho) * eps.
 
     ``mu`` and ``rho`` are graph nodes (leaves, or encoder outputs). The
+    noise ``eps`` has their shape, or an extra leading axis of K draws. The
     variational log density evaluated at theta = g(eps) simplifies to
-    -sum(rho) - ||eps||^2 / 2 - d/2 log(2 pi), which is exact and keeps the
-    dependence on the variational parameters explicit.
+    -sum(rho) - ||eps||^2 / 2 - d/2 log(2 pi) over the last axis, which is
+    exact and keeps the dependence on the variational parameters explicit.
     """
 
     def __init__(self, mu: ad.Node, rho: ad.Node):
@@ -117,20 +122,17 @@ class GaussianReparam:
 
     def theta(self, eps: np.ndarray) -> ad.Node:
         eps = np.asarray(eps, dtype=float)
-        if eps.shape != self.mu.value.shape:
-            raise ValueError(f"eps must have shape {self.mu.value.shape}")
+        shape = self.mu.value.shape
+        if eps.shape not in (shape, eps.shape[:1] + shape):
+            raise ValueError(f"eps must have shape {shape}, or (K, *{shape})")
         return self.mu + ad.exp(self.rho) * eps
 
     def log_q(self, eps: np.ndarray) -> ad.Node:
+        """log q(theta(eps)) summed over the last axis: a scalar for a vector
+        ``mu``, (n,) for (n, d) rows, with a leading K axis from ``eps``."""
         eps = np.asarray(eps, dtype=float)
-        const = -0.5 * float(np.sum(eps * eps)) - 0.5 * eps.size * _LOG_2PI
-        return ad.vsum(self.rho) * (-1.0) + const
-
-    def log_q_rows(self, eps: np.ndarray) -> ad.Node:
-        """Per-row log density for (n, d) parameters and noise."""
-        eps = np.asarray(eps, dtype=float)
-        const = -0.5 * np.sum(eps * eps, axis=1) - 0.5 * eps.shape[1] * _LOG_2PI
-        return ad.vsum(self.rho, axis=1) * (-1.0) + const
+        const = -0.5 * np.sum(eps * eps, axis=-1) - 0.5 * eps.shape[-1] * _LOG_2PI
+        return ad.vsum(self.rho, axis=-1) * (-1.0) + const
 
 
 LogWeightBuilder = Callable[[dict[str, ad.Node], np.ndarray], ad.Node]
@@ -193,19 +195,6 @@ def single_sample_grad(
     return grads, log_w
 
 
-def mc_estimate_from_builder(
-    build_log_weight: LogWeightBuilder,
-    params: dict[str, np.ndarray],
-    noises: np.ndarray,
-    alpha: float,
-) -> float:
-    """The bound estimate itself through the same graph (for checking)."""
-    from .bounds import mc_vr_estimate
-
-    _, _, log_w = _build_graph(build_log_weight, params, noises)
-    return mc_vr_estimate(log_w, alpha)
-
-
 def finite_diff_check(
     f: Callable[[np.ndarray], float],
     x0: np.ndarray,
@@ -240,21 +229,23 @@ def finite_diff_check(
     return worst
 
 
-def log_weight_ratio(log_w: np.ndarray) -> tuple[float, float]:
+def log_weight_ratio(log_w: np.ndarray, axis: int | None = None):
     """(log R, R) for R = w_max / (1 - w_max) of the normalized weights.
 
     Computed in the log domain: log(1 - w_max) comes from the log-sum-exp of
     the non-maximal weights, so R never overflows before the final exp (the
     returned R may still be inf when the remainder underflows entirely).
+    ``axis=None`` returns floats for one weight set; an integer ``axis``
+    returns two arrays, one entry per weight set along that axis.
     """
-    log_w = validate_log_weights(log_w)
-    if log_w.shape[0] == 1:
-        return math.inf, math.inf
-    top = int(np.argmax(log_w))
-    rest = np.delete(log_w, top)
-    log_r = float(log_w[top] - logsumexp(rest))
-    try:
-        r = math.exp(log_r)
-    except OverflowError:
-        r = math.inf
-    return log_r, r
+    log_w = validate_log_weights(log_w, axis)
+    k = log_w.shape[-1]
+    if k == 1:
+        log_r = np.full(log_w.shape[:-1], math.inf)
+    else:
+        top = np.expand_dims(np.argmax(log_w, axis=-1), -1)
+        rest = log_w[np.arange(k) != top].reshape(log_w.shape[:-1] + (k - 1,))
+        log_r = np.take_along_axis(log_w, top, axis=-1)[..., 0] - logsumexp(rest, axis=-1)
+    with np.errstate(over="ignore"):
+        r = np.exp(log_r)
+    return (float(log_r), float(r)) if axis is None else (log_r, r)

@@ -78,18 +78,20 @@ class BLRModel:
         return -theta + self.design.T @ resid / self.noise_std**2
 
     # ------------------------------------------------------------------
-    # tape-facing builders (used by the reparameterized gradient engine)
+    # tape-facing builders (used by the reparameterized gradient engine);
+    # theta is one weight vector (dim,) or K stacked draws (K, dim), and the
+    # result has one value per draw
 
     def log_prior_node(self, theta: ad.Node) -> ad.Node:
-        return ad.vsum(theta * theta) * (-0.5) + (-0.5 * self.dim * _LOG_2PI)
+        return ad.vsum(theta * theta, axis=-1) * (-0.5) + (-0.5 * self.dim * _LOG_2PI)
 
     def log_lik_node(self, theta: ad.Node, idx: np.ndarray | None = None) -> ad.Node:
         x = self.design if idx is None else self.design[idx]
         y = self.targets if idx is None else self.targets[idx]
         s2 = self.noise_std**2
-        resid = ad.as_node(y) - ad.matmul(ad.as_node(x), theta)
+        resid = ad.as_node(y) - ad.matmul(theta, ad.as_node(x.T))
         const = -0.5 * x.shape[0] * (_LOG_2PI + math.log(s2))
-        return ad.vsum(resid * resid) * (-0.5 / s2) + const
+        return ad.vsum(resid * resid, axis=-1) * (-0.5 / s2) + const
 
     def log_joint_node(self, theta: ad.Node) -> ad.Node:
         return self.log_prior_node(theta) + self.log_lik_node(theta)

@@ -5,7 +5,8 @@ on every weight, a Gaussian likelihood whose noise scale is a learnable
 hyper-parameter (kept in the log domain), and a mean-field Gaussian
 approximation over the flattened weight vector. The flattened layout is
 (W1, b1, W2, b2); the graph builders unpack it with differentiable slices so
-all gradient flow goes through the shared tape.
+all gradient flow goes through the shared tape. They take one weight vector
+(W,) or K stacked draws (K, W), and return one value per draw.
 """
 
 from __future__ import annotations
@@ -33,22 +34,26 @@ class BNNModel:
         return self.in_dim * self.hidden + self.hidden + self.hidden + 1
 
     def _split(self, theta: ad.Node):
+        """W1 (..., d, h), b1 (..., 1, h), w2 (..., h, 1), b2 (..., 1)."""
         d, h = self.in_dim, self.hidden
+        lead = theta.value.shape[:-1]
         ofs = 0
-        w1 = ad.reshape(ad.slice1d(theta, ofs, ofs + d * h), (d, h))
+        w1 = ad.reshape(ad.slice1d(theta, ofs, ofs + d * h), lead + (d, h))
         ofs += d * h
-        b1 = ad.slice1d(theta, ofs, ofs + h)
+        b1 = ad.reshape(ad.slice1d(theta, ofs, ofs + h), lead + (1, h))
         ofs += h
-        w2 = ad.slice1d(theta, ofs, ofs + h)
+        w2 = ad.reshape(ad.slice1d(theta, ofs, ofs + h), lead + (h, 1))
         ofs += h
         b2 = ad.slice1d(theta, ofs, ofs + 1)
         return w1, b1, w2, b2
 
     def predict_node(self, theta: ad.Node, x: np.ndarray) -> ad.Node:
-        """Network outputs for inputs x (n, in_dim); returns shape (n,)."""
+        """Network outputs for inputs x (n, in_dim): shape (n,) for theta
+        (W,), (K, n) for theta (K, W)."""
         w1, b1, w2, b2 = self._split(theta)
         hidden = ad.relu(ad.matmul(ad.as_node(x), w1) + b1)
-        return ad.matmul(hidden, w2) + b2
+        out = ad.matmul(hidden, w2)
+        return ad.reshape(out, out.value.shape[:-1]) + b2
 
     def predict(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Plain-numpy forward pass (no graph)."""
@@ -61,7 +66,7 @@ class BNNModel:
         return hidden @ w2 + b2
 
     def log_prior_node(self, theta: ad.Node) -> ad.Node:
-        return ad.vsum(theta * theta) * (-0.5) + (-0.5 * self.n_weights * _LOG_2PI)
+        return ad.vsum(theta * theta, axis=-1) * (-0.5) + (-0.5 * self.n_weights * _LOG_2PI)
 
     def log_lik_node(
         self,
@@ -70,9 +75,9 @@ class BNNModel:
         x: np.ndarray,
         y: np.ndarray,
     ) -> ad.Node:
-        """Summed Gaussian log likelihood of targets y at inputs x."""
+        """Summed Gaussian log likelihood of targets y at inputs x, per draw."""
         preds = self.predict_node(theta, x)
-        return ad.normal_logpdf_sum(np.asarray(y, dtype=float), preds, log_noise)
+        return ad.normal_logpdf_rows(np.asarray(y, dtype=float), preds, log_noise)
 
     def log_joint_node(
         self, theta: ad.Node, log_noise: ad.Node, x: np.ndarray, y: np.ndarray

@@ -5,7 +5,9 @@ q(h|x) = N(mu(x), diag(exp(2 rho(x)))). Decoder: h -> tanh layer -> logits
 (Bernoulli likelihood) or means (Gaussian likelihood with a learnable log
 scale). The latent prior is the standard normal. Parameters live in a flat
 dict of named arrays so the trainer can move them through Adam generically;
-the graph builders accept the matching dict of leaf nodes.
+the graph builders accept the matching dict of leaf nodes. Noise may carry a
+leading axis of K draws, which the builders carry through to their outputs,
+so K log weights per datapoint come from one graph with one encoder pass.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ class VAEModel:
         return {name: value.shape for name, value in self.init_params(0).items()}
 
     # ------------------------------------------------------------------
-    # graph builders (x is always a constant (n, data_dim) array)
+    # graph builders (x is always a constant (n, data_dim) array; latents
+    # h are (n, latent_dim) or (K, n, latent_dim), and outputs keep the K)
 
     def encode_nodes(self, nodes: dict[str, ad.Node], x: np.ndarray):
         """Recognition parameters (mu, rho), each shape (n, latent_dim)."""
@@ -79,12 +82,12 @@ class VAEModel:
         return mu, rho
 
     def decode_nodes(self, nodes: dict[str, ad.Node], h: ad.Node) -> ad.Node:
-        """Decoder outputs (logits or means), shape (n, data_dim)."""
+        """Decoder outputs (logits or means), shape (..., n, data_dim)."""
         hid = ad.tanh(ad.matmul(h, nodes["dec_w1"]) + nodes["dec_b1"])
         return ad.matmul(hid, nodes["dec_w2"]) + nodes["dec_b2"]
 
     def log_lik_rows(self, nodes: dict[str, ad.Node], h: ad.Node, x: np.ndarray) -> ad.Node:
-        """Per-datapoint log p(x | h), shape (n,)."""
+        """Per-datapoint log p(x | h), shape (..., n)."""
         out = self.decode_nodes(nodes, h)
         if self.likelihood == "bernoulli":
             return ad.bernoulli_logpmf_rows(out, x)
@@ -92,14 +95,16 @@ class VAEModel:
 
     def log_prior_rows(self, h: ad.Node) -> ad.Node:
         """Per-datapoint standard-normal log density of the latents."""
-        return ad.vsum(h * h, axis=1) * (-0.5) + (-0.5 * self.latent_dim * _LOG_2PI)
+        return ad.vsum(h * h, axis=-1) * (-0.5) + (-0.5 * self.latent_dim * _LOG_2PI)
 
     def log_weight_rows(
         self, nodes: dict[str, ad.Node], x: np.ndarray, eps: np.ndarray
     ) -> ad.Node:
-        """Per-datapoint log p(h, x) - log q(h|x) for one noise draw.
+        """Per-datapoint log p(h, x) - log q(h|x).
 
-        ``eps`` has shape (n, latent_dim); the latent is the reparameterized
+        ``eps`` of shape (n, latent_dim) is one noise draw and gives (n,);
+        (K, n, latent_dim) is K draws and gives (K, n). The encoder runs once
+        either way; the latent is the reparameterized
         h = mu(x) + exp(rho(x)) * eps.
         """
         from ..gradients import GaussianReparam
@@ -108,7 +113,7 @@ class VAEModel:
         reparam = GaussianReparam(mu, rho)
         h = reparam.theta(eps)
         joint = self.log_lik_rows(nodes, h, x) + self.log_prior_rows(h)
-        return joint - reparam.log_q_rows(eps)
+        return joint - reparam.log_q(eps)
 
     # ------------------------------------------------------------------
     # value-only paths
@@ -121,6 +126,4 @@ class VAEModel:
     ) -> np.ndarray:
         """Log weights for eps of shape (K, n, latent_dim); returns (n, K)."""
         nodes = {name: ad.Node(value) for name, value in params.items()}
-        x = np.asarray(x, dtype=float)
-        cols = [self.log_weight_rows(nodes, x, e).value for e in eps]
-        return np.column_stack(cols)
+        return self.log_weight_rows(nodes, np.asarray(x, dtype=float), eps).value.T

@@ -16,6 +16,10 @@ weighted gradient, one sample j is selected per datapoint (categorically for
 finite alpha, argmax of the log weights at alpha = -inf, argmin at +inf) and
 only log w_j is back-propagated.
 
+Every step builds one graph for all K draws: the models' log-weight builders
+take the noise with a leading K axis, and the estimator and weight routines
+reduce along that axis.
+
 Randomness is organized in named streams derived from (seed, stream id,
 index), so shuffling, noise, and evaluation draws are reproducible
 independently of each other.
@@ -28,13 +32,17 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import autodiff as ad
-from .alpha import AlphaKind, classify_alpha
+from .alpha import classify_alpha
 from .bounds import mc_vr_estimate, validate_log_weights
 from .gaussian import GaussianDist
-from .gradients import GaussianReparam, log_weight_ratio, normalize_weights
+from .gradients import (
+    GaussianReparam,
+    log_weight_ratio,
+    normalize_weights,
+    select_backprop_sample,
+)
 from .models.blr import BLRModel
 from .models.bnn import BNNModel
 from .models.data import Dataset
@@ -59,6 +67,11 @@ _STREAM_SHUFFLE = 1
 _STREAM_NOISE = 2
 _STREAM_SELECT = 3
 _STREAM_EVAL = 4
+
+# Evaluation draws log weights in blocks of at most this many (draw, point)
+# rows, or of one draw when there are more points; this bounds the size of
+# the graph's arrays.
+_EVAL_BLOCK_ROWS = 10_000
 
 
 class TrainingDiverged(RuntimeError):
@@ -168,38 +181,24 @@ class Adam:
 # energy approximation (posterior inference objective)
 
 
-def _posterior_log_weight_values(
+def _posterior_log_weights(
     model: BLRModel | BNNModel,
-    params: dict[str, np.ndarray],
+    nodes: dict[str, ad.Node],
+    noise: np.ndarray,
     batch_idx: np.ndarray,
     n_total: int,
     x: np.ndarray,
     y: np.ndarray,
-    noise: np.ndarray,
-) -> np.ndarray:
-    """Value-only path for the scaled-likelihood log weights."""
-    mu, rho = params["mu"], params["rho"]
+) -> ad.Node:
+    """Scaled-likelihood log weights for the K draws in ``noise``, shape (K,)."""
+    reparam = GaussianReparam(nodes["mu"], nodes["rho"])
+    theta = reparam.theta(noise)
+    if isinstance(model, BLRModel):
+        log_lik = model.log_lik_node(theta, batch_idx)
+    else:
+        log_lik = model.log_lik_node(theta, nodes["log_noise"], x[batch_idx], y[batch_idx])
     scale = float(n_total) / batch_idx.shape[0]
-    out = np.empty(noise.shape[0])
-    for k_i, eps in enumerate(noise):
-        theta = mu + np.exp(rho) * eps
-        log_q = float(-np.sum(rho) - 0.5 * eps @ eps - 0.5 * eps.size * math.log(2 * math.pi))
-        if isinstance(model, BLRModel):
-            log_prior = model.log_prior(theta)
-            log_lik = model.log_lik(theta, batch_idx)
-        else:
-            preds = model.predict(theta, x[batch_idx])
-            log_noise = float(params["log_noise"][0])
-            resid = (y[batch_idx] - preds) / math.exp(log_noise)
-            log_lik = float(
-                -0.5 * resid @ resid
-                - batch_idx.shape[0] * (log_noise + 0.5 * math.log(2 * math.pi))
-            )
-            log_prior = float(
-                -0.5 * theta @ theta - 0.5 * theta.size * math.log(2 * math.pi)
-            )
-        out[k_i] = log_prior + scale * log_lik - log_q
-    return out
+    return model.log_prior_node(theta) + log_lik * scale - reparam.log_q(noise)
 
 
 def energy_approx_objective(
@@ -225,21 +224,19 @@ def energy_approx_objective(
         raise ValueError("batch must be non-empty")
     if not q.is_diagonal:
         raise ValueError("energy approximation expects a diagonal q")
-    params = {
-        "mu": q.mean,
-        "rho": 0.5 * np.log(q.variances),
-        "log_noise": np.array([log_noise]),
-    }
-    if isinstance(model, BLRModel):
-        x_arr, y_arr = model.design, model.targets
-    else:
+    if isinstance(model, BNNModel):
         if x is None or y is None:
             raise ValueError("BNN objective needs x and y arrays")
-        x_arr, y_arr = np.asarray(x), np.asarray(y)
-    log_w = _posterior_log_weight_values(
-        model, params, batch_idx, n_total, x_arr, y_arr, np.asarray(noise, dtype=float)
+        x, y = np.asarray(x), np.asarray(y)
+    nodes = {
+        "mu": ad.Node(q.mean),
+        "rho": ad.Node(0.5 * np.log(q.variances)),
+        "log_noise": ad.Node(np.array([log_noise])),
+    }
+    log_w = _posterior_log_weights(
+        model, nodes, np.asarray(noise, dtype=float), batch_idx, n_total, x, y
     )
-    return mc_vr_estimate(log_w, alpha)
+    return mc_vr_estimate(log_w.value, alpha)
 
 
 # ----------------------------------------------------------------------
@@ -300,46 +297,15 @@ def _train_posterior(model, config: TrainConfig, dataset: Dataset | None):
         for batch_idx in _epoch_batches(n, m, config.seed, epoch):
             if step >= config.steps:
                 break
-            scale = n / batch_idx.shape[0]
             noise_rng = np.random.default_rng([config.seed, _STREAM_NOISE, step])
             noise = noise_rng.standard_normal((config.k, dim))
 
             nodes = {name: ad.Node(value) for name, value in params.items()}
-            reparam = GaussianReparam(nodes["mu"], nodes["rho"])
-            lw_nodes = []
-            for eps in noise:
-                theta = reparam.theta(eps)
-                if isinstance(model, BLRModel):
-                    joint = model.log_prior_node(theta) + model.log_lik_node(
-                        theta, batch_idx
-                    ) * scale
-                else:
-                    joint = model.log_prior_node(theta) + model.log_lik_node(
-                        theta, nodes["log_noise"], x[batch_idx], y[batch_idx]
-                    ) * scale
-                lw_nodes.append(joint - reparam.log_q(eps))
-            log_w = np.array([float(node.value) for node in lw_nodes])
+            lw_node = _posterior_log_weights(model, nodes, noise, batch_idx, n, x, y)
+            log_w = lw_node.value
             if not np.all(np.isfinite(log_w)):
                 raise TrainingDiverged(step, "non-finite objective", params)
-
-            if config.single_backprop:
-                select_rng = np.random.default_rng([config.seed, _STREAM_SELECT, step])
-                j = _select_index(log_w, config.alpha, select_rng)
-                weights = np.zeros(config.k)
-                weights[j] = 1.0
-            else:
-                weights = normalize_weights(log_w, config.alpha)
-            objective = None
-            for w, lw in zip(weights, lw_nodes):
-                term = lw * float(w)
-                objective = term if objective is None else objective + term
-            grads = ad.gradients(objective, nodes)
-
-            gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-            if not math.isfinite(gnorm):
-                raise TrainingDiverged(step, "non-finite gradient", params)
-            adam.step(params, grads)
-            _check_finite_params(step, params)
+            gnorm = _ascent_step(adam, params, nodes, lw_node, config, step, 1.0)
 
             log_r, _ = log_weight_ratio(log_w)
             record.append(
@@ -352,12 +318,6 @@ def _train_posterior(model, config: TrainConfig, dataset: Dataset | None):
             step += 1
         epoch += 1
     return params, record
-
-
-def _select_index(log_w: np.ndarray, alpha: float, rng: np.random.Generator) -> int:
-    from .gradients import select_backprop_sample
-
-    return select_backprop_sample(log_w, alpha, rng)
 
 
 def _train_vae(model: VAEModel, config: TrainConfig, dataset: Dataset):
@@ -381,31 +341,17 @@ def _train_vae(model: VAEModel, config: TrainConfig, dataset: Dataset):
             eps = noise_rng.standard_normal((config.k, rows, model.latent_dim))
 
             nodes = {name: ad.Node(value) for name, value in params.items()}
-            lw_nodes = [model.log_weight_rows(nodes, xb, eps[k_i]) for k_i in range(config.k)]
-            lw = np.column_stack([node.value for node in lw_nodes])  # (rows, K)
+            lw_node = model.log_weight_rows(nodes, xb, eps)  # (K, rows)
+            lw = lw_node.value
             if not np.all(np.isfinite(lw)):
                 raise TrainingDiverged(step, "non-finite objective", params)
+            gnorm = _ascent_step(adam, params, nodes, lw_node, config, step, 1.0 / rows)
 
-            weights = _per_row_weights(lw, config, step)
-            objective = None
-            for k_i, lw_node in enumerate(lw_nodes):
-                term = ad.vsum(lw_node * weights[:, k_i]) * (1.0 / rows)
-                objective = term if objective is None else objective + term
-            grads = ad.gradients(objective, nodes)
-
-            gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-            if not math.isfinite(gnorm):
-                raise TrainingDiverged(step, "non-finite gradient", params)
-            adam.step(params, grads)
-            _check_finite_params(step, params)
-
-            per_point = [mc_vr_estimate(lw[i], config.alpha) for i in range(rows)]
-            log_rs = [log_weight_ratio(lw[i])[0] for i in range(rows)]
             record.append(
                 step,
-                float(np.mean(per_point)),
+                float(np.mean(mc_vr_estimate(lw, config.alpha, axis=0))),
                 gnorm,
-                float(np.mean(log_rs)),
+                float(np.mean(log_weight_ratio(lw, axis=0)[0])),
                 time.perf_counter() - start,
             )
             step += 1
@@ -413,19 +359,38 @@ def _train_vae(model: VAEModel, config: TrainConfig, dataset: Dataset):
     return params, record
 
 
-def _per_row_weights(lw: np.ndarray, config: TrainConfig, step: int) -> np.ndarray:
-    rows, k = lw.shape
-    weights = np.empty((rows, k))
+def _ascent_step(
+    adam: Adam,
+    params: dict[str, np.ndarray],
+    nodes: dict[str, ad.Node],
+    lw_node: ad.Node,
+    config: TrainConfig,
+    step: int,
+    scale: float,
+) -> float:
+    """Back-propagate ``scale`` times the weighted sum of the log weights and
+    take one Adam step; returns the gradient norm.
+
+    Axis 0 of ``lw_node`` holds the K draws of every weight set. The weights
+    are the normalized ones, or in single-backprop mode a one-hot at the
+    selected sample of each set.
+    """
+    log_w = lw_node.value
     if config.single_backprop:
         select_rng = np.random.default_rng([config.seed, _STREAM_SELECT, step])
-        for i in range(rows):
-            j = _select_index(lw[i], config.alpha, select_rng)
-            weights[i] = 0.0
-            weights[i, j] = 1.0
+        weights = np.zeros_like(log_w)
+        for idx in np.ndindex(log_w.shape[1:]):
+            j = select_backprop_sample(log_w[(slice(None),) + idx], config.alpha, select_rng)
+            weights[(j,) + idx] = 1.0
     else:
-        for i in range(rows):
-            weights[i] = normalize_weights(lw[i], config.alpha)
-    return weights
+        weights = normalize_weights(log_w, config.alpha, axis=0)
+    grads = ad.gradients(ad.vsum(lw_node * weights) * scale, nodes)
+    gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    if not math.isfinite(gnorm):
+        raise TrainingDiverged(step, "non-finite gradient", params)
+    adam.step(params, grads)
+    _check_finite_params(step, params)
+    return gnorm
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +416,6 @@ def evaluate_vae(
     repeats: int = 10,
     seed: int = 0,
     k_ref: int = 5000,
-    chunk: int = 200,
 ) -> list[EvalRow]:
     """Held-out bound table with gaps against the alpha = 0 reference.
 
@@ -477,10 +441,10 @@ def evaluate_vae(
 
     for r in range(repeats):
         rng = np.random.default_rng([seed, _STREAM_EVAL, r])
-        lw = _log_weight_block(model, params, x, k_block, rng, chunk)
-        ref = _row_estimates(lw, 0.0, k_ref)
+        lw = _log_weight_block(model, params, x, k_block, rng)
+        ref = mc_vr_estimate(lw[:, :k_ref], 0.0, axis=1)
         for (a, k), store in per_point.items():
-            est = _row_estimates(lw, a, k)
+            est = mc_vr_estimate(lw[:, :k], a, axis=1)
             store[r] = est
             gaps[(a, k)][r] = est - ref
 
@@ -509,32 +473,18 @@ def _log_weight_block(
     x: np.ndarray,
     k: int,
     rng: np.random.Generator,
-    chunk: int,
 ) -> np.ndarray:
-    """Log weights (n, k) drawn in chunks to bound peak memory."""
+    """Log weights (n, k), drawn in blocks of floor(_EVAL_BLOCK_ROWS / n)
+    draws (at least one) to bound peak memory. The draws come from ``rng``
+    in the same order whatever the block size."""
     n = x.shape[0]
+    draws = max(1, _EVAL_BLOCK_ROWS // n)
     out = np.empty((n, k))
-    done = 0
-    while done < k:
-        take = min(chunk, k - done)
+    for done in range(0, k, draws):
+        take = min(draws, k - done)
         eps = rng.standard_normal((take, n, model.latent_dim))
         out[:, done : done + take] = model.log_weight_matrix(params, x, eps)
-        done += take
     return out
-
-
-def _row_estimates(lw: np.ndarray, alpha: float, k: int) -> np.ndarray:
-    """Per-row bound estimates using the first k columns of lw."""
-    sub = lw[:, :k]
-    kind = classify_alpha(alpha)
-    if kind is AlphaKind.ONE:
-        return sub.mean(axis=1)
-    if kind is AlphaKind.NEG_INF:
-        return sub.max(axis=1)
-    if kind is AlphaKind.POS_INF:
-        return sub.min(axis=1)
-    one_minus = 1.0 - float(alpha)
-    return (logsumexp(one_minus * sub, axis=1) - math.log(k)) / one_minus
 
 
 # ----------------------------------------------------------------------

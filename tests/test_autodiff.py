@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from vrbound import autodiff as ad
+from vrbound import finite_diff_check
 
 
 def numeric_grad(f, x, step=1e-6):
@@ -60,7 +61,19 @@ class TestPrimitives:
 
     @pytest.mark.parametrize(
         "shape_a,shape_b",
-        [((3,), (3,)), ((2, 3), (3,)), ((3,), (3, 4)), ((2, 3), (3, 4))],
+        [
+            ((3,), (3,)),
+            ((2, 3), (3,)),
+            ((3,), (3, 4)),
+            ((2, 3), (3, 4)),
+            # batched: stacks of matrices broadcast over leading axes
+            ((5, 2, 3), (3, 4)),
+            ((2, 3), (5, 3, 4)),
+            ((5, 2, 3), (5, 3, 4)),
+            ((1, 2, 3), (5, 3, 4)),
+            ((5, 2, 3), (3,)),
+            ((3,), (5, 3, 4)),
+        ],
     )
     def test_matmul_variants(self, shape_a, shape_b):
         rng = np.random.default_rng(2)
@@ -141,6 +154,20 @@ class TestPrimitives:
         expected = np.zeros(12)
         expected[4:10] = w.ravel()
         np.testing.assert_allclose(grads["x"], expected)
+
+    def test_slice_last_axis_of_stacked_rows(self):
+        rng = np.random.default_rng(14)
+        x_val = rng.standard_normal((3, 7))
+        w = rng.standard_normal((3, 2, 2))
+        x = ad.Node(x_val)
+        part = ad.reshape(ad.slice1d(x, 2, 6), (3, 2, 2))
+        np.testing.assert_array_equal(part.value, x_val[:, 2:6].reshape(3, 2, 2))
+        grads = ad.gradients(ad.vsum(part * w), {"x": x})
+        f = lambda v: float(np.sum(v[:, 2:6].reshape(3, 2, 2) * w))
+        assert finite_diff_check(f, x_val, grads["x"]) < 1e-6
+        expected = np.zeros((3, 7))
+        expected[:, 2:6] = w.reshape(3, 4)
+        np.testing.assert_array_equal(grads["x"], expected)
 
     def test_gradient_accumulation_diamond(self):
         x = ad.Node(np.array(2.0))
@@ -229,3 +256,33 @@ class TestComposites:
         targets = np.array([[0.0, 1.0, 0.0, 1.0]])
         node = ad.bernoulli_logpmf_rows(logits, targets)
         assert np.all(np.isfinite(node.value))
+
+    def test_bernoulli_extreme_logits_hit_the_probability_floor(self):
+        # p is clipped to [1e-7, 1 - 1e-7]: a wrong-side target at +-500
+        # scores log(1e-7), a right-side one log(1 - 1e-7).
+        floor, top = math.log(1e-7), math.log1p(-1e-7)
+        cases = [(500.0, 0.0, floor), (-500.0, 1.0, floor), (500.0, 1.0, top), (-500.0, 0.0, top)]
+        for logit, target, expected in cases:
+            node = ad.bernoulli_logpmf_rows(ad.Node(np.array([[logit]])), np.array([[target]]))
+            assert abs(float(node.value[0]) - expected) <= 1e-12, (logit, target)
+
+    def test_bernoulli_batched_gradient_matches_finite_diff_check(self):
+        # (K, n, d) logits against (n, d) targets, as in the K-batched VAE;
+        # two clipped logits get zero gradient.
+        rng = np.random.default_rng(15)
+        logits_val = rng.standard_normal((3, 2, 5)) * 2.0
+        logits_val[0, 0, 0], logits_val[2, 1, 4] = 40.0, -40.0
+        targets = (rng.random((2, 5)) > 0.5).astype(float)
+        w = rng.standard_normal((3, 2))
+        logits = ad.Node(logits_val)
+        node = ad.bernoulli_logpmf_rows(logits, targets)
+        assert node.value.shape == (3, 2)
+        # log p and log(1 - p) on logits clipped to +-logit(1 - 1e-7)
+        cap = math.log((1.0 - 1e-7) / 1e-7)
+        z = np.clip(logits_val, -cap, cap)
+        expected = (-targets * np.logaddexp(0.0, -z) - (1 - targets) * np.logaddexp(0.0, z)).sum(-1)
+        np.testing.assert_allclose(node.value, expected, rtol=1e-12, atol=1e-12)
+        grads = ad.gradients(ad.vsum(node * w), {"logits": logits})
+        f = lambda v: float(np.sum(ad.bernoulli_logpmf_rows(ad.Node(v), targets).value * w))
+        assert finite_diff_check(f, logits_val, grads["logits"]) < 1e-6
+        assert grads["logits"][0, 0, 0] == 0.0 and grads["logits"][2, 1, 4] == 0.0

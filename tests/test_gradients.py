@@ -17,7 +17,7 @@ from vrbound import (
     vr_grad,
 )
 from vrbound import autodiff as ad
-from vrbound.gradients import log_weight_ratio, mc_estimate_from_builder
+from vrbound.gradients import log_weight_ratio
 
 ALL_BRANCH_ALPHAS = (-math.inf, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf)
 
@@ -128,6 +128,12 @@ def _toy_builder():
     return build, params
 
 
+def _estimate(build, params, noises, alpha):
+    """The bound estimate over the builder's log weights, one per noise draw."""
+    nodes = {name: ad.Node(value) for name, value in params.items()}
+    return mc_vr_estimate([float(build(nodes, eps).value) for eps in noises], alpha)
+
+
 def _flatten(params, names):
     return np.concatenate([np.asarray(params[n]).ravel() for n in names])
 
@@ -152,7 +158,7 @@ class TestVrGrad:
         gflat = _flatten(grads, names)
 
         def f(x):
-            return mc_estimate_from_builder(build, _unflatten(x, params, names), noises, 0.0)
+            return _estimate(build, _unflatten(x, params, names), noises, 0.0)
 
         assert finite_diff_check(f, flat, gflat, step=1e-5) < 1e-4
 
@@ -172,7 +178,7 @@ class TestVrGrad:
             grads, _ = vr_grad(build, params, noises, alpha)
 
             def f(x, a=alpha):
-                return mc_estimate_from_builder(build, _unflatten(x, params, names), noises, a)
+                return _estimate(build, _unflatten(x, params, names), noises, a)
 
             err = finite_diff_check(f, flat, _flatten(grads, names), step=1e-5)
             assert err < 1e-4, f"alpha={alpha}: rel err {err}"
@@ -257,6 +263,18 @@ class TestGaussianReparam:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="same shape"):
             GaussianReparam(ad.Node(np.zeros(2)), ad.Node(np.zeros(3)))
+
+    def test_leading_draw_axis_matches_single_draws(self):
+        rng = np.random.default_rng(9)
+        reparam = GaussianReparam(ad.Node(rng.standard_normal((4, 3))), ad.Node(rng.standard_normal((4, 3))))
+        eps = rng.standard_normal((5, 4, 3))
+        theta, log_q = reparam.theta(eps), reparam.log_q(eps)
+        assert theta.value.shape == (5, 4, 3) and log_q.value.shape == (5, 4)
+        for k in range(5):
+            np.testing.assert_array_equal(theta.value[k], reparam.theta(eps[k]).value)
+            np.testing.assert_allclose(log_q.value[k], reparam.log_q(eps[k]).value, rtol=1e-15)
+        with pytest.raises(ValueError, match="eps must have shape"):
+            reparam.theta(rng.standard_normal((5, 3, 4)))
 
 
 class TestFiniteDiffCheck:

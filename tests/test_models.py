@@ -84,6 +84,23 @@ class TestBlrPosterior:
         node = model.log_joint_node(ad.Node(theta0))
         assert float(node.value) == pytest.approx(model.log_joint(theta0), abs=1e-12)
 
+    def test_batched_log_weights_match_draws(self):
+        model = synthetic_blr_instance(seed=3, n_data=9)
+        thetas = np.random.default_rng(9).standard_normal((4, model.dim))
+        idx = np.array([0, 2, 5])
+        prior = model.log_prior_node(ad.Node(thetas))
+        lik = model.log_lik_node(ad.Node(thetas), idx)
+        assert prior.value.shape == lik.value.shape == (4,)
+        for k in range(4):
+            theta = ad.Node(thetas[k])
+            np.testing.assert_allclose(
+                prior.value[k], model.log_prior_node(theta).value, rtol=1e-12, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                lik.value[k], model.log_lik_node(theta, idx).value, rtol=1e-12, atol=1e-12
+            )
+            assert float(lik.value[k]) == pytest.approx(model.log_lik(thetas[k], idx), abs=1e-10)
+
     def test_singular_precision_rejected(self):
         # A design with enormous colinear columns cannot break Cholesky for
         # Lam = X'X/s^2 + I, but non-finite inputs are rejected up front.
@@ -233,6 +250,26 @@ class TestBnn:
         node = bnn.log_joint_node(leaf, ad.Node(np.array(0.1)), x, y)
         grads = ad.gradients(node, {"theta": leaf})
         assert finite_diff_check(f, theta0, grads["theta"]) < 1e-4
+
+    def test_batched_log_weights_match_draws(self):
+        # (K, W) stacked draws give the K per-draw values in one graph.
+        rng = np.random.default_rng(8)
+        bnn = BNNModel(in_dim=2, hidden=4)
+        x = rng.standard_normal((6, 2))
+        y = rng.standard_normal(6)
+        thetas = rng.standard_normal((5, bnn.n_weights))
+        log_noise = ad.Node(np.array([0.2]))
+        prior = bnn.log_prior_node(ad.Node(thetas))
+        lik = bnn.log_lik_node(ad.Node(thetas), log_noise, x, y)
+        assert prior.value.shape == lik.value.shape == (5,)
+        for k in range(5):
+            theta = ad.Node(thetas[k])
+            np.testing.assert_allclose(
+                prior.value[k], bnn.log_prior_node(theta).value, rtol=1e-12, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                lik.value[k], bnn.log_lik_node(theta, log_noise, x, y).value, rtol=1e-12, atol=1e-12
+            )
 
     def test_predict_matches_node_forward(self):
         rng = np.random.default_rng(5)

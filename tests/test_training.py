@@ -223,6 +223,18 @@ class TestEvaluateVae:
         tol = 3.0 * math.sqrt(by_k[2].se_gap**2 + by_k[16].se_gap**2)
         assert by_k[16].mean_gap >= by_k[2].mean_gap - tol
 
+    def test_k1_rows_are_alpha_free(self, trained):
+        # One draw per point: every order's estimate is that draw's log
+        # weight, so the K = 1 rows must agree bit for bit across alpha.
+        vae, params, data = trained
+        rows = evaluate_vae(
+            vae, params, data.test_features[:50], alphas=[0.3, 0.7, -0.2], ks=[1],
+            repeats=2, seed=3, k_ref=8,
+        )
+        for field in ("mean_bound", "se_bound", "mean_gap", "se_gap"):
+            values = {getattr(row, field) for row in rows}
+            assert len(values) == 1, f"{field} differs across alpha: {values}"
+
     def test_repeats_validated(self, trained):
         vae, params, data = trained
         with pytest.raises(ValueError, match="repeats"):
