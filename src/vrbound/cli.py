@@ -209,6 +209,18 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError("config key 'threads' must be >= 1")
     if resolved["seed"] < 0:
         raise ConfigError("config key 'seed' must be >= 0")
+    section = resolved[section_key]
+    if kind in ("bias-sim", "eval") and section["repeats"] < 2:
+        raise ConfigError(
+            f"config key '{section_key}.repeats' must be >= 2 to report a standard error"
+        )
+    if kind == "blr-demo" and any(
+        a < 0.0 for a in _alphas_from(section["fit_alphas"], "blr_demo.fit_alphas")
+    ):
+        raise ConfigError(
+            "'blr_demo.fit_alphas' must be >= 0: the mean-field fit has no "
+            "finite maximizer for negative orders"
+        )
     return resolved
 
 
@@ -363,8 +375,13 @@ def _run_blr_demo(cfg: dict, out: Path, seed: int) -> list[str]:
         for a in curve_alphas:
             fit = blr_mean_field_fit(at_sigma, a)
             row[f"bound_alpha_{a:g}"] = fit.bound
+            row[f"converged_alpha_{a:g}"] = fit.converged
         curve_rows.append(row)
-    curve_header = ["sigma", "log_evidence"] + [f"bound_alpha_{a:g}" for a in curve_alphas]
+    curve_header = (
+        ["sigma", "log_evidence"]
+        + [f"bound_alpha_{a:g}" for a in curve_alphas]
+        + [f"converged_alpha_{a:g}" for a in curve_alphas]
+    )
     vio.write_csv(out / "sigma_curves.csv", curve_header, curve_rows)
     return ["fits.csv", "contours.csv", "sigma_curves.csv"]
 
@@ -464,7 +481,22 @@ def _run_eval(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
         likelihood=arch["likelihood"],
         encoder_hidden=arch["encoder_hidden"],
     )
-    params = vio.load_params(section["params"])
+    try:
+        params = vio.load_params(section["params"])
+    except ValueError as exc:
+        raise ConfigError(f"'eval.params': {exc}") from exc
+    shapes = model.param_shapes()
+    if set(params) != set(shapes):
+        raise ConfigError(
+            f"'eval.params': the file's tensors do not match the model: missing "
+            f"{sorted(set(shapes) - set(params))}, unexpected {sorted(set(params) - set(shapes))}"
+        )
+    for name, shape in shapes.items():
+        if params[name].shape != shape:
+            raise ConfigError(
+                f"'eval.params': tensor '{name}' has shape {params[name].shape}, "
+                f"the model needs {shape}"
+            )
     alphas = _alphas_from(section["alphas"], "eval.alphas")
     ks = [int(k) for k in section["ks"]]
     x = data.test_features[: section["max_points"]]

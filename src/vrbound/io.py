@@ -47,27 +47,36 @@ def save_params(path, params: dict[str, np.ndarray]) -> None:
 
 
 def load_params(path) -> dict[str, np.ndarray]:
+    """Read a parameter file; ValueError unless it is exactly one complete file."""
     data = Path(path).read_bytes()
+    offset = 0
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal offset
+        if size > len(data) - offset:
+            raise ValueError(f"{path}: truncated parameter file (reading {what} at byte {offset})")
+        offset += size
+        return data[offset - size : offset]
+
+    def unpack(fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
     if data[:4] != PARAMS_MAGIC:
         raise ValueError(f"{path}: not a parameter file (bad magic)")
-    version, count = struct.unpack_from("<II", data, 4)
+    offset = 4
+    version, count = unpack("<II", "the header")
     if version != PARAMS_VERSION:
         raise ValueError(f"{path}: unsupported parameter file version {version}")
-    offset = 12
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        name = data[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{ndim}Q", data, offset) if ndim else ()
-        offset += 8 * ndim
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(data, dtype="<f8", count=size, offset=offset).reshape(shape)
-        offset += 8 * size
-        out[name] = arr.astype(float)
+        (name_len,) = unpack("<H", "a name length")
+        name = take(name_len, "a name").decode("utf-8")
+        (ndim,) = unpack("<I", f"the rank of '{name}'")
+        shape = unpack(f"<{ndim}Q", f"the shape of '{name}'")
+        raw = take(8 * math.prod(shape), f"the data of '{name}'")
+        out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
+    if offset != len(data):
+        raise ValueError(f"{path}: {len(data) - offset} trailing bytes after the last array")
     return out
 
 

@@ -16,9 +16,11 @@ divergence from q to the exact posterior, with no approximation anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .. import autodiff as ad
 from ..alpha import AlphaKind, classify_alpha
@@ -142,7 +144,7 @@ def exact_vr_bound_blr(model: BLRModel, q: GaussianDist, alpha: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# mean-field fit by deterministic gradient ascent
+# mean-field fit: L-BFGS-B at finite orders, a direct solve at +inf
 
 
 @dataclass
@@ -152,7 +154,6 @@ class MeanFieldFitResult:
     iterations: int
     grad_norm: float
     converged: bool
-    path: list[float] = field(default_factory=list, repr=False)
 
 
 def _divergence_grads(
@@ -218,34 +219,53 @@ def _kl_post_q_grads(
     return value, g_mu, g_s2
 
 
-def _ascend(objective, x0: np.ndarray, max_iter: int, gtol: float):
-    """Backtracking gradient ascent on objective(x) -> (value, grad)."""
-    x = x0.copy()
-    value, grad = objective(x)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        gnorm = float(np.max(np.abs(grad)))
-        if gnorm < gtol:
-            return x, value, iterations, gnorm, True
-        step = 1.0
-        improved = False
-        g2 = float(grad @ grad)
-        while step > 1e-18:
-            cand = x + step * grad
-            cand_value, cand_grad = objective(cand)
-            if math.isfinite(cand_value) and cand_value >= value + 1e-4 * step * g2:
-                x, value, grad = cand, cand_value, cand_grad
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            return x, value, iterations, float(np.max(np.abs(grad))), False
-    return x, value, max_iter, float(np.max(np.abs(grad))), False
+# L-BFGS-B stops on a relative objective change below _FTOL or a largest
+# gradient entry below `gtol`; much tighter values fall under the rounding
+# noise of the objective, where the line search ends abnormally.
+_FTOL = 1e-12
+# Relative margin on the +inf fit's precisions, so that q is strictly feasible.
+_INF_MARGIN = 1e-10
 
 
-# Orders used for the +inf fit: a warm-started continuation over increasingly
-# mode-seeking finite orders, ending at a good proxy for the limit.
-_INF_CONTINUATION = (2.0, 8.0, 32.0, 128.0, 512.0)
+def _feasible_variances(log_pivots: np.ndarray, lam: np.ndarray, c: float):
+    """Variances s2 with diag(1/s2) - c lam = L L', and ds2/dlog_pivots.
+
+    L is lower triangular with diagonal exp(log_pivots), the rest fixed by the
+    off-diagonal of -c lam, so inputs map one to one onto the s2 that make
+    diag(1/s2) - c lam positive definite. d(1/s2) = 2 (L^-1 * L^-1)^-1 dz.
+    """
+    low = np.diag(np.exp(log_pivots))
+    for i in range(len(log_pivots)):
+        for j in range(i):
+            low[i, j] = (-c * lam[i, j] - low[i, :j] @ low[j, :j]) / low[j, j]
+    prec = np.sum(low**2, axis=1) + c * np.diag(lam)
+    jac = 2.0 * np.linalg.inv(np.linalg.inv(low) ** 2)
+    return 1.0 / prec, -jac / prec[:, None] ** 2
+
+
+def _log_std_variances(log_std: np.ndarray):
+    s2 = np.exp(2.0 * log_std)
+    return s2, np.diag(2.0 * s2)
+
+
+def _inf_precisions(lam: np.ndarray, options: dict):
+    """Diagonal d minimizing sum(log d) subject to diag(d) >= lam (Loewner order).
+
+    Over r = log s2, rescaling s2 by 1 / lambda_max(S^1/2 lam S^1/2) onto the
+    boundary gives the unconstrained sum(log d) = dim log lambda_max - sum(r),
+    with gradient dim v^2 - 1 for the unit top eigenvector v. Returns d and
+    the solver result.
+    """
+    dim = lam.shape[0]
+
+    def objective(r):
+        h = np.exp(0.5 * r)
+        eigvals, eigvecs = np.linalg.eigh(h[:, None] * lam * h[None, :])
+        return dim * math.log(eigvals[-1]) - float(np.sum(r)), dim * eigvecs[:, -1] ** 2 - 1.0
+
+    res = minimize(objective, -np.log(np.diag(lam)), jac=True, method="L-BFGS-B", options=options)
+    # d = exp(-r) lambda_max, and the objective value holds log lambda_max
+    return np.exp((res.fun + np.sum(res.x)) / dim - res.x), res
 
 
 def blr_mean_field_fit(
@@ -253,16 +273,26 @@ def blr_mean_field_fit(
     alpha: float,
     *,
     max_iter: int = 20000,
-    gtol: float = 1e-10,
+    gtol: float = 1e-7,
 ) -> MeanFieldFitResult:
     """Diagonal-Gaussian maximizer of the exact bound at the given order.
 
-    Deterministic gradient ascent with backtracking line search on the exact
-    bound. At alpha = 0 the bound itself is constant in q (it equals the log
-    evidence for any full-support q), so the fit maximizes the limiting
-    objective as alpha -> 0+, which is -KL[posterior || q]; its optimum
-    matches the posterior marginals. alpha = +inf is fit by continuation over
-    large finite orders. Dimension is expected to be small (<= 3).
+    Finite orders minimize D_alpha[q || posterior] by L-BFGS-B on its analytic
+    gradient, over the mean and log standard deviations; ``converged`` is the
+    solver's success flag. Above order 1 the divergence is finite only where
+    diag(1/s2) - (1 - 1/alpha) Lam is positive definite (Lam the posterior
+    precision) and the line search cannot step back from points outside, so
+    the variances are searched through the log Cholesky pivots of that
+    matrix, from the +inf fit. At alpha = 0 the bound is the log evidence for
+    any full-support q, so the fit minimizes the limit as alpha -> 0+,
+    KL[posterior || q], which matches the posterior marginals.
+
+    alpha = +inf is solved directly: sup log q/posterior is finite only when
+    diag(1/s2) >= Lam (Loewner order); the best mean is then the posterior
+    mean and the best precisions minimize sum log(1/s2) on the boundary (in
+    2-D, 1/s2_i = Lam_ii + |Lam_12| sqrt(Lam_ii / Lam_jj)). Scaled up by a
+    relative 1e-10, they give a strictly feasible q, and the bound is its
+    exact order-inf bound log Z - D_inf[q || posterior]. Dimension <= 3.
 
     Negative orders are rejected: there the exact bound is an upper bound on
     the evidence whose supremum over q is +inf (approached at the boundary
@@ -275,80 +305,47 @@ def blr_mean_field_fit(
     if kind is AlphaKind.NEG_INF or (kind is AlphaKind.FINITE and float(alpha) < 0.0):
         raise ValueError("mean-field fit requires alpha >= 0; the bound has no "
                          "finite maximizer for negative orders")
+    lam, dim = posterior.precision(), model.dim
+    options = {"maxiter": max_iter, "gtol": gtol, "ftol": _FTOL}
+    at_zero = kind is AlphaKind.FINITE and abs(float(alpha)) <= 1e-12
 
-    def make_objective(a_val: float | None):
-        # a_val None marks the alpha -> 0 limiting objective.
-        def objective(x):
-            mu, rho = x[: model.dim], x[model.dim :]
-            s2 = np.exp(2.0 * rho)
-            if a_val is None:
-                value, g_mu, g_s2 = _kl_post_q_grads(mu, s2, posterior)
-            elif abs(a_val - 1.0) <= 1e-12:
-                value, g_mu, g_s2 = _kl_q_post_grads(mu, s2, posterior)
-            else:
-                value, g_mu, g_s2 = _divergence_grads(mu, s2, posterior, a_val)
-            if not math.isfinite(value):
-                return -math.inf, np.zeros_like(x)
-            grad = -np.concatenate([g_mu, g_s2 * 2.0 * s2])
-            return -value, grad
-
-        return objective
+    mode_seeking = kind is AlphaKind.POS_INF or (kind is AlphaKind.FINITE and float(alpha) > 1.0)
+    iterations, converged = 0, True
+    if mode_seeking:
+        prec, res = _inf_precisions(lam, options)
+        prec, iterations, converged = prec * (1.0 + _INF_MARGIN), res.nit, res.success
 
     if kind is AlphaKind.POS_INF:
-        schedule = list(_INF_CONTINUATION)
-        fitted_alpha = schedule[-1]
-    elif abs(float(alpha)) <= 1e-12:
-        schedule = [None]
-        fitted_alpha = None
+        q = GaussianDist.diagonal(posterior.mean, 1.0 / prec)
     else:
-        schedule = [float(alpha)]
-        fitted_alpha = float(alpha)
-
-    # Mass-covering orders start from the posterior marginals; mode-seeking
-    # orders (alpha > 1) start from the always-feasible precision-diagonal
-    # solution of the KL fit.
-    if fitted_alpha is not None and fitted_alpha > 1.0:
-        init_vars = 1.0 / np.diag(posterior.precision())
-    else:
-        init_vars = posterior.variances
-    x = np.concatenate([posterior.mean, 0.5 * np.log(init_vars)])
-
-    total_iters = 0
-    gnorm, converged = math.inf, False
-    for a_val in schedule:
-        objective = make_objective(a_val)
-        # Mode-seeking orders push the optimum toward the feasibility
-        # boundary where ascent crawls; a looser gradient tolerance there
-        # costs only second-order error in the bound value.
-        if a_val is not None and a_val > 1.0 + 1e-12:
-            stage_iter, stage_gtol = min(max_iter, 5000), max(gtol, 1e-7)
+        grads, extra = _divergence_grads, (float(alpha),)
+        if at_zero:
+            grads, extra = _kl_post_q_grads, ()
+        elif kind is AlphaKind.ONE:
+            grads, extra = _kl_q_post_grads, ()
+        if mode_seeking:
+            c = 1.0 - 1.0 / float(alpha)
+            variances = partial(_feasible_variances, lam=lam, c=c)
+            # the +inf fit is feasible at every order above 1
+            z0 = np.log(np.diag(np.linalg.cholesky(np.diag(prec) - c * lam)))
         else:
-            stage_iter, stage_gtol = max_iter, gtol
-        # Shrink the scales until the mixture covariance is SPD; ascent can
-        # only move through the feasible region from there.
-        guard = 0
-        while not math.isfinite(objective(x)[0]) and guard < 200:
-            x = np.concatenate([x[: model.dim], x[model.dim :] - 0.25])
-            guard += 1
-        if not math.isfinite(objective(x)[0]):
-            raise RuntimeError(f"could not find a feasible start for alpha={a_val}")
-        x, _, iters, gnorm, converged = _ascend(objective, x, stage_iter, stage_gtol)
-        total_iters += iters
+            variances, z0 = _log_std_variances, 0.5 * np.log(posterior.variances)
 
-    mu, rho = x[: model.dim], x[model.dim :]
-    q = GaussianDist.diagonal(mu, np.exp(2.0 * rho))
-    if fitted_alpha is None:
-        bound = log_evidence
-    else:
-        # For the +inf fit this is the bound at the final continuation order.
-        bound = exact_vr_bound_blr(model, q, fitted_alpha)
-    return MeanFieldFitResult(
-        q=q,
-        bound=bound,
-        iterations=total_iters,
-        grad_norm=gnorm,
-        converged=converged,
-    )
+        def objective(x):
+            s2, ds2_dz = variances(x[dim:])
+            value, g_mu, g_s2 = grads(x[:dim], s2, posterior, *extra)
+            return value, np.concatenate([g_mu, ds2_dz.T @ g_s2])
+
+        x0 = np.concatenate([posterior.mean, z0])
+        res = minimize(objective, x0, jac=True, method="L-BFGS-B", options=options)
+        q = GaussianDist.diagonal(res.x[:dim], variances(res.x[dim:])[0])
+        iterations += res.nit
+        # an objective that is +inf at the start stops the solver "converged"
+        converged = converged and res.success and math.isfinite(res.fun)
+
+    bound = log_evidence if at_zero else log_evidence - renyi_gaussian(q, posterior, alpha)
+    grad_norm = float(np.max(np.abs(res.jac)))
+    return MeanFieldFitResult(q, bound, int(iterations), grad_norm, bool(converged))
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from vrbound import GaussianDist, renyi_gaussian
 from vrbound.cli import main
 from vrbound.io import load_params, save_params
 from vrbound.models.data import save_csv, synthetic_regression
+from vrbound.models.vae import VAEModel
 
 
 def write_config(path: Path, payload: dict) -> str:
@@ -110,6 +112,46 @@ class TestConfigValidation:
         cfg = write_config(tmp_path / "cfg.json", payload)
         assert main(["divergence", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize(
+        "kind, section, key",
+        [
+            ("blr-demo", {"fit_alphas": [1.0, -0.5]}, "blr_demo.fit_alphas"),
+            ("blr-demo", {"fit_alphas": ["-inf"]}, "blr_demo.fit_alphas"),
+            (
+                "bias-sim",
+                {
+                    "p": {"mean": [0.0], "variances": [1.0]},
+                    "q": {"mean": [1.0], "variances": [1.0]},
+                    "alphas": [0.5],
+                    "ks": [2],
+                    "repeats": 1,
+                },
+                "bias_sim.repeats",
+            ),
+            (
+                "eval",
+                {
+                    "params": "params.bin",
+                    "model": {"data_dim": 64},
+                    "dataset": {"synthetic": "binary-images"},
+                    "alphas": [0.0],
+                    "ks": [2],
+                    "repeats": 1,
+                },
+                "eval.repeats",
+            ),
+        ],
+    )
+    def test_invalid_value_is_config_error(self, tmp_path, capsys, kind, section, key):
+        payload = {"kind": kind, "output_dir": str(tmp_path / "out")}
+        payload[kind.replace("-", "_")] = section
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        assert main([kind, "--config", cfg]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["exit_code"], err["type"]) == (2, "config")
+        assert key in err["message"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestSeedPrecedence:
     def _bias_config(self, tmp_path, seed=1):
@@ -170,8 +212,11 @@ class TestBlrDemo:
         fits = (tmp_path / "out" / "fits.csv").read_text().splitlines()
         assert fits[0].startswith("alpha,bound,converged")
         curves = (tmp_path / "out" / "sigma_curves.csv").read_text().splitlines()
-        assert curves[0] == "sigma,log_evidence,bound_alpha_1,bound_alpha_0"
+        assert curves[0] == (
+            "sigma,log_evidence,bound_alpha_1,bound_alpha_0,converged_alpha_1,converged_alpha_0"
+        )
         assert len(curves) == 9
+        assert all(line.split(",")[-2:] == ["True", "True"] for line in curves[1:])
         contours = (tmp_path / "out" / "contours.csv").read_text().splitlines()
         labels = {line.split(",")[0] for line in contours[1:]}
         assert labels == {"posterior", "1.0", "0.0"}
@@ -255,6 +300,7 @@ class TestTrainAndEval:
         assert gap[0] == "alpha,K,mean_bound,se_bound,mean_gap,se_gap"
         assert len(gap) == 5
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_training_exit_code(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -293,3 +339,80 @@ class TestParamsFile:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_params(path)
+
+    def test_every_truncation_and_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "p.bin"
+        save_params(path, {"mu": np.arange(3.0), "w": np.ones((2, 2))})
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match="truncated|bad magic"):
+                load_params(path)
+        path.write_bytes(data + b"\x00")
+        with pytest.raises(ValueError, match="1 trailing bytes"):
+            load_params(path)
+        # a corrupt shape whose size overflows any buffer
+        path.write_bytes(b"VRBP" + struct.pack("<IIH1sI2Q", 1, 1, 1, b"w", 2, 2**40, 2**40))
+        with pytest.raises(ValueError, match="truncated parameter file .* data of 'w'"):
+            load_params(path)
+
+
+def _vae_params() -> dict:
+    return VAEModel(data_dim=64, latent_dim=2, hidden=8).init_params(0)
+
+
+def _write_params(path: Path, params: dict) -> bytes:
+    save_params(path, params)
+    return path.read_bytes()
+
+
+class TestEvalParamsContract:
+    """A malformed params file ends `vr eval` with exit 2 and one JSON error."""
+
+    @pytest.mark.parametrize(
+        "make, phrase",
+        [
+            (lambda p: p.write_bytes(_write_params(p, _vae_params())[:-3]), "truncated"),
+            (lambda p: p.write_bytes(b"NOPE" + _write_params(p, _vae_params())[4:]), "bad magic"),
+            (lambda p: p.write_bytes(_write_params(p, _vae_params()) + b"junk"), "trailing bytes"),
+            (
+                lambda p: save_params(p, {k: v for k, v in _vae_params().items() if k != "enc_w1"}),
+                "missing ['enc_w1']",
+            ),
+            (
+                lambda p: save_params(p, _vae_params() | {"extra": np.zeros(2)}),
+                "unexpected ['extra']",
+            ),
+            (
+                lambda p: save_params(p, _vae_params() | {"enc_w1": np.zeros((8, 64))}),
+                "tensor 'enc_w1' has shape (8, 64)",
+            ),
+        ],
+        ids=["truncated", "bad-magic", "trailing", "missing", "unexpected", "shape"],
+    )
+    def test_malformed_params_exit_2(self, tmp_path, capsys, make, phrase):
+        params_path = tmp_path / "params.bin"
+        make(params_path)
+        cfg = write_config(
+            tmp_path / "eval.json",
+            {
+                "kind": "eval",
+                "output_dir": str(tmp_path / "out"),
+                "eval": {
+                    "params": str(params_path),
+                    "model": {"data_dim": 64, "latent_dim": 2, "hidden": 8},
+                    "dataset": {"synthetic": "binary-images", "n": 320, "seed": 4},
+                    "alphas": [0.0],
+                    "ks": [2],
+                    "repeats": 2,
+                    "k_ref": 8,
+                    "max_points": 4,
+                },
+            },
+        )
+        assert main(["eval", "--config", cfg]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert (err["exit_code"], err["type"]) == (2, "config")
+        assert "eval.params" in err["message"] and phrase in err["message"]

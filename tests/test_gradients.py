@@ -222,6 +222,7 @@ class TestVrGrad:
             for name in full:
                 np.testing.assert_allclose(accum[name], full[name], atol=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_log_weight_reports_sample(self):
         def build(nodes, eps):
             return nodes["mu"] * float(eps[0]) / 0.0  # manufactures inf

@@ -16,6 +16,7 @@ from vrbound import (
     blr_mean_field_fit,
     exact_vr_bound_blr,
     finite_diff_check,
+    renyi_gaussian,
     synthetic_binary_images,
     synthetic_blr_instance,
     synthetic_regression,
@@ -179,6 +180,66 @@ class TestMeanFieldFit:
 
             err = finite_diff_check(f, np.concatenate([mu, s2]), grad, step=1e-6)
             assert err < 1e-4, f"{fn.__name__}: {err}"
+
+    def test_default_sweep_fits_converge(self):
+        model = synthetic_blr_instance(seed=0)
+        for sigma in np.linspace(0.5, 3.0, 50):
+            at_sigma = model.with_noise(float(sigma))
+            for alpha in (1.0, 0.5, 0.0):
+                fit = blr_mean_field_fit(at_sigma, alpha)
+                assert fit.converged, (sigma, alpha, fit.iterations)
+
+    @pytest.mark.parametrize("sigma", [0.5, 0.551, 1.0, 3.0])
+    def test_inf_fit_is_exact_and_strictly_feasible(self, sigma):
+        model = synthetic_blr_instance(seed=0).with_noise(sigma)
+        posterior, log_evidence = blr_exact_posterior(model)
+        lam = posterior.precision()
+        fit = blr_mean_field_fit(model, math.inf)
+        assert fit.converged and math.isfinite(fit.bound)
+        assert np.linalg.eigvalsh(np.diag(1.0 / fit.q.variances) - lam)[0] > 0.0
+        assert fit.bound == log_evidence - renyi_gaussian(fit.q, posterior, math.inf)
+        np.testing.assert_array_equal(fit.q.mean, posterior.mean)
+        ratio = math.sqrt(lam[0, 0] / lam[1, 1])
+        closed = np.diag(lam) + abs(lam[0, 1]) * np.array([ratio, 1.0 / ratio])
+        np.testing.assert_allclose(1.0 / fit.q.variances, closed, rtol=1e-9)
+        assert fit.bound <= blr_mean_field_fit(model, 512.0).bound
+
+    def test_mode_seeking_fits_are_optimal_in_3d(self):
+        rng = np.random.default_rng(3)
+        design = rng.standard_normal((20, 3)) @ rng.standard_normal((3, 3))
+        targets = design @ np.array([1.0, -0.5, 0.3]) + 0.7 * rng.standard_normal(20)
+        model = BLRModel(design, targets, 0.7)
+        posterior, log_evidence = blr_exact_posterior(model)
+        bounds = []
+        for alpha in (2.0, 512.0, math.inf):
+            fit = blr_mean_field_fit(model, alpha)
+            assert fit.converged and math.isfinite(fit.bound)
+            bounds.append(fit.bound)
+            # no nearby variances give a larger bound (outside the feasible
+            # set of an order above 1 the bound is -inf)
+            for _ in range(20):
+                scale = np.exp(rng.normal(scale=1e-3, size=3))
+                q = GaussianDist.diagonal(fit.q.mean, fit.q.variances * scale)
+                assert log_evidence - renyi_gaussian(q, posterior, alpha) < fit.bound
+        assert bounds[0] > bounds[1] > bounds[2]
+
+    def test_feasible_variances_cover_exactly_the_finite_region(self):
+        from vrbound.models.blr import _feasible_variances
+
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((3, 3))
+        lam = a @ a.T + 0.1 * np.eye(3)
+        z = rng.normal(size=3)
+        s2, jac = _feasible_variances(z, lam, 0.6)
+        excess = np.diag(1.0 / s2) - 0.6 * lam
+        np.testing.assert_allclose(np.linalg.cholesky(excess).diagonal(), np.exp(z), rtol=1e-12)
+        for k in range(3):
+
+            def f(x):
+                return _feasible_variances(x, lam, 0.6)[0][k]
+
+            err = finite_diff_check(f, z, jac[k], step=1e-6)
+            assert err < 1e-6, (k, err)
 
     def test_negative_alpha_rejected(self):
         model = synthetic_blr_instance(seed=0)

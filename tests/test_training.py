@@ -161,6 +161,7 @@ class TestTrainBehavior:
         _, rec2 = train(model, cfg)
         assert rec1.objective == rec2.objective
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_step_and_state(self):
         data = synthetic_regression(seed=0, n=30)
         bnn = BNNModel(in_dim=1, hidden=4)
