@@ -24,7 +24,6 @@ from .gradients import (
     finite_diff_check,
     normalize_weights,
     select_backprop_sample,
-    single_sample_grad,
     vr_grad,
 )
 from .models import (
@@ -78,7 +77,6 @@ __all__ = [
     "quadrature_oracle",
     "renyi_gaussian",
     "select_backprop_sample",
-    "single_sample_grad",
     "synthetic_binary_images",
     "synthetic_blr_instance",
     "synthetic_regression",

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -189,7 +190,6 @@ _TOP_SCHEMA_BASE = {
     "kind": {"type": "string", "required": True},
     "seed": {"type": "int", "default": 0},
     "output_dir": {"type": "string", "required": True},
-    "threads": {"type": "int", "default": 1},
 }
 
 
@@ -205,8 +205,6 @@ def resolve_config(raw: dict) -> dict:
     schema = dict(_TOP_SCHEMA_BASE)
     schema[section_key] = {"type": "dict", "schema": _SCHEMAS[kind], "required": True}
     resolved = _resolve_section(raw, schema, "")
-    if resolved["threads"] < 1:
-        raise ConfigError("config key 'threads' must be >= 1")
     if resolved["seed"] < 0:
         raise ConfigError("config key 'seed' must be >= 0")
     section = resolved[section_key]
@@ -224,25 +222,43 @@ def resolve_config(raw: dict) -> dict:
     return resolved
 
 
+@contextmanager
+def _building(path: str):
+    """Report a ValueError or TypeError raised while an object is built from
+    config section ``path`` as a ConfigError naming that section. Wrap only
+    the construction, never a computation, so that a bug keeps its
+    traceback."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'{path}': {exc}") from exc
+
+
 def _gaussian_from(section: dict, path: str) -> GaussianDist:
     mean = section["mean"]
     has_var = section.get("variances") is not None
     has_cov = section.get("cov") is not None
     if has_var == has_cov:
         raise ConfigError(f"'{path}' needs exactly one of 'variances' or 'cov'")
-    try:
+    with _building(path):
         if has_var:
             return GaussianDist.diagonal(mean, section["variances"])
         return GaussianDist.full(mean, section["cov"])
-    except ValueError as exc:
-        raise ConfigError(f"'{path}': {exc}") from exc
+
+
+def _gaussian_pair(section: dict, path: str) -> tuple[GaussianDist, GaussianDist]:
+    p = _gaussian_from(section["p"], f"{path}.p")
+    q = _gaussian_from(section["q"], f"{path}.q")
+    if p.dim != q.dim:
+        raise ConfigError(f"'{path}': p has dimension {p.dim} but q has dimension {q.dim}")
+    return p, q
 
 
 def _alphas_from(values: list, path: str) -> list[float]:
-    try:
+    with _building(path):
         return [parse_alpha(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{path}': {exc}") from exc
 
 
 def _dataset_from(section: dict, path: str) -> tuple[Dataset, str]:
@@ -250,43 +266,44 @@ def _dataset_from(section: dict, path: str) -> tuple[Dataset, str]:
     if synthetic is not None and section.get("path") is not None:
         raise ConfigError(f"'{path}': use either 'synthetic' or 'path', not both")
     if synthetic is not None:
-        if synthetic == "regression":
-            data = synthetic_regression(seed=section["seed"], n=section["n"])
-        elif synthetic == "binary-images":
-            data = synthetic_binary_images(seed=section["seed"], n=section["n"])
-        else:
+        generators = {"regression": synthetic_regression, "binary-images": synthetic_binary_images}
+        if synthetic not in generators:
             raise ConfigError(
                 f"'{path}.synthetic' must be 'regression' or 'binary-images'"
             )
+        with _building(path):
+            data = generators[synthetic](seed=section["seed"], n=section["n"])
     elif section.get("path") is not None:
         if not section.get("feature_columns"):
             raise ConfigError(f"'{path}.feature_columns' is required with 'path'")
-        data = load_csv(
-            section["path"],
-            [str(c) for c in section["feature_columns"]],
-            section.get("target_column"),
-            split_seed=section["split_seed"],
-            test_fraction=section["test_fraction"],
-        )
+        with _building(path):
+            data = load_csv(
+                section["path"],
+                [str(c) for c in section["feature_columns"]],
+                section.get("target_column"),
+                split_seed=section["split_seed"],
+                test_fraction=section["test_fraction"],
+            )
     else:
         raise ConfigError(f"'{path}' needs 'synthetic' or 'path'")
     return data, dataset_content_hash(data.features, data.targets)
 
 
-def _train_config(section: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        alpha=parse_alpha(section["alpha"]),
-        k=section["k"],
-        minibatch=section["minibatch"],
-        steps=section["steps"],
-        learning_rate=section["learning_rate"],
-        beta1=section["beta1"],
-        beta2=section["beta2"],
-        adam_eps=section["adam_eps"],
-        seed=seed,
-        eval_k=section["eval_k"],
-        single_backprop=section["single_backprop"],
-    )
+def _train_config(section: dict, seed: int, path: str) -> TrainConfig:
+    # The train schema's keys are TrainConfig's fields, less the seed.
+    with _building(path):
+        return TrainConfig(**(section | {"alpha": parse_alpha(section["alpha"]), "seed": seed}))
+
+
+def _vae_from(section: dict, data_dim: int, path: str) -> VAEModel:
+    with _building(path):
+        return VAEModel(
+            data_dim=data_dim,
+            latent_dim=section["latent_dim"],
+            hidden=section["hidden"],
+            likelihood=section["likelihood"],
+            encoder_hidden=section["encoder_hidden"],
+        )
 
 
 # ----------------------------------------------------------------------
@@ -295,8 +312,7 @@ def _train_config(section: dict, seed: int) -> TrainConfig:
 
 def _run_divergence(cfg: dict, out: Path, seed: int) -> list[str]:
     section = cfg["divergence"]
-    p = _gaussian_from(section["p"], "divergence.p")
-    q = _gaussian_from(section["q"], "divergence.q")
+    p, q = _gaussian_pair(section, "divergence")
     alphas = _alphas_from(section["alphas"], "divergence.alphas")
     rows = [{"alpha": a, "value": renyi_gaussian(p, q, a)} for a in alphas]
     vio.write_csv(out / "divergence.csv", ["alpha", "value"], rows)
@@ -305,8 +321,7 @@ def _run_divergence(cfg: dict, out: Path, seed: int) -> list[str]:
 
 def _run_bias_sim(cfg: dict, out: Path, seed: int) -> list[str]:
     section = cfg["bias_sim"]
-    p = _gaussian_from(section["p"], "bias_sim.p")
-    q = _gaussian_from(section["q"], "bias_sim.q")
+    p, q = _gaussian_pair(section, "bias_sim")
     alphas = _alphas_from(section["alphas"], "bias_sim.alphas")
     if any(not math.isfinite(a) for a in alphas):
         raise ConfigError("'bias_sim.alphas' must be finite")
@@ -328,12 +343,13 @@ def _ellipse_points(mean: np.ndarray, cov: np.ndarray, level: float, n: int = 12
 
 def _run_blr_demo(cfg: dict, out: Path, seed: int) -> list[str]:
     section = cfg["blr_demo"]
-    model = synthetic_blr_instance(
-        seed=section["instance_seed"],
-        n_data=section["n_data"],
-        noise_std=section["noise_std"],
-        correlation=section["correlation"],
-    )
+    with _building("blr_demo"):
+        model = synthetic_blr_instance(
+            seed=section["instance_seed"],
+            n_data=section["n_data"],
+            noise_std=section["noise_std"],
+            correlation=section["correlation"],
+        )
     posterior, log_evidence = blr_exact_posterior(model)
     fit_alphas = _alphas_from(section["fit_alphas"], "blr_demo.fit_alphas")
 
@@ -416,8 +432,9 @@ def _run_bnn_train(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
     if data.targets is None:
         raise ConfigError("'bnn_train.dataset' needs targets")
     std_data, stats = data.standardized()
-    model = BNNModel(in_dim=data.features.shape[1], hidden=section["hidden"])
-    tcfg = _train_config(section["train"], seed)
+    with _building("bnn_train"):
+        model = BNNModel(in_dim=data.features.shape[1], hidden=section["hidden"])
+    tcfg = _train_config(section["train"], seed, "bnn_train.train")
     params, record = train(model, tcfg, std_data)
     vio.write_csv(
         out / "run_record.csv",
@@ -437,14 +454,8 @@ def _run_bnn_train(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
 def _run_vae_train(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
     section = cfg["vae_train"]
     data, data_hash = _dataset_from(section["dataset"], "vae_train.dataset")
-    model = VAEModel(
-        data_dim=data.features.shape[1],
-        latent_dim=section["latent_dim"],
-        hidden=section["hidden"],
-        likelihood=section["likelihood"],
-        encoder_hidden=section["encoder_hidden"],
-    )
-    tcfg = _train_config(section["train"], seed)
+    model = _vae_from(section, data.features.shape[1], "vae_train")
+    tcfg = _train_config(section["train"], seed, "vae_train.train")
     params, record = train(model, tcfg, data)
     vio.write_csv(
         out / "run_record.csv",
@@ -473,18 +484,14 @@ def _run_vae_train(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
 def _run_eval(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
     section = cfg["eval"]
     data, data_hash = _dataset_from(section["dataset"], "eval.dataset")
-    arch = section["model"]
-    model = VAEModel(
-        data_dim=arch["data_dim"],
-        latent_dim=arch["latent_dim"],
-        hidden=arch["hidden"],
-        likelihood=arch["likelihood"],
-        encoder_hidden=arch["encoder_hidden"],
-    )
-    try:
+    model = _vae_from(section["model"], section["model"]["data_dim"], "eval.model")
+    if model.data_dim != data.features.shape[1]:
+        raise ConfigError(
+            f"'eval.model.data_dim' is {model.data_dim}, but the dataset has "
+            f"{data.features.shape[1]} columns"
+        )
+    with _building("eval.params"):
         params = vio.load_params(section["params"])
-    except ValueError as exc:
-        raise ConfigError(f"'eval.params': {exc}") from exc
     shapes = model.param_shapes()
     if set(params) != set(shapes):
         raise ConfigError(
@@ -513,17 +520,7 @@ def _run_eval(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
     vio.write_csv(
         out / "gap_table.csv",
         ["alpha", "K", "mean_bound", "se_bound", "mean_gap", "se_gap"],
-        [
-            {
-                "alpha": r.alpha,
-                "K": r.k,
-                "mean_bound": r.mean_bound,
-                "se_bound": r.se_bound,
-                "mean_gap": r.mean_gap,
-                "se_gap": r.se_gap,
-            }
-            for r in rows
-        ],
+        [row.__dict__ | {"K": row.k} for row in rows],
     )
     return ["gap_table.csv"], data_hash
 
@@ -549,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--output-dir", default=None, help="override the output directory")
-        p.add_argument("--threads", type=int, default=None, help="cap worker parallelism")
     return parser
 
 
@@ -587,8 +583,6 @@ def main(argv: list[str] | None = None) -> int:
             raw["seed"] = args.seed
         if args.output_dir is not None:
             raw["output_dir"] = args.output_dir
-        if args.threads is not None:
-            raw["threads"] = args.threads
         env_seed = os.environ.get("VR_SEED")
         if env_seed is not None:
             try:

@@ -8,17 +8,16 @@ Its gradient is the convex combination
     sum_k w_hat_k * d/d phi [ log w_k ],
     w_hat_k proportional to exp((1 - alpha) log w_k),
 
-which is what ``vr_grad`` computes: the normalized weights are treated as
-constants (they are exactly the partial derivatives of the estimate with
-respect to the log weights), so a single weighted backward pass yields the
-estimator's exact gradient for every finite alpha. The limits alpha = -inf
-and +inf turn the combination into one-hot selection of the largest or
-smallest weight, the subgradient of max/min of the log weights.
-
-``select_backprop_sample`` implements the single-backward-pass variant:
-sample one index j with probability w_hat_j (deterministic argmax at
-alpha = -inf), and follow the gradient of log w_j alone, which is unbiased
-for the full weighted gradient at finite alpha.
+with the normalized weights held constant: they are exactly the partial
+derivatives of the estimate with respect to the log weights. At alpha = -inf
+and +inf the weights are one-hot at the largest or smallest log weight, the
+subgradient of max/min. ``vr_grad`` computes this with one graph and one
+backward pass: the log-weight builder gets all K draws and returns them on
+axis 0, and any further axes are independent weight sets (one per VAE
+datapoint) whose gradients are averaged. The single-backward-pass variant
+puts a one-hot weight on the index that ``select_backprop_sample`` draws from
+each set with probability w_hat_j, which is unbiased for the full weighted
+gradient at finite alpha.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ __all__ = [
     "finite_diff_check",
     "normalize_weights",
     "select_backprop_sample",
-    "single_sample_grad",
     "vr_grad",
 ]
 
@@ -83,21 +81,31 @@ def _one_hot(index: np.ndarray, k: int) -> np.ndarray:
 
 
 def select_backprop_sample(
-    log_w: np.ndarray, alpha: float, rng: np.random.Generator
-) -> int:
+    log_w: np.ndarray, alpha: float, rng: np.random.Generator, axis: int | None = None
+):
     """Index of the single sample to back-propagate.
 
     Finite alpha: categorical draw with probabilities ``normalize_weights``;
     alpha = -inf: deterministic argmax; alpha = +inf: deterministic argmin.
+    ``axis=None`` returns an int for one weight set; an integer ``axis``
+    returns an index per weight set along that axis. A finite-alpha draw
+    takes one uniform per set, in C order, and maps it through the
+    cumulative weights as ``rng.choice`` does, so the indices and the
+    generator state equal those of calling set by set.
     """
-    log_w = validate_log_weights(log_w)
+    log_w = validate_log_weights(log_w, axis)
     kind = classify_alpha(alpha)
     if kind is AlphaKind.NEG_INF:
-        return int(np.argmax(log_w))
-    if kind is AlphaKind.POS_INF:
-        return int(np.argmin(log_w))
-    probs = normalize_weights(log_w, alpha)
-    return int(rng.choice(log_w.shape[0], p=probs))
+        index = np.argmax(log_w, axis=-1)
+    elif kind is AlphaKind.POS_INF:
+        index = np.argmin(log_w, axis=-1)
+    else:
+        cdf = np.cumsum(normalize_weights(log_w, alpha, axis=-1), axis=-1)
+        cdf /= cdf[..., -1:]
+        uniform = rng.random(log_w.shape[:-1])
+        # searchsorted(cdf, uniform, side="right") on each non-decreasing row
+        index = np.sum(cdf <= uniform[..., None], axis=-1)
+    return int(index) if axis is None else index
 
 
 class GaussianReparam:
@@ -138,60 +146,49 @@ class GaussianReparam:
 LogWeightBuilder = Callable[[dict[str, ad.Node], np.ndarray], ad.Node]
 
 
-def _build_graph(
-    build_log_weight: LogWeightBuilder,
-    params: dict[str, np.ndarray],
-    noises: np.ndarray,
-) -> tuple[dict[str, ad.Node], list[ad.Node], np.ndarray]:
-    nodes = {name: ad.Node(np.asarray(value, dtype=float)) for name, value in params.items()}
-    lw_nodes = [build_log_weight(nodes, np.asarray(eps, dtype=float)) for eps in noises]
-    log_w = np.array([float(node.value) for node in lw_nodes])
-    return nodes, lw_nodes, log_w
-
-
 def vr_grad(
-    build_log_weight: LogWeightBuilder,
+    build_log_weights: LogWeightBuilder,
     params: dict[str, np.ndarray],
-    noises: np.ndarray,
+    noise: np.ndarray,
     alpha: float,
+    select_rng: np.random.Generator | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Gradient of the K-sample bound estimate under fixed noise.
 
-    ``build_log_weight(nodes, eps)`` must return the scalar log-weight node
-    for one noise draw, using the supplied parameter leaf nodes. Returns the
-    gradient for every parameter plus the realized log weights. Non-finite
-    gradient components raise, reporting the offending sample.
+    ``build_log_weights(nodes, noise)`` gets one leaf node per parameter and
+    the whole noise array, and returns the log-weight node: axis 0 holds the
+    K draws, any further axes independent weight sets. One backward pass
+    yields the gradient of the mean over sets of the normalized-weighted log
+    weights, or, with ``select_rng``, of the log weight that
+    ``select_backprop_sample`` picks in each set. Returns the gradient for
+    every parameter and the log weights. NaN or +inf log weights and
+    non-finite gradient components raise ``FloatingPointError`` naming the
+    sample; zero-density (-inf) samples are allowed.
     """
-    nodes, lw_nodes, log_w = _build_graph(build_log_weight, params, noises)
-    for k, value in enumerate(log_w):
-        if math.isnan(value) or value == math.inf:
-            raise FloatingPointError(f"log weight for sample {k} is {value}")
-    weights = normalize_weights(log_w, alpha)
-    objective = None
-    for w, lw in zip(weights, lw_nodes):
-        term = lw * float(w)
-        objective = term if objective is None else objective + term
-    grads = ad.gradients(objective, nodes)
+    noise = np.asarray(noise, dtype=float)
+    nodes = {name: ad.Node(np.asarray(value, dtype=float)) for name, value in params.items()}
+    lw_node = build_log_weights(nodes, noise)
+    log_w = lw_node.value
+    if log_w.shape[:1] != noise.shape[:1]:
+        raise ValueError(f"log weights {log_w.shape} must hold the {len(noise)} draws on axis 0")
+    bad = np.isnan(log_w) | np.isposinf(log_w)
+    if np.any(bad):
+        k, *rest = (int(i) for i in np.argwhere(bad)[0])
+        where = f" in weight set {tuple(rest)}" if rest else ""
+        raise FloatingPointError(f"log weight for sample {k}{where} is {log_w[(k, *rest)]}")
+    if select_rng is None:
+        weights = normalize_weights(log_w, alpha, axis=0)
+    else:
+        index = select_backprop_sample(log_w, alpha, select_rng, axis=0)
+        weights = np.moveaxis(_one_hot(index, log_w.shape[0]), -1, 0)
+    n_sets = log_w.size // log_w.shape[0]
+    grads = ad.gradients(ad.vsum(lw_node * weights) * (1.0 / n_sets), nodes)
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
-            bad = [k for k, lw in enumerate(lw_nodes) if not np.all(np.isfinite(lw.value))]
+            suspects = np.unique(np.nonzero(~np.isfinite(log_w))[0]).tolist()
             raise FloatingPointError(
-                f"non-finite gradient for parameter '{name}' (suspect samples: {bad})"
+                f"non-finite gradient for parameter '{name}' (suspect samples: {suspects})"
             )
-    return grads, log_w
-
-
-def single_sample_grad(
-    build_log_weight: LogWeightBuilder,
-    params: dict[str, np.ndarray],
-    noises: np.ndarray,
-    j: int,
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Gradient of the single log weight log w_j (one backward pass)."""
-    nodes, lw_nodes, log_w = _build_graph(build_log_weight, params, noises)
-    if not 0 <= j < len(lw_nodes):
-        raise IndexError(f"sample index {j} out of range for K={len(lw_nodes)}")
-    grads = ad.gradients(lw_nodes[j], nodes)
     return grads, log_w
 
 

@@ -165,8 +165,11 @@ def synthetic_binary_images(
     position and size. Superposing independent shapes gives the set enough
     factors of variation that small recognition networks cannot represent
     the latent posterior exactly, while strictly binary pixels keep
-    per-image likelihoods sharply peaked.
+    per-image likelihoods sharply peaked. The test split holds 200 images,
+    so ``n`` must exceed 200.
     """
+    if n <= 200:
+        raise ValueError(f"n must exceed the 200 images held out for testing, got {n}")
     rng = np.random.default_rng([int(seed), 29])
     images = np.zeros((n, side * side))
     for i in range(n):

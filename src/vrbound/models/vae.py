@@ -34,10 +34,13 @@ class VAEModel:
     ):
         if likelihood not in ("bernoulli", "gaussian"):
             raise ValueError("likelihood must be 'bernoulli' or 'gaussian'")
+        encoder_hidden = hidden if encoder_hidden is None else encoder_hidden
+        if min(data_dim, latent_dim, hidden, encoder_hidden) < 1:
+            raise ValueError("data_dim, latent_dim, hidden and encoder_hidden must be positive")
         self.data_dim = int(data_dim)
         self.latent_dim = int(latent_dim)
         self.hidden = int(hidden)
-        self.encoder_hidden = int(encoder_hidden) if encoder_hidden is not None else int(hidden)
+        self.encoder_hidden = int(encoder_hidden)
         self.likelihood = likelihood
 
     # ------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Stochastic optimization of variational Renyi objectives.
 
-Two training regimes share one Adam loop:
+Two training regimes share one loop:
 
 * posterior inference (linear regression surrogate, BNN): the objective is
   the mini-batch energy approximation, the K-sample bound estimate applied to
@@ -12,13 +12,14 @@ Two training regimes share one Adam loop:
   its own noise draws.
 
 Both regimes support the single-backward-pass mode: instead of the full
-weighted gradient, one sample j is selected per datapoint (categorically for
+weighted gradient, one sample j is selected per weight set (categorically for
 finite alpha, argmax of the log weights at alpha = -inf, argmin at +inf) and
 only log w_j is back-propagated.
 
-Every step builds one graph for all K draws: the models' log-weight builders
-take the noise with a leading K axis, and the estimator and weight routines
-reduce along that axis.
+The models differ only in their initial parameters, training rows, noise
+shape and log-weight builder. Every step draws the noise for all K draws,
+hands the builder to ``vr_grad`` (one graph, one backward pass), takes an
+Adam step, and records the estimate and log R averaged over weight sets.
 
 Randomness is organized in named streams derived from (seed, stream id,
 index), so shuffling, noise, and evaluation draws are reproducible
@@ -37,12 +38,7 @@ from . import autodiff as ad
 from .alpha import classify_alpha
 from .bounds import mc_vr_estimate, validate_log_weights
 from .gaussian import GaussianDist
-from .gradients import (
-    GaussianReparam,
-    log_weight_ratio,
-    normalize_weights,
-    select_backprop_sample,
-)
+from .gradients import GaussianReparam, log_weight_ratio, normalize_weights, vr_grad
 from .models.blr import BLRModel
 from .models.bnn import BNNModel
 from .models.data import Dataset
@@ -246,151 +242,101 @@ def energy_approx_objective(
 def train(model, config: TrainConfig, dataset: Dataset | None = None):
     """Fit the model's variational parameters; returns (params, RunRecord).
 
-    Dispatches on the model type: posterior inference for ``BLRModel`` and
-    ``BNNModel`` (energy approximation objective), maximum likelihood for
-    ``VAEModel`` (per-datapoint bound). Deterministic given the config seed.
+    Posterior inference for ``BLRModel`` and ``BNNModel`` (energy
+    approximation objective), maximum likelihood for ``VAEModel``
+    (per-datapoint bound, averaged over the minibatch). Deterministic given
+    the config seed.
     """
-    if isinstance(model, (BLRModel, BNNModel)):
-        return _train_posterior(model, config, dataset)
-    if isinstance(model, VAEModel):
-        if dataset is None:
-            raise ValueError("VAE training requires a dataset")
-        return _train_vae(model, config, dataset)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    params, x, y = _initial_state(model, config, dataset)
+    n = x.shape[0]
+    m = min(config.minibatch, n)
+    adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
+    record = RunRecord(seed=config.seed, alpha=config.alpha)
+    start = time.perf_counter()
+    held = [None]
+    step = 0
+    epoch = 0
+    while step < config.steps:
+        for batch_idx in _epoch_batches(n, m, config.seed, epoch):
+            if step >= config.steps:
+                break
+            draw_shape, build = _batch_builder(model, x, y, batch_idx, held)
+            noise_rng = np.random.default_rng([config.seed, _STREAM_NOISE, step])
+            noise = noise_rng.standard_normal((config.k, *draw_shape))
+            select_rng = None
+            if config.single_backprop:
+                select_rng = np.random.default_rng([config.seed, _STREAM_SELECT, step])
+            try:
+                grads, log_w = vr_grad(build, params, noise, config.alpha, select_rng)
+            except FloatingPointError as exc:
+                raise TrainingDiverged(step, str(exc), params) from exc
+            # vr_grad allows zero-density (-inf) samples; a training step does not.
+            if not np.all(np.isfinite(log_w)):
+                raise TrainingDiverged(step, "non-finite objective", params)
+            gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            if not math.isfinite(gnorm):
+                raise TrainingDiverged(step, "non-finite gradient", params)
+            adam.step(params, grads)
+            for name, value in params.items():
+                if not np.all(np.isfinite(value)):
+                    raise TrainingDiverged(step, f"parameter '{name}' became non-finite", params)
+
+            record.append(
+                step,
+                float(np.mean(mc_vr_estimate(log_w, config.alpha, axis=0))),
+                gnorm,
+                float(np.mean(log_weight_ratio(log_w, axis=0)[0])),
+                time.perf_counter() - start,
+            )
+            step += 1
+        epoch += 1
+    return params, record
+
+
+def _initial_state(model, config: TrainConfig, dataset: Dataset | None):
+    """Initial parameters and training rows (x, y) of a model; y is None for
+    the VAE."""
+    if isinstance(model, BLRModel):
+        params = {"mu": np.zeros(model.dim), "rho": np.full(model.dim, math.log(0.1))}
+        return params, model.design, model.targets
+    if not isinstance(model, (BNNModel, VAEModel)):
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    if dataset is None:
+        raise ValueError(f"{type(model).__name__} training requires a dataset")
+    if isinstance(model, BNNModel):
+        return model.init_variational(config.seed), dataset.train_features, dataset.train_targets
+    return model.init_params(config.seed), dataset.train_features, None
+
+
+def _batch_builder(model, x, y, batch_idx, held: list):
+    """Shape of one noise draw and the log-weight builder of one minibatch:
+    (K, rows) log weights for the VAE, (K,) for BLR and BNN.
+
+    The builder stores its node in ``held[0]``, so the previous step's graph
+    is freed only once the new one exists. Freed first, its memory went back
+    to the system and was faulted in again: BNN steps at K = 50 took 45%
+    longer on a 2-vCPU host.
+    """
+    vae = isinstance(model, VAEModel)
+    if vae:
+        draw_shape = (batch_idx.shape[0], model.latent_dim)
+    else:
+        draw_shape = (model.dim if isinstance(model, BLRModel) else model.n_weights,)
+
+    def build(nodes, noise):
+        if vae:
+            held[0] = model.log_weight_rows(nodes, x[batch_idx], noise)
+        else:
+            held[0] = _posterior_log_weights(model, nodes, noise, batch_idx, x.shape[0], x, y)
+        return held[0]
+
+    return draw_shape, build
 
 
 def _epoch_batches(n: int, batch: int, seed: int, epoch: int) -> list[np.ndarray]:
     rng = np.random.default_rng([seed, _STREAM_SHUFFLE, epoch])
     order = rng.permutation(n)
     return [order[i : i + batch] for i in range(0, n, batch)]
-
-
-def _check_finite_params(step: int, params: dict[str, np.ndarray]) -> None:
-    for name, value in params.items():
-        if not np.all(np.isfinite(value)):
-            raise TrainingDiverged(step, f"parameter '{name}' became non-finite", params)
-
-
-def _train_posterior(model, config: TrainConfig, dataset: Dataset | None):
-    if isinstance(model, BLRModel):
-        x, y = model.design, model.targets
-        params = {
-            "mu": np.zeros(model.dim),
-            "rho": np.full(model.dim, math.log(0.1)),
-        }
-        dim = model.dim
-    else:
-        if dataset is None:
-            raise ValueError("BNN training requires a dataset")
-        x, y = dataset.train_features, dataset.train_targets
-        params = model.init_variational(config.seed)
-        dim = model.n_weights
-    n = x.shape[0]
-    m = min(config.minibatch, n)
-
-    adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
-    record = RunRecord(seed=config.seed, alpha=config.alpha)
-    start = time.perf_counter()
-    step = 0
-    epoch = 0
-    while step < config.steps:
-        for batch_idx in _epoch_batches(n, m, config.seed, epoch):
-            if step >= config.steps:
-                break
-            noise_rng = np.random.default_rng([config.seed, _STREAM_NOISE, step])
-            noise = noise_rng.standard_normal((config.k, dim))
-
-            nodes = {name: ad.Node(value) for name, value in params.items()}
-            lw_node = _posterior_log_weights(model, nodes, noise, batch_idx, n, x, y)
-            log_w = lw_node.value
-            if not np.all(np.isfinite(log_w)):
-                raise TrainingDiverged(step, "non-finite objective", params)
-            gnorm = _ascent_step(adam, params, nodes, lw_node, config, step, 1.0)
-
-            log_r, _ = log_weight_ratio(log_w)
-            record.append(
-                step,
-                mc_vr_estimate(log_w, config.alpha),
-                gnorm,
-                log_r,
-                time.perf_counter() - start,
-            )
-            step += 1
-        epoch += 1
-    return params, record
-
-
-def _train_vae(model: VAEModel, config: TrainConfig, dataset: Dataset):
-    x_train = dataset.train_features
-    n = x_train.shape[0]
-    m = min(config.minibatch, n)
-    params = model.init_params(config.seed)
-
-    adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
-    record = RunRecord(seed=config.seed, alpha=config.alpha)
-    start = time.perf_counter()
-    step = 0
-    epoch = 0
-    while step < config.steps:
-        for batch_idx in _epoch_batches(n, m, config.seed, epoch):
-            if step >= config.steps:
-                break
-            xb = x_train[batch_idx]
-            rows = xb.shape[0]
-            noise_rng = np.random.default_rng([config.seed, _STREAM_NOISE, step])
-            eps = noise_rng.standard_normal((config.k, rows, model.latent_dim))
-
-            nodes = {name: ad.Node(value) for name, value in params.items()}
-            lw_node = model.log_weight_rows(nodes, xb, eps)  # (K, rows)
-            lw = lw_node.value
-            if not np.all(np.isfinite(lw)):
-                raise TrainingDiverged(step, "non-finite objective", params)
-            gnorm = _ascent_step(adam, params, nodes, lw_node, config, step, 1.0 / rows)
-
-            record.append(
-                step,
-                float(np.mean(mc_vr_estimate(lw, config.alpha, axis=0))),
-                gnorm,
-                float(np.mean(log_weight_ratio(lw, axis=0)[0])),
-                time.perf_counter() - start,
-            )
-            step += 1
-        epoch += 1
-    return params, record
-
-
-def _ascent_step(
-    adam: Adam,
-    params: dict[str, np.ndarray],
-    nodes: dict[str, ad.Node],
-    lw_node: ad.Node,
-    config: TrainConfig,
-    step: int,
-    scale: float,
-) -> float:
-    """Back-propagate ``scale`` times the weighted sum of the log weights and
-    take one Adam step; returns the gradient norm.
-
-    Axis 0 of ``lw_node`` holds the K draws of every weight set. The weights
-    are the normalized ones, or in single-backprop mode a one-hot at the
-    selected sample of each set.
-    """
-    log_w = lw_node.value
-    if config.single_backprop:
-        select_rng = np.random.default_rng([config.seed, _STREAM_SELECT, step])
-        weights = np.zeros_like(log_w)
-        for idx in np.ndindex(log_w.shape[1:]):
-            j = select_backprop_sample(log_w[(slice(None),) + idx], config.alpha, select_rng)
-            weights[(j,) + idx] = 1.0
-    else:
-        weights = normalize_weights(log_w, config.alpha, axis=0)
-    grads = ad.gradients(ad.vsum(lw_node * weights) * scale, nodes)
-    gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if not math.isfinite(gnorm):
-        raise TrainingDiverged(step, "non-finite gradient", params)
-    adam.step(params, grads)
-    _check_finite_params(step, params)
-    return gnorm
 
 
 # ----------------------------------------------------------------------

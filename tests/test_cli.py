@@ -153,6 +153,87 @@ class TestConfigValidation:
         assert not (tmp_path / "out").exists()
 
 
+def _csv_dataset(tmp_path: Path, **extra) -> dict:
+    data = synthetic_regression(seed=0, n=40)
+    save_csv(tmp_path / "reg.csv", data.features, data.targets)
+    return {
+        "path": str(tmp_path / "reg.csv"),
+        "feature_columns": ["x0"],
+        "target_column": "y",
+    } | extra
+
+
+def _images(n=320, **extra) -> dict:
+    return {"dataset": {"synthetic": "binary-images", "n": n}} | extra
+
+
+def _eval_section(**model) -> dict:
+    return {
+        "params": "params.bin",
+        "model": {"data_dim": 64} | model,
+        "dataset": {"synthetic": "binary-images", "n": 320},
+        "alphas": [0.0],
+        "ks": [2],
+    }
+
+
+_GAUSSIAN_PAIR_OF_TWO_DIMS = {
+    "p": {"mean": [0.0], "variances": [1.0]},
+    "q": {"mean": [0.0, 1.0], "variances": [1.0, 1.0]},
+    "alphas": [0.5],
+}
+
+# case id -> (subcommand, section maker taking tmp_path, section named in the error)
+_REJECTED_BY_LIBRARY = {
+    "images-n-200": ("vae-train", lambda t: _images(n=200), "vae_train.dataset"),
+    "vae-likelihood": ("vae-train", lambda t: _images(likelihood="poisson"), "vae_train"),
+    "vae-latent-dim-0": ("vae-train", lambda t: _images(latent_dim=0), "vae_train"),
+    "eval-likelihood": ("eval", lambda t: _eval_section(likelihood="poisson"), "eval.model"),
+    "eval-data-dim": ("eval", lambda t: _eval_section(data_dim=16), "eval.model.data_dim"),
+    "csv-test-fraction": (
+        "bnn-train",
+        lambda t: {"dataset": _csv_dataset(t, test_fraction=1.5)},
+        "bnn_train.dataset",
+    ),
+    "train-k-0": (
+        "bnn-train",
+        lambda t: {"dataset": _csv_dataset(t), "train": {"k": 0}},
+        "bnn_train.train",
+    ),
+    "train-negative-lr": (
+        "vae-train",
+        lambda t: _images(train={"learning_rate": -1}),
+        "vae_train.train",
+    ),
+    "bnn-hidden-0": ("bnn-train", lambda t: {"dataset": _csv_dataset(t), "hidden": 0}, "bnn_train"),
+    "blr-noise-std": ("blr-demo", lambda t: {"noise_std": -1}, "blr_demo"),
+    "divergence-dims": ("divergence", lambda t: _GAUSSIAN_PAIR_OF_TWO_DIMS, "divergence"),
+}
+
+
+class TestConfigValuesRejectedByTheLibrary:
+    """Values that pass the schema but that a constructor rejects end the run
+    with exit 2 and one JSON error object naming the config section; so does
+    the deleted top-level key 'threads'."""
+
+    @pytest.mark.parametrize("case", [*_REJECTED_BY_LIBRARY, "threads-key"])
+    def test_exit_2_with_one_json_error(self, tmp_path, capsys, case):
+        if case == "threads-key":
+            kind, key = "divergence", "threads"
+            payload = divergence_config(tmp_path / "out") | {"threads": 1}
+        else:
+            kind, make_section, key = _REJECTED_BY_LIBRARY[case]
+            payload = {"kind": kind, "output_dir": str(tmp_path / "out")}
+            payload[kind.replace("-", "_")] = make_section(tmp_path)
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        assert main([kind, "--config", cfg]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert (err["exit_code"], err["type"]) == (2, "config")
+        assert f"'{key}" in err["message"]
+
+
 class TestSeedPrecedence:
     def _bias_config(self, tmp_path, seed=1):
         return {

@@ -8,11 +8,11 @@ from scipy import stats
 
 from vrbound import (
     GaussianReparam,
+    VAEModel,
     finite_diff_check,
     mc_vr_estimate,
     normalize_weights,
     select_backprop_sample,
-    single_sample_grad,
     synthetic_blr_instance,
     vr_grad,
 )
@@ -121,7 +121,7 @@ def _toy_builder():
     def build(nodes, eps):
         reparam = GaussianReparam(nodes["mu"], nodes["rho"])
         theta = reparam.theta(eps)
-        log_joint = ad.normal_logpdf_sum(theta, np.array([0.7]), np.array([0.3]))
+        log_joint = ad.normal_logpdf_rows(theta, np.array([0.7]), np.array([0.3]))
         return log_joint - reparam.log_q(eps)
 
     params = {"mu": np.array([-0.4]), "rho": np.array([0.2])}
@@ -200,7 +200,7 @@ class TestVrGrad:
         # average of per-sample gradients
         accum = {name: np.zeros_like(value) for name, value in params.items()}
         for j in range(noises.shape[0]):
-            gj, _ = single_sample_grad(build, params, noises, j)
+            gj, _ = vr_grad(build, params, noises[j : j + 1], 1.0)
             for name in accum:
                 accum[name] += gj[name] / noises.shape[0]
         for name in grads:
@@ -216,7 +216,7 @@ class TestVrGrad:
             probs = normalize_weights(log_w, alpha)
             accum = {name: np.zeros_like(value) for name, value in params.items()}
             for j in range(3):
-                gj, _ = single_sample_grad(build, params, noises, j)
+                gj, _ = vr_grad(build, params, noises[j : j + 1], alpha)
                 for name in accum:
                     accum[name] += probs[j] * gj[name]
             for name in full:
@@ -225,10 +225,77 @@ class TestVrGrad:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_log_weight_reports_sample(self):
         def build(nodes, eps):
-            return nodes["mu"] * float(eps[0]) / 0.0  # manufactures inf
+            return nodes["mu"] * eps[:, 0] / 0.0  # manufactures inf
 
         with pytest.raises(FloatingPointError, match="sample 0"):
             vr_grad(build, {"mu": np.array(1.0)}, np.ones((1, 1)), 0.5)
+
+
+def _vae_problem():
+    """A small VAE, three binary rows and (K, n, latent_dim) noise."""
+    model = VAEModel(data_dim=3, latent_dim=2, hidden=2)
+    rng = np.random.default_rng(21)
+    params = model.init_params(seed=3)
+    x = (rng.random((3, 3)) < 0.5).astype(float)
+    eps = rng.standard_normal((4, 3, 2))
+
+    def build(nodes, noise):
+        return model.log_weight_rows(nodes, x, noise)
+
+    return model, params, x, eps, build
+
+
+class TestVrGradWeightSets:
+    """Log weights (K, n): one weight set per VAE row, averaged over rows."""
+
+    def test_vae_rows_match_fd_of_row_mean_estimate(self):
+        model, params, x, eps, build = _vae_problem()
+        names = sorted(params)
+        flat = _flatten(params, names)
+        for alpha in ALL_BRANCH_ALPHAS:
+            grads, log_w = vr_grad(build, params, eps, alpha)
+            assert log_w.shape == (4, 3)
+
+            def f(v, a=alpha):
+                nodes = {n: ad.Node(w) for n, w in _unflatten(v, params, names).items()}
+                return float(np.mean(mc_vr_estimate(build(nodes, eps).value, a, axis=0)))
+
+            err = finite_diff_check(f, flat, _flatten(grads, names), step=1e-5)
+            assert err < 1e-4, f"alpha={alpha}: rel err {err}"
+
+    def test_selection_equals_mean_of_selected_draws(self):
+        model, params, x, eps, build = _vae_problem()
+        for alpha in (-math.inf, 0.0, 0.5, 2.0, math.inf):
+            grads, log_w = vr_grad(build, params, eps, alpha, np.random.default_rng(8))
+            picks = select_backprop_sample(log_w, alpha, np.random.default_rng(8), axis=0)
+            accum = {name: np.zeros_like(value) for name, value in params.items()}
+            for i, j in enumerate(picks):
+                gi, _ = vr_grad(
+                    lambda nodes, noise, i=i: model.log_weight_rows(nodes, x[i : i + 1], noise),
+                    params,
+                    eps[j : j + 1, i : i + 1],
+                    alpha,
+                )
+                for name in accum:
+                    accum[name] += gi[name] / len(picks)
+            for name in grads:
+                np.testing.assert_allclose(grads[name], accum[name], rtol=1e-12, atol=1e-12)
+
+    def test_builder_must_return_the_draws_on_axis_0(self):
+        model, params, x, eps, build = _vae_problem()
+        with pytest.raises(ValueError, match="4 draws on axis 0"):
+            vr_grad(lambda nodes, noise: ad.vsum(build(nodes, noise)), params, eps, 0.5)
+        with pytest.raises(ValueError, match="4 draws on axis 0"):
+            vr_grad(lambda nodes, noise: build(nodes, noise[0]), params, eps, 0.5)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_log_weight_reports_sample_and_set(self):
+        model, params, x, eps, build = _vae_problem()
+        noise = eps.copy()
+        noise[2, 1, 0] = math.nan
+        message = r"sample 2 in weight set \(1,\) is nan"
+        with pytest.raises(FloatingPointError, match=message):
+            vr_grad(build, params, noise, 0.5)
 
 
 class TestGaussianReparam:

@@ -3,6 +3,8 @@
 On random (n, K) log-weight matrices, with -inf entries (zero-density
 samples) mixed in, every routine called with ``axis=1`` must return exactly
 the per-row vector calls, bit for bit, and reject the same invalid rows.
+Row-wise sample selection must also consume its generator exactly as the
+per-row calls do.
 """
 
 import math
@@ -12,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrbound import mc_vr_estimate, normalize_weights
+from vrbound import (
+    AlphaKind,
+    classify_alpha,
+    mc_vr_estimate,
+    normalize_weights,
+    select_backprop_sample,
+)
 from vrbound.gradients import log_weight_ratio
 
 # Deterministic examples, and no example database written to disk.
@@ -66,6 +74,26 @@ def test_ratio_rows_match_vector_calls(lw):
     rows = [log_weight_ratio(row) for row in lw]
     assert np.array_equal(log_r, [row[0] for row in rows])
     assert np.array_equal(r, [row[1] for row in rows])
+
+
+@PROPERTY
+@given(log_weight_matrices(), ALPHAS, st.integers(0, 2**32 - 1))
+def test_selection_rows_match_vector_calls(lw, alpha, seed):
+    rng, twin, reference = (np.random.default_rng(seed) for _ in range(3))
+    batched = select_backprop_sample(lw, alpha, rng, axis=1)
+    assert batched.shape == (lw.shape[0],)
+    assert np.array_equal(batched, [select_backprop_sample(row, alpha, twin) for row in lw])
+    assert rng.bit_generator.state == twin.bit_generator.state
+    # The per-row rule is rng.choice on the normalized weights at finite
+    # alpha, and a draw-free argmax / argmin at -inf / +inf.
+    if classify_alpha(alpha) in (AlphaKind.NEG_INF, AlphaKind.POS_INF):
+        expected = np.argmax(normalize_weights(lw, alpha, axis=1), axis=1)
+    else:
+        expected = [reference.choice(lw.shape[1], p=normalize_weights(row, alpha)) for row in lw]
+    assert np.array_equal(batched, expected)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    transposed = select_backprop_sample(lw.T, alpha, np.random.default_rng(seed), axis=0)
+    assert np.array_equal(transposed, batched)
 
 
 @PROPERTY
