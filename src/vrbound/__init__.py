@@ -13,7 +13,6 @@ from .alpha import AlphaKind, classify_alpha, parse_alpha
 from .bounds import (
     BiasTable,
     bias_simulation,
-    exact_vr_bound_blr,
     mc_vr_estimate,
     validate_log_weights,
 )
@@ -37,6 +36,7 @@ from .models import (
     synthetic_blr_instance,
     synthetic_regression,
 )
+from .models.blr import exact_vr_bound_blr
 from .training import (
     Adam,
     RunRecord,
@@ -45,7 +45,6 @@ from .training import (
     energy_approx_objective,
     evaluate_vae,
     train,
-    weight_diagnostics,
 )
 
 __all__ = [
@@ -83,5 +82,4 @@ __all__ = [
     "train",
     "validate_log_weights",
     "vr_grad",
-    "weight_diagnostics",
 ]

@@ -23,7 +23,7 @@ class AlphaKind(Enum):
     POS_INF = "pos_inf"
 
 
-def classify_alpha(alpha: float, tol: float = ONE_TOLERANCE) -> AlphaKind:
+def classify_alpha(alpha: float) -> AlphaKind:
     """Classify ``alpha`` into exactly one of the four divergence branches.
 
     Raises ValueError for NaN; every other float (including +-inf) maps to
@@ -36,7 +36,7 @@ def classify_alpha(alpha: float, tol: float = ONE_TOLERANCE) -> AlphaKind:
         return AlphaKind.NEG_INF
     if alpha == math.inf:
         return AlphaKind.POS_INF
-    if abs(alpha - 1.0) <= tol:
+    if abs(alpha - 1.0) <= ONE_TOLERANCE:
         return AlphaKind.ONE
     return AlphaKind.FINITE
 

@@ -1,14 +1,15 @@
 """Minimal reverse-mode differentiation over numpy arrays.
 
 A fixed, small set of operations is enough for every gradient this package
-needs: affine maps, ReLU/tanh/sigmoid nonlinearities, Gaussian log densities,
-Bernoulli log masses, log-sum-exp, reshapes and last-axis slices. Matrix
-products batch over leading axes as numpy's ``@`` does, so a model can
-evaluate K stacked parameter draws in one graph. Graphs are built
-functionally (fresh leaf nodes per evaluation), a single backward pass
-accumulates vector-Jacobian products in topological order, and broadcasting
-is undone by summing over the broadcast axes. There is deliberately no
-general graph compiler, no in-place mutation, and no higher-order support.
+needs: arithmetic, affine maps, exp/ReLU/tanh, sums, reshapes and last-axis
+slices, and two log densities summed over the last axis (Gaussian, and
+Bernoulli on logits as one fused node). Matrix products batch over leading
+axes as numpy's ``@`` does, so a model can evaluate K stacked parameter
+draws in one graph. Graphs are built functionally (fresh leaf nodes per
+evaluation), a single backward pass accumulates vector-Jacobian products in
+topological order, and broadcasting is undone by summing over the broadcast
+axes. There is deliberately no general graph compiler, no in-place mutation,
+and no higher-order support.
 
 Typical use::
 
@@ -29,20 +30,14 @@ __all__ = [
     "as_node",
     "backward",
     "bernoulli_logpmf_rows",
-    "clip",
     "exp",
     "gradients",
-    "log",
-    "logsumexp_node",
     "matmul",
     "normal_logpdf_rows",
-    "normal_logpdf_sum",
     "relu",
     "reshape",
-    "sigmoid",
     "slice1d",
     "tanh",
-    "vmean",
     "vsum",
 ]
 
@@ -191,10 +186,6 @@ def exp(a: Node) -> Node:
     return Node(out, ((a, lambda g: g * out),))
 
 
-def log(a: Node) -> Node:
-    return Node(np.log(a.value), ((a, lambda g: g / a.value),))
-
-
 def tanh(a: Node) -> Node:
     out = np.tanh(a.value)
     return Node(out, ((a, lambda g: g * (1.0 - out * out)),))
@@ -205,18 +196,6 @@ def relu(a: Node) -> Node:
     return Node(np.where(mask, a.value, 0.0), ((a, lambda g: g * mask),))
 
 
-def sigmoid(a: Node) -> Node:
-    # Stable on both tails.
-    v = a.value
-    out = np.where(v >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(v))), np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
-    return Node(out, ((a, lambda g: g * out * (1.0 - out)),))
-
-
-def clip(a: Node, lo: float, hi: float) -> Node:
-    mask = (a.value > lo) & (a.value < hi)
-    return Node(np.clip(a.value, lo, hi), ((a, lambda g: g * mask),))
-
-
 def vsum(a: Node, axis: int | None = None) -> Node:
     out = np.sum(a.value, axis=axis)
 
@@ -224,29 +203,6 @@ def vsum(a: Node, axis: int | None = None) -> Node:
         if axis is None:
             return np.broadcast_to(g, a.value.shape).astype(float)
         return np.broadcast_to(np.expand_dims(g, axis), a.value.shape).astype(float)
-
-    return Node(out, ((a, vjp),))
-
-
-def vmean(a: Node, axis: int | None = None) -> Node:
-    count = a.value.size if axis is None else a.value.shape[axis]
-    return vsum(a, axis=axis) * (1.0 / count)
-
-
-def logsumexp_node(a: Node, axis: int | None = None) -> Node:
-    v = a.value
-    vmax = np.max(v, axis=axis, keepdims=True)
-    shifted = np.exp(v - vmax)
-    total = np.sum(shifted, axis=axis, keepdims=True)
-    out = np.squeeze(vmax + np.log(total), axis=axis) if axis is not None else float(
-        (vmax + np.log(total)).reshape(())
-    )
-    softmax = shifted / total
-
-    def vjp(g):
-        if axis is None:
-            return g * softmax
-        return np.expand_dims(g, axis) * softmax
 
     return Node(out, ((a, vjp),))
 
@@ -270,20 +226,6 @@ def slice1d(a: Node, start: int, stop: int) -> Node:
 
 # ----------------------------------------------------------------------
 # composite log densities
-
-
-def normal_logpdf_sum(x, mean, log_std) -> Node:
-    """Summed Gaussian log density with elementwise mean and log scale.
-
-    ``log_std`` may be scalar, per-coordinate, or the full broadcast shape;
-    its contribution is counted once per broadcast element.
-    """
-    x, mean, log_std = as_node(x), as_node(mean), as_node(log_std)
-    z = (x - mean) * exp(-log_std)
-    shape = np.broadcast_shapes(x.value.shape, mean.value.shape, log_std.value.shape)
-    n = int(np.prod(shape)) if shape else 1
-    replication = n / max(log_std.value.size, 1)
-    return vsum(z * z) * (-0.5) - vsum(log_std) * replication - 0.5 * n * _LOG_2PI
 
 
 def normal_logpdf_rows(x, mean, log_std) -> Node:

@@ -29,15 +29,13 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .alpha import AlphaKind, classify_alpha
-from .divergence import GridSpec, quadrature_oracle
+from .divergence import quadrature_oracle
 from .gaussian import GaussianDist
-from .models.blr import blr_exact_posterior, exact_vr_bound_blr  # noqa: F401  (re-export)
 
 __all__ = [
     "BiasCell",
     "BiasTable",
     "bias_simulation",
-    "exact_vr_bound_blr",
     "mc_vr_estimate",
     "validate_log_weights",
 ]
@@ -148,7 +146,6 @@ def bias_simulation(
     ks: list[int],
     repeats: int = 200,
     seed: int = 0,
-    grid: GridSpec | None = None,
 ) -> BiasTable:
     """Empirical mean and spread of the K-sample estimate per (alpha, K).
 
@@ -169,7 +166,7 @@ def bias_simulation(
     rows: list[BiasCell] = []
     for ai, alpha in enumerate(alphas):
         alpha = float(alpha)
-        exact = -quadrature_oracle(q, p, alpha, grid)
+        exact = -quadrature_oracle(q, p, alpha)
         for ki, k in enumerate(ks):
             k = int(k)
             estimates = np.empty(repeats)

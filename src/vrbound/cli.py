@@ -5,8 +5,8 @@ name, defaults are filled in) and writes, next to its CSV outputs, the fully
 resolved config, a per-file sidecar manifest, and a run manifest with content
 hashes. Seed precedence: the VR_SEED environment variable beats the --seed
 flag, which beats the config value. Exit codes: 0 success, 2 config error,
-3 runtime divergence, 4 I/O failure; failures print a JSON error object to
-stderr.
+3 runtime divergence, 4 I/O failure; a failure prints one JSON error object
+to stderr and nothing else there.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .models.blr import blr_exact_posterior, blr_mean_field_fit, synthetic_blr_i
 from .models.bnn import BNNModel
 from .models.data import Dataset, dataset_content_hash, load_csv, synthetic_binary_images, synthetic_regression
 from .models.vae import VAEModel
-from .training import TrainConfig, TrainingDiverged, evaluate_vae, train
+from .training import EvalRow, RunRecord, TrainConfig, TrainingDiverged, evaluate_vae, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,13 +47,17 @@ class ConfigError(ValueError):
 # schema-driven strict config parsing
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _check_type(value, expected: str, path: str):
     ok = {
-        "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+        "int": _is_int,
         "number": _is_number,
         "bool": lambda v: isinstance(v, bool),
         "string": lambda v: isinstance(v, str),
@@ -109,6 +114,13 @@ _DATASET_SCHEMA = {
     "test_fraction": {"type": "number", "default": 0.25},
 }
 
+_VAE_SCHEMA = {
+    "latent_dim": {"type": "int", "default": 2},
+    "hidden": {"type": "int", "default": 16},
+    "encoder_hidden": {"type": "int"},
+    "likelihood": {"type": "string", "default": "bernoulli"},
+}
+
 _TRAIN_SCHEMA = {
     "alpha": {"type": "alpha", "default": 1.0},
     "k": {"type": "int", "default": 5},
@@ -158,23 +170,14 @@ _SCHEMAS = {
     },
     "vae-train": {
         "dataset": {"type": "dict", "schema": _DATASET_SCHEMA, "required": True},
-        "latent_dim": {"type": "int", "default": 2},
-        "hidden": {"type": "int", "default": 16},
-        "encoder_hidden": {"type": "int"},
-        "likelihood": {"type": "string", "default": "bernoulli"},
+        **_VAE_SCHEMA,
         "train": {"type": "dict", "schema": _TRAIN_SCHEMA, "default": {}},
     },
     "eval": {
         "params": {"type": "string", "required": True},
         "model": {
             "type": "dict",
-            "schema": {
-                "data_dim": {"type": "int", "required": True},
-                "latent_dim": {"type": "int", "default": 2},
-                "hidden": {"type": "int", "default": 16},
-                "encoder_hidden": {"type": "int"},
-                "likelihood": {"type": "string", "default": "bernoulli"},
-            },
+            "schema": {"data_dim": {"type": "int", "required": True}, **_VAE_SCHEMA},
             "required": True,
         },
         "dataset": {"type": "dict", "schema": _DATASET_SCHEMA, "required": True},
@@ -208,10 +211,19 @@ def resolve_config(raw: dict) -> dict:
     if resolved["seed"] < 0:
         raise ConfigError("config key 'seed' must be >= 0")
     section = resolved[section_key]
-    if kind in ("bias-sim", "eval") and section["repeats"] < 2:
-        raise ConfigError(
-            f"config key '{section_key}.repeats' must be >= 2 to report a standard error"
-        )
+    if kind in ("bias-sim", "eval"):
+        if section["repeats"] < 2:
+            raise ConfigError(
+                f"config key '{section_key}.repeats' must be >= 2 to report a standard error"
+            )
+        if not section["ks"] or not all(_is_int(k) and k >= 1 for k in section["ks"]):
+            raise ConfigError(
+                f"config key '{section_key}.ks' must be a non-empty list of integers >= 1"
+            )
+    if kind == "eval":
+        for key in ("k_ref", "max_points"):
+            if section[key] < 1:
+                raise ConfigError(f"config key 'eval.{key}' must be >= 1")
     if kind == "blr-demo" and any(
         a < 0.0 for a in _alphas_from(section["fit_alphas"], "blr_demo.fit_alphas")
     ):
@@ -307,30 +319,48 @@ def _vae_from(section: dict, data_dim: int, path: str) -> VAEModel:
 
 
 # ----------------------------------------------------------------------
-# experiment runners
+# experiment runners: each returns its output files and the dataset hash
 
 
-def _run_divergence(cfg: dict, out: Path, seed: int) -> list[str]:
+def _write_training(out: Path, params: dict, record: RunRecord) -> list[str]:
+    """A training run's per-step record and final parameters."""
+    vio.write_csv(
+        out / "run_record.csv",
+        ["step", "objective", "grad_norm", "log_weight_ratio", "weight_ratio", "wall_time"],
+        record.as_records(),
+    )
+    vio.save_params(out / "params.bin", params)
+    return ["run_record.csv", "params.bin"]
+
+
+def _write_bound_table(path: Path, rows: list[EvalRow]) -> None:
+    vio.write_csv(
+        path,
+        ["alpha", "K", "mean_bound", "se_bound", "mean_gap", "se_gap"],
+        [row.__dict__ | {"K": row.k} for row in rows],
+    )
+
+
+def _run_divergence(cfg: dict, out: Path, seed: int) -> tuple[list[str], None]:
     section = cfg["divergence"]
     p, q = _gaussian_pair(section, "divergence")
     alphas = _alphas_from(section["alphas"], "divergence.alphas")
     rows = [{"alpha": a, "value": renyi_gaussian(p, q, a)} for a in alphas]
     vio.write_csv(out / "divergence.csv", ["alpha", "value"], rows)
-    return ["divergence.csv"]
+    return ["divergence.csv"], None
 
 
-def _run_bias_sim(cfg: dict, out: Path, seed: int) -> list[str]:
+def _run_bias_sim(cfg: dict, out: Path, seed: int) -> tuple[list[str], None]:
     section = cfg["bias_sim"]
     p, q = _gaussian_pair(section, "bias_sim")
     alphas = _alphas_from(section["alphas"], "bias_sim.alphas")
     if any(not math.isfinite(a) for a in alphas):
         raise ConfigError("'bias_sim.alphas' must be finite")
-    ks = [int(k) for k in section["ks"]]
-    table = bias_simulation(p, q, alphas, ks, repeats=section["repeats"], seed=seed)
+    table = bias_simulation(p, q, alphas, section["ks"], repeats=section["repeats"], seed=seed)
     vio.write_csv(
         out / "bias_table.csv", ["alpha", "K", "mean", "stderr", "exact"], table.as_records()
     )
-    return ["bias_table.csv"]
+    return ["bias_table.csv"], None
 
 
 def _ellipse_points(mean: np.ndarray, cov: np.ndarray, level: float, n: int = 120) -> np.ndarray:
@@ -341,7 +371,7 @@ def _ellipse_points(mean: np.ndarray, cov: np.ndarray, level: float, n: int = 12
     return mean + level * circle @ chol.T
 
 
-def _run_blr_demo(cfg: dict, out: Path, seed: int) -> list[str]:
+def _run_blr_demo(cfg: dict, out: Path, seed: int) -> tuple[list[str], None]:
     section = cfg["blr_demo"]
     with _building("blr_demo"):
         model = synthetic_blr_instance(
@@ -399,7 +429,7 @@ def _run_blr_demo(cfg: dict, out: Path, seed: int) -> list[str]:
         + [f"converged_alpha_{a:g}" for a in curve_alphas]
     )
     vio.write_csv(out / "sigma_curves.csv", curve_header, curve_rows)
-    return ["fits.csv", "contours.csv", "sigma_curves.csv"]
+    return ["fits.csv", "contours.csv", "sigma_curves.csv"], None
 
 
 def _bnn_test_metrics(
@@ -436,19 +466,14 @@ def _run_bnn_train(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
         model = BNNModel(in_dim=data.features.shape[1], hidden=section["hidden"])
     tcfg = _train_config(section["train"], seed, "bnn_train.train")
     params, record = train(model, tcfg, std_data)
-    vio.write_csv(
-        out / "run_record.csv",
-        ["step", "objective", "grad_norm", "log_weight_ratio", "weight_ratio", "wall_time"],
-        record.as_records(),
-    )
-    vio.save_params(out / "params.bin", params)
+    outputs = _write_training(out, params, record)
     metrics = _bnn_test_metrics(model, params, data, stats, seed)
     vio.write_csv(
         out / "test_metrics.csv",
         ["metric", "value"],
         [{"metric": k, "value": v} for k, v in metrics.items()],
     )
-    return ["run_record.csv", "params.bin", "test_metrics.csv"], data_hash
+    return outputs + ["test_metrics.csv"], data_hash
 
 
 def _run_vae_train(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
@@ -457,12 +482,7 @@ def _run_vae_train(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
     model = _vae_from(section, data.features.shape[1], "vae_train")
     tcfg = _train_config(section["train"], seed, "vae_train.train")
     params, record = train(model, tcfg, data)
-    vio.write_csv(
-        out / "run_record.csv",
-        ["step", "objective", "grad_norm", "log_weight_ratio", "weight_ratio", "wall_time"],
-        record.as_records(),
-    )
-    vio.save_params(out / "params.bin", params)
+    outputs = _write_training(out, params, record)
     rows = evaluate_vae(
         model,
         params,
@@ -473,12 +493,8 @@ def _run_vae_train(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
         seed=seed,
         k_ref=tcfg.eval_k,
     )
-    vio.write_csv(
-        out / "test_bound.csv",
-        ["alpha", "K", "mean_bound", "se_bound", "mean_gap", "se_gap"],
-        [row.__dict__ | {"K": row.k} for row in rows],
-    )
-    return ["run_record.csv", "params.bin", "test_bound.csv"], data_hash
+    _write_bound_table(out / "test_bound.csv", rows)
+    return outputs + ["test_bound.csv"], data_hash
 
 
 def _run_eval(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
@@ -505,23 +521,18 @@ def _run_eval(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
                 f"the model needs {shape}"
             )
     alphas = _alphas_from(section["alphas"], "eval.alphas")
-    ks = [int(k) for k in section["ks"]]
     x = data.test_features[: section["max_points"]]
     rows = evaluate_vae(
         model,
         params,
         x,
         alphas=alphas,
-        ks=ks,
+        ks=section["ks"],
         repeats=section["repeats"],
         seed=seed,
         k_ref=section["k_ref"],
     )
-    vio.write_csv(
-        out / "gap_table.csv",
-        ["alpha", "K", "mean_bound", "se_bound", "mean_gap", "se_gap"],
-        [row.__dict__ | {"K": row.k} for row in rows],
-    )
+    _write_bound_table(out / "gap_table.csv", rows)
     return ["gap_table.csv"], data_hash
 
 
@@ -553,8 +564,6 @@ _RUNNERS = {
     "divergence": _run_divergence,
     "bias-sim": _run_bias_sim,
     "blr-demo": _run_blr_demo,
-}
-_RUNNERS_WITH_DATA = {
     "bnn-train": _run_bnn_train,
     "vae-train": _run_vae_train,
     "eval": _run_eval,
@@ -562,6 +571,22 @@ _RUNNERS_WITH_DATA = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one experiment and return its exit code.
+
+    Warnings are held back while it runs: a failing run prints only its JSON
+    error object on stderr, and a successful one re-issues them under the
+    caller's warning filters.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        code = _run(argv)
+    if code == EXIT_OK:
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     try:
         raw = json.loads(Path(args.config).read_text())
@@ -601,11 +626,7 @@ def main(argv: list[str] | None = None) -> int:
 
     seed = cfg["seed"]
     try:
-        if args.kind in _RUNNERS:
-            outputs = _RUNNERS[args.kind](cfg, out, seed)
-            data_hash = None
-        else:
-            outputs, data_hash = _RUNNERS_WITH_DATA[args.kind](cfg, out, seed)
+        outputs, data_hash = _RUNNERS[args.kind](cfg, out, seed)
         (out / "resolved_config.json").write_text(
             json.dumps(cfg, indent=2, sort_keys=True) + "\n"
         )

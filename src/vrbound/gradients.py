@@ -124,10 +124,6 @@ class GaussianReparam:
         self.mu = mu
         self.rho = rho
 
-    @property
-    def dim(self) -> int:
-        return int(self.mu.value.size)
-
     def theta(self, eps: np.ndarray) -> ad.Node:
         eps = np.asarray(eps, dtype=float)
         shape = self.mu.value.shape

@@ -36,7 +36,8 @@ def save_params(path, params: dict[str, np.ndarray]) -> None:
     path = Path(path)
     blobs = [PARAMS_MAGIC, struct.pack("<II", PARAMS_VERSION, len(params))]
     for name in sorted(params):
-        arr = np.ascontiguousarray(params[name], dtype="<f8")
+        # np.asarray, not np.ascontiguousarray, which turns a 0-d array into (1,)
+        arr = np.asarray(params[name], dtype="<f8")
         name_bytes = name.encode("utf-8")
         blobs.append(struct.pack("<H", len(name_bytes)))
         blobs.append(name_bytes)
@@ -120,7 +121,7 @@ def library_versions() -> dict[str, str]:
     }
 
 
-def write_sidecar_manifest(csv_path, seed: int, extra: dict | None = None) -> Path:
+def write_sidecar_manifest(csv_path, seed: int) -> Path:
     csv_path = Path(csv_path)
     manifest = {
         "file": csv_path.name,
@@ -128,8 +129,6 @@ def write_sidecar_manifest(csv_path, seed: int, extra: dict | None = None) -> Pa
         "seed": seed,
         "versions": library_versions(),
     }
-    if extra:
-        manifest.update(extra)
     out = csv_path.with_name(csv_path.name + ".manifest.json")
     out.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return out

@@ -152,7 +152,6 @@ class MeanFieldFitResult:
     q: GaussianDist
     bound: float
     iterations: int
-    grad_norm: float
     converged: bool
 
 
@@ -219,10 +218,10 @@ def _kl_post_q_grads(
     return value, g_mu, g_s2
 
 
-# L-BFGS-B stops on a relative objective change below _FTOL or a largest
-# gradient entry below `gtol`; much tighter values fall under the rounding
+# L-BFGS-B stops on a relative objective change below ftol or a largest
+# gradient entry below gtol; much tighter values fall under the rounding
 # noise of the objective, where the line search ends abnormally.
-_FTOL = 1e-12
+_LBFGS_OPTIONS = {"maxiter": 20000, "gtol": 1e-7, "ftol": 1e-12}
 # Relative margin on the +inf fit's precisions, so that q is strictly feasible.
 _INF_MARGIN = 1e-10
 
@@ -248,7 +247,7 @@ def _log_std_variances(log_std: np.ndarray):
     return s2, np.diag(2.0 * s2)
 
 
-def _inf_precisions(lam: np.ndarray, options: dict):
+def _inf_precisions(lam: np.ndarray):
     """Diagonal d minimizing sum(log d) subject to diag(d) >= lam (Loewner order).
 
     Over r = log s2, rescaling s2 by 1 / lambda_max(S^1/2 lam S^1/2) onto the
@@ -263,18 +262,14 @@ def _inf_precisions(lam: np.ndarray, options: dict):
         eigvals, eigvecs = np.linalg.eigh(h[:, None] * lam * h[None, :])
         return dim * math.log(eigvals[-1]) - float(np.sum(r)), dim * eigvecs[:, -1] ** 2 - 1.0
 
-    res = minimize(objective, -np.log(np.diag(lam)), jac=True, method="L-BFGS-B", options=options)
+    res = minimize(
+        objective, -np.log(np.diag(lam)), jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS
+    )
     # d = exp(-r) lambda_max, and the objective value holds log lambda_max
     return np.exp((res.fun + np.sum(res.x)) / dim - res.x), res
 
 
-def blr_mean_field_fit(
-    model: BLRModel,
-    alpha: float,
-    *,
-    max_iter: int = 20000,
-    gtol: float = 1e-7,
-) -> MeanFieldFitResult:
+def blr_mean_field_fit(model: BLRModel, alpha: float) -> MeanFieldFitResult:
     """Diagonal-Gaussian maximizer of the exact bound at the given order.
 
     Finite orders minimize D_alpha[q || posterior] by L-BFGS-B on its analytic
@@ -306,13 +301,12 @@ def blr_mean_field_fit(
         raise ValueError("mean-field fit requires alpha >= 0; the bound has no "
                          "finite maximizer for negative orders")
     lam, dim = posterior.precision(), model.dim
-    options = {"maxiter": max_iter, "gtol": gtol, "ftol": _FTOL}
     at_zero = kind is AlphaKind.FINITE and abs(float(alpha)) <= 1e-12
 
     mode_seeking = kind is AlphaKind.POS_INF or (kind is AlphaKind.FINITE and float(alpha) > 1.0)
     iterations, converged = 0, True
     if mode_seeking:
-        prec, res = _inf_precisions(lam, options)
+        prec, res = _inf_precisions(lam)
         prec, iterations, converged = prec * (1.0 + _INF_MARGIN), res.nit, res.success
 
     if kind is AlphaKind.POS_INF:
@@ -337,15 +331,14 @@ def blr_mean_field_fit(
             return value, np.concatenate([g_mu, ds2_dz.T @ g_s2])
 
         x0 = np.concatenate([posterior.mean, z0])
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B", options=options)
+        res = minimize(objective, x0, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS)
         q = GaussianDist.diagonal(res.x[:dim], variances(res.x[dim:])[0])
         iterations += res.nit
         # an objective that is +inf at the start stops the solver "converged"
         converged = converged and res.success and math.isfinite(res.fun)
 
     bound = log_evidence if at_zero else log_evidence - renyi_gaussian(q, posterior, alpha)
-    grad_norm = float(np.max(np.abs(res.jac)))
-    return MeanFieldFitResult(q, bound, int(iterations), grad_norm, bool(converged))
+    return MeanFieldFitResult(q, bound, int(iterations), bool(converged))
 
 
 # ----------------------------------------------------------------------

@@ -84,9 +84,9 @@ class BNNModel:
     ) -> ad.Node:
         return self.log_prior_node(theta) + self.log_lik_node(theta, log_noise, x, y)
 
-    def init_variational(self, seed: int = 0, init_scale: float = 0.05):
+    def init_variational(self, seed: int = 0):
         """Initial mean-field parameters {mu, rho} plus {log_noise}."""
         rng = np.random.default_rng([int(seed), 0])
         mu = 0.1 * rng.standard_normal(self.n_weights)
-        rho = np.full(self.n_weights, math.log(init_scale))
+        rho = np.full(self.n_weights, math.log(0.05))
         return {"mu": mu, "rho": rho, "log_noise": np.zeros(1)}

@@ -147,22 +147,20 @@ def save_csv(path, features: np.ndarray, targets: np.ndarray | None = None) -> N
 # synthetic generators
 
 
-def synthetic_regression(seed: int = 0, n: int = 120, noise_std: float = 0.1) -> Dataset:
+def synthetic_regression(seed: int = 0, n: int = 120) -> Dataset:
     """1-D regression on a smooth bumpy curve, targets observed with noise."""
     rng = np.random.default_rng([int(seed), 23])
     x = rng.uniform(-4.0, 4.0, size=n)
-    y = np.sin(x) + 0.08 * x**2 + noise_std * rng.standard_normal(n)
+    y = np.sin(x) + 0.08 * x**2 + 0.1 * rng.standard_normal(n)
     return Dataset.from_arrays(x[:, None], y, split_seed=seed)
 
 
-def synthetic_binary_images(
-    seed: int = 0, n: int = 900, side: int = 8, shapes_per_image: int = 2
-) -> Dataset:
+def synthetic_binary_images(seed: int = 0, n: int = 900, side: int = 8) -> Dataset:
     """Binary images of randomly placed bars and blocks with pixel noise.
 
-    Each image is the union of ``shapes_per_image`` patterns drawn from three
-    families (horizontal bar, vertical bar, square block) with varying
-    position and size. Superposing independent shapes gives the set enough
+    Each image is the union of two patterns drawn from three families
+    (horizontal bar, vertical bar, square block) with varying position and
+    size. Superposing independent shapes gives the set enough
     factors of variation that small recognition networks cannot represent
     the latent posterior exactly, while strictly binary pixels keep
     per-image likelihoods sharply peaked. The test split holds 200 images,
@@ -174,7 +172,7 @@ def synthetic_binary_images(
     images = np.zeros((n, side * side))
     for i in range(n):
         canvas = np.zeros((side, side))
-        for _ in range(shapes_per_image):
+        for _ in range(2):
             family = rng.integers(3)
             if family == 0:
                 row = rng.integers(side - 1)

@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from .. import autodiff as ad
+from ..gradients import GaussianReparam
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -110,8 +111,6 @@ class VAEModel:
         either way; the latent is the reparameterized
         h = mu(x) + exp(rho(x)) * eps.
         """
-        from ..gradients import GaussianReparam
-
         mu, rho = self.encode_nodes(nodes, x)
         reparam = GaussianReparam(mu, rho)
         h = reparam.theta(eps)

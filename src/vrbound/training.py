@@ -36,9 +36,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .alpha import classify_alpha
-from .bounds import mc_vr_estimate, validate_log_weights
+from .bounds import mc_vr_estimate
 from .gaussian import GaussianDist
-from .gradients import GaussianReparam, log_weight_ratio, normalize_weights, vr_grad
+from .gradients import GaussianReparam, log_weight_ratio, vr_grad
 from .models.blr import BLRModel
 from .models.bnn import BNNModel
 from .models.data import Dataset
@@ -50,11 +50,9 @@ __all__ = [
     "RunRecord",
     "TrainConfig",
     "TrainingDiverged",
-    "WeightDiagnostics",
     "energy_approx_objective",
     "evaluate_vae",
     "train",
-    "weight_diagnostics",
 ]
 
 # Stream ids for seed derivation.
@@ -432,26 +430,3 @@ def _log_weight_block(
         out[:, done : done + take] = model.log_weight_matrix(params, x, eps)
     return out
 
-
-# ----------------------------------------------------------------------
-# diagnostics
-
-
-@dataclass(frozen=True)
-class WeightDiagnostics:
-    log_ratio: float
-    ratio: float
-    sorted_weights: np.ndarray
-
-
-def weight_diagnostics(log_w) -> WeightDiagnostics:
-    """Concentration summary of the normalized (alpha = 0) weights.
-
-    The ratio R = w_max / (1 - w_max) crosses 1 exactly when the largest
-    weight holds half the mass; the log form never overflows.
-    """
-    log_w = validate_log_weights(log_w)
-    weights = normalize_weights(log_w, 0.0)
-    order = np.argsort(weights)[::-1]
-    log_r, r = log_weight_ratio(log_w)
-    return WeightDiagnostics(log_ratio=log_r, ratio=r, sorted_weights=weights[order])

@@ -4,12 +4,16 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vrbound import GaussianDist, renyi_gaussian
+import vrbound
+from vrbound import GaussianDist, TrainingDiverged, cli, renyi_gaussian
 from vrbound.cli import main
 from vrbound.io import load_params, save_params
 from vrbound.models.data import save_csv, synthetic_regression
@@ -32,6 +36,22 @@ def divergence_config(out_dir: Path) -> dict:
             "alphas": [-1.0, 0.0, 0.5, 1.0, 2.0, "inf"],
         },
     }
+
+
+_BIAS_SIM = {
+    "p": {"mean": [0.0], "variances": [1.0]},
+    "q": {"mean": [1.0], "variances": [1.0]},
+    "alphas": [0.5],
+    "ks": [2],
+}
+
+_EVAL = {
+    "params": "params.bin",
+    "model": {"data_dim": 64},
+    "dataset": {"synthetic": "binary-images"},
+    "alphas": [0.0],
+    "ks": [2],
+}
 
 
 class TestDivergenceRun:
@@ -140,6 +160,16 @@ class TestConfigValidation:
                 },
                 "eval.repeats",
             ),
+            # counts: integers >= 1, no bools or floats, and at least one K
+            ("bias-sim", _BIAS_SIM | {"ks": [0]}, "bias_sim.ks"),
+            ("bias-sim", _BIAS_SIM | {"ks": [2.7]}, "bias_sim.ks"),
+            ("bias-sim", _BIAS_SIM | {"ks": [2, True]}, "bias_sim.ks"),
+            ("eval", _EVAL | {"ks": [0]}, "eval.ks"),
+            ("eval", _EVAL | {"ks": [2.7]}, "eval.ks"),
+            ("eval", _EVAL | {"ks": []}, "eval.ks"),
+            ("eval", _EVAL | {"k_ref": 0}, "eval.k_ref"),
+            ("eval", _EVAL | {"max_points": 0}, "eval.max_points"),
+            ("eval", _EVAL | {"max_points": -195}, "eval.max_points"),
         ],
     )
     def test_invalid_value_is_config_error(self, tmp_path, capsys, kind, section, key):
@@ -381,23 +411,60 @@ class TestTrainAndEval:
         assert gap[0] == "alpha,K,mean_bound,se_bound,mean_gap,se_gap"
         assert len(gap) == 5
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_training_exit_code(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path / "cfg.json",
-            {
-                "kind": "bnn-train",
-                "output_dir": str(tmp_path / "out"),
-                "bnn_train": {
-                    "dataset": {"synthetic": "regression", "n": 40},
-                    "hidden": 4,
-                    "train": {"steps": 300, "learning_rate": 1e6, "k": 2},
-                },
-            },
-        )
+        cfg = write_config(tmp_path / "cfg.json", _divergent_bnn_config(tmp_path))
         assert main(["bnn-train", "--config", cfg]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "diverged"
+
+
+def _divergent_bnn_config(tmp_path: Path) -> dict:
+    return {
+        "kind": "bnn-train",
+        "output_dir": str(tmp_path / "out"),
+        "bnn_train": {
+            "dataset": {"synthetic": "regression", "n": 40},
+            "hidden": 4,
+            "train": {"steps": 300, "learning_rate": 1e6, "k": 2},
+        },
+    }
+
+
+class TestFailureOutput:
+    """A failing run prints one JSON error object on stderr and nothing else;
+    the warnings of a successful run are re-issued to the caller."""
+
+    def test_divergent_run_prints_one_json_line(self, tmp_path):
+        # The run overflows in numpy before it diverges; under the default
+        # warning filters those RuntimeWarnings would reach stderr.
+        cfg = write_config(tmp_path / "cfg.json", _divergent_bnn_config(tmp_path))
+        src = str(Path(vrbound.__file__).parents[1])
+        env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "vrbound.cli", "bnn-train", "--config", cfg],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"]["type"] == "diverged"
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["success", "failure"])
+    def test_warnings_reach_the_caller_only_on_success(self, tmp_path, monkeypatch, fail):
+        run = cli._RUNNERS["divergence"]
+
+        def noisy(cfg, out, seed):
+            warnings.warn("noisy run", RuntimeWarning)
+            if fail:
+                raise TrainingDiverged(0, "diverged", {})
+            return run(cfg, out, seed)
+
+        monkeypatch.setitem(cli._RUNNERS, "divergence", noisy)
+        cfg = write_config(tmp_path / "cfg.json", divergence_config(tmp_path / "out"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["divergence", "--config", cfg]) == (3 if fail else 0)
+        assert [str(w.message) for w in caught] == ([] if fail else ["noisy run"])
 
 
 class TestParamsFile:

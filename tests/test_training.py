@@ -17,12 +17,13 @@ from vrbound import (
     energy_approx_objective,
     evaluate_vae,
     mc_vr_estimate,
+    normalize_weights,
     synthetic_binary_images,
     synthetic_blr_instance,
     synthetic_regression,
     train,
-    weight_diagnostics,
 )
+from vrbound.gradients import log_weight_ratio
 from vrbound.models.bnn import BNNModel
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -243,31 +244,25 @@ class TestEvaluateVae:
 
 
 class TestWeightDiagnostics:
+    """R = w_max / (1 - w_max) of the normalized weights, which `train`
+    records per step as log R, one weight set per column of the K draws."""
+
     def test_equal_weights(self):
-        diag = weight_diagnostics(np.zeros(4))
-        assert diag.ratio == pytest.approx(1.0 / 3.0, abs=1e-12)
-        np.testing.assert_allclose(diag.sorted_weights, np.full(4, 0.25))
+        _, r = log_weight_ratio(np.zeros((4, 3)), axis=0)
+        np.testing.assert_allclose(r, np.full(3, 1.0 / 3.0), atol=1e-12)
 
     def test_nine_to_one(self):
-        diag = weight_diagnostics(np.log(np.array([9.0, 1.0])))
-        assert diag.ratio == pytest.approx(9.0, abs=1e-10)
+        _, r = log_weight_ratio(np.log(np.array([[9.0, 1.0], [1.0, 9.0]])), axis=0)
+        np.testing.assert_allclose(r, [9.0, 9.0], atol=1e-10)
 
     def test_dominant_weight_reported_in_log_domain(self):
-        diag = weight_diagnostics(np.array([100.0, 0.0, 0.0]))
-        assert math.isfinite(diag.log_ratio)
-        assert diag.log_ratio == pytest.approx(100.0 - math.log(2.0), abs=1e-9)
-        assert diag.sorted_weights[0] == pytest.approx(1.0, abs=1e-12)
+        log_r, _ = log_weight_ratio(np.array([[100.0], [0.0], [0.0]]), axis=0)
+        assert np.all(np.isfinite(log_r))
+        assert log_r[0] == pytest.approx(100.0 - math.log(2.0), abs=1e-9)
 
     def test_ratio_crosses_one_at_half(self):
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            log_w = rng.standard_normal(6) * 2.0
-            diag = weight_diagnostics(log_w)
-            w_max = diag.sorted_weights[0]
-            assert (diag.ratio >= 1.0) == (w_max >= 0.5)
-
-    def test_sorted_descending(self):
-        rng = np.random.default_rng(4)
-        diag = weight_diagnostics(rng.standard_normal(10))
-        assert np.all(np.diff(diag.sorted_weights) <= 0.0)
-        assert float(np.sum(diag.sorted_weights)) == pytest.approx(1.0, abs=1e-12)
+        log_w = rng.standard_normal((50, 6)) * 2.0
+        _, r = log_weight_ratio(log_w, axis=1)
+        w_max = np.max(normalize_weights(log_w, 0.0, axis=1), axis=1)
+        np.testing.assert_array_equal(r >= 1.0, w_max >= 0.5)
