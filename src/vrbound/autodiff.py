@@ -1,20 +1,23 @@
 """Minimal reverse-mode differentiation over numpy arrays.
 
 A fixed, small set of operations is enough for every gradient this package
-needs: arithmetic, affine maps, exp/ReLU/tanh, sums, reshapes and last-axis
-slices, and two log densities summed over the last axis (Gaussian, and
-Bernoulli on logits as one fused node). Matrix products batch over leading
-axes as numpy's ``@`` does, so a model can evaluate K stacked parameter
-draws in one graph. Graphs are built functionally (fresh leaf nodes per
-evaluation), a single backward pass accumulates vector-Jacobian products in
+needs: arithmetic, matrix products, exp/ReLU/tanh, sums, reshapes and
+last-axis slices, a dense layer act(x @ w + b) as one fused node, and two
+log densities summed over the last axis (Gaussian, and Bernoulli on logits
+as one fused node). Matrix products batch over leading axes as numpy's
+``@`` does, so a model can evaluate K stacked parameter draws in one graph.
+Graphs are built functionally (fresh leaf nodes per evaluation); numbers
+and arrays enter operations as constants, which are not graph nodes and get
+no gradient. A single backward pass accumulates vector-Jacobian products in
 topological order, and broadcasting is undone by summing over the broadcast
-axes. There is deliberately no general graph compiler, no in-place mutation,
-and no higher-order support.
+axes. A fused node may work in place on the buffers it allocates itself,
+but no operation changes the value of another node. There is deliberately
+no general graph compiler and no higher-order support.
 
 Typical use::
 
     mu = Node(np.zeros(3))
-    theta = mu + as_node(eps) * np.exp(-1.0)
+    theta = mu + eps * np.exp(-1.0)
     loss = vsum(theta * theta) * 0.5
     grads = gradients(loss, {"mu": mu})
 """
@@ -30,6 +33,7 @@ __all__ = [
     "as_node",
     "backward",
     "bernoulli_logpmf_rows",
+    "dense",
     "exp",
     "gradients",
     "matmul",
@@ -60,34 +64,34 @@ class Node:
 
     # arithmetic sugar; plain numbers/arrays are treated as constants
     def __add__(self, other):
-        return add(self, as_node(other))
+        return add(self, other)
 
     def __radd__(self, other):
-        return add(as_node(other), self)
+        return add(other, self)
 
     def __sub__(self, other):
-        return sub(self, as_node(other))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(as_node(other), self)
+        return sub(other, self)
 
     def __mul__(self, other):
-        return mul(self, as_node(other))
+        return mul(self, other)
 
     def __rmul__(self, other):
-        return mul(as_node(other), self)
+        return mul(other, self)
 
     def __truediv__(self, other):
-        return div(self, as_node(other))
+        return div(self, other)
 
     def __rtruediv__(self, other):
-        return div(as_node(other), self)
+        return div(other, self)
 
     def __neg__(self):
-        return mul(self, as_node(-1.0))
+        return mul(self, -1.0)
 
     def __matmul__(self, other):
-        return matmul(self, as_node(other))
+        return matmul(self, other)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Node(shape={self.value.shape})"
@@ -109,56 +113,62 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _value(x) -> np.ndarray:
+    return x.value if isinstance(x, Node) else np.asarray(x, dtype=float)
+
+
+def _op(value, *edges) -> Node:
+    """A node over ``value`` whose parents are the operands that are nodes.
+    Each edge is (operand, VJP); a constant operand (a number or an array)
+    gets none, so no gradient is ever computed for it."""
+    return Node(value, tuple(edge for edge in edges if isinstance(edge[0], Node)))
+
+
 # ----------------------------------------------------------------------
-# primitive operations
+# primitive operations; every operand may be a node or a constant
 
 
-def add(a: Node, b: Node) -> Node:
-    return Node(
-        a.value + b.value,
-        (
-            (a, lambda g: _unbroadcast(g, a.value.shape)),
-            (b, lambda g: _unbroadcast(g, b.value.shape)),
-        ),
+def add(a, b) -> Node:
+    va, vb = _value(a), _value(b)
+    return _op(
+        va + vb,
+        (a, lambda g: _unbroadcast(g, va.shape)),
+        (b, lambda g: _unbroadcast(g, vb.shape)),
     )
 
 
-def sub(a: Node, b: Node) -> Node:
-    return Node(
-        a.value - b.value,
-        (
-            (a, lambda g: _unbroadcast(g, a.value.shape)),
-            (b, lambda g: _unbroadcast(-g, b.value.shape)),
-        ),
+def sub(a, b) -> Node:
+    va, vb = _value(a), _value(b)
+    return _op(
+        va - vb,
+        (a, lambda g: _unbroadcast(g, va.shape)),
+        (b, lambda g: _unbroadcast(-g, vb.shape)),
     )
 
 
-def mul(a: Node, b: Node) -> Node:
-    return Node(
-        a.value * b.value,
-        (
-            (a, lambda g: _unbroadcast(g * b.value, a.value.shape)),
-            (b, lambda g: _unbroadcast(g * a.value, b.value.shape)),
-        ),
+def mul(a, b) -> Node:
+    va, vb = _value(a), _value(b)
+    return _op(
+        va * vb,
+        (a, lambda g: _unbroadcast(g * vb, va.shape)),
+        (b, lambda g: _unbroadcast(g * va, vb.shape)),
     )
 
 
-def div(a: Node, b: Node) -> Node:
-    return Node(
-        a.value / b.value,
-        (
-            (a, lambda g: _unbroadcast(g / b.value, a.value.shape)),
-            (b, lambda g: _unbroadcast(-g * a.value / b.value**2, b.value.shape)),
-        ),
+def div(a, b) -> Node:
+    va, vb = _value(a), _value(b)
+    return _op(
+        va / vb,
+        (a, lambda g: _unbroadcast(g / vb, va.shape)),
+        (b, lambda g: _unbroadcast(-g * va / vb**2, vb.shape)),
     )
 
 
-def matmul(a: Node, b: Node) -> Node:
-    """``a @ b`` with numpy semantics: operands of two or more axes are
-    stacks of matrices broadcast over their leading axes, and a vector
-    operand is promoted to a matrix and its axis dropped from the result."""
-    va, vb = a.value, b.value
-    out = va @ vb
+def _matmul_vjps(va: np.ndarray, vb: np.ndarray):
+    """VJPs of ``va @ vb`` with respect to each operand, as numpy's ``@``
+    defines the product: operands of two or more axes are stacks of matrices
+    broadcast over their leading axes, and a vector operand is promoted to a
+    matrix and its axis dropped from the result."""
     # Work with the promoted matrices; the VJPs restore the dropped axes of
     # g, undo the broadcasting of leading axes, and drop the promotion again.
     ma = va[None, :] if va.ndim == 1 else va
@@ -178,7 +188,70 @@ def matmul(a: Node, b: Node) -> Node:
     def vjp_b(g):
         return _unbroadcast(np.swapaxes(ma, -1, -2) @ promoted(g), mb.shape).reshape(vb.shape)
 
-    return Node(out, ((a, vjp_a), (b, vjp_b)))
+    return vjp_a, vjp_b
+
+
+def matmul(a, b) -> Node:
+    """``a @ b`` with numpy semantics (see ``_matmul_vjps``)."""
+    va, vb = _value(a), _value(b)
+    vjp_a, vjp_b = _matmul_vjps(va, vb)
+    return _op(va @ vb, (a, vjp_a), (b, vjp_b))
+
+
+_ACTIVATIONS = (None, "tanh", "relu")
+
+
+def dense(x, w, b, act: str | None = None) -> Node:
+    """``act(x @ w + b)`` as one node: an affine layer and its activation.
+
+    The product follows numpy's ``@`` and ``b`` broadcasts against it. The
+    bias and the activation are applied in place on the product's buffer, so
+    a layer allocates one output array. ``act`` is None (affine), "tanh" or
+    "relu". Each input that is a node has its own VJP; all of them start from
+    the gradient at the pre-activation, recovered from the output and
+    computed once per backward pass.
+    """
+    if act not in _ACTIVATIONS:
+        raise ValueError(f"act must be one of {_ACTIVATIONS}")
+    xv, wv, bv = _value(x), _value(w), _value(b)
+    out = np.asarray(xv @ wv)
+    product_shape = out.shape
+    try:
+        out += bv
+    except ValueError:  # the bias adds leading axes to the product
+        out = out + bv
+    if act == "tanh":
+        np.tanh(out, out=out)
+    elif act == "relu":
+        np.copyto(out, 0.0, where=~(out > 0.0))
+
+    cache: list = [None, None]  # (g, gradient at the pre-activation)
+
+    def pre(g):
+        if cache[0] is not g:
+            if act == "tanh":
+                gz = g * (1.0 - out * out)
+            elif act == "relu":
+                gz = g * (out > 0.0)
+            else:
+                gz = g
+            cache[:] = [g, gz]
+        return cache[1]
+
+    product_vjp_x, product_vjp_w = _matmul_vjps(xv, wv)
+
+    def vjp_b(g):
+        gz = pre(g)
+        # ``backward`` calls the bias VJP last; drop the cached gradient.
+        cache[:] = [None, None]
+        return _unbroadcast(gz, bv.shape)
+
+    return _op(
+        out,
+        (x, lambda g: product_vjp_x(_unbroadcast(pre(g), product_shape))),
+        (w, lambda g: product_vjp_w(_unbroadcast(pre(g), product_shape))),
+        (b, vjp_b),
+    )
 
 
 def exp(a: Node) -> Node:
@@ -234,17 +307,18 @@ def normal_logpdf_rows(x, mean, log_std) -> Node:
     ``x`` and ``mean`` broadcast together, e.g. (n, d) observations against
     (K, n, d) means give shape (K, n). ``log_std`` is a scalar or one value
     per coordinate of the last axis (counted once per coordinate), or an
-    array of two or more axes summed row by row.
+    array of two or more axes whose last axis holds one value per coordinate
+    or a single value for the whole row (then counted d times).
     """
-    x, mean, log_std = as_node(x), as_node(mean), as_node(log_std)
-    shape = np.broadcast_shapes(x.value.shape, mean.value.shape)
+    log_std = as_node(log_std)
+    shape = np.broadcast_shapes(_value(x).shape, _value(mean).shape)
     if not shape:
         raise ValueError("normal_logpdf_rows expects observations with a last axis")
     d = shape[-1]
     z = (x - mean) * exp(-log_std)
     quad = vsum(z * z, axis=-1) * (-0.5)
     if log_std.value.ndim >= 2:
-        row_logdet = vsum(log_std, axis=-1)
+        row_logdet = vsum(log_std, axis=-1) * (d / log_std.value.shape[-1])
     else:
         row_logdet = vsum(log_std) * (d / max(log_std.value.size, 1))
     return quad - row_logdet - 0.5 * d * _LOG_2PI
@@ -261,24 +335,39 @@ def bernoulli_logpmf_rows(logits: Node, targets: np.ndarray) -> Node:
     Per element this is x z - softplus(z) = x log p + (1 - x) log(1 - p)
     with p = sigmoid(z), on logits z clipped to +-logit(1 - 1e-7). That
     keeps p in [1e-7, 1 - 1e-7], so the value is finite for any logits, and
-    clipped elements get zero gradient.
+    clipped elements get zero gradient. The forward pass works in place and
+    keeps only the logits alive; the VJP recomputes z and exp(-|z|) from them.
     """
     targets = np.asarray(targets, dtype=float)
     v = logits.value
-    z = np.clip(v, -_LOGIT_CAP, _LOGIT_CAP)
-    e = np.exp(-np.abs(z))
-    # In-place updates: these arrays are the largest in a VAE graph.
-    softplus = np.log1p(e)
-    softplus += np.maximum(z, 0.0)
+    z = _clipped(v)
+    # softplus(z) = log1p(exp(-|z|)) + max(z, 0), built in place
+    softplus = np.abs(z)
+    np.negative(softplus, out=softplus)
+    np.exp(softplus, out=softplus)
+    np.log1p(softplus, out=softplus)
     per_elem = targets * z
+    np.maximum(z, 0.0, out=z)
+    softplus += z
     per_elem -= softplus
 
     def vjp(g):
+        z = _clipped(v)
+        e = np.abs(z)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
         p = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
         inside = (v > -_LOGIT_CAP) & (v < _LOGIT_CAP)
         return _unbroadcast(np.expand_dims(g, -1) * (targets - p) * inside, v.shape)
 
     return Node(np.sum(per_elem, axis=-1), ((logits, vjp),))
+
+
+def _clipped(v: np.ndarray) -> np.ndarray:
+    """A copy of ``v`` clipped to +-_LOGIT_CAP (np.clip's values, faster)."""
+    z = np.minimum(v, _LOGIT_CAP)
+    np.maximum(z, -_LOGIT_CAP, out=z)
+    return z
 
 
 # ----------------------------------------------------------------------

@@ -91,7 +91,7 @@ class BLRModel:
         x = self.design if idx is None else self.design[idx]
         y = self.targets if idx is None else self.targets[idx]
         s2 = self.noise_std**2
-        resid = ad.as_node(y) - ad.matmul(theta, ad.as_node(x.T))
+        resid = y - ad.matmul(theta, x.T)
         const = -0.5 * x.shape[0] * (_LOG_2PI + math.log(s2))
         return ad.vsum(resid * resid, axis=-1) * (-0.5 / s2) + const
 

@@ -51,7 +51,7 @@ class BNNModel:
         """Network outputs for inputs x (n, in_dim): shape (n,) for theta
         (W,), (K, n) for theta (K, W)."""
         w1, b1, w2, b2 = self._split(theta)
-        hidden = ad.relu(ad.matmul(ad.as_node(x), w1) + b1)
+        hidden = ad.dense(x, w1, b1, "relu")
         out = ad.matmul(hidden, w2)
         return ad.reshape(out, out.value.shape[:-1]) + b2
 

@@ -21,6 +21,11 @@ shape and log-weight builder. Every step draws the noise for all K draws,
 hands the builder to ``vr_grad`` (one graph, one backward pass), takes an
 Adam step, and records the estimate and log R averaged over weight sets.
 
+Held-out evaluation (``evaluate_vae``) needs no gradient: per repeat it
+draws the noise of all max(K, k_ref) samples at once and takes the (n, K)
+log weights from ``VAEModel.log_weight_matrix``, the model's value-only
+path, which encodes once and decodes in cache-sized chunks.
+
 Randomness is organized in named streams derived from (seed, stream id,
 index), so shuffling, noise, and evaluation draws are reproducible
 independently of each other.
@@ -61,11 +66,6 @@ _STREAM_SHUFFLE = 1
 _STREAM_NOISE = 2
 _STREAM_SELECT = 3
 _STREAM_EVAL = 4
-
-# Evaluation draws log weights in blocks of at most this many (draw, point)
-# rows, or of one draw when there are more points; this bounds the size of
-# the graph's arrays.
-_EVAL_BLOCK_ROWS = 10_000
 
 
 class TrainingDiverged(RuntimeError):
@@ -418,15 +418,8 @@ def _log_weight_block(
     k: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Log weights (n, k), drawn in blocks of floor(_EVAL_BLOCK_ROWS / n)
-    draws (at least one) to bound peak memory. The draws come from ``rng``
-    in the same order whatever the block size."""
-    n = x.shape[0]
-    draws = max(1, _EVAL_BLOCK_ROWS // n)
-    out = np.empty((n, k))
-    for done in range(0, k, draws):
-        take = min(draws, k - done)
-        eps = rng.standard_normal((take, n, model.latent_dim))
-        out[:, done : done + take] = model.log_weight_matrix(params, x, eps)
-    return out
-
+    """Log weights (n, k) of k noise draws from ``rng``; the model evaluates
+    them in chunks sized to its arrays, with the same values whatever the
+    chunk size."""
+    eps = rng.standard_normal((k, x.shape[0], model.latent_dim))
+    return model.log_weight_matrix(params, x, eps)

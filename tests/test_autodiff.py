@@ -256,3 +256,55 @@ class TestComposites:
         f = lambda v: float(np.sum(ad.bernoulli_logpmf_rows(ad.Node(v), targets).value * w))
         assert finite_diff_check(f, logits_val, grads["logits"]) < 1e-6
         assert grads["logits"][0, 0, 0] == 0.0 and grads["logits"][2, 1, 4] == 0.0
+
+    def test_bernoulli_gradient_is_zero_at_and_beyond_the_cap(self):
+        # The VJP recomputes the clipped logits from the inputs: logits at
+        # exactly +-cap and beyond it get exactly zero gradient, the others
+        # (targets - p).
+        cap = ad._LOGIT_CAP
+        logits_val = np.array([[cap, -cap, cap + 1.0, -cap - 1.0, 1e3, -1e3, 0.3, cap - 0.5]])
+        targets = np.array([[0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0]])
+        logits = ad.Node(logits_val)
+        grads = ad.gradients(ad.vsum(ad.bernoulli_logpmf_rows(logits, targets)), {"z": logits})
+        assert np.array_equal(grads["z"][0, :6], np.zeros(6))
+        probs = 1.0 / (1.0 + np.exp(-logits_val[0, 6:]))
+        np.testing.assert_allclose(grads["z"][0, 6:], targets[0, 6:] - probs, rtol=1e-12)
+        assert np.all(grads["z"][0, 6:] != 0.0)
+
+
+class TestDense:
+    @pytest.mark.parametrize("act", [None, "tanh", "relu"])
+    def test_value_and_gradients_equal_the_unfused_layer(self, act):
+        # (K, n, m) inputs against (m, p) weights and a (p,) bias, as in the
+        # VAE decoder: the fused node must give the composition's bits.
+        rng = np.random.default_rng(21)
+        x_val, w_val, b_val = (
+            rng.standard_normal(shape) for shape in [(3, 4, 5), (5, 6), (6,)]
+        )
+        w_out = rng.standard_normal((3, 4, 6))
+        activation = {None: lambda n: n, "tanh": ad.tanh, "relu": ad.relu}[act]
+
+        def run(fused):
+            leaves = {"x": ad.Node(x_val), "w": ad.Node(w_val), "b": ad.Node(b_val)}
+            if fused:
+                out = ad.dense(leaves["x"], leaves["w"], leaves["b"], act)
+            else:
+                out = activation(ad.matmul(leaves["x"], leaves["w"]) + leaves["b"])
+            return out.value, ad.gradients(ad.vsum(out * w_out), leaves)
+
+        (fused, fused_grads), (plain, plain_grads) = run(True), run(False)
+        assert np.array_equal(fused, plain)
+        for name in ("x", "w", "b"):
+            assert np.array_equal(fused_grads[name], plain_grads[name]), name
+
+    def test_constant_operands_get_no_parent(self):
+        w, b = ad.Node(np.ones((2, 3))), ad.Node(np.zeros(3))
+        node = ad.dense(np.ones((4, 2)), w, b, "tanh")
+        assert [parent for parent, _ in node.parents] == [w, b]
+        np.testing.assert_allclose(node.value, np.tanh(2.0))
+        for combined in (w * 2.0, 2.0 - w, w / np.ones(3), ad.matmul(np.ones((4, 2)), w)):
+            assert [parent for parent, _ in combined.parents] == [w]
+
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(ValueError, match="act"):
+            ad.dense(np.ones((1, 2)), ad.Node(np.ones((2, 2))), ad.Node(np.zeros(2)), "sigmoid")

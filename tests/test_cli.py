@@ -306,6 +306,35 @@ class TestSeedPrecedence:
         assert (tmp_path / "out" / "bias_table.csv").read_text() == first
 
 
+class TestBiasSimExactColumn:
+    """The exact column is -D_alpha[q || p] in closed form: any dimension,
+    and -inf where the divergence is infinite."""
+
+    def _run(self, tmp_path, p, q, alphas):
+        section = {"p": p, "q": q, "alphas": alphas, "ks": [1, 3], "repeats": 5}
+        config = {"kind": "bias-sim", "output_dir": str(tmp_path / "out"), "bias_sim": section}
+        assert main(["bias-sim", "--config", write_config(tmp_path / "cfg.json", config)]) == 0
+        lines = (tmp_path / "out" / "bias_table.csv").read_text().splitlines()
+        assert lines[0] == "alpha,K,mean,stderr,exact"
+        return [line.split(",") for line in lines[1:]]
+
+    def test_three_dimensional_pair(self, tmp_path):
+        p = {"mean": [0.0, 0.0, 0.0], "variances": [1.0, 1.0, 1.0]}
+        q = {"mean": [0.5, -0.5, 0.0], "variances": [1.0, 2.0, 0.5]}
+        rows = self._run(tmp_path, p, q, [0.5, 3.0])
+        pd = GaussianDist.diagonal(p["mean"], p["variances"])
+        qd = GaussianDist.diagonal(q["mean"], q["variances"])
+        assert float(rows[0][4]) == -renyi_gaussian(qd, pd, 0.5)
+        # 3 p - 2 q is not positive definite: the divergence is infinite.
+        assert [row[4] for row in rows if row[0] == "3.0"] == ["-inf", "-inf"]
+
+    def test_divergent_order(self, tmp_path):
+        p = {"mean": [0.0], "variances": [1.0]}
+        q = {"mean": [0.0], "variances": [4.0]}
+        rows = self._run(tmp_path, p, q, [3.0])
+        assert [row[4] for row in rows] == ["-inf", "-inf"]
+
+
 class TestBlrDemo:
     def test_demo_artifacts(self, tmp_path):
         cfg = write_config(

@@ -22,6 +22,7 @@ from vrbound import (
     synthetic_regression,
 )
 from vrbound import autodiff as ad
+from vrbound.models import vae as vae_module
 from vrbound.models.data import dataset_content_hash, load_csv, save_csv
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -408,6 +409,32 @@ class TestVae:
             np.testing.assert_allclose(
                 lw[:, k], vae.log_weight_rows(nodes, x, eps[k]).value, atol=1e-12
             )
+
+    # (K, n, chunks): one draw's (n, latent_dim = 2) arrays take 16 n bytes
+    # and its (n, data_dim = 8) arrays 64 n, so 160 KiB hold blocks of 2048
+    # and chunks of 512 draws of 5 points. K = 4500 is two full blocks of
+    # four chunks and a partial block of one. At n = 3000 a chunk is one
+    # draw; a block is three.
+    @pytest.mark.parametrize("k, n, chunks", [(4500, 5, 9), (3, 3000, 3), (1, 5, 1)])
+    def test_log_weight_matrix_equals_rows_bit_for_bit(self, monkeypatch, k, n, chunks):
+        assert vae_module._CHUNK_BYTES == 160 * 1024  # the cases are sized for it
+        rng = np.random.default_rng(7)
+        vae = VAEModel(data_dim=8, latent_dim=2, hidden=4)
+        params = vae.init_params(seed=5)
+        x = (rng.random((n, 8)) > 0.5).astype(float)
+        eps = rng.standard_normal((k, n, 2))
+        decoded = []
+        decode = VAEModel.decode_nodes
+
+        def counted(self, nodes, h):
+            decoded.append(h.value.shape[0])
+            return decode(self, nodes, h)
+
+        monkeypatch.setattr(VAEModel, "decode_nodes", counted)
+        lw = vae.log_weight_matrix(params, x, eps)
+        assert len(decoded) == chunks and sum(decoded) == k
+        nodes = {name: ad.Node(value) for name, value in params.items()}
+        assert np.array_equal(lw, vae.log_weight_rows(nodes, x, eps).value.T)
 
     def test_bad_likelihood_rejected(self):
         with pytest.raises(ValueError, match="likelihood"):

@@ -9,7 +9,8 @@ per-row calls do.
 The estimate is non-increasing in alpha, alpha-free for one sample and
 moves with a shift of the log weights; the normalized weights lie on the
 simplex and ignore such a shift. Every tape operation's vector-Jacobian
-product matches central differences on drawn broadcast shapes. Parameter
+product, the fused dense layer's included, matches central differences on
+drawn broadcast shapes. Parameter
 files round-trip exactly, and corrupted ones load or raise ValueError.
 """
 
@@ -262,6 +263,21 @@ def test_matmul_vjps(shapes, seed):
 
 
 @TAPE
+@given(MATMUL_PAIRS, st.data(), st.sampled_from([None, "tanh", "relu"]), SEEDS)
+def test_dense_vjps(shapes, data, act, seed):
+    # The bias may broadcast against the product or add leading axes to it.
+    product = shapes.result_shape
+    bias_shape = data.draw(hnp.broadcastable_shapes(product, max_dims=len(product) + 1, max_side=3))
+    rng = np.random.default_rng(seed)
+    x, w = (rng.standard_normal(shape) for shape in shapes.input_shapes)
+    b = rng.standard_normal(bias_shape)
+    layer = {None: lambda n: n, "tanh": np.tanh, "relu": lambda n: np.maximum(n, 0.0)}[act]
+    node = ad.dense(ad.Node(x), ad.Node(w), ad.Node(b), act)
+    np.testing.assert_allclose(node.value, layer(x @ w + b), rtol=1e-14, atol=1e-14)
+    _check_vjps(lambda xn, wn, bn: ad.dense(xn, wn, bn, act), [x, w, b], seed)
+
+
+@TAPE
 @given(SHAPES, st.sampled_from(["exp", "tanh", "relu"]), SEEDS)
 def test_elementwise_vjps(shape, op, seed):
     x = np.random.default_rng(seed).standard_normal(shape)
@@ -290,8 +306,9 @@ def test_normal_logpdf_rows_vjps(shapes, data, seed):
     rng = np.random.default_rng(seed)
     x, mean = (rng.standard_normal(shape) for shape in shapes.input_shapes)
     full = shapes.result_shape
-    # a scalar, one value per coordinate, or one per element
-    log_std = 0.3 * rng.standard_normal(data.draw(st.sampled_from([(), full[-1:], full])))
+    # a scalar, one value per coordinate, one per element, or one per row
+    shapes_of_log_std = [(), full[-1:], full, full[:-1] + (1,)]
+    log_std = 0.3 * rng.standard_normal(data.draw(st.sampled_from(shapes_of_log_std)))
     node = ad.normal_logpdf_rows(x, ad.Node(mean), ad.Node(log_std))
     expected = stats.norm.logpdf(x, loc=mean, scale=np.exp(log_std)).sum(axis=-1)
     np.testing.assert_allclose(node.value, expected, rtol=1e-12, atol=1e-12)

@@ -1,7 +1,12 @@
 """Adam, energy approximation, training loops, evaluation, diagnostics."""
 
+import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from vrbound import (
     train,
 )
 from vrbound.gradients import log_weight_ratio
+from vrbound.models import vae as vae_module
 from vrbound.models.bnn import BNNModel
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -241,6 +247,57 @@ class TestEvaluateVae:
         vae, params, data = trained
         with pytest.raises(ValueError, match="repeats"):
             evaluate_vae(vae, params, data.test_features[:5], [0.0], [2], repeats=1)
+
+    def test_rows_do_not_depend_on_the_chunk_budget(self, trained, monkeypatch):
+        vae, params, data = trained
+
+        def table():
+            rows = evaluate_vae(
+                vae, params, data.test_features[:30], alphas=[-math.inf, 0.0, 0.5, 2.0],
+                ks=[1, 7, 100], repeats=2, seed=4, k_ref=300,
+            )
+            return np.array([dataclasses.astuple(row) for row in rows]).tobytes()
+
+        default = table()
+        # One draw per block and chunk; blocks of 128 draws of 30 points in
+        # chunks of 4; one block in chunks of 70.
+        for budget in (1, 4 * 30 * 64 * 8, 70 * 30 * 64 * 8):
+            monkeypatch.setattr(vae_module, "_CHUNK_BYTES", budget)
+            assert table() == default, budget
+
+
+# A fresh interpreter evaluates 100 points at k_ref 5000 with 2 repeats, as
+# `vr eval` does per pair of repeats, and prints the minor page faults the
+# call took. Evaluated in (draw, point) blocks of 5 MB arrays, it took about
+# 400k: every block handed its memory back to the system and faulted it in
+# again. Chunks of cache size take about 14k.
+_FAULT_PROBE = """
+import math, resource
+from vrbound.models.data import synthetic_binary_images
+from vrbound.models.vae import VAEModel
+from vrbound.training import evaluate_vae
+
+model = VAEModel(data_dim=64)
+params = model.init_params(0)
+x = synthetic_binary_images(seed=0).test_features[:100]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+evaluate_vae(
+    model, params, x, [-math.inf, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf], [1, 5, 50, 500],
+    repeats=2, seed=0, k_ref=5000,
+)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+def test_evaluation_does_not_churn_page_faults():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.strip()) < 50_000
 
 
 class TestWeightDiagnostics:
