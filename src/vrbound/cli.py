@@ -1,17 +1,20 @@
 """Command-line entry point: reproducible experiments emitting CSV tables.
 
-Each run is described by a strict JSON config (unknown keys are rejected by
-name, defaults are filled in) and writes, next to its CSV outputs, the fully
-resolved config, a per-file sidecar manifest, and a run manifest with content
-hashes. Seed precedence: the VR_SEED environment variable beats the --seed
-flag, which beats the config value. Exit codes: 0 success, 2 config error,
-3 runtime divergence, 4 I/O failure; a failure prints one JSON error object
-to stderr and nothing else there.
+Each run is described by a strict JSON config, checked against one schema
+that states every rule a value must meet (unknown keys are rejected by name,
+defaults are filled in) before the output directory is made. A run writes,
+next to its CSV outputs, the fully resolved config, a per-file sidecar
+manifest, and a run manifest with content hashes. Seed precedence: the
+VR_SEED environment variable beats the --seed flag, which beats the config
+value. Exit codes: 0 success, 2 config error, 3 runtime divergence, 4 I/O
+failure; a failure prints one JSON error object to stderr and nothing else
+there.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -22,9 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import io as vio
 from .alpha import parse_alpha
-from .bounds import bias_simulation
+from .bounds import bias_simulation, mc_vr_estimate
 from .divergence import renyi_gaussian
 from .gaussian import GaussianDist
 from .models.blr import blr_exact_posterior, blr_mean_field_fit, synthetic_blr_instance
@@ -47,72 +51,117 @@ class ConfigError(ValueError):
 # schema-driven strict config parsing
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _instance_of(*types):
+    """A check for values of ``types``; a bool is not an int here."""
+    return lambda v: isinstance(v, types) and not isinstance(v, bool)
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+# type -> (what a value of that type is called, its check)
+_TYPES = {
+    "int": ("an integer", _instance_of(int)),
+    "number": ("a number", _instance_of(int, float)),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "string": ("a string", _instance_of(str)),
+    "alpha": ("a number or a string", _instance_of(int, float, str)),
+    "list": ("a list", _instance_of(list)),
+    "dict": ("an object", _instance_of(dict)),
+}
 
 
-def _check_type(value, expected: str, path: str):
-    ok = {
-        "int": _is_int,
-        "number": _is_number,
-        "bool": lambda v: isinstance(v, bool),
-        "string": lambda v: isinstance(v, str),
-        "alpha": lambda v: _is_number(v) or isinstance(v, str),
-        "list": lambda v: isinstance(v, list),
-        "dict": lambda v: isinstance(v, dict),
-    }[expected]
-    if not ok(value):
-        raise ConfigError(f"config key '{path}' must be a {expected}")
+def _check_value(value, spec: dict, path: str):
+    """Check ``value`` against ``spec``; return it, or for a dict its
+    resolved section.
+
+    A spec holds the value's ``type`` and may add ``min`` (with a ``why``),
+    ``finite`` and ``choices`` for a scalar (an alpha is checked as parsed);
+    ``items`` (every item's spec) and ``min_items`` for a list; and for a
+    dict its ``schema``, or ``variants``: a schema per key that selects it.
+    """
+    noun, is_type = _TYPES[spec["type"]]
+    if not is_type(value):
+        raise ConfigError(f"config key '{path}' must be {noun}")
+    if spec["type"] == "dict":
+        return _resolve_section(value, spec.get("schema") or _variant(value, spec, path), path)
+    if spec["type"] == "list":
+        if len(value) < spec.get("min_items", 0):
+            raise ConfigError(f"config key '{path}' must not be empty")
+        for i, item in enumerate(value):
+            _check_value(item, spec["items"], f"{path}[{i}]")
+        return value
+    number = value
+    if spec["type"] == "alpha":
+        try:
+            number = parse_alpha(value)
+        except ValueError as exc:
+            raise ConfigError(f"config key '{path}' is not an alpha: {exc}") from exc
+    if "min" in spec and not number >= spec["min"]:
+        why = f": {spec['why']}" if "why" in spec else ""
+        raise ConfigError(f"config key '{path}' must be >= {spec['min']}{why}")
+    if spec.get("finite") and not math.isfinite(number):
+        raise ConfigError(f"config key '{path}' must be finite")
+    if "choices" in spec and value not in spec["choices"]:
+        raise ConfigError(f"config key '{path}' must be one of {spec['choices']}")
+    return value
+
+
+def _variant(section: dict, spec: dict, path: str) -> dict:
+    """The schema of the first variant key in ``section``; a second one is
+    then an unknown key."""
+    for key, schema in spec["variants"].items():
+        if key in section:
+            return schema
+    keys = " or ".join(f"'{key}'" for key in spec["variants"])
+    raise ConfigError(f"config key '{path}' needs {keys}")
 
 
 def _resolve_section(section: dict, schema: dict, path: str) -> dict:
-    if not isinstance(section, dict):
-        raise ConfigError(f"config key '{path}' must be an object")
+    """Check every key and fill in defaults. A key that is neither required
+    nor defaulted is optional and resolves to null when absent; any other
+    key given as null fails its type check."""
     for key in section:
         if key not in schema:
-            raise ConfigError(f"unknown config key '{path}.{key}'" if path else f"unknown config key '{key}'")
+            raise ConfigError(f"unknown config key '{path + '.' if path else ''}{key}'")
     out = {}
     for key, spec in schema.items():
         child_path = f"{path}.{key}" if path else key
-        if key in section:
-            value = section[key]
-        elif "default" in spec:
-            value = spec["default"]
-        elif spec.get("required", False):
+        if spec.get("required") and key not in section:
             raise ConfigError(f"missing required config key '{child_path}'")
-        else:
-            value = None
-        if value is None:
-            out[key] = None
-            continue
-        if spec["type"] == "dict":
-            out[key] = _resolve_section(value, spec["schema"], child_path)
-        else:
-            _check_type(value, spec["type"], child_path)
-            out[key] = value
+        value = section.get(key, spec.get("default"))
+        optional = not spec.get("required") and "default" not in spec
+        out[key] = None if value is None and optional else _check_value(value, spec, child_path)
     return out
 
 
-_GAUSSIAN_SCHEMA = {
-    "mean": {"type": "list", "required": True},
-    "variances": {"type": "list"},
-    "cov": {"type": "list"},
-}
+_SEED = {"type": "int", "min": 0, "default": 0}
+_NUMBERS = {"type": "list", "items": {"type": "number"}}
+_ALPHAS = {"type": "list", "items": {"type": "alpha"}, "required": True}
+_KS = {"type": "list", "items": {"type": "int", "min": 1}, "min_items": 1, "required": True}
+_REPEATS = {"type": "int", "min": 2, "why": "each row reports a standard error"}
+_GAUSSIAN = {"type": "dict", "required": True, "schema": {
+    "mean": _NUMBERS | {"min_items": 1, "required": True},
+    "variances": _NUMBERS,
+    "cov": {"type": "list", "items": _NUMBERS},
+}}
 
-_DATASET_SCHEMA = {
-    "path": {"type": "string"},
-    "feature_columns": {"type": "list"},
-    "target_column": {"type": "string"},
-    "synthetic": {"type": "string"},
-    "n": {"type": "int", "default": 900},
-    "seed": {"type": "int", "default": 0},
-    "split_seed": {"type": "int", "default": 0},
-    "test_fraction": {"type": "number", "default": 0.25},
-}
+_GENERATORS = {"regression": synthetic_regression, "binary-images": synthetic_binary_images}
+# A dataset is a bundled generator or a CSV file, and takes only the keys its
+# source reads: a generator splits by its own seed (the images hold out 200).
+_DATASET = {"type": "dict", "required": True, "variants": {
+    "synthetic": {
+        "synthetic": {"type": "string", "required": True, "choices": sorted(_GENERATORS)},
+        "n": {"type": "int", "default": 900},
+        "seed": _SEED,
+    },
+    "path": {
+        "path": {"type": "string", "required": True},
+        "feature_columns": {
+            "type": "list", "items": {"type": "string"}, "min_items": 1, "required": True
+        },
+        "target_column": {"type": "string"},
+        "split_seed": _SEED,
+        "test_fraction": {"type": "number", "default": 0.25},
+    },
+}}
 
 _VAE_SCHEMA = {
     "latent_dim": {"type": "int", "default": 2},
@@ -121,78 +170,56 @@ _VAE_SCHEMA = {
     "likelihood": {"type": "string", "default": "bernoulli"},
 }
 
-_TRAIN_SCHEMA = {
-    "alpha": {"type": "alpha", "default": 1.0},
-    "k": {"type": "int", "default": 5},
-    "minibatch": {"type": "int", "default": 32},
-    "steps": {"type": "int", "default": 1000},
-    "learning_rate": {"type": "number", "default": 1e-3},
-    "beta1": {"type": "number", "default": 0.9},
-    "beta2": {"type": "number", "default": 0.999},
-    "adam_eps": {"type": "number", "default": 1e-8},
-    "eval_k": {"type": "int", "default": 5000},
-    "single_backprop": {"type": "bool", "default": False},
-}
+# TrainConfig's fields with their defaults, less the seed (the run's seed).
+_FIELD_TYPES = {int: "int", float: "number", bool: "bool"}
+_TRAIN = {"type": "dict", "default": {}, "schema": {
+    f.name: {
+        "type": "alpha" if f.name == "alpha" else _FIELD_TYPES[type(f.default)],
+        "default": f.default,
+    }
+    for f in dataclasses.fields(TrainConfig)
+    if f.name != "seed"
+}}
 
 _SCHEMAS = {
-    "divergence": {
-        "p": {"type": "dict", "schema": _GAUSSIAN_SCHEMA, "required": True},
-        "q": {"type": "dict", "schema": _GAUSSIAN_SCHEMA, "required": True},
-        "alphas": {"type": "list", "required": True},
-    },
+    "divergence": {"p": _GAUSSIAN, "q": _GAUSSIAN, "alphas": _ALPHAS},
     "bias-sim": {
-        "p": {"type": "dict", "schema": _GAUSSIAN_SCHEMA, "required": True},
-        "q": {"type": "dict", "schema": _GAUSSIAN_SCHEMA, "required": True},
-        "alphas": {"type": "list", "required": True},
-        "ks": {"type": "list", "required": True},
-        "repeats": {"type": "int", "default": 200},
+        "p": _GAUSSIAN,
+        "q": _GAUSSIAN,
+        "alphas": _ALPHAS | {"items": {"type": "alpha", "finite": True}},
+        "ks": _KS,
+        "repeats": _REPEATS | {"default": 200},
     },
     "blr-demo": {
-        "instance_seed": {"type": "int", "default": 0},
+        "instance_seed": _SEED,
         "n_data": {"type": "int", "default": 25},
         "noise_std": {"type": "number", "default": 1.0},
         "correlation": {"type": "number", "default": 0.9},
-        "fit_alphas": {"type": "list", "default": [1.0, 0.5, 0.0, "inf"]},
-        "sigma_grid": {
-            "type": "dict",
-            "schema": {
-                "lo": {"type": "number", "default": 0.5},
-                "hi": {"type": "number", "default": 3.0},
-                "points": {"type": "int", "default": 50},
-            },
-            "default": {},
-        },
+        "fit_alphas": {"type": "list", "default": [1.0, 0.5, 0.0, "inf"], "items": {
+            "type": "alpha",
+            "min": 0,
+            "why": "the mean-field fit has no finite maximizer for negative orders",
+        }},
+        "sigma_grid": {"type": "dict", "default": {}, "schema": {
+            "lo": {"type": "number", "default": 0.5},
+            "hi": {"type": "number", "default": 3.0},
+            "points": {"type": "int", "default": 50},
+        }},
     },
-    "bnn-train": {
-        "dataset": {"type": "dict", "schema": _DATASET_SCHEMA, "required": True},
-        "hidden": {"type": "int", "default": 50},
-        "train": {"type": "dict", "schema": _TRAIN_SCHEMA, "default": {}},
-    },
-    "vae-train": {
-        "dataset": {"type": "dict", "schema": _DATASET_SCHEMA, "required": True},
-        **_VAE_SCHEMA,
-        "train": {"type": "dict", "schema": _TRAIN_SCHEMA, "default": {}},
-    },
+    "bnn-train": {"dataset": _DATASET, "hidden": {"type": "int", "default": 50}, "train": _TRAIN},
+    "vae-train": {"dataset": _DATASET, **_VAE_SCHEMA, "train": _TRAIN},
     "eval": {
         "params": {"type": "string", "required": True},
-        "model": {
-            "type": "dict",
-            "schema": {"data_dim": {"type": "int", "required": True}, **_VAE_SCHEMA},
-            "required": True,
-        },
-        "dataset": {"type": "dict", "schema": _DATASET_SCHEMA, "required": True},
-        "alphas": {"type": "list", "required": True},
-        "ks": {"type": "list", "required": True},
-        "repeats": {"type": "int", "default": 10},
-        "k_ref": {"type": "int", "default": 5000},
-        "max_points": {"type": "int", "default": 100},
+        "model": {"type": "dict", "required": True, "schema": {
+            "data_dim": {"type": "int", "required": True}, **_VAE_SCHEMA
+        }},
+        "dataset": _DATASET,
+        "alphas": _ALPHAS,
+        "ks": _KS,
+        "repeats": _REPEATS | {"default": 10},
+        "k_ref": {"type": "int", "min": 1, "default": 5000},
+        "max_points": {"type": "int", "min": 1, "default": 100},
     },
-}
-
-_TOP_SCHEMA_BASE = {
-    "kind": {"type": "string", "required": True},
-    "seed": {"type": "int", "default": 0},
-    "output_dir": {"type": "string", "required": True},
 }
 
 
@@ -201,37 +228,13 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError("config root must be an object")
     kind = raw.get("kind")
     if kind not in _SCHEMAS:
-        raise ConfigError(
-            f"config key 'kind' must be one of {sorted(_SCHEMAS)}, got {kind!r}"
-        )
-    section_key = kind.replace("-", "_")
-    schema = dict(_TOP_SCHEMA_BASE)
-    schema[section_key] = {"type": "dict", "schema": _SCHEMAS[kind], "required": True}
-    resolved = _resolve_section(raw, schema, "")
-    if resolved["seed"] < 0:
-        raise ConfigError("config key 'seed' must be >= 0")
-    section = resolved[section_key]
-    if kind in ("bias-sim", "eval"):
-        if section["repeats"] < 2:
-            raise ConfigError(
-                f"config key '{section_key}.repeats' must be >= 2 to report a standard error"
-            )
-        if not section["ks"] or not all(_is_int(k) and k >= 1 for k in section["ks"]):
-            raise ConfigError(
-                f"config key '{section_key}.ks' must be a non-empty list of integers >= 1"
-            )
-    if kind == "eval":
-        for key in ("k_ref", "max_points"):
-            if section[key] < 1:
-                raise ConfigError(f"config key 'eval.{key}' must be >= 1")
-    if kind == "blr-demo" and any(
-        a < 0.0 for a in _alphas_from(section["fit_alphas"], "blr_demo.fit_alphas")
-    ):
-        raise ConfigError(
-            "'blr_demo.fit_alphas' must be >= 0: the mean-field fit has no "
-            "finite maximizer for negative orders"
-        )
-    return resolved
+        raise ConfigError(f"config key 'kind' must be one of {sorted(_SCHEMAS)}, got {kind!r}")
+    return _resolve_section(raw, {
+        "kind": {"type": "string", "required": True},
+        "seed": _SEED,
+        "output_dir": {"type": "string", "required": True},
+        kind.replace("-", "_"): {"type": "dict", "schema": _SCHEMAS[kind], "required": True},
+    }, "")
 
 
 @contextmanager
@@ -249,15 +252,8 @@ def _building(path: str):
 
 
 def _gaussian_from(section: dict, path: str) -> GaussianDist:
-    mean = section["mean"]
-    has_var = section.get("variances") is not None
-    has_cov = section.get("cov") is not None
-    if has_var == has_cov:
-        raise ConfigError(f"'{path}' needs exactly one of 'variances' or 'cov'")
     with _building(path):
-        if has_var:
-            return GaussianDist.diagonal(mean, section["variances"])
-        return GaussianDist.full(mean, section["cov"])
+        return GaussianDist(section["mean"], variances=section["variances"], cov=section["cov"])
 
 
 def _gaussian_pair(section: dict, path: str) -> tuple[GaussianDist, GaussianDist]:
@@ -268,36 +264,23 @@ def _gaussian_pair(section: dict, path: str) -> tuple[GaussianDist, GaussianDist
     return p, q
 
 
-def _alphas_from(values: list, path: str) -> list[float]:
-    with _building(path):
-        return [parse_alpha(v) for v in values]
-
-
 def _dataset_from(section: dict, path: str) -> tuple[Dataset, str]:
-    synthetic = section.get("synthetic")
-    if synthetic is not None and section.get("path") is not None:
-        raise ConfigError(f"'{path}': use either 'synthetic' or 'path', not both")
-    if synthetic is not None:
-        generators = {"regression": synthetic_regression, "binary-images": synthetic_binary_images}
-        if synthetic not in generators:
-            raise ConfigError(
-                f"'{path}.synthetic' must be 'regression' or 'binary-images'"
-            )
-        with _building(path):
-            data = generators[synthetic](seed=section["seed"], n=section["n"])
-    elif section.get("path") is not None:
-        if not section.get("feature_columns"):
-            raise ConfigError(f"'{path}.feature_columns' is required with 'path'")
-        with _building(path):
+    with _building(path):
+        if "synthetic" in section:
+            data = _GENERATORS[section["synthetic"]](seed=section["seed"], n=section["n"])
+        else:
             data = load_csv(
                 section["path"],
-                [str(c) for c in section["feature_columns"]],
-                section.get("target_column"),
+                section["feature_columns"],
+                section["target_column"],
                 split_seed=section["split_seed"],
                 test_fraction=section["test_fraction"],
             )
-    else:
-        raise ConfigError(f"'{path}' needs 'synthetic' or 'path'")
+    if data.n_train == 0 or data.n_test == 0:
+        raise ConfigError(
+            f"'{path}': the split has {data.n_train} training and {data.n_test} test rows; "
+            "it needs at least one of each"
+        )
     return data, dataset_content_hash(data.features, data.targets)
 
 
@@ -344,7 +327,7 @@ def _write_bound_table(path: Path, rows: list[EvalRow]) -> None:
 def _run_divergence(cfg: dict, out: Path, seed: int) -> tuple[list[str], None]:
     section = cfg["divergence"]
     p, q = _gaussian_pair(section, "divergence")
-    alphas = _alphas_from(section["alphas"], "divergence.alphas")
+    alphas = [parse_alpha(a) for a in section["alphas"]]
     rows = [{"alpha": a, "value": renyi_gaussian(p, q, a)} for a in alphas]
     vio.write_csv(out / "divergence.csv", ["alpha", "value"], rows)
     return ["divergence.csv"], None
@@ -353,9 +336,7 @@ def _run_divergence(cfg: dict, out: Path, seed: int) -> tuple[list[str], None]:
 def _run_bias_sim(cfg: dict, out: Path, seed: int) -> tuple[list[str], None]:
     section = cfg["bias_sim"]
     p, q = _gaussian_pair(section, "bias_sim")
-    alphas = _alphas_from(section["alphas"], "bias_sim.alphas")
-    if any(not math.isfinite(a) for a in alphas):
-        raise ConfigError("'bias_sim.alphas' must be finite")
+    alphas = [parse_alpha(a) for a in section["alphas"]]
     table = bias_simulation(p, q, alphas, section["ks"], repeats=section["repeats"], seed=seed)
     vio.write_csv(
         out / "bias_table.csv", ["alpha", "K", "mean", "stderr", "exact"], table.as_records()
@@ -380,8 +361,14 @@ def _run_blr_demo(cfg: dict, out: Path, seed: int) -> tuple[list[str], None]:
             noise_std=section["noise_std"],
             correlation=section["correlation"],
         )
+    grid = section["sigma_grid"]
+    with _building("blr_demo.sigma_grid"):
+        sweep = [
+            model.with_noise(float(sigma))
+            for sigma in np.linspace(grid["lo"], grid["hi"], grid["points"])
+        ]
     posterior, log_evidence = blr_exact_posterior(model)
-    fit_alphas = _alphas_from(section["fit_alphas"], "blr_demo.fit_alphas")
+    fit_alphas = [parse_alpha(a) for a in section["fit_alphas"]]
 
     fit_rows = []
     contour_rows = []
@@ -410,14 +397,11 @@ def _run_blr_demo(cfg: dict, out: Path, seed: int) -> tuple[list[str], None]:
     vio.write_csv(out / "fits.csv", header, fit_rows)
     vio.write_csv(out / "contours.csv", ["label", "level", "x", "y"], contour_rows)
 
-    grid = section["sigma_grid"]
-    sigmas = np.linspace(grid["lo"], grid["hi"], grid["points"])
     curve_alphas = [a for a in fit_alphas if math.isfinite(a)]
     curve_rows = []
-    for sigma in sigmas:
-        at_sigma = model.with_noise(float(sigma))
+    for at_sigma in sweep:
         _, ev = blr_exact_posterior(at_sigma)
-        row = {"sigma": float(sigma), "log_evidence": ev}
+        row = {"sigma": at_sigma.noise_std, "log_evidence": ev}
         for a in curve_alphas:
             fit = blr_mean_field_fit(at_sigma, a)
             row[f"bound_alpha_{a:g}"] = fit.bound
@@ -440,19 +424,17 @@ def _bnn_test_metrics(
     y_test = data.test_targets
     mu, rho = params["mu"], params["rho"]
     noise = math.exp(float(params["log_noise"][0]))
-    preds = np.empty((samples, x_test.shape[0]))
-    for s in range(samples):
-        theta = mu + np.exp(rho) * rng.standard_normal(mu.shape[0])
-        preds[s] = model.predict(theta, x_test)
+    thetas = mu + np.exp(rho) * rng.standard_normal((samples, mu.shape[0]))
+    # one draw at a time: a batched call would hold samples x n x hidden floats
+    preds = np.stack([model.predict_node(ad.Node(theta), x_test).value for theta in thetas])
     y_sd, y_mu = stats["y_std"], stats["y_mean"]
     preds_orig = preds * y_sd + y_mu
     rmse = float(np.sqrt(np.mean((preds_orig.mean(axis=0) - y_test) ** 2)))
-    # predictive density: mixture over posterior samples, rescaled to raw units
+    # predictive density: mixture over posterior samples (the order-0 estimate,
+    # the log of the mean density), rescaled to raw units
     resid = (y_test - preds_orig) / (noise * y_sd)
     point_ll = -0.5 * resid**2 - math.log(noise * y_sd) - 0.5 * math.log(2 * math.pi)
-    from scipy.special import logsumexp
-
-    mix_ll = logsumexp(point_ll, axis=0) - math.log(samples)
+    mix_ll = mc_vr_estimate(point_ll, 0.0, axis=0)
     return {"test_rmse": rmse, "test_predictive_ll": float(np.mean(mix_ll))}
 
 
@@ -520,7 +502,7 @@ def _run_eval(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
                 f"'eval.params': tensor '{name}' has shape {params[name].shape}, "
                 f"the model needs {shape}"
             )
-    alphas = _alphas_from(section["alphas"], "eval.alphas")
+    alphas = [parse_alpha(a) for a in section["alphas"]]
     x = data.test_features[: section["max_points"]]
     rows = evaluate_vae(
         model,

@@ -42,9 +42,23 @@ class BLRModel:
             raise ValueError("targets must match the number of design rows")
         if not np.all(np.isfinite(self.design)) or not np.all(np.isfinite(self.targets)):
             raise ValueError("design and targets must be finite")
-        if noise_std <= 0.0:
-            raise ValueError("noise_std must be positive")
-        self.noise_std = float(noise_std)
+        noise_std = float(noise_std)
+        variance = noise_std * noise_std
+        if not (noise_std > 0.0 and 0.0 < variance < math.inf):
+            raise ValueError(
+                f"noise_std must be positive with a positive finite square, got {noise_std!r}"
+            )
+        # The exact posterior and evidence use the data only through these
+        # statistics over the noise variance; each must be representable.
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, y = self.design, self.targets
+            stats = (x.T @ x, x.T @ y, y @ y)
+            if not all(np.all(np.isfinite(s / variance)) for s in stats):
+                raise ValueError(
+                    f"noise_std {noise_std!r} is too small for the data: X'X, X'y or y'y "
+                    "over its square overflows"
+                )
+        self.noise_std = noise_std
 
     @property
     def n_data(self) -> int:
@@ -357,6 +371,8 @@ def synthetic_blr_instance(
     correlated and the mean-field family strictly poorer than the exact
     posterior.
     """
+    if not abs(correlation) <= 1.0:
+        raise ValueError(f"correlation must lie in [-1, 1], got {correlation!r}")
     rng = np.random.default_rng([int(seed), 11])
     x1 = rng.standard_normal(n_data)
     x2 = correlation * x1 + math.sqrt(max(1.0 - correlation**2, 1e-12)) * rng.standard_normal(

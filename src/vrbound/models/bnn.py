@@ -55,16 +55,6 @@ class BNNModel:
         out = ad.matmul(hidden, w2)
         return ad.reshape(out, out.value.shape[:-1]) + b2
 
-    def predict(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Plain-numpy forward pass (no graph)."""
-        d, h = self.in_dim, self.hidden
-        w1 = theta[: d * h].reshape(d, h)
-        b1 = theta[d * h : d * h + h]
-        w2 = theta[d * h + h : d * h + 2 * h]
-        b2 = theta[d * h + 2 * h]
-        hidden = np.maximum(np.asarray(x) @ w1 + b1, 0.0)
-        return hidden @ w2 + b2
-
     def log_prior_node(self, theta: ad.Node) -> ad.Node:
         return ad.vsum(theta * theta, axis=-1) * (-0.5) + (-0.5 * self.n_weights * _LOG_2PI)
 

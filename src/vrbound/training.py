@@ -385,7 +385,8 @@ def evaluate_vae(
 
     for r in range(repeats):
         rng = np.random.default_rng([seed, _STREAM_EVAL, r])
-        lw = _log_weight_block(model, params, x, k_block, rng)
+        # the draws are freed before the estimates' temporaries are made
+        lw = model.log_weight_matrix(params, x, rng.standard_normal((k_block, n, model.latent_dim)))
         ref = mc_vr_estimate(lw[:, :k_ref], 0.0, axis=1)
         for (a, k), store in per_point.items():
             est = mc_vr_estimate(lw[:, :k], a, axis=1)
@@ -409,17 +410,3 @@ def evaluate_vae(
                 )
             )
     return rows
-
-
-def _log_weight_block(
-    model: VAEModel,
-    params: dict[str, np.ndarray],
-    x: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Log weights (n, k) of k noise draws from ``rng``; the model evaluates
-    them in chunks sized to its arrays, with the same values whatever the
-    chunk size."""
-    eps = rng.standard_normal((k, x.shape[0], model.latent_dim))
-    return model.log_weight_matrix(params, x, eps)

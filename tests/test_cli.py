@@ -1,5 +1,7 @@
 """CLI behavior: strict configs, artifacts, reproducibility, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vrbound
 from vrbound import GaussianDist, TrainingDiverged, cli, renyi_gaussian
@@ -43,6 +47,12 @@ _BIAS_SIM = {
     "q": {"mean": [1.0], "variances": [1.0]},
     "alphas": [0.5],
     "ks": [2],
+}
+
+_DIVERGENCE = {
+    "p": {"mean": [0.0], "variances": [1.0]},
+    "q": {"mean": [1.0], "variances": [1.0]},
+    "alphas": [0.5],
 }
 
 _EVAL = {
@@ -170,6 +180,29 @@ class TestConfigValidation:
             ("eval", _EVAL | {"k_ref": 0}, "eval.k_ref"),
             ("eval", _EVAL | {"max_points": 0}, "eval.max_points"),
             ("eval", _EVAL | {"max_points": -195}, "eval.max_points"),
+            # every alpha of a list is type-checked and parsed
+            ("divergence", _DIVERGENCE | {"alphas": [True]}, "divergence.alphas"),
+            ("blr-demo", {"fit_alphas": [True]}, "blr_demo.fit_alphas"),
+            ("divergence", _DIVERGENCE | {"alphas": [0.5, "one"]}, "divergence.alphas"),
+            # a dataset takes only the keys its source reads, and one source
+            (
+                "eval",
+                _EVAL | {"dataset": {"synthetic": "binary-images", "test_fraction": 0.5}},
+                "eval.dataset.test_fraction",
+            ),
+            (
+                "bnn-train",
+                {"dataset": {"path": "reg.csv", "feature_columns": ["x0"], "n": 40}},
+                "bnn_train.dataset.n",
+            ),
+            (
+                "bnn-train",
+                {"dataset": {"synthetic": "regression", "path": "reg.csv"}},
+                "bnn_train.dataset",
+            ),
+            ("bnn-train", {"dataset": {"n": 40}}, "bnn_train.dataset"),
+            ("bnn-train", {"dataset": {"synthetic": "mnist"}}, "bnn_train.dataset.synthetic"),
+            ("bias-sim", _BIAS_SIM | {"alphas": [0.5, "inf"]}, "bias_sim.alphas"),
         ],
     )
     def test_invalid_value_is_config_error(self, tmp_path, capsys, kind, section, key):
@@ -238,6 +271,38 @@ _REJECTED_BY_LIBRARY = {
     "bnn-hidden-0": ("bnn-train", lambda t: {"dataset": _csv_dataset(t), "hidden": 0}, "bnn_train"),
     "blr-noise-std": ("blr-demo", lambda t: {"noise_std": -1}, "blr_demo"),
     "divergence-dims": ("divergence", lambda t: _GAUSSIAN_PAIR_OF_TWO_DIMS, "divergence"),
+    "gaussian-variances-and-cov": (
+        "divergence",
+        lambda t: _DIVERGENCE | {"p": {"mean": [0.0], "variances": [1.0], "cov": [[1.0]]}},
+        "divergence.p",
+    ),
+    "gaussian-neither": (
+        "divergence", lambda t: _DIVERGENCE | {"q": {"mean": [0.0]}}, "divergence.q"
+    ),
+    "blr-noise-square-underflows": ("blr-demo", lambda t: {"noise_std": 1e-200}, "blr_demo"),
+    "blr-noise-square-overflows": ("blr-demo", lambda t: {"noise_std": 1e200}, "blr_demo"),
+    "blr-noise-too-small-for-data": ("blr-demo", lambda t: {"noise_std": 1e-160}, "blr_demo"),
+    "blr-correlation": ("blr-demo", lambda t: {"correlation": 1.5}, "blr_demo"),
+    "sigma-grid-points": (
+        "blr-demo", lambda t: {"sigma_grid": {"points": -1}}, "blr_demo.sigma_grid"
+    ),
+    "sigma-grid-lo-0": ("blr-demo", lambda t: {"sigma_grid": {"lo": 0}}, "blr_demo.sigma_grid"),
+    "sigma-grid-hi-nan": (
+        "blr-demo", lambda t: {"sigma_grid": {"hi": math.nan}}, "blr_demo.sigma_grid"
+    ),
+    "sigma-grid-hi-1e300": (
+        "blr-demo", lambda t: {"sigma_grid": {"hi": 1e300}}, "blr_demo.sigma_grid"
+    ),
+    "regression-n-0": (
+        "bnn-train",
+        lambda t: {"dataset": {"synthetic": "regression", "n": 0}},
+        "bnn_train.dataset",
+    ),
+    "csv-no-test-rows": (
+        "vae-train",
+        lambda t: {"dataset": _csv_dataset(t, test_fraction=0)},
+        "vae_train.dataset",
+    ),
 }
 
 
@@ -262,6 +327,38 @@ class TestConfigValuesRejectedByTheLibrary:
         err = json.loads(lines[0])["error"]
         assert (err["exit_code"], err["type"]) == (2, "config")
         assert f"'{key}" in err["message"]
+
+
+class TestResolvedConfig:
+    """The resolved config is a fixed point of the schema, and a dataset
+    records only the keys its source reads."""
+
+    @pytest.mark.parametrize(
+        "kind, section",
+        [
+            ("divergence", _DIVERGENCE),
+            ("bias-sim", _BIAS_SIM),
+            ("blr-demo", {}),
+            ("bnn-train", {"dataset": {"synthetic": "regression"}}),
+            ("bnn-train", {"dataset": {"path": "reg.csv", "feature_columns": ["x0"]}}),
+            ("vae-train", {"dataset": {"synthetic": "binary-images"}}),
+            ("vae-train", {"dataset": {"path": "img.csv", "feature_columns": ["x0", "x1"]}}),
+            ("eval", _EVAL),
+            ("eval", _EVAL | {"dataset": {"path": "img.csv", "feature_columns": ["x0"]}}),
+        ],
+    )
+    def test_resolving_the_resolved_config_changes_nothing(self, kind, section):
+        raw = {"kind": kind, "output_dir": "out", kind.replace("-", "_"): section}
+        resolved = cli.resolve_config(raw)
+        assert cli.resolve_config(json.loads(json.dumps(resolved))) == resolved
+        dataset = resolved[kind.replace("-", "_")].get("dataset")
+        if dataset is not None:
+            expected = (
+                {"synthetic", "n", "seed"}
+                if "synthetic" in dataset
+                else {"path", "feature_columns", "target_column", "split_seed", "test_fraction"}
+            )
+            assert set(dataset) == expected
 
 
 class TestSeedPrecedence:
@@ -360,6 +457,12 @@ class TestBlrDemo:
         contours = (tmp_path / "out" / "contours.csv").read_text().splitlines()
         labels = {line.split(",")[0] for line in contours[1:]}
         assert labels == {"posterior", "1.0", "0.0"}
+
+    def test_sigma_grid_is_checked_before_any_output(self, tmp_path):
+        section = {"sigma_grid": {"lo": 0.5, "hi": math.nan, "points": 3}}
+        config = {"kind": "blr-demo", "output_dir": str(tmp_path / "out"), "blr_demo": section}
+        assert main(["blr-demo", "--config", write_config(tmp_path / "cfg.json", config)]) == 2
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestTrainAndEval:
@@ -593,3 +696,111 @@ class TestEvalParamsContract:
         err = json.loads(lines[0])["error"]
         assert (err["exit_code"], err["type"]) == (2, "config")
         assert "eval.params" in err["message"] and phrase in err["message"]
+
+
+# ----------------------------------------------------------------------
+# the contract as a property: any config value gives exit 0, 2, 3 or 4, and
+# a failure prints exactly one JSON error object
+
+# Values of the wrong type for most keys, and the non-finite floats.
+WILD = st.sampled_from([math.nan, math.inf, -math.inf, True, False, "x", "inf", None, [], {}])
+ALPHA = st.one_of(
+    st.floats(), st.integers(-3, 3), st.sampled_from(["inf", "-inf", "+Infinity", "0.5", ""]), WILD
+)
+
+
+def _ints(lo: int, hi: int):
+    """Integers in [lo, hi] (around a key's rule bound), or a wild value."""
+    return st.one_of(st.integers(lo, hi), WILD)
+
+
+def _lists(items, max_size: int = 3):
+    return st.one_of(st.lists(items, max_size=max_size), WILD)
+
+
+# Gaussian parameters keep moderate magnitudes; see the FOUND lines of
+# CHANGES.md for the library's numerics at extreme ones.
+SCALAR = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -1.0, 1e-3]), WILD)
+
+
+@st.composite
+def gaussians(draw):
+    """A valid diagonal or full Gaussian of dimension 1 or 2, or one with
+    drawn keys and values."""
+    dim = draw(st.integers(1, 2))
+    mean = draw(st.lists(st.floats(-4.0, 4.0), min_size=dim, max_size=dim))
+    variances = draw(st.lists(st.floats(0.1, 4.0), min_size=dim, max_size=dim))
+    valid = st.sampled_from([
+        {"mean": mean, "variances": variances},
+        {"mean": mean, "cov": np.diag(variances).tolist()},
+    ])
+    drawn = st.fixed_dictionaries({}, optional={
+        "mean": _lists(SCALAR), "variances": _lists(SCALAR), "cov": _lists(_lists(SCALAR))
+    })
+    return draw(st.one_of(valid, drawn, WILD))
+
+
+@st.composite
+def sections(draw, base: dict, keys: dict):
+    """``base`` with up to two of its keys set to values drawn from ``keys``."""
+    section = dict(base)
+    for key in draw(st.lists(st.sampled_from(sorted(keys)), max_size=2, unique=True)):
+        section[key] = draw(keys[key])
+    return section
+
+
+_GAUSSIAN_KEYS = {"p": gaussians(), "q": gaussians(), "alphas": _lists(ALPHA)}
+_CONTRACT_SECTIONS = {
+    "divergence": sections(
+        {
+            "p": {"mean": [0.0, 0.0], "variances": [1.0, 1.0]},
+            "q": {"mean": [1.0, 0.5], "cov": [[1.0, 0.3], [0.3, 2.0]]},
+            "alphas": [-1.0, 0.5, "inf"],
+        },
+        _GAUSSIAN_KEYS,
+    ),
+    "bias-sim": sections(
+        _BIAS_SIM | {"alphas": [0.5, 2.0], "ks": [1, 3], "repeats": 3},
+        _GAUSSIAN_KEYS | {"ks": _lists(_ints(-1, 4)), "repeats": _ints(0, 4)},
+    ),
+    "blr-demo": sections(
+        {"sigma_grid": {"points": 2}},
+        {
+            "instance_seed": st.one_of(_ints(-2, 2), st.integers(0, 2**64)),
+            "n_data": _ints(-2, 30),
+            "noise_std": st.one_of(st.floats(), st.sampled_from([0.0, 1e-200, 1e200]), WILD),
+            "correlation": st.one_of(st.floats(), st.sampled_from([-1.0, 1.0, 1.0 + 1e-15]), WILD),
+            "fit_alphas": _lists(ALPHA),
+            "sigma_grid": st.one_of(
+                st.fixed_dictionaries({"points": _ints(-1, 2)}, optional={
+                    "lo": st.one_of(st.floats(), WILD), "hi": st.one_of(st.floats(), WILD)
+                }),
+                WILD,
+            ),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CONTRACT_SECTIONS))
+def test_every_config_keeps_the_exit_code_contract(tmp_path_factory, kind):
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(_CONTRACT_SECTIONS[kind])
+    def check(section):
+        out = tmp_path_factory.mktemp("contract")
+        config = {"kind": kind, "output_dir": str(out / "out"), kind.replace("-", "_"): section}
+        err = io.StringIO()
+        # A successful run re-issues its warnings to the caller; they are
+        # not part of the exit-code contract.
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main([kind, "--config", write_config(out / "cfg.json", config)])
+        assert code in (0, 2, 3, 4)
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"]["exit_code"] == code
+
+    check()

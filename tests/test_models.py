@@ -109,6 +109,19 @@ class TestBlrPosterior:
         with pytest.raises(ValueError, match="finite"):
             BLRModel(np.array([[math.inf]]), np.array([1.0]), 1.0)
 
+    @pytest.mark.parametrize("noise_std", [0.0, -1.0, math.nan, math.inf, 1e-200, 1e200, 1e-160])
+    def test_noise_variance_must_be_representable(self, noise_std):
+        # 1e-200 squares to 0 and 1e200 to inf; 1e-160 squares to a
+        # subnormal, and X'X over it overflows.
+        with pytest.raises(ValueError, match="noise_std"):
+            BLRModel(np.eye(2), np.ones(2), noise_std)
+
+    @pytest.mark.parametrize("correlation", [1.5, -1.0000001, math.nan])
+    def test_correlation_outside_the_unit_interval_rejected(self, correlation):
+        with pytest.raises(ValueError, match="correlation"):
+            synthetic_blr_instance(correlation=correlation)
+        synthetic_blr_instance(correlation=math.copysign(1.0, correlation))
+
 
 class TestMeanFieldFit:
     def test_diagonal_posterior_recovered_for_every_alpha(self):
@@ -339,7 +352,11 @@ class TestBnn:
         theta = rng.standard_normal(bnn.n_weights)
         x = rng.standard_normal((4, 2))
         node = bnn.predict_node(ad.Node(theta), x)
-        np.testing.assert_allclose(node.value, bnn.predict(theta, x), atol=1e-12)
+        # the documented layout (W1, b1, W2, b2), unpacked by hand
+        w1, b1 = theta[:6].reshape(2, 3), theta[6:9]
+        w2, b2 = theta[9:12], theta[12]
+        expected = np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
+        np.testing.assert_allclose(node.value, expected, atol=1e-12)
 
 
 class TestVae:
