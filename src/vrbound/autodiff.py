@@ -60,7 +60,7 @@ class Node:
     def __init__(self, value, parents=()):
         self.value = np.asarray(value, dtype=float)
         self.parents = parents
-        self.grad = None
+        self.grad = None  # set by backward(), which says why it lives here
 
     # arithmetic sugar; plain numbers/arrays are treated as constants
     def __add__(self, other):
@@ -394,7 +394,14 @@ def _topo_order(root: Node) -> list[Node]:
 
 
 def backward(root: Node) -> None:
-    """Populate ``.grad`` on every node reachable from the scalar ``root``."""
+    """Populate ``.grad`` on every node reachable from the scalar ``root``.
+
+    The gradients stay on the nodes rather than in a dict local to
+    ``gradients``: the trainer holds the previous step's graph, and with it
+    these arrays, until the next step's graph is built. Folding this pass
+    into ``gradients``, which frees them at once, measured 17 -> about 300
+    minor page faults per BNN step (K = 50) and 15-25% slower steps.
+    """
     if root.value.size != 1:
         raise ValueError("backward expects a scalar root")
     order = _topo_order(root)

@@ -137,6 +137,8 @@ _NUMBERS = {"type": "list", "items": {"type": "number"}}
 _ALPHAS = {"type": "list", "items": {"type": "alpha"}, "required": True}
 _KS = {"type": "list", "items": {"type": "int", "min": 1}, "min_items": 1, "required": True}
 _REPEATS = {"type": "int", "min": 2, "why": "each row reports a standard error"}
+# Held-out rows a bound table needs: its standard errors are over the points.
+_SE_POINTS = 2
 _GAUSSIAN = {"type": "dict", "required": True, "schema": {
     "mean": _NUMBERS | {"min_items": 1, "required": True},
     "variances": _NUMBERS,
@@ -218,7 +220,12 @@ _SCHEMAS = {
         "ks": _KS,
         "repeats": _REPEATS | {"default": 10},
         "k_ref": {"type": "int", "min": 1, "default": 5000},
-        "max_points": {"type": "int", "min": 1, "default": 100},
+        "max_points": {
+            "type": "int",
+            "min": _SE_POINTS,
+            "why": "each row's standard error is over the points",
+            "default": 100,
+        },
     },
 }
 
@@ -264,7 +271,9 @@ def _gaussian_pair(section: dict, path: str) -> tuple[GaussianDist, GaussianDist
     return p, q
 
 
-def _dataset_from(section: dict, path: str) -> tuple[Dataset, str]:
+def _dataset_from(section: dict, path: str, min_test: int = 1) -> tuple[Dataset, str]:
+    """The dataset and its content hash; the split must hold at least one
+    training row and ``min_test`` test rows."""
     with _building(path):
         if "synthetic" in section:
             data = _GENERATORS[section["synthetic"]](seed=section["seed"], n=section["n"])
@@ -276,10 +285,10 @@ def _dataset_from(section: dict, path: str) -> tuple[Dataset, str]:
                 split_seed=section["split_seed"],
                 test_fraction=section["test_fraction"],
             )
-    if data.n_train == 0 or data.n_test == 0:
+    if data.n_train == 0 or data.n_test < min_test:
         raise ConfigError(
             f"'{path}': the split has {data.n_train} training and {data.n_test} test rows; "
-            "it needs at least one of each"
+            f"it needs at least 1 training and {min_test} test rows"
         )
     return data, dataset_content_hash(data.features, data.targets)
 
@@ -460,7 +469,7 @@ def _run_bnn_train(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
 
 def _run_vae_train(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
     section = cfg["vae_train"]
-    data, data_hash = _dataset_from(section["dataset"], "vae_train.dataset")
+    data, data_hash = _dataset_from(section["dataset"], "vae_train.dataset", _SE_POINTS)
     model = _vae_from(section, data.features.shape[1], "vae_train")
     tcfg = _train_config(section["train"], seed, "vae_train.train")
     params, record = train(model, tcfg, data)
@@ -481,7 +490,7 @@ def _run_vae_train(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
 
 def _run_eval(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
     section = cfg["eval"]
-    data, data_hash = _dataset_from(section["dataset"], "eval.dataset")
+    data, data_hash = _dataset_from(section["dataset"], "eval.dataset", _SE_POINTS)
     model = _vae_from(section["model"], section["model"]["data_dim"], "eval.model")
     if model.data_dim != data.features.shape[1]:
         raise ConfigError(

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import cho_factor, cho_solve
 
 from .alpha import ONE_TOLERANCE, AlphaKind, classify_alpha
@@ -108,6 +107,8 @@ def renyi_gaussian(p: GaussianDist, q: GaussianDist, alpha: float) -> float:
         return -sup_log_density_ratio(q, p)
 
     alpha = float(alpha)
+    if alpha == 0.0:
+        return 0.0
     mix = alpha * q.cov + (1.0 - alpha) * p.cov
     try:
         chol = np.linalg.cholesky(mix)
@@ -215,6 +216,9 @@ def quadrature_oracle_batch(
     p: GaussianDist, q: GaussianDist, alphas, grid: GridSpec | None = None
 ) -> list[float]:
     """``quadrature_oracle`` for several orders, evaluating densities once."""
+    # imported here: scipy.stats is slow to import and only this reference uses it
+    from scipy import stats
+
     _check_same_dim(p, q)
     alphas = [float(a) for a in alphas]
     if any(not math.isfinite(a) for a in alphas):

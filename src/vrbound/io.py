@@ -85,21 +85,13 @@ def load_params(path) -> dict[str, np.ndarray]:
 # CSV and manifests
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path, header: list[str], rows: list[dict]) -> None:
     path = Path(path)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_format_value(row[col]) for col in header])
+            writer.writerow([row[col] for col in header])
 
 
 def sha256_file(path) -> str:

@@ -158,7 +158,7 @@ def exact_vr_bound_blr(model: BLRModel, q: GaussianDist, alpha: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# mean-field fit: L-BFGS-B at finite orders, a direct solve at +inf
+# mean-field fit: closed forms at orders 0, 1 and +inf, L-BFGS-B elsewhere
 
 
 @dataclass
@@ -170,66 +170,27 @@ class MeanFieldFitResult:
 
 
 def _divergence_grads(
-    mu: np.ndarray, s2: np.ndarray, post: GaussianDist, alpha: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value and gradients of D_alpha[N(mu, diag(s2)) || post].
+    s2: np.ndarray, post: GaussianDist, alpha: float
+) -> tuple[float, np.ndarray]:
+    """Value and s2-gradient of D_alpha[N(post.mean, diag(s2)) || post].
 
-    Returns (value, d/d mu, d/d s2). Finite alpha not in {0, 1} only; +inf
-    value with zero gradients when the mixture covariance is not SPD.
+    With q at the posterior mean the quadratic term vanishes, leaving
+    (log|M| - (1 - alpha) sum(log s2) - alpha log|V|) / (2 (1 - alpha)) for
+    the mixture M = alpha V + (1 - alpha) diag(s2). Finite alpha not in
+    {0, 1} only; +inf value with a zero gradient when M is not SPD.
     """
-    v = post.cov
-    d = mu.shape[0]
-    diff = mu - post.mean
-    mix = alpha * v + (1.0 - alpha) * np.diag(s2)
+    d = s2.shape[0]
+    mix = alpha * post.cov + (1.0 - alpha) * np.diag(s2)
     try:
         chol = np.linalg.cholesky(mix)
     except np.linalg.LinAlgError:
-        return math.inf, np.zeros(d), np.zeros(d)
+        return math.inf, np.zeros(d)
     inv_mix = np.linalg.solve(chol.T, np.linalg.solve(chol, np.eye(d)))
     logdet_mix = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    w = inv_mix @ diff
-    value = 0.5 * alpha * float(diff @ w)
-    value += (logdet_mix - (1.0 - alpha) * float(np.sum(np.log(s2))) - alpha * post.log_det_cov) / (
+    value = (logdet_mix - (1.0 - alpha) * float(np.sum(np.log(s2))) - alpha * post.log_det_cov) / (
         2.0 * (1.0 - alpha)
     )
-    g_mu = alpha * w
-    g_s2 = -0.5 * alpha * (1.0 - alpha) * w**2 + 0.5 * (np.diag(inv_mix) - 1.0 / s2)
-    return value, g_mu, g_s2
-
-
-def _kl_q_post_grads(
-    mu: np.ndarray, s2: np.ndarray, post: GaussianDist
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """KL[N(mu, diag(s2)) || post] with gradients (the alpha -> 1 branch)."""
-    prec = post.precision()
-    diff = mu - post.mean
-    value = 0.5 * (
-        float(np.sum(np.diag(prec) * s2))
-        + float(diff @ prec @ diff)
-        - mu.shape[0]
-        + post.log_det_cov
-        - float(np.sum(np.log(s2)))
-    )
-    g_mu = prec @ diff
-    g_s2 = 0.5 * (np.diag(prec) - 1.0 / s2)
-    return value, g_mu, g_s2
-
-
-def _kl_post_q_grads(
-    mu: np.ndarray, s2: np.ndarray, post: GaussianDist
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """KL[post || N(mu, diag(s2))] with gradients (the alpha -> 0 limit)."""
-    v_diag = post.variances
-    diff = mu - post.mean
-    value = 0.5 * (
-        float(np.sum((v_diag + diff**2) / s2))
-        + float(np.sum(np.log(s2)))
-        - post.log_det_cov
-        - mu.shape[0]
-    )
-    g_mu = diff / s2
-    g_s2 = 0.5 * (1.0 / s2 - (v_diag + diff**2) / s2**2)
-    return value, g_mu, g_s2
+    return value, 0.5 * (np.diag(inv_mix) - 1.0 / s2)
 
 
 # L-BFGS-B stops on a relative objective change below ftol or a largest
@@ -286,22 +247,29 @@ def _inf_precisions(lam: np.ndarray):
 def blr_mean_field_fit(model: BLRModel, alpha: float) -> MeanFieldFitResult:
     """Diagonal-Gaussian maximizer of the exact bound at the given order.
 
-    Finite orders minimize D_alpha[q || posterior] by L-BFGS-B on its analytic
-    gradient, over the mean and log standard deviations; ``converged`` is the
-    solver's success flag. Above order 1 the divergence is finite only where
-    diag(1/s2) - (1 - 1/alpha) Lam is positive definite (Lam the posterior
-    precision) and the line search cannot step back from points outside, so
-    the variances are searched through the log Cholesky pivots of that
-    matrix, from the +inf fit. At alpha = 0 the bound is the log evidence for
-    any full-support q, so the fit minimizes the limit as alpha -> 0+,
-    KL[posterior || q], which matches the posterior marginals.
+    The mean is the posterior mean at every order: the divergence's mean term
+    is a positive definite quadratic form in the offset from it wherever the
+    divergence is finite. The variances are closed-form at three orders,
+    with ``iterations`` 0 and ``converged`` True at the first two:
 
-    alpha = +inf is solved directly: sup log q/posterior is finite only when
-    diag(1/s2) >= Lam (Loewner order); the best mean is then the posterior
-    mean and the best precisions minimize sum log(1/s2) on the boundary (in
-    2-D, 1/s2_i = Lam_ii + |Lam_12| sqrt(Lam_ii / Lam_jj)). Scaled up by a
-    relative 1e-10, they give a strictly feasible q, and the bound is its
-    exact order-inf bound log Z - D_inf[q || posterior]. Dimension <= 3.
+      alpha = 1 (the KL band)  1 / diag(Lam), Lam the posterior precision;
+      alpha = 0 (|alpha| <= 1e-12)  the posterior marginal variances, the
+          minimizer of the limit KL[posterior || q] as alpha -> 0+ (the
+          bound itself is the log evidence for any full-support q);
+      alpha = +inf  solved directly: sup log q/posterior is finite only when
+          diag(1/s2) >= Lam (Loewner order), and the best precisions minimize
+          sum log(1/s2) on that boundary (in 2-D, 1/s2_i = Lam_ii +
+          |Lam_12| sqrt(Lam_ii / Lam_jj)). Scaled up by a relative 1e-10,
+          they give a strictly feasible q.
+
+    Other orders minimize D_alpha[q || posterior] over the variances alone by
+    L-BFGS-B on its analytic gradient; ``converged`` is the solver's success
+    flag. Below order 1 the search runs over the log standard deviations.
+    Above order 1 the divergence is finite only where diag(1/s2) - (1 -
+    1/alpha) Lam is positive definite and the line search cannot step back
+    from points outside, so the search runs over the log Cholesky pivots of
+    that matrix, from the +inf fit. The bound is log Z - D_alpha[q ||
+    posterior] (the log evidence at alpha = 0). Dimension <= 3.
 
     Negative orders are rejected: there the exact bound is an upper bound on
     the evidence whose supremum over q is +inf (approached at the boundary
@@ -314,43 +282,42 @@ def blr_mean_field_fit(model: BLRModel, alpha: float) -> MeanFieldFitResult:
     if kind is AlphaKind.NEG_INF or (kind is AlphaKind.FINITE and float(alpha) < 0.0):
         raise ValueError("mean-field fit requires alpha >= 0; the bound has no "
                          "finite maximizer for negative orders")
-    lam, dim = posterior.precision(), model.dim
+    lam = posterior.precision()
     at_zero = kind is AlphaKind.FINITE and abs(float(alpha)) <= 1e-12
 
-    mode_seeking = kind is AlphaKind.POS_INF or (kind is AlphaKind.FINITE and float(alpha) > 1.0)
     iterations, converged = 0, True
-    if mode_seeking:
-        prec, res = _inf_precisions(lam)
-        prec, iterations, converged = prec * (1.0 + _INF_MARGIN), res.nit, res.success
-
-    if kind is AlphaKind.POS_INF:
-        q = GaussianDist.diagonal(posterior.mean, 1.0 / prec)
+    if kind is AlphaKind.ONE:
+        s2 = 1.0 / np.diag(lam)
+    elif at_zero:
+        s2 = posterior.variances
     else:
-        grads, extra = _divergence_grads, (float(alpha),)
-        if at_zero:
-            grads, extra = _kl_post_q_grads, ()
-        elif kind is AlphaKind.ONE:
-            grads, extra = _kl_q_post_grads, ()
+        mode_seeking = kind is AlphaKind.POS_INF or float(alpha) > 1.0
         if mode_seeking:
-            c = 1.0 - 1.0 / float(alpha)
-            variances = partial(_feasible_variances, lam=lam, c=c)
-            # the +inf fit is feasible at every order above 1
-            z0 = np.log(np.diag(np.linalg.cholesky(np.diag(prec) - c * lam)))
-        else:
-            variances, z0 = _log_std_variances, 0.5 * np.log(posterior.variances)
+            prec, res = _inf_precisions(lam)
+            prec, iterations, converged = prec * (1.0 + _INF_MARGIN), res.nit, res.success
+            s2 = 1.0 / prec
+        if kind is AlphaKind.FINITE:
+            order = float(alpha)
+            if mode_seeking:
+                c = 1.0 - 1.0 / order
+                variances = partial(_feasible_variances, lam=lam, c=c)
+                # the +inf fit is feasible at every order above 1
+                z0 = np.log(np.diag(np.linalg.cholesky(np.diag(prec) - c * lam)))
+            else:
+                variances, z0 = _log_std_variances, 0.5 * np.log(posterior.variances)
 
-        def objective(x):
-            s2, ds2_dz = variances(x[dim:])
-            value, g_mu, g_s2 = grads(x[:dim], s2, posterior, *extra)
-            return value, np.concatenate([g_mu, ds2_dz.T @ g_s2])
+            def objective(z):
+                s2, ds2_dz = variances(z)
+                value, g_s2 = _divergence_grads(s2, posterior, order)
+                return value, ds2_dz.T @ g_s2
 
-        x0 = np.concatenate([posterior.mean, z0])
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS)
-        q = GaussianDist.diagonal(res.x[:dim], variances(res.x[dim:])[0])
-        iterations += res.nit
-        # an objective that is +inf at the start stops the solver "converged"
-        converged = converged and res.success and math.isfinite(res.fun)
+            res = minimize(objective, z0, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS)
+            s2 = variances(res.x)[0]
+            iterations += res.nit
+            # an objective that is +inf at the start stops the solver "converged"
+            converged = converged and res.success and math.isfinite(res.fun)
 
+    q = GaussianDist.diagonal(posterior.mean, s2)
     bound = log_evidence if at_zero else log_evidence - renyi_gaussian(q, posterior, alpha)
     return MeanFieldFitResult(q, bound, int(iterations), bool(converged))
 

@@ -374,6 +374,8 @@ def evaluate_vae(
         raise ValueError("repeats must be at least 2")
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
+    if n < 2:
+        raise ValueError(f"standard errors need at least 2 points, got {n}")
     k_block = max(max(int(k) for k in ks), int(k_ref))
 
     per_point: dict[tuple[float, int], np.ndarray] = {

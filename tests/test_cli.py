@@ -203,6 +203,8 @@ class TestConfigValidation:
             ("bnn-train", {"dataset": {"n": 40}}, "bnn_train.dataset"),
             ("bnn-train", {"dataset": {"synthetic": "mnist"}}, "bnn_train.dataset.synthetic"),
             ("bias-sim", _BIAS_SIM | {"alphas": [0.5, "inf"]}, "bias_sim.alphas"),
+            # a standard error needs two held-out points
+            ("eval", _EVAL | {"max_points": 1}, "eval.max_points"),
         ],
     )
     def test_invalid_value_is_config_error(self, tmp_path, capsys, kind, section, key):
@@ -458,6 +460,16 @@ class TestBlrDemo:
         labels = {line.split(",")[0] for line in contours[1:]}
         assert labels == {"posterior", "1.0", "0.0"}
 
+    def test_contour_cells_are_numbers(self, tmp_path):
+        config = {"kind": "blr-demo", "output_dir": str(tmp_path / "out"), "blr_demo": {
+            "sigma_grid": {"points": 2}, "fit_alphas": [1.0, 0.5, "inf"]
+        }}
+        assert main(["blr-demo", "--config", write_config(tmp_path / "cfg.json", config)]) == 0
+        rows = (tmp_path / "out" / "contours.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4 * 2 * 120
+        for row in rows:
+            [float(cell) for cell in row.split(",")[1:]]
+
     def test_sigma_grid_is_checked_before_any_output(self, tmp_path):
         section = {"sigma_grid": {"lo": 0.5, "hi": math.nan, "points": 3}}
         config = {"kind": "blr-demo", "output_dir": str(tmp_path / "out"), "blr_demo": section}
@@ -542,6 +554,21 @@ class TestTrainAndEval:
         gap = (tmp_path / "eval_out" / "gap_table.csv").read_text().splitlines()
         assert gap[0] == "alpha,K,mean_bound,se_bound,mean_gap,se_gap"
         assert len(gap) == 5
+
+    @pytest.mark.parametrize("kind", ["vae-train", "eval"])
+    def test_one_held_out_row_is_rejected_before_any_output(self, tmp_path, capsys, kind):
+        # the bound table's standard errors need two held-out points
+        section = _EVAL if kind == "eval" else {}
+        section = section | {"dataset": _csv_dataset(tmp_path, test_fraction=0.025)}
+        config = {"kind": kind, "output_dir": str(tmp_path / "out")}
+        config[kind.replace("-", "_")] = section
+        assert main([kind, "--config", write_config(tmp_path / "cfg.json", config)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert (err["exit_code"], err["type"]) == (2, "config")
+        assert "1 test rows" in err["message"]
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_divergent_training_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", _divergent_bnn_config(tmp_path))

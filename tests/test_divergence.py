@@ -86,10 +86,31 @@ class TestClosedFormValues:
         )
 
     def test_alpha_zero_full_support(self):
+        # q has full support, so the order-0 divergence is exactly 0 (never
+        # the rounding noise of the closed form, which can be negative)
         rng = np.random.default_rng(0)
-        for dim in (1, 2, 3):
-            p, q = _seeded_pair(rng, dim)
-            assert renyi_gaussian(p, q, 0.0) == pytest.approx(0.0, abs=1e-12)
+        for i in range(2000):
+            dim = 1 + i % 3
+            a = rng.standard_normal((dim, dim))
+            p = GaussianDist.diagonal(rng.normal(size=dim), rng.uniform(0.1, 10.0, size=dim))
+            q = GaussianDist.full(rng.normal(size=dim), a @ a.T + 0.1 * np.eye(dim))
+            assert renyi_gaussian(p, q, 0.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            # the general closed form rounds to -8.3e-17 on the first pair and gives
+            # NaN on the second
+            (
+                GaussianDist.diagonal([0.0, 0.0], [1.0, 1.5]),
+                GaussianDist.full([0.5, -0.3], [[1.0, 0.3], [0.3, 1.2]]),
+            ),
+            (GaussianDist.diagonal([1e300], [5e-324]), GaussianDist.diagonal([-1.7e308], [5e-324])),
+        ],
+        ids=["rounds-negative", "extreme-magnitudes"],
+    )
+    def test_alpha_zero_is_exactly_zero(self, p, q):
+        assert renyi_gaussian(p, q, 0.0) == 0.0
 
     def test_divergent_mixture_reports_inf(self):
         # alpha = -2 with a wider q: the mixture covariance loses positivity.

@@ -1,7 +1,11 @@
 """Import hygiene: every name a package module imports is used in that
-module or listed in its ``__all__`` (no linter is needed to check this)."""
+module or listed in its ``__all__`` (no linter is needed to check this), and
+the CLI imports nothing that only the reference implementations use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import vrbound
@@ -38,3 +42,14 @@ def test_every_import_is_used_or_exported():
 def test_the_check_sees_unused_and_exported_names():
     source = "import os\nimport numpy as np\nfrom math import pi, tau\n__all__ = ['tau']\nnp.e\n"
     assert _unused_imports(source) == ["os", "pi"]
+
+
+def test_the_cli_does_not_import_scipy_stats():
+    # scipy.stats takes most of a second to import; only the quadrature
+    # oracle, a reference for tests, uses it
+    code = "import sys, vrbound.cli; print('scipy.stats' in sys.modules)"
+    env = os.environ | {"PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert proc.stdout.strip() == "False"

@@ -1,6 +1,7 @@
 """Model families: conjugate regression, BNN, VAE, and dataset handling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,12 +143,12 @@ class TestMeanFieldFit:
         # The exclusive-KL optimum over diagonal q has a closed form: means
         # match and precisions match the posterior precision diagonal.
         model = synthetic_blr_instance(seed=0)
-        posterior, _ = blr_exact_posterior(model)
+        posterior, log_evidence = blr_exact_posterior(model)
         fit = blr_mean_field_fit(model, 1.0)
-        np.testing.assert_allclose(fit.q.mean, posterior.mean, atol=1e-8)
-        np.testing.assert_allclose(
-            fit.q.variances, 1.0 / np.diag(posterior.precision()), atol=1e-8
-        )
+        np.testing.assert_array_equal(fit.q.mean, posterior.mean)
+        np.testing.assert_array_equal(fit.q.variances, 1.0 / np.diag(posterior.precision()))
+        assert (fit.iterations, fit.converged) == (0, True)
+        assert fit.bound == log_evidence - renyi_gaussian(fit.q, posterior, 1.0)
 
     def test_overconfidence_at_one_marginal_match_at_zero(self):
         model = synthetic_blr_instance(seed=0)
@@ -155,8 +156,15 @@ class TestMeanFieldFit:
         fit1 = blr_mean_field_fit(model, 1.0)
         assert np.all(fit1.q.variances < posterior.variances)
         fit0 = blr_mean_field_fit(model, 0.0)
-        np.testing.assert_allclose(fit0.q.variances, posterior.variances, atol=1e-4)
-        assert fit0.bound == pytest.approx(log_evidence, abs=1e-6)
+        np.testing.assert_array_equal(fit0.q.variances, posterior.variances)
+        assert (fit0.iterations, fit0.converged) == (0, True)
+        assert fit0.bound == log_evidence
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-13, 0.5, 1.0, 1.0 + 1e-10, 2.0, 30.0, math.inf])
+    def test_mean_is_the_posterior_mean_at_every_order(self, alpha):
+        model = synthetic_blr_instance(seed=0)
+        posterior, _ = blr_exact_posterior(model)
+        np.testing.assert_array_equal(blr_mean_field_fit(model, alpha).q.mean, posterior.mean)
 
     def test_mode_seeking_orders_shrink_variances(self):
         model = synthetic_blr_instance(seed=0)
@@ -175,25 +183,19 @@ class TestMeanFieldFit:
         targets = design @ np.array([1.0, -0.3]) + 1.5 * rng.standard_normal(30)
         model = BLRModel(design, targets, 1.5)
         posterior, _ = blr_exact_posterior(model)
-        from vrbound.models.blr import _divergence_grads, _kl_post_q_grads, _kl_q_post_grads
+        from vrbound.models.blr import _divergence_grads
 
-        mu = posterior.mean + rng.normal(scale=0.1, size=2)
         s2 = posterior.variances * rng.uniform(0.8, 1.2, size=2)
-
-        for fn, args in (
-            (_divergence_grads, (posterior, 0.5)),
-            (_divergence_grads, (posterior, 2.0)),
-            (_kl_q_post_grads, (posterior,)),
-            (_kl_post_q_grads, (posterior,)),
-        ):
-            value, g_mu, g_s2 = fn(mu, s2, *args)
-            grad = np.concatenate([g_mu, g_s2])
+        for alpha in (0.5, 2.0):
+            value, g_s2 = _divergence_grads(s2, posterior, alpha)
+            q = GaussianDist.diagonal(posterior.mean, s2)
+            assert value == pytest.approx(renyi_gaussian(q, posterior, alpha), rel=1e-12)
 
             def f(x):
-                return fn(x[:2], x[2:], *args)[0]
+                return _divergence_grads(x, posterior, alpha)[0]
 
-            err = finite_diff_check(f, np.concatenate([mu, s2]), grad, step=1e-6)
-            assert err < 1e-4, f"{fn.__name__}: {err}"
+            err = finite_diff_check(f, s2, g_s2, step=1e-6)
+            assert err < 1e-4, f"alpha {alpha}: {err}"
 
     def test_default_sweep_fits_converge(self):
         model = synthetic_blr_instance(seed=0)
@@ -202,6 +204,38 @@ class TestMeanFieldFit:
             for alpha in (1.0, 0.5, 0.0):
                 fit = blr_mean_field_fit(at_sigma, alpha)
                 assert fit.converged, (sigma, alpha, fit.iterations)
+
+    def test_closed_form_fits_are_warning_free_over_the_noise_range(self):
+        # noise_std from the smallest the data admits to near the largest:
+        # orders 0 and 1 are closed-form, so every fit converges to finite
+        # variances and a finite bound without a floating-point warning
+        model = synthetic_blr_instance(seed=0)
+        fitted = 0
+        for sigma in np.geomspace(1e-160, 1e154, 60):
+            try:
+                at_sigma = model.with_noise(float(sigma))
+            except ValueError:
+                continue
+            for alpha in (0.0, 1.0):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    fit = blr_mean_field_fit(at_sigma, alpha)
+                assert fit.converged, (sigma, alpha)
+                assert math.isfinite(fit.bound), (sigma, alpha)
+                assert np.all(np.isfinite(fit.q.variances)), (sigma, alpha)
+            fitted += 1
+        assert fitted == 58
+
+    def test_fit_at_a_huge_finite_order_converges(self):
+        # alpha (1 - alpha) overflows at order 1e200; the fit never forms it
+        model = synthetic_blr_instance(seed=0)
+        posterior, log_evidence = blr_exact_posterior(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = blr_mean_field_fit(model, 1e200)
+        assert fit.converged and math.isfinite(fit.bound)
+        assert fit.bound == log_evidence - renyi_gaussian(fit.q, posterior, 1e200)
+        assert fit.bound >= blr_mean_field_fit(model, math.inf).bound
 
     @pytest.mark.parametrize("sigma", [0.5, 0.551, 1.0, 3.0])
     def test_inf_fit_is_exact_and_strictly_feasible(self, sigma):

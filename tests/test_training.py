@@ -248,6 +248,12 @@ class TestEvaluateVae:
         with pytest.raises(ValueError, match="repeats"):
             evaluate_vae(vae, params, data.test_features[:5], [0.0], [2], repeats=1)
 
+    def test_points_validated(self, trained):
+        # one point has no standard error
+        vae, params, data = trained
+        with pytest.raises(ValueError, match="2 points"):
+            evaluate_vae(vae, params, data.test_features[:1], [0.0], [2], repeats=2)
+
     def test_rows_do_not_depend_on_the_chunk_budget(self, trained, monkeypatch):
         vae, params, data = trained
 
