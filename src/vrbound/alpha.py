@@ -3,17 +3,14 @@
 The order ``alpha`` ranges over {-inf} | R | {+inf}. Almost every routine in
 this package branches on the same four cases, so the classification lives in
 one place: negative infinity, finite-and-not-one, one (the KL limit), and
-positive infinity. Values within ``ONE_TOLERANCE`` of 1 are treated as the KL
-case to avoid catastrophic cancellation in the 1/(alpha - 1) prefactor.
+positive infinity. Only alpha == 1 itself is the KL case: the finite-order
+forms stay accurate next to 1 and tend to the KL values continuously.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-
-# Width of the band around alpha = 1 routed to the KL branch.
-ONE_TOLERANCE = 1e-9
 
 
 class AlphaKind(Enum):
@@ -36,7 +33,7 @@ def classify_alpha(alpha: float) -> AlphaKind:
         return AlphaKind.NEG_INF
     if alpha == math.inf:
         return AlphaKind.POS_INF
-    if abs(alpha - 1.0) <= ONE_TOLERANCE:
+    if alpha == 1.0:
         return AlphaKind.ONE
     return AlphaKind.FINITE
 

@@ -3,6 +3,8 @@
 The K-sample estimate from log importance weights log w_k is
 
     (1/(1-alpha)) * ( logsumexp((1-alpha) log w) - log K )      finite alpha != 1
+    m + log1p(mean(expm1((1-alpha) (log w - m)))) / (1-alpha)    the same, when
+        |1-alpha| * (max(log w) - min(log w)) <= 1, with m = mean(log w)
     mean(log w)                                                  alpha = 1
     max(log w)                                                   alpha = -inf
     min(log w)                                                   alpha = +inf
@@ -95,9 +97,17 @@ def mc_vr_estimate(log_w, alpha: float, axis: int | None = None):
         est = np.min(log_w, axis=-1)
     else:
         # For alpha > 1 a -inf log weight scales to +inf, so logsumexp is
-        # +inf and the estimate -inf.
+        # +inf and the estimate -inf. Dividing by 1 - alpha scales up the
+        # rounding of logsumexp, so sets with |1 - alpha| ptp(log w) <= 1 (all
+        # of them next to alpha = 1) take the power mean about their mean m.
         one_minus = 1.0 - float(alpha)
-        est = (logsumexp(one_minus * log_w, axis=-1) - math.log(k)) / one_minus
+        est = np.asarray((logsumexp(one_minus * log_w, axis=-1) - math.log(k)) / one_minus)
+        near = np.ptp(log_w, axis=-1) <= 1.0 / abs(one_minus)
+        if np.any(near):
+            rows = log_w[near]
+            m = np.mean(rows, axis=-1, keepdims=True)
+            spread = np.mean(np.expm1(one_minus * (rows - m)), axis=-1)
+            est[near] = m[:, 0] + np.log1p(spread) / one_minus
     return float(est) if axis is None else est
 
 

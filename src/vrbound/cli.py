@@ -361,6 +361,12 @@ def _ellipse_points(mean: np.ndarray, cov: np.ndarray, level: float, n: int = 12
     return mean + level * circle @ chol.T
 
 
+def _alpha_text(alpha: float) -> str:
+    """Short text that reads back as ``alpha``: '%g' where that round-trips."""
+    text = f"{alpha:g}"
+    return text if float(text) == alpha else repr(alpha)
+
+
 def _run_blr_demo(cfg: dict, out: Path, seed: int) -> tuple[list[str], None]:
     section = cfg["blr_demo"]
     with _building("blr_demo"):
@@ -406,21 +412,19 @@ def _run_blr_demo(cfg: dict, out: Path, seed: int) -> tuple[list[str], None]:
     vio.write_csv(out / "fits.csv", header, fit_rows)
     vio.write_csv(out / "contours.csv", ["label", "level", "x", "y"], contour_rows)
 
-    curve_alphas = [a for a in fit_alphas if math.isfinite(a)]
+    curve_alphas = {_alpha_text(a): a for a in fit_alphas if math.isfinite(a)}
     curve_rows = []
     for at_sigma in sweep:
         _, ev = blr_exact_posterior(at_sigma)
         row = {"sigma": at_sigma.noise_std, "log_evidence": ev}
-        for a in curve_alphas:
+        for text, a in curve_alphas.items():
             fit = blr_mean_field_fit(at_sigma, a)
-            row[f"bound_alpha_{a:g}"] = fit.bound
-            row[f"converged_alpha_{a:g}"] = fit.converged
+            row[f"bound_alpha_{text}"] = fit.bound
+            row[f"converged_alpha_{text}"] = fit.converged
         curve_rows.append(row)
-    curve_header = (
-        ["sigma", "log_evidence"]
-        + [f"bound_alpha_{a:g}" for a in curve_alphas]
-        + [f"converged_alpha_{a:g}" for a in curve_alphas]
-    )
+    curve_header = ["sigma", "log_evidence"] + [
+        f"{column}_alpha_{text}" for column in ("bound", "converged") for text in curve_alphas
+    ]
     vio.write_csv(out / "sigma_curves.csv", curve_header, curve_rows)
     return ["fits.csv", "contours.csv", "sigma_curves.csv"], None
 

@@ -1,21 +1,23 @@
 """Renyi alpha-divergence between Gaussians, plus a quadrature ground truth.
 
-The closed form for two Gaussians p = N(mu_p, S_p), q = N(mu_q, S_q) at a
-finite order alpha not in {0, 1} is
+For two Gaussians p = N(mu_p, S_p), q = N(mu_q, S_q) at a finite order alpha,
+let t = 1 - alpha, S_p V = S_q V diag(lam) with V' S_q V = I, and
+z = V'(mu_p - mu_q). The mixture covariance M = alpha S_q + t S_p is
+V^-T diag(1 + t (lam - 1)) V^-1, and
 
-    D_alpha[p||q] = (alpha/2) dm' M^{-1} dm
-                    + log( |M| / (|S_p|^(1-alpha) |S_q|^alpha) ) / (2 (1-alpha))
+    D_alpha[p||q] = (alpha/2) sum z_i^2 / (1 + t (lam_i - 1))
+                    + (1/2) sum [ log1p(t (lam_i - 1)) / t - log lam_i ]
 
-with dm = mu_p - mu_q and the mixture covariance M = alpha S_q + (1-alpha) S_p.
-The defining integral converges exactly when M is positive definite; when the
-Cholesky factorization of M fails the value is reported as +inf, a sentinel
+where the log1p term is lam_i - 1 at t = 0, giving KL[p||q]: one expression
+for every finite order, accurate next to alpha = 1 and continuous through it.
+The defining integral converges exactly when M is positive definite; when
+some 1 + t (lam_i - 1) <= 0 the value is reported as +inf, a sentinel
 meaning "the integral diverges / the divergence is undefined here". This keeps
 sweeps over alpha total. Callers that need the signed limit of the underlying
 objective (e.g. the exact variational bound) must interpret the sentinel
 themselves.
 
-Special orders are explicit branches rather than numerical limits:
-  alpha -> 1   Kullback-Leibler divergence KL[p||q]
+Two orders are explicit branches rather than the closed form:
   alpha  = 0   -log(mass of q on the support of p), identically 0 for Gaussians
   alpha -> +inf  sup_x log p(x)/q(x)  (+inf when the ratio is unbounded)
   alpha -> -inf  -sup_x log q(x)/p(x)  (skew symmetry limit)
@@ -31,9 +33,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, eigh
 
-from .alpha import ONE_TOLERANCE, AlphaKind, classify_alpha
+from .alpha import AlphaKind, classify_alpha
 from .gaussian import GaussianDist
 
 __all__ = [
@@ -99,27 +101,37 @@ def renyi_gaussian(p: GaussianDist, q: GaussianDist, alpha: float) -> float:
     """
     _check_same_dim(p, q)
     kind = classify_alpha(alpha)
-    if kind is AlphaKind.ONE:
-        return gaussian_kl(p, q)
     if kind is AlphaKind.POS_INF:
         return sup_log_density_ratio(p, q)
     if kind is AlphaKind.NEG_INF:
         return -sup_log_density_ratio(q, p)
-
-    alpha = float(alpha)
     if alpha == 0.0:
         return 0.0
-    mix = alpha * q.cov + (1.0 - alpha) * p.cov
-    try:
-        chol = np.linalg.cholesky(mix)
-    except np.linalg.LinAlgError:
-        return math.inf
-    logdet_mix = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    diff = p.mean - q.mean
-    z = np.linalg.solve(chol, diff)
-    quad = float(z @ z)
-    logdet_term = logdet_mix - (1.0 - alpha) * p.log_det_cov - alpha * q.log_det_cov
-    return 0.5 * alpha * quad + logdet_term / (2.0 * (1.0 - alpha))
+    return renyi_gaussian_terms(p.mean - q.mean, p.cov, q.cov, float(alpha))[0]
+
+
+def renyi_gaussian_terms(
+    diff: np.ndarray, cov_p: np.ndarray, cov_q: np.ndarray, alpha: float
+) -> tuple[float, np.ndarray | None]:
+    """D_alpha[N(mu_p, cov_p) || N(mu_q, cov_q)] and diag(M^-1), finite alpha.
+
+    ``diff`` is mu_p - mu_q. The gradient of the divergence in a diagonal
+    cov_p is (diag(M^-1) - 1 / diag(cov_p)) / 2. (+inf, None) where M is not
+    positive definite.
+    """
+    lam, vec = eigh(cov_p, cov_q)
+    t = 1.0 - alpha
+    # overflow here means an infinite divergence, which the value carries
+    with np.errstate(over="ignore"):
+        shift = t * (lam - 1.0)
+        # 1 + shift = alpha + t lam are the eigenvalues of M in the basis V
+        if np.any(shift <= -1.0):
+            return math.inf, None
+        inv_mix = 1.0 / (1.0 + shift)
+        quad = float((vec.T @ diff) ** 2 @ inv_mix)
+        logs = lam - 1.0 if t == 0.0 else np.log1p(shift) / t
+        diag_inv_mix = (vec * vec) @ inv_mix
+    return 0.5 * alpha * quad + 0.5 * float(np.sum(logs - np.log(lam))), diag_inv_mix
 
 
 # ----------------------------------------------------------------------
@@ -203,7 +215,7 @@ def quadrature_oracle(
 ) -> float:
     """Renyi divergence by dense trapezoidal quadrature (dimension <= 2).
 
-    Integrates p(x)^alpha q(x)^(1-alpha) on the grid; at alpha ~ 1 it
+    Integrates p(x)^alpha q(x)^(1-alpha) on the grid; at alpha = 1 it
     integrates the KL integrand p log(p/q) instead. Densities are evaluated
     with scipy.stats, independently of the closed-form path this oracle
     validates. Raises if the grid is too coarse, too small, or if the
@@ -244,13 +256,13 @@ def quadrature_oracle_batch(
 
     out = []
     for alpha in alphas:
-        if abs(alpha - 1.0) <= ONE_TOLERANCE:
+        if alpha == 1.0:
             integrand = np.exp(log_p) * (log_p - log_q)
         else:
             integrand = np.exp(alpha * log_p + (1.0 - alpha) * log_q)
         _check_boundary_decay(integrand, axes, grid.dim)
         total = float(np.sum(weights * integrand))
-        if abs(alpha - 1.0) <= ONE_TOLERANCE:
+        if alpha == 1.0:
             out.append(total)
         elif total <= 0.0:
             raise ValueError("integral underflowed to a non-positive value")

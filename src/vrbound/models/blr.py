@@ -24,7 +24,7 @@ from scipy.optimize import minimize
 
 from .. import autodiff as ad
 from ..alpha import AlphaKind, classify_alpha
-from ..divergence import renyi_gaussian
+from ..divergence import renyi_gaussian, renyi_gaussian_terms
 from ..gaussian import GaussianDist
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -169,30 +169,6 @@ class MeanFieldFitResult:
     converged: bool
 
 
-def _divergence_grads(
-    s2: np.ndarray, post: GaussianDist, alpha: float
-) -> tuple[float, np.ndarray]:
-    """Value and s2-gradient of D_alpha[N(post.mean, diag(s2)) || post].
-
-    With q at the posterior mean the quadratic term vanishes, leaving
-    (log|M| - (1 - alpha) sum(log s2) - alpha log|V|) / (2 (1 - alpha)) for
-    the mixture M = alpha V + (1 - alpha) diag(s2). Finite alpha not in
-    {0, 1} only; +inf value with a zero gradient when M is not SPD.
-    """
-    d = s2.shape[0]
-    mix = alpha * post.cov + (1.0 - alpha) * np.diag(s2)
-    try:
-        chol = np.linalg.cholesky(mix)
-    except np.linalg.LinAlgError:
-        return math.inf, np.zeros(d)
-    inv_mix = np.linalg.solve(chol.T, np.linalg.solve(chol, np.eye(d)))
-    logdet_mix = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    value = (logdet_mix - (1.0 - alpha) * float(np.sum(np.log(s2))) - alpha * post.log_det_cov) / (
-        2.0 * (1.0 - alpha)
-    )
-    return value, 0.5 * (np.diag(inv_mix) - 1.0 / s2)
-
-
 # L-BFGS-B stops on a relative objective change below ftol or a largest
 # gradient entry below gtol; much tighter values fall under the rounding
 # noise of the objective, where the line search ends abnormally.
@@ -252,10 +228,10 @@ def blr_mean_field_fit(model: BLRModel, alpha: float) -> MeanFieldFitResult:
     divergence is finite. The variances are closed-form at three orders,
     with ``iterations`` 0 and ``converged`` True at the first two:
 
-      alpha = 1 (the KL band)  1 / diag(Lam), Lam the posterior precision;
-      alpha = 0 (|alpha| <= 1e-12)  the posterior marginal variances, the
-          minimizer of the limit KL[posterior || q] as alpha -> 0+ (the
-          bound itself is the log evidence for any full-support q);
+      alpha = 1  1 / diag(Lam), Lam the posterior precision;
+      alpha = 0  the posterior marginal variances, the minimizer of the
+          limit KL[posterior || q] as alpha -> 0+ (the bound itself is the
+          log evidence for any full-support q);
       alpha = +inf  solved directly: sup log q/posterior is finite only when
           diag(1/s2) >= Lam (Loewner order), and the best precisions minimize
           sum log(1/s2) on that boundary (in 2-D, 1/s2_i = Lam_ii +
@@ -268,8 +244,9 @@ def blr_mean_field_fit(model: BLRModel, alpha: float) -> MeanFieldFitResult:
     Above order 1 the divergence is finite only where diag(1/s2) - (1 -
     1/alpha) Lam is positive definite and the line search cannot step back
     from points outside, so the search runs over the log Cholesky pivots of
-    that matrix, from the +inf fit. The bound is log Z - D_alpha[q ||
-    posterior] (the log evidence at alpha = 0). Dimension <= 3.
+    that matrix, from the +inf fit. Orders next to 1 are searched too, so
+    the fit is continuous through alpha = 1. The bound is log Z - D_alpha[q
+    || posterior] (the log evidence at alpha = 0). Dimension <= 3.
 
     Negative orders are rejected: there the exact bound is an upper bound on
     the evidence whose supremum over q is +inf (approached at the boundary
@@ -279,27 +256,25 @@ def blr_mean_field_fit(model: BLRModel, alpha: float) -> MeanFieldFitResult:
         raise ValueError("mean-field fit is desk-scale only (dim <= 3)")
     posterior, log_evidence = blr_exact_posterior(model)
     kind = classify_alpha(alpha)
-    if kind is AlphaKind.NEG_INF or (kind is AlphaKind.FINITE and float(alpha) < 0.0):
+    if alpha < 0.0:
         raise ValueError("mean-field fit requires alpha >= 0; the bound has no "
                          "finite maximizer for negative orders")
     lam = posterior.precision()
-    at_zero = kind is AlphaKind.FINITE and abs(float(alpha)) <= 1e-12
 
     iterations, converged = 0, True
     if kind is AlphaKind.ONE:
         s2 = 1.0 / np.diag(lam)
-    elif at_zero:
+    elif alpha == 0.0:
         s2 = posterior.variances
     else:
-        mode_seeking = kind is AlphaKind.POS_INF or float(alpha) > 1.0
+        mode_seeking = alpha > 1.0
         if mode_seeking:
             prec, res = _inf_precisions(lam)
             prec, iterations, converged = prec * (1.0 + _INF_MARGIN), res.nit, res.success
             s2 = 1.0 / prec
         if kind is AlphaKind.FINITE:
-            order = float(alpha)
             if mode_seeking:
-                c = 1.0 - 1.0 / order
+                c = 1.0 - 1.0 / alpha
                 variances = partial(_feasible_variances, lam=lam, c=c)
                 # the +inf fit is feasible at every order above 1
                 z0 = np.log(np.diag(np.linalg.cholesky(np.diag(prec) - c * lam)))
@@ -308,8 +283,12 @@ def blr_mean_field_fit(model: BLRModel, alpha: float) -> MeanFieldFitResult:
 
             def objective(z):
                 s2, ds2_dz = variances(z)
-                value, g_s2 = _divergence_grads(s2, posterior, order)
-                return value, ds2_dz.T @ g_s2
+                value, diag_inv_mix = renyi_gaussian_terms(
+                    np.zeros_like(s2), np.diag(s2), posterior.cov, alpha
+                )
+                if diag_inv_mix is None:
+                    return value, np.zeros_like(z)
+                return value, ds2_dz.T @ (0.5 * (diag_inv_mix - 1.0 / s2))
 
             res = minimize(objective, z0, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS)
             s2 = variances(res.x)[0]
@@ -318,7 +297,7 @@ def blr_mean_field_fit(model: BLRModel, alpha: float) -> MeanFieldFitResult:
             converged = converged and res.success and math.isfinite(res.fun)
 
     q = GaussianDist.diagonal(posterior.mean, s2)
-    bound = log_evidence if at_zero else log_evidence - renyi_gaussian(q, posterior, alpha)
+    bound = log_evidence - renyi_gaussian(q, posterior, alpha)
     return MeanFieldFitResult(q, bound, int(iterations), bool(converged))
 
 

@@ -381,26 +381,22 @@ def evaluate_vae(
     per_point: dict[tuple[float, int], np.ndarray] = {
         (float(a), int(k)): np.zeros((repeats, n)) for a in alphas for k in ks
     }
-    gaps: dict[tuple[float, int], np.ndarray] = {
-        key: np.zeros((repeats, n)) for key in per_point
-    }
+    refs = np.zeros((repeats, n))
 
     for r in range(repeats):
         rng = np.random.default_rng([seed, _STREAM_EVAL, r])
         # the draws are freed before the estimates' temporaries are made
         lw = model.log_weight_matrix(params, x, rng.standard_normal((k_block, n, model.latent_dim)))
-        ref = mc_vr_estimate(lw[:, :k_ref], 0.0, axis=1)
+        refs[r] = mc_vr_estimate(lw[:, :k_ref], 0.0, axis=1)
         for (a, k), store in per_point.items():
-            est = mc_vr_estimate(lw[:, :k], a, axis=1)
-            store[r] = est
-            gaps[(a, k)][r] = est - ref
+            store[r] = mc_vr_estimate(lw[:, :k], a, axis=1)
 
     rows = []
     for a in alphas:
         for k in ks:
             key = (float(a), int(k))
             point_means = per_point[key].mean(axis=0)
-            gap_means = gaps[key].mean(axis=0)
+            gap_means = (per_point[key] - refs).mean(axis=0)
             rows.append(
                 EvalRow(
                     alpha=float(a),

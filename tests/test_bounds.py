@@ -47,6 +47,19 @@ class TestMcEstimate:
         log_w = rng.standard_normal(17)
         assert mc_vr_estimate(log_w, 1.0) == pytest.approx(float(np.mean(log_w)), abs=1e-14)
 
+    def test_continuous_through_one(self):
+        # the estimate's slope in alpha at 1 is -var(log w) / 2: next to 1 it
+        # stays within var(log w) |alpha - 1| of the mean, on both sides, for
+        # sets in either branch (spread times |1 - alpha| above and below 1)
+        rng = np.random.default_rng(4)
+        gaps = np.geomspace(1e-12, 1e-3, 19)
+        for scale in (0.1, 3.0, 300.0):
+            log_w = scale * rng.standard_normal(50)
+            mean, var = float(np.mean(log_w)), float(np.var(log_w))
+            for alpha in np.concatenate([1.0 - gaps, 1.0 + gaps]):
+                gap = abs(mc_vr_estimate(log_w, alpha) - mean)
+                assert gap <= var * abs(alpha - 1.0), (scale, alpha, gap)
+
     def test_monotone_in_alpha(self):
         rng = np.random.default_rng(5)
         for _ in range(20):

@@ -460,6 +460,23 @@ class TestBlrDemo:
         labels = {line.split(",")[0] for line in contours[1:]}
         assert labels == {"posterior", "1.0", "0.0"}
 
+    def test_close_orders_get_their_own_columns(self, tmp_path):
+        # '%g' prints 1.000000001 as '1'; each curve column is named by text
+        # that reads back as its order, so that order gets its own values
+        config = {"kind": "blr-demo", "output_dir": str(tmp_path / "out"), "blr_demo": {
+            "sigma_grid": {"points": 2}, "fit_alphas": [1.0, 1.000000001, 0.5]
+        }}
+        assert main(["blr-demo", "--config", write_config(tmp_path / "cfg.json", config)]) == 0
+        header, *rows = [
+            line.split(",")
+            for line in (tmp_path / "out" / "sigma_curves.csv").read_text().splitlines()
+        ]
+        assert header[2:5] == ["bound_alpha_1", "bound_alpha_1.000000001", "bound_alpha_0.5"]
+        assert len(set(header)) == len(header)
+        for row in rows:
+            at_one, near_one = float(row[2]), float(row[3])
+            assert near_one != at_one and abs(near_one - at_one) <= 1e-9
+
     def test_contour_cells_are_numbers(self, tmp_path):
         config = {"kind": "blr-demo", "output_dir": str(tmp_path / "out"), "blr_demo": {
             "sigma_grid": {"points": 2}, "fit_alphas": [1.0, 0.5, "inf"]

@@ -1,6 +1,7 @@
 """Closed-form Gaussian Renyi divergence against the quadrature ground truth."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,15 @@ def _seeded_pair(rng, dim):
     return (
         GaussianDist.diagonal(mean_p, var_p),
         GaussianDist.diagonal(mean_q, var_q),
+    )
+
+
+def _full_pair(rng, dim):
+    """Gaussian pair with random means and full covariances A A'/dim + I."""
+    a, b = rng.standard_normal((2, dim, dim))
+    return (
+        GaussianDist.full(rng.standard_normal(dim), a @ a.T / dim + np.eye(dim)),
+        GaussianDist.full(rng.standard_normal(dim), b @ b.T / dim + np.eye(dim)),
     )
 
 
@@ -112,18 +122,36 @@ class TestClosedFormValues:
     def test_alpha_zero_is_exactly_zero(self, p, q):
         assert renyi_gaussian(p, q, 0.0) == 0.0
 
+    def test_extreme_magnitudes_are_warning_free(self):
+        # z = V'(mu_p - mu_q) overflows: the divergence is infinite, with the
+        # sign of alpha, and no overflow warning reaches the caller
+        p = GaussianDist.diagonal([1e300], [5e-324])
+        q = GaussianDist.diagonal([-1.7e308], [5e-324])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [renyi_gaussian(p, q, alpha) for alpha in (-1.0, 0.5, 1.0, 2.0)]
+        assert values == [-math.inf, math.inf, math.inf, math.inf]
+
     def test_divergent_mixture_reports_inf(self):
         # alpha = -2 with a wider q: the mixture covariance loses positivity.
         p = GaussianDist.diagonal([0.0], [1.0])
         q = GaussianDist.diagonal([0.0], [2.0])
         assert renyi_gaussian(p, q, -2.0) == math.inf
 
-    def test_near_one_routes_to_kl(self):
-        p = GaussianDist.diagonal([0.0, 0.5], [1.0, 2.0])
-        q = GaussianDist.diagonal([0.4, 0.0], [1.5, 1.0])
-        kl = gaussian_kl(p, q)
-        assert renyi_gaussian(p, q, 1.0 + 1e-10) == kl
-        assert renyi_gaussian(p, q, 1.0 - 1e-10) == kl
+    def test_continuous_through_one(self):
+        # |D_alpha - KL| <= C |alpha - 1| on both sides of 1, down to 1e-12,
+        # with C twice the chord slope at |alpha - 1| = 1e-3: no band around
+        # 1 and no rounding noise divided by |alpha - 1|.
+        rng = np.random.default_rng(0)
+        gaps = np.geomspace(1e-12, 1e-3, 19)
+        for dim in (1, 2, 3):
+            for _ in range(10):
+                p, q = _full_pair(rng, dim)
+                kl = gaussian_kl(p, q)
+                slope = max(abs(renyi_gaussian(p, q, 1.0 + s) - kl) / 1e-3 for s in (-1e-3, 1e-3))
+                for alpha in np.concatenate([1.0 - gaps, 1.0 + gaps]):
+                    gap = abs(renyi_gaussian(p, q, alpha) - kl)
+                    assert gap <= 2.0 * slope * abs(alpha - 1.0), (dim, alpha, gap, slope)
 
     def test_full_covariance_matches_diagonal(self):
         p_diag = GaussianDist.diagonal([0.1, -0.3], [1.2, 0.8])

@@ -9,10 +9,16 @@ the same numbers must reproduce them to rtol = atol = 1e-12.
 Regenerate the fixture only when a change is meant to move the outputs:
 
     PYTHONPATH=src python tests/test_golden.py
+
+To see how far the current code's outputs have moved from the fixture, per
+case, without writing anything:
+
+    PYTHONPATH=src python tests/test_golden.py --drift
 """
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +134,27 @@ def test_matches_golden(case, golden):
         )
 
 
+def _drift(got: dict, want: dict) -> tuple[float, float]:
+    """Largest absolute and relative difference over every output of a case."""
+    worst_abs = worst_rel = 0.0
+    for key in want:
+        a, b = np.asarray(got[key], dtype=float), np.asarray(want[key], dtype=float)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            diff = np.where(a == b, 0.0, np.abs(a - b))
+            rel = np.where(diff == 0.0, 0.0, diff / np.abs(b))
+        worst_abs = max(worst_abs, float(np.max(diff, initial=0.0)))
+        worst_rel = max(worst_rel, float(np.max(rel, initial=0.0)))
+    return worst_abs, worst_rel
+
+
 if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps({case: CASES[case]() for case in sorted(CASES)}, indent=1) + "\n")
-    print(f"wrote {FIXTURE}")
+    if sys.argv[1:] == ["--drift"]:
+        golden_values = json.loads(FIXTURE.read_text())
+        for case in sorted(CASES):
+            worst_abs, worst_rel = _drift(CASES[case](), golden_values[case])
+            print(f"{case}: abs {worst_abs:.3g} rel {worst_rel:.3g}")
+    else:
+        FIXTURE.write_text(
+            json.dumps({case: CASES[case]() for case in sorted(CASES)}, indent=1) + "\n"
+        )
+        print(f"wrote {FIXTURE}")

@@ -175,25 +175,28 @@ class TestMeanFieldFit:
         assert np.all(v05 > v1) and np.all(v1 > v2) and np.all(v2 > vinf)
 
     def test_gradients_match_fd(self):
-        # The analytic ascent gradients against the bound via central diffs,
-        # on a near-isotropic posterior so FD probes stay inside the
-        # feasibility region at every order tested.
+        # The fit's s2-gradient (diag(M^-1) - 1/s2) / 2 against central
+        # differences of the shared closed form, on a near-isotropic posterior
+        # so FD probes stay inside the feasibility region at every order
+        # tested, and on both sides of alpha = 1.
         rng = np.random.default_rng(0)
         design = rng.standard_normal((30, 2))
         targets = design @ np.array([1.0, -0.3]) + 1.5 * rng.standard_normal(30)
         model = BLRModel(design, targets, 1.5)
         posterior, _ = blr_exact_posterior(model)
-        from vrbound.models.blr import _divergence_grads
+        from vrbound.divergence import renyi_gaussian_terms
 
         s2 = posterior.variances * rng.uniform(0.8, 1.2, size=2)
-        for alpha in (0.5, 2.0):
-            value, g_s2 = _divergence_grads(s2, posterior, alpha)
+        offset = np.zeros(2)
+        for alpha in (0.5, 2.0, 1.0 - 1e-6, 1.0 + 1e-6):
+            value, diag_inv_mix = renyi_gaussian_terms(offset, np.diag(s2), posterior.cov, alpha)
             q = GaussianDist.diagonal(posterior.mean, s2)
             assert value == pytest.approx(renyi_gaussian(q, posterior, alpha), rel=1e-12)
 
             def f(x):
-                return _divergence_grads(x, posterior, alpha)[0]
+                return renyi_gaussian_terms(offset, np.diag(x), posterior.cov, alpha)[0]
 
+            g_s2 = 0.5 * (diag_inv_mix - 1.0 / s2)
             err = finite_diff_check(f, s2, g_s2, step=1e-6)
             assert err < 1e-4, f"alpha {alpha}: {err}"
 
@@ -227,15 +230,30 @@ class TestMeanFieldFit:
         assert fitted == 58
 
     def test_fit_at_a_huge_finite_order_converges(self):
-        # alpha (1 - alpha) overflows at order 1e200; the fit never forms it
+        # alpha (1 - alpha) overflows at order 1e200; the fit never forms it,
+        # and at the largest finite order 1 - alpha is still finite
         model = synthetic_blr_instance(seed=0)
         posterior, log_evidence = blr_exact_posterior(model)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fit = blr_mean_field_fit(model, 1e200)
-        assert fit.converged and math.isfinite(fit.bound)
-        assert fit.bound == log_evidence - renyi_gaussian(fit.q, posterior, 1e200)
-        assert fit.bound >= blr_mean_field_fit(model, math.inf).bound
+        inf_bound = blr_mean_field_fit(model, math.inf).bound
+        for alpha in (1e200, 1e308):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fit = blr_mean_field_fit(model, alpha)
+            assert fit.converged and math.isfinite(fit.bound), alpha
+            assert fit.bound == log_evidence - renyi_gaussian(fit.q, posterior, alpha)
+            assert fit.bound >= inf_bound, alpha
+
+    def test_fits_near_one_converge_to_the_kl_fit(self):
+        # orders near 1 run the same closed form as every other finite
+        # order: the fit converges and its bound is within C |alpha - 1| of
+        # the alpha = 1 bound (whose slope in alpha is about 0.4 here)
+        model = synthetic_blr_instance(seed=0)
+        at_one = blr_mean_field_fit(model, 1.0).bound
+        for gap in (1e-6, 2e-9):
+            for alpha in (1.0 - gap, 1.0 + gap):
+                fit = blr_mean_field_fit(model, alpha)
+                assert fit.converged, alpha
+                assert abs(fit.bound - at_one) <= gap, alpha
 
     @pytest.mark.parametrize("sigma", [0.5, 0.551, 1.0, 3.0])
     def test_inf_fit_is_exact_and_strictly_feasible(self, sigma):

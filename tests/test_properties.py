@@ -156,16 +156,20 @@ def log_weight_vectors(draw):
     return np.array(entries)
 
 
-def _slack(lw, *alphas):
-    """Rounding slack of an estimate: some ulps of the largest |log w|, and
-    in the log-sum-exp branch ulps of the K-term sum divided by |1 - alpha|."""
-    gaps = [abs(1.0 - a) for a in alphas if classify_alpha(a) is AlphaKind.FINITE]
+def _slack(lw, *estimates):
+    """Rounding slack of an estimate: some ulps of the largest |log w| and of
+    the finite estimates compared, at every order, those next to 1 included.
+    (With a -inf log weight an estimate near 1 is about log(K / finite
+    count) / (1 - alpha), far beyond any |log w|.)"""
     largest = float(np.max(np.abs(lw[np.isfinite(lw)])))
-    return 1e-14 * (1.0 + largest + lw.size / min(gaps, default=1.0))
+    sizes = [abs(e) for e in estimates if math.isfinite(e)]
+    return 1e-14 * (1.0 + largest + max(sizes, default=0.0))
 
 
-# Every branch of the estimator and the weights, and one or more drawn orders.
-BRANCH_ALPHAS = (-math.inf, -2.0, -0.2, 0.0, 0.5, 1.0, 1.5, 2.0, math.inf)
+# Every branch of the estimator and the weights, orders on both sides of 1
+# from far to next to it, and one or more drawn orders.
+NEAR_ONE = tuple(1.0 + s * g for g in (1e-6, 2e-9, 1e-12) for s in (-1.0, 1.0))
+BRANCH_ALPHAS = (-math.inf, -2.0, -0.2, 0.0, 0.5, 1.0, 1.5, 2.0, math.inf) + NEAR_ONE
 
 
 @PROPERTY
@@ -174,7 +178,7 @@ def test_estimate_non_increasing_in_alpha(lw, drawn):
     alphas = sorted(BRANCH_ALPHAS + tuple(drawn))
     estimates = [mc_vr_estimate(lw, a) for a in alphas]
     for i in range(len(alphas) - 1):
-        slack = _slack(lw, alphas[i], alphas[i + 1])
+        slack = _slack(lw, estimates[i], estimates[i + 1])
         assert estimates[i] >= estimates[i + 1] - slack, (alphas[i], alphas[i + 1])
 
 
@@ -194,7 +198,7 @@ def test_estimate_shift_equivariant(lw, drawn, c):
         if math.isinf(expected):
             assert shifted == expected
         else:
-            assert abs(shifted - expected) <= _slack(np.append(lw, lw + c), alpha), alpha
+            assert abs(shifted - expected) <= _slack(np.append(lw, lw + c), expected), alpha
 
 
 @PROPERTY
