@@ -17,9 +17,9 @@ the one-sample estimate alpha-independent.
 ``bias_simulation`` quantifies the estimator's bias: with theta_k drawn from
 q and log w = log p - log q, the population value of the bound is minus the
 Renyi divergence from q to p, which the simulation reports alongside the
-empirical mean and standard error for each (alpha, K) cell. Each cell draws
-from its own seed-derived generator, so results do not depend on evaluation
-order.
+empirical mean and standard error for each (alpha, K) cell. Each repeat of
+a cell draws from its own seed-derived generator, so results do not depend on
+evaluation order, and a cell's repeats are estimated in one call.
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ from scipy.special import logsumexp
 from .alpha import AlphaKind, classify_alpha
 from .divergence import renyi_gaussian
 from .gaussian import GaussianDist
+
+# Byte budget of one block of weight sets in the finite-order estimate: 32
+# sets of K = 1000. logsumexp makes several temporaries of its input's size,
+# which on a whole (sets, K) array would take a few times the input.
+_BLOCK_BYTES = 256 * 1024
 
 __all__ = [
     "BiasCell",
@@ -96,19 +101,31 @@ def mc_vr_estimate(log_w, alpha: float, axis: int | None = None):
     elif kind is AlphaKind.POS_INF:
         est = np.min(log_w, axis=-1)
     else:
-        # For alpha > 1 a -inf log weight scales to +inf, so logsumexp is
-        # +inf and the estimate -inf. Dividing by 1 - alpha scales up the
-        # rounding of logsumexp, so sets with |1 - alpha| ptp(log w) <= 1 (all
-        # of them next to alpha = 1) take the power mean about their mean m.
-        one_minus = 1.0 - float(alpha)
-        est = np.asarray((logsumexp(one_minus * log_w, axis=-1) - math.log(k)) / one_minus)
-        near = np.ptp(log_w, axis=-1) <= 1.0 / abs(one_minus)
-        if np.any(near):
-            rows = log_w[near]
-            m = np.mean(rows, axis=-1, keepdims=True)
-            spread = np.mean(np.expm1(one_minus * (rows - m)), axis=-1)
-            est[near] = m[:, 0] + np.log1p(spread) / one_minus
+        # Each block of rows is reduced on its own, so the temporaries of
+        # logsumexp (several times its input) stay within a few blocks.
+        sets = log_w.reshape(-1, k)
+        step = max(1, _BLOCK_BYTES // (8 * k))
+        est = np.empty(sets.shape[0])
+        for start in range(0, sets.shape[0], step):
+            est[start : start + step] = _power_mean(sets[start : start + step], 1.0 - float(alpha))
+        est = est.reshape(log_w.shape[:-1])
     return float(est) if axis is None else est
+
+
+def _power_mean(log_w: np.ndarray, one_minus: float) -> np.ndarray:
+    """The finite-order estimate of each row of a (rows, K) array, K >= 2."""
+    # For alpha > 1 a -inf log weight scales to +inf, so logsumexp is +inf
+    # and the estimate -inf. Dividing by 1 - alpha scales up the rounding of
+    # logsumexp, so rows with |1 - alpha| ptp(log w) <= 1 (all of them next
+    # to alpha = 1) take the power mean about their mean m.
+    est = (logsumexp(one_minus * log_w, axis=-1) - math.log(log_w.shape[-1])) / one_minus
+    near = np.ptp(log_w, axis=-1) <= 1.0 / abs(one_minus)
+    if np.any(near):
+        rows = log_w[near]
+        m = np.mean(rows, axis=-1, keepdims=True)
+        spread = np.mean(np.expm1(one_minus * (rows - m)), axis=-1)
+        est[near] = m[:, 0] + np.log1p(spread) / one_minus
+    return est
 
 
 # ----------------------------------------------------------------------
@@ -163,9 +180,9 @@ def bias_simulation(
     theta ~ q and log w = log p(theta) - log q(theta); the exact column is
     minus the closed-form Renyi divergence from q to p, the population value
     the estimates converge to as K grows (-inf where the divergence is
-    infinite). Every (alpha, K, repeat) cell uses
-    a generator derived from (seed, indices), so any evaluation schedule
-    produces identical numbers.
+    infinite). Every (alpha, K, repeat) cell draws its weight set from a
+    generator derived from (seed, indices), so any evaluation schedule
+    produces identical numbers; each cell's sets are estimated in one call.
     """
     if repeats < 2:
         raise ValueError("repeats must be at least 2 to report a standard error")
@@ -180,12 +197,11 @@ def bias_simulation(
         exact = -renyi_gaussian(q, p, alpha)
         for ki, k in enumerate(ks):
             k = int(k)
-            estimates = np.empty(repeats)
+            log_w = np.empty((repeats, k))
             for r in range(repeats):
-                rng = np.random.default_rng([seed, ai, ki, r])
-                theta = q.sample(rng, k)
-                log_w = p.logpdf(theta) - q.logpdf(theta)
-                estimates[r] = mc_vr_estimate(log_w, alpha)
+                theta = q.sample(np.random.default_rng([seed, ai, ki, r]), k)
+                log_w[r] = p.logpdf(theta) - q.logpdf(theta)
+            estimates = mc_vr_estimate(log_w, alpha, axis=1)
             mean = float(np.mean(estimates))
             stderr = float(np.std(estimates, ddof=1) / math.sqrt(repeats))
             rows.append(BiasCell(alpha=alpha, k=k, mean=mean, stderr=stderr, exact=exact))

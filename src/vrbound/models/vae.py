@@ -11,13 +11,18 @@ so K log weights per datapoint come from one graph with one encoder pass.
 Each of the five affine layers is one fused ``ad.dense`` node.
 
 ``log_weight_matrix`` is the value-only path of held-out evaluation, where K
-runs to thousands: it encodes once and runs the rest over slices of the
-draws small enough to stay in cache.
+runs to thousands: it encodes once and runs the rest over blocks of draws
+small enough to stay in cache, dealt over every usable core. Each block
+writes its own columns of the result, so the result is the same, bit for
+bit, at any worker count.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,12 +30,24 @@ from .. import autodiff as ad
 from ..gradients import GaussianReparam
 
 _LOG_2PI = math.log(2.0 * math.pi)
-# Byte budget of one array in a block or chunk of ``log_weight_matrix``: 320
-# rows at width 64. With glibc's default thresholds, a 5000-draw call on 100
-# points took under 2 minor page faults per chunk at 200 to 500 rows, 155 at
-# 1000 rows and about 1250 at 4000: larger chunks hand their memory back to
-# the system after every chunk and fault it in again.
-_CHUNK_BYTES = 160 * 1024
+# Byte budgets of one float64 array in ``log_weight_matrix``: a (rows,
+# max(data_dim, hidden)) array of a chunk and a (rows, latent_dim) array of
+# a block. A chunk is a few dozen numpy operations, and a worker holds the
+# GIL between them, so a chunk must be long enough for the arithmetic, which
+# runs without the GIL, to dominate. On 2 cores, with blocks of the chunk's
+# budget, a 5000-draw call on 100 points took 0.51 s on one worker at any
+# budget from 160 to 512 KiB, and on two workers 0.54 s at 160 KiB, 0.40 s
+# at 256 KiB, 0.35 s at 320 KiB and 0.32 s at 512 KiB.
+# A chunk's few live arrays must also stay in the heap. glibc serves an
+# allocation above its mmap threshold (128 KiB at start) from fresh pages;
+# freeing one raises the threshold to its size and the heap's trim threshold
+# to twice that. A block's arrays are freed first, and at 1 MiB they lift
+# the trim threshold above a chunk's working set, so the heap keeps it:
+# evaluating 100 points at k_ref 5000 twice in a fresh process took 10-11 k
+# minor page faults, against 35-47 k with 320 KiB blocks, 17-23 k with
+# 512 KiB blocks, and 5 k with blocks and chunks of 160 KiB.
+_CHUNK_BYTES = 320 * 1024
+_BLOCK_BYTES = 1024 * 1024
 
 
 class VAEModel:
@@ -144,31 +161,66 @@ class VAEModel:
         and the encoder are built once. The latents, their log prior and
         log q are computed over blocks of draws, and the decoder and the
         likelihood over chunks of a block. A block holds at most
-        ``_CHUNK_BYTES`` in a float64 (rows, latent_dim) array, and a chunk at
-        most that in a (rows, max(data_dim, hidden)) array; either is one draw
-        when n rows are already more. Arrays that small are reused by the
-        allocator from chunk to chunk instead of being handed back to the
-        system and faulted in again.
+        ``_BLOCK_BYTES`` in a float64 (rows, latent_dim) array, and a chunk at
+        most ``_CHUNK_BYTES`` in a (rows, max(data_dim, hidden)) array; either
+        is one draw when n rows are already more. Chunk arrays are reused by
+        the allocator from chunk to chunk instead of being handed back to the
+        system and faulted in again. The blocks are dealt round-robin over
+        one worker per usable core (see ``_deal``); block and chunk bounds do
+        not depend on the worker count, and neither does the result.
         """
         x = np.asarray(x, dtype=float)
         eps = np.asarray(eps, dtype=float)
         k, n = eps.shape[:2]
         nodes = {name: ad.Node(value) for name, value in params.items()}
         reparam = GaussianReparam(*self.encode_nodes(nodes, x))
+        chunk_width = n * max(self.data_dim, self.hidden)
         out = np.empty((n, k))
-        for block in _draw_slices(k, n * self.latent_dim):
-            h = reparam.theta(eps[block])
-            prior = self.log_prior_rows(h).value
-            log_q = reparam.log_q(eps[block]).value
-            for chunk in _draw_slices(block.stop - block.start, n * max(self.data_dim, self.hidden)):
-                lik = self.log_lik_rows(nodes, ad.Node(h.value[chunk]), x).value
-                columns = slice(block.start + chunk.start, block.start + chunk.stop)
-                out[:, columns] = (lik + prior[chunk] - log_q[chunk]).T
+
+        def fill(blocks: list[slice]) -> None:
+            for block in blocks:
+                h = reparam.theta(eps[block])
+                prior = self.log_prior_rows(h).value
+                log_q = reparam.log_q(eps[block]).value
+                for chunk in _draw_slices(block.stop - block.start, chunk_width, _CHUNK_BYTES):
+                    lik = self.log_lik_rows(nodes, ad.Node(h.value[chunk]), x).value
+                    columns = slice(block.start + chunk.start, block.start + chunk.stop)
+                    out[:, columns] = (lik + prior[chunk] - log_q[chunk]).T
+
+        _deal(fill, _draw_slices(k, n * self.latent_dim, _BLOCK_BYTES))
         return out
 
 
-def _draw_slices(k: int, row_width: int) -> list[slice]:
+def _draw_slices(k: int, row_width: int, budget: int) -> list[slice]:
     """Consecutive slices of ``k`` draws whose float64 (rows, row_width)
-    arrays take at most ``_CHUNK_BYTES`` each, or one draw each."""
-    step = max(1, _CHUNK_BYTES // (8 * row_width))
+    arrays take at most ``budget`` bytes each, or one draw each."""
+    step = max(1, budget // (8 * row_width))
     return [slice(start, min(start + step, k)) for start in range(0, k, step)]
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _deal(fill, blocks: list[slice]) -> None:
+    """Run ``fill`` on the blocks dealt round-robin over min(cores, blocks)
+    workers. The calling thread is one worker; the others are threads of a
+    pool that lives for this call only, each running in a copy of the
+    caller's context, so the caller's ``np.errstate`` holds in every worker.
+    An exception in any worker is raised here once all workers have stopped."""
+    workers = min(_usable_cores(), len(blocks))
+    if workers <= 1:
+        fill(blocks)
+        return
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        futures = [
+            pool.submit(contextvars.copy_context().run, fill, blocks[i::workers])
+            for i in range(1, workers)
+        ]
+        fill(blocks[::workers])
+        for future in futures:
+            future.result()

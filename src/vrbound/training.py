@@ -24,7 +24,9 @@ Adam step, and records the estimate and log R averaged over weight sets.
 Held-out evaluation (``evaluate_vae``) needs no gradient: per repeat it
 draws the noise of all max(K, k_ref) samples at once and takes the (n, K)
 log weights from ``VAEModel.log_weight_matrix``, the model's value-only
-path, which encodes once and decodes in cache-sized chunks.
+path, which encodes once and decodes in cache-sized chunks, with its blocks
+of draws run on every usable core; the result is the same at any worker
+count.
 
 Randomness is organized in named streams derived from (seed, stream id,
 index), so shuffling, noise, and evaluation draws are reproducible

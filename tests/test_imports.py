@@ -1,6 +1,7 @@
 """Import hygiene: every name a package module imports is used in that
 module or listed in its ``__all__`` (no linter is needed to check this), and
-the CLI imports nothing that only the reference implementations use."""
+the CLI imports nothing that only the reference implementations use, and
+importing starts no thread."""
 
 import ast
 import os
@@ -53,3 +54,13 @@ def test_the_cli_does_not_import_scipy_stats():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_importing_starts_no_thread():
+    # log_weight_matrix's workers live for one call; none exists before it
+    code = "import threading, vrbound, vrbound.cli; print(threading.active_count())"
+    env = os.environ | {"PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert proc.stdout.strip() == "1"

@@ -1,6 +1,8 @@
 """Model families: conjugate regression, BNN, VAE, and dataset handling."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -480,13 +482,14 @@ class TestVae:
             )
 
     # (K, n, chunks): one draw's (n, latent_dim = 2) arrays take 16 n bytes
-    # and its (n, data_dim = 8) arrays 64 n, so 160 KiB hold blocks of 2048
-    # and chunks of 512 draws of 5 points. K = 4500 is two full blocks of
-    # four chunks and a partial block of one. At n = 3000 a chunk is one
-    # draw; a block is three.
-    @pytest.mark.parametrize("k, n, chunks", [(4500, 5, 9), (3, 3000, 3), (1, 5, 1)])
+    # and its (n, data_dim = 8) arrays 64 n, so 1 MiB holds blocks of 13107
+    # and 320 KiB chunks of 1024 draws of 5 points. K = 27214 is two full
+    # blocks of 13 chunks (the last of 819 draws) and a partial block of
+    # one. At n = 3000 a chunk is one draw; a block is 21.
+    @pytest.mark.parametrize("k, n, chunks", [(27214, 5, 27), (3, 3000, 3), (1, 5, 1)])
     def test_log_weight_matrix_equals_rows_bit_for_bit(self, monkeypatch, k, n, chunks):
-        assert vae_module._CHUNK_BYTES == 160 * 1024  # the cases are sized for it
+        # the cases are sized for these budgets
+        assert (vae_module._BLOCK_BYTES, vae_module._CHUNK_BYTES) == (1024 * 1024, 320 * 1024)
         rng = np.random.default_rng(7)
         vae = VAEModel(data_dim=8, latent_dim=2, hidden=4)
         params = vae.init_params(seed=5)
@@ -508,6 +511,91 @@ class TestVae:
     def test_bad_likelihood_rejected(self):
         with pytest.raises(ValueError, match="likelihood"):
             VAEModel(data_dim=4, likelihood="poisson")
+
+
+class TestLogWeightMatrixWorkers:
+    """``log_weight_matrix`` deals its blocks over min(cores, blocks) workers;
+    ``_usable_cores`` is patched to force a worker count."""
+
+    VAE = VAEModel(data_dim=8, latent_dim=2, hidden=4)
+
+    def _inputs(self, k, n):
+        rng = np.random.default_rng(11)
+        x = (rng.random((n, 8)) > 0.5).astype(float)
+        return self.VAE.init_params(seed=6), x, rng.standard_normal((k, n, 2))
+
+    # With the test_log_weight_matrix_equals_rows_bit_for_bit sizes: one
+    # block; two blocks, fewer than three workers; three blocks of one-draw
+    # chunks; three blocks of 13, 13 and one chunks.
+    @pytest.mark.parametrize("k, n, blocks", [(1, 5, 1), (20000, 5, 2), (43, 3000, 3), (27214, 5, 3)])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_equal_to_rows_at_any_worker_count(self, monkeypatch, workers, k, n, blocks):
+        monkeypatch.setattr(vae_module, "_usable_cores", lambda: workers)
+        threads = set()
+        # every worker waits for the others at its first chunk, so the pool
+        # cannot hand two shares to one thread
+        barrier = threading.Barrier(min(workers, blocks), timeout=30)
+        decode = VAEModel.decode_nodes
+
+        def recorded(self, nodes, h):
+            if threading.get_ident() not in threads:
+                threads.add(threading.get_ident())
+                barrier.wait()
+            return decode(self, nodes, h)
+
+        monkeypatch.setattr(VAEModel, "decode_nodes", recorded)
+        params, x, eps = self._inputs(k, n)
+        lw = self.VAE.log_weight_matrix(params, x, eps)
+        assert len(threads) == min(workers, blocks)
+        nodes = {name: ad.Node(value) for name, value in params.items()}
+        assert np.array_equal(lw, self.VAE.log_weight_rows(nodes, x, eps).value.T)
+
+    def test_more_workers_than_cores_under_frequent_switches(self, monkeypatch):
+        # eight workers share the output array; 54 blocks of 13 draws of 300
+        # points, each in chunks of 4 draws
+        monkeypatch.setattr(vae_module, "_usable_cores", lambda: 8)
+        monkeypatch.setattr(vae_module, "_BLOCK_BYTES", 64 * 1024)
+        monkeypatch.setattr(vae_module, "_CHUNK_BYTES", 80 * 1024)
+        params, x, eps = self._inputs(700, 300)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            lw = self.VAE.log_weight_matrix(params, x, eps)
+        finally:
+            sys.setswitchinterval(interval)
+        nodes = {name: ad.Node(value) for name, value in params.items()}
+        assert np.array_equal(lw, self.VAE.log_weight_rows(nodes, x, eps).value.T)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_an_exception_in_a_later_block_propagates(self, monkeypatch, workers):
+        monkeypatch.setattr(vae_module, "_usable_cores", lambda: workers)
+        params, x, eps = self._inputs(43, 3000)
+        eps[21, 0, 0] = 123.0  # the first draw of the second block
+        theta = vae_module.GaussianReparam.theta
+
+        def failing(self, block_eps):
+            if block_eps[0, 0, 0] == 123.0:
+                raise KeyError("second block")
+            return theta(self, block_eps)
+
+        monkeypatch.setattr(vae_module.GaussianReparam, "theta", failing)
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="second block"):
+            self.VAE.log_weight_matrix(params, x, eps)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_workers_keep_the_callers_errstate(self, monkeypatch, workers):
+        # exp(709) is finite, so only the second block's draws, dealt to the
+        # second worker when there are two, overflow h = mu + exp(rho) eps.
+        monkeypatch.setattr(vae_module, "_usable_cores", lambda: workers)
+        params, x, eps = self._inputs(43, 3000)
+        params["enc_w_rho"][:] = 0.0
+        params["enc_b_rho"][:] = 709.0
+        eps[:] = 0.0
+        eps[21:42] = 10.0
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            self.VAE.log_weight_matrix(params, x, eps)
 
 
 class TestDatasets:

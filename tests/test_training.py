@@ -268,6 +268,7 @@ class TestEvaluateVae:
         # One draw per block and chunk; blocks of 128 draws of 30 points in
         # chunks of 4; one block in chunks of 70.
         for budget in (1, 4 * 30 * 64 * 8, 70 * 30 * 64 * 8):
+            monkeypatch.setattr(vae_module, "_BLOCK_BYTES", budget)
             monkeypatch.setattr(vae_module, "_CHUNK_BYTES", budget)
             assert table() == default, budget
 
