@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .alpha import AlphaKind, classify_alpha
 from .gaussian import GaussianDist
@@ -55,6 +54,8 @@ def _check_same_dim(p: GaussianDist, q: GaussianDist) -> None:
 
 def gaussian_kl(p: GaussianDist, q: GaussianDist) -> float:
     """KL[p||q] between Gaussians, always finite for SPD covariances."""
+    from scipy.linalg import cho_factor, cho_solve
+
     _check_same_dim(p, q)
     d = p.dim
     cq = cho_factor(q.cov, lower=True)
@@ -119,6 +120,8 @@ def renyi_gaussian_terms(
     cov_p is (diag(M^-1) - 1 / diag(cov_p)) / 2. (+inf, None) where M is not
     positive definite.
     """
+    from scipy.linalg import eigh
+
     lam, vec = eigh(cov_p, cov_q)
     t = 1.0 - alpha
     # overflow here means an infinite divergence, which the value carries

@@ -26,11 +26,10 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import autodiff as ad
 from .alpha import AlphaKind, classify_alpha
-from .bounds import validate_log_weights
+from .bounds import _logsumexp, validate_log_weights
 
 __all__ = [
     "GaussianReparam",
@@ -53,7 +52,12 @@ def normalize_weights(log_w: np.ndarray, alpha: float, axis: int | None = None) 
     that axis is normalized; the result has the input's shape and each set
     is bit-identical to the vector call.
     """
-    log_w = validate_log_weights(log_w, axis)
+    probs = _normalize(validate_log_weights(log_w, axis), alpha)
+    return probs if axis is None else np.moveaxis(probs, -1, axis)
+
+
+def _normalize(log_w: np.ndarray, alpha: float) -> np.ndarray:
+    """``normalize_weights`` of each row of a checked, C-ordered (..., K) array."""
     k = log_w.shape[-1]
     kind = classify_alpha(alpha)
     if kind is AlphaKind.ONE:
@@ -64,16 +68,16 @@ def normalize_weights(log_w: np.ndarray, alpha: float, axis: int | None = None) 
         probs = _one_hot(np.argmin(log_w, axis=-1), k)
     else:
         scaled = (1.0 - float(alpha)) * log_w
-        # A zero-density sample raised to a negative power dominates its set.
-        hits = np.isposinf(scaled)
+        top = np.max(scaled, axis=-1, keepdims=True)
         with np.errstate(invalid="ignore"):
-            expw = np.exp(scaled - np.max(scaled, axis=-1, keepdims=True))
-            probs = np.where(
-                np.any(hits, axis=-1, keepdims=True),
-                hits / np.sum(hits, axis=-1, keepdims=True),
-                expw / np.sum(expw, axis=-1, keepdims=True),
-            )
-    return probs if axis is None else np.moveaxis(probs, -1, axis)
+            probs = np.exp(scaled - top)
+            probs /= np.sum(probs, axis=-1, keepdims=True)
+        # A zero-density sample raised to a negative power dominates its set.
+        hit = np.isposinf(top[..., 0])
+        if np.any(hit):
+            hits = np.isposinf(scaled[hit])
+            probs[hit] = hits / np.sum(hits, axis=-1, keepdims=True)
+    return probs
 
 
 def _one_hot(index: np.ndarray, k: int) -> np.ndarray:
@@ -93,19 +97,24 @@ def select_backprop_sample(
     cumulative weights as ``rng.choice`` does, so the indices and the
     generator state equal those of calling set by set.
     """
-    log_w = validate_log_weights(log_w, axis)
+    index = _select(validate_log_weights(log_w, axis), alpha, rng)
+    return int(index) if axis is None else index
+
+
+def _select(log_w: np.ndarray, alpha: float, rng: np.random.Generator) -> np.ndarray:
+    """``select_backprop_sample`` of each row of a checked, C-ordered (..., K) array."""
     kind = classify_alpha(alpha)
     if kind is AlphaKind.NEG_INF:
         index = np.argmax(log_w, axis=-1)
     elif kind is AlphaKind.POS_INF:
         index = np.argmin(log_w, axis=-1)
     else:
-        cdf = np.cumsum(normalize_weights(log_w, alpha, axis=-1), axis=-1)
+        cdf = np.cumsum(_normalize(log_w, alpha), axis=-1)
         cdf /= cdf[..., -1:]
         uniform = rng.random(log_w.shape[:-1])
         # searchsorted(cdf, uniform, side="right") on each non-decreasing row
         index = np.sum(cdf <= uniform[..., None], axis=-1)
-    return int(index) if axis is None else index
+    return index
 
 
 class GaussianReparam:
@@ -161,31 +170,51 @@ def vr_grad(
     non-finite gradient components raise ``FloatingPointError`` naming the
     sample; zero-density (-inf) samples are allowed.
     """
+    grads, log_w, _ = _vr_step(build_log_weights, params, noise, alpha, select_rng)
+    return grads, log_w
+
+
+def _vr_step(
+    build_log_weights: LogWeightBuilder,
+    params: dict[str, np.ndarray],
+    noise: np.ndarray,
+    alpha: float,
+    select_rng: np.random.Generator | None = None,
+    finite: bool = False,
+) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """``vr_grad``, also returning the log weights checked and moved to
+    C-ordered (..., K) rows, one per weight set. With ``finite`` a -inf log
+    weight raises ``FloatingPointError`` too, once the gradient has passed."""
     noise = np.asarray(noise, dtype=float)
     nodes = {name: ad.Node(np.asarray(value, dtype=float)) for name, value in params.items()}
     lw_node = build_log_weights(nodes, noise)
     log_w = lw_node.value
     if log_w.shape[:1] != noise.shape[:1]:
         raise ValueError(f"log weights {log_w.shape} must hold the {len(noise)} draws on axis 0")
-    bad = np.isnan(log_w) | np.isposinf(log_w)
-    if np.any(bad):
-        k, *rest = (int(i) for i in np.argwhere(bad)[0])
-        where = f" in weight set {tuple(rest)}" if rest else ""
-        raise FloatingPointError(f"log weight for sample {k}{where} is {log_w[(k, *rest)]}")
+    sets = np.ascontiguousarray(np.moveaxis(log_w, 0, -1))
+    all_finite = sets.shape[-1] > 0 and bool(np.all(np.isfinite(sets)))
+    if not all_finite:
+        bad = np.isnan(log_w) | np.isposinf(log_w)
+        if np.any(bad):
+            k, *rest = (int(i) for i in np.argwhere(bad)[0])
+            where = f" in weight set {tuple(rest)}" if rest else ""
+            raise FloatingPointError(f"log weight for sample {k}{where} is {log_w[(k, *rest)]}")
+        validate_log_weights(sets, -1)  # an empty or all -inf set
     if select_rng is None:
-        weights = normalize_weights(log_w, alpha, axis=0)
+        weights = _normalize(sets, alpha)
     else:
-        index = select_backprop_sample(log_w, alpha, select_rng, axis=0)
-        weights = np.moveaxis(_one_hot(index, log_w.shape[0]), -1, 0)
+        weights = _one_hot(_select(sets, alpha, select_rng), sets.shape[-1])
     n_sets = log_w.size // log_w.shape[0]
-    grads = ad.gradients(ad.vsum(lw_node * weights) * (1.0 / n_sets), nodes)
+    grads = ad.gradients(ad.vsum(lw_node * np.moveaxis(weights, -1, 0)) * (1.0 / n_sets), nodes)
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             suspects = np.unique(np.nonzero(~np.isfinite(log_w))[0]).tolist()
             raise FloatingPointError(
                 f"non-finite gradient for parameter '{name}' (suspect samples: {suspects})"
             )
-    return grads, log_w
+    if finite and not all_finite:
+        raise FloatingPointError("non-finite objective")
+    return grads, log_w, sets
 
 
 def finite_diff_check(
@@ -231,14 +260,17 @@ def log_weight_ratio(log_w: np.ndarray, axis: int | None = None):
     ``axis=None`` returns floats for one weight set; an integer ``axis``
     returns two arrays, one entry per weight set along that axis.
     """
-    log_w = validate_log_weights(log_w, axis)
-    k = log_w.shape[-1]
-    if k == 1:
-        log_r = np.full(log_w.shape[:-1], math.inf)
-    else:
-        top = np.expand_dims(np.argmax(log_w, axis=-1), -1)
-        rest = log_w[np.arange(k) != top].reshape(log_w.shape[:-1] + (k - 1,))
-        log_r = np.take_along_axis(log_w, top, axis=-1)[..., 0] - logsumexp(rest, axis=-1)
+    log_r = _log_ratio(validate_log_weights(log_w, axis))
     with np.errstate(over="ignore"):
         r = np.exp(log_r)
     return (float(log_r), float(r)) if axis is None else (log_r, r)
+
+
+def _log_ratio(log_w: np.ndarray) -> np.ndarray:
+    """log R of each row of a checked, C-ordered (..., K) array."""
+    k = log_w.shape[-1]
+    if k == 1:
+        return np.full(log_w.shape[:-1], math.inf)
+    top = np.expand_dims(np.argmax(log_w, axis=-1), -1)
+    rest = log_w[np.arange(k) != top].reshape(log_w.shape[:-1] + (k - 1,))
+    return np.max(log_w, axis=-1) - _logsumexp(rest)

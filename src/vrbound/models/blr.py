@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .. import autodiff as ad
 from ..alpha import AlphaKind, classify_alpha
@@ -206,6 +205,8 @@ def _inf_precisions(lam: np.ndarray):
     with gradient dim v^2 - 1 for the unit top eigenvector v. Returns d and
     the solver result.
     """
+    from scipy.optimize import minimize
+
     dim = lam.shape[0]
 
     def objective(r):
@@ -252,6 +253,8 @@ def blr_mean_field_fit(model: BLRModel, alpha: float) -> MeanFieldFitResult:
     the evidence whose supremum over q is +inf (approached at the boundary
     where the defining integral starts to diverge), so no maximizer exists.
     """
+    from scipy.optimize import minimize
+
     if model.dim > 3:
         raise ValueError("mean-field fit is desk-scale only (dim <= 3)")
     posterior, log_evidence = blr_exact_posterior(model)

@@ -18,8 +18,10 @@ only log w_j is back-propagated.
 
 The models differ only in their initial parameters, training rows, noise
 shape and log-weight builder. Every step draws the noise for all K draws,
-hands the builder to ``vr_grad`` (one graph, one backward pass), takes an
-Adam step, and records the estimate and log R averaged over weight sets.
+hands the builder to ``vr_grad`` (one graph, one backward pass, one check of
+the log weights), takes an Adam step, and records the estimate and log R
+averaged over weight sets, reduced from the checked weights without a second
+check.
 
 Held-out evaluation (``evaluate_vae``) needs no gradient: per repeat it
 draws the noise of all max(K, k_ref) samples at once and takes the (n, K)
@@ -43,9 +45,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .alpha import classify_alpha
-from .bounds import mc_vr_estimate
+from .bounds import _estimate, mc_vr_estimate
 from .gaussian import GaussianDist
-from .gradients import GaussianReparam, log_weight_ratio, vr_grad
+from .gradients import GaussianReparam, _log_ratio, _vr_step
 from .models.blr import BLRModel
 from .models.bnn import BNNModel
 from .models.data import Dataset
@@ -266,13 +268,13 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
             select_rng = None
             if config.single_backprop:
                 select_rng = np.random.default_rng([config.seed, _STREAM_SELECT, step])
+            # vr_grad allows zero-density (-inf) samples; a training step does not.
             try:
-                grads, log_w = vr_grad(build, params, noise, config.alpha, select_rng)
+                grads, _, sets = _vr_step(
+                    build, params, noise, config.alpha, select_rng, finite=True
+                )
             except FloatingPointError as exc:
                 raise TrainingDiverged(step, str(exc), params) from exc
-            # vr_grad allows zero-density (-inf) samples; a training step does not.
-            if not np.all(np.isfinite(log_w)):
-                raise TrainingDiverged(step, "non-finite objective", params)
             gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
             if not math.isfinite(gnorm):
                 raise TrainingDiverged(step, "non-finite gradient", params)
@@ -283,9 +285,9 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
 
             record.append(
                 step,
-                float(np.mean(mc_vr_estimate(log_w, config.alpha, axis=0))),
+                float(np.mean(_estimate(sets, config.alpha))),
                 gnorm,
-                float(np.mean(log_weight_ratio(log_w, axis=0)[0])),
+                float(np.mean(_log_ratio(sets))),
                 time.perf_counter() - start,
             )
             step += 1

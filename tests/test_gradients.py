@@ -298,6 +298,55 @@ class TestVrGradWeightSets:
             vr_grad(build, params, noise, 0.5)
 
 
+class TestVrGradChecks:
+    """What ``vr_grad`` accepts of the (K, sets) log weights: -inf entries;
+    NaN and +inf raise ``FloatingPointError``, checked before an all -inf set,
+    which raises ``ValueError``; a selecting step checks the same."""
+
+    NOISE = np.arange(1.0, 7.0).reshape(3, 2)
+
+    @staticmethod
+    def _grad(offsets, alpha=0.5, select=False):
+        def build(nodes, noise):
+            return nodes["mu"] * noise + offsets
+
+        rng = np.random.default_rng(0) if select else None
+        return vr_grad(build, {"mu": np.array(0.5)}, TestVrGradChecks.NOISE, alpha, rng)
+
+    # the weighted sum forms -inf * 0 for a zero-density sample below alpha = 1
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("select", [False, True], ids=["weighted", "selected"])
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_zero_density_samples_are_allowed(self, alpha, select):
+        offsets = np.array([[0.0, -math.inf], [-math.inf, 0.0], [1.0, 2.0]])
+        grads, log_w = self._grad(offsets, alpha, select)
+        assert np.array_equal(log_w, 0.5 * self.NOISE + offsets)
+        if select:
+            index = select_backprop_sample(log_w, alpha, np.random.default_rng(0), axis=0)
+            expected = np.mean(self.NOISE[index, [0, 1]])
+        else:
+            expected = np.sum(normalize_weights(log_w, alpha, axis=0) * self.NOISE) / 2
+        assert grads["mu"] == expected
+
+    @pytest.mark.parametrize("select", [False, True], ids=["weighted", "selected"])
+    @pytest.mark.parametrize(
+        ("bad", "shown"), [(math.nan, "nan"), (math.inf, "inf")], ids=["nan", "+inf"]
+    )
+    def test_nan_and_pos_inf_raise_floating_point_error(self, bad, shown, select):
+        offsets = np.zeros((3, 2))
+        offsets[1, 0] = bad
+        offsets[:, 1] = -math.inf  # an all -inf set as well: NaN and +inf come first
+        with pytest.raises(FloatingPointError, match=rf"sample 1 in weight set \(0,\) is {shown}$"):
+            self._grad(offsets, select=select)
+
+    @pytest.mark.parametrize("select", [False, True], ids=["weighted", "selected"])
+    def test_an_all_neg_inf_set_is_rejected(self, select):
+        offsets = np.zeros((3, 2))
+        offsets[:, 1] = -math.inf
+        with pytest.raises(ValueError, match="at least one log weight must be finite"):
+            self._grad(offsets, select=select)
+
+
 class TestGaussianReparam:
     def test_log_q_matches_gaussian_density(self):
         rng = np.random.default_rng(6)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy import stats
+from scipy import special, stats
 
 from vrbound import (
     AlphaKind,
@@ -32,6 +32,7 @@ from vrbound import (
     select_backprop_sample,
 )
 from vrbound import autodiff as ad
+from vrbound.bounds import _logsumexp
 from vrbound.gradients import log_weight_ratio
 from vrbound.io import load_params, save_params
 
@@ -137,6 +138,52 @@ def test_empty_weight_sets_raise():
     ):
         with pytest.raises(ValueError, match="non-empty"):
             call()
+
+
+# ----------------------------------------------------------------------
+# the log-sum-exp kernel against scipy's
+
+
+@st.composite
+def logsumexp_inputs(draw):
+    """(sets, K) arrays at one scale in [1e-3, 1e3], with -inf and +inf
+    entries, tied maxima and all -inf rows."""
+    n = draw(st.integers(1, 5))
+    # past 8 entries numpy's pairwise sum unrolls, past 128 it recurses
+    k = draw(st.one_of(st.integers(1, 8), st.integers(9, 200)))
+    scale = draw(st.one_of(st.sampled_from([1e-3, 1.0, 1e3]), st.floats(1e-3, 1e3)))
+    unit = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, -0.5, 0.0, 1.0]))
+    a = draw(hnp.arrays(np.float64, (n, k), elements=unit)) * scale
+    specials = st.tuples(
+        st.integers(0, n - 1), st.integers(0, k - 1), st.sampled_from([-math.inf, math.inf])
+    )
+    for i, j, value in draw(st.lists(specials, max_size=4)):
+        a[i, j] = value
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        a[i] = -math.inf
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, k - 1)), max_size=3)):
+        a[i, j] = np.max(a[i])
+    return a
+
+
+@settings(PROPERTY, max_examples=300)
+@given(logsumexp_inputs())
+def test_logsumexp_equals_scipy_bit_for_bit(a):
+    assert _logsumexp(a.copy()).tobytes() == special.logsumexp(a, axis=-1).tobytes()
+
+
+@pytest.mark.parametrize(
+    ("row", "expected"),
+    [
+        ([0.0, math.inf, -math.inf], math.inf),
+        ([-math.inf, -math.inf], -math.inf),
+        ([2.5, 2.5, 2.5, 2.5], 2.5 + math.log(4.0)),
+        ([-7.0], -7.0),
+    ],
+    ids=["one +inf", "all -inf", "all tied", "one entry"],
+)
+def test_logsumexp_edge_rows(row, expected):
+    assert _logsumexp(np.array([row, row])).tolist() == [expected, expected]
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from vrbound import (
     synthetic_regression,
     train,
 )
+from vrbound import training
 from vrbound.gradients import log_weight_ratio
 from vrbound.models import vae as vae_module
 from vrbound.models.bnn import BNNModel
@@ -177,6 +178,35 @@ class TestTrainBehavior:
             train(bnn, cfg, data)
         assert exc_info.value.step >= 0
         assert "mu" in exc_info.value.last_params
+        assert str(exc_info.value) == "step 1: log weight for sample 0 is nan"
+
+    @pytest.mark.parametrize(
+        ("bad", "message"),
+        [
+            (-math.inf, "step 2: non-finite objective"),
+            (math.nan, "step 2: log weight for sample 1 is nan"),
+            (math.inf, "step 2: log weight for sample 1 is inf"),
+        ],
+        ids=["-inf", "nan", "+inf"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_non_finite_log_weight_stops_the_run(self, monkeypatch, bad, message):
+        # vr_grad allows a -inf log weight; a training step does not
+        batch_builder = training._batch_builder
+        calls = []
+
+        def spoiled(*args):
+            draw_shape, build = batch_builder(*args)
+            calls.append(None)
+            offsets = np.zeros(3)
+            offsets[1] = bad if len(calls) == 3 else 0.0
+            return draw_shape, lambda nodes, noise: build(nodes, noise) + offsets
+
+        monkeypatch.setattr(training, "_batch_builder", spoiled)
+        cfg = TrainConfig(alpha=0.5, k=3, minibatch=5, steps=4, learning_rate=0.01, seed=2)
+        with pytest.raises(TrainingDiverged, match=rf"^{message}$") as exc_info:
+            train(synthetic_blr_instance(seed=1, n_data=10), cfg)
+        assert exc_info.value.step == 2
 
     def test_bnn_training_improves_objective(self):
         data = synthetic_regression(seed=3, n=60)
