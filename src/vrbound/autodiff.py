@@ -7,12 +7,15 @@ log densities summed over the last axis (Gaussian, and Bernoulli on logits
 as one fused node). Matrix products batch over leading axes as numpy's
 ``@`` does, so a model can evaluate K stacked parameter draws in one graph.
 Graphs are built functionally (fresh leaf nodes per evaluation); numbers
-and arrays enter operations as constants, which are not graph nodes and get
-no gradient. A single backward pass accumulates vector-Jacobian products in
-topological order, and broadcasting is undone by summing over the broadcast
-axes. A fused node may work in place on the buffers it allocates itself,
-but no operation changes the value of another node. There is deliberately
-no general graph compiler and no higher-order support.
+and arrays enter operations as constants, which get no gradient, and an
+operation with no node operand folds to a plain ndarray: a graph builder
+called on arrays gives its values without a tape, and ``value(x)`` reads a
+node or an array alike. A single backward pass from a seed (ones at a
+scalar root) accumulates vector-Jacobian products in topological order, and
+broadcasting is undone by summing over the broadcast axes. A fused node may
+work in place on the buffers it allocates itself, but no operation changes
+the value of another node. There is deliberately no general graph compiler
+and no higher-order support.
 
 Typical use::
 
@@ -30,7 +33,6 @@ import numpy as np
 
 __all__ = [
     "Node",
-    "as_node",
     "backward",
     "bernoulli_logpmf_rows",
     "dense",
@@ -42,6 +44,7 @@ __all__ = [
     "reshape",
     "slice1d",
     "tanh",
+    "value",
     "vsum",
 ]
 
@@ -97,11 +100,6 @@ class Node:
         return f"Node(shape={self.value.shape})"
 
 
-def as_node(x) -> Node:
-    """Wrap a constant; Nodes pass through unchanged."""
-    return x if isinstance(x, Node) else Node(x)
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
     grad = np.asarray(grad, dtype=float)
@@ -113,23 +111,25 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _value(x) -> np.ndarray:
+def value(x) -> np.ndarray:
+    """The float array of a node, or of a constant."""
     return x.value if isinstance(x, Node) else np.asarray(x, dtype=float)
 
 
-def _op(value, *edges) -> Node:
-    """A node over ``value`` whose parents are the operands that are nodes.
+def _op(out, *edges):
+    """A node over ``out`` whose parents are the operands that are nodes.
     Each edge is (operand, VJP); a constant operand (a number or an array)
-    gets none, so no gradient is ever computed for it."""
-    return Node(value, tuple(edge for edge in edges if isinstance(edge[0], Node)))
+    gets none. With no node operand, ``out`` comes back as a float array."""
+    parents = tuple(edge for edge in edges if isinstance(edge[0], Node))
+    return Node(out, parents) if parents else np.asarray(out, dtype=float)
 
 
 # ----------------------------------------------------------------------
 # primitive operations; every operand may be a node or a constant
 
 
-def add(a, b) -> Node:
-    va, vb = _value(a), _value(b)
+def add(a, b):
+    va, vb = value(a), value(b)
     return _op(
         va + vb,
         (a, lambda g: _unbroadcast(g, va.shape)),
@@ -137,8 +137,8 @@ def add(a, b) -> Node:
     )
 
 
-def sub(a, b) -> Node:
-    va, vb = _value(a), _value(b)
+def sub(a, b):
+    va, vb = value(a), value(b)
     return _op(
         va - vb,
         (a, lambda g: _unbroadcast(g, va.shape)),
@@ -146,8 +146,8 @@ def sub(a, b) -> Node:
     )
 
 
-def mul(a, b) -> Node:
-    va, vb = _value(a), _value(b)
+def mul(a, b):
+    va, vb = value(a), value(b)
     return _op(
         va * vb,
         (a, lambda g: _unbroadcast(g * vb, va.shape)),
@@ -155,8 +155,8 @@ def mul(a, b) -> Node:
     )
 
 
-def div(a, b) -> Node:
-    va, vb = _value(a), _value(b)
+def div(a, b):
+    va, vb = value(a), value(b)
     return _op(
         va / vb,
         (a, lambda g: _unbroadcast(g / vb, va.shape)),
@@ -191,9 +191,9 @@ def _matmul_vjps(va: np.ndarray, vb: np.ndarray):
     return vjp_a, vjp_b
 
 
-def matmul(a, b) -> Node:
+def matmul(a, b):
     """``a @ b`` with numpy semantics (see ``_matmul_vjps``)."""
-    va, vb = _value(a), _value(b)
+    va, vb = value(a), value(b)
     vjp_a, vjp_b = _matmul_vjps(va, vb)
     return _op(va @ vb, (a, vjp_a), (b, vjp_b))
 
@@ -201,7 +201,7 @@ def matmul(a, b) -> Node:
 _ACTIVATIONS = (None, "tanh", "relu")
 
 
-def dense(x, w, b, act: str | None = None) -> Node:
+def dense(x, w, b, act: str | None = None):
     """``act(x @ w + b)`` as one node: an affine layer and its activation.
 
     The product follows numpy's ``@`` and ``b`` broadcasts against it. The
@@ -213,7 +213,7 @@ def dense(x, w, b, act: str | None = None) -> Node:
     """
     if act not in _ACTIVATIONS:
         raise ValueError(f"act must be one of {_ACTIVATIONS}")
-    xv, wv, bv = _value(x), _value(w), _value(b)
+    xv, wv, bv = value(x), value(w), value(b)
     out = np.asarray(xv @ wv)
     product_shape = out.shape
     try:
@@ -254,54 +254,54 @@ def dense(x, w, b, act: str | None = None) -> Node:
     )
 
 
-def exp(a: Node) -> Node:
-    out = np.exp(a.value)
-    return Node(out, ((a, lambda g: g * out),))
+def exp(a):
+    out = np.exp(value(a))
+    return _op(out, (a, lambda g: g * out))
 
 
-def tanh(a: Node) -> Node:
-    out = np.tanh(a.value)
-    return Node(out, ((a, lambda g: g * (1.0 - out * out)),))
+def tanh(a):
+    out = np.tanh(value(a))
+    return _op(out, (a, lambda g: g * (1.0 - out * out)))
 
 
-def relu(a: Node) -> Node:
-    mask = a.value > 0.0
-    return Node(np.where(mask, a.value, 0.0), ((a, lambda g: g * mask),))
+def relu(a):
+    va = value(a)
+    mask = va > 0.0
+    return _op(np.where(mask, va, 0.0), (a, lambda g: g * mask))
 
 
-def vsum(a: Node, axis: int | None = None) -> Node:
-    out = np.sum(a.value, axis=axis)
+def vsum(a, axis: int | None = None):
+    va = value(a)
 
     def vjp(g):
         if axis is None:
-            return np.broadcast_to(g, a.value.shape).astype(float)
-        return np.broadcast_to(np.expand_dims(g, axis), a.value.shape).astype(float)
+            return np.broadcast_to(g, va.shape).astype(float)
+        return np.broadcast_to(np.expand_dims(g, axis), va.shape).astype(float)
 
-    return Node(out, ((a, vjp),))
-
-
-def reshape(a: Node, shape: tuple[int, ...]) -> Node:
-    return Node(a.value.reshape(shape), ((a, lambda g: np.asarray(g).reshape(a.value.shape)),))
+    return _op(np.sum(va, axis=axis), (a, vjp))
 
 
-def slice1d(a: Node, start: int, stop: int) -> Node:
+def reshape(a, shape: tuple[int, ...]):
+    return _op(value(a).reshape(shape), (a, lambda g: np.asarray(g).reshape(a.value.shape)))
+
+
+def slice1d(a, start: int, stop: int):
     """``a[..., start:stop]``: a slice of the last axis."""
-    if a.value.ndim < 1:
-        raise ValueError("slice1d expects a node with at least one axis")
+    va = value(a)
 
     def vjp(g):
-        out = np.zeros_like(a.value)
+        out = np.zeros_like(va)
         out[..., start:stop] = g
         return out
 
-    return Node(a.value[..., start:stop], ((a, vjp),))
+    return _op(va[..., start:stop], (a, vjp))
 
 
 # ----------------------------------------------------------------------
 # composite log densities
 
 
-def normal_logpdf_rows(x, mean, log_std) -> Node:
+def normal_logpdf_rows(x, mean, log_std):
     """Gaussian log density summed over the last axis.
 
     ``x`` and ``mean`` broadcast together, e.g. (n, d) observations against
@@ -310,17 +310,17 @@ def normal_logpdf_rows(x, mean, log_std) -> Node:
     array of two or more axes whose last axis holds one value per coordinate
     or a single value for the whole row (then counted d times).
     """
-    log_std = as_node(log_std)
-    shape = np.broadcast_shapes(_value(x).shape, _value(mean).shape)
+    shape = np.broadcast_shapes(value(x).shape, value(mean).shape)
     if not shape:
         raise ValueError("normal_logpdf_rows expects observations with a last axis")
     d = shape[-1]
     z = (x - mean) * exp(-log_std)
     quad = vsum(z * z, axis=-1) * (-0.5)
-    if log_std.value.ndim >= 2:
-        row_logdet = vsum(log_std, axis=-1) * (d / log_std.value.shape[-1])
+    scales = value(log_std)
+    if scales.ndim >= 2:
+        row_logdet = vsum(log_std, axis=-1) * (d / scales.shape[-1])
     else:
-        row_logdet = vsum(log_std) * (d / max(log_std.value.size, 1))
+        row_logdet = vsum(log_std) * (d / max(scales.size, 1))
     return quad - row_logdet - 0.5 * d * _LOG_2PI
 
 
@@ -329,7 +329,7 @@ _PROB_FLOOR = 1e-7
 _LOGIT_CAP = math.log1p(-_PROB_FLOOR) - math.log(_PROB_FLOOR)
 
 
-def bernoulli_logpmf_rows(logits: Node, targets: np.ndarray) -> Node:
+def bernoulli_logpmf_rows(logits, targets: np.ndarray):
     """Bernoulli log mass summed over the last axis, as one fused node.
 
     Per element this is x z - softplus(z) = x log p + (1 - x) log(1 - p)
@@ -339,7 +339,7 @@ def bernoulli_logpmf_rows(logits: Node, targets: np.ndarray) -> Node:
     keeps only the logits alive; the VJP recomputes z and exp(-|z|) from them.
     """
     targets = np.asarray(targets, dtype=float)
-    v = logits.value
+    v = value(logits)
     z = _clipped(v)
     # softplus(z) = log1p(exp(-|z|)) + max(z, 0), built in place
     softplus = np.abs(z)
@@ -360,7 +360,7 @@ def bernoulli_logpmf_rows(logits: Node, targets: np.ndarray) -> Node:
         inside = (v > -_LOGIT_CAP) & (v < _LOGIT_CAP)
         return _unbroadcast(np.expand_dims(g, -1) * (targets - p) * inside, v.shape)
 
-    return Node(np.sum(per_elem, axis=-1), ((logits, vjp),))
+    return _op(np.sum(per_elem, axis=-1), (logits, vjp))
 
 
 def _clipped(v: np.ndarray) -> np.ndarray:
@@ -393,8 +393,9 @@ def _topo_order(root: Node) -> list[Node]:
     return order
 
 
-def backward(root: Node) -> None:
-    """Populate ``.grad`` on every node reachable from the scalar ``root``.
+def backward(root: Node, seed=None) -> None:
+    """Populate ``.grad`` on every node reachable from ``root``, starting from
+    ``seed``, the gradient at the root (by default ones at a scalar root).
 
     The gradients stay on the nodes rather than in a dict local to
     ``gradients``: the trainer holds the previous step's graph, and with it
@@ -402,10 +403,13 @@ def backward(root: Node) -> None:
     into ``gradients``, which frees them at once, measured 17 -> about 300
     minor page faults per BNN step (K = 50) and 15-25% slower steps.
     """
-    if root.value.size != 1:
-        raise ValueError("backward expects a scalar root")
+    if seed is None and root.value.size != 1:
+        raise ValueError("backward expects a scalar root, or a seed")
+    seed = np.ones_like(root.value) if seed is None else np.asarray(seed, dtype=float)
+    if seed.shape != root.value.shape:
+        raise ValueError(f"seed shape {seed.shape} differs from the root's {root.value.shape}")
     order = _topo_order(root)
-    grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.value)}
+    grads: dict[int, np.ndarray] = {id(root): seed}
     for node in reversed(order):
         g = grads.get(id(node))
         if g is None:
@@ -420,9 +424,9 @@ def backward(root: Node) -> None:
                 grads[key] = contribution
 
 
-def gradients(root: Node, leaves: dict[str, Node]) -> dict[str, np.ndarray]:
-    """Backward pass returning the gradient for each named leaf."""
-    backward(root)
+def gradients(root: Node, leaves: dict[str, Node], seed=None) -> dict[str, np.ndarray]:
+    """Backward pass from ``seed`` (see ``backward``); each named leaf's gradient."""
+    backward(root, seed)
     out = {}
     for name, node in leaves.items():
         out[name] = np.zeros_like(node.value) if node.grad is None else node.grad

@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import io as vio
 from .alpha import parse_alpha
 from .bounds import bias_simulation, mc_vr_estimate
@@ -439,7 +438,7 @@ def _bnn_test_metrics(
     noise = math.exp(float(params["log_noise"][0]))
     thetas = mu + np.exp(rho) * rng.standard_normal((samples, mu.shape[0]))
     # one draw at a time: a batched call would hold samples x n x hidden floats
-    preds = np.stack([model.predict_node(ad.Node(theta), x_test).value for theta in thetas])
+    preds = np.stack([model.predict_node(theta, x_test) for theta in thetas])
     y_sd, y_mu = stats["y_std"], stats["y_mean"]
     preds_orig = preds * y_sd + y_mu
     rmse = float(np.sqrt(np.mean((preds_orig.mean(axis=0) - y_test) ** 2)))

@@ -120,7 +120,7 @@ def _select(log_w: np.ndarray, alpha: float, rng: np.random.Generator) -> np.nda
 class GaussianReparam:
     """Diagonal-Gaussian reparameterization theta = mu + exp(rho) * eps.
 
-    ``mu`` and ``rho`` are graph nodes (leaves, or encoder outputs). The
+    ``mu`` and ``rho`` are nodes (leaves, or encoder outputs) or arrays. The
     noise ``eps`` has their shape, or an extra leading axis of K draws. The
     variational log density evaluated at theta = g(eps) simplifies to
     -sum(rho) - ||eps||^2 / 2 - d/2 log(2 pi) over the last axis, which is
@@ -128,14 +128,14 @@ class GaussianReparam:
     """
 
     def __init__(self, mu: ad.Node, rho: ad.Node):
-        if mu.value.shape != rho.value.shape:
+        if ad.value(mu).shape != ad.value(rho).shape:
             raise ValueError("mu and rho must have the same shape")
         self.mu = mu
         self.rho = rho
 
     def theta(self, eps: np.ndarray) -> ad.Node:
         eps = np.asarray(eps, dtype=float)
-        shape = self.mu.value.shape
+        shape = ad.value(self.mu).shape
         if eps.shape not in (shape, eps.shape[:1] + shape):
             raise ValueError(f"eps must have shape {shape}, or (K, *{shape})")
         return self.mu + ad.exp(self.rho) * eps
@@ -205,7 +205,9 @@ def _vr_step(
     else:
         weights = _one_hot(_select(sets, alpha, select_rng), sets.shape[-1])
     n_sets = log_w.size // log_w.shape[0]
-    grads = ad.gradients(ad.vsum(lw_node * np.moveaxis(weights, -1, 0)) * (1.0 / n_sets), nodes)
+    # Seeded at the log weights: their weighted sum, the root it stands for,
+    # is NaN where a zero weight meets a -inf log weight.
+    grads = ad.gradients(lw_node, nodes, np.moveaxis(weights, -1, 0) * (1.0 / n_sets))
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             suspects = np.unique(np.nonzero(~np.isfinite(log_w))[0]).tolist()

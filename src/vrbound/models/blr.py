@@ -88,10 +88,6 @@ class BLRModel:
     def log_joint(self, theta: np.ndarray) -> float:
         return self.log_prior(theta) + self.log_lik(theta)
 
-    def grad_log_joint(self, theta: np.ndarray) -> np.ndarray:
-        resid = self.targets - self.design @ theta
-        return -theta + self.design.T @ resid / self.noise_std**2
-
     # ------------------------------------------------------------------
     # tape-facing builders (used by the reparameterized gradient engine);
     # theta is one weight vector (dim,) or K stacked draws (K, dim), and the

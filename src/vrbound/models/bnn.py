@@ -36,7 +36,7 @@ class BNNModel:
     def _split(self, theta: ad.Node):
         """W1 (..., d, h), b1 (..., 1, h), w2 (..., h, 1), b2 (..., 1)."""
         d, h = self.in_dim, self.hidden
-        lead = theta.value.shape[:-1]
+        lead = ad.value(theta).shape[:-1]
         ofs = 0
         w1 = ad.reshape(ad.slice1d(theta, ofs, ofs + d * h), lead + (d, h))
         ofs += d * h
@@ -53,7 +53,7 @@ class BNNModel:
         w1, b1, w2, b2 = self._split(theta)
         hidden = ad.dense(x, w1, b1, "relu")
         out = ad.matmul(hidden, w2)
-        return ad.reshape(out, out.value.shape[:-1]) + b2
+        return ad.reshape(out, ad.value(out).shape[:-1]) + b2
 
     def log_prior_node(self, theta: ad.Node) -> ad.Node:
         return ad.vsum(theta * theta, axis=-1) * (-0.5) + (-0.5 * self.n_weights * _LOG_2PI)

@@ -5,9 +5,10 @@ q(h|x) = N(mu(x), diag(exp(2 rho(x)))). Decoder: h -> tanh layer -> logits
 (Bernoulli likelihood) or means (Gaussian likelihood with a learnable log
 scale). The latent prior is the standard normal. Parameters live in a flat
 dict of named arrays so the trainer can move them through Adam generically;
-the graph builders accept the matching dict of leaf nodes. Noise may carry a
-leading axis of K draws, which the builders carry through to their outputs,
-so K log weights per datapoint come from one graph with one encoder pass.
+the graph builders accept the matching dict of leaf nodes, or the arrays
+themselves for a value without a tape. Noise may carry a leading axis of K
+draws, which the builders carry through to their outputs, so K log weights
+per datapoint come from one graph with one encoder pass.
 Each of the five affine layers is one fused ``ad.dense`` node.
 
 ``log_weight_matrix`` is the value-only path of held-out evaluation, where K
@@ -156,11 +157,11 @@ class VAEModel:
     ) -> np.ndarray:
         """Log weights for eps of shape (K, n, latent_dim); returns (n, K).
 
-        Equal bit for bit to ``log_weight_rows(...).value.T``, computed with
-        the same operations on slices of the draw axis. The parameter leaves
-        and the encoder are built once. The latents, their log prior and
-        log q are computed over blocks of draws, and the decoder and the
-        likelihood over chunks of a block. A block holds at most
+        Equal bit for bit to ``log_weight_rows(params, x, eps).T``: the same
+        builders, on arrays and so without a tape, on slices of the draw axis.
+        The encoder runs once. The latents, their log prior and log q are
+        computed over blocks of draws, and the decoder and the likelihood
+        over chunks of a block. A block holds at most
         ``_BLOCK_BYTES`` in a float64 (rows, latent_dim) array, and a chunk at
         most ``_CHUNK_BYTES`` in a (rows, max(data_dim, hidden)) array; either
         is one draw when n rows are already more. Chunk arrays are reused by
@@ -172,18 +173,17 @@ class VAEModel:
         x = np.asarray(x, dtype=float)
         eps = np.asarray(eps, dtype=float)
         k, n = eps.shape[:2]
-        nodes = {name: ad.Node(value) for name, value in params.items()}
-        reparam = GaussianReparam(*self.encode_nodes(nodes, x))
+        reparam = GaussianReparam(*self.encode_nodes(params, x))
         chunk_width = n * max(self.data_dim, self.hidden)
         out = np.empty((n, k))
 
         def fill(blocks: list[slice]) -> None:
             for block in blocks:
                 h = reparam.theta(eps[block])
-                prior = self.log_prior_rows(h).value
-                log_q = reparam.log_q(eps[block]).value
+                prior = self.log_prior_rows(h)
+                log_q = reparam.log_q(eps[block])
                 for chunk in _draw_slices(block.stop - block.start, chunk_width, _CHUNK_BYTES):
-                    lik = self.log_lik_rows(nodes, ad.Node(h.value[chunk]), x).value
+                    lik = self.log_lik_rows(params, h[chunk], x)
                     columns = slice(block.start + chunk.start, block.start + chunk.stop)
                     out[:, columns] = (lik + prior[chunk] - log_q[chunk]).T
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .alpha import classify_alpha
-from .bounds import _estimate, mc_vr_estimate
+from .bounds import _estimate, mc_vr_estimate, validate_log_weights
 from .gaussian import GaussianDist
 from .gradients import GaussianReparam, _log_ratio, _vr_step
 from .models.blr import BLRModel
@@ -226,15 +226,11 @@ def energy_approx_objective(
         if x is None or y is None:
             raise ValueError("BNN objective needs x and y arrays")
         x, y = np.asarray(x), np.asarray(y)
-    nodes = {
-        "mu": ad.Node(q.mean),
-        "rho": ad.Node(0.5 * np.log(q.variances)),
-        "log_noise": ad.Node(np.array([log_noise])),
-    }
+    params = {"mu": q.mean, "rho": 0.5 * np.log(q.variances), "log_noise": np.array([log_noise])}
     log_w = _posterior_log_weights(
-        model, nodes, np.asarray(noise, dtype=float), batch_idx, n_total, x, y
+        model, params, np.asarray(noise, dtype=float), batch_idx, n_total, x, y
     )
-    return mc_vr_estimate(log_w.value, alpha)
+    return mc_vr_estimate(log_w, alpha)
 
 
 # ----------------------------------------------------------------------
@@ -368,8 +364,8 @@ def evaluate_vae(
     """Held-out bound table with gaps against the alpha = 0 reference.
 
     For every repeat, one block of max(K, k_ref) log weights per datapoint is
-    drawn and shared by every (alpha, K) cell and the reference estimate at
-    (0, k_ref) (common random numbers). Sharing makes the gap at
+    drawn and shared by every (alpha, K) cell and the reference, the cell
+    (0, k_ref), shown or not (common random numbers). Sharing makes the gap at
     (alpha=0, K=k_ref) identically zero and sharpens every comparison.
     Rows report means over datapoints and repeats, with standard errors over
     the per-datapoint averages.
@@ -385,15 +381,18 @@ def evaluate_vae(
     per_point: dict[tuple[float, int], np.ndarray] = {
         (float(a), int(k)): np.zeros((repeats, n)) for a in alphas for k in ks
     }
-    refs = np.zeros((repeats, n))
+    refs = per_point.setdefault((0.0, int(k_ref)), np.zeros((repeats, n)))
 
     for r in range(repeats):
         rng = np.random.default_rng([seed, _STREAM_EVAL, r])
         # the draws are freed before the estimates' temporaries are made
         lw = model.log_weight_matrix(params, x, rng.standard_normal((k_block, n, model.latent_dim)))
-        refs[r] = mc_vr_estimate(lw[:, :k_ref], 0.0, axis=1)
-        for (a, k), store in per_point.items():
-            store[r] = mc_vr_estimate(lw[:, :k], a, axis=1)
+        # each prefix of draws is checked once, then estimated at every order
+        for k in {k for _, k in per_point}:
+            sets = validate_log_weights(lw[:, :k], 1)
+            for (a, cell_k), store in per_point.items():
+                if cell_k == k:
+                    store[r] = _estimate(sets, a)
 
     rows = []
     for a in alphas:

@@ -143,6 +143,14 @@ class TestPrimitives:
         with pytest.raises(ValueError, match="scalar"):
             ad.backward(x + 1.0)
 
+    def test_seed_is_the_gradient_at_the_root(self):
+        x = ad.Node(np.array([1.0, 2.0, 3.0]))
+        grads = ad.gradients(x * 2.0, {"x": x}, np.array([1.0, -1.0, 0.5]))
+        assert np.array_equal(grads["x"], [2.0, -2.0, 1.0])
+        for seed in (np.ones(2), np.ones((3, 1)), 1.0):
+            with pytest.raises(ValueError, match="seed shape"):
+                ad.gradients(x * 2.0, {"x": x}, seed)
+
     def test_unreached_leaf_gets_zero(self):
         x = ad.Node(np.array(1.0))
         z = ad.Node(np.array(5.0))
@@ -304,6 +312,34 @@ class TestDense:
         np.testing.assert_allclose(node.value, np.tanh(2.0))
         for combined in (w * 2.0, 2.0 - w, w / np.ones(3), ad.matmul(np.ones((4, 2)), w)):
             assert [parent for parent, _ in combined.parents] == [w]
+        # with no node operand an op folds: a plain array with the node's bits
+        rng = np.random.default_rng(22)
+        x, y = rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5))
+        bias, scale = rng.standard_normal(5), rng.standard_normal(4)
+        targets = (rng.random((2, 3, 4)) > 0.5).astype(float)
+        folds = [
+            (ad.add, x, scale),
+            (ad.sub, x, scale),
+            (ad.mul, x, scale),
+            (ad.div, x, scale),
+            (ad.matmul, x, y),
+            (lambda u, v, c: ad.dense(u, v, c, "tanh"), x, y, bias),
+            (lambda u, v, c: ad.dense(u, v, c, "relu"), x, y, bias),
+            (ad.exp, x),
+            (ad.tanh, x),
+            (ad.relu, x),
+            (ad.vsum, x),
+            (lambda u: ad.vsum(u, axis=-1), x),
+            (lambda u: ad.reshape(u, (6, 4)), x),
+            (lambda u: ad.slice1d(u, 1, 3), x),
+            (ad.normal_logpdf_rows, x, scale, scale),
+            (lambda u: ad.bernoulli_logpmf_rows(u, targets), x),
+        ]
+        for op, *args in folds:
+            folded, node = op(*args), op(*map(ad.Node, args))
+            assert type(folded) is np.ndarray
+            assert folded.shape == node.value.shape
+            assert folded.tobytes() == node.value.tobytes()
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError, match="act"):

@@ -288,7 +288,6 @@ class TestVrGradWeightSets:
         with pytest.raises(ValueError, match="4 draws on axis 0"):
             vr_grad(lambda nodes, noise: build(nodes, noise[0]), params, eps, 0.5)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_log_weight_reports_sample_and_set(self):
         model, params, x, eps, build = _vae_problem()
         noise = eps.copy()
@@ -313,8 +312,6 @@ class TestVrGradChecks:
         rng = np.random.default_rng(0) if select else None
         return vr_grad(build, {"mu": np.array(0.5)}, TestVrGradChecks.NOISE, alpha, rng)
 
-    # the weighted sum forms -inf * 0 for a zero-density sample below alpha = 1
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("select", [False, True], ids=["weighted", "selected"])
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     def test_zero_density_samples_are_allowed(self, alpha, select):

@@ -189,7 +189,6 @@ class TestTrainBehavior:
         ],
         ids=["-inf", "nan", "+inf"],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_non_finite_log_weight_stops_the_run(self, monkeypatch, bad, message):
         # vr_grad allows a -inf log weight; a training step does not
         batch_builder = training._batch_builder
@@ -335,6 +334,43 @@ def test_evaluation_does_not_churn_page_faults():
     )
     assert done.returncode == 0, done.stderr
     assert int(done.stdout.strip()) < 50_000
+
+
+def test_value_paths_build_no_tape_node(monkeypatch):
+    # held-out log weights, the energy objective and the BNN test metrics
+    # call the model builders on arrays, which fold to arrays
+    from vrbound import autodiff as ad
+    from vrbound.cli import _bnn_test_metrics
+
+    built = []
+    init = ad.Node.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Node, "__init__", counted)
+    rng = np.random.default_rng(17)
+    x = (rng.random((5, 8)) > 0.5).astype(float)
+    for likelihood in ("bernoulli", "gaussian"):
+        vae = VAEModel(data_dim=8, latent_dim=2, hidden=4, likelihood=likelihood)
+        vae.log_weight_matrix(vae.init_params(seed=0), x, rng.standard_normal((7, 5, 2)))
+    blr = synthetic_blr_instance(seed=0, n_data=10)
+    q = GaussianDist.diagonal([0.1, -0.2], [0.3, 0.4])
+    energy_approx_objective(blr, q, np.arange(4), 10, 0.5, rng.standard_normal((3, 2)))
+    data = synthetic_regression(seed=0, n=40)
+    std_data, stats = data.standardized()
+    bnn = BNNModel(in_dim=1, hidden=4)
+    params = bnn.init_variational(seed=0)
+    q = GaussianDist.diagonal(params["mu"], np.exp(2.0 * params["rho"]))
+    energy_approx_objective(
+        bnn, q, np.arange(8), 40, 0.5, rng.standard_normal((3, bnn.n_weights)),
+        x=std_data.train_features, y=std_data.train_targets,
+    )
+    _bnn_test_metrics(bnn, params, data, stats, seed=0, samples=5)
+    assert built == []
+    ad.exp(ad.Node(np.zeros(2)))  # the counter does see the tape
+    assert len(built) == 2
 
 
 class TestWeightDiagnostics:
