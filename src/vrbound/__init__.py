@@ -42,8 +42,8 @@ from .training import (
     RunRecord,
     TrainConfig,
     TrainingDiverged,
-    energy_approx_objective,
     evaluate_vae,
+    posterior_log_weights,
     train,
 )
 
@@ -65,7 +65,6 @@ __all__ = [
     "blr_exact_posterior",
     "blr_mean_field_fit",
     "classify_alpha",
-    "energy_approx_objective",
     "evaluate_vae",
     "exact_vr_bound_blr",
     "finite_diff_check",
@@ -73,6 +72,7 @@ __all__ = [
     "mc_vr_estimate",
     "normalize_weights",
     "parse_alpha",
+    "posterior_log_weights",
     "quadrature_oracle",
     "renyi_gaussian",
     "select_backprop_sample",

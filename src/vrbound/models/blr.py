@@ -70,42 +70,23 @@ class BLRModel:
     def with_noise(self, noise_std: float) -> "BLRModel":
         return BLRModel(self.design, self.targets, noise_std)
 
-    # ------------------------------------------------------------------
-    # plain-numpy joint density
-
-    def log_prior(self, theta: np.ndarray) -> float:
-        theta = np.asarray(theta, dtype=float)
-        return float(-0.5 * theta @ theta - 0.5 * self.dim * _LOG_2PI)
-
-    def log_lik(self, theta: np.ndarray, idx: np.ndarray | None = None) -> float:
-        """Summed Gaussian log likelihood of the rows in ``idx`` (all by default)."""
-        x = self.design if idx is None else self.design[idx]
-        y = self.targets if idx is None else self.targets[idx]
-        resid = y - x @ theta
-        s2 = self.noise_std**2
-        return float(-0.5 * np.sum(resid**2) / s2 - 0.5 * x.shape[0] * (_LOG_2PI + math.log(s2)))
-
-    def log_joint(self, theta: np.ndarray) -> float:
-        return self.log_prior(theta) + self.log_lik(theta)
+    def init_params(self, seed: int = 0) -> dict[str, np.ndarray]:
+        """Initial mean-field parameters: mu 0 and rho log 0.1 (the seed is unused)."""
+        return {"mu": np.zeros(self.dim), "rho": np.full(self.dim, math.log(0.1))}
 
     # ------------------------------------------------------------------
-    # tape-facing builders (used by the reparameterized gradient engine);
-    # theta is one weight vector (dim,) or K stacked draws (K, dim), and the
-    # result has one value per draw
+    # log-density builders: theta is one weight vector (dim,) or K stacked
+    # draws (K, dim), a tape node or an array; one value per draw
 
     def log_prior_node(self, theta: ad.Node) -> ad.Node:
         return ad.vsum(theta * theta, axis=-1) * (-0.5) + (-0.5 * self.dim * _LOG_2PI)
 
-    def log_lik_node(self, theta: ad.Node, idx: np.ndarray | None = None) -> ad.Node:
-        x = self.design if idx is None else self.design[idx]
-        y = self.targets if idx is None else self.targets[idx]
+    def log_lik_node(self, theta: ad.Node, params: dict, x: np.ndarray, y: np.ndarray) -> ad.Node:
+        """Summed Gaussian log likelihood of targets y at rows x (``params`` unused)."""
         s2 = self.noise_std**2
         resid = y - ad.matmul(theta, x.T)
         const = -0.5 * x.shape[0] * (_LOG_2PI + math.log(s2))
         return ad.vsum(resid * resid, axis=-1) * (-0.5 / s2) + const
-
-    def log_joint_node(self, theta: ad.Node) -> ad.Node:
-        return self.log_prior_node(theta) + self.log_lik_node(theta)
 
 
 # ----------------------------------------------------------------------

@@ -58,23 +58,13 @@ class BNNModel:
     def log_prior_node(self, theta: ad.Node) -> ad.Node:
         return ad.vsum(theta * theta, axis=-1) * (-0.5) + (-0.5 * self.n_weights * _LOG_2PI)
 
-    def log_lik_node(
-        self,
-        theta: ad.Node,
-        log_noise: ad.Node,
-        x: np.ndarray,
-        y: np.ndarray,
-    ) -> ad.Node:
-        """Summed Gaussian log likelihood of targets y at inputs x, per draw."""
+    def log_lik_node(self, theta: ad.Node, params: dict, x: np.ndarray, y: np.ndarray) -> ad.Node:
+        """Summed Gaussian log likelihood of targets y at inputs x, per draw,
+        with noise scale exp(params["log_noise"])."""
         preds = self.predict_node(theta, x)
-        return ad.normal_logpdf_rows(np.asarray(y, dtype=float), preds, log_noise)
+        return ad.normal_logpdf_rows(np.asarray(y, dtype=float), preds, params["log_noise"])
 
-    def log_joint_node(
-        self, theta: ad.Node, log_noise: ad.Node, x: np.ndarray, y: np.ndarray
-    ) -> ad.Node:
-        return self.log_prior_node(theta) + self.log_lik_node(theta, log_noise, x, y)
-
-    def init_variational(self, seed: int = 0):
+    def init_params(self, seed: int = 0) -> dict[str, np.ndarray]:
         """Initial mean-field parameters {mu, rho} plus {log_noise}."""
         rng = np.random.default_rng([int(seed), 0])
         mu = 0.1 * rng.standard_normal(self.n_weights)

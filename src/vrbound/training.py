@@ -2,11 +2,12 @@
 
 Two training regimes share one loop:
 
-* posterior inference (linear regression surrogate, BNN): the objective is
+* posterior inference (Bayesian linear regression, BNN): the objective is
   the mini-batch energy approximation, the K-sample bound estimate applied to
   log w = log p0(theta) + (N/M) * sum_{x in S} log p(x|theta) - log q(theta),
   which coincides with the full-data estimate when the batch is the whole
-  dataset;
+  dataset. ``posterior_log_weights`` forms them from ``log_prior_node(theta)``
+  and ``log_lik_node(theta, params, x, y)``, the builders BLR and BNN share;
 * maximum likelihood for latent-variable models (VAE): the per-datapoint
   K-sample bound, averaged over the mini-batch, with each datapoint getting
   its own noise draws.
@@ -16,12 +17,12 @@ weighted gradient, one sample j is selected per weight set (categorically for
 finite alpha, argmax of the log weights at alpha = -inf, argmin at +inf) and
 only log w_j is back-propagated.
 
-The models differ only in their initial parameters, training rows, noise
-shape and log-weight builder. Every step draws the noise for all K draws,
-hands the builder to ``vr_grad`` (one graph, one backward pass, one check of
-the log weights), takes an Adam step, and records the estimate and log R
-averaged over weight sets, reduced from the checked weights without a second
-check.
+The models differ only in their initial parameters (``init_params(seed)``),
+training rows, noise shape and log-weight builder. Every step draws the noise
+for all K draws, hands the builder to ``vr_grad`` (one graph, one backward
+pass, one check of the log weights), takes an Adam step, and records the
+estimate and log R averaged over weight sets, reduced from the checked
+weights without a second check.
 
 Held-out evaluation (``evaluate_vae``) needs no gradient: per repeat it
 draws the noise of all max(K, k_ref) samples at once and takes the (n, K)
@@ -43,10 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .alpha import classify_alpha
 from .bounds import _estimate, mc_vr_estimate, validate_log_weights
-from .gaussian import GaussianDist
 from .gradients import GaussianReparam, _log_ratio, _vr_step
 from .models.blr import BLRModel
 from .models.bnn import BNNModel
@@ -59,8 +58,9 @@ __all__ = [
     "RunRecord",
     "TrainConfig",
     "TrainingDiverged",
-    "energy_approx_objective",
     "evaluate_vae",
+    "mc_vr_estimate",
+    "posterior_log_weights",
     "train",
 ]
 
@@ -70,6 +70,9 @@ _STREAM_SHUFFLE = 1
 _STREAM_NOISE = 2
 _STREAM_SELECT = 3
 _STREAM_EVAL = 4
+
+# The largest log R whose exp is a finite float.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class TrainingDiverged(RuntimeError):
@@ -102,8 +105,12 @@ class TrainConfig:
             raise ValueError("minibatch must be at least 1")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ValueError("adam_eps must be positive")
         if self.eval_k < self.k:
             raise ValueError("eval_k must be at least k")
         classify_alpha(self.alpha)
@@ -135,7 +142,7 @@ class RunRecord:
                 "objective": o,
                 "grad_norm": g,
                 "log_weight_ratio": r,
-                "weight_ratio": math.exp(r) if r < 700 else math.inf,
+                "weight_ratio": math.exp(r) if r <= _LOG_FLOAT_MAX else math.inf,
                 "wall_time": w,
             }
             for s, o, g, r, w in zip(
@@ -145,7 +152,8 @@ class RunRecord:
 
 
 class Adam:
-    """Adam with bias correction; a zero gradient leaves parameters fixed."""
+    """Adam with bias correction. Zero gradients from the start leave the
+    parameters fixed; after a nonzero one, momentum moves them on."""
 
     def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -179,58 +187,16 @@ class Adam:
 # energy approximation (posterior inference objective)
 
 
-def _posterior_log_weights(
-    model: BLRModel | BNNModel,
-    nodes: dict[str, ad.Node],
-    noise: np.ndarray,
-    batch_idx: np.ndarray,
-    n_total: int,
-    x: np.ndarray,
-    y: np.ndarray,
-) -> ad.Node:
-    """Scaled-likelihood log weights for the K draws in ``noise``, shape (K,)."""
-    reparam = GaussianReparam(nodes["mu"], nodes["rho"])
+def posterior_log_weights(model, params, x, y, noise, scale):
+    """log p0(theta) + scale * log p(y | x, theta) - log q(theta) for the K
+    draws in ``noise`` (K, dim), shape (K,): the energy log weights of batch
+    rows (x, y) at scale N/M. ``params`` (q's mu and rho, BNN's log_noise) are
+    all tape nodes or all arrays; on arrays the result is an array, whose
+    bound estimate is ``mc_vr_estimate(log_w, alpha)``."""
+    reparam = GaussianReparam(params["mu"], params["rho"])
     theta = reparam.theta(noise)
-    if isinstance(model, BLRModel):
-        log_lik = model.log_lik_node(theta, batch_idx)
-    else:
-        log_lik = model.log_lik_node(theta, nodes["log_noise"], x[batch_idx], y[batch_idx])
-    scale = float(n_total) / batch_idx.shape[0]
+    log_lik = model.log_lik_node(theta, params, x, y)
     return model.log_prior_node(theta) + log_lik * scale - reparam.log_q(noise)
-
-
-def energy_approx_objective(
-    model: BLRModel | BNNModel,
-    q: GaussianDist,
-    batch_idx: np.ndarray,
-    n_total: int,
-    alpha: float,
-    noise: np.ndarray,
-    *,
-    x: np.ndarray | None = None,
-    y: np.ndarray | None = None,
-    log_noise: float = 0.0,
-) -> float:
-    """Mini-batch bound estimate with the likelihood scaled by N/M.
-
-    ``noise`` holds the K standard-normal draws (K, dim). With the batch
-    equal to the full dataset this is exactly the full-data estimate for the
-    same noise.
-    """
-    batch_idx = np.asarray(batch_idx, dtype=int)
-    if batch_idx.size == 0:
-        raise ValueError("batch must be non-empty")
-    if not q.is_diagonal:
-        raise ValueError("energy approximation expects a diagonal q")
-    if isinstance(model, BNNModel):
-        if x is None or y is None:
-            raise ValueError("BNN objective needs x and y arrays")
-        x, y = np.asarray(x), np.asarray(y)
-    params = {"mu": q.mean, "rho": 0.5 * np.log(q.variances), "log_noise": np.array([log_noise])}
-    log_w = _posterior_log_weights(
-        model, params, np.asarray(noise, dtype=float), batch_idx, n_total, x, y
-    )
-    return mc_vr_estimate(log_w, alpha)
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +224,7 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
         for batch_idx in _epoch_batches(n, m, config.seed, epoch):
             if step >= config.steps:
                 break
-            draw_shape, build = _batch_builder(model, x, y, batch_idx, held)
+            draw_shape, build = _batch_builder(model, params, x, y, batch_idx, held)
             noise_rng = np.random.default_rng([config.seed, _STREAM_NOISE, step])
             noise = noise_rng.standard_normal((config.k, *draw_shape))
             select_rng = None
@@ -293,22 +259,23 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
 
 def _initial_state(model, config: TrainConfig, dataset: Dataset | None):
     """Initial parameters and training rows (x, y) of a model; y is None for
-    the VAE."""
+    a dataset without targets."""
     if isinstance(model, BLRModel):
-        params = {"mu": np.zeros(model.dim), "rho": np.full(model.dim, math.log(0.1))}
-        return params, model.design, model.targets
-    if not isinstance(model, (BNNModel, VAEModel)):
+        x, y = model.design, model.targets
+    elif not isinstance(model, (BNNModel, VAEModel)):
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    if dataset is None:
+    elif dataset is None:
         raise ValueError(f"{type(model).__name__} training requires a dataset")
-    if isinstance(model, BNNModel):
-        return model.init_variational(config.seed), dataset.train_features, dataset.train_targets
-    return model.init_params(config.seed), dataset.train_features, None
+    else:
+        x = dataset.train_features
+        y = None if dataset.targets is None else dataset.train_targets
+    return model.init_params(config.seed), x, y
 
 
-def _batch_builder(model, x, y, batch_idx, held: list):
+def _batch_builder(model, params, x, y, batch_idx, held: list):
     """Shape of one noise draw and the log-weight builder of one minibatch:
-    (K, rows) log weights for the VAE, (K,) for BLR and BNN.
+    (K, rows) per-datapoint log weights for the VAE, (K,) energy-approximation
+    log weights for BLR and BNN.
 
     The builder stores its node in ``held[0]``, so the previous step's graph
     is freed only once the new one exists. Freed first, its memory went back
@@ -316,16 +283,18 @@ def _batch_builder(model, x, y, batch_idx, held: list):
     longer on a 2-vCPU host.
     """
     vae = isinstance(model, VAEModel)
+    rows = x[batch_idx]
     if vae:
-        draw_shape = (batch_idx.shape[0], model.latent_dim)
+        draw_shape = (rows.shape[0], model.latent_dim)
     else:
-        draw_shape = (model.dim if isinstance(model, BLRModel) else model.n_weights,)
+        draw_shape = params["mu"].shape
+        targets, scale = y[batch_idx], float(x.shape[0]) / batch_idx.shape[0]
 
     def build(nodes, noise):
         if vae:
-            held[0] = model.log_weight_rows(nodes, x[batch_idx], noise)
+            held[0] = model.log_weight_rows(nodes, rows, noise)
         else:
-            held[0] = _posterior_log_weights(model, nodes, noise, batch_idx, x.shape[0], x, y)
+            held[0] = posterior_log_weights(model, nodes, rows, targets, noise, scale)
         return held[0]
 
     return draw_shape, build

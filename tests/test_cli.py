@@ -270,6 +270,31 @@ _REJECTED_BY_LIBRARY = {
         lambda t: _images(train={"learning_rate": -1}),
         "vae_train.train",
     ),
+    "train-beta1-1": (
+        "bnn-train",
+        lambda t: {"dataset": _csv_dataset(t), "train": {"beta1": 1.0}},
+        "bnn_train.train",
+    ),
+    "train-beta1-negative": (
+        "bnn-train",
+        lambda t: {"dataset": _csv_dataset(t), "train": {"beta1": -3}},
+        "bnn_train.train",
+    ),
+    "train-beta2-1.5": (
+        "bnn-train",
+        lambda t: {"dataset": _csv_dataset(t), "train": {"beta2": 1.5}},
+        "bnn_train.train",
+    ),
+    "train-negative-adam-eps": (
+        "bnn-train",
+        lambda t: {"dataset": _csv_dataset(t), "train": {"adam_eps": -1e-8}},
+        "bnn_train.train",
+    ),
+    "train-lr-1e400": (
+        "bnn-train",
+        lambda t: {"dataset": _csv_dataset(t), "train": {"learning_rate": 1e400}},
+        "bnn_train.train",
+    ),
     "bnn-hidden-0": ("bnn-train", lambda t: {"dataset": _csv_dataset(t), "hidden": 0}, "bnn_train"),
     "blr-noise-std": ("blr-demo", lambda t: {"noise_std": -1}, "blr_demo"),
     "divergence-dims": ("divergence", lambda t: _GAUSSIAN_PAIR_OF_TWO_DIMS, "divergence"),
@@ -824,6 +849,23 @@ _CONTRACT_SECTIONS = {
         },
     ),
 }
+
+
+_FLOAT = st.one_of(st.floats(), WILD)
+_TRAIN_KEYS = {
+    "alpha": ALPHA,
+    "k": _ints(-1, 3),
+    "minibatch": _ints(-1, 4),
+    "learning_rate": _FLOAT,
+    "beta1": _FLOAT,
+    "beta2": _FLOAT,
+    "adam_eps": _FLOAT,
+}
+# A tiny network for at most 3 steps of at most 3 draws.
+_CONTRACT_SECTIONS["bnn-train"] = st.builds(
+    lambda train: {"dataset": {"synthetic": "regression", "n": 40}, "hidden": 2, "train": train},
+    sections({"k": 2, "steps": 2}, _TRAIN_KEYS),
+)
 
 
 @pytest.mark.parametrize("kind", sorted(_CONTRACT_SECTIONS))

@@ -12,6 +12,7 @@ from vrbound import (
     finite_diff_check,
     mc_vr_estimate,
     normalize_weights,
+    posterior_log_weights,
     select_backprop_sample,
     synthetic_blr_instance,
     vr_grad,
@@ -166,8 +167,7 @@ class TestVrGrad:
         model = synthetic_blr_instance(seed=5, n_data=10)
 
         def build(nodes, eps):
-            reparam = GaussianReparam(nodes["mu"], nodes["rho"])
-            return model.log_joint_node(reparam.theta(eps)) - reparam.log_q(eps)
+            return posterior_log_weights(model, nodes, model.design, model.targets, eps, 1.0)
 
         rng = np.random.default_rng(3)
         params = {"mu": rng.standard_normal(2) * 0.5, "rho": rng.standard_normal(2) * 0.3}

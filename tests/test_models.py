@@ -62,7 +62,9 @@ class TestBlrPosterior:
         axis1 = np.arange(posterior.mean[1] - span, posterior.mean[1] + span, 0.01)
         xx, yy = np.meshgrid(axis0, axis1, indexing="ij")
         theta_grid = np.column_stack([xx.ravel(), yy.ravel()])
-        log_joint = np.array([model.log_joint(t) for t in theta_grid])
+        log_joint = model.log_prior_node(theta_grid) + model.log_lik_node(
+            theta_grid, {}, model.design, model.targets
+        )
         peak = log_joint.max()
         integral = np.sum(np.exp(log_joint - peak)) * 0.01 * 0.01
         quad_evidence = peak + math.log(integral)
@@ -75,20 +77,31 @@ class TestBlrPosterior:
             -model.dim / 2 * _LOG_2PI
             + float(np.sum(stats.norm.logpdf(model.targets, scale=model.noise_std)))
         )
-        assert model.log_joint(zero) == pytest.approx(expected, abs=1e-12)
+        log_joint = model.log_prior_node(zero) + model.log_lik_node(
+            zero, {}, model.design, model.targets
+        )
+        assert float(log_joint) == pytest.approx(expected, abs=1e-12)
 
-    def test_tape_log_joint_matches_numpy(self):
+    def test_tape_log_joint_matches_conjugate_identity(self):
+        # log p(theta, D) = log Z + log N(theta; m, V), both from the closed form
         model = synthetic_blr_instance(seed=3, n_data=7)
-        theta0 = np.array([0.5, 0.2])
-        node = model.log_joint_node(ad.Node(theta0))
-        assert float(node.value) == pytest.approx(model.log_joint(theta0), abs=1e-12)
+        posterior, log_evidence = blr_exact_posterior(model)
+        thetas = np.array([[0.5, 0.2], [-1.0, 0.3], [0.0, 0.0]])
+        theta = ad.Node(thetas)
+        node = model.log_prior_node(theta) + model.log_lik_node(
+            theta, {}, model.design, model.targets
+        )
+        np.testing.assert_allclose(
+            node.value, log_evidence + posterior.logpdf(thetas), rtol=0, atol=1e-12
+        )
 
     def test_batched_log_weights_match_draws(self):
         model = synthetic_blr_instance(seed=3, n_data=9)
         thetas = np.random.default_rng(9).standard_normal((4, model.dim))
         idx = np.array([0, 2, 5])
+        x, y = model.design[idx], model.targets[idx]
         prior = model.log_prior_node(ad.Node(thetas))
-        lik = model.log_lik_node(ad.Node(thetas), idx)
+        lik = model.log_lik_node(ad.Node(thetas), {}, x, y)
         assert prior.value.shape == lik.value.shape == (4,)
         for k in range(4):
             theta = ad.Node(thetas[k])
@@ -96,9 +109,10 @@ class TestBlrPosterior:
                 prior.value[k], model.log_prior_node(theta).value, rtol=1e-12, atol=1e-12
             )
             np.testing.assert_allclose(
-                lik.value[k], model.log_lik_node(theta, idx).value, rtol=1e-12, atol=1e-12
+                lik.value[k], model.log_lik_node(theta, {}, x, y).value, rtol=1e-12, atol=1e-12
             )
-            assert float(lik.value[k]) == pytest.approx(model.log_lik(thetas[k], idx), abs=1e-10)
+            expected = np.sum(stats.norm.logpdf(y, loc=x @ thetas[k], scale=model.noise_std))
+            assert float(lik.value[k]) == pytest.approx(float(expected), abs=1e-10)
 
     def test_singular_precision_rejected(self):
         # A design with enormous colinear columns cannot break Cholesky for
@@ -340,9 +354,8 @@ class TestBnn:
         theta = rng.standard_normal(bnn.n_weights)
         log_noise = 0.3
 
-        node = bnn.log_joint_node(
-            ad.Node(theta), ad.Node(np.array(log_noise)), x, y
-        )
+        params = {"log_noise": ad.Node(np.array(log_noise))}
+        node = bnn.log_prior_node(ad.Node(theta)) + bnn.log_lik_node(ad.Node(theta), params, x, y)
 
         w1 = theta[:3].reshape(1, 3)
         b1 = theta[3:6]
@@ -365,12 +378,13 @@ class TestBnn:
         y = rng.standard_normal(6)
         theta0 = 0.5 * rng.standard_normal(bnn.n_weights)
 
+        params = {"log_noise": ad.Node(np.array(0.1))}
+
         def f(t):
-            node = bnn.log_joint_node(ad.Node(t), ad.Node(np.array(0.1)), x, y)
-            return float(node.value)
+            return float(ad.value(bnn.log_prior_node(t) + bnn.log_lik_node(t, params, x, y)))
 
         leaf = ad.Node(theta0)
-        node = bnn.log_joint_node(leaf, ad.Node(np.array(0.1)), x, y)
+        node = bnn.log_prior_node(leaf) + bnn.log_lik_node(leaf, params, x, y)
         grads = ad.gradients(node, {"theta": leaf})
         assert finite_diff_check(f, theta0, grads["theta"]) < 1e-4
 
@@ -381,9 +395,9 @@ class TestBnn:
         x = rng.standard_normal((6, 2))
         y = rng.standard_normal(6)
         thetas = rng.standard_normal((5, bnn.n_weights))
-        log_noise = ad.Node(np.array([0.2]))
+        params = {"log_noise": ad.Node(np.array([0.2]))}
         prior = bnn.log_prior_node(ad.Node(thetas))
-        lik = bnn.log_lik_node(ad.Node(thetas), log_noise, x, y)
+        lik = bnn.log_lik_node(ad.Node(thetas), params, x, y)
         assert prior.value.shape == lik.value.shape == (5,)
         for k in range(5):
             theta = ad.Node(thetas[k])
@@ -391,7 +405,7 @@ class TestBnn:
                 prior.value[k], bnn.log_prior_node(theta).value, rtol=1e-12, atol=1e-12
             )
             np.testing.assert_allclose(
-                lik.value[k], bnn.log_lik_node(theta, log_noise, x, y).value, rtol=1e-12, atol=1e-12
+                lik.value[k], bnn.log_lik_node(theta, params, x, y).value, rtol=1e-12, atol=1e-12
             )
 
     def test_predict_matches_node_forward(self):

@@ -19,7 +19,6 @@ from vrbound import (
     TrainingDiverged,
     VAEModel,
     blr_exact_posterior,
-    energy_approx_objective,
     evaluate_vae,
     mc_vr_estimate,
     normalize_weights,
@@ -54,12 +53,29 @@ class TestAdam:
         expected = 0.1 * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(params["w"], expected, atol=1e-12)
 
+    def test_momentum_moves_on_after_a_zero_gradient(self):
+        adam = Adam(lr=0.1)
+        params = {"w": np.array([0.0])}
+        adam.step(params, {"w": np.array([1.0])})
+        after_one = params["w"][0]
+        adam.step(params, {"w": np.array([0.0])})
+        assert after_one == pytest.approx(0.1, abs=1e-9)
+        assert params["w"][0] == pytest.approx(0.167, abs=1e-3)
+
     def test_ascent_on_quadratic(self):
         adam = Adam(lr=0.05)
         params = {"w": np.array([3.0])}
         for _ in range(2000):
             adam.step(params, {"w": -2.0 * params["w"]})
         assert abs(params["w"][0]) < 1e-3
+
+
+def _energy_estimate(model, q, idx, alpha, noise):
+    """Bound estimate from the energy log weights of BLR rows ``idx``."""
+    params = {"mu": q.mean, "rho": 0.5 * np.log(q.variances)}
+    x, y = model.design[idx], model.targets[idx]
+    log_w = training.posterior_log_weights(model, params, x, y, noise, model.n_data / len(idx))
+    return mc_vr_estimate(log_w, alpha)
 
 
 class TestEnergyApproximation:
@@ -70,11 +86,12 @@ class TestEnergyApproximation:
         noise = rng.standard_normal((6, 2))
         full_idx = np.arange(12)
         for alpha in (-1.0, 0.0, 0.5, 1.0, 2.0):
-            via_energy = energy_approx_objective(model, q, full_idx, 12, alpha, noise)
+            via_energy = _energy_estimate(model, q, full_idx, alpha, noise)
             theta = q.mean + np.sqrt(q.variances) * noise
-            log_w = np.array(
-                [model.log_joint(t) for t in theta]
-            ) - q.logpdf(theta)
+            log_joint = model.log_prior_node(theta) + model.log_lik_node(
+                theta, {}, model.design, model.targets
+            )
+            log_w = log_joint - q.logpdf(theta)
             assert via_energy == pytest.approx(mc_vr_estimate(log_w, alpha), abs=1e-10)
 
     def test_subset_average_identity_by_enumeration(self):
@@ -83,12 +100,12 @@ class TestEnergyApproximation:
         model = synthetic_blr_instance(seed=2, n_data=4)
         theta = np.array([0.3, -0.7])
         n, m = 4, 2
-        total = model.log_lik(theta)
+        total = model.log_lik_node(theta, {}, model.design, model.targets)
         subset_values = [
-            (n / m) * model.log_lik(theta, np.array(subset))
-            for subset in itertools.combinations(range(n), m)
+            (n / m) * model.log_lik_node(theta, {}, model.design[rows], model.targets[rows])
+            for rows in map(list, itertools.combinations(range(n), m))
         ]
-        assert float(np.mean(subset_values)) == pytest.approx(total, abs=1e-12)
+        assert float(np.mean(subset_values)) == pytest.approx(float(total), abs=1e-12)
 
     def test_hand_expanded_two_point_instance(self):
         # N = 2, M = 1: log w_k = log p0 + 2 log p(x_1 | theta_k) - log q.
@@ -98,7 +115,7 @@ class TestEnergyApproximation:
         q = GaussianDist.diagonal([0.2], [0.5])
         noise = np.array([[0.3], [-1.1], [0.8]])
         alpha = 0.5
-        got = energy_approx_objective(model, q, np.array([0]), 2, alpha, noise)
+        got = _energy_estimate(model, q, np.array([0]), alpha, noise)
 
         theta = 0.2 + math.sqrt(0.5) * noise[:, 0]
         log_w = []
@@ -111,12 +128,6 @@ class TestEnergyApproximation:
             math.log(np.mean(np.exp((1.0 - alpha) * np.array(log_w))))
         )
         assert got == pytest.approx(expected, abs=1e-10)
-
-    def test_empty_batch_rejected(self):
-        model = synthetic_blr_instance(seed=0)
-        q = GaussianDist.standard(2)
-        with pytest.raises(ValueError, match="non-empty"):
-            energy_approx_objective(model, q, np.array([], dtype=int), 5, 0.5, np.zeros((2, 2)))
 
 
 class TestTrainDeterminism:
@@ -337,7 +348,7 @@ def test_evaluation_does_not_churn_page_faults():
 
 
 def test_value_paths_build_no_tape_node(monkeypatch):
-    # held-out log weights, the energy objective and the BNN test metrics
+    # held-out log weights, the energy log weights and the BNN test metrics
     # call the model builders on arrays, which fold to arrays
     from vrbound import autodiff as ad
     from vrbound.cli import _bnn_test_metrics
@@ -356,16 +367,16 @@ def test_value_paths_build_no_tape_node(monkeypatch):
         vae = VAEModel(data_dim=8, latent_dim=2, hidden=4, likelihood=likelihood)
         vae.log_weight_matrix(vae.init_params(seed=0), x, rng.standard_normal((7, 5, 2)))
     blr = synthetic_blr_instance(seed=0, n_data=10)
-    q = GaussianDist.diagonal([0.1, -0.2], [0.3, 0.4])
-    energy_approx_objective(blr, q, np.arange(4), 10, 0.5, rng.standard_normal((3, 2)))
+    training.posterior_log_weights(
+        blr, blr.init_params(0), blr.design[:4], blr.targets[:4], rng.standard_normal((3, 2)), 2.5
+    )
     data = synthetic_regression(seed=0, n=40)
     std_data, stats = data.standardized()
     bnn = BNNModel(in_dim=1, hidden=4)
-    params = bnn.init_variational(seed=0)
-    q = GaussianDist.diagonal(params["mu"], np.exp(2.0 * params["rho"]))
-    energy_approx_objective(
-        bnn, q, np.arange(8), 40, 0.5, rng.standard_normal((3, bnn.n_weights)),
-        x=std_data.train_features, y=std_data.train_targets,
+    params = bnn.init_params(seed=0)
+    training.posterior_log_weights(
+        bnn, params, std_data.train_features[:8], std_data.train_targets[:8],
+        rng.standard_normal((3, bnn.n_weights)), 5.0,
     )
     _bnn_test_metrics(bnn, params, data, stats, seed=0, samples=5)
     assert built == []
@@ -376,6 +387,14 @@ def test_value_paths_build_no_tape_node(monkeypatch):
 class TestWeightDiagnostics:
     """R = w_max / (1 - w_max) of the normalized weights, which `train`
     records per step as log R, one weight set per column of the K draws."""
+
+    def test_record_overflows_r_only_past_the_float_range(self):
+        # R = e^705 is about 1.5e306, a finite float; e^710 is not
+        record = training.RunRecord(seed=0, alpha=0.5)
+        for step, log_r in enumerate((705.0, 710.0, math.inf)):
+            record.append(step, 0.0, 0.0, log_r, 0.0)
+        ratios = [row["weight_ratio"] for row in record.as_records()]
+        assert ratios == [math.exp(705.0), math.inf, math.inf]
 
     def test_equal_weights(self):
         _, r = log_weight_ratio(np.zeros((4, 3)), axis=0)
