@@ -332,24 +332,20 @@ _LOGIT_CAP = math.log1p(-_PROB_FLOOR) - math.log(_PROB_FLOOR)
 def bernoulli_logpmf_rows(logits, targets: np.ndarray):
     """Bernoulli log mass summed over the last axis, as one fused node.
 
-    Per element this is x z - softplus(z) = x log p + (1 - x) log(1 - p)
-    with p = sigmoid(z), on logits z clipped to +-logit(1 - 1e-7). That
-    keeps p in [1e-7, 1 - 1e-7], so the value is finite for any logits, and
-    clipped elements get zero gradient. The forward pass works in place and
-    keeps only the logits alive; the VJP recomputes z and exp(-|z|) from them.
+    Per element this is x z - log1p(exp(z)) = x log p + (1 - x) log(1 - p)
+    with p = sigmoid(z), on logits z clipped to +-logit(1 - 1e-7): p stays in
+    [1e-7, 1 - 1e-7] and exp(z) below 1e7, so the value is finite for any
+    non-NaN logits (NaN gives a NaN row). Clipped elements get zero gradient.
+    The forward pass makes two temporaries and keeps only the logits alive;
+    the VJP recomputes z and exp(-|z|) from them.
     """
     targets = np.asarray(targets, dtype=float)
     v = value(logits)
     z = _clipped(v)
-    # softplus(z) = log1p(exp(-|z|)) + max(z, 0), built in place
-    softplus = np.abs(z)
-    np.negative(softplus, out=softplus)
-    np.exp(softplus, out=softplus)
-    np.log1p(softplus, out=softplus)
     per_elem = targets * z
-    np.maximum(z, 0.0, out=z)
-    softplus += z
-    per_elem -= softplus
+    np.exp(z, out=z)
+    np.log1p(z, out=z)
+    per_elem -= z
 
     def vjp(g):
         z = _clipped(v)

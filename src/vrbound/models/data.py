@@ -49,11 +49,16 @@ class Dataset:
 
     @property
     def train_targets(self) -> np.ndarray:
-        return self.targets[self.train_idx]
+        return self._targets()[self.train_idx]
 
     @property
     def test_targets(self) -> np.ndarray:
-        return self.targets[self.test_idx]
+        return self._targets()[self.test_idx]
+
+    def _targets(self) -> np.ndarray:
+        if self.targets is None:
+            raise ValueError("this dataset has no targets")
+        return self.targets
 
     @classmethod
     def from_arrays(

@@ -35,19 +35,18 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # max(data_dim, hidden)) array of a chunk and a (rows, latent_dim) array of
 # a block. A chunk is a few dozen numpy operations, and a worker holds the
 # GIL between them, so a chunk must be long enough for the arithmetic, which
-# runs without the GIL, to dominate. On 2 cores, with blocks of the chunk's
-# budget, a 5000-draw call on 100 points took 0.51 s on one worker at any
-# budget from 160 to 512 KiB, and on two workers 0.54 s at 160 KiB, 0.40 s
-# at 256 KiB, 0.35 s at 320 KiB and 0.32 s at 512 KiB.
+# runs without the GIL, to dominate. On 2 cores, a 5000-draw call on 100
+# points took 0.35-0.39 s on one worker at chunk budgets of 256-640 KiB;
+# on two, 0.25-0.27 s at 256-320 KiB and 0.21-0.27 s at 512-640 KiB.
 # A chunk's few live arrays must also stay in the heap. glibc serves an
 # allocation above its mmap threshold (128 KiB at start) from fresh pages;
 # freeing one raises the threshold to its size and the heap's trim threshold
-# to twice that. A block's arrays are freed first, and at 1 MiB they lift
-# the trim threshold above a chunk's working set, so the heap keeps it:
-# evaluating 100 points at k_ref 5000 twice in a fresh process took 10-11 k
-# minor page faults, against 35-47 k with 320 KiB blocks, 17-23 k with
-# 512 KiB blocks, and 5 k with blocks and chunks of 160 KiB.
-_CHUNK_BYTES = 320 * 1024
+# to twice that. The 1 MiB arrays of a block are freed first and lift the
+# trim threshold to 2 MiB, above a chunk's working set (the logits and the
+# Bernoulli kernel's two temporaries: 1.5 MiB at 512 KiB), so the heap keeps
+# it: evaluating 100 points at k_ref 5000 twice in a fresh process took
+# 8.7-10 k minor page faults at 320-640 KiB chunks, 47-48 k at 768 KiB.
+_CHUNK_BYTES = 512 * 1024
 _BLOCK_BYTES = 1024 * 1024
 
 

@@ -259,7 +259,7 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
 
 def _initial_state(model, config: TrainConfig, dataset: Dataset | None):
     """Initial parameters and training rows (x, y) of a model; y is None for
-    a dataset without targets."""
+    the VAE, which has no targets."""
     if isinstance(model, BLRModel):
         x, y = model.design, model.targets
     elif not isinstance(model, (BNNModel, VAEModel)):
@@ -268,7 +268,7 @@ def _initial_state(model, config: TrainConfig, dataset: Dataset | None):
         raise ValueError(f"{type(model).__name__} training requires a dataset")
     else:
         x = dataset.train_features
-        y = None if dataset.targets is None else dataset.train_targets
+        y = None if isinstance(model, VAEModel) else dataset.train_targets
     return model.init_params(config.seed), x, y
 
 

@@ -1,6 +1,7 @@
 """Every tape primitive against central finite differences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,21 @@ class TestComposites:
         probs = 1.0 / (1.0 + np.exp(-logits_val[0, 6:]))
         np.testing.assert_allclose(grads["z"][0, 6:], targets[0, 6:] - probs, rtol=1e-12)
         assert np.all(grads["z"][0, 6:] != 0.0)
+
+    def test_bernoulli_rows_peak_at_two_logit_arrays(self):
+        # The forward pass allocates the clipped copy and the products, each
+        # the size of the logits, and works in place on them (the logits and
+        # the targets are the caller's). The row sums add 1/64 of an array.
+        rng = np.random.default_rng(16)
+        logits = rng.standard_normal((6, 100, 64))
+        targets = (rng.random((100, 64)) < 0.5).astype(float)
+        tracemalloc.start()
+        try:
+            ad.bernoulli_logpmf_rows(logits, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * logits.nbytes, peak / logits.nbytes
 
 
 class TestDense:

@@ -491,13 +491,13 @@ class TestVae:
 
     # (K, n, chunks): one draw's (n, latent_dim = 2) arrays take 16 n bytes
     # and its (n, data_dim = 8) arrays 64 n, so 1 MiB holds blocks of 13107
-    # and 320 KiB chunks of 1024 draws of 5 points. K = 27214 is two full
-    # blocks of 13 chunks (the last of 819 draws) and a partial block of
-    # one. At n = 3000 a chunk is one draw; a block is 21.
-    @pytest.mark.parametrize("k, n, chunks", [(27214, 5, 27), (3, 3000, 3), (1, 5, 1)])
+    # and 512 KiB chunks of 1638 draws of 5 points. K = 27214 is two full
+    # blocks of 9 chunks (the last of 3 draws) and a partial block of one.
+    # At n = 5000 a chunk is one draw; a block is 13.
+    @pytest.mark.parametrize("k, n, chunks", [(27214, 5, 19), (3, 5000, 3), (1, 5, 1)])
     def test_log_weight_matrix_equals_rows_bit_for_bit(self, monkeypatch, k, n, chunks):
         # the cases are sized for these budgets
-        assert (vae_module._BLOCK_BYTES, vae_module._CHUNK_BYTES) == (1024 * 1024, 320 * 1024)
+        assert (vae_module._BLOCK_BYTES, vae_module._CHUNK_BYTES) == (1024 * 1024, 512 * 1024)
         rng = np.random.default_rng(7)
         vae = VAEModel(data_dim=8, latent_dim=2, hidden=4)
         params = vae.init_params(seed=5)
@@ -531,9 +531,9 @@ class TestLogWeightMatrixWorkers:
         x = (rng.random((n, 8)) > 0.5).astype(float)
         return self.VAE.init_params(seed=6), x, rng.standard_normal((k, n, 2))
 
-    # With the test_log_weight_matrix_equals_rows_bit_for_bit sizes: one
-    # block; two blocks, fewer than three workers; three blocks of one-draw
-    # chunks; three blocks of 13, 13 and one chunks.
+    # With the test_log_weight_matrix_equals_rows_bit_for_bit budgets: one
+    # block; two blocks, fewer than three workers; three blocks of two-draw
+    # chunks; three blocks of 9, 9 and one chunks.
     @pytest.mark.parametrize("k, n, blocks", [(1, 5, 1), (20000, 5, 2), (43, 3000, 3), (27214, 5, 3)])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_equal_to_rows_at_any_worker_count(self, monkeypatch, workers, k, n, blocks):
@@ -604,6 +604,12 @@ class TestLogWeightMatrixWorkers:
 
 
 class TestDatasets:
+    @pytest.mark.parametrize("name", ["train_targets", "test_targets"])
+    def test_targets_of_a_dataset_without_targets_raise(self, name):
+        data = Dataset.from_arrays(np.zeros((10, 2)), None, 0, 0.2)
+        with pytest.raises(ValueError, match="no targets"):
+            getattr(data, name)
+
     def test_split_is_seeded_and_disjoint(self):
         data = synthetic_regression(seed=3, n=50)
         again = synthetic_regression(seed=3, n=50)

@@ -10,12 +10,14 @@ The estimate is non-increasing in alpha, alpha-free for one sample and
 moves with a shift of the log weights; the normalized weights lie on the
 simplex and ignore such a shift. Every tape operation's vector-Jacobian
 product, the fused dense layer's included, matches central differences on
-drawn broadcast shapes. Parameter
-files round-trip exactly, and corrupted ones load or raise ValueError.
+drawn broadcast shapes. The Bernoulli log mass matches 40-digit mpmath on
+logits anywhere in the float range. Parameter files round-trip exactly, and
+corrupted ones load or raise ValueError.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -376,6 +378,62 @@ def test_bernoulli_logpmf_rows_vjps(shapes, seed):
     expected = (targets * logits - np.logaddexp(0.0, logits)).sum(axis=-1)
     np.testing.assert_allclose(node.value, expected, rtol=1e-12, atol=1e-12)
     _check_vjps(lambda z: ad.bernoulli_logpmf_rows(z, targets), [logits], seed)
+
+
+# ----------------------------------------------------------------------
+# the Bernoulli kernel against 40-digit arithmetic
+
+CAP = ad._LOGIT_CAP
+# the cap and one ulp either side of it, of either sign
+EDGES = [
+    sign * edge
+    for sign in (1.0, -1.0)
+    for edge in (CAP, math.nextafter(CAP, 0.0), math.nextafter(CAP, math.inf))
+]
+LOGITS = st.one_of(
+    st.floats(-1e308, 1e308), st.sampled_from([-math.inf, math.inf, math.nan] + EDGES)
+)
+TARGETS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def bernoulli_rows(draw):
+    """(n, d) logits, some infinite, on or next to the cap, or NaN, and
+    targets of the same shape, binary or in [0, 1]."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    cells = st.lists(st.tuples(LOGITS, TARGETS), min_size=n * d, max_size=n * d)
+    pairs = np.array(draw(cells)).reshape(n, d, 2)
+    return pairs[..., 0], pairs[..., 1]
+
+
+@PROPERTY
+@given(bernoulli_rows())
+@example(
+    rows=(
+        np.array([[CAP, -CAP, math.nextafter(CAP, 0.0), -math.nextafter(CAP, math.inf)],
+                  [math.inf, -math.inf, 1e308, -1e308]]),
+        np.array([[0.0, 1.0, 0.5, 0.25], [0.0, 1.0, 1.0, 0.0]]),
+    )
+)
+def test_bernoulli_logpmf_rows_match_40_digits(rows):
+    # Each row sums x z - log1p(exp(z)) over z = clip(logit, -cap, cap); the
+    # clip is exact in floats. Rounding may cost a few ulps of each term.
+    logits, targets = rows
+    got = ad.bernoulli_logpmf_rows(logits, targets)
+    z = np.clip(logits, -CAP, CAP)
+    with mpmath.workdps(40):
+        for i in range(logits.shape[0]):
+            if np.isnan(logits[i]).any():
+                assert np.isnan(got[i])
+                continue
+            terms = [
+                (mpmath.mpf(x) * mpmath.mpf(v), mpmath.log1p(mpmath.exp(mpmath.mpf(v))))
+                for x, v in zip(targets[i], z[i])
+            ]
+            exact = mpmath.fsum(xz - sp for xz, sp in terms)
+            scale = mpmath.fsum(abs(xz) + sp for xz, sp in terms)
+            assert math.isfinite(got[i])
+            assert abs(mpmath.mpf(float(got[i])) - exact) <= mpmath.mpf(1e-14) * scale, i
 
 
 # ----------------------------------------------------------------------

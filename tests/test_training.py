@@ -14,6 +14,7 @@ import pytest
 from vrbound import (
     Adam,
     BLRModel,
+    Dataset,
     GaussianDist,
     TrainConfig,
     TrainingDiverged,
@@ -231,6 +232,18 @@ class TestTrainBehavior:
     def test_unsupported_model_rejected(self):
         with pytest.raises(TypeError, match="unsupported"):
             train(object(), TrainConfig(), None)
+
+    def test_bnn_on_a_dataset_without_targets_raises_before_a_step(self, monkeypatch):
+        x = synthetic_regression(seed=0, n=30).features
+        data = Dataset.from_arrays(x, None, 0, 0.2)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(training, "_batch_builder", no_step)
+        cfg = TrainConfig(alpha=0.5, k=2, minibatch=8, steps=3, seed=0)
+        with pytest.raises(ValueError, match="no targets"):
+            train(BNNModel(in_dim=1, hidden=4), cfg, data)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="k must"):
