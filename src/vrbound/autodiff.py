@@ -2,9 +2,10 @@
 
 A fixed, small set of operations is enough for every gradient this package
 needs: arithmetic, matrix products, exp/ReLU/tanh, sums, reshapes and
-last-axis slices, a dense layer act(x @ w + b) as one fused node, and two
-log densities summed over the last axis (Gaussian, and Bernoulli on logits
-as one fused node). Matrix products batch over leading axes as numpy's
+last-axis slices, a dense layer act(x @ w + b) as one fused node, a
+Gaussian log density summed over the last axis, and, as one fused node, an
+affine output layer z = x @ w + b with the Bernoulli log mass of its logits
+summed over the last axis. Matrix products batch over leading axes as numpy's
 ``@`` does, so a model can evaluate K stacked parameter draws in one graph.
 Graphs are built functionally (fresh leaf nodes per evaluation); numbers
 and arrays enter operations as constants, which get no gradient, and an
@@ -34,7 +35,7 @@ import numpy as np
 __all__ = [
     "Node",
     "backward",
-    "bernoulli_logpmf_rows",
+    "bernoulli_dense_rows",
     "dense",
     "exp",
     "gradients",
@@ -213,43 +214,58 @@ def dense(x, w, b, act: str | None = None):
     """
     if act not in _ACTIVATIONS:
         raise ValueError(f"act must be one of {_ACTIVATIONS}")
-    xv, wv, bv = value(x), value(w), value(b)
+    out, product_shape = _affine(value(x), value(w), value(b))
+    if act == "tanh":
+        np.tanh(out, out=out)
+    elif act == "relu":
+        np.copyto(out, 0.0, where=~(out > 0.0))
+
+    def pre(g):
+        if act == "tanh":
+            return g * (1.0 - out * out)
+        if act == "relu":
+            return g * (out > 0.0)
+        return g
+
+    return _op(out, *_affine_edges(x, w, b, product_shape, pre))
+
+
+def _affine(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """``xv @ wv + bv`` in one new buffer, and the shape of the product."""
     out = np.asarray(xv @ wv)
     product_shape = out.shape
     try:
         out += bv
     except ValueError:  # the bias adds leading axes to the product
         out = out + bv
-    if act == "tanh":
-        np.tanh(out, out=out)
-    elif act == "relu":
-        np.copyto(out, 0.0, where=~(out > 0.0))
+    return out, product_shape
 
-    cache: list = [None, None]  # (g, gradient at the pre-activation)
 
-    def pre(g):
+def _affine_edges(x, w, b, product_shape: tuple, pre):
+    """The (operand, VJP) edges of a node over z = x @ w + b whose gradient
+    at z is ``pre(g)``. ``pre`` runs once per backward pass: its result is
+    kept from the first VJP called to the bias VJP, which ``backward`` calls
+    last. With no node operand there are none, and nothing is built."""
+    if not any(isinstance(operand, Node) for operand in (x, w, b)):
+        return ()
+    xv, wv, bv = value(x), value(w), value(b)
+    cache: list = [None, None]  # (g, pre(g))
+
+    def at_z(g):
         if cache[0] is not g:
-            if act == "tanh":
-                gz = g * (1.0 - out * out)
-            elif act == "relu":
-                gz = g * (out > 0.0)
-            else:
-                gz = g
-            cache[:] = [g, gz]
+            cache[:] = [g, pre(g)]
         return cache[1]
 
     product_vjp_x, product_vjp_w = _matmul_vjps(xv, wv)
 
     def vjp_b(g):
-        gz = pre(g)
-        # ``backward`` calls the bias VJP last; drop the cached gradient.
+        gz = at_z(g)
         cache[:] = [None, None]
         return _unbroadcast(gz, bv.shape)
 
-    return _op(
-        out,
-        (x, lambda g: product_vjp_x(_unbroadcast(pre(g), product_shape))),
-        (w, lambda g: product_vjp_w(_unbroadcast(pre(g), product_shape))),
+    return (
+        (x, lambda g: product_vjp_x(_unbroadcast(at_z(g), product_shape))),
+        (w, lambda g: product_vjp_w(_unbroadcast(at_z(g), product_shape))),
         (b, vjp_b),
     )
 
@@ -329,41 +345,77 @@ _PROB_FLOOR = 1e-7
 _LOGIT_CAP = math.log1p(-_PROB_FLOOR) - math.log(_PROB_FLOOR)
 
 
-def bernoulli_logpmf_rows(logits, targets: np.ndarray):
-    """Bernoulli log mass summed over the last axis, as one fused node.
+def bernoulli_dense_rows(x, w, b, targets: np.ndarray):
+    """Bernoulli log mass of ``targets`` on the logits z = x @ w + b, summed
+    over the last axis, as one node: the output layer of a decoder and its
+    likelihood.
 
-    Per element this is x z - log1p(exp(z)) = x log p + (1 - x) log(1 - p)
-    with p = sigmoid(z), on logits z clipped to +-logit(1 - 1e-7): p stays in
-    [1e-7, 1 - 1e-7] and exp(z) below 1e7, so the value is finite for any
-    non-NaN logits (NaN gives a NaN row). Clipped elements get zero gradient.
-    The forward pass makes two temporaries and keeps only the logits alive;
-    the VJP recomputes z and exp(-|z|) from them.
+    Per element this is t z - log1p(exp(z)) = t log p + (1 - t) log(1 - p)
+    with p = sigmoid(z). ``x`` holds rows and ``w`` is a matrix (each may be
+    a stack of them), the product follows numpy's ``@`` and ``b`` is a
+    vector. ``targets`` has the shape of the logits' last two or more axes.
+    z is formed in one buffer, which then holds log1p(exp(z)) in place, and
+    the row sum of t z is taken as x . (t w^T) + t . b, over the width of x
+    rather than of z.
+
+    Rows holding a logit at or beyond +-logit(1 - 1e-7) (``_LOGIT_CAP``), or
+    a NaN, take the same mass on logits clipped to the cap
+    (``_clip_logits``): p stays in [1e-7, 1 - 1e-7], so the value is finite
+    for any non-NaN logits, and NaN gives a NaN row. They are looked for
+    only when the largest or smallest logit says one exists. Each row's
+    value depends on that row alone, so a row of a draw has the same bits
+    whether the draw is computed alone or among others. Clipped logits get
+    zero gradient; the others get t - sigmoid(z), recovered from the buffer
+    as t + expm1(-log1p(exp(z))).
     """
+    xv, wv, bv = value(x), value(w), value(b)
+    if xv.ndim < 2 or wv.ndim < 2 or bv.ndim != 1:
+        raise ValueError("x must hold rows, w must be a matrix or a stack of them, b a vector")
     targets = np.asarray(targets, dtype=float)
-    v = value(logits)
-    z = _clipped(v)
-    per_elem = targets * z
+    # Logits that overflow, and rows whose sum_j t_j z_j does, are clipped
+    # below, silently.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, product_shape = _affine(xv, wv, bv)
+        if targets.ndim < 2 or targets.shape != z.shape[z.ndim - targets.ndim :]:
+            raise ValueError(f"targets {targets.shape} must be trailing rows of logits {z.shape}")
+        inside = unclipped = None  # once a logit is not strictly inside the cap: the
+        # mask of those that are, and of the rows that hold only such logits
+        if z.size and not (z.max() < _LOGIT_CAP and z.min() > -_LOGIT_CAP):
+            inside = (z > -_LOGIT_CAP) & (z < _LOGIT_CAP)
+            unclipped = inside.all(axis=-1)
+        t_dot_z = None
+        if unclipped is None or unclipped.any():
+            t_dot_z = np.einsum("...i,...i->...", xv, targets @ np.swapaxes(wv, -1, -2))
+            t_dot_z += targets @ bv
+            if not math.isfinite(t_dot_z.sum()):
+                finite = np.isfinite(t_dot_z)
+                unclipped = finite if unclipped is None else unclipped & finite
+    if unclipped is not None:
+        t_dot_clipped = _clip_logits(z, targets)
+        t_dot_z = t_dot_clipped if t_dot_z is None else np.where(unclipped, t_dot_z, t_dot_clipped)
     np.exp(z, out=z)
     np.log1p(z, out=z)
-    per_elem -= z
+    softplus = z
+    out = t_dot_z - softplus.sum(axis=-1)
 
-    def vjp(g):
-        z = _clipped(v)
-        e = np.abs(z)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        p = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-        inside = (v > -_LOGIT_CAP) & (v < _LOGIT_CAP)
-        return _unbroadcast(np.expand_dims(g, -1) * (targets - p) * inside, v.shape)
+    def at_logits(g):
+        r = np.negative(softplus)
+        np.expm1(r, out=r)
+        r += targets
+        if inside is not None:
+            r *= inside
+        r *= np.expand_dims(g, -1)
+        return r
 
-    return _op(np.sum(per_elem, axis=-1), (logits, vjp))
+    return _op(out, *_affine_edges(x, w, b, product_shape, at_logits))
 
 
-def _clipped(v: np.ndarray) -> np.ndarray:
-    """A copy of ``v`` clipped to +-_LOGIT_CAP (np.clip's values, faster)."""
-    z = np.minimum(v, _LOGIT_CAP)
-    np.maximum(z, -_LOGIT_CAP, out=z)
-    return z
+def _clip_logits(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Clip the logits z in place to +-_LOGIT_CAP, so that exp(z) stays
+    below 1e7 and p in [1e-7, 1 - 1e-7], and return the row sums of
+    targets * z over the clipped logits."""
+    z.clip(-_LOGIT_CAP, _LOGIT_CAP, out=z)
+    return np.einsum("...j,...j->...", z, targets)
 
 
 # ----------------------------------------------------------------------

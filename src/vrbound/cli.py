@@ -514,6 +514,8 @@ def _run_eval(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
                 f"'eval.params': tensor '{name}' has shape {params[name].shape}, "
                 f"the model needs {shape}"
             )
+        if not np.isfinite(params[name]).all():
+            raise ConfigError(f"'eval.params': tensor '{name}' has a NaN or infinite entry")
     alphas = [parse_alpha(a) for a in section["alphas"]]
     x = data.test_features[: section["max_points"]]
     rows = evaluate_vae(

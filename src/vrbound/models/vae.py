@@ -3,13 +3,15 @@
 Encoder: x -> tanh layer -> (mu, rho) for the Gaussian recognition density
 q(h|x) = N(mu(x), diag(exp(2 rho(x)))). Decoder: h -> tanh layer -> logits
 (Bernoulli likelihood) or means (Gaussian likelihood with a learnable log
-scale). The latent prior is the standard normal. Parameters live in a flat
-dict of named arrays so the trainer can move them through Adam generically;
-the graph builders accept the matching dict of leaf nodes, or the arrays
-themselves for a value without a tape. Noise may carry a leading axis of K
+scale). The latent prior is the standard normal. Parameters are a dict of
+named arrays (the trainer keeps them as views of one vector); the graph
+builders accept the matching dict of leaf nodes, or the arrays themselves
+for a value without a tape. Noise may carry a leading axis of K
 draws, which the builders carry through to their outputs, so K log weights
 per datapoint come from one graph with one encoder pass.
-Each of the five affine layers is one fused ``ad.dense`` node.
+Each affine layer is one fused ``ad.dense`` node, except that the decoder's
+output layer and a Bernoulli likelihood are one ``ad.bernoulli_dense_rows``
+node.
 
 ``log_weight_matrix`` is the value-only path of held-out evaluation, where K
 runs to thousands: it encodes once and runs the rest over blocks of draws
@@ -36,17 +38,18 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # a block. A chunk is a few dozen numpy operations, and a worker holds the
 # GIL between them, so a chunk must be long enough for the arithmetic, which
 # runs without the GIL, to dominate. On 2 cores, a 5000-draw call on 100
-# points took 0.35-0.39 s on one worker at chunk budgets of 256-640 KiB;
-# on two, 0.25-0.27 s at 256-320 KiB and 0.21-0.27 s at 512-640 KiB.
+# points took 0.26-0.32 s on one worker at chunk budgets of 512-1024 KiB;
+# on two, 0.20-0.22 s at 512 KiB, 0.19 s at 768 and 0.17-0.18 s at 1024.
 # A chunk's few live arrays must also stay in the heap. glibc serves an
 # allocation above its mmap threshold (128 KiB at start) from fresh pages;
 # freeing one raises the threshold to its size and the heap's trim threshold
 # to twice that. The 1 MiB arrays of a block are freed first and lift the
-# trim threshold to 2 MiB, above a chunk's working set (the logits and the
-# Bernoulli kernel's two temporaries: 1.5 MiB at 512 KiB), so the heap keeps
-# it: evaluating 100 points at k_ref 5000 twice in a fresh process took
-# 8.7-10 k minor page faults at 320-640 KiB chunks, 47-48 k at 768 KiB.
-_CHUNK_BYTES = 512 * 1024
+# trim threshold to 2 MiB, above a chunk's working set (the logits, which
+# the fused Bernoulli node works on in place, and the decoder's hidden
+# layer: 1.25 MiB at 1 MiB), so the heap keeps it: evaluating 100 points at
+# k_ref 5000 twice in a fresh process took 9.0-10.4 k minor page faults at
+# 512-1280 KiB chunks.
+_CHUNK_BYTES = 1024 * 1024
 _BLOCK_BYTES = 1024 * 1024
 
 
@@ -113,17 +116,14 @@ class VAEModel:
         rho = ad.dense(hid, nodes["enc_w_rho"], nodes["enc_b_rho"])
         return mu, rho
 
-    def decode_nodes(self, nodes: dict[str, ad.Node], h: ad.Node) -> ad.Node:
-        """Decoder outputs (logits or means), shape (..., n, data_dim)."""
-        hid = ad.dense(h, nodes["dec_w1"], nodes["dec_b1"], "tanh")
-        return ad.dense(hid, nodes["dec_w2"], nodes["dec_b2"])
-
     def log_lik_rows(self, nodes: dict[str, ad.Node], h: ad.Node, x: np.ndarray) -> ad.Node:
-        """Per-datapoint log p(x | h), shape (..., n)."""
-        out = self.decode_nodes(nodes, h)
+        """Per-datapoint log p(x | h), shape (..., n). The decoder's output
+        layer and a Bernoulli likelihood are one node."""
+        hid = ad.dense(h, nodes["dec_w1"], nodes["dec_b1"], "tanh")
         if self.likelihood == "bernoulli":
-            return ad.bernoulli_logpmf_rows(out, x)
-        return ad.normal_logpdf_rows(np.asarray(x, dtype=float), out, nodes["dec_log_noise"])
+            return ad.bernoulli_dense_rows(hid, nodes["dec_w2"], nodes["dec_b2"], x)
+        means = ad.dense(hid, nodes["dec_w2"], nodes["dec_b2"])
+        return ad.normal_logpdf_rows(np.asarray(x, dtype=float), means, nodes["dec_log_noise"])
 
     def log_prior_rows(self, h: ad.Node) -> ad.Node:
         """Per-datapoint standard-normal log density of the latents."""

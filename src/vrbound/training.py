@@ -20,8 +20,9 @@ only log w_j is back-propagated.
 The models differ only in their initial parameters (``init_params(seed)``),
 training rows, noise shape and log-weight builder. Every step draws the noise
 for all K draws, hands the builder to ``vr_grad`` (one graph, one backward
-pass, one check of the log weights), takes an Adam step, and records the
-estimate and log R averaged over weight sets, reduced from the checked
+pass, one check of the log weights), takes an Adam step on one flat vector
+that holds every parameter (``params`` are named views of it), and records
+the estimate and log R averaged over weight sets, reduced from the checked
 weights without a second check.
 
 Held-out evaluation (``evaluate_vae``) needs no gradient: per repeat it
@@ -152,8 +153,9 @@ class RunRecord:
 
 
 class Adam:
-    """Adam with bias correction. Zero gradients from the start leave the
-    parameters fixed; after a nonzero one, momentum moves them on."""
+    """Adam with bias correction on one flat parameter vector. Zero
+    gradients from the start leave the parameters fixed; after a nonzero
+    one, momentum moves them on."""
 
     def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -161,26 +163,32 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._m: np.ndarray | None = None
+        self._v: np.ndarray | None = None
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        """Ascent step in place (gradients point uphill)."""
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Ascent step on ``params`` in place (gradients point uphill). Each
+        element is updated by the same operations, in the same order, as
+        the textbook per-tensor form, so the bits do not depend on how the
+        parameters are laid out in the vector."""
         self.t += 1
-        for name in sorted(params):
-            g = grads[name]
-            m = self._m.get(name)
-            v = self._v.get(name)
-            if m is None:
-                m = np.zeros_like(params[name])
-                v = np.zeros_like(params[name])
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * g * g
-            self._m[name] = m
-            self._v[name] = v
-            m_hat = m / (1.0 - self.beta1**self.t)
-            v_hat = v / (1.0 - self.beta2**self.t)
-            params[name] = params[name] + self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        if self._m is None:
+            self._m = np.zeros_like(params)
+            self._v = np.zeros_like(params)
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grads
+        v *= self.beta2
+        g2 = (1.0 - self.beta2) * grads
+        g2 *= grads
+        v += g2
+        step = m / (1.0 - self.beta1**self.t)
+        step *= self.lr
+        denom = v / (1.0 - self.beta2**self.t)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        params += step
 
 
 # ----------------------------------------------------------------------
@@ -209,9 +217,13 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
     Posterior inference for ``BLRModel`` and ``BNNModel`` (energy
     approximation objective), maximum likelihood for ``VAEModel``
     (per-datapoint bound, averaged over the minibatch). Deterministic given
-    the config seed.
+    the config seed. The returned params are named views of the one vector
+    that Adam updates.
     """
     params, x, y = _initial_state(model, config, dataset)
+    flat, params = _flat_views(params)
+    flat_grads = np.empty_like(flat)
+    squares, squares_by_name = _flat_views(params)  # a buffer in the same layout
     n = x.shape[0]
     m = min(config.minibatch, n)
     adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
@@ -237,13 +249,15 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
                 )
             except FloatingPointError as exc:
                 raise TrainingDiverged(step, str(exc), params) from exc
-            gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            np.concatenate([np.ravel(grads[name]) for name in params], out=flat_grads)
+            np.multiply(flat_grads, flat_grads, out=squares)
+            gnorm = math.sqrt(sum(float(g2.sum()) for g2 in squares_by_name.values()))
             if not math.isfinite(gnorm):
                 raise TrainingDiverged(step, "non-finite gradient", params)
-            adam.step(params, grads)
-            for name, value in params.items():
-                if not np.all(np.isfinite(value)):
-                    raise TrainingDiverged(step, f"parameter '{name}' became non-finite", params)
+            adam.step(flat, flat_grads)
+            if not np.isfinite(flat).all():
+                name = next(name for name, v in params.items() if not np.isfinite(v).all())
+                raise TrainingDiverged(step, f"parameter '{name}' became non-finite", params)
 
             record.append(
                 step,
@@ -255,6 +269,17 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
             step += 1
         epoch += 1
     return params, record
+
+
+def _flat_views(params: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """One float vector holding every parameter, and a dict of named views
+    of it in the same order and shapes."""
+    flat = np.concatenate([np.ravel(np.asarray(v, dtype=float)) for v in params.values()])
+    views, start = {}, 0
+    for name, v in params.items():
+        views[name] = flat[start : start + np.size(v)].reshape(np.shape(v))
+        start += np.size(v)
+    return flat, views
 
 
 def _initial_state(model, config: TrainConfig, dataset: Dataset | None):

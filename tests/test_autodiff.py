@@ -217,83 +217,118 @@ class TestComposites:
             np.testing.assert_allclose(grads["ls"], numeric_grad(fs, ls_val), atol=1e-6)
 
     def test_bernoulli_rows_value_and_grad(self):
+        # logits x @ w + b of a (3, 4) layer input, a (4, 6) weight and a bias
         rng = np.random.default_rng(12)
-        logits_val = rng.standard_normal((3, 6)) * 2.0
+        x_val, w_val = rng.standard_normal((3, 4)), rng.standard_normal((4, 6))
+        b_val = rng.standard_normal(6)
         targets = (rng.random((3, 6)) > 0.5).astype(float)
-        logits = ad.Node(logits_val)
-        node = ad.bernoulli_logpmf_rows(logits, targets)
-        probs = 1.0 / (1.0 + np.exp(-logits_val))
+        leaves = {"x": ad.Node(x_val), "w": ad.Node(w_val), "b": ad.Node(b_val)}
+        node = ad.bernoulli_dense_rows(leaves["x"], leaves["w"], leaves["b"], targets)
+        probs = 1.0 / (1.0 + np.exp(-(x_val @ w_val + b_val)))
         expected = (targets * np.log(probs) + (1 - targets) * np.log1p(-probs)).sum(axis=1)
         np.testing.assert_allclose(node.value, expected, atol=1e-9)
-        w = rng.standard_normal(3)
-        grads = ad.gradients(ad.vsum(node * w), {"logits": logits})
-        expected_grad = (targets - probs) * w[:, None]
-        np.testing.assert_allclose(grads["logits"], expected_grad, atol=1e-9)
+        weight = rng.standard_normal(3)
+        grads = ad.gradients(ad.vsum(node * weight), leaves)
+        at_logits = (targets - probs) * weight[:, None]
+        np.testing.assert_allclose(grads["x"], at_logits @ w_val.T, atol=1e-9)
+        np.testing.assert_allclose(grads["w"], x_val.T @ at_logits, atol=1e-9)
+        np.testing.assert_allclose(grads["b"], at_logits.sum(axis=0), atol=1e-9)
 
     def test_bernoulli_rows_finite_for_extreme_logits(self):
-        logits = ad.Node(np.array([[60.0, -60.0, 500.0, -500.0]]))
+        # logits of +-60 and +-500, and weights that overflow a logit to +-inf
         targets = np.array([[0.0, 1.0, 0.0, 1.0]])
-        node = ad.bernoulli_logpmf_rows(logits, targets)
-        assert np.all(np.isfinite(node.value))
+        for x, w in [
+            (np.ones((1, 1)), np.array([[60.0, -60.0, 500.0, -500.0]])),
+            (np.full((1, 1), 1e10), np.array([[1e300, -1e300, 1e300, 0.5]])),
+        ]:
+            node = ad.bernoulli_dense_rows(x, w, np.zeros(4), targets)
+            assert np.all(np.isfinite(node))
 
     def test_bernoulli_extreme_logits_hit_the_probability_floor(self):
-        # p is clipped to [1e-7, 1 - 1e-7]: a wrong-side target at +-500
-        # scores log(1e-7), a right-side one log(1 - 1e-7).
+        # p is clipped to [1e-7, 1 - 1e-7]: a wrong-side target at +-500, or
+        # at a logit that overflows (1e10 * +-1e300), scores log(1e-7), a
+        # right-side one log(1 - 1e-7).
         floor, top = math.log(1e-7), math.log1p(-1e-7)
-        cases = [(500.0, 0.0, floor), (-500.0, 1.0, floor), (500.0, 1.0, top), (-500.0, 0.0, top)]
-        for logit, target, expected in cases:
-            node = ad.bernoulli_logpmf_rows(ad.Node(np.array([[logit]])), np.array([[target]]))
-            assert abs(float(node.value[0]) - expected) <= 1e-12, (logit, target)
+        signs = [(1, 0.0, floor), (-1, 1.0, floor), (1, 1.0, top), (-1, 0.0, top)]
+        for x, logit in [(1.0, 500.0), (1e10, 1e300)]:
+            for sign, target, expected in signs:
+                w, t = np.array([[sign * logit]]), np.array([[target]])
+                node = ad.bernoulli_dense_rows(np.array([[x]]), w, np.zeros(1), t)
+                assert abs(float(node[0]) - expected) <= 1e-12, (x, w, target)
 
     def test_bernoulli_batched_gradient_matches_finite_diff_check(self):
-        # (K, n, d) logits against (n, d) targets, as in the K-batched VAE;
-        # two clipped logits get zero gradient.
+        # (K, n, h) inputs against (n, d) targets, as in the K-batched VAE;
+        # a bias of 40 clips logit 0 of every row, whose weights and bias
+        # then get zero gradient.
         rng = np.random.default_rng(15)
-        logits_val = rng.standard_normal((3, 2, 5)) * 2.0
-        logits_val[0, 0, 0], logits_val[2, 1, 4] = 40.0, -40.0
+        x_val, w_val = rng.standard_normal((3, 2, 4)), rng.standard_normal((4, 5))
+        b_val = rng.standard_normal(5)
+        b_val[0] = 40.0
         targets = (rng.random((2, 5)) > 0.5).astype(float)
-        w = rng.standard_normal((3, 2))
-        logits = ad.Node(logits_val)
-        node = ad.bernoulli_logpmf_rows(logits, targets)
+        weight = rng.standard_normal((3, 2))
+        leaves = {"x": ad.Node(x_val), "w": ad.Node(w_val), "b": ad.Node(b_val)}
+        node = ad.bernoulli_dense_rows(leaves["x"], leaves["w"], leaves["b"], targets)
         assert node.value.shape == (3, 2)
         # log p and log(1 - p) on logits clipped to +-logit(1 - 1e-7)
         cap = math.log((1.0 - 1e-7) / 1e-7)
-        z = np.clip(logits_val, -cap, cap)
+        z = np.clip(x_val @ w_val + b_val, -cap, cap)
         expected = (-targets * np.logaddexp(0.0, -z) - (1 - targets) * np.logaddexp(0.0, z)).sum(-1)
         np.testing.assert_allclose(node.value, expected, rtol=1e-12, atol=1e-12)
-        grads = ad.gradients(ad.vsum(node * w), {"logits": logits})
-        f = lambda v: float(np.sum(ad.bernoulli_logpmf_rows(ad.Node(v), targets).value * w))
-        assert finite_diff_check(f, logits_val, grads["logits"]) < 1e-6
-        assert grads["logits"][0, 0, 0] == 0.0 and grads["logits"][2, 1, 4] == 0.0
+        grads = ad.gradients(ad.vsum(node * weight), leaves)
+        inputs = {"x": x_val, "w": w_val, "b": b_val}
+        for name in inputs:
+
+            def f(v, name=name):
+                args = {**inputs, name: v}
+                return float(np.sum(ad.bernoulli_dense_rows(*args.values(), targets) * weight))
+
+            assert finite_diff_check(f, inputs[name], grads[name]) < 1e-6, name
+        assert grads["b"][0] == 0.0 and np.all(grads["w"][:, 0] == 0.0)
 
     def test_bernoulli_gradient_is_zero_at_and_beyond_the_cap(self):
-        # The VJP recomputes the clipped logits from the inputs: logits at
-        # exactly +-cap and beyond it get exactly zero gradient, the others
-        # (targets - p).
+        # With x = 1 and a zero bias the logits are the weights, bit for bit:
+        # logits at exactly +-cap, beyond it and overflowed to +-inf get
+        # exactly zero gradient, the others targets - p.
         cap = ad._LOGIT_CAP
-        logits_val = np.array([[cap, -cap, cap + 1.0, -cap - 1.0, 1e3, -1e3, 0.3, cap - 0.5]])
+        logits = np.array([[cap, -cap, cap + 1.0, -cap - 1.0, 1e3, -1e3, 0.3, cap - 0.5]])
         targets = np.array([[0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0]])
-        logits = ad.Node(logits_val)
-        grads = ad.gradients(ad.vsum(ad.bernoulli_logpmf_rows(logits, targets)), {"z": logits})
-        assert np.array_equal(grads["z"][0, :6], np.zeros(6))
-        probs = 1.0 / (1.0 + np.exp(-logits_val[0, 6:]))
-        np.testing.assert_allclose(grads["z"][0, 6:], targets[0, 6:] - probs, rtol=1e-12)
-        assert np.all(grads["z"][0, 6:] != 0.0)
+        b = ad.Node(np.zeros(8))
+        node = ad.bernoulli_dense_rows(np.ones((1, 1)), logits, b, targets)
+        grads = ad.gradients(ad.vsum(node), {"b": b})
+        assert np.array_equal(grads["b"][:6], np.zeros(6))
+        probs = 1.0 / (1.0 + np.exp(-logits[0, 6:]))
+        np.testing.assert_allclose(grads["b"][6:], targets[0, 6:] - probs, rtol=1e-12)
+        assert np.all(grads["b"][6:] != 0.0)
+        # 1e10 * +-1e300 overflows; the third logit is about 0.3
+        b, x = ad.Node(np.zeros(3)), np.full((1, 1), 1e10)
+        w = np.array([[1e300, -1e300, 0.3e-10]])
+        grads = ad.gradients(ad.vsum(ad.bernoulli_dense_rows(x, w, b, targets[:, :3])), {"b": b})
+        assert np.array_equal(grads["b"][:2], np.zeros(2))
+        p = 1.0 / (1.0 + math.exp(-float(x[0, 0] * w[0, 2])))
+        np.testing.assert_allclose(grads["b"][2], targets[0, 2] - p, rtol=1e-12)
 
-    def test_bernoulli_rows_peak_at_two_logit_arrays(self):
-        # The forward pass allocates the clipped copy and the products, each
-        # the size of the logits, and works in place on them (the logits and
-        # the targets are the caller's). The row sums add 1/64 of an array.
+    def test_bernoulli_rows_peak_under_one_and_a_half_logit_arrays(self):
+        # The forward pass allocates the logits and works in place on them;
+        # the row sums of t z, taken over the 16-wide layer input, add a
+        # quarter of an array. When a logit is clipped (a bias of 100), the
+        # mask of clipped logits adds an eighth and the two comparisons that
+        # build it a quarter. The layer input, the weights and the targets
+        # are the caller's.
         rng = np.random.default_rng(16)
-        logits = rng.standard_normal((6, 100, 64))
+        x = np.tanh(rng.standard_normal((6, 100, 16)))
+        w = rng.standard_normal((16, 64)) / 4.0
         targets = (rng.random((100, 64)) < 0.5).astype(float)
-        tracemalloc.start()
-        try:
-            ad.bernoulli_logpmf_rows(logits, targets)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.1 * logits.nbytes, peak / logits.nbytes
+        logit_bytes = 6 * 100 * 64 * 8
+        for bias, arrays in [(0.0, 1.3), (100.0, 1.4)]:
+            b = np.zeros(64)
+            b[0] = bias
+            tracemalloc.start()
+            try:
+                ad.bernoulli_dense_rows(x, w, b, targets)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= arrays * logit_bytes, (bias, peak / logit_bytes)
 
 
 class TestDense:
@@ -349,7 +384,7 @@ class TestDense:
             (lambda u: ad.reshape(u, (6, 4)), x),
             (lambda u: ad.slice1d(u, 1, 3), x),
             (ad.normal_logpdf_rows, x, scale, scale),
-            (lambda u: ad.bernoulli_logpmf_rows(u, targets), x),
+            (lambda u, v, c: ad.bernoulli_dense_rows(u, v, c, targets), x, y[..., :4], scale),
         ]
         for op, *args in folds:
             folded, node = op(*args), op(*map(ad.Node, args))

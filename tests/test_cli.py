@@ -736,8 +736,16 @@ class TestEvalParamsContract:
                 lambda p: save_params(p, _vae_params() | {"enc_w1": np.zeros((8, 64))}),
                 "tensor 'enc_w1' has shape (8, 64)",
             ),
+            (
+                lambda p: save_params(p, _vae_params() | {"dec_b2": np.full(64, math.nan)}),
+                "tensor 'dec_b2' has a NaN or infinite entry",
+            ),
+            (
+                lambda p: save_params(p, _vae_params() | {"enc_b_rho": np.array([0.0, math.inf])}),
+                "tensor 'enc_b_rho' has a NaN or infinite entry",
+            ),
         ],
-        ids=["truncated", "bad-magic", "trailing", "missing", "unexpected", "shape"],
+        ids=["truncated", "bad-magic", "trailing", "missing", "unexpected", "shape", "nan", "inf"],
     )
     def test_malformed_params_exit_2(self, tmp_path, capsys, make, phrase):
         params_path = tmp_path / "params.bin"

@@ -496,21 +496,25 @@ class TestVae:
     # At n = 5000 a chunk is one draw; a block is 13.
     @pytest.mark.parametrize("k, n, chunks", [(27214, 5, 19), (3, 5000, 3), (1, 5, 1)])
     def test_log_weight_matrix_equals_rows_bit_for_bit(self, monkeypatch, k, n, chunks):
-        # the cases are sized for these budgets
-        assert (vae_module._BLOCK_BYTES, vae_module._CHUNK_BYTES) == (1024 * 1024, 512 * 1024)
+        self._check_chunks_equal_rows(monkeypatch, k, n, chunks, clip=False)
+
+    @pytest.mark.parametrize("k, n, chunks", [(27214, 5, 19), (3, 5000, 3)])
+    def test_log_weight_matrix_with_clipped_rows_equals_rows_bit_for_bit(
+        self, monkeypatch, k, n, chunks
+    ):
+        self._check_chunks_equal_rows(monkeypatch, k, n, chunks, clip=True)
+
+    def _check_chunks_equal_rows(self, monkeypatch, k, n, chunks, clip):
+        _size_budgets(monkeypatch)
         rng = np.random.default_rng(7)
         vae = VAEModel(data_dim=8, latent_dim=2, hidden=4)
         params = vae.init_params(seed=5)
         x = (rng.random((n, 8)) > 0.5).astype(float)
         eps = rng.standard_normal((k, n, 2))
-        decoded = []
-        decode = VAEModel.decode_nodes
-
-        def counted(self, nodes, h):
-            decoded.append(h.shape[0])
-            return decode(self, nodes, h)
-
-        monkeypatch.setattr(VAEModel, "decode_nodes", counted)
+        if clip:
+            params["dec_w2"][0, 0] = 40.0
+            assert 0.0 < _clipped_share(vae, params, x, eps) < 1.0
+        decoded = _count_kernel_calls(monkeypatch)
         lw = vae.log_weight_matrix(params, x, eps)
         assert len(decoded) == chunks and sum(decoded) == k
         assert np.array_equal(lw, vae.log_weight_rows(params, x, eps).T)
@@ -518,6 +522,37 @@ class TestVae:
     def test_bad_likelihood_rejected(self):
         with pytest.raises(ValueError, match="likelihood"):
             VAEModel(data_dim=4, likelihood="poisson")
+
+
+def _size_budgets(monkeypatch) -> None:
+    """The block and chunk budgets the cases of the bit-for-bit tests are
+    sized for."""
+    monkeypatch.setattr(vae_module, "_BLOCK_BYTES", 1024 * 1024)
+    monkeypatch.setattr(vae_module, "_CHUNK_BYTES", 512 * 1024)
+
+
+def _count_kernel_calls(monkeypatch, on_call=None) -> list:
+    """Patch the fused decoder-output node to record the draws of each
+    chunk it is called on (and to run ``on_call`` first)."""
+    kernel = ad.bernoulli_dense_rows
+    draws = []
+
+    def counted(hid, *args):
+        if on_call is not None:
+            on_call()
+        draws.append(hid.shape[0])
+        return kernel(hid, *args)
+
+    monkeypatch.setattr(ad, "bernoulli_dense_rows", counted)
+    return draws
+
+
+def _clipped_share(vae, params, x, eps) -> float:
+    """Share of (draw, point) rows holding a logit at or beyond the cap."""
+    h = vae_module.GaussianReparam(*vae.encode_nodes(params, x)).theta(eps)
+    hid = np.tanh(h @ params["dec_w1"] + params["dec_b1"])
+    logits = hid @ params["dec_w2"] + params["dec_b2"]
+    return float(np.mean(np.any(np.abs(logits) >= ad._LOGIT_CAP, axis=-1)))
 
 
 class TestLogWeightMatrixWorkers:
@@ -537,23 +572,32 @@ class TestLogWeightMatrixWorkers:
     @pytest.mark.parametrize("k, n, blocks", [(1, 5, 1), (20000, 5, 2), (43, 3000, 3), (27214, 5, 3)])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_equal_to_rows_at_any_worker_count(self, monkeypatch, workers, k, n, blocks):
+        self._check_workers(monkeypatch, workers, k, n, blocks, clip=False)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_clipped_rows_equal_to_rows_at_any_worker_count(self, monkeypatch, workers):
+        self._check_workers(monkeypatch, workers, 43, 3000, 3, clip=True)
+
+    def _check_workers(self, monkeypatch, workers, k, n, blocks, clip):
+        _size_budgets(monkeypatch)
         monkeypatch.setattr(vae_module, "_usable_cores", lambda: workers)
         threads = set()
         # every worker waits for the others at its first chunk, so the pool
         # cannot hand two shares to one thread
         barrier = threading.Barrier(min(workers, blocks), timeout=30)
-        decode = VAEModel.decode_nodes
 
-        def recorded(self, nodes, h):
+        def first_chunk_waits():
             if threading.get_ident() not in threads:
                 threads.add(threading.get_ident())
                 barrier.wait()
-            return decode(self, nodes, h)
 
-        monkeypatch.setattr(VAEModel, "decode_nodes", recorded)
         params, x, eps = self._inputs(k, n)
+        if clip:
+            params["dec_w2"][0, 0] = 40.0
+            assert 0.0 < _clipped_share(self.VAE, params, x, eps) < 1.0
+        decoded = _count_kernel_calls(monkeypatch, first_chunk_waits)
         lw = self.VAE.log_weight_matrix(params, x, eps)
-        assert len(threads) == min(workers, blocks)
+        assert len(threads) == min(workers, blocks) and sum(decoded) == k
         assert np.array_equal(lw, self.VAE.log_weight_rows(params, x, eps).T)
 
     def test_more_workers_than_cores_under_frequent_switches(self, monkeypatch):

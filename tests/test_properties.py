@@ -11,7 +11,8 @@ moves with a shift of the log weights; the normalized weights lie on the
 simplex and ignore such a shift. Every tape operation's vector-Jacobian
 product, the fused dense layer's included, matches central differences on
 drawn broadcast shapes. The Bernoulli log mass matches 40-digit mpmath on
-logits anywhere in the float range. Parameter files round-trip exactly, and
+logits anywhere in the float range, and a row's bits do not depend on the
+other draws computed with it. Parameter files round-trip exactly, and
 corrupted ones load or raise ValueError.
 """
 
@@ -369,19 +370,33 @@ def test_normal_logpdf_rows_vjps(shapes, data, seed):
 
 
 @TAPE
-@given(ROW_PAIRS, SEEDS)
-def test_bernoulli_logpmf_rows_vjps(shapes, seed):
+@given(MATMUL_PAIRS, st.data(), st.booleans(), SEEDS)
+def test_bernoulli_logpmf_rows_vjps(shapes, data, clip, seed):
+    # Logits x @ w + b of any matmul shapes, with rows in x and a matrix w
+    # (vectors are promoted); the targets are the logits' last two or more
+    # axes. With ``clip`` one column of logits sits at 40, beyond the cap,
+    # and gets zero gradient.
     rng = np.random.default_rng(seed)
-    logits = 3.0 * rng.standard_normal(shapes.input_shapes[0])
-    targets = (rng.random(shapes.input_shapes[1]) < 0.5).astype(float)
-    node = ad.bernoulli_logpmf_rows(ad.Node(logits), targets)
-    expected = (targets * logits - np.logaddexp(0.0, logits)).sum(axis=-1)
+    x_shape, w_shape = shapes.input_shapes
+    x_shape = x_shape if len(x_shape) >= 2 else (2, *x_shape)
+    w_shape = w_shape if len(w_shape) >= 2 else (*w_shape, 2)
+    x, w = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
+    b = rng.standard_normal(w_shape[-1])
+    if clip:
+        w = np.concatenate([np.zeros(w_shape[:-1] + (1,)), w], axis=-1)
+        b = np.concatenate([[40.0], b])
+    logits_shape = (x @ w).shape
+    target_shape = logits_shape[data.draw(st.integers(0, len(logits_shape) - 2)) :]
+    targets = (rng.random(target_shape) < 0.5).astype(float)
+    node = ad.bernoulli_dense_rows(ad.Node(x), ad.Node(w), ad.Node(b), targets)
+    z = np.clip(x @ w + b, -CAP, CAP)
+    expected = (targets * z - np.logaddexp(0.0, z)).sum(axis=-1)
     np.testing.assert_allclose(node.value, expected, rtol=1e-12, atol=1e-12)
-    _check_vjps(lambda z: ad.bernoulli_logpmf_rows(z, targets), [logits], seed)
+    _check_vjps(lambda xn, wn, bn: ad.bernoulli_dense_rows(xn, wn, bn, targets), [x, w, b], seed)
 
 
 # ----------------------------------------------------------------------
-# the Bernoulli kernel against 40-digit arithmetic
+# the Bernoulli node against 40-digit arithmetic
 
 CAP = ad._LOGIT_CAP
 # the cap and one ulp either side of it, of either sign
@@ -390,36 +405,58 @@ EDGES = [
     for sign in (1.0, -1.0)
     for edge in (CAP, math.nextafter(CAP, 0.0), math.nextafter(CAP, math.inf))
 ]
-LOGITS = st.one_of(
-    st.floats(-1e308, 1e308), st.sampled_from([-math.inf, math.inf, math.nan] + EDGES)
-)
+# Weights of every size, those that take a logit past the cap or overflow
+# it to +-inf (1e300 against an input of up to 1e10) included; inputs up to
+# 1e10, or exactly 1 so that an edge weight is a logit bit for bit.
+WEIGHTS = st.one_of(st.floats(-30.0, 30.0), st.floats(-1e300, 1e300), st.sampled_from(EDGES))
+INPUTS = st.one_of(st.floats(-1e10, 1e10), st.just(1.0), st.just(0.0))
 TARGETS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 @st.composite
-def bernoulli_rows(draw):
-    """(n, d) logits, some infinite, on or next to the cap, or NaN, and
-    targets of the same shape, binary or in [0, 1]."""
-    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 8))
-    cells = st.lists(st.tuples(LOGITS, TARGETS), min_size=n * d, max_size=n * d)
-    pairs = np.array(draw(cells)).reshape(n, d, 2)
-    return pairs[..., 0], pairs[..., 1]
+def bernoulli_layers(draw):
+    """A layer input x (n, h), weights w (h, d), a bias b (d,) that may hold
+    NaN, and targets (n, d), binary or in [0, 1]."""
+    n, h, d = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+
+    def array(shape, elements):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size))).reshape(shape)
+
+    bias = st.one_of(st.floats(-30.0, 30.0), st.sampled_from(EDGES + [math.nan, 0.0]))
+    return array((n, h), INPUTS), array((h, d), WEIGHTS), array((d,), bias), array((n, d), TARGETS)
 
 
 @PROPERTY
-@given(bernoulli_rows())
+@given(bernoulli_layers())
 @example(
-    rows=(
-        np.array([[CAP, -CAP, math.nextafter(CAP, 0.0), -math.nextafter(CAP, math.inf)],
-                  [math.inf, -math.inf, 1e308, -1e308]]),
-        np.array([[0.0, 1.0, 0.5, 0.25], [0.0, 1.0, 1.0, 0.0]]),
+    layer=(
+        np.array([[1.0], [1e10]]),
+        np.array(
+            [[CAP, -CAP, math.nextafter(CAP, 0.0), -math.nextafter(CAP, math.inf), 1e300, -1e300]]
+        ),
+        np.zeros(6),
+        np.array([[0.0, 1.0, 0.5, 0.25, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0, 1.0, 1.0]]),
     )
 )
-def test_bernoulli_logpmf_rows_match_40_digits(rows):
-    # Each row sums x z - log1p(exp(z)) over z = clip(logit, -cap, cap); the
-    # clip is exact in floats. Rounding may cost a few ulps of each term.
-    logits, targets = rows
-    got = ad.bernoulli_logpmf_rows(logits, targets)
+@example(
+    # logits of exactly 0 (2^1023 - 2^1023), whose sum of t z taken as
+    # x . (t w^T) overflows to inf - inf
+    layer=(
+        np.full((1, 2), 2.0**33),
+        np.array([[2.0**990, 2.0**990], [-(2.0**990), -(2.0**990)]]),
+        np.zeros(2),
+        np.ones((1, 2)),
+    )
+)
+def test_bernoulli_logpmf_rows_match_40_digits(layer):
+    # Each row sums t z - log1p(exp(z)) over the logits z = clip(x @ w + b)
+    # formed in floats; the clip is exact. Rounding may cost a few ulps of
+    # each term and of each product x_i w_ij in the row.
+    x, w, b, targets = layer
+    got = ad.bernoulli_dense_rows(x, w, b, targets)
+    with np.errstate(all="ignore"):
+        logits = x @ w + b
     z = np.clip(logits, -CAP, CAP)
     with mpmath.workdps(40):
         for i in range(logits.shape[0]):
@@ -427,13 +464,39 @@ def test_bernoulli_logpmf_rows_match_40_digits(rows):
                 assert np.isnan(got[i])
                 continue
             terms = [
-                (mpmath.mpf(x) * mpmath.mpf(v), mpmath.log1p(mpmath.exp(mpmath.mpf(v))))
-                for x, v in zip(targets[i], z[i])
+                (mpmath.mpf(t) * mpmath.mpf(v), mpmath.log1p(mpmath.exp(mpmath.mpf(v))))
+                for t, v in zip(targets[i], z[i])
             ]
-            exact = mpmath.fsum(xz - sp for xz, sp in terms)
-            scale = mpmath.fsum(abs(xz) + sp for xz, sp in terms)
+            exact = mpmath.fsum(tz - sp for tz, sp in terms)
+            products = [
+                mpmath.fsum(abs(mpmath.mpf(xk) * mpmath.mpf(wk)) for xk, wk in zip(x[i], w[:, j]))
+                + abs(mpmath.mpf(b[j]))
+                for j in range(w.shape[1])
+            ]
+            scale = mpmath.fsum(abs(tz) + sp for tz, sp in terms)
+            scale += mpmath.fsum(mpmath.mpf(t) * p for t, p in zip(targets[i], products))
             assert math.isfinite(got[i])
             assert abs(mpmath.mpf(float(got[i])) - exact) <= mpmath.mpf(1e-14) * scale, i
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.integers(1, 6), SEEDS, st.floats(0.0, 60.0))
+def test_bernoulli_rows_of_a_draw_alone_equal_them_among_others(k, n, seed, spread):
+    # K draws of a (n, 16) layer input against (n, 64) targets, as the VAE
+    # evaluates them in chunks of any size. Weights drawn at up to ``spread``
+    # clip the logits of some rows and not of others; each draw computed
+    # alone must give its rows' bits.
+    rng = np.random.default_rng(seed)
+    x = np.tanh(rng.standard_normal((k, n, 16)) * 2.0)
+    w = rng.standard_normal((16, 64)) * 0.25
+    w[0, :3] = spread * rng.standard_normal(3)
+    b = rng.standard_normal(64)
+    targets = (rng.random((n, 64)) < 0.5).astype(float)
+    rows = ad.bernoulli_dense_rows(x, w, b, targets)
+    for i in range(k):
+        assert ad.bernoulli_dense_rows(x[i], w, b, targets).tobytes() == rows[i].tobytes()
+        alone = ad.bernoulli_dense_rows(x[i : i + 1], w, b, targets)
+        assert alone.tobytes() == rows[i : i + 1].tobytes()
 
 
 # ----------------------------------------------------------------------

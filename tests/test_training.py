@@ -39,36 +39,60 @@ _LOG_2PI = math.log(2.0 * math.pi)
 class TestAdam:
     def test_zero_gradient_leaves_parameters_fixed(self):
         adam = Adam(lr=0.1)
-        params = {"w": np.array([1.0, -2.0])}
-        before = params["w"].copy()
+        params = np.array([1.0, -2.0])
+        before = params.copy()
         for _ in range(5):
-            adam.step(params, {"w": np.zeros(2)})
-        np.testing.assert_array_equal(params["w"], before)
+            adam.step(params, np.zeros(2))
+        np.testing.assert_array_equal(params, before)
 
     def test_single_step_matches_hand_update(self):
         adam = Adam(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
-        params = {"w": np.array([0.0])}
+        params = np.array([0.0])
         g = np.array([2.0])
-        adam.step(params, {"w": g})
+        adam.step(params, g)
         # bias-corrected first step moves by lr * g / (|g| + eps)
         expected = 0.1 * g / (np.abs(g) + 1e-8)
-        np.testing.assert_allclose(params["w"], expected, atol=1e-12)
+        np.testing.assert_allclose(params, expected, atol=1e-12)
 
     def test_momentum_moves_on_after_a_zero_gradient(self):
         adam = Adam(lr=0.1)
-        params = {"w": np.array([0.0])}
-        adam.step(params, {"w": np.array([1.0])})
-        after_one = params["w"][0]
-        adam.step(params, {"w": np.array([0.0])})
+        params = np.array([0.0])
+        adam.step(params, np.array([1.0]))
+        after_one = params[0]
+        adam.step(params, np.array([0.0]))
         assert after_one == pytest.approx(0.1, abs=1e-9)
-        assert params["w"][0] == pytest.approx(0.167, abs=1e-3)
+        assert params[0] == pytest.approx(0.167, abs=1e-3)
 
     def test_ascent_on_quadratic(self):
         adam = Adam(lr=0.05)
-        params = {"w": np.array([3.0])}
+        params = np.array([3.0])
         for _ in range(2000):
-            adam.step(params, {"w": -2.0 * params["w"]})
-        assert abs(params["w"][0]) < 1e-3
+            adam.step(params, -2.0 * params)
+        assert abs(params[0]) < 1e-3
+
+    def test_flat_step_equals_the_per_tensor_update_bit_for_bit(self):
+        # the textbook update, tensor by tensor, on the same gradients; a
+        # step as large as the parameters keeps the last bits of each
+        # operation in the result
+        rng = np.random.default_rng(8)
+        shapes = {"w": (30, 40), "b": (40,), "s": ()}
+        tensors = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        flat, views = training._flat_views(tensors)
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        adam = Adam(lr=1.0)
+        for t in range(1, 11):
+            scale = 10.0 ** (t % 5)
+            grads = {name: rng.standard_normal(shape) * scale for name, shape in shapes.items()}
+            adam.step(flat, np.concatenate([np.ravel(grads[name]) for name in views]))
+            for name, g in grads.items():
+                m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+                v[name] = 0.999 * v[name] + (1.0 - 0.999) * g * g
+                m_hat = m[name] / (1.0 - 0.9**t)
+                v_hat = v[name] / (1.0 - 0.999**t)
+                tensors[name] = tensors[name] + 1.0 * m_hat / (np.sqrt(v_hat) + 1e-8)
+                assert views[name].shape == shapes[name]
+                assert views[name].tobytes() == tensors[name].tobytes(), (t, name)
 
 
 def _energy_estimate(model, q, idx, alpha, noise):
@@ -218,6 +242,25 @@ class TestTrainBehavior:
         with pytest.raises(TrainingDiverged, match=rf"^{message}$") as exc_info:
             train(synthetic_blr_instance(seed=1, n_data=10), cfg)
         assert exc_info.value.step == 2
+
+    def test_a_non_finite_parameter_stops_the_run_naming_it(self, monkeypatch):
+        # the update of step 2 leaves a NaN in the last tensor
+        step = training.Adam.step
+
+        def spoiled(self, params, grads):
+            step(self, params, grads)
+            if self.t == 3:
+                params[-1] = math.nan
+
+        monkeypatch.setattr(training.Adam, "step", spoiled)
+        model = synthetic_blr_instance(seed=1, n_data=10)
+        last = list(model.init_params(0))[-1]
+        cfg = TrainConfig(alpha=0.5, k=3, minibatch=5, steps=4, learning_rate=0.01, seed=2)
+        message = rf"^step 2: parameter '{last}' became non-finite$"
+        with pytest.raises(TrainingDiverged, match=message) as exc_info:
+            train(model, cfg)
+        assert exc_info.value.step == 2
+        assert np.isnan(exc_info.value.last_params[last]).any()
 
     def test_bnn_training_improves_objective(self):
         data = synthetic_regression(seed=3, n=60)
