@@ -5,7 +5,11 @@ needs: arithmetic, matrix products, exp/ReLU/tanh, sums, reshapes and
 last-axis slices, a dense layer act(x @ w + b) as one fused node, a
 Gaussian log density summed over the last axis, and, as one fused node, an
 affine output layer z = x @ w + b with the Bernoulli log mass of its logits
-summed over the last axis. Matrix products batch over leading axes as numpy's
+summed over the last axis. The Bernoulli arithmetic is split into an array
+forward and its gradient at the logits, so that a larger operation can call
+them too: ``fused`` makes one node of an operation whose gradients are
+written out as one function, run once per backward pass (the dense layer,
+the Bernoulli output layer and the VAE's log weights are such nodes). Matrix products batch over leading axes as numpy's
 ``@`` does, so a model can evaluate K stacked parameter draws in one graph.
 Graphs are built functionally (fresh leaf nodes per evaluation); numbers
 and arrays enter operations as constants, which get no gradient, and an
@@ -13,7 +17,8 @@ operation with no node operand folds to a plain ndarray: a graph builder
 called on arrays gives its values without a tape, and ``value(x)`` reads a
 node or an array alike. A single backward pass from a seed (ones at a
 scalar root) accumulates vector-Jacobian products in topological order, and
-broadcasting is undone by summing over the broadcast axes. A fused node may
+broadcasting is undone by summing over the broadcast axes (a gradient that
+already has its operand's shape is passed on as it is). A fused node may
 work in place on the buffers it allocates itself, but no operation changes
 the value of another node. There is deliberately no general graph compiler
 and no higher-order support.
@@ -36,8 +41,11 @@ __all__ = [
     "Node",
     "backward",
     "bernoulli_dense_rows",
+    "bernoulli_rows_at_logits",
+    "bernoulli_rows_forward",
     "dense",
     "exp",
+    "fused",
     "gradients",
     "matmul",
     "normal_logpdf_rows",
@@ -102,7 +110,10 @@ class Node:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
+    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting); a
+    gradient that already has the shape comes back as it is."""
+    if grad.shape == shape:
+        return grad
     grad = np.asarray(grad, dtype=float)
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
@@ -115,6 +126,33 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def value(x) -> np.ndarray:
     """The float array of a node, or of a constant."""
     return x.value if isinstance(x, Node) else np.asarray(x, dtype=float)
+
+
+def fused(out, operands: dict, vjp):
+    """A node over ``out`` with an edge to each operand that is a node, for an
+    operation whose gradients are written out as one function: ``vjp(g)``
+    returns the gradient of each operand that is a node, as a dict with the
+    keys of ``operands``. It runs once per backward pass: its result is kept
+    from the first edge called to the last, which ``backward`` calls last.
+    With no node operand, ``out`` comes back as a float array."""
+    names = [name for name, operand in operands.items() if isinstance(operand, Node)]
+    if not names:
+        return np.asarray(out, dtype=float)
+    cache: list = [None, None]  # (g, vjp(g))
+
+    def edge(name, last):
+        def at(g):
+            if cache[0] is not g:
+                cache[:] = [g, vjp(g)]
+            grad = cache[1][name]
+            if last:
+                cache[:] = [None, None]
+            return grad
+
+        return at
+
+    last = len(names) - 1
+    return Node(out, tuple((operands[name], edge(name, i == last)) for i, name in enumerate(names)))
 
 
 def _op(out, *edges):
@@ -208,9 +246,9 @@ def dense(x, w, b, act: str | None = None):
     The product follows numpy's ``@`` and ``b`` broadcasts against it. The
     bias and the activation are applied in place on the product's buffer, so
     a layer allocates one output array. ``act`` is None (affine), "tanh" or
-    "relu". Each input that is a node has its own VJP; all of them start from
-    the gradient at the pre-activation, recovered from the output and
-    computed once per backward pass.
+    "relu". The gradients of the inputs that are nodes are written out
+    together (``fused``), from the gradient at the pre-activation, which is
+    recovered from the output.
     """
     if act not in _ACTIVATIONS:
         raise ValueError(f"act must be one of {_ACTIVATIONS}")
@@ -227,7 +265,7 @@ def dense(x, w, b, act: str | None = None):
             return g * (out > 0.0)
         return g
 
-    return _op(out, *_affine_edges(x, w, b, product_shape, pre))
+    return fused(out, {"x": x, "w": w, "b": b}, _affine_vjp(x, w, b, product_shape, pre))
 
 
 def _affine(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -241,33 +279,25 @@ def _affine(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray) -> tuple[np.ndarray,
     return out, product_shape
 
 
-def _affine_edges(x, w, b, product_shape: tuple, pre):
-    """The (operand, VJP) edges of a node over z = x @ w + b whose gradient
-    at z is ``pre(g)``. ``pre`` runs once per backward pass: its result is
-    kept from the first VJP called to the bias VJP, which ``backward`` calls
-    last. With no node operand there are none, and nothing is built."""
-    if not any(isinstance(operand, Node) for operand in (x, w, b)):
-        return ()
-    xv, wv, bv = value(x), value(w), value(b)
-    cache: list = [None, None]  # (g, pre(g))
+def _affine_vjp(x, w, b, product_shape: tuple, pre):
+    """The VJP, for ``fused``, of a node over z = x @ w + b whose gradient at
+    z is ``pre(g)``: the gradients of those of x, w and b that are nodes."""
 
-    def at_z(g):
-        if cache[0] is not g:
-            cache[:] = [g, pre(g)]
-        return cache[1]
+    def vjp(g):
+        gz = pre(g)
+        grads = {}
+        if isinstance(x, Node) or isinstance(w, Node):
+            product_vjp_x, product_vjp_w = _matmul_vjps(value(x), value(w))
+            g_product = _unbroadcast(gz, product_shape)
+            if isinstance(x, Node):
+                grads["x"] = product_vjp_x(g_product)
+            if isinstance(w, Node):
+                grads["w"] = product_vjp_w(g_product)
+        if isinstance(b, Node):
+            grads["b"] = _unbroadcast(gz, b.value.shape)
+        return grads
 
-    product_vjp_x, product_vjp_w = _matmul_vjps(xv, wv)
-
-    def vjp_b(g):
-        gz = at_z(g)
-        cache[:] = [None, None]
-        return _unbroadcast(gz, bv.shape)
-
-    return (
-        (x, lambda g: product_vjp_x(_unbroadcast(at_z(g), product_shape))),
-        (w, lambda g: product_vjp_w(_unbroadcast(at_z(g), product_shape))),
-        (b, vjp_b),
-    )
+    return vjp
 
 
 def exp(a):
@@ -348,11 +378,27 @@ _LOGIT_CAP = math.log1p(-_PROB_FLOOR) - math.log(_PROB_FLOOR)
 def bernoulli_dense_rows(x, w, b, targets: np.ndarray):
     """Bernoulli log mass of ``targets`` on the logits z = x @ w + b, summed
     over the last axis, as one node: the output layer of a decoder and its
-    likelihood.
+    likelihood. The value is ``bernoulli_rows_forward``'s and the gradient at
+    the logits ``bernoulli_rows_at_logits``'s, from which x, w and b get
+    theirs as through an affine layer.
+    """
+    out, softplus, inside = bernoulli_rows_forward(value(x), value(w), value(b), targets)
 
-    Per element this is t z - log1p(exp(z)) = t log p + (1 - t) log(1 - p)
-    with p = sigmoid(z). ``x`` holds rows and ``w`` is a matrix (each may be
-    a stack of them), the product follows numpy's ``@`` and ``b`` is a
+    def at_logits(g):
+        return bernoulli_rows_at_logits(softplus, inside, targets, g)
+
+    return fused(out, {"x": x, "w": w, "b": b}, _affine_vjp(x, w, b, softplus.shape, at_logits))
+
+
+def bernoulli_rows_forward(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray, targets: np.ndarray):
+    """The rows of ``bernoulli_dense_rows`` on arrays, with what their
+    gradient needs: (rows, softplus, inside). ``softplus`` holds
+    log1p(exp(z)) of the logits, clipped where they are, and ``inside`` is
+    the mask of the logits strictly inside the cap, or None when all are.
+
+    Per element the mass is t z - log1p(exp(z)) = t log p + (1 - t) log(1 - p)
+    with p = sigmoid(z). ``xv`` holds rows and ``wv`` is a matrix (each may
+    be a stack of them), the product follows numpy's ``@`` and ``bv`` is a
     vector. ``targets`` has the shape of the logits' last two or more axes.
     z is formed in one buffer, which then holds log1p(exp(z)) in place, and
     the row sum of t z is taken as x . (t w^T) + t . b, over the width of x
@@ -364,18 +410,15 @@ def bernoulli_dense_rows(x, w, b, targets: np.ndarray):
     for any non-NaN logits, and NaN gives a NaN row. They are looked for
     only when the largest or smallest logit says one exists. Each row's
     value depends on that row alone, so a row of a draw has the same bits
-    whether the draw is computed alone or among others. Clipped logits get
-    zero gradient; the others get t - sigmoid(z), recovered from the buffer
-    as t + expm1(-log1p(exp(z))).
+    whether the draw is computed alone or among others.
     """
-    xv, wv, bv = value(x), value(w), value(b)
     if xv.ndim < 2 or wv.ndim < 2 or bv.ndim != 1:
         raise ValueError("x must hold rows, w must be a matrix or a stack of them, b a vector")
     targets = np.asarray(targets, dtype=float)
     # Logits that overflow, and rows whose sum_j t_j z_j does, are clipped
     # below, silently.
     with np.errstate(over="ignore", invalid="ignore"):
-        z, product_shape = _affine(xv, wv, bv)
+        z, _ = _affine(xv, wv, bv)
         if targets.ndim < 2 or targets.shape != z.shape[z.ndim - targets.ndim :]:
             raise ValueError(f"targets {targets.shape} must be trailing rows of logits {z.shape}")
         inside = unclipped = None  # once a logit is not strictly inside the cap: the
@@ -395,19 +438,20 @@ def bernoulli_dense_rows(x, w, b, targets: np.ndarray):
         t_dot_z = t_dot_clipped if t_dot_z is None else np.where(unclipped, t_dot_z, t_dot_clipped)
     np.exp(z, out=z)
     np.log1p(z, out=z)
-    softplus = z
-    out = t_dot_z - softplus.sum(axis=-1)
+    return t_dot_z - z.sum(axis=-1), z, inside
 
-    def at_logits(g):
-        r = np.negative(softplus)
-        np.expm1(r, out=r)
-        r += targets
-        if inside is not None:
-            r *= inside
-        r *= np.expand_dims(g, -1)
-        return r
 
-    return _op(out, *_affine_edges(x, w, b, product_shape, at_logits))
+def bernoulli_rows_at_logits(softplus, inside, targets: np.ndarray, g) -> np.ndarray:
+    """The gradient at the logits of ``bernoulli_rows_forward``'s rows, given
+    ``g`` at the rows: g (t - sigmoid(z)), with sigmoid(z) recovered from the
+    buffer as -expm1(-log1p(exp(z))), and 0 at the clipped logits."""
+    r = np.negative(softplus)
+    np.expm1(r, out=r)
+    r += targets
+    if inside is not None:
+        r *= inside
+    r *= g[..., None]
+    return r
 
 
 def _clip_logits(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -472,10 +516,19 @@ def backward(root: Node, seed=None) -> None:
                 grads[key] = contribution
 
 
-def gradients(root: Node, leaves: dict[str, Node], seed=None) -> dict[str, np.ndarray]:
-    """Backward pass from ``seed`` (see ``backward``); each named leaf's gradient."""
+def gradients(
+    root: Node, leaves: dict[str, Node], seed=None, out: np.ndarray | None = None
+) -> dict[str, np.ndarray]:
+    """Backward pass from ``seed`` (see ``backward``); each named leaf's
+    gradient, as a view of one float vector of the leaves' total size that
+    holds them in the order of ``leaves``: ``out`` if given, else a new one.
+    A leaf the pass does not reach gets zeros."""
     backward(root, seed)
-    out = {}
+    if out is None:
+        out = np.empty(sum(node.value.size for node in leaves.values()))
+    grads, start = {}, 0
     for name, node in leaves.items():
-        out[name] = np.zeros_like(node.value) if node.grad is None else node.grad
-    return out
+        grads[name] = view = out[start : start + node.value.size].reshape(node.value.shape)
+        view[...] = 0.0 if node.grad is None else node.grad
+        start += node.value.size
+    return grads

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .alpha import AlphaKind, classify_alpha
-from .bounds import _logsumexp, validate_log_weights
+from .bounds import validate_log_weights
 
 __all__ = [
     "GaussianReparam",
@@ -170,7 +170,8 @@ def vr_grad(
     non-finite gradient components raise ``FloatingPointError`` naming the
     sample; zero-density (-inf) samples are allowed.
     """
-    grads, log_w, _ = _vr_step(build_log_weights, params, noise, alpha, select_rng)
+    out = np.empty(sum(np.size(value) for value in params.values()))
+    grads, log_w, _ = _vr_step(build_log_weights, params, noise, alpha, out, select_rng)
     return grads, log_w
 
 
@@ -179,12 +180,16 @@ def _vr_step(
     params: dict[str, np.ndarray],
     noise: np.ndarray,
     alpha: float,
+    out: np.ndarray,
     select_rng: np.random.Generator | None = None,
     finite: bool = False,
 ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
     """``vr_grad``, also returning the log weights checked and moved to
-    C-ordered (..., K) rows, one per weight set. With ``finite`` a -inf log
-    weight raises ``FloatingPointError`` too, once the gradient has passed."""
+    C-ordered (..., K) rows, one per weight set. The gradients land in
+    ``out``, a float vector of the parameters' total size, in the order of
+    ``params``, and are checked there at once; those returned are views of
+    it. With ``finite`` a -inf log weight raises ``FloatingPointError`` too,
+    once the gradient has passed."""
     noise = np.asarray(noise, dtype=float)
     nodes = {name: ad.Node(np.asarray(value, dtype=float)) for name, value in params.items()}
     lw_node = build_log_weights(nodes, noise)
@@ -207,13 +212,13 @@ def _vr_step(
     n_sets = log_w.size // log_w.shape[0]
     # Seeded at the log weights: their weighted sum, the root it stands for,
     # is NaN where a zero weight meets a -inf log weight.
-    grads = ad.gradients(lw_node, nodes, np.moveaxis(weights, -1, 0) * (1.0 / n_sets))
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            suspects = np.unique(np.nonzero(~np.isfinite(log_w))[0]).tolist()
-            raise FloatingPointError(
-                f"non-finite gradient for parameter '{name}' (suspect samples: {suspects})"
-            )
+    grads = ad.gradients(lw_node, nodes, np.moveaxis(weights, -1, 0) * (1.0 / n_sets), out)
+    if not np.isfinite(out).all():
+        name = next(name for name, g in grads.items() if not np.isfinite(g).all())
+        suspects = np.unique(np.nonzero(~np.isfinite(log_w))[0]).tolist()
+        raise FloatingPointError(
+            f"non-finite gradient for parameter '{name}' (suspect samples: {suspects})"
+        )
     if finite and not all_finite:
         raise FloatingPointError("non-finite objective")
     return grads, log_w, sets
@@ -269,10 +274,15 @@ def log_weight_ratio(log_w: np.ndarray, axis: int | None = None):
 
 
 def _log_ratio(log_w: np.ndarray) -> np.ndarray:
-    """log R of each row of a checked, C-ordered (..., K) array."""
-    k = log_w.shape[-1]
-    if k == 1:
+    """log R of each row of a checked, C-ordered (..., K) array, from one
+    sort: the max minus the log-sum-exp of the rest, scaled by the rest's
+    max, the second-largest value. It is +inf where the rest is all -inf,
+    and at K = 1."""
+    if log_w.shape[-1] == 1:
         return np.full(log_w.shape[:-1], math.inf)
-    top = np.expand_dims(np.argmax(log_w, axis=-1), -1)
-    rest = log_w[np.arange(k) != top].reshape(log_w.shape[:-1] + (k - 1,))
-    return np.max(log_w, axis=-1) - _logsumexp(rest)
+    ordered = np.sort(log_w, axis=-1)
+    top, second = ordered[..., -1], ordered[..., -2]
+    with np.errstate(invalid="ignore"):  # -inf - -inf, where the rest is all -inf
+        rest = np.exp(ordered[..., :-1] - second[..., None])
+        log_r = (top - second) - np.log(np.sum(rest, axis=-1))
+    return np.where(second > -math.inf, log_r, math.inf)

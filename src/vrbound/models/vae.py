@@ -4,14 +4,19 @@ Encoder: x -> tanh layer -> (mu, rho) for the Gaussian recognition density
 q(h|x) = N(mu(x), diag(exp(2 rho(x)))). Decoder: h -> tanh layer -> logits
 (Bernoulli likelihood) or means (Gaussian likelihood with a learnable log
 scale). The latent prior is the standard normal. Parameters are a dict of
-named arrays (the trainer keeps them as views of one vector); the graph
-builders accept the matching dict of leaf nodes, or the arrays themselves
-for a value without a tape. Noise may carry a leading axis of K
-draws, which the builders carry through to their outputs, so K log weights
-per datapoint come from one graph with one encoder pass.
-Each affine layer is one fused ``ad.dense`` node, except that the decoder's
-output layer and a Bernoulli likelihood are one ``ad.bernoulli_dense_rows``
-node.
+named arrays (the trainer keeps them as views of one vector).
+``log_weight_rows`` accepts the matching dict of leaf nodes, or the arrays
+themselves for a value without a tape. Noise may carry a leading axis of K
+draws, which is carried through to the outputs, so K log weights per
+datapoint come from one encoder pass.
+
+On leaves the log weights are one tape node with a written-out VJP: the
+forward pass runs the array pieces ``_encode``, ``_decode`` and
+``log_prior_rows`` (the same operations, in the same order, as a graph of
+``ad.dense``, ``ad.bernoulli_dense_rows`` and arithmetic nodes would), and
+``_log_weight_vjp`` takes the gradients back through the encoder, the
+reparameterization, the decoder, the likelihood, the prior and log q, once
+per backward pass.
 
 ``log_weight_matrix`` is the value-only path of held-out evaluation, where K
 runs to thousands: it encodes once and runs the rest over blocks of draws
@@ -106,44 +111,106 @@ class VAEModel:
         return {name: value.shape for name, value in self.init_params(0).items()}
 
     # ------------------------------------------------------------------
-    # graph builders (x is always a constant (n, data_dim) array; latents
+    # the log weights (x is always a constant (n, data_dim) array; latents
     # h are (n, latent_dim) or (K, n, latent_dim), and outputs keep the K)
-
-    def encode_nodes(self, nodes: dict[str, ad.Node], x: np.ndarray):
-        """Recognition parameters (mu, rho), each shape (n, latent_dim)."""
-        hid = ad.dense(x, nodes["enc_w1"], nodes["enc_b1"], "tanh")
-        mu = ad.dense(hid, nodes["enc_w_mu"], nodes["enc_b_mu"])
-        rho = ad.dense(hid, nodes["enc_w_rho"], nodes["enc_b_rho"])
-        return mu, rho
-
-    def log_lik_rows(self, nodes: dict[str, ad.Node], h: ad.Node, x: np.ndarray) -> ad.Node:
-        """Per-datapoint log p(x | h), shape (..., n). The decoder's output
-        layer and a Bernoulli likelihood are one node."""
-        hid = ad.dense(h, nodes["dec_w1"], nodes["dec_b1"], "tanh")
-        if self.likelihood == "bernoulli":
-            return ad.bernoulli_dense_rows(hid, nodes["dec_w2"], nodes["dec_b2"], x)
-        means = ad.dense(hid, nodes["dec_w2"], nodes["dec_b2"])
-        return ad.normal_logpdf_rows(np.asarray(x, dtype=float), means, nodes["dec_log_noise"])
-
-    def log_prior_rows(self, h: ad.Node) -> ad.Node:
-        """Per-datapoint standard-normal log density of the latents."""
-        return ad.vsum(h * h, axis=-1) * (-0.5) + (-0.5 * self.latent_dim * _LOG_2PI)
 
     def log_weight_rows(
         self, nodes: dict[str, ad.Node], x: np.ndarray, eps: np.ndarray
     ) -> ad.Node:
-        """Per-datapoint log p(h, x) - log q(h|x).
+        """Per-datapoint log p(h, x) - log q(h|x), as one node on the
+        parameter leaves (``ad.fused``), or an array for array parameters.
 
         ``eps`` of shape (n, latent_dim) is one noise draw and gives (n,);
         (K, n, latent_dim) is K draws and gives (K, n). The encoder runs once
         either way; the latent is the reparameterized
-        h = mu(x) + exp(rho(x)) * eps.
+        h = mu(x) + exp(rho(x)) * eps. The value is formed from the array
+        pieces that ``log_weight_matrix`` runs, and the gradients of every
+        parameter by ``_log_weight_vjp``.
         """
-        mu, rho = self.encode_nodes(nodes, x)
+        params = {name: ad.value(node) for name, node in nodes.items()}
+        x = np.asarray(x, dtype=float)
+        eps = np.asarray(eps, dtype=float)
+        hid_e, mu, rho = self._encode(params, x)
         reparam = GaussianReparam(mu, rho)
         h = reparam.theta(eps)
-        joint = self.log_lik_rows(nodes, h, x) + self.log_prior_rows(h)
-        return joint - reparam.log_q(eps)
+        lik, hid, state = self._decode(params, h, x)
+        out = lik + self.log_prior_rows(h) - reparam.log_q(eps)
+        return ad.fused(
+            out,
+            nodes,
+            lambda g: self._log_weight_vjp(params, x, eps, (hid_e, rho, h, hid, state), g),
+        )
+
+    def _encode(self, params: dict[str, np.ndarray], x: np.ndarray):
+        """The encoder's tanh layer and the recognition parameters (mu, rho)."""
+        hid = ad.dense(x, params["enc_w1"], params["enc_b1"], "tanh")
+        mu = ad.dense(hid, params["enc_w_mu"], params["enc_b_mu"])
+        rho = ad.dense(hid, params["enc_w_rho"], params["enc_b_rho"])
+        return hid, mu, rho
+
+    def _decode(self, params: dict[str, np.ndarray], h: np.ndarray, x: np.ndarray):
+        """Per-datapoint log p(x | h), shape (..., n); the decoder's tanh
+        layer; and what the likelihood's gradient needs: the softplus buffer
+        and cap mask of ``ad.bernoulli_rows_forward``, or the Gaussian means."""
+        hid = ad.dense(h, params["dec_w1"], params["dec_b1"], "tanh")
+        if self.likelihood == "bernoulli":
+            rows, softplus, inside = ad.bernoulli_rows_forward(
+                hid, params["dec_w2"], params["dec_b2"], x
+            )
+            return rows, hid, (softplus, inside)
+        means = ad.dense(hid, params["dec_w2"], params["dec_b2"])
+        return ad.normal_logpdf_rows(x, means, params["dec_log_noise"]), hid, means
+
+    def log_prior_rows(self, h: np.ndarray) -> np.ndarray:
+        """Per-datapoint standard-normal log density of the latents."""
+        return ad.vsum(h * h, axis=-1) * (-0.5) + (-0.5 * self.latent_dim * _LOG_2PI)
+
+    def _log_weight_vjp(self, params, x, eps, saved, g) -> dict[str, np.ndarray]:
+        """The gradient of every parameter from ``g`` at the log weights,
+        back through ``log_weight_rows``'s forward pass, whose arrays
+        ``saved`` holds. The weight gradient of a stacked (K, n, .) layer is
+        one product over its flattened rows."""
+        hid_e, rho, h, hid, state = saved
+        g_rows = g[..., None]
+        grads = {}
+        if self.likelihood == "bernoulli":
+            g_out = ad.bernoulli_rows_at_logits(*state, x, g)
+        else:
+            # dec_log_noise is one log scale s (``init_params`` makes it of
+            # shape (1,), and a larger one fails to reshape below):
+            # log p = -|z|^2 / 2 - d s - d/2 log(2 pi), z = (x - means) exp(-s)
+            log_noise = params["dec_log_noise"]
+            scale = np.exp(-log_noise)
+            z = (x - state) * scale
+            g_out = z * scale
+            g_out *= g_rows
+            g_noise = np.sum(z * z * g_rows) - x.shape[-1] * np.sum(g)
+            grads["dec_log_noise"] = np.reshape(g_noise, log_noise.shape)
+        grads["dec_w2"] = _rows(hid).T @ _rows(g_out)
+        grads["dec_b2"] = _rows(g_out).sum(axis=0)
+        g_pre = g_out @ params["dec_w2"].T
+        g_pre *= 1.0 - hid * hid
+        grads["dec_w1"] = _rows(h).T @ _rows(g_pre)
+        grads["dec_b1"] = _rows(g_pre).sum(axis=0)
+        g_h = g_pre @ params["dec_w1"].T
+        g_h -= h * g_rows  # the log prior's
+        # h = mu + exp(rho) eps, and -log q = sum(rho) + a constant; the
+        # draws, if any, share mu and rho
+        draws = (-1, *rho.shape)
+        g_mu = g_h.reshape(draws).sum(axis=0)
+        g_rho = (g_h * eps).reshape(draws).sum(axis=0)
+        g_rho *= np.exp(rho)
+        g_rho += np.reshape(g, draws[:-1]).sum(axis=0)[..., None]
+        grads["enc_w_mu"] = _rows(hid_e).T @ _rows(g_mu)
+        grads["enc_b_mu"] = _rows(g_mu).sum(axis=0)
+        grads["enc_w_rho"] = _rows(hid_e).T @ _rows(g_rho)
+        grads["enc_b_rho"] = _rows(g_rho).sum(axis=0)
+        g_pre = g_mu @ params["enc_w_mu"].T
+        g_pre += g_rho @ params["enc_w_rho"].T
+        g_pre *= 1.0 - hid_e * hid_e
+        grads["enc_w1"] = _rows(x).T @ _rows(g_pre)
+        grads["enc_b1"] = _rows(g_pre).sum(axis=0)
+        return grads
 
     # ------------------------------------------------------------------
     # value-only path
@@ -157,7 +224,7 @@ class VAEModel:
         """Log weights for eps of shape (K, n, latent_dim); returns (n, K).
 
         Equal bit for bit to ``log_weight_rows(params, x, eps).T``: the same
-        builders, on arrays and so without a tape, on slices of the draw axis.
+        array pieces, on slices of the draw axis.
         The encoder runs once. The latents, their log prior and log q are
         computed over blocks of draws, and the decoder and the likelihood
         over chunks of a block. A block holds at most
@@ -172,7 +239,8 @@ class VAEModel:
         x = np.asarray(x, dtype=float)
         eps = np.asarray(eps, dtype=float)
         k, n = eps.shape[:2]
-        reparam = GaussianReparam(*self.encode_nodes(params, x))
+        _, mu, rho = self._encode(params, x)
+        reparam = GaussianReparam(mu, rho)
         chunk_width = n * max(self.data_dim, self.hidden)
         out = np.empty((n, k))
 
@@ -182,12 +250,17 @@ class VAEModel:
                 prior = self.log_prior_rows(h)
                 log_q = reparam.log_q(eps[block])
                 for chunk in _draw_slices(block.stop - block.start, chunk_width, _CHUNK_BYTES):
-                    lik = self.log_lik_rows(params, h[chunk], x)
+                    lik = self._decode(params, h[chunk], x)[0]
                     columns = slice(block.start + chunk.start, block.start + chunk.stop)
                     out[:, columns] = (lik + prior[chunk] - log_q[chunk]).T
 
         _deal(fill, _draw_slices(k, n * self.latent_dim, _BLOCK_BYTES))
         return out
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``a`` as a matrix of its last axis, its other axes flattened."""
+    return a.reshape(-1, a.shape[-1])
 
 
 def _draw_slices(k: int, row_width: int, budget: int) -> list[slice]:

@@ -20,8 +20,9 @@ only log w_j is back-propagated.
 The models differ only in their initial parameters (``init_params(seed)``),
 training rows, noise shape and log-weight builder. Every step draws the noise
 for all K draws, hands the builder to ``vr_grad`` (one graph, one backward
-pass, one check of the log weights), takes an Adam step on one flat vector
-that holds every parameter (``params`` are named views of it), and records
+pass, one check of the log weights and one of the gradients, which land in
+one flat vector), takes an Adam step on one flat vector that holds every
+parameter in the same layout (``params`` are named views of it), and records
 the estimate and log R averaged over weight sets, reduced from the checked
 weights without a second check.
 
@@ -244,12 +245,11 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
                 select_rng = np.random.default_rng([config.seed, _STREAM_SELECT, step])
             # vr_grad allows zero-density (-inf) samples; a training step does not.
             try:
-                grads, _, sets = _vr_step(
-                    build, params, noise, config.alpha, select_rng, finite=True
+                _, _, sets = _vr_step(
+                    build, params, noise, config.alpha, flat_grads, select_rng, finite=True
                 )
             except FloatingPointError as exc:
                 raise TrainingDiverged(step, str(exc), params) from exc
-            np.concatenate([np.ravel(grads[name]) for name in params], out=flat_grads)
             np.multiply(flat_grads, flat_grads, out=squares)
             gnorm = math.sqrt(sum(float(g2.sum()) for g2 in squares_by_name.values()))
             if not math.isfinite(gnorm):

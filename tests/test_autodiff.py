@@ -158,6 +158,45 @@ class TestPrimitives:
         grads = ad.gradients(x * 2.0, {"x": x, "z": z})
         np.testing.assert_allclose(grads["z"], 0.0)
 
+    def test_gradients_land_in_a_flat_vector(self):
+        # in the order of the leaves; an unreached leaf's slice is zeroed
+        x = ad.Node(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        y = ad.Node(np.array([5.0]))
+        z = ad.Node(np.array(6.0))
+        out = np.full(6, np.nan)
+        grads = ad.gradients(ad.vsum(x * y), {"x": x, "z": z, "y": y}, out=out)
+        assert np.array_equal(out, [5.0, 5.0, 5.0, 5.0, 0.0, 10.0])
+        for name, node in (("x", x), ("z", z), ("y", y)):
+            assert grads[name].shape == node.value.shape
+            assert np.shares_memory(grads[name], out)
+        # without ``out``, into a new vector
+        again = ad.gradients(ad.vsum(x * y), {"x": x, "z": z, "y": y})
+        assert again["x"].base is again["y"].base is again["z"].base
+        assert np.array_equal(again["y"], grads["y"]) and not np.shares_memory(again["y"], out)
+
+    def test_unbroadcast_passes_a_matching_gradient_on(self):
+        g = np.arange(6.0).reshape(2, 3)
+        assert ad._unbroadcast(g, (2, 3)) is g
+        assert np.array_equal(ad._unbroadcast(g, (1, 3)), [[3.0, 5.0, 7.0]])
+        assert np.array_equal(ad._unbroadcast(g, (3,)), [3.0, 5.0, 7.0])
+
+    def test_a_fused_node_runs_its_vjp_once_per_backward_pass(self):
+        a, b = ad.Node(np.array([1.0, 2.0])), ad.Node(np.array(3.0))
+        calls = []
+
+        def vjp(g):
+            calls.append(g)
+            return {"a": g * b.value, "b": np.sum(g * a.value)}
+
+        node = ad.fused(a.value * b.value, {"a": a, "c": np.ones(2), "b": b}, vjp)
+        assert [parent for parent, _ in node.parents] == [a, b]
+        grads = ad.gradients(ad.vsum(node), {"a": a, "b": b})
+        assert len(calls) == 1
+        assert np.array_equal(grads["a"], [3.0, 3.0]) and grads["b"] == 3.0
+        ad.gradients(ad.vsum(node), {"a": a, "b": b})
+        assert len(calls) == 2
+        assert isinstance(ad.fused(np.ones(2), {"c": np.ones(2)}, vjp), np.ndarray)
+
 
 class TestComposites:
     # One row of observations: normal_logpdf_rows sums the whole vector.

@@ -297,6 +297,23 @@ class TestVrGradWeightSets:
             vr_grad(build, params, noise, 0.5)
 
 
+def test_a_non_finite_vae_gradient_names_the_parameter_and_the_suspects():
+    # A Gaussian decoder of scale exp(-400), h = eps, and means tanh(h) at
+    # x = 0: the first draw's mean is exact, and the second misses by
+    # tanh(1), so its log weight is -inf. Its weight is 0, and 0 times its
+    # infinite gradient at the means is NaN, which reaches every parameter.
+    vae = VAEModel(data_dim=1, latent_dim=1, hidden=1, likelihood="gaussian", encoder_hidden=1)
+    params = {name: np.zeros_like(v) for name, v in vae.init_params(0).items()}
+    params["dec_w1"][:] = params["dec_w2"][:] = 1.0
+    params["dec_log_noise"][:] = -400.0
+    x = np.zeros((1, 1))
+    noise = np.array([0.0, 1.0]).reshape(2, 1, 1)
+    message = r"^non-finite gradient for parameter 'enc_w1' \(suspect samples: \[1\]\)$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=message):
+            vr_grad(lambda nodes, eps: vae.log_weight_rows(nodes, x, eps), params, noise, 0.5)
+
+
 class TestVrGradChecks:
     """What ``vr_grad`` accepts of the (K, sets) log weights: -inf entries;
     NaN and +inf raise ``FloatingPointError``, checked before an all -inf set,

@@ -429,12 +429,11 @@ class TestVae:
         params = vae.init_params(seed=0)
         params["dec_w2"] = np.zeros_like(params["dec_w2"])
         params["dec_b2"] = np.zeros_like(params["dec_b2"])
-        nodes = {k: ad.Node(v) for k, v in params.items()}
         rng = np.random.default_rng(1)
         x = (rng.random((3, 10)) > 0.5).astype(float)
-        h = ad.Node(rng.standard_normal((3, 2)))
-        node = vae.log_lik_rows(nodes, h, x)
-        np.testing.assert_allclose(node.value, -10.0 * math.log(2.0), atol=1e-12)
+        h = rng.standard_normal((3, 2))
+        rows = vae._decode(params, h, x)[0]
+        np.testing.assert_allclose(rows, -10.0 * math.log(2.0), atol=1e-12)
 
     def test_log_weight_gradient_matches_fd(self):
         rng = np.random.default_rng(2)
@@ -532,9 +531,9 @@ def _size_budgets(monkeypatch) -> None:
 
 
 def _count_kernel_calls(monkeypatch, on_call=None) -> list:
-    """Patch the fused decoder-output node to record the draws of each
-    chunk it is called on (and to run ``on_call`` first)."""
-    kernel = ad.bernoulli_dense_rows
+    """Patch the array forward of the fused decoder-output layer to record
+    the draws of each chunk it is called on (and to run ``on_call`` first)."""
+    kernel = ad.bernoulli_rows_forward
     draws = []
 
     def counted(hid, *args):
@@ -543,16 +542,146 @@ def _count_kernel_calls(monkeypatch, on_call=None) -> list:
         draws.append(hid.shape[0])
         return kernel(hid, *args)
 
-    monkeypatch.setattr(ad, "bernoulli_dense_rows", counted)
+    monkeypatch.setattr(ad, "bernoulli_rows_forward", counted)
     return draws
 
 
 def _clipped_share(vae, params, x, eps) -> float:
     """Share of (draw, point) rows holding a logit at or beyond the cap."""
-    h = vae_module.GaussianReparam(*vae.encode_nodes(params, x)).theta(eps)
+    h = vae_module.GaussianReparam(*vae._encode(params, x)[1:]).theta(eps)
     hid = np.tanh(h @ params["dec_w1"] + params["dec_b1"])
     logits = hid @ params["dec_w2"] + params["dec_b2"]
     return float(np.mean(np.any(np.abs(logits) >= ad._LOGIT_CAP, axis=-1)))
+
+
+class TestVaeNode:
+    """On leaves, ``log_weight_rows`` is one tape node whose VJP is written
+    out; its values and gradients are checked against a graph of the tape's
+    own operations, and its gradients against central differences."""
+
+    @staticmethod
+    def _inputs(likelihood, draws, clip=False):
+        rng = np.random.default_rng(21)
+        vae = VAEModel(data_dim=6, latent_dim=2, hidden=3, likelihood=likelihood, encoder_hidden=4)
+        params = vae.init_params(seed=4)
+        for name in params:  # nonzero biases and a noise scale other than 1
+            params[name] = params[name] + 0.3 * rng.standard_normal(params[name].shape)
+        if likelihood == "bernoulli":
+            x = (rng.random((3, 6)) > 0.5).astype(float)
+        else:
+            x = rng.standard_normal((3, 6))
+        eps = rng.standard_normal((3, 2) if draws is None else (draws, 3, 2))
+        if clip:
+            # pixel 0 of every row lies beyond +cap, pixel 1 beyond -cap
+            params["dec_b2"][:2] = [40.0, -40.0]
+        return vae, params, x, eps
+
+    @staticmethod
+    def _composite(vae, nodes, x, eps):
+        """The log weights as a graph of the tape's operations."""
+        hid = ad.dense(x, nodes["enc_w1"], nodes["enc_b1"], "tanh")
+        mu = ad.dense(hid, nodes["enc_w_mu"], nodes["enc_b_mu"])
+        rho = ad.dense(hid, nodes["enc_w_rho"], nodes["enc_b_rho"])
+        reparam = vae_module.GaussianReparam(mu, rho)
+        h = reparam.theta(eps)
+        dec = ad.dense(h, nodes["dec_w1"], nodes["dec_b1"], "tanh")
+        if vae.likelihood == "bernoulli":
+            lik = ad.bernoulli_dense_rows(dec, nodes["dec_w2"], nodes["dec_b2"], x)
+        else:
+            means = ad.dense(dec, nodes["dec_w2"], nodes["dec_b2"])
+            lik = ad.normal_logpdf_rows(x, means, nodes["dec_log_noise"])
+        prior = ad.vsum(h * h, axis=-1) * (-0.5) + (-0.5 * vae.latent_dim * _LOG_2PI)
+        return lik + prior - reparam.log_q(eps)
+
+    CASES = [
+        ("bernoulli", None, False),
+        ("bernoulli", 4, False),
+        ("bernoulli", 4, True),
+        ("gaussian", None, False),
+        ("gaussian", 4, False),
+    ]
+
+    @pytest.mark.parametrize("likelihood, draws, clip", CASES)
+    def test_gradients_match_central_differences(self, likelihood, draws, clip):
+        vae, params, x, eps = self._inputs(likelihood, draws, clip)
+        seed = np.random.default_rng(5).standard_normal(eps.shape[:-1])
+        names = list(params)
+        sizes = [params[name].size for name in names]
+
+        def unflatten(v):
+            parts = np.split(v, np.cumsum(sizes)[:-1])
+            return {name: part.reshape(params[name].shape) for name, part in zip(names, parts)}
+
+        def f(v):
+            return float(np.sum(vae.log_weight_rows(unflatten(v), x, eps) * seed))
+
+        nodes = {name: ad.Node(v) for name, v in params.items()}
+        grads = ad.gradients(vae.log_weight_rows(nodes, x, eps), nodes, seed)
+        flat = np.concatenate([params[name].ravel() for name in names])
+        analytic = np.concatenate([grads[name].ravel() for name in names])
+        assert finite_diff_check(f, flat, analytic) < 1e-6
+        if clip:  # the clipped logits' weights and biases get no gradient
+            assert not grads["dec_b2"][:2].any() and not grads["dec_w2"][:, :2].any()
+            assert grads["dec_b2"][2:].all()
+
+    @pytest.mark.parametrize("likelihood, draws, clip", CASES)
+    def test_equal_to_a_graph_of_tape_operations(self, likelihood, draws, clip):
+        vae, params, x, eps = self._inputs(likelihood, draws, clip)
+        seed = np.random.default_rng(6).standard_normal(eps.shape[:-1])
+
+        def run(build):
+            nodes = {name: ad.Node(v) for name, v in params.items()}
+            node = build(nodes)
+            return node.value, ad.gradients(node, nodes, seed)
+
+        got_value, got = run(lambda nodes: vae.log_weight_rows(nodes, x, eps))
+        want_value, want = run(lambda nodes: self._composite(vae, nodes, x, eps))
+        assert np.array_equal(got_value, want_value)
+        for name, g in want.items():
+            assert got[name].shape == g.shape
+            assert np.max(np.abs(got[name] - g)) <= 1e-13 * np.max(np.abs(g)), name
+
+    def test_one_node_on_the_leaves(self, monkeypatch):
+        vae, params, x, eps = self._inputs("bernoulli", 4)
+        nodes = {name: ad.Node(v) for name, v in params.items()}
+        built = []
+        init = ad.Node.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ad.Node, "__init__", counted)
+        node = vae.log_weight_rows(nodes, x, eps)
+        assert len(built) == 1
+        assert {id(parent) for parent, _ in node.parents} == {id(leaf) for leaf in nodes.values()}
+
+    def test_the_vjp_runs_once_per_backward_pass(self, monkeypatch):
+        vae, params, x, eps = self._inputs("gaussian", 4)
+        calls = []
+        vjp = VAEModel._log_weight_vjp
+
+        def counted(self, *args):
+            calls.append(None)
+            return vjp(self, *args)
+
+        monkeypatch.setattr(VAEModel, "_log_weight_vjp", counted)
+        nodes = {name: ad.Node(v) for name, v in params.items()}
+        node = vae.log_weight_rows(nodes, x, eps)
+        first = ad.gradients(node, nodes, np.ones(node.value.shape))
+        assert len(calls) == 1
+        again = ad.gradients(node, nodes, np.full(node.value.shape, 2.0))
+        assert len(calls) == 2
+        for name in params:
+            np.testing.assert_allclose(again[name], 2.0 * first[name], rtol=1e-15)
+
+    def test_input_checks_are_kept(self):
+        vae, params, x, eps = self._inputs("bernoulli", 4)
+        nodes = {name: ad.Node(v) for name, v in params.items()}
+        with pytest.raises(ValueError, match="eps must have shape"):
+            vae.log_weight_rows(nodes, x, eps[:, :2])
+        with pytest.raises(ValueError, match="targets"):
+            vae.log_weight_rows(nodes, x[0], eps[:, 0])
 
 
 class TestLogWeightMatrixWorkers:

@@ -190,6 +190,72 @@ def test_logsumexp_edge_rows(row, expected):
 
 
 # ----------------------------------------------------------------------
+# log R of the normalized weights against the two-pass formula
+
+
+def _two_pass_log_ratio(log_w: np.ndarray) -> np.ndarray:
+    """log R as it was formed before the one-sort kernel: the max minus the
+    log-sum-exp of the entries left when the first maximum is taken out."""
+    k = log_w.shape[-1]
+    if k == 1:
+        return np.full(log_w.shape[:-1], math.inf)
+    top = np.expand_dims(np.argmax(log_w, axis=-1), -1)
+    rest = log_w[np.arange(k) != top].reshape(log_w.shape[:-1] + (k - 1,))
+    return np.max(log_w, axis=-1) - _logsumexp(rest)
+
+
+@st.composite
+def ratio_inputs(draw):
+    """(sets, K) log weights at one scale in [1e-3, 1e300], with -inf
+    entries, tied maxima, and rows whose entries but one are -inf."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.one_of(st.integers(1, 8), st.integers(9, 40)))
+    scale = draw(st.one_of(st.sampled_from([1e-3, 1.0, 1e3, 1e8, 1e300]), st.floats(1e-3, 1e3)))
+    unit = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, -0.5, 0.0, 1.0]))
+    a = draw(hnp.arrays(np.float64, (n, k), elements=unit)) * scale
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, k - 1))
+    for i, j in draw(st.lists(cells, max_size=6)):
+        a[i, j] = -math.inf
+    for i, j in draw(st.lists(cells, max_size=3)):
+        a[i, j] = np.max(a[i])
+    for i in range(n):  # a finite entry in every row
+        if not np.isfinite(a[i]).any():
+            a[i, draw(st.integers(0, k - 1))] = draw(unit) * scale
+    return a
+
+
+@settings(PROPERTY, max_examples=300)
+@given(ratio_inputs())
+def test_log_ratio_matches_the_two_pass_formula(lw):
+    # within 4 ulps of the larger of |log R| and the set's largest magnitude,
+    # the scale of the two formulas' rounding; +inf at the same rows
+    log_r, _ = log_weight_ratio(lw, axis=1)
+    old = _two_pass_log_ratio(lw.copy())
+    assert np.array_equal(np.isposinf(log_r), np.isposinf(old))
+    assert not np.isnan(log_r).any() and not np.isneginf(log_r).any()
+    finite = np.isfinite(old)
+    largest = np.max(np.where(np.isfinite(lw), np.abs(lw), 0.0), axis=1)
+    scale = np.maximum(np.abs(old), largest)[finite]
+    assert np.all(np.abs(log_r[finite] - old[finite]) <= 4.0 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize(
+    ("row", "expected"),
+    [
+        ([2.0, 2.0, 2.0], -math.log(2.0)),
+        ([0.0, -math.inf, -math.inf], math.inf),
+        ([-math.inf, 1.5, -math.inf, 0.5], 1.0),
+        ([-7.0], math.inf),
+        ([1000.0, 0.0, 0.0], 1000.0 - math.log(2.0)),
+    ],
+    ids=["all tied", "the rest -inf", "one finite rest", "one entry", "huge"],
+)
+def test_log_ratio_edge_rows(row, expected):
+    log_r, _ = log_weight_ratio(np.array([row, row]), axis=1)
+    assert log_r.tolist() == [expected, expected]
+
+
+# ----------------------------------------------------------------------
 # estimator and weights of one weight set
 
 # Log weights on a grid of quarters, shifted by integers: the shift is exact,

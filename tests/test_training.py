@@ -262,6 +262,27 @@ class TestTrainBehavior:
         assert exc_info.value.step == 2
         assert np.isnan(exc_info.value.last_params[last]).any()
 
+    def test_a_non_finite_vae_gradient_stops_the_run_naming_it(self, monkeypatch):
+        # the gradients of step 2 hold a NaN in 'dec_b1'; every log weight
+        # is finite, so no sample is suspect
+        vjp = VAEModel._log_weight_vjp
+        calls = []
+
+        def spoiled(self, *args):
+            grads = vjp(self, *args)
+            calls.append(None)
+            if len(calls) == 3:
+                grads["dec_b1"][1] = math.nan
+            return grads
+
+        monkeypatch.setattr(VAEModel, "_log_weight_vjp", spoiled)
+        data = synthetic_binary_images(seed=0, n=240)
+        cfg = TrainConfig(alpha=0.5, k=3, minibatch=8, steps=4, seed=2, eval_k=3)
+        message = r"^step 2: non-finite gradient for parameter 'dec_b1' \(suspect samples: \[\]\)$"
+        with pytest.raises(TrainingDiverged, match=message) as exc_info:
+            train(VAEModel(data_dim=64, hidden=4), cfg, data)
+        assert exc_info.value.step == 2
+
     def test_bnn_training_improves_objective(self):
         data = synthetic_regression(seed=3, n=60)
         std_data, _ = data.standardized()
