@@ -16,7 +16,8 @@ and arrays enter operations as constants, which get no gradient, and an
 operation with no node operand folds to a plain ndarray: a graph builder
 called on arrays gives its values without a tape, and ``value(x)`` reads a
 node or an array alike. A single backward pass from a seed (ones at a
-scalar root) accumulates vector-Jacobian products in topological order, and
+scalar root) accumulates vector-Jacobian products in reverse creation order
+(a node is always made after its operands, so no order is computed), and
 broadcasting is undone by summing over the broadcast axes (a gradient that
 already has its operand's shape is passed on as it is). A fused node may
 work in place on the buffers it allocates itself, but no operation changes
@@ -33,6 +34,8 @@ Typical use::
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -63,16 +66,19 @@ _LOG_2PI = math.log(2.0 * math.pi)
 class Node:
     """A value in the computation graph; leaves carry the parameters."""
 
-    __slots__ = ("value", "parents", "grad")
+    __slots__ = ("value", "parents", "grad", "number")
 
     # Make numpy defer to the reflected operators instead of coercing a Node
     # into an object array.
     __array_ufunc__ = None
 
+    _numbers = itertools.count()  # creation order, which backward() visits
+
     def __init__(self, value, parents=()):
         self.value = np.asarray(value, dtype=float)
         self.parents = parents
         self.grad = None  # set by backward(), which says why it lives here
+        self.number = next(Node._numbers)
 
     # arithmetic sugar; plain numbers/arrays are treated as constants
     def __add__(self, other):
@@ -466,25 +472,6 @@ def _clip_logits(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
 # backward pass
 
 
-def _topo_order(root: Node) -> list[Node]:
-    order: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node.parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    return order
-
-
 def backward(root: Node, seed=None) -> None:
     """Populate ``.grad`` on every node reachable from ``root``, starting from
     ``seed``, the gradient at the root (by default ones at a scalar root).
@@ -500,20 +487,21 @@ def backward(root: Node, seed=None) -> None:
     seed = np.ones_like(root.value) if seed is None else np.asarray(seed, dtype=float)
     if seed.shape != root.value.shape:
         raise ValueError(f"seed shape {seed.shape} differs from the root's {root.value.shape}")
-    order = _topo_order(root)
-    grads: dict[int, np.ndarray] = {id(root): seed}
-    for node in reversed(order):
-        g = grads.get(id(node))
-        if g is None:
-            continue
-        node.grad = g
+    # A node is made after its parents, so visiting the nodes that have a
+    # gradient pending in decreasing creation number visits each after every
+    # node it feeds: its gradient is complete when it is taken.
+    grads: dict[Node, np.ndarray] = {root: seed}
+    pending = [(-root.number, root)]
+    while pending:
+        node = heapq.heappop(pending)[1]
+        node.grad = g = grads.pop(node)
         for parent, vjp in node.parents:
             contribution = np.asarray(vjp(g), dtype=float)
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + contribution
+            if parent in grads:
+                grads[parent] = grads[parent] + contribution
             else:
-                grads[key] = contribution
+                grads[parent] = contribution
+                heapq.heappush(pending, (-parent.number, parent))
 
 
 def gradients(

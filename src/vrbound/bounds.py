@@ -2,14 +2,17 @@
 
 The K-sample estimate from log importance weights log w_k is
 
-    (1/(1-alpha)) * ( logsumexp((1-alpha) log w) - log K )      finite alpha != 1
-    m + log1p(mean(expm1((1-alpha) (log w - m)))) / (1-alpha)    the same, when
-        |1-alpha| * (max(log w) - min(log w)) <= 1, with m = mean(log w)
+    a + (logsumexp(s) - log K) / (1-alpha)                      finite alpha != 1
+    a + log1p(mean(expm1(s))) / (1-alpha)                       the same, when
+        |1-alpha| * (max(log w) - min(log w)) <= 1
     mean(log w)                                                  alpha = 1
     max(log w)                                                   alpha = -inf
     min(log w)                                                   alpha = +inf
 
-All arithmetic stays in the log domain. For a fixed weight set the estimate
+where s = (1-alpha) (log w - a), and the anchor a is the largest log weight
+for alpha < 1 and the smallest finite one for alpha > 1, so that s <= 0 at
+every finite log weight whatever the order. All arithmetic stays in the log
+domain. For a fixed weight set the estimate
 is non-increasing in alpha (it is the log of a power mean of the weights),
 and for K = 1 every branch collapses to the single log weight, which makes
 the one-sample estimate alpha-independent.
@@ -119,19 +122,39 @@ def _estimate(log_w: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _power_mean(log_w: np.ndarray, one_minus: float) -> np.ndarray:
-    """The finite-order estimate of each row of a (rows, K) array, K >= 2."""
+    """The finite-order estimate of each row of a (rows, K) array, K >= 2,
+    as a + log(mean(exp(s))) / (1 - alpha) with s and the anchor a of
+    ``_scaled_log_weights``."""
     # For alpha > 1 a -inf log weight scales to +inf, so logsumexp is +inf
     # and the estimate -inf. Dividing by 1 - alpha scales up the rounding of
     # logsumexp, so rows with |1 - alpha| ptp(log w) <= 1 (all of them next
-    # to alpha = 1) take the power mean about their mean m.
-    est = (_logsumexp(one_minus * log_w) - math.log(log_w.shape[-1])) / one_minus
-    near = np.ptp(log_w, axis=-1) <= 1.0 / abs(one_minus)
-    if np.any(near):
-        rows = log_w[near]
-        m = np.mean(rows, axis=-1, keepdims=True)
-        spread = np.mean(np.expm1(one_minus * (rows - m)), axis=-1)
-        est[near] = m[:, 0] + np.log1p(spread) / one_minus
-    return est
+    # to alpha = 1) take log1p(mean(expm1(s))) instead.
+    scaled, anchor = _scaled_log_weights(log_w, one_minus)
+    with np.errstate(over="ignore"):  # a spread past the float range is not near
+        near = np.ptp(log_w, axis=-1) <= 1.0 / abs(one_minus)
+    near_scaled = scaled[near]  # before _logsumexp overwrites scaled
+    log_mean = _logsumexp(scaled) - math.log(log_w.shape[-1])
+    log_mean[near] = np.log1p(np.mean(np.expm1(near_scaled), axis=-1))
+    return anchor[:, 0] + log_mean / one_minus
+
+
+def _scaled_log_weights(log_w: np.ndarray, one_minus: float) -> tuple[np.ndarray, np.ndarray]:
+    """s = (1 - alpha) (log w - a) of each row of a checked (..., K) array,
+    and the anchor a of each row, shape (..., 1): its largest log weight for
+    1 - alpha > 0, its smallest finite one for 1 - alpha < 0. So s is 0 at
+    the anchor and at most 0 at every finite log weight, which no finite
+    order can overflow; a product past the float range is -inf, a weight
+    too small to count. A -inf log weight gives -inf, or +inf for alpha > 1,
+    where a zero-density sample dominates."""
+    if one_minus > 0.0:
+        anchor = np.max(log_w, axis=-1, keepdims=True)
+    else:
+        finite = log_w > -math.inf
+        anchor = np.min(log_w, axis=-1, keepdims=True, where=finite, initial=math.inf)
+    with np.errstate(over="ignore"):
+        scaled = np.subtract(log_w, anchor)
+        scaled *= one_minus
+    return scaled, anchor
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:

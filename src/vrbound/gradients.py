@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .alpha import AlphaKind, classify_alpha
-from .bounds import validate_log_weights
+from .bounds import _scaled_log_weights, validate_log_weights
 
 __all__ = [
     "GaussianReparam",
@@ -67,15 +67,17 @@ def _normalize(log_w: np.ndarray, alpha: float) -> np.ndarray:
     elif kind is AlphaKind.POS_INF:
         probs = _one_hot(np.argmin(log_w, axis=-1), k)
     else:
-        scaled = (1.0 - float(alpha)) * log_w
-        top = np.max(scaled, axis=-1, keepdims=True)
+        # exp(s) with s of _scaled_log_weights: 1 at the anchor and at most 1
+        # at every finite log weight
+        scaled = _scaled_log_weights(log_w, 1.0 - float(alpha))[0]
         with np.errstate(invalid="ignore"):
-            probs = np.exp(scaled - top)
+            probs = np.exp(scaled)
             probs /= np.sum(probs, axis=-1, keepdims=True)
         # A zero-density sample raised to a negative power dominates its set.
-        hit = np.isposinf(top[..., 0])
+        dominant = np.isposinf(scaled)
+        hit = dominant.any(axis=-1)
         if np.any(hit):
-            hits = np.isposinf(scaled[hit])
+            hits = dominant[hit]
             probs[hit] = hits / np.sum(hits, axis=-1, keepdims=True)
     return probs
 

@@ -19,8 +19,11 @@ reparameterization, the decoder, the likelihood, the prior and log q, once
 per backward pass.
 
 ``log_weight_matrix`` is the value-only path of held-out evaluation, where K
-runs to thousands: it encodes once and runs the rest over blocks of draws
-small enough to stay in cache, dealt over every usable core. Each block
+runs to thousands: it takes a noise generator and a draw count, encodes once
+and runs the rest over blocks of draws small enough to stay in cache, pulled
+by a worker per usable core. The worker that takes a block draws its noise
+under the lock that hands the block out, so the draws come in block order,
+and no more than a block of noise per worker is alive at once. Each block
 writes its own columns of the result, so the result is the same, bit for
 bit, at any worker count.
 """
@@ -30,6 +33,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -219,42 +223,49 @@ class VAEModel:
         self,
         params: dict[str, np.ndarray],
         x: np.ndarray,
-        eps: np.ndarray,
+        rng: np.random.Generator,
+        k: int,
     ) -> np.ndarray:
-        """Log weights for eps of shape (K, n, latent_dim); returns (n, K).
+        """Log weights of ``k`` noise draws per row of ``x``; returns (n, k).
 
-        Equal bit for bit to ``log_weight_rows(params, x, eps).T``: the same
-        array pieces, on slices of the draw axis.
-        The encoder runs once. The latents, their log prior and log q are
-        computed over blocks of draws, and the decoder and the likelihood
-        over chunks of a block. A block holds at most
-        ``_BLOCK_BYTES`` in a float64 (rows, latent_dim) array, and a chunk at
-        most ``_CHUNK_BYTES`` in a (rows, max(data_dim, hidden)) array; either
-        is one draw when n rows are already more. Chunk arrays are reused by
-        the allocator from chunk to chunk instead of being handed back to the
-        system and faulted in again. The blocks are dealt round-robin over
-        one worker per usable core (see ``_deal``); block and chunk bounds do
-        not depend on the worker count, and neither does the result.
+        Equal bit for bit to ``log_weight_rows(params, x, eps).T`` with eps
+        the one-shot draw ``rng.standard_normal((k, n, latent_dim))``, and
+        ``rng`` is left in the state that draw leaves it in: the noise is
+        drawn block by block, in block order, and consecutive draws of a
+        generator are one draw split. The encoder runs once. The latents,
+        their log prior and log q are computed over blocks of draws, and the
+        decoder and the likelihood over chunks of a block. A block holds at
+        most ``_BLOCK_BYTES`` in a float64 (rows, latent_dim) array, and a
+        chunk at most ``_CHUNK_BYTES`` in a (rows, max(data_dim, hidden))
+        array; either is one draw when n rows are already more. Chunk arrays
+        are reused by the allocator from chunk to chunk instead of being
+        handed back to the system and faulted in again. The blocks are
+        pulled by one worker per usable core (see ``_deal``), each of which
+        holds the noise of one block at a time, so the memory is the (n, k)
+        result and a few blocks, whatever the latent width. Block and chunk
+        bounds do not depend on the worker count, and neither does the
+        result.
         """
         x = np.asarray(x, dtype=float)
-        eps = np.asarray(eps, dtype=float)
-        k, n = eps.shape[:2]
+        n = x.shape[0]
         _, mu, rho = self._encode(params, x)
         reparam = GaussianReparam(mu, rho)
         chunk_width = n * max(self.data_dim, self.hidden)
         out = np.empty((n, k))
 
-        def fill(blocks: list[slice]) -> None:
-            for block in blocks:
-                h = reparam.theta(eps[block])
-                prior = self.log_prior_rows(h)
-                log_q = reparam.log_q(eps[block])
-                for chunk in _draw_slices(block.stop - block.start, chunk_width, _CHUNK_BYTES):
-                    lik = self._decode(params, h[chunk], x)[0]
-                    columns = slice(block.start + chunk.start, block.start + chunk.stop)
-                    out[:, columns] = (lik + prior[chunk] - log_q[chunk]).T
+        def draw(block: slice) -> np.ndarray:
+            return rng.standard_normal((block.stop - block.start, n, self.latent_dim))
 
-        _deal(fill, _draw_slices(k, n * self.latent_dim, _BLOCK_BYTES))
+        def fill(block: slice, eps: np.ndarray) -> None:
+            h = reparam.theta(eps)
+            prior = self.log_prior_rows(h)
+            log_q = reparam.log_q(eps)
+            for chunk in _draw_slices(block.stop - block.start, chunk_width, _CHUNK_BYTES):
+                lik = self._decode(params, h[chunk], x)[0]
+                columns = slice(block.start + chunk.start, block.start + chunk.stop)
+                out[:, columns] = (lik + prior[chunk] - log_q[chunk]).T
+
+        _deal(fill, _draw_slices(k, n * self.latent_dim, _BLOCK_BYTES), draw)
         return out
 
 
@@ -278,21 +289,36 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _deal(fill, blocks: list[slice]) -> None:
-    """Run ``fill`` on the blocks dealt round-robin over min(cores, blocks)
-    workers. The calling thread is one worker; the others are threads of a
-    pool that lives for this call only, each running in a copy of the
-    caller's context, so the caller's ``np.errstate`` holds in every worker.
-    An exception in any worker is raised here once all workers have stopped."""
+def _deal(fill, blocks: list[slice], draw) -> None:
+    """Run ``fill(block, draw(block))`` on every block, on min(cores, blocks)
+    workers that pull the blocks in order: one lock hands out the next block
+    and runs ``draw`` on it, so the draws happen in block order whichever
+    worker takes them, and a worker that is done early takes the next block
+    rather than waiting for the others at the end. A worker drops a block's
+    draw before it pulls the next. The calling thread is one worker; the
+    others are threads of a pool that lives for this call only, each running
+    in a copy of the caller's context, so the caller's ``np.errstate`` holds
+    in every worker. An exception in any worker is raised here once all
+    workers have stopped."""
+    pending = iter(blocks)
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                block = next(pending, None)
+                if block is None:
+                    return
+                drawn = draw(block)
+            fill(block, drawn)
+            del drawn
+
     workers = min(_usable_cores(), len(blocks))
     if workers <= 1:
-        fill(blocks)
+        work()
         return
     with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        futures = [
-            pool.submit(contextvars.copy_context().run, fill, blocks[i::workers])
-            for i in range(1, workers)
-        ]
-        fill(blocks[::workers])
+        futures = [pool.submit(contextvars.copy_context().run, work) for _ in range(1, workers)]
+        work()
         for future in futures:
             future.result()

@@ -22,16 +22,19 @@ training rows, noise shape and log-weight builder. Every step draws the noise
 for all K draws, hands the builder to ``vr_grad`` (one graph, one backward
 pass, one check of the log weights and one of the gradients, which land in
 one flat vector), takes an Adam step on one flat vector that holds every
-parameter in the same layout (``params`` are named views of it), and records
-the estimate and log R averaged over weight sets, reduced from the checked
-weights without a second check.
+parameter in the same layout (``params`` are named views of it), and keeps
+the checked weights, without a second check: at the end of each epoch the
+run record gets every step's estimate and log R, averaged over its weight
+sets, from one reduction over the epoch's sets.
 
 Held-out evaluation (``evaluate_vae``) needs no gradient: per repeat it
-draws the noise of all max(K, k_ref) samples at once and takes the (n, K)
-log weights from ``VAEModel.log_weight_matrix``, the model's value-only
-path, which encodes once and decodes in cache-sized chunks, with its blocks
-of draws run on every usable core; the result is the same at any worker
-count.
+takes the (n, K) log weights of max(K, k_ref) samples from
+``VAEModel.log_weight_matrix``, the model's value-only path, which encodes
+once and decodes in cache-sized chunks, with its blocks of draws pulled by a
+worker per usable core, each drawing its block's noise as it takes the
+block. So at most one block of noise per worker is alive, whatever the latent
+width, and the result is the same at any worker count. A repeat's matrix is
+freed before the next one is made.
 
 Randomness is organized in named streams derived from (seed, stream id,
 index), so shuffling, noise, and evaluation draws are reproducible
@@ -234,6 +237,7 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
     step = 0
     epoch = 0
     while step < config.steps:
+        done = []  # (step, gradient norm, wall time, checked weight sets)
         for batch_idx in _epoch_batches(n, m, config.seed, epoch):
             if step >= config.steps:
                 break
@@ -258,17 +262,31 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
             if not np.isfinite(flat).all():
                 name = next(name for name, v in params.items() if not np.isfinite(v).all())
                 raise TrainingDiverged(step, f"parameter '{name}' became non-finite", params)
-
-            record.append(
-                step,
-                float(np.mean(_estimate(sets, config.alpha))),
-                gnorm,
-                float(np.mean(_log_ratio(sets))),
-                time.perf_counter() - start,
-            )
+            done.append((step, gnorm, time.perf_counter() - start, sets))
             step += 1
+        _record_steps(record, done, config.alpha)
         epoch += 1
     return params, record
+
+
+def _record_steps(record: RunRecord, done: list, alpha: float) -> None:
+    """Append steps to the record, each with the mean estimate and log R of
+    its weight sets, from one ``_estimate`` and one ``_log_ratio`` call over
+    the sets of every step: each set is reduced on its own, so a step's
+    values have the bits of a call on its sets alone."""
+    k = done[0][3].shape[-1]
+    sets = np.concatenate([step_sets.reshape(-1, k) for *_, step_sets in done])
+    estimates, log_rs = _estimate(sets, alpha), _log_ratio(sets)
+    stop = 0
+    for step, gnorm, wall, step_sets in done:
+        start, stop = stop, stop + step_sets.size // k
+        record.append(
+            step,
+            float(np.mean(estimates[start:stop])),
+            gnorm,
+            float(np.mean(log_rs[start:stop])),
+            wall,
+        )
 
 
 def _flat_views(params: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -379,14 +397,16 @@ def evaluate_vae(
 
     for r in range(repeats):
         rng = np.random.default_rng([seed, _STREAM_EVAL, r])
-        # the draws are freed before the estimates' temporaries are made
-        lw = model.log_weight_matrix(params, x, rng.standard_normal((k_block, n, model.latent_dim)))
+        lw = model.log_weight_matrix(params, x, rng, k_block)
         # each prefix of draws is checked once, then estimated at every order
         for k in {k for _, k in per_point}:
             sets = validate_log_weights(lw[:, :k], 1)
             for (a, cell_k), store in per_point.items():
                 if cell_k == k:
                     store[r] = _estimate(sets, a)
+        # at k = k_block, sets is a view of lw: both go before the next
+        # repeat's matrix is made
+        del lw, sets
 
     rows = []
     for a in alphas:

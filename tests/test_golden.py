@@ -11,9 +11,12 @@ Regenerate the fixture only when a change is meant to move the outputs:
     PYTHONPATH=src python tests/test_golden.py
 
 To see how far the current code's outputs have moved from the fixture, per
-case, without writing anything:
+case, without writing anything (exit code 1 when a case is outside
+rtol/atol):
 
     PYTHONPATH=src python tests/test_golden.py --drift
+
+Any other argument is an error (exit code 2), and writes nothing.
 """
 
 import json
@@ -147,14 +150,35 @@ def _drift(got: dict, want: dict) -> tuple[float, float]:
     return worst_abs, worst_rel
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] == ["--drift"]:
-        golden_values = json.loads(FIXTURE.read_text())
-        for case in sorted(CASES):
-            worst_abs, worst_rel = _drift(CASES[case](), golden_values[case])
-            print(f"{case}: abs {worst_abs:.3g} rel {worst_rel:.3g}")
-    else:
+def _exceeds(got: dict, want: dict) -> bool:
+    """Whether a case's outputs miss the fixture by more than RTOL/ATOL, as
+    ``test_matches_golden`` judges them."""
+    return sorted(got) != sorted(want) or not all(
+        np.allclose(np.asarray(got[key]), np.asarray(want[key]), rtol=RTOL, atol=ATOL, equal_nan=True)
+        for key in want
+    )
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
         FIXTURE.write_text(
             json.dumps({case: CASES[case]() for case in sorted(CASES)}, indent=1) + "\n"
         )
         print(f"wrote {FIXTURE}")
+        return 0
+    if argv != ["--drift"]:
+        print("usage: test_golden.py [--drift]", file=sys.stderr)
+        return 2
+    golden_values = json.loads(FIXTURE.read_text())
+    exceeded = False
+    for case in sorted(CASES):
+        got, want = CASES[case](), golden_values[case]
+        worst_abs, worst_rel = _drift(got, want)
+        over = _exceeds(got, want)
+        exceeded |= over
+        print(f"{case}: abs {worst_abs:.3g} rel {worst_rel:.3g}" + (" EXCEEDS rtol/atol" if over else ""))
+    return 1 if exceeded else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

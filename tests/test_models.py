@@ -1,5 +1,6 @@
 """Model families: conjugate regression, BNN, VAE, and dataset handling."""
 
+import itertools
 import math
 import sys
 import threading
@@ -470,8 +471,7 @@ class TestVae:
         params = vae.init_params(seed=1)
         assert "dec_log_noise" in params
         x = rng.standard_normal((2, 5))
-        eps = rng.standard_normal((1, 2, 2))
-        lw = vae.log_weight_matrix(params, x, eps)
+        lw = vae.log_weight_matrix(params, x, rng, 1)
         assert lw.shape == (2, 1)
         assert np.all(np.isfinite(lw))
 
@@ -480,8 +480,8 @@ class TestVae:
         vae = VAEModel(data_dim=8, latent_dim=2, hidden=4)
         params = vae.init_params(seed=2)
         x = (rng.random((5, 8)) > 0.5).astype(float)
-        eps = rng.standard_normal((3, 5, 2))
-        lw = vae.log_weight_matrix(params, x, eps)
+        eps = np.random.default_rng(60).standard_normal((3, 5, 2))
+        lw = vae.log_weight_matrix(params, x, np.random.default_rng(60), 3)
         nodes = {k: ad.Node(v) for k, v in params.items()}
         for k in range(3):
             np.testing.assert_allclose(
@@ -509,12 +509,12 @@ class TestVae:
         vae = VAEModel(data_dim=8, latent_dim=2, hidden=4)
         params = vae.init_params(seed=5)
         x = (rng.random((n, 8)) > 0.5).astype(float)
-        eps = rng.standard_normal((k, n, 2))
+        eps = np.random.default_rng(70).standard_normal((k, n, 2))
         if clip:
             params["dec_w2"][0, 0] = 40.0
             assert 0.0 < _clipped_share(vae, params, x, eps) < 1.0
         decoded = _count_kernel_calls(monkeypatch)
-        lw = vae.log_weight_matrix(params, x, eps)
+        lw = vae.log_weight_matrix(params, x, np.random.default_rng(70), k)
         assert len(decoded) == chunks and sum(decoded) == k
         assert np.array_equal(lw, vae.log_weight_rows(params, x, eps).T)
 
@@ -685,15 +685,22 @@ class TestVaeNode:
 
 
 class TestLogWeightMatrixWorkers:
-    """``log_weight_matrix`` deals its blocks over min(cores, blocks) workers;
-    ``_usable_cores`` is patched to force a worker count."""
+    """``log_weight_matrix``'s blocks are pulled by min(cores, blocks)
+    workers; ``_usable_cores`` is patched to force a worker count. Its noise
+    comes from a generator seeded like the twin that draws the one-shot
+    ``eps`` the results are checked against."""
 
     VAE = VAEModel(data_dim=8, latent_dim=2, hidden=4)
+    NOISE_SEED = 12
 
     def _inputs(self, k, n):
         rng = np.random.default_rng(11)
         x = (rng.random((n, 8)) > 0.5).astype(float)
-        return self.VAE.init_params(seed=6), x, rng.standard_normal((k, n, 2))
+        eps = np.random.default_rng(self.NOISE_SEED).standard_normal((k, n, 2))
+        return self.VAE.init_params(seed=6), x, eps
+
+    def _matrix(self, params, x, k):
+        return self.VAE.log_weight_matrix(params, x, np.random.default_rng(self.NOISE_SEED), k)
 
     # With the test_log_weight_matrix_equals_rows_bit_for_bit budgets: one
     # block; two blocks, fewer than three workers; three blocks of two-draw
@@ -725,7 +732,7 @@ class TestLogWeightMatrixWorkers:
             params["dec_w2"][0, 0] = 40.0
             assert 0.0 < _clipped_share(self.VAE, params, x, eps) < 1.0
         decoded = _count_kernel_calls(monkeypatch, first_chunk_waits)
-        lw = self.VAE.log_weight_matrix(params, x, eps)
+        lw = self._matrix(params, x, k)
         assert len(threads) == min(workers, blocks) and sum(decoded) == k
         assert np.array_equal(lw, self.VAE.log_weight_rows(params, x, eps).T)
 
@@ -739,41 +746,92 @@ class TestLogWeightMatrixWorkers:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            lw = self.VAE.log_weight_matrix(params, x, eps)
+            lw = self._matrix(params, x, 700)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(lw, self.VAE.log_weight_rows(params, x, eps).T)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_an_exception_in_a_later_block_propagates(self, monkeypatch, workers):
+        # 43 draws of 3000 points are three blocks; the second one taken fails
         monkeypatch.setattr(vae_module, "_usable_cores", lambda: workers)
-        params, x, eps = self._inputs(43, 3000)
-        eps[21, 0, 0] = 123.0  # the first draw of the second block
+        params, x, _ = self._inputs(43, 3000)
         theta = vae_module.GaussianReparam.theta
+        calls = itertools.count()
 
         def failing(self, block_eps):
-            if block_eps[0, 0, 0] == 123.0:
+            if next(calls) == 1:
                 raise KeyError("second block")
             return theta(self, block_eps)
 
         monkeypatch.setattr(vae_module.GaussianReparam, "theta", failing)
         before = threading.active_count()
         with pytest.raises(KeyError, match="second block"):
-            self.VAE.log_weight_matrix(params, x, eps)
+            self._matrix(params, x, 43)
+        assert threading.active_count() == before
+
+    def test_an_exception_in_a_pool_thread_propagates(self, monkeypatch):
+        # each of two workers takes a block before either goes on; the one
+        # that is not the calling thread fails
+        monkeypatch.setattr(vae_module, "_usable_cores", lambda: 2)
+        params, x, _ = self._inputs(43, 3000)
+        theta = vae_module.GaussianReparam.theta
+        barrier = threading.Barrier(2, timeout=30)
+        caller = threading.get_ident()
+        seen = set()
+
+        def failing(self, block_eps):
+            if threading.get_ident() not in seen:
+                seen.add(threading.get_ident())
+                barrier.wait()
+            if threading.get_ident() != caller:
+                raise KeyError("pool thread")
+            return theta(self, block_eps)
+
+        monkeypatch.setattr(vae_module.GaussianReparam, "theta", failing)
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="pool thread"):
+            self._matrix(params, x, 43)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_workers_keep_the_callers_errstate(self, monkeypatch, workers):
-        # exp(709) is finite, so only the second block's draws, dealt to the
-        # second worker when there are two, overflow h = mu + exp(rho) eps.
+        # exp(709) is finite, but h = mu + exp(rho) eps overflows at |eps| >
+        # 2.2, which every block of 21 x 3000 x 2 draws holds. Each worker
+        # takes a block before either goes on, and records its errstate.
         monkeypatch.setattr(vae_module, "_usable_cores", lambda: workers)
-        params, x, eps = self._inputs(43, 3000)
+        params, x, _ = self._inputs(43, 3000)
         params["enc_w_rho"][:] = 0.0
         params["enc_b_rho"][:] = 709.0
-        eps[:] = 0.0
-        eps[21:42] = 10.0
+        theta = vae_module.GaussianReparam.theta
+        barrier = threading.Barrier(workers, timeout=30)
+        seen = {}
+
+        def recording(self, block_eps):
+            if threading.get_ident() not in seen:
+                seen[threading.get_ident()] = np.geterr()["over"]
+                barrier.wait()
+            return theta(self, block_eps)
+
+        monkeypatch.setattr(vae_module.GaussianReparam, "theta", recording)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            self.VAE.log_weight_matrix(params, x, eps)
+            self._matrix(params, x, 43)
+        assert list(seen.values()) == ["raise"] * workers
+
+    # Budgets of one draw per block, of 16 draws of 50 points, and of the
+    # whole call in one block.
+    @pytest.mark.parametrize("budget", [1, 16 * 50 * 2 * 8, 1024 * 1024])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_blocks_draw_the_one_shot_noise(self, monkeypatch, workers, budget):
+        monkeypatch.setattr(vae_module, "_usable_cores", lambda: workers)
+        monkeypatch.setattr(vae_module, "_BLOCK_BYTES", budget)
+        params, x, _ = self._inputs(300, 50)
+        twin = np.random.default_rng(self.NOISE_SEED)
+        eps = twin.standard_normal((300, 50, 2))
+        rng = np.random.default_rng(self.NOISE_SEED)
+        lw = self.VAE.log_weight_matrix(params, x, rng, 300)
+        assert np.array_equal(lw, self.VAE.log_weight_rows(params, x, eps).T)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestDatasets:

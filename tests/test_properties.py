@@ -17,6 +17,7 @@ corrupted ones load or raise ValueError.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -325,6 +326,45 @@ def test_weights_on_simplex_and_shift_invariant(lw, drawn, c):
         assert w.shape == lw.shape
         assert np.all(w >= 0.0) and abs(float(np.sum(w)) - 1.0) <= 1e-12 * lw.size, alpha
         np.testing.assert_allclose(normalize_weights(lw + c, alpha), w, rtol=0.0, atol=1e-9)
+
+
+# Orders so far from 1 that (1 - alpha) log w leaves the float range for
+# |log w| above 1.8 (at 1e308) to 1.8e8 (at 1e300).
+HUGE_ALPHAS = tuple(s * m for m in (1e300, 1e306, 1e308) for s in (-1.0, 1.0))
+
+
+def _mp_power_mean(lw: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
+    """The estimate and the normalized weights at a finite order, in
+    50-digit mpmath, whose exponents do not overflow. For alpha > 1 a
+    zero-density sample dominates: the estimate is -inf, and such samples
+    share the weight."""
+    zero = np.isneginf(lw)
+    if alpha > 1.0 and zero.any():
+        return -math.inf, zero / np.sum(zero)
+    with mpmath.workdps(50):
+        c = 1 - mpmath.mpf(alpha)
+        powers = [mpmath.mpf(0) if z else mpmath.exp(c * mpmath.mpf(v)) for v, z in zip(lw, zero)]
+        total = mpmath.fsum(powers)
+        estimate = float(mpmath.log(total / len(lw)) / c)
+        return estimate, np.array([float(w / total) for w in powers])
+
+
+@PROPERTY
+@given(log_weight_vectors(), st.sampled_from(HUGE_ALPHAS))
+@example(np.array([-40.0, -41.0, -42.0]), 1e308)
+@example(np.array([-40.0, -41.0, -42.0]), -1e308)
+@example(np.array([0.1, 0.1, 0.1]), -1e300)
+def test_huge_orders_match_mpmath(lw, alpha):
+    estimate, weights = _mp_power_mean(lw, alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mc_vr_estimate(lw, alpha)
+        got_weights = normalize_weights(lw, alpha)
+    if math.isinf(estimate):
+        assert got == estimate
+    else:
+        assert abs(got - estimate) <= _slack(lw, estimate)
+    np.testing.assert_allclose(got_weights, weights, rtol=0.0, atol=1e-15)
 
 
 # ----------------------------------------------------------------------

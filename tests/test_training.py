@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -389,6 +390,23 @@ class TestEvaluateVae:
             monkeypatch.setattr(vae_module, "_CHUNK_BYTES", budget)
             assert table() == default, budget
 
+    def test_memory_does_not_grow_with_the_latent_width(self, monkeypatch):
+        # 2000 draws of 20 points at latent width 50 are 16 MB of noise, and
+        # the (20, 2000) log weights 0.3 MB. Each of two workers holds one
+        # block of noise (at most _BLOCK_BYTES) and the latents and
+        # temporaries made from it.
+        monkeypatch.setattr(vae_module, "_usable_cores", lambda: 2)
+        vae = VAEModel(data_dim=8, latent_dim=50, hidden=16)
+        x = (np.random.default_rng(0).random((20, 8)) > 0.5).astype(float)
+        params = vae.init_params(seed=0)
+        tracemalloc.start()
+        try:
+            evaluate_vae(vae, params, x, [0.0, 0.5], [1, 10], repeats=2, seed=0, k_ref=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 5 * vae_module._BLOCK_BYTES + 20 * 2000 * 8
+
 
 # A fresh interpreter evaluates 100 points at k_ref 5000 with 2 repeats, as
 # `vr eval` does per pair of repeats, and prints the minor page faults the
@@ -442,7 +460,7 @@ def test_value_paths_build_no_tape_node(monkeypatch):
     x = (rng.random((5, 8)) > 0.5).astype(float)
     for likelihood in ("bernoulli", "gaussian"):
         vae = VAEModel(data_dim=8, latent_dim=2, hidden=4, likelihood=likelihood)
-        vae.log_weight_matrix(vae.init_params(seed=0), x, rng.standard_normal((7, 5, 2)))
+        vae.log_weight_matrix(vae.init_params(seed=0), x, rng, 7)
     blr = synthetic_blr_instance(seed=0, n_data=10)
     training.posterior_log_weights(
         blr, blr.init_params(0), blr.design[:4], blr.targets[:4], rng.standard_normal((3, 2)), 2.5
@@ -492,3 +510,34 @@ class TestWeightDiagnostics:
         _, r = log_weight_ratio(log_w, axis=1)
         w_max = np.max(normalize_weights(log_w, 0.0, axis=1), axis=1)
         np.testing.assert_array_equal(r >= 1.0, w_max >= 0.5)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0, -math.inf, math.inf])
+    @pytest.mark.parametrize("family", ["vae", "bnn"])
+    def test_record_equals_per_step_reductions(self, monkeypatch, family, alpha):
+        # The record's estimate and log R are reduced once per epoch, over
+        # every step's weight sets; each step's values must have the bits of
+        # calls on its own sets. 100 VAE rows are 4 batches of up to 32, and
+        # 68 BNN rows 3, so each epoch ends with a short batch and 22 steps
+        # end mid-epoch.
+        from vrbound.bounds import _estimate
+        from vrbound.gradients import _log_ratio
+
+        step_sets = []
+        vr_step = training._vr_step
+
+        def keeping(*args, **kwargs):
+            out = vr_step(*args, **kwargs)
+            step_sets.append(out[2].copy())
+            return out
+
+        monkeypatch.setattr(training, "_vr_step", keeping)
+        cfg = TrainConfig(alpha=alpha, k=5, minibatch=32, steps=22, learning_rate=0.01, seed=2, eval_k=5)
+        if family == "vae":
+            data = synthetic_binary_images(seed=0, n=300, side=4)
+            _, record = train(VAEModel(data_dim=16, latent_dim=2, hidden=4), cfg, data)
+        else:
+            data, _ = synthetic_regression(seed=2, n=90).standardized()
+            _, record = train(BNNModel(in_dim=1, hidden=4), cfg, data)
+        assert len(step_sets) == 22
+        assert record.objective == [float(np.mean(_estimate(s, alpha))) for s in step_sets]
+        assert record.log_weight_ratio == [float(np.mean(_log_ratio(s))) for s in step_sets]
