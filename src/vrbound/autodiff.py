@@ -9,7 +9,9 @@ summed over the last axis. The Bernoulli arithmetic is split into an array
 forward and its gradient at the logits, so that a larger operation can call
 them too: ``fused`` makes one node of an operation whose gradients are
 written out as one function, run once per backward pass (the dense layer,
-the Bernoulli output layer and the VAE's log weights are such nodes). Matrix products batch over leading axes as numpy's
+the Bernoulli output layer and the VAE's log weights are such nodes). Every
+node, fused or not, holds its node operands and one VJP that returns their
+gradients. Matrix products batch over leading axes as numpy's
 ``@`` does, so a model can evaluate K stacked parameter draws in one graph.
 Graphs are built functionally (fresh leaf nodes per evaluation); numbers
 and arrays enter operations as constants, which get no gradient, and an
@@ -64,9 +66,13 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 class Node:
-    """A value in the computation graph; leaves carry the parameters."""
+    """A value in the computation graph; leaves carry the parameters.
 
-    __slots__ = ("value", "parents", "grad", "number")
+    ``parents`` holds the operands that are nodes, and ``vjp(g)`` returns
+    their gradients, in the same order, from ``g`` at this node. A leaf has
+    neither."""
+
+    __slots__ = ("value", "parents", "vjp", "grad", "number")
 
     # Make numpy defer to the reflected operators instead of coercing a Node
     # into an object array.
@@ -74,9 +80,10 @@ class Node:
 
     _numbers = itertools.count()  # creation order, which backward() visits
 
-    def __init__(self, value, parents=()):
+    def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=float)
         self.parents = parents
+        self.vjp = vjp
         self.grad = None  # set by backward(), which says why it lives here
         self.number = next(Node._numbers)
 
@@ -135,38 +142,30 @@ def value(x) -> np.ndarray:
 
 
 def fused(out, operands: dict, vjp):
-    """A node over ``out`` with an edge to each operand that is a node, for an
-    operation whose gradients are written out as one function: ``vjp(g)``
+    """A node over ``out`` whose parents are the operands that are nodes, for
+    an operation whose gradients are written out as one function: ``vjp(g)``
     returns the gradient of each operand that is a node, as a dict with the
-    keys of ``operands``. It runs once per backward pass: its result is kept
-    from the first edge called to the last, which ``backward`` calls last.
-    With no node operand, ``out`` comes back as a float array."""
+    keys of ``operands``. With no node operand, ``out`` comes back as a
+    float array."""
     names = [name for name, operand in operands.items() if isinstance(operand, Node)]
     if not names:
         return np.asarray(out, dtype=float)
-    cache: list = [None, None]  # (g, vjp(g))
 
-    def edge(name, last):
-        def at(g):
-            if cache[0] is not g:
-                cache[:] = [g, vjp(g)]
-            grad = cache[1][name]
-            if last:
-                cache[:] = [None, None]
-            return grad
+    def node_vjp(g):
+        grads = vjp(g)
+        return [grads[name] for name in names]
 
-        return at
-
-    last = len(names) - 1
-    return Node(out, tuple((operands[name], edge(name, i == last)) for i, name in enumerate(names)))
+    return Node(out, tuple(operands[name] for name in names), node_vjp)
 
 
 def _op(out, *edges):
     """A node over ``out`` whose parents are the operands that are nodes.
     Each edge is (operand, VJP); a constant operand (a number or an array)
     gets none. With no node operand, ``out`` comes back as a float array."""
-    parents = tuple(edge for edge in edges if isinstance(edge[0], Node))
-    return Node(out, parents) if parents else np.asarray(out, dtype=float)
+    edges = [edge for edge in edges if isinstance(edge[0], Node)]
+    if not edges:
+        return np.asarray(out, dtype=float)
+    return Node(out, tuple(edge[0] for edge in edges), lambda g: [vjp(g) for _, vjp in edges])
 
 
 # ----------------------------------------------------------------------
@@ -495,8 +494,10 @@ def backward(root: Node, seed=None) -> None:
     while pending:
         node = heapq.heappop(pending)[1]
         node.grad = g = grads.pop(node)
-        for parent, vjp in node.parents:
-            contribution = np.asarray(vjp(g), dtype=float)
+        if node.vjp is None:
+            continue
+        for parent, contribution in zip(node.parents, node.vjp(g)):
+            contribution = np.asarray(contribution, dtype=float)
             if parent in grads:
                 grads[parent] = grads[parent] + contribution
             else:

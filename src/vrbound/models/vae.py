@@ -20,12 +20,12 @@ per backward pass.
 
 ``log_weight_matrix`` is the value-only path of held-out evaluation, where K
 runs to thousands: it takes a noise generator and a draw count, encodes once
-and runs the rest over blocks of draws small enough to stay in cache, pulled
-by a worker per usable core. The worker that takes a block draws its noise
-under the lock that hands the block out, so the draws come in block order,
-and no more than a block of noise per worker is alive at once. Each block
-writes its own columns of the result, so the result is the same, bit for
-bit, at any worker count.
+and runs the rest over chunks of draws small enough to stay in cache, pulled
+by a worker per usable core. The worker that takes a chunk draws its noise
+under the lock that hands the chunk out, so the draws come in chunk order,
+and computes the chunk's log weights with the forward pass that
+``log_weight_rows`` runs. Each chunk writes its own columns of the result,
+so the result is the same, bit for bit, at any worker count.
 """
 
 from __future__ import annotations
@@ -42,24 +42,19 @@ from .. import autodiff as ad
 from ..gradients import GaussianReparam
 
 _LOG_2PI = math.log(2.0 * math.pi)
-# Byte budgets of one float64 array in ``log_weight_matrix``: a (rows,
-# max(data_dim, hidden)) array of a chunk and a (rows, latent_dim) array of
-# a block. A chunk is a few dozen numpy operations, and a worker holds the
-# GIL between them, so a chunk must be long enough for the arithmetic, which
-# runs without the GIL, to dominate. On 2 cores, a 5000-draw call on 100
-# points took 0.26-0.32 s on one worker at chunk budgets of 512-1024 KiB;
-# on two, 0.20-0.22 s at 512 KiB, 0.19 s at 768 and 0.17-0.18 s at 1024.
-# A chunk's few live arrays must also stay in the heap. glibc serves an
-# allocation above its mmap threshold (128 KiB at start) from fresh pages;
-# freeing one raises the threshold to its size and the heap's trim threshold
-# to twice that. The 1 MiB arrays of a block are freed first and lift the
-# trim threshold to 2 MiB, above a chunk's working set (the logits, which
-# the fused Bernoulli node works on in place, and the decoder's hidden
-# layer: 1.25 MiB at 1 MiB), so the heap keeps it: evaluating 100 points at
-# k_ref 5000 twice in a fresh process took 9.0-10.4 k minor page faults at
-# 512-1280 KiB chunks.
-_CHUNK_BYTES = 1024 * 1024
-_BLOCK_BYTES = 1024 * 1024
+# Byte budget of one float64 (rows, n * max(data_dim, hidden, latent_dim))
+# array of a chunk of draws in ``log_weight_matrix``. A chunk is a few dozen
+# numpy operations, and a worker holds the GIL between them, so a chunk must
+# be long enough for the arithmetic, which runs without the GIL, to dominate:
+# on 2 cores, a 5000-draw call on 100 points of width 64 took about 5% longer
+# at 1 MiB (20 draws a chunk) than at 1.5 MiB (30), and about as long at
+# 2 MiB. A chunk holds three arrays of the noise's width at once (the noise,
+# the latents and a product), so at latent width 50 two workers peaked at
+# 9.4 MiB at 1.5 MiB and 11.5-12.5 MiB at 2 MiB. Evaluating 100 points at
+# k_ref 5000 twice in a fresh process (``tests/test_training.py``'s fault
+# probe) took 3.0-3.2k, 3.8k, 4.6k and 7.3k minor page faults at 1, 1.5, 2
+# and 4 MiB.
+_CHUNK_BYTES = 1536 * 1024
 
 
 class VAEModel:
@@ -127,22 +122,17 @@ class VAEModel:
         ``eps`` of shape (n, latent_dim) is one noise draw and gives (n,);
         (K, n, latent_dim) is K draws and gives (K, n). The encoder runs once
         either way; the latent is the reparameterized
-        h = mu(x) + exp(rho(x)) * eps. The value is formed from the array
-        pieces that ``log_weight_matrix`` runs, and the gradients of every
-        parameter by ``_log_weight_vjp``.
+        h = mu(x) + exp(rho(x)) * eps. The value is ``_forward``'s, which
+        ``log_weight_matrix`` runs too, and the gradients of every parameter
+        come from ``_log_weight_vjp``.
         """
         params = {name: ad.value(node) for name, node in nodes.items()}
         x = np.asarray(x, dtype=float)
         eps = np.asarray(eps, dtype=float)
         hid_e, mu, rho = self._encode(params, x)
-        reparam = GaussianReparam(mu, rho)
-        h = reparam.theta(eps)
-        lik, hid, state = self._decode(params, h, x)
-        out = lik + self.log_prior_rows(h) - reparam.log_q(eps)
+        out, saved = self._forward(params, x, GaussianReparam(mu, rho), eps)
         return ad.fused(
-            out,
-            nodes,
-            lambda g: self._log_weight_vjp(params, x, eps, (hid_e, rho, h, hid, state), g),
+            out, nodes, lambda g: self._log_weight_vjp(params, x, eps, (hid_e, rho, *saved), g)
         )
 
     def _encode(self, params: dict[str, np.ndarray], x: np.ndarray):
@@ -151,6 +141,18 @@ class VAEModel:
         mu = ad.dense(hid, params["enc_w_mu"], params["enc_b_mu"])
         rho = ad.dense(hid, params["enc_w_rho"], params["enc_b_rho"])
         return hid, mu, rho
+
+    def _forward(self, params, x: np.ndarray, reparam: GaussianReparam, eps: np.ndarray):
+        """The log weights of the noise ``eps`` under the encoder's
+        ``reparam``, and what their gradient needs: (the latents, the
+        decoder's tanh layer, the likelihood's state). Each row's value
+        depends on that row's draw alone."""
+        h = reparam.theta(eps)
+        # before the decoder, so that their squares of the noise's width are
+        # freed before its arrays are made
+        prior, log_q = self.log_prior_rows(h), reparam.log_q(eps)
+        lik, hid, state = self._decode(params, h, x)
+        return lik + prior - log_q, (h, hid, state)
 
     def _decode(self, params: dict[str, np.ndarray], h: np.ndarray, x: np.ndarray):
         """Per-datapoint log p(x | h), shape (..., n); the decoder's tanh
@@ -231,41 +233,30 @@ class VAEModel:
         Equal bit for bit to ``log_weight_rows(params, x, eps).T`` with eps
         the one-shot draw ``rng.standard_normal((k, n, latent_dim))``, and
         ``rng`` is left in the state that draw leaves it in: the noise is
-        drawn block by block, in block order, and consecutive draws of a
-        generator are one draw split. The encoder runs once. The latents,
-        their log prior and log q are computed over blocks of draws, and the
-        decoder and the likelihood over chunks of a block. A block holds at
-        most ``_BLOCK_BYTES`` in a float64 (rows, latent_dim) array, and a
-        chunk at most ``_CHUNK_BYTES`` in a (rows, max(data_dim, hidden))
-        array; either is one draw when n rows are already more. Chunk arrays
-        are reused by the allocator from chunk to chunk instead of being
-        handed back to the system and faulted in again. The blocks are
-        pulled by one worker per usable core (see ``_deal``), each of which
-        holds the noise of one block at a time, so the memory is the (n, k)
-        result and a few blocks, whatever the latent width. Block and chunk
-        bounds do not depend on the worker count, and neither does the
-        result.
+        drawn chunk by chunk, in chunk order, and consecutive draws of a
+        generator are one draw split. The encoder runs once; each chunk of
+        draws runs ``log_weight_rows``'s forward pass from its noise to its
+        log weights. A chunk holds at most ``_CHUNK_BYTES`` in a float64
+        (rows, max(data_dim, hidden, latent_dim)) array, or one draw when n
+        rows are already more. The chunks are pulled by one worker per
+        usable core (see ``_deal``), each of which holds the arrays of one
+        chunk at a time, so the memory is the (n, k) result and a few chunks,
+        whatever the latent width. Chunk bounds do not depend on the worker
+        count, and neither does the result.
         """
         x = np.asarray(x, dtype=float)
         n = x.shape[0]
-        _, mu, rho = self._encode(params, x)
-        reparam = GaussianReparam(mu, rho)
-        chunk_width = n * max(self.data_dim, self.hidden)
+        reparam = GaussianReparam(*self._encode(params, x)[1:])
         out = np.empty((n, k))
 
-        def draw(block: slice) -> np.ndarray:
-            return rng.standard_normal((block.stop - block.start, n, self.latent_dim))
+        def draw(chunk: slice) -> np.ndarray:
+            return rng.standard_normal((chunk.stop - chunk.start, n, self.latent_dim))
 
-        def fill(block: slice, eps: np.ndarray) -> None:
-            h = reparam.theta(eps)
-            prior = self.log_prior_rows(h)
-            log_q = reparam.log_q(eps)
-            for chunk in _draw_slices(block.stop - block.start, chunk_width, _CHUNK_BYTES):
-                lik = self._decode(params, h[chunk], x)[0]
-                columns = slice(block.start + chunk.start, block.start + chunk.stop)
-                out[:, columns] = (lik + prior[chunk] - log_q[chunk]).T
+        def fill(chunk: slice, eps: np.ndarray) -> None:
+            out[:, chunk] = self._forward(params, x, reparam, eps)[0].T
 
-        _deal(fill, _draw_slices(k, n * self.latent_dim, _BLOCK_BYTES), draw)
+        width = n * max(self.data_dim, self.hidden, self.latent_dim)
+        _deal(fill, _draw_slices(k, width, _CHUNK_BYTES), draw)
         return out
 
 
@@ -289,31 +280,36 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _deal(fill, blocks: list[slice], draw) -> None:
-    """Run ``fill(block, draw(block))`` on every block, on min(cores, blocks)
-    workers that pull the blocks in order: one lock hands out the next block
-    and runs ``draw`` on it, so the draws happen in block order whichever
-    worker takes them, and a worker that is done early takes the next block
-    rather than waiting for the others at the end. A worker drops a block's
+def _deal(fill, chunks: list[slice], draw) -> None:
+    """Run ``fill(chunk, draw(chunk))`` on every chunk, on min(cores, chunks)
+    workers that pull the chunks in order: one lock hands out the next chunk
+    and runs ``draw`` on it, so the draws happen in chunk order whichever
+    worker takes them, and a worker that is done early takes the next chunk
+    rather than waiting for the others at the end. A worker drops a chunk's
     draw before it pulls the next. The calling thread is one worker; the
     others are threads of a pool that lives for this call only, each running
     in a copy of the caller's context, so the caller's ``np.errstate`` holds
-    in every worker. An exception in any worker is raised here once all
-    workers have stopped."""
-    pending = iter(blocks)
+    in every worker. Once a worker raises, no worker pulls another chunk,
+    and the exception is raised here once all workers have stopped."""
+    pending = iter(chunks)
     lock = threading.Lock()
+    failed = threading.Event()
 
     def work() -> None:
-        while True:
-            with lock:
-                block = next(pending, None)
-                if block is None:
-                    return
-                drawn = draw(block)
-            fill(block, drawn)
-            del drawn
+        try:
+            while True:
+                with lock:
+                    chunk = None if failed.is_set() else next(pending, None)
+                    if chunk is None:
+                        return
+                    drawn = draw(chunk)
+                fill(chunk, drawn)
+                del drawn
+        except BaseException:
+            failed.set()
+            raise
 
-    workers = min(_usable_cores(), len(blocks))
+    workers = min(_usable_cores(), len(chunks))
     if workers <= 1:
         work()
         return

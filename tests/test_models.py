@@ -488,11 +488,10 @@ class TestVae:
                 lw[:, k], vae.log_weight_rows(nodes, x, eps[k]).value, atol=1e-12
             )
 
-    # (K, n, chunks): one draw's (n, latent_dim = 2) arrays take 16 n bytes
-    # and its (n, data_dim = 8) arrays 64 n, so 1 MiB holds blocks of 13107
-    # and 512 KiB chunks of 1638 draws of 5 points. K = 27214 is two full
-    # blocks of 9 chunks (the last of 3 draws) and a partial block of one.
-    # At n = 5000 a chunk is one draw; a block is 13.
+    # (K, n, chunks): one draw's (n, data_dim = 8) array takes 64 n bytes,
+    # so a 450 KiB budget holds chunks of 1440 draws of 5 points. K = 27214
+    # is 18 full chunks and a partial one of 1294 draws. At n = 5000 a chunk
+    # is one draw.
     @pytest.mark.parametrize("k, n, chunks", [(27214, 5, 19), (3, 5000, 3), (1, 5, 1)])
     def test_log_weight_matrix_equals_rows_bit_for_bit(self, monkeypatch, k, n, chunks):
         self._check_chunks_equal_rows(monkeypatch, k, n, chunks, clip=False)
@@ -504,7 +503,7 @@ class TestVae:
         self._check_chunks_equal_rows(monkeypatch, k, n, chunks, clip=True)
 
     def _check_chunks_equal_rows(self, monkeypatch, k, n, chunks, clip):
-        _size_budgets(monkeypatch)
+        monkeypatch.setattr(vae_module, "_CHUNK_BYTES", 450 * 1024)
         rng = np.random.default_rng(7)
         vae = VAEModel(data_dim=8, latent_dim=2, hidden=4)
         params = vae.init_params(seed=5)
@@ -521,13 +520,6 @@ class TestVae:
     def test_bad_likelihood_rejected(self):
         with pytest.raises(ValueError, match="likelihood"):
             VAEModel(data_dim=4, likelihood="poisson")
-
-
-def _size_budgets(monkeypatch) -> None:
-    """The block and chunk budgets the cases of the bit-for-bit tests are
-    sized for."""
-    monkeypatch.setattr(vae_module, "_BLOCK_BYTES", 1024 * 1024)
-    monkeypatch.setattr(vae_module, "_CHUNK_BYTES", 512 * 1024)
 
 
 def _count_kernel_calls(monkeypatch, on_call=None) -> list:
@@ -654,7 +646,7 @@ class TestVaeNode:
         monkeypatch.setattr(ad.Node, "__init__", counted)
         node = vae.log_weight_rows(nodes, x, eps)
         assert len(built) == 1
-        assert {id(parent) for parent, _ in node.parents} == {id(leaf) for leaf in nodes.values()}
+        assert {id(parent) for parent in node.parents} == {id(leaf) for leaf in nodes.values()}
 
     def test_the_vjp_runs_once_per_backward_pass(self, monkeypatch):
         vae, params, x, eps = self._inputs("gaussian", 4)
@@ -685,7 +677,7 @@ class TestVaeNode:
 
 
 class TestLogWeightMatrixWorkers:
-    """``log_weight_matrix``'s blocks are pulled by min(cores, blocks)
+    """``log_weight_matrix``'s chunks are pulled by min(cores, chunks)
     workers; ``_usable_cores`` is patched to force a worker count. Its noise
     comes from a generator seeded like the twin that draws the one-shot
     ``eps`` the results are checked against."""
@@ -702,25 +694,29 @@ class TestLogWeightMatrixWorkers:
     def _matrix(self, params, x, k):
         return self.VAE.log_weight_matrix(params, x, np.random.default_rng(self.NOISE_SEED), k)
 
-    # With the test_log_weight_matrix_equals_rows_bit_for_bit budgets: one
-    # block; two blocks, fewer than three workers; three blocks of two-draw
-    # chunks; three blocks of 9, 9 and one chunks.
-    @pytest.mark.parametrize("k, n, blocks", [(1, 5, 1), (20000, 5, 2), (43, 3000, 3), (27214, 5, 3)])
+    # A 4 MiB budget holds chunks of 13107 draws of 5 points and of 21 draws
+    # of 3000. The cases: one chunk; two chunks, fewer than three workers;
+    # chunks of 21, 21 and 1 draws; of 13107, 13107 and 1000; and at
+    # n = 60000 three one-draw chunks.
+    @pytest.mark.parametrize(
+        "k, n, chunks",
+        [(1, 5, 1), (20000, 5, 2), (43, 3000, 3), (27214, 5, 3), (3, 60000, 3)],
+    )
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_equal_to_rows_at_any_worker_count(self, monkeypatch, workers, k, n, blocks):
-        self._check_workers(monkeypatch, workers, k, n, blocks, clip=False)
+    def test_equal_to_rows_at_any_worker_count(self, monkeypatch, workers, k, n, chunks):
+        self._check_workers(monkeypatch, workers, k, n, chunks, clip=False)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_clipped_rows_equal_to_rows_at_any_worker_count(self, monkeypatch, workers):
         self._check_workers(monkeypatch, workers, 43, 3000, 3, clip=True)
 
-    def _check_workers(self, monkeypatch, workers, k, n, blocks, clip):
-        _size_budgets(monkeypatch)
+    def _check_workers(self, monkeypatch, workers, k, n, chunks, clip):
+        monkeypatch.setattr(vae_module, "_CHUNK_BYTES", 4 * 1024 * 1024)
         monkeypatch.setattr(vae_module, "_usable_cores", lambda: workers)
         threads = set()
         # every worker waits for the others at its first chunk, so the pool
         # cannot hand two shares to one thread
-        barrier = threading.Barrier(min(workers, blocks), timeout=30)
+        barrier = threading.Barrier(min(workers, chunks), timeout=30)
 
         def first_chunk_waits():
             if threading.get_ident() not in threads:
@@ -733,14 +729,53 @@ class TestLogWeightMatrixWorkers:
             assert 0.0 < _clipped_share(self.VAE, params, x, eps) < 1.0
         decoded = _count_kernel_calls(monkeypatch, first_chunk_waits)
         lw = self._matrix(params, x, k)
-        assert len(threads) == min(workers, blocks) and sum(decoded) == k
+        assert len(threads) == min(workers, chunks)
+        assert len(decoded) == chunks and sum(decoded) == k
         assert np.array_equal(lw, self.VAE.log_weight_rows(params, x, eps).T)
 
+    def _check_chunks(self, monkeypatch, vae, x, k, budget, want):
+        """``log_weight_matrix`` runs in chunks of ``want`` draws at
+        ``budget`` (``theta`` records each chunk's draws) and equals the rows
+        of the one-shot noise bit for bit."""
+        monkeypatch.setattr(vae_module, "_CHUNK_BYTES", budget)
+        theta = vae_module.GaussianReparam.theta
+        draws = []
+
+        def recording(self, chunk_eps):
+            draws.append(chunk_eps.shape[0])
+            return theta(self, chunk_eps)
+
+        monkeypatch.setattr(vae_module.GaussianReparam, "theta", recording)
+        params = vae.init_params(seed=3)
+        shape = (k, x.shape[0], vae.latent_dim)
+        eps = np.random.default_rng(self.NOISE_SEED).standard_normal(shape)
+        lw = vae.log_weight_matrix(params, x, np.random.default_rng(self.NOISE_SEED), k)
+        assert sorted(draws) == sorted(want)
+        assert np.array_equal(lw, vae.log_weight_rows(params, x, eps).T)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_gaussian_likelihood_equal_to_rows_at_any_worker_count(self, monkeypatch, workers):
+        # one draw's (4, data_dim = 5) array takes 160 bytes, so 35 draws
+        # are three full chunks of 10 and a partial one of 5
+        monkeypatch.setattr(vae_module, "_usable_cores", lambda: workers)
+        vae = VAEModel(data_dim=5, latent_dim=2, hidden=3, likelihood="gaussian")
+        x = np.random.default_rng(13).standard_normal((4, 5))
+        self._check_chunks(monkeypatch, vae, x, 35, 10 * 160, [10, 10, 10, 5])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_noise_sets_the_chunk_size_when_widest(self, monkeypatch, workers):
+        # latent width 12 exceeds data_dim 3 and hidden 4, so a chunk's
+        # widest array is its (draws, 5, 12) noise: 30 draws are four full
+        # chunks of 7 and a partial one of 2
+        monkeypatch.setattr(vae_module, "_usable_cores", lambda: workers)
+        vae = VAEModel(data_dim=3, latent_dim=12, hidden=4)
+        x = (np.random.default_rng(14).random((5, 3)) > 0.5).astype(float)
+        self._check_chunks(monkeypatch, vae, x, 30, 7 * 5 * 12 * 8, [7, 7, 7, 7, 2])
+
     def test_more_workers_than_cores_under_frequent_switches(self, monkeypatch):
-        # eight workers share the output array; 54 blocks of 13 draws of 300
-        # points, each in chunks of 4 draws
+        # eight workers share the output array; 175 chunks of 4 draws of 300
+        # points
         monkeypatch.setattr(vae_module, "_usable_cores", lambda: 8)
-        monkeypatch.setattr(vae_module, "_BLOCK_BYTES", 64 * 1024)
         monkeypatch.setattr(vae_module, "_CHUNK_BYTES", 80 * 1024)
         params, x, eps = self._inputs(700, 300)
         interval = sys.getswitchinterval()
@@ -753,25 +788,29 @@ class TestLogWeightMatrixWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_an_exception_in_a_later_block_propagates(self, monkeypatch, workers):
-        # 43 draws of 3000 points are three blocks; the second one taken fails
+        # 120 one-draw chunks of 300 points; the second one taken fails, and
+        # after it no worker takes a chunk but the one it may be drawing
         monkeypatch.setattr(vae_module, "_usable_cores", lambda: workers)
-        params, x, _ = self._inputs(43, 3000)
+        monkeypatch.setattr(vae_module, "_CHUNK_BYTES", 1)
+        params, x, _ = self._inputs(120, 300)
         theta = vae_module.GaussianReparam.theta
-        calls = itertools.count()
+        calls = []
 
-        def failing(self, block_eps):
-            if next(calls) == 1:
-                raise KeyError("second block")
-            return theta(self, block_eps)
+        def failing(self, chunk_eps):
+            calls.append(None)
+            if len(calls) == 2:
+                raise KeyError("second chunk")
+            return theta(self, chunk_eps)
 
         monkeypatch.setattr(vae_module.GaussianReparam, "theta", failing)
         before = threading.active_count()
-        with pytest.raises(KeyError, match="second block"):
-            self._matrix(params, x, 43)
+        with pytest.raises(KeyError, match="second chunk"):
+            self._matrix(params, x, 120)
         assert threading.active_count() == before
+        assert len(calls) <= 2 * workers + 1
 
     def test_an_exception_in_a_pool_thread_propagates(self, monkeypatch):
-        # each of two workers takes a block before either goes on; the one
+        # each of two workers takes a chunk before either goes on; the one
         # that is not the calling thread fails
         monkeypatch.setattr(vae_module, "_usable_cores", lambda: 2)
         params, x, _ = self._inputs(43, 3000)
@@ -780,13 +819,13 @@ class TestLogWeightMatrixWorkers:
         caller = threading.get_ident()
         seen = set()
 
-        def failing(self, block_eps):
+        def failing(self, chunk_eps):
             if threading.get_ident() not in seen:
                 seen.add(threading.get_ident())
                 barrier.wait()
             if threading.get_ident() != caller:
                 raise KeyError("pool thread")
-            return theta(self, block_eps)
+            return theta(self, chunk_eps)
 
         monkeypatch.setattr(vae_module.GaussianReparam, "theta", failing)
         before = threading.active_count()
@@ -797,8 +836,8 @@ class TestLogWeightMatrixWorkers:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_workers_keep_the_callers_errstate(self, monkeypatch, workers):
         # exp(709) is finite, but h = mu + exp(rho) eps overflows at |eps| >
-        # 2.2, which every block of 21 x 3000 x 2 draws holds. Each worker
-        # takes a block before either goes on, and records its errstate.
+        # 2.2, which every chunk of 8 x 3000 x 2 draws holds. Each worker
+        # takes a chunk before either goes on, and records its errstate.
         monkeypatch.setattr(vae_module, "_usable_cores", lambda: workers)
         params, x, _ = self._inputs(43, 3000)
         params["enc_w_rho"][:] = 0.0
@@ -807,24 +846,24 @@ class TestLogWeightMatrixWorkers:
         barrier = threading.Barrier(workers, timeout=30)
         seen = {}
 
-        def recording(self, block_eps):
+        def recording(self, chunk_eps):
             if threading.get_ident() not in seen:
                 seen[threading.get_ident()] = np.geterr()["over"]
                 barrier.wait()
-            return theta(self, block_eps)
+            return theta(self, chunk_eps)
 
         monkeypatch.setattr(vae_module.GaussianReparam, "theta", recording)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             self._matrix(params, x, 43)
         assert list(seen.values()) == ["raise"] * workers
 
-    # Budgets of one draw per block, of 16 draws of 50 points, and of the
-    # whole call in one block.
-    @pytest.mark.parametrize("budget", [1, 16 * 50 * 2 * 8, 1024 * 1024])
+    # Budgets of one draw per chunk, of 4 draws of 50 points, and of the
+    # whole call in one chunk.
+    @pytest.mark.parametrize("budget", [1, 4 * 50 * 8 * 8, 1024 * 1024])
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_blocks_draw_the_one_shot_noise(self, monkeypatch, workers, budget):
         monkeypatch.setattr(vae_module, "_usable_cores", lambda: workers)
-        monkeypatch.setattr(vae_module, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(vae_module, "_CHUNK_BYTES", budget)
         params, x, _ = self._inputs(300, 50)
         twin = np.random.default_rng(self.NOISE_SEED)
         eps = twin.standard_normal((300, 50, 2))

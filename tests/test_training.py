@@ -383,18 +383,16 @@ class TestEvaluateVae:
             return np.array([dataclasses.astuple(row) for row in rows]).tobytes()
 
         default = table()
-        # One draw per block and chunk; blocks of 128 draws of 30 points in
-        # chunks of 4; one block in chunks of 70.
+        # Chunks of one draw, of 4 draws of 30 points and of 70.
         for budget in (1, 4 * 30 * 64 * 8, 70 * 30 * 64 * 8):
-            monkeypatch.setattr(vae_module, "_BLOCK_BYTES", budget)
             monkeypatch.setattr(vae_module, "_CHUNK_BYTES", budget)
             assert table() == default, budget
 
     def test_memory_does_not_grow_with_the_latent_width(self, monkeypatch):
         # 2000 draws of 20 points at latent width 50 are 16 MB of noise, and
         # the (20, 2000) log weights 0.3 MB. Each of two workers holds one
-        # block of noise (at most _BLOCK_BYTES) and the latents and
-        # temporaries made from it.
+        # chunk's arrays: three of the noise's width (the noise, the latents
+        # and a product, at most _CHUNK_BYTES each) and narrower ones.
         monkeypatch.setattr(vae_module, "_usable_cores", lambda: 2)
         vae = VAEModel(data_dim=8, latent_dim=50, hidden=16)
         x = (np.random.default_rng(0).random((20, 8)) > 0.5).astype(float)
@@ -405,14 +403,15 @@ class TestEvaluateVae:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 5 * vae_module._BLOCK_BYTES + 20 * 2000 * 8
+        assert peak < 2 * 5 * 1024 * 1024 + 20 * 2000 * 8
 
 
 # A fresh interpreter evaluates 100 points at k_ref 5000 with 2 repeats, as
 # `vr eval` does per pair of repeats, and prints the minor page faults the
 # call took. Evaluated in (draw, point) blocks of 5 MB arrays, it took about
 # 400k: every block handed its memory back to the system and faulted it in
-# again. Chunks of cache size take about 14k.
+# again. Chunks of draws whose arrays take at most 1, 1.5, 2 and 4 MiB took
+# 3.0-3.2k, 3.8k, 4.6k and 7.3k.
 _FAULT_PROBE = """
 import math, resource
 from vrbound.models.data import synthetic_binary_images
