@@ -2,12 +2,13 @@
 
 A fixed, small set of operations is enough for every gradient this package
 needs: arithmetic, matrix products, exp/ReLU/tanh, sums, reshapes and
-last-axis slices, a dense layer act(x @ w + b) as one fused node, a
-Gaussian log density summed over the last axis, and, as one fused node, an
-affine output layer z = x @ w + b with the Bernoulli log mass of its logits
-summed over the last axis. The Bernoulli arithmetic is split into an array
-forward and its gradient at the logits, so that a larger operation can call
-them too: ``fused`` makes one node of an operation whose gradients are
+last-axis slices, a dense layer act(x @ w + b) as one fused node, Gaussian
+log densities summed over the last axis (the standard normal's serves every
+prior and log q of the package), and, as one fused node, an affine output
+layer z = x @ w + b with the Bernoulli log mass of its logits summed over
+the last axis. The Bernoulli arithmetic is split into an array forward and
+its gradient at the logits, so that a larger operation can call them too:
+``fused`` makes one node of an operation whose gradients are
 written out as one function, run once per backward pass (the dense layer,
 the Bernoulli output layer and the VAE's log weights are such nodes). Every
 node, fused or not, holds its node operands and one VJP that returns their
@@ -57,6 +58,7 @@ __all__ = [
     "relu",
     "reshape",
     "slice1d",
+    "std_normal_logpdf_rows",
     "tanh",
     "value",
     "vsum",
@@ -350,6 +352,12 @@ def slice1d(a, start: int, stop: int):
 
 # ----------------------------------------------------------------------
 # composite log densities
+
+
+def std_normal_logpdf_rows(x):
+    """The N(0, I) log density summed over the last axis: -|x|^2 / 2 - d/2
+    log(2 pi) for rows x (..., d), one value per row."""
+    return vsum(x * x, axis=-1) * (-0.5) + (-0.5 * value(x).shape[-1] * _LOG_2PI)
 
 
 def normal_logpdf_rows(x, mean, log_std):

@@ -2,7 +2,10 @@
 
 Each run is described by a strict JSON config, checked against one schema
 that states every rule a value must meet (unknown keys are rejected by name,
-defaults are filled in) before the output directory is made. A run writes,
+defaults are filled in) before the output directory is made. A value that
+the library rejects as a run builds its objects is a config error too, and
+the run then removes the directories it made for its output while they are
+empty. A run writes,
 next to its CSV outputs, the fully resolved config, a per-file sidecar
 manifest, and a run manifest with content hashes. Seed precedence: the
 VR_SEED environment variable beats the --seed flag, which beats the config
@@ -208,7 +211,13 @@ _SCHEMAS = {
         }},
     },
     "bnn-train": {"dataset": _DATASET, "hidden": {"type": "int", "default": 50}, "train": _TRAIN},
-    "vae-train": {"dataset": _DATASET, **_VAE_SCHEMA, "train": _TRAIN},
+    "vae-train": {
+        "dataset": _DATASET,
+        **_VAE_SCHEMA,
+        "train": _TRAIN,
+        # draws per point of the held-out reference bound, at least train.k
+        "eval_k": {"type": "int", "min": 1, "default": 5000},
+    },
     "eval": {
         "params": {"type": "string", "required": True},
         "model": {"type": "dict", "required": True, "schema": {
@@ -475,6 +484,11 @@ def _run_vae_train(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
     data, data_hash = _dataset_from(section["dataset"], "vae_train.dataset", _SE_POINTS)
     model = _vae_from(section, data.features.shape[1], "vae_train")
     tcfg = _train_config(section["train"], seed, "vae_train.train")
+    if section["eval_k"] < tcfg.k:
+        raise ConfigError(
+            f"'vae_train.eval_k' is {section['eval_k']}: it must be at least "
+            f"'vae_train.train.k' ({tcfg.k})"
+        )
     params, record = train(model, tcfg, data)
     outputs = _write_training(out, params, record)
     rows = evaluate_vae(
@@ -485,7 +499,7 @@ def _run_vae_train(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
         ks=[tcfg.k],
         repeats=2,
         seed=seed,
-        k_ref=tcfg.eval_k,
+        k_ref=section["eval_k"],
     )
     _write_bound_table(out / "test_bound.csv", rows)
     return outputs + ["test_bound.csv"], data_hash
@@ -616,6 +630,7 @@ def _run(argv: list[str] | None) -> int:
 
     try:
         out = Path(cfg["output_dir"])
+        made = [path for path in (out, *out.parents) if not path.exists()]  # innermost first
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _fail(EXIT_IO, "io", f"cannot create output dir: {exc}")
@@ -631,6 +646,11 @@ def _run(argv: list[str] | None) -> int:
                 vio.write_sidecar_manifest(out / name, seed)
         vio.write_run_manifest(out, args.kind, seed, cfg, outputs, data_hash)
     except ConfigError as exc:
+        # as if found before the directories were made, unless they hold anything
+        for path in made:
+            if any(path.iterdir()):
+                break
+            path.rmdir()
         return _fail(EXIT_CONFIG, "config", str(exc))
     except TrainingDiverged as exc:
         return _fail(EXIT_DIVERGED, "diverged", str(exc))

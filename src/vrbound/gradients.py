@@ -39,9 +39,6 @@ __all__ = [
     "vr_grad",
 ]
 
-_LOG_2PI = math.log(2.0 * math.pi)
-
-
 def normalize_weights(log_w: np.ndarray, alpha: float, axis: int | None = None) -> np.ndarray:
     """Simplex weights proportional to exp((1 - alpha) log w).
 
@@ -125,8 +122,8 @@ class GaussianReparam:
     ``mu`` and ``rho`` are nodes (leaves, or encoder outputs) or arrays. The
     noise ``eps`` has their shape, or an extra leading axis of K draws. The
     variational log density evaluated at theta = g(eps) simplifies to
-    -sum(rho) - ||eps||^2 / 2 - d/2 log(2 pi) over the last axis, which is
-    exact and keeps the dependence on the variational parameters explicit.
+    log N(eps; 0, I) - sum(rho) over the last axis, which is exact and keeps
+    the dependence on the variational parameters explicit.
     """
 
     def __init__(self, mu: ad.Node, rho: ad.Node):
@@ -145,9 +142,7 @@ class GaussianReparam:
     def log_q(self, eps: np.ndarray) -> ad.Node:
         """log q(theta(eps)) summed over the last axis: a scalar for a vector
         ``mu``, (n,) for (n, d) rows, with a leading K axis from ``eps``."""
-        eps = np.asarray(eps, dtype=float)
-        const = -0.5 * np.sum(eps * eps, axis=-1) - 0.5 * eps.shape[-1] * _LOG_2PI
-        return ad.vsum(self.rho, axis=-1) * (-1.0) + const
+        return ad.std_normal_logpdf_rows(np.asarray(eps, dtype=float)) - ad.vsum(self.rho, axis=-1)
 
 
 LogWeightBuilder = Callable[[dict[str, ad.Node], np.ndarray], ad.Node]
@@ -159,6 +154,7 @@ def vr_grad(
     noise: np.ndarray,
     alpha: float,
     select_rng: np.random.Generator | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Gradient of the K-sample bound estimate under fixed noise.
 
@@ -168,30 +164,13 @@ def vr_grad(
     yields the gradient of the mean over sets of the normalized-weighted log
     weights, or, with ``select_rng``, of the log weight that
     ``select_backprop_sample`` picks in each set. Returns the gradient for
-    every parameter and the log weights. NaN or +inf log weights and
-    non-finite gradient components raise ``FloatingPointError`` naming the
-    sample; zero-density (-inf) samples are allowed.
+    every parameter and the log weights. The gradients are views of one
+    float vector of the parameters' total size, in the order of ``params``:
+    ``out`` when given (a training step's buffer), else a new one. NaN or
+    +inf log weights and non-finite gradient components raise
+    ``FloatingPointError`` naming the sample; zero-density (-inf) samples
+    are allowed.
     """
-    out = np.empty(sum(np.size(value) for value in params.values()))
-    grads, log_w, _ = _vr_step(build_log_weights, params, noise, alpha, out, select_rng)
-    return grads, log_w
-
-
-def _vr_step(
-    build_log_weights: LogWeightBuilder,
-    params: dict[str, np.ndarray],
-    noise: np.ndarray,
-    alpha: float,
-    out: np.ndarray,
-    select_rng: np.random.Generator | None = None,
-    finite: bool = False,
-) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
-    """``vr_grad``, also returning the log weights checked and moved to
-    C-ordered (..., K) rows, one per weight set. The gradients land in
-    ``out``, a float vector of the parameters' total size, in the order of
-    ``params``, and are checked there at once; those returned are views of
-    it. With ``finite`` a -inf log weight raises ``FloatingPointError`` too,
-    once the gradient has passed."""
     noise = np.asarray(noise, dtype=float)
     nodes = {name: ad.Node(np.asarray(value, dtype=float)) for name, value in params.items()}
     lw_node = build_log_weights(nodes, noise)
@@ -199,8 +178,7 @@ def _vr_step(
     if log_w.shape[:1] != noise.shape[:1]:
         raise ValueError(f"log weights {log_w.shape} must hold the {len(noise)} draws on axis 0")
     sets = np.ascontiguousarray(np.moveaxis(log_w, 0, -1))
-    all_finite = sets.shape[-1] > 0 and bool(np.all(np.isfinite(sets)))
-    if not all_finite:
+    if not (sets.shape[-1] > 0 and np.all(np.isfinite(sets))):
         bad = np.isnan(log_w) | np.isposinf(log_w)
         if np.any(bad):
             k, *rest = (int(i) for i in np.argwhere(bad)[0])
@@ -211,6 +189,8 @@ def _vr_step(
         weights = _normalize(sets, alpha)
     else:
         weights = _one_hot(_select(sets, alpha, select_rng), sets.shape[-1])
+    if out is None:
+        out = np.empty(sum(np.size(value) for value in params.values()))
     n_sets = log_w.size // log_w.shape[0]
     # Seeded at the log weights: their weighted sum, the root it stands for,
     # is NaN where a zero weight meets a -inf log weight.
@@ -221,9 +201,7 @@ def _vr_step(
         raise FloatingPointError(
             f"non-finite gradient for parameter '{name}' (suspect samples: {suspects})"
         )
-    if finite and not all_finite:
-        raise FloatingPointError("non-finite objective")
-    return grads, log_w, sets
+    return grads, log_w
 
 
 def finite_diff_check(

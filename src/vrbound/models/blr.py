@@ -75,11 +75,9 @@ class BLRModel:
         return {"mu": np.zeros(self.dim), "rho": np.full(self.dim, math.log(0.1))}
 
     # ------------------------------------------------------------------
-    # log-density builders: theta is one weight vector (dim,) or K stacked
-    # draws (K, dim), a tape node or an array; one value per draw
-
-    def log_prior_node(self, theta: ad.Node) -> ad.Node:
-        return ad.vsum(theta * theta, axis=-1) * (-0.5) + (-0.5 * self.dim * _LOG_2PI)
+    # the likelihood builder: theta is one weight vector (dim,) or K stacked
+    # draws (K, dim), a tape node or an array; one value per draw (the
+    # standard-normal prior is ``ad.std_normal_logpdf_rows``)
 
     def log_lik_node(self, theta: ad.Node, params: dict, x: np.ndarray, y: np.ndarray) -> ad.Node:
         """Summed Gaussian log likelihood of targets y at rows x (``params`` unused)."""
@@ -121,11 +119,10 @@ def exact_vr_bound_blr(model: BLRModel, q: GaussianDist, alpha: float) -> float:
 
     When the divergence integral diverges the bound's defining expectation is
     infinite as well; the sign follows the 1/(1-alpha) prefactor, so the
-    result is +inf for alpha < 1 and -inf for alpha > 1.
+    result is +inf for alpha < 1 and -inf for alpha > 1, alpha = +-inf
+    included.
     """
     alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError("exact bound requires finite alpha")
     posterior, log_evidence = blr_exact_posterior(model)
     div = renyi_gaussian(q, posterior, alpha)
     if math.isinf(div):
@@ -223,8 +220,9 @@ def blr_mean_field_fit(model: BLRModel, alpha: float) -> MeanFieldFitResult:
     1/alpha) Lam is positive definite and the line search cannot step back
     from points outside, so the search runs over the log Cholesky pivots of
     that matrix, from the +inf fit. Orders next to 1 are searched too, so
-    the fit is continuous through alpha = 1. The bound is log Z - D_alpha[q
-    || posterior] (the log evidence at alpha = 0). Dimension <= 3.
+    the fit is continuous through alpha = 1. The bound is
+    ``exact_vr_bound_blr`` of the fit (the log evidence at alpha = 0).
+    Dimension <= 3.
 
     Negative orders are rejected: there the exact bound is an upper bound on
     the evidence whose supremum over q is +inf (approached at the boundary
@@ -234,7 +232,7 @@ def blr_mean_field_fit(model: BLRModel, alpha: float) -> MeanFieldFitResult:
 
     if model.dim > 3:
         raise ValueError("mean-field fit is desk-scale only (dim <= 3)")
-    posterior, log_evidence = blr_exact_posterior(model)
+    posterior = blr_exact_posterior(model)[0]
     kind = classify_alpha(alpha)
     if alpha < 0.0:
         raise ValueError("mean-field fit requires alpha >= 0; the bound has no "
@@ -277,7 +275,7 @@ def blr_mean_field_fit(model: BLRModel, alpha: float) -> MeanFieldFitResult:
             converged = converged and res.success and math.isfinite(res.fun)
 
     q = GaussianDist.diagonal(posterior.mean, s2)
-    bound = log_evidence - renyi_gaussian(q, posterior, alpha)
+    bound = exact_vr_bound_blr(model, q, alpha)
     return MeanFieldFitResult(q, bound, int(iterations), bool(converged))
 
 

@@ -6,7 +6,9 @@ hyper-parameter (kept in the log domain), and a mean-field Gaussian
 approximation over the flattened weight vector. The flattened layout is
 (W1, b1, W2, b2); the graph builders unpack it with differentiable slices so
 all gradient flow goes through the shared tape. They take one weight vector
-(W,) or K stacked draws (K, W), and return one value per draw.
+(W,) or K stacked draws (K, W), and return one value per draw. The prior is
+not a method: ``training.posterior_log_weights`` takes it from
+``ad.std_normal_logpdf_rows``, as for BLR.
 """
 
 from __future__ import annotations
@@ -16,9 +18,6 @@ import math
 import numpy as np
 
 from .. import autodiff as ad
-
-_LOG_2PI = math.log(2.0 * math.pi)
-
 
 class BNNModel:
     """ReLU regression network with a factorized standard-normal prior."""
@@ -54,9 +53,6 @@ class BNNModel:
         hidden = ad.dense(x, w1, b1, "relu")
         out = ad.matmul(hidden, w2)
         return ad.reshape(out, ad.value(out).shape[:-1]) + b2
-
-    def log_prior_node(self, theta: ad.Node) -> ad.Node:
-        return ad.vsum(theta * theta, axis=-1) * (-0.5) + (-0.5 * self.n_weights * _LOG_2PI)
 
     def log_lik_node(self, theta: ad.Node, params: dict, x: np.ndarray, y: np.ndarray) -> ad.Node:
         """Summed Gaussian log likelihood of targets y at inputs x, per draw,

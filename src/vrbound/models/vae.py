@@ -11,12 +11,12 @@ draws, which is carried through to the outputs, so K log weights per
 datapoint come from one encoder pass.
 
 On leaves the log weights are one tape node with a written-out VJP: the
-forward pass runs the array pieces ``_encode``, ``_decode`` and
-``log_prior_rows`` (the same operations, in the same order, as a graph of
-``ad.dense``, ``ad.bernoulli_dense_rows`` and arithmetic nodes would), and
-``_log_weight_vjp`` takes the gradients back through the encoder, the
-reparameterization, the decoder, the likelihood, the prior and log q, once
-per backward pass.
+forward pass runs the array pieces ``_encode``, ``_decode`` and, for the
+prior, ``ad.std_normal_logpdf_rows`` (the same operations, in the same
+order, as a graph of ``ad.dense``, ``ad.bernoulli_dense_rows`` and
+arithmetic nodes would), and ``_log_weight_vjp`` takes the gradients back
+through the encoder, the reparameterization, the decoder, the likelihood,
+the prior and log q, once per backward pass.
 
 ``log_weight_matrix`` is the value-only path of held-out evaluation, where K
 runs to thousands: it takes a noise generator and a draw count, encodes once
@@ -41,7 +41,6 @@ import numpy as np
 from .. import autodiff as ad
 from ..gradients import GaussianReparam
 
-_LOG_2PI = math.log(2.0 * math.pi)
 # Byte budget of one float64 (rows, n * max(data_dim, hidden, latent_dim))
 # array of a chunk of draws in ``log_weight_matrix``. A chunk is a few dozen
 # numpy operations, and a worker holds the GIL between them, so a chunk must
@@ -150,7 +149,7 @@ class VAEModel:
         h = reparam.theta(eps)
         # before the decoder, so that their squares of the noise's width are
         # freed before its arrays are made
-        prior, log_q = self.log_prior_rows(h), reparam.log_q(eps)
+        prior, log_q = ad.std_normal_logpdf_rows(h), reparam.log_q(eps)
         lik, hid, state = self._decode(params, h, x)
         return lik + prior - log_q, (h, hid, state)
 
@@ -166,10 +165,6 @@ class VAEModel:
             return rows, hid, (softplus, inside)
         means = ad.dense(hid, params["dec_w2"], params["dec_b2"])
         return ad.normal_logpdf_rows(x, means, params["dec_log_noise"]), hid, means
-
-    def log_prior_rows(self, h: np.ndarray) -> np.ndarray:
-        """Per-datapoint standard-normal log density of the latents."""
-        return ad.vsum(h * h, axis=-1) * (-0.5) + (-0.5 * self.latent_dim * _LOG_2PI)
 
     def _log_weight_vjp(self, params, x, eps, saved, g) -> dict[str, np.ndarray]:
         """The gradient of every parameter from ``g`` at the log weights,

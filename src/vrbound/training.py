@@ -6,8 +6,9 @@ Two training regimes share one loop:
   the mini-batch energy approximation, the K-sample bound estimate applied to
   log w = log p0(theta) + (N/M) * sum_{x in S} log p(x|theta) - log q(theta),
   which coincides with the full-data estimate when the batch is the whole
-  dataset. ``posterior_log_weights`` forms them from ``log_prior_node(theta)``
-  and ``log_lik_node(theta, params, x, y)``, the builders BLR and BNN share;
+  dataset. ``posterior_log_weights`` forms them from the standard-normal
+  prior ``ad.std_normal_logpdf_rows(theta)`` and ``log_lik_node(theta,
+  params, x, y)``, the builder BLR and BNN share;
 * maximum likelihood for latent-variable models (VAE): the per-datapoint
   K-sample bound, averaged over the mini-batch, with each datapoint getting
   its own noise draws.
@@ -19,13 +20,14 @@ only log w_j is back-propagated.
 
 The models differ only in their initial parameters (``init_params(seed)``),
 training rows, noise shape and log-weight builder. Every step draws the noise
-for all K draws, hands the builder to ``vr_grad`` (one graph, one backward
+for all K draws and makes one ``vr_grad`` call (one graph, one backward
 pass, one check of the log weights and one of the gradients, which land in
-one flat vector), takes an Adam step on one flat vector that holds every
-parameter in the same layout (``params`` are named views of it), and keeps
-the checked weights, without a second check: at the end of each epoch the
-run record gets every step's estimate and log R, averaged over its weight
-sets, from one reduction over the epoch's sets.
+the trainer's flat gradient vector, ``out``), stops the run on a -inf log
+weight, which ``vr_grad`` allows, takes an Adam step on one flat vector
+that holds every parameter in the same layout (``params`` are named views
+of it), and keeps the log weights, without a second check: at the end of
+each epoch the run record gets every step's estimate and log R, averaged
+over its weight sets, from one reduction over the epoch's sets.
 
 Held-out evaluation (``evaluate_vae``) needs no gradient: per repeat it
 takes the (n, K) log weights of max(K, k_ref) samples from
@@ -49,9 +51,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .alpha import classify_alpha
 from .bounds import _estimate, mc_vr_estimate, validate_log_weights
-from .gradients import GaussianReparam, _log_ratio, _vr_step
+from .gradients import GaussianReparam, _log_ratio, vr_grad
 from .models.blr import BLRModel
 from .models.bnn import BNNModel
 from .models.data import Dataset
@@ -70,7 +73,6 @@ __all__ = [
 ]
 
 # Stream ids for seed derivation.
-_STREAM_INIT = 0
 _STREAM_SHUFFLE = 1
 _STREAM_NOISE = 2
 _STREAM_SELECT = 3
@@ -100,7 +102,6 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
-    eval_k: int = 5000
     single_backprop: bool = False
 
     def __post_init__(self):
@@ -116,8 +117,6 @@ class TrainConfig:
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if not self.adam_eps > 0:
             raise ValueError("adam_eps must be positive")
-        if self.eval_k < self.k:
-            raise ValueError("eval_k must be at least k")
         classify_alpha(self.alpha)
 
 
@@ -208,7 +207,7 @@ def posterior_log_weights(model, params, x, y, noise, scale):
     reparam = GaussianReparam(params["mu"], params["rho"])
     theta = reparam.theta(noise)
     log_lik = model.log_lik_node(theta, params, x, y)
-    return model.log_prior_node(theta) + log_lik * scale - reparam.log_q(noise)
+    return ad.std_normal_logpdf_rows(theta) + log_lik * scale - reparam.log_q(noise)
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +236,7 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
     step = 0
     epoch = 0
     while step < config.steps:
-        done = []  # (step, gradient norm, wall time, checked weight sets)
+        done = []  # (step, gradient norm, wall time, log weights)
         for batch_idx in _epoch_batches(n, m, config.seed, epoch):
             if step >= config.steps:
                 break
@@ -247,13 +246,13 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
             select_rng = None
             if config.single_backprop:
                 select_rng = np.random.default_rng([config.seed, _STREAM_SELECT, step])
-            # vr_grad allows zero-density (-inf) samples; a training step does not.
             try:
-                _, _, sets = _vr_step(
-                    build, params, noise, config.alpha, flat_grads, select_rng, finite=True
-                )
+                _, log_w = vr_grad(build, params, noise, config.alpha, select_rng, flat_grads)
             except FloatingPointError as exc:
                 raise TrainingDiverged(step, str(exc), params) from exc
+            # vr_grad allows zero-density (-inf) samples; a training step does not.
+            if not np.isfinite(log_w).all():
+                raise TrainingDiverged(step, "non-finite objective", params)
             np.multiply(flat_grads, flat_grads, out=squares)
             gnorm = math.sqrt(sum(float(g2.sum()) for g2 in squares_by_name.values()))
             if not math.isfinite(gnorm):
@@ -262,7 +261,7 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
             if not np.isfinite(flat).all():
                 name = next(name for name, v in params.items() if not np.isfinite(v).all())
                 raise TrainingDiverged(step, f"parameter '{name}' became non-finite", params)
-            done.append((step, gnorm, time.perf_counter() - start, sets))
+            done.append((step, gnorm, time.perf_counter() - start, log_w))
             step += 1
         _record_steps(record, done, config.alpha)
         epoch += 1
@@ -272,14 +271,15 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
 def _record_steps(record: RunRecord, done: list, alpha: float) -> None:
     """Append steps to the record, each with the mean estimate and log R of
     its weight sets, from one ``_estimate`` and one ``_log_ratio`` call over
-    the sets of every step: each set is reduced on its own, so a step's
-    values have the bits of a call on its sets alone."""
-    k = done[0][3].shape[-1]
-    sets = np.concatenate([step_sets.reshape(-1, k) for *_, step_sets in done])
+    the (sets, K) rows of every step's (K, ...) log weights: each set is
+    reduced on its own, so a step's values have the bits of a call on its
+    sets alone."""
+    k = done[0][3].shape[0]
+    sets = np.concatenate([np.moveaxis(log_w, 0, -1).reshape(-1, k) for *_, log_w in done])
     estimates, log_rs = _estimate(sets, alpha), _log_ratio(sets)
     stop = 0
-    for step, gnorm, wall, step_sets in done:
-        start, stop = stop, stop + step_sets.size // k
+    for step, gnorm, wall, log_w in done:
+        start, stop = stop, stop + log_w.size // k
         record.append(
             step,
             float(np.mean(estimates[start:stop])),

@@ -255,6 +255,25 @@ class TestComposites:
             np.testing.assert_allclose(grads["mean"], numeric_grad(fm, mean_val), atol=1e-6)
             np.testing.assert_allclose(grads["ls"], numeric_grad(fs, ls_val), atol=1e-6)
 
+    @pytest.mark.parametrize("shape", [(3,), (5, 3), (5, 4, 2)])
+    def test_std_normal_logpdf_rows_keeps_the_bits_of_the_written_out_priors(self, shape):
+        # the prior expression the models wrote out, and the constant of
+        # log q over its noise, against scipy and against each other
+        x = np.random.default_rng(12).standard_normal(shape) * 3.0
+        log_2pi = math.log(2.0 * math.pi)
+        written = ad.vsum(x * x, axis=-1) * (-0.5) + (-0.5 * shape[-1] * log_2pi)
+        log_q_const = -0.5 * np.sum(x * x, axis=-1) - 0.5 * shape[-1] * log_2pi
+        on_arrays = ad.std_normal_logpdf_rows(x)
+        leaf = ad.Node(x)
+        on_nodes = ad.std_normal_logpdf_rows(leaf)
+        assert not isinstance(on_arrays, ad.Node) and isinstance(on_nodes, ad.Node)
+        for value in (on_arrays, on_nodes.value):
+            assert value.shape == shape[:-1]
+            assert value.tobytes() == written.tobytes() == log_q_const.tobytes()
+        np.testing.assert_allclose(on_arrays, stats.norm.logpdf(x).sum(axis=-1), rtol=1e-13)
+        grads = ad.gradients(on_nodes, {"x": leaf}, np.ones(shape[:-1]))
+        assert grads["x"].tobytes() == (-x).tobytes()
+
     def test_bernoulli_rows_value_and_grad(self):
         # logits x @ w + b of a (3, 4) layer input, a (4, 6) weight and a bias
         rng = np.random.default_rng(12)

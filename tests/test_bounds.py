@@ -16,6 +16,7 @@ from vrbound import (
     synthetic_blr_instance,
     validate_log_weights,
 )
+from vrbound import autodiff as ad
 
 ALL_BRANCH_ALPHAS = (-math.inf, -2.0, 0.0, 0.5, 1.0, 2.0, math.inf)
 
@@ -176,7 +177,7 @@ class TestExactBlrBound:
         exact = exact_vr_bound_blr(model, q, 1.0)
         rng = np.random.default_rng(99)
         theta = q.sample(rng, 40000)
-        log_joint = model.log_prior_node(theta) + model.log_lik_node(
+        log_joint = ad.std_normal_logpdf_rows(theta) + model.log_lik_node(
             theta, {}, model.design, model.targets
         )
         log_w = log_joint - q.logpdf(theta)

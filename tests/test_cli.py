@@ -330,13 +330,17 @@ _REJECTED_BY_LIBRARY = {
         lambda t: {"dataset": _csv_dataset(t, test_fraction=0)},
         "vae_train.dataset",
     ),
+    "vae-eval-k-below-k": (
+        "vae-train", lambda t: _images(eval_k=4, train={"k": 5}), "vae_train.eval_k"
+    ),
 }
 
 
 class TestConfigValuesRejectedByTheLibrary:
-    """Values that pass the schema but that a constructor rejects end the run
-    with exit 2 and one JSON error object naming the config section; so does
-    the deleted top-level key 'threads'."""
+    """Values that pass the schema but that a constructor or a runner rejects
+    end the run with exit 2 and one JSON error object naming the config
+    section, and leave no output directory behind; so does the deleted
+    top-level key 'threads'."""
 
     @pytest.mark.parametrize("case", [*_REJECTED_BY_LIBRARY, "threads-key"])
     def test_exit_2_with_one_json_error(self, tmp_path, capsys, case):
@@ -354,6 +358,20 @@ class TestConfigValuesRejectedByTheLibrary:
         err = json.loads(lines[0])["error"]
         assert (err["exit_code"], err["type"]) == (2, "config")
         assert f"'{key}" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_the_parents_made_for_the_output_directory_go_too(self, tmp_path):
+        out = tmp_path / "made" / "for" / "out"
+        payload = {"kind": "blr-demo", "output_dir": str(out), "blr_demo": {"correlation": 1.5}}
+        assert main(["blr-demo", "--config", write_config(tmp_path / "cfg.json", payload)]) == 2
+        assert not (tmp_path / "made").exists()
+
+    def test_a_directory_that_existed_before_the_run_stays(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        payload = {"kind": "blr-demo", "output_dir": str(out), "blr_demo": {"correlation": 1.5}}
+        assert main(["blr-demo", "--config", write_config(tmp_path / "cfg.json", payload)]) == 2
+        assert list(out.iterdir()) == []
 
 
 class TestResolvedConfig:
@@ -516,7 +534,7 @@ class TestBlrDemo:
         section = {"sigma_grid": {"lo": 0.5, "hi": math.nan, "points": 3}}
         config = {"kind": "blr-demo", "output_dir": str(tmp_path / "out"), "blr_demo": section}
         assert main(["blr-demo", "--config", write_config(tmp_path / "cfg.json", config)]) == 2
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrainAndEval:
@@ -555,6 +573,22 @@ class TestTrainAndEval:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["dataset_sha256"]
 
+    def test_bnn_train_takes_a_k_above_the_vae_eval_default(self, tmp_path):
+        # held-out evaluation is the VAE's alone: bnn-train has no eval_k
+        payload = {
+            "kind": "bnn-train",
+            "output_dir": str(tmp_path / "out"),
+            "bnn_train": {
+                "dataset": {"synthetic": "regression", "n": 40},
+                "hidden": 2,
+                "train": {"k": 5001, "steps": 1},
+            },
+        }
+        assert main(["bnn-train", "--config", write_config(tmp_path / "cfg.json", payload)]) == 0
+        resolved = json.loads((tmp_path / "out" / "resolved_config.json").read_text())
+        assert resolved["bnn_train"]["train"]["k"] == 5001
+        assert "eval_k" not in resolved["bnn_train"]["train"]
+
     def test_vae_train_then_eval(self, tmp_path):
         train_cfg = write_config(
             tmp_path / "train.json",
@@ -566,7 +600,8 @@ class TestTrainAndEval:
                     "dataset": {"synthetic": "binary-images", "n": 320, "seed": 4},
                     "latent_dim": 2,
                     "hidden": 8,
-                    "train": {"alpha": 0.0, "k": 2, "steps": 25, "minibatch": 16, "eval_k": 64},
+                    "train": {"alpha": 0.0, "k": 2, "steps": 25, "minibatch": 16},
+                    "eval_k": 64,
                 },
             },
         )
@@ -610,7 +645,7 @@ class TestTrainAndEval:
         err = json.loads(lines[0])["error"]
         assert (err["exit_code"], err["type"]) == (2, "config")
         assert "1 test rows" in err["message"]
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_divergent_training_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", _divergent_bnn_config(tmp_path))
@@ -896,5 +931,7 @@ def test_every_config_keeps_the_exit_code_contract(tmp_path_factory, kind):
         else:
             assert len(lines) == 1
             assert json.loads(lines[0])["error"]["exit_code"] == code
+        if code == 2:
+            assert not (out / "out").exists()
 
     check()

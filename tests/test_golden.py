@@ -64,7 +64,6 @@ def _vae_run(alpha, single_backprop=False):
         steps=15,
         learning_rate=0.01,
         seed=1,
-        eval_k=5,
         single_backprop=single_backprop,
     )
     return _outputs(*train(model, cfg, data))
@@ -72,7 +71,7 @@ def _vae_run(alpha, single_backprop=False):
 
 def _bnn_run():
     data, _ = synthetic_regression(seed=2, n=80).standardized()
-    cfg = TrainConfig(alpha=0.5, k=50, minibatch=16, steps=8, learning_rate=0.01, seed=3, eval_k=50)
+    cfg = TrainConfig(alpha=0.5, k=50, minibatch=16, steps=8, learning_rate=0.01, seed=3)
     return _outputs(*train(BNNModel(in_dim=1, hidden=8), cfg, data))
 
 
@@ -85,7 +84,6 @@ def _blr_run(single_backprop=False):
         steps=20,
         learning_rate=0.02,
         seed=5,
-        eval_k=4,
         single_backprop=single_backprop,
     )
     return _outputs(*train(model, cfg))

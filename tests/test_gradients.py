@@ -281,6 +281,25 @@ class TestVrGradWeightSets:
             for name in grads:
                 np.testing.assert_allclose(grads[name], accum[name], rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("select", [False, True])
+    def test_gradients_land_in_out_with_the_bits_of_a_call_without(self, select):
+        model, params, x, eps, build = _vae_problem()
+        size = sum(value.size for value in params.values())
+        for alpha in (0.5, math.inf):
+            rng = (lambda: np.random.default_rng(8)) if select else (lambda: None)
+            fresh, fresh_log_w = vr_grad(build, params, eps, alpha, rng())
+            buf = np.full(size, math.nan)
+            grads, log_w = vr_grad(build, params, eps, alpha, rng(), out=buf)
+            assert log_w.tobytes() == fresh_log_w.tobytes()
+            assert list(grads) == list(params)
+            start = 0
+            for name, value in params.items():
+                assert grads[name].shape == value.shape
+                assert np.shares_memory(grads[name], buf[start : start + value.size])
+                assert grads[name].tobytes() == fresh[name].tobytes()
+                start += value.size
+            assert buf.tobytes() == np.concatenate([g.ravel() for g in fresh.values()]).tobytes()
+
     def test_builder_must_return_the_draws_on_axis_0(self):
         model, params, x, eps, build = _vae_problem()
         with pytest.raises(ValueError, match="4 draws on axis 0"):

@@ -1,7 +1,8 @@
 """Import hygiene: every name a package module imports is used in that
-module or listed in its ``__all__`` (no linter is needed to check this); no
-package module imports scipy at module level, so importing the package or
-the CLI loads no scipy module; and importing starts no thread."""
+module or listed in its ``__all__``, and every private module-level name is
+used in its module or imported by another (no linter is needed to check
+this); no package module imports scipy at module level, so importing the
+package or the CLI loads no scipy module; and importing starts no thread."""
 
 import ast
 import os
@@ -29,6 +30,43 @@ def _unused_imports(source: str) -> list[str]:
         ):
             exported.update(ast.literal_eval(node.value))
     return sorted(imported - used - exported)
+
+
+def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each module-level ``_name`` (a def, a class or an
+    assignment target, dunders aside) of the modules in ``sources`` (module
+    name -> source) that its module never loads and no other module
+    imports."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    imported = {
+        alias.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    dead = []
+    for module, tree in trees.items():
+        defined = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    defined += [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        dead += [
+            f"{module}: {name}"
+            for name in defined
+            if name.startswith("_") and not name.startswith("__")
+            and name not in loaded and name not in imported
+        ]
+    return dead
 
 
 def _module_level_scipy_imports(source: str) -> list[int]:
@@ -62,6 +100,13 @@ def test_every_import_is_used_or_exported():
     assert unused == []
 
 
+def test_every_private_module_level_name_is_used():
+    sources = {
+        str(path.relative_to(PACKAGE)): path.read_text() for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert _dead_private_names(sources) == []
+
+
 def test_no_module_imports_scipy_at_module_level():
     # scipy's packages take most of a second to import; each function that
     # needs one imports it, so a command loads only what it runs
@@ -76,6 +121,23 @@ def test_no_module_imports_scipy_at_module_level():
 def test_the_check_sees_unused_and_exported_names():
     source = "import os\nimport numpy as np\nfrom math import pi, tau\n__all__ = ['tau']\nnp.e\n"
     assert _unused_imports(source) == ["os", "pi"]
+
+
+def test_the_check_sees_dead_private_names():
+    sources = {
+        "a.py": (
+            "_USED = 1\n_DEAD, (_PAIR, _OTHER) = 2, (3, 4)\n_ANNOTATED: int = 5\n"
+            "__dunder__ = 6\n_SHARED = 7\n"
+            "def _helper(): return _USED + _OTHER\n"
+            "def _unused(): pass\n"
+            "class _Kept: pass\n"
+            "def public():\n    _local = _helper()\n    return _Kept, _local\n"
+        ),
+        "b.py": "from .a import _SHARED\n_COPY = _SHARED\n",
+    }
+    assert _dead_private_names(sources) == [
+        "a.py: _DEAD", "a.py: _PAIR", "a.py: _ANNOTATED", "a.py: _unused", "b.py: _COPY"
+    ]
 
 
 def test_the_check_sees_module_level_scipy_imports():

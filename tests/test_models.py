@@ -63,7 +63,7 @@ class TestBlrPosterior:
         axis1 = np.arange(posterior.mean[1] - span, posterior.mean[1] + span, 0.01)
         xx, yy = np.meshgrid(axis0, axis1, indexing="ij")
         theta_grid = np.column_stack([xx.ravel(), yy.ravel()])
-        log_joint = model.log_prior_node(theta_grid) + model.log_lik_node(
+        log_joint = ad.std_normal_logpdf_rows(theta_grid) + model.log_lik_node(
             theta_grid, {}, model.design, model.targets
         )
         peak = log_joint.max()
@@ -78,7 +78,7 @@ class TestBlrPosterior:
             -model.dim / 2 * _LOG_2PI
             + float(np.sum(stats.norm.logpdf(model.targets, scale=model.noise_std)))
         )
-        log_joint = model.log_prior_node(zero) + model.log_lik_node(
+        log_joint = ad.std_normal_logpdf_rows(zero) + model.log_lik_node(
             zero, {}, model.design, model.targets
         )
         assert float(log_joint) == pytest.approx(expected, abs=1e-12)
@@ -89,7 +89,7 @@ class TestBlrPosterior:
         posterior, log_evidence = blr_exact_posterior(model)
         thetas = np.array([[0.5, 0.2], [-1.0, 0.3], [0.0, 0.0]])
         theta = ad.Node(thetas)
-        node = model.log_prior_node(theta) + model.log_lik_node(
+        node = ad.std_normal_logpdf_rows(theta) + model.log_lik_node(
             theta, {}, model.design, model.targets
         )
         np.testing.assert_allclose(
@@ -101,13 +101,13 @@ class TestBlrPosterior:
         thetas = np.random.default_rng(9).standard_normal((4, model.dim))
         idx = np.array([0, 2, 5])
         x, y = model.design[idx], model.targets[idx]
-        prior = model.log_prior_node(ad.Node(thetas))
+        prior = ad.std_normal_logpdf_rows(ad.Node(thetas))
         lik = model.log_lik_node(ad.Node(thetas), {}, x, y)
         assert prior.value.shape == lik.value.shape == (4,)
         for k in range(4):
             theta = ad.Node(thetas[k])
             np.testing.assert_allclose(
-                prior.value[k], model.log_prior_node(theta).value, rtol=1e-12, atol=1e-12
+                prior.value[k], ad.std_normal_logpdf_rows(theta).value, rtol=1e-12, atol=1e-12
             )
             np.testing.assert_allclose(
                 lik.value[k], model.log_lik_node(theta, {}, x, y).value, rtol=1e-12, atol=1e-12
@@ -281,6 +281,24 @@ class TestMeanFieldFit:
         np.testing.assert_allclose(1.0 / fit.q.variances, closed, rtol=1e-9)
         assert fit.bound <= blr_mean_field_fit(model, 512.0).bound
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, math.inf])
+    def test_fit_bound_is_the_exact_bound_of_its_q(self, alpha):
+        # one bound formula, at +inf too
+        model = synthetic_blr_instance(seed=0)
+        fit = blr_mean_field_fit(model, alpha)
+        assert fit.bound == exact_vr_bound_blr(model, fit.q, alpha)
+
+    def test_exact_bound_at_infinite_orders(self):
+        model = synthetic_blr_instance(seed=0)
+        posterior, log_evidence = blr_exact_posterior(model)
+        q = GaussianDist.diagonal(posterior.mean, posterior.variances)
+        for alpha in (math.inf, -math.inf):
+            div = renyi_gaussian(q, posterior, alpha)
+            assert exact_vr_bound_blr(model, q, alpha) == log_evidence - div
+        # a q wider than the posterior has an unbounded ratio q / posterior
+        wide = GaussianDist.diagonal(posterior.mean, posterior.variances * 4.0)
+        assert exact_vr_bound_blr(model, wide, math.inf) == -math.inf
+
     def test_mode_seeking_fits_are_optimal_in_3d(self):
         rng = np.random.default_rng(3)
         design = rng.standard_normal((20, 3)) @ rng.standard_normal((3, 3))
@@ -356,7 +374,8 @@ class TestBnn:
         log_noise = 0.3
 
         params = {"log_noise": ad.Node(np.array(log_noise))}
-        node = bnn.log_prior_node(ad.Node(theta)) + bnn.log_lik_node(ad.Node(theta), params, x, y)
+        leaf = ad.Node(theta)
+        node = ad.std_normal_logpdf_rows(leaf) + bnn.log_lik_node(leaf, params, x, y)
 
         w1 = theta[:3].reshape(1, 3)
         b1 = theta[3:6]
@@ -382,10 +401,11 @@ class TestBnn:
         params = {"log_noise": ad.Node(np.array(0.1))}
 
         def f(t):
-            return float(ad.value(bnn.log_prior_node(t) + bnn.log_lik_node(t, params, x, y)))
+            prior = ad.std_normal_logpdf_rows(t)
+            return float(ad.value(prior + bnn.log_lik_node(t, params, x, y)))
 
         leaf = ad.Node(theta0)
-        node = bnn.log_prior_node(leaf) + bnn.log_lik_node(leaf, params, x, y)
+        node = ad.std_normal_logpdf_rows(leaf) + bnn.log_lik_node(leaf, params, x, y)
         grads = ad.gradients(node, {"theta": leaf})
         assert finite_diff_check(f, theta0, grads["theta"]) < 1e-4
 
@@ -397,13 +417,13 @@ class TestBnn:
         y = rng.standard_normal(6)
         thetas = rng.standard_normal((5, bnn.n_weights))
         params = {"log_noise": ad.Node(np.array([0.2]))}
-        prior = bnn.log_prior_node(ad.Node(thetas))
+        prior = ad.std_normal_logpdf_rows(ad.Node(thetas))
         lik = bnn.log_lik_node(ad.Node(thetas), params, x, y)
         assert prior.value.shape == lik.value.shape == (5,)
         for k in range(5):
             theta = ad.Node(thetas[k])
             np.testing.assert_allclose(
-                prior.value[k], bnn.log_prior_node(theta).value, rtol=1e-12, atol=1e-12
+                prior.value[k], ad.std_normal_logpdf_rows(theta).value, rtol=1e-12, atol=1e-12
             )
             np.testing.assert_allclose(
                 lik.value[k], bnn.log_lik_node(theta, params, x, y).value, rtol=1e-12, atol=1e-12

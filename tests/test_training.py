@@ -29,6 +29,7 @@ from vrbound import (
     synthetic_regression,
     train,
 )
+from vrbound import autodiff as ad
 from vrbound import training
 from vrbound.gradients import log_weight_ratio
 from vrbound.models import vae as vae_module
@@ -114,7 +115,7 @@ class TestEnergyApproximation:
         for alpha in (-1.0, 0.0, 0.5, 1.0, 2.0):
             via_energy = _energy_estimate(model, q, full_idx, alpha, noise)
             theta = q.mean + np.sqrt(q.variances) * noise
-            log_joint = model.log_prior_node(theta) + model.log_lik_node(
+            log_joint = ad.std_normal_logpdf_rows(theta) + model.log_lik_node(
                 theta, {}, model.design, model.targets
             )
             log_w = log_joint - q.logpdf(theta)
@@ -278,7 +279,7 @@ class TestTrainBehavior:
 
         monkeypatch.setattr(VAEModel, "_log_weight_vjp", spoiled)
         data = synthetic_binary_images(seed=0, n=240)
-        cfg = TrainConfig(alpha=0.5, k=3, minibatch=8, steps=4, seed=2, eval_k=3)
+        cfg = TrainConfig(alpha=0.5, k=3, minibatch=8, steps=4, seed=2)
         message = r"^step 2: non-finite gradient for parameter 'dec_b1' \(suspect samples: \[\]\)$"
         with pytest.raises(TrainingDiverged, match=message) as exc_info:
             train(VAEModel(data_dim=64, hidden=4), cfg, data)
@@ -313,8 +314,6 @@ class TestTrainBehavior:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="k must"):
             TrainConfig(k=0)
-        with pytest.raises(ValueError, match="eval_k"):
-            TrainConfig(k=10, eval_k=5)
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=0.0)
 
@@ -522,15 +521,15 @@ class TestWeightDiagnostics:
         from vrbound.gradients import _log_ratio
 
         step_sets = []
-        vr_step = training._vr_step
+        vr_grad = training.vr_grad
 
         def keeping(*args, **kwargs):
-            out = vr_step(*args, **kwargs)
-            step_sets.append(out[2].copy())
+            out = vr_grad(*args, **kwargs)
+            step_sets.append(np.moveaxis(out[1], 0, -1).copy())
             return out
 
-        monkeypatch.setattr(training, "_vr_step", keeping)
-        cfg = TrainConfig(alpha=alpha, k=5, minibatch=32, steps=22, learning_rate=0.01, seed=2, eval_k=5)
+        monkeypatch.setattr(training, "vr_grad", keeping)
+        cfg = TrainConfig(alpha=alpha, k=5, minibatch=32, steps=22, learning_rate=0.01, seed=2)
         if family == "vae":
             data = synthetic_binary_images(seed=0, n=300, side=4)
             _, record = train(VAEModel(data_dim=16, latent_dim=2, hidden=4), cfg, data)
