@@ -20,7 +20,6 @@ from .divergence import GridSpec, gaussian_kl, quadrature_oracle, renyi_gaussian
 from .gaussian import GaussianDist
 from .gradients import (
     GaussianReparam,
-    finite_diff_check,
     normalize_weights,
     select_backprop_sample,
     vr_grad,
@@ -67,7 +66,6 @@ __all__ = [
     "classify_alpha",
     "evaluate_vae",
     "exact_vr_bound_blr",
-    "finite_diff_check",
     "gaussian_kl",
     "mc_vr_estimate",
     "normalize_weights",

@@ -1,38 +1,38 @@
-"""Minimal reverse-mode differentiation over numpy arrays.
+"""Minimal reverse-mode differentiation over numpy arrays, and the array
+kernels that the models' forward passes and written-out gradients share.
 
-A fixed, small set of operations is enough for every gradient this package
-needs: arithmetic, matrix products, exp/ReLU/tanh, sums, reshapes and
-last-axis slices, a dense layer act(x @ w + b) as one fused node, Gaussian
-log densities summed over the last axis (the standard normal's serves every
-prior and log q of the package), and, as one fused node, an affine output
-layer z = x @ w + b with the Bernoulli log mass of its logits summed over
-the last axis. The Bernoulli arithmetic is split into an array forward and
-its gradient at the logits, so that a larger operation can call them too:
-``fused`` makes one node of an operation whose gradients are
-written out as one function, run once per backward pass (the dense layer,
-the Bernoulli output layer and the VAE's log weights are such nodes). Every
-node, fused or not, holds its node operands and one VJP that returns their
-gradients. Matrix products batch over leading axes as numpy's
-``@`` does, so a model can evaluate K stacked parameter draws in one graph.
-Graphs are built functionally (fresh leaf nodes per evaluation); numbers
-and arrays enter operations as constants, which get no gradient, and an
-operation with no node operand folds to a plain ndarray: a graph builder
-called on arrays gives its values without a tape, and ``value(x)`` reads a
-node or an array alike. A single backward pass from a seed (ones at a
-scalar root) accumulates vector-Jacobian products in reverse creation order
-(a node is always made after its operands, so no order is computed), and
-broadcasting is undone by summing over the broadcast axes (a gradient that
-already has its operand's shape is passed on as it is). A fused node may
-work in place on the buffers it allocates itself, but no operation changes
-the value of another node. There is deliberately no general graph compiler
-and no higher-order support.
+Each model's log weights on its parameter leaves are one tape node:
+``fused(out, operands, vjp)`` makes a node over ``out`` whose parents are
+the operands that are nodes, and whose gradients one written-out function
+returns, run once per backward pass (``training.posterior_log_weights`` for
+BLR and BNN, ``VAEModel.log_weight_rows``). So a training step's graph is
+its parameter leaves and one node, and the tape has no generic operation:
+the forward passes are numpy. Called with no node operand, ``fused`` returns
+``out`` as a float array and makes no node, so the same builders give the
+value paths, and ``value(x)`` reads a node or an array alike. One backward
+pass from a seed (ones at a scalar root) accumulates vector-Jacobian
+products in decreasing creation number: a node is always made after its
+operands, so no order is computed. A fused node may work in place on the
+buffers it allocates itself, but never changes the value of another node.
+There is deliberately no general graph compiler and no higher-order support.
+
+The array kernels: ``dense``, an affine layer act(x @ w + b) in one buffer;
+the Gaussian log density summed over the last axis (``normal_logpdf_rows``,
+with ``normal_rows_vjp`` its gradient at the means and a single log scale)
+and the standard normal's (``std_normal_logpdf_rows``, every prior and the
+noise term of every log q); and an output layer with the Bernoulli log mass
+of its logits summed over the last axis, as an array forward
+(``bernoulli_rows_forward``) and its gradient at the logits
+(``bernoulli_rows_at_logits``). Matrix products follow numpy's ``@``, so a
+model evaluates K stacked draws at once. The tests check every written-out
+gradient against a graph of generic operations kept beside them
+(``tests/reference.py``).
 
 Typical use::
 
-    mu = Node(np.zeros(3))
-    theta = mu + eps * np.exp(-1.0)
-    loss = vsum(theta * theta) * 0.5
-    grads = gradients(loss, {"mu": mu})
+    mu = Node(np.array([1.0, 2.0]))
+    node = fused(mu.value**2, {"mu": mu}, lambda g: {"mu": 2.0 * g * mu.value})
+    grads = gradients(node, {"mu": mu}, seed=np.ones(2))
 """
 
 from __future__ import annotations
@@ -46,22 +46,15 @@ import numpy as np
 __all__ = [
     "Node",
     "backward",
-    "bernoulli_dense_rows",
     "bernoulli_rows_at_logits",
     "bernoulli_rows_forward",
     "dense",
-    "exp",
     "fused",
     "gradients",
-    "matmul",
     "normal_logpdf_rows",
-    "relu",
-    "reshape",
-    "slice1d",
+    "normal_rows_vjp",
     "std_normal_logpdf_rows",
-    "tanh",
     "value",
-    "vsum",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -74,11 +67,7 @@ class Node:
     their gradients, in the same order, from ``g`` at this node. A leaf has
     neither."""
 
-    __slots__ = ("value", "parents", "vjp", "grad", "number")
-
-    # Make numpy defer to the reflected operators instead of coercing a Node
-    # into an object array.
-    __array_ufunc__ = None
+    __slots__ = ("value", "parents", "vjp", "number")
 
     _numbers = itertools.count()  # creation order, which backward() visits
 
@@ -86,56 +75,10 @@ class Node:
         self.value = np.asarray(value, dtype=float)
         self.parents = parents
         self.vjp = vjp
-        self.grad = None  # set by backward(), which says why it lives here
         self.number = next(Node._numbers)
-
-    # arithmetic sugar; plain numbers/arrays are treated as constants
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Node(shape={self.value.shape})"
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting); a
-    gradient that already has the shape comes back as it is."""
-    if grad.shape == shape:
-        return grad
-    grad = np.asarray(grad, dtype=float)
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
 
 
 def value(x) -> np.ndarray:
@@ -160,207 +103,48 @@ def fused(out, operands: dict, vjp):
     return Node(out, tuple(operands[name] for name in names), node_vjp)
 
 
-def _op(out, *edges):
-    """A node over ``out`` whose parents are the operands that are nodes.
-    Each edge is (operand, VJP); a constant operand (a number or an array)
-    gets none. With no node operand, ``out`` comes back as a float array."""
-    edges = [edge for edge in edges if isinstance(edge[0], Node)]
-    if not edges:
-        return np.asarray(out, dtype=float)
-    return Node(out, tuple(edge[0] for edge in edges), lambda g: [vjp(g) for _, vjp in edges])
-
-
 # ----------------------------------------------------------------------
-# primitive operations; every operand may be a node or a constant
-
-
-def add(a, b):
-    va, vb = value(a), value(b)
-    return _op(
-        va + vb,
-        (a, lambda g: _unbroadcast(g, va.shape)),
-        (b, lambda g: _unbroadcast(g, vb.shape)),
-    )
-
-
-def sub(a, b):
-    va, vb = value(a), value(b)
-    return _op(
-        va - vb,
-        (a, lambda g: _unbroadcast(g, va.shape)),
-        (b, lambda g: _unbroadcast(-g, vb.shape)),
-    )
-
-
-def mul(a, b):
-    va, vb = value(a), value(b)
-    return _op(
-        va * vb,
-        (a, lambda g: _unbroadcast(g * vb, va.shape)),
-        (b, lambda g: _unbroadcast(g * va, vb.shape)),
-    )
-
-
-def div(a, b):
-    va, vb = value(a), value(b)
-    return _op(
-        va / vb,
-        (a, lambda g: _unbroadcast(g / vb, va.shape)),
-        (b, lambda g: _unbroadcast(-g * va / vb**2, vb.shape)),
-    )
-
-
-def _matmul_vjps(va: np.ndarray, vb: np.ndarray):
-    """VJPs of ``va @ vb`` with respect to each operand, as numpy's ``@``
-    defines the product: operands of two or more axes are stacks of matrices
-    broadcast over their leading axes, and a vector operand is promoted to a
-    matrix and its axis dropped from the result."""
-    # Work with the promoted matrices; the VJPs restore the dropped axes of
-    # g, undo the broadcasting of leading axes, and drop the promotion again.
-    ma = va[None, :] if va.ndim == 1 else va
-    mb = vb[:, None] if vb.ndim == 1 else vb
-
-    def promoted(g):
-        g = np.asarray(g)
-        if vb.ndim == 1:
-            g = np.expand_dims(g, -1)
-        if va.ndim == 1:
-            g = np.expand_dims(g, -2)
-        return g
-
-    def vjp_a(g):
-        return _unbroadcast(promoted(g) @ np.swapaxes(mb, -1, -2), ma.shape).reshape(va.shape)
-
-    def vjp_b(g):
-        return _unbroadcast(np.swapaxes(ma, -1, -2) @ promoted(g), mb.shape).reshape(vb.shape)
-
-    return vjp_a, vjp_b
-
-
-def matmul(a, b):
-    """``a @ b`` with numpy semantics (see ``_matmul_vjps``)."""
-    va, vb = value(a), value(b)
-    vjp_a, vjp_b = _matmul_vjps(va, vb)
-    return _op(va @ vb, (a, vjp_a), (b, vjp_b))
-
+# array kernels
 
 _ACTIVATIONS = (None, "tanh", "relu")
 
 
-def dense(x, w, b, act: str | None = None):
-    """``act(x @ w + b)`` as one node: an affine layer and its activation.
+def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray, act: str | None = None) -> np.ndarray:
+    """``act(x @ w + b)``: an affine layer and its activation.
 
     The product follows numpy's ``@`` and ``b`` broadcasts against it. The
     bias and the activation are applied in place on the product's buffer, so
     a layer allocates one output array. ``act`` is None (affine), "tanh" or
-    "relu". The gradients of the inputs that are nodes are written out
-    together (``fused``), from the gradient at the pre-activation, which is
-    recovered from the output.
+    "relu".
     """
     if act not in _ACTIVATIONS:
         raise ValueError(f"act must be one of {_ACTIVATIONS}")
-    out, product_shape = _affine(value(x), value(w), value(b))
+    out = _affine(x, w, b)
     if act == "tanh":
         np.tanh(out, out=out)
     elif act == "relu":
         np.copyto(out, 0.0, where=~(out > 0.0))
-
-    def pre(g):
-        if act == "tanh":
-            return g * (1.0 - out * out)
-        if act == "relu":
-            return g * (out > 0.0)
-        return g
-
-    return fused(out, {"x": x, "w": w, "b": b}, _affine_vjp(x, w, b, product_shape, pre))
+    return out
 
 
-def _affine(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """``xv @ wv + bv`` in one new buffer, and the shape of the product."""
+def _affine(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """``xv @ wv + bv`` in one new buffer."""
     out = np.asarray(xv @ wv)
-    product_shape = out.shape
     try:
         out += bv
     except ValueError:  # the bias adds leading axes to the product
         out = out + bv
-    return out, product_shape
+    return out
 
 
-def _affine_vjp(x, w, b, product_shape: tuple, pre):
-    """The VJP, for ``fused``, of a node over z = x @ w + b whose gradient at
-    z is ``pre(g)``: the gradients of those of x, w and b that are nodes."""
-
-    def vjp(g):
-        gz = pre(g)
-        grads = {}
-        if isinstance(x, Node) or isinstance(w, Node):
-            product_vjp_x, product_vjp_w = _matmul_vjps(value(x), value(w))
-            g_product = _unbroadcast(gz, product_shape)
-            if isinstance(x, Node):
-                grads["x"] = product_vjp_x(g_product)
-            if isinstance(w, Node):
-                grads["w"] = product_vjp_w(g_product)
-        if isinstance(b, Node):
-            grads["b"] = _unbroadcast(gz, b.value.shape)
-        return grads
-
-    return vjp
-
-
-def exp(a):
-    out = np.exp(value(a))
-    return _op(out, (a, lambda g: g * out))
-
-
-def tanh(a):
-    out = np.tanh(value(a))
-    return _op(out, (a, lambda g: g * (1.0 - out * out)))
-
-
-def relu(a):
-    va = value(a)
-    mask = va > 0.0
-    return _op(np.where(mask, va, 0.0), (a, lambda g: g * mask))
-
-
-def vsum(a, axis: int | None = None):
-    va = value(a)
-
-    def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, va.shape).astype(float)
-        return np.broadcast_to(np.expand_dims(g, axis), va.shape).astype(float)
-
-    return _op(np.sum(va, axis=axis), (a, vjp))
-
-
-def reshape(a, shape: tuple[int, ...]):
-    return _op(value(a).reshape(shape), (a, lambda g: np.asarray(g).reshape(a.value.shape)))
-
-
-def slice1d(a, start: int, stop: int):
-    """``a[..., start:stop]``: a slice of the last axis."""
-    va = value(a)
-
-    def vjp(g):
-        out = np.zeros_like(va)
-        out[..., start:stop] = g
-        return out
-
-    return _op(va[..., start:stop], (a, vjp))
-
-
-# ----------------------------------------------------------------------
-# composite log densities
-
-
-def std_normal_logpdf_rows(x):
+def std_normal_logpdf_rows(x) -> np.ndarray:
     """The N(0, I) log density summed over the last axis: -|x|^2 / 2 - d/2
     log(2 pi) for rows x (..., d), one value per row."""
-    return vsum(x * x, axis=-1) * (-0.5) + (-0.5 * value(x).shape[-1] * _LOG_2PI)
+    x = np.asarray(x, dtype=float)
+    return np.sum(x * x, axis=-1) * (-0.5) + (-0.5 * x.shape[-1] * _LOG_2PI)
 
 
-def normal_logpdf_rows(x, mean, log_std):
+def normal_logpdf_rows(x, mean, log_std) -> np.ndarray:
     """Gaussian log density summed over the last axis.
 
     ``x`` and ``mean`` broadcast together, e.g. (n, d) observations against
@@ -369,18 +153,32 @@ def normal_logpdf_rows(x, mean, log_std):
     array of two or more axes whose last axis holds one value per coordinate
     or a single value for the whole row (then counted d times).
     """
-    shape = np.broadcast_shapes(value(x).shape, value(mean).shape)
+    x, mean, log_std = (np.asarray(a, dtype=float) for a in (x, mean, log_std))
+    shape = np.broadcast_shapes(x.shape, mean.shape)
     if not shape:
         raise ValueError("normal_logpdf_rows expects observations with a last axis")
     d = shape[-1]
-    z = (x - mean) * exp(-log_std)
-    quad = vsum(z * z, axis=-1) * (-0.5)
-    scales = value(log_std)
-    if scales.ndim >= 2:
-        row_logdet = vsum(log_std, axis=-1) * (d / scales.shape[-1])
+    z = (x - mean) * np.exp(-log_std)
+    quad = np.sum(z * z, axis=-1) * (-0.5)
+    if log_std.ndim >= 2:
+        row_logdet = np.sum(log_std, axis=-1) * (d / log_std.shape[-1])
     else:
-        row_logdet = vsum(log_std) * (d / max(scales.size, 1))
+        row_logdet = np.sum(log_std) * (d / max(log_std.size, 1))
     return quad - row_logdet - 0.5 * d * _LOG_2PI
+
+
+def normal_rows_vjp(x, mean, log_std: np.ndarray, g: np.ndarray):
+    """The gradients at ``mean`` and at ``log_std`` of ``normal_logpdf_rows``'s
+    rows, given ``g`` at the rows, for one log scale s shared by every
+    coordinate (``log_std`` of one element): log p = -|z|^2 / 2 - d s - d/2
+    log(2 pi) with z = (x - mean) exp(-s)."""
+    scale = np.exp(-log_std)
+    z = (x - mean) * scale
+    g_rows = g[..., None]
+    g_mean = z * scale
+    g_mean *= g_rows
+    g_log_std = np.sum(z * z * g_rows) - z.shape[-1] * np.sum(g)
+    return g_mean, np.reshape(g_log_std, np.shape(log_std))
 
 
 _PROB_FLOOR = 1e-7
@@ -388,26 +186,12 @@ _PROB_FLOOR = 1e-7
 _LOGIT_CAP = math.log1p(-_PROB_FLOOR) - math.log(_PROB_FLOOR)
 
 
-def bernoulli_dense_rows(x, w, b, targets: np.ndarray):
-    """Bernoulli log mass of ``targets`` on the logits z = x @ w + b, summed
-    over the last axis, as one node: the output layer of a decoder and its
-    likelihood. The value is ``bernoulli_rows_forward``'s and the gradient at
-    the logits ``bernoulli_rows_at_logits``'s, from which x, w and b get
-    theirs as through an affine layer.
-    """
-    out, softplus, inside = bernoulli_rows_forward(value(x), value(w), value(b), targets)
-
-    def at_logits(g):
-        return bernoulli_rows_at_logits(softplus, inside, targets, g)
-
-    return fused(out, {"x": x, "w": w, "b": b}, _affine_vjp(x, w, b, softplus.shape, at_logits))
-
-
 def bernoulli_rows_forward(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray, targets: np.ndarray):
-    """The rows of ``bernoulli_dense_rows`` on arrays, with what their
-    gradient needs: (rows, softplus, inside). ``softplus`` holds
-    log1p(exp(z)) of the logits, clipped where they are, and ``inside`` is
-    the mask of the logits strictly inside the cap, or None when all are.
+    """The Bernoulli log mass of ``targets`` on the logits z = x @ w + b of an
+    output layer, summed over the last axis, with what its gradient needs:
+    (rows, softplus, inside). ``softplus`` holds log1p(exp(z)) of the
+    logits, clipped where they are, and ``inside`` is the mask of the logits
+    strictly inside the cap, or None when all are.
 
     Per element the mass is t z - log1p(exp(z)) = t log p + (1 - t) log(1 - p)
     with p = sigmoid(z). ``xv`` holds rows and ``wv`` is a matrix (each may
@@ -431,7 +215,7 @@ def bernoulli_rows_forward(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray, targe
     # Logits that overflow, and rows whose sum_j t_j z_j does, are clipped
     # below, silently.
     with np.errstate(over="ignore", invalid="ignore"):
-        z, _ = _affine(xv, wv, bv)
+        z = _affine(xv, wv, bv)
         if targets.ndim < 2 or targets.shape != z.shape[z.ndim - targets.ndim :]:
             raise ValueError(f"targets {targets.shape} must be trailing rows of logits {z.shape}")
         inside = unclipped = None  # once a logit is not strictly inside the cap: the
@@ -479,16 +263,11 @@ def _clip_logits(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
 # backward pass
 
 
-def backward(root: Node, seed=None) -> None:
-    """Populate ``.grad`` on every node reachable from ``root``, starting from
-    ``seed``, the gradient at the root (by default ones at a scalar root).
-
-    The gradients stay on the nodes rather than in a dict local to
-    ``gradients``: the trainer holds the previous step's graph, and with it
-    these arrays, until the next step's graph is built. Folding this pass
-    into ``gradients``, which frees them at once, measured 17 -> about 300
-    minor page faults per BNN step (K = 50) and 15-25% slower steps.
-    """
+def backward(root: Node, seed=None) -> dict[Node, np.ndarray]:
+    """The gradient of every leaf reachable from ``root`` (a node without a
+    VJP), starting from ``seed``, the gradient at the root (by default ones
+    at a scalar root). Another node's gradient is dropped once its VJP has
+    run."""
     if seed is None and root.value.size != 1:
         raise ValueError("backward expects a scalar root, or a seed")
     seed = np.ones_like(root.value) if seed is None else np.asarray(seed, dtype=float)
@@ -498,11 +277,13 @@ def backward(root: Node, seed=None) -> None:
     # gradient pending in decreasing creation number visits each after every
     # node it feeds: its gradient is complete when it is taken.
     grads: dict[Node, np.ndarray] = {root: seed}
+    at_leaves = {}
     pending = [(-root.number, root)]
     while pending:
         node = heapq.heappop(pending)[1]
-        node.grad = g = grads.pop(node)
+        g = grads.pop(node)
         if node.vjp is None:
+            at_leaves[node] = g
             continue
         for parent, contribution in zip(node.parents, node.vjp(g)):
             contribution = np.asarray(contribution, dtype=float)
@@ -511,6 +292,7 @@ def backward(root: Node, seed=None) -> None:
             else:
                 grads[parent] = contribution
                 heapq.heappush(pending, (-parent.number, parent))
+    return at_leaves
 
 
 def gradients(
@@ -520,12 +302,12 @@ def gradients(
     gradient, as a view of one float vector of the leaves' total size that
     holds them in the order of ``leaves``: ``out`` if given, else a new one.
     A leaf the pass does not reach gets zeros."""
-    backward(root, seed)
+    at_leaves = backward(root, seed)
     if out is None:
         out = np.empty(sum(node.value.size for node in leaves.values()))
     grads, start = {}, 0
     for name, node in leaves.items():
         grads[name] = view = out[start : start + node.value.size].reshape(node.value.shape)
-        view[...] = 0.0 if node.grad is None else node.grad
+        view[...] = at_leaves.get(node, 0.0)
         start += node.value.size
     return grads

@@ -447,7 +447,7 @@ def _bnn_test_metrics(
     noise = math.exp(float(params["log_noise"][0]))
     thetas = mu + np.exp(rho) * rng.standard_normal((samples, mu.shape[0]))
     # one draw at a time: a batched call would hold samples x n x hidden floats
-    preds = np.stack([model.predict_node(theta, x_test) for theta in thetas])
+    preds = np.stack([model.predict(theta, x_test) for theta in thetas])
     y_sd, y_mu = stats["y_std"], stats["y_mean"]
     preds_orig = preds * y_sd + y_mu
     rmse = float(np.sqrt(np.mean((preds_orig.mean(axis=0) - y_test) ** 2)))

@@ -11,10 +11,13 @@ Its gradient is the convex combination
 with the normalized weights held constant: they are exactly the partial
 derivatives of the estimate with respect to the log weights. At alpha = -inf
 and +inf the weights are one-hot at the largest or smallest log weight, the
-subgradient of max/min. ``vr_grad`` computes this with one graph and one
-backward pass: the log-weight builder gets all K draws and returns them on
-axis 0, and any further axes are independent weight sets (one per VAE
-datapoint) whose gradients are averaged. The single-backward-pass variant
+subgradient of max/min. ``vr_grad`` computes this with one backward pass:
+the log-weight builder gets all K draws and returns them on axis 0, and any
+further axes are independent weight sets (one per VAE datapoint) whose
+gradients are averaged. Every model's builder returns its log weights as one
+node over the parameter leaves (``ad.fused``) with a written-out VJP, and
+the part those VJPs share, through the reparameterization, the N(0, I)
+prior and log q, is ``GaussianReparam.vjp``. The single-backward-pass variant
 puts a one-hot weight on the index that ``select_backprop_sample`` draws from
 each set with probability w_hat_j, which is unbiased for the full weighted
 gradient at finite alpha.
@@ -33,7 +36,6 @@ from .bounds import _scaled_log_weights, validate_log_weights
 
 __all__ = [
     "GaussianReparam",
-    "finite_diff_check",
     "normalize_weights",
     "select_backprop_sample",
     "vr_grad",
@@ -117,32 +119,51 @@ def _select(log_w: np.ndarray, alpha: float, rng: np.random.Generator) -> np.nda
 
 
 class GaussianReparam:
-    """Diagonal-Gaussian reparameterization theta = mu + exp(rho) * eps.
+    """Diagonal-Gaussian reparameterization theta = mu + exp(rho) * eps, on
+    arrays.
 
-    ``mu`` and ``rho`` are nodes (leaves, or encoder outputs) or arrays. The
-    noise ``eps`` has their shape, or an extra leading axis of K draws. The
-    variational log density evaluated at theta = g(eps) simplifies to
-    log N(eps; 0, I) - sum(rho) over the last axis, which is exact and keeps
-    the dependence on the variational parameters explicit.
+    ``mu`` and ``rho`` have one shape; the noise ``eps`` has it too, or an
+    extra leading axis of K draws. The variational log density evaluated at
+    theta = g(eps) simplifies to log N(eps; 0, I) - sum(rho) over the last
+    axis, which is exact and keeps the dependence on the variational
+    parameters explicit. ``vjp`` is the gradient of log weights
+    f(theta) + log N(theta; 0, I) - log q, written once for every model.
     """
 
-    def __init__(self, mu: ad.Node, rho: ad.Node):
-        if ad.value(mu).shape != ad.value(rho).shape:
+    def __init__(self, mu: np.ndarray, rho: np.ndarray):
+        self.mu = np.asarray(mu, dtype=float)
+        self.rho = np.asarray(rho, dtype=float)
+        if self.mu.shape != self.rho.shape:
             raise ValueError("mu and rho must have the same shape")
-        self.mu = mu
-        self.rho = rho
 
-    def theta(self, eps: np.ndarray) -> ad.Node:
+    def theta(self, eps: np.ndarray) -> np.ndarray:
         eps = np.asarray(eps, dtype=float)
-        shape = ad.value(self.mu).shape
+        shape = self.mu.shape
         if eps.shape not in (shape, eps.shape[:1] + shape):
             raise ValueError(f"eps must have shape {shape}, or (K, *{shape})")
-        return self.mu + ad.exp(self.rho) * eps
+        # the product's buffer takes mu in place: one array of the noise's size
+        theta = np.exp(self.rho) * eps
+        theta += self.mu
+        return theta
 
-    def log_q(self, eps: np.ndarray) -> ad.Node:
+    def log_q(self, eps: np.ndarray) -> np.ndarray:
         """log q(theta(eps)) summed over the last axis: a scalar for a vector
         ``mu``, (n,) for (n, d) rows, with a leading K axis from ``eps``."""
-        return ad.std_normal_logpdf_rows(np.asarray(eps, dtype=float)) - ad.vsum(self.rho, axis=-1)
+        return ad.std_normal_logpdf_rows(eps) - np.sum(self.rho, axis=-1)
+
+    def vjp(self, theta, eps, g, g_theta) -> tuple[np.ndarray, np.ndarray]:
+        """The gradients of mu and rho, given ``g`` at the log weights
+        f(theta) + log N(theta; 0, I) - log q of the noise ``eps``, whose
+        ``theta`` is given, and ``g_theta``, the gradient of f at theta,
+        which gets the prior's added in place. The draws, if any, share mu
+        and rho; -log q = sum(rho) + a term of the noise alone."""
+        g_theta -= theta * g[..., None]
+        draws = (-1, *self.mu.shape)
+        g_mu = g_theta.reshape(draws).sum(axis=0)
+        g_rho = (g_theta * eps).reshape(draws).sum(axis=0)
+        g_rho *= np.exp(self.rho)
+        g_rho += np.reshape(g, draws[:-1]).sum(axis=0)[..., None]
+        return g_mu, g_rho
 
 
 LogWeightBuilder = Callable[[dict[str, ad.Node], np.ndarray], ad.Node]
@@ -202,40 +223,6 @@ def vr_grad(
             f"non-finite gradient for parameter '{name}' (suspect samples: {suspects})"
         )
     return grads, log_w
-
-
-def finite_diff_check(
-    f: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    grad: np.ndarray,
-    step: float = 1e-5,
-    abs_floor: float = 1e-8,
-) -> float:
-    """Max relative error between ``grad`` and central differences of ``f``.
-
-    The relative error per coordinate uses max(|numeric|, |analytic|,
-    abs_floor) as denominator so exact zeros compare cleanly.
-    """
-    if not 1e-7 <= step <= 1e-3:
-        raise ValueError("step must lie in [1e-7, 1e-3]")
-    x0 = np.asarray(x0, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    if grad.shape != x0.shape:
-        raise ValueError("grad must match x0 in shape")
-    worst = 0.0
-    flat_x = x0.ravel()
-    flat_g = grad.ravel()
-    for i in range(flat_x.size):
-        bump = np.zeros_like(flat_x)
-        bump[i] = step
-        hi = f((flat_x + bump).reshape(x0.shape))
-        lo = f((flat_x - bump).reshape(x0.shape))
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise FloatingPointError(f"non-finite objective at coordinate {i}")
-        numeric = (hi - lo) / (2.0 * step)
-        denom = max(abs(numeric), abs(flat_g[i]), abs_floor)
-        worst = max(worst, abs(numeric - flat_g[i]) / denom)
-    return worst
 
 
 def log_weight_ratio(log_w: np.ndarray, axis: int | None = None):

@@ -11,6 +11,11 @@ and the log evidence has the closed form
 Because both the posterior and the evidence are exact, this model is the test
 bed for the variational bound: the bound equals the evidence minus the Renyi
 divergence from q to the exact posterior, with no approximation anywhere.
+
+For training, ``log_lik_node`` gives the likelihood of K stacked weight
+draws on arrays together with its VJP, the residual form (X'(y - X theta)) /
+sigma^2; ``training.posterior_log_weights`` chains it into the VJP that
+every model shares, of the reparameterization, the N(0, I) prior and log q.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from functools import partial
 
 import numpy as np
 
-from .. import autodiff as ad
 from ..alpha import AlphaKind, classify_alpha
 from ..divergence import renyi_gaussian, renyi_gaussian_terms
 from ..gaussian import GaussianDist
@@ -74,17 +78,21 @@ class BLRModel:
         """Initial mean-field parameters: mu 0 and rho log 0.1 (the seed is unused)."""
         return {"mu": np.zeros(self.dim), "rho": np.full(self.dim, math.log(0.1))}
 
-    # ------------------------------------------------------------------
-    # the likelihood builder: theta is one weight vector (dim,) or K stacked
-    # draws (K, dim), a tape node or an array; one value per draw (the
-    # standard-normal prior is ``ad.std_normal_logpdf_rows``)
-
-    def log_lik_node(self, theta: ad.Node, params: dict, x: np.ndarray, y: np.ndarray) -> ad.Node:
-        """Summed Gaussian log likelihood of targets y at rows x (``params`` unused)."""
+    def log_lik_node(self, theta: np.ndarray, params: dict, x: np.ndarray, y: np.ndarray):
+        """Summed Gaussian log likelihood of targets y at rows x, one value
+        per draw of theta (dim,) or (K, dim), and its VJP: given g at the
+        values, the gradient at theta and of the parameters (none; the noise
+        is fixed and ``params`` unused). The prior is the caller's
+        (``training.posterior_log_weights``)."""
         s2 = self.noise_std**2
-        resid = y - ad.matmul(theta, x.T)
+        resid = y - theta @ x.T
         const = -0.5 * x.shape[0] * (_LOG_2PI + math.log(s2))
-        return ad.vsum(resid * resid, axis=-1) * (-0.5 / s2) + const
+        rows = np.sum(resid * resid, axis=-1) * (-0.5 / s2) + const
+
+        def vjp(g):
+            return (resid * (g[..., None] / s2)) @ x, {}
+
+        return rows, vjp
 
 
 # ----------------------------------------------------------------------

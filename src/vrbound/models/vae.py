@@ -11,12 +11,12 @@ draws, which is carried through to the outputs, so K log weights per
 datapoint come from one encoder pass.
 
 On leaves the log weights are one tape node with a written-out VJP: the
-forward pass runs the array pieces ``_encode``, ``_decode`` and, for the
-prior, ``ad.std_normal_logpdf_rows`` (the same operations, in the same
-order, as a graph of ``ad.dense``, ``ad.bernoulli_dense_rows`` and
-arithmetic nodes would), and ``_log_weight_vjp`` takes the gradients back
-through the encoder, the reparameterization, the decoder, the likelihood,
-the prior and log q, once per backward pass.
+forward pass runs the array pieces ``_encode``, ``_decode``,
+``GaussianReparam`` and, for the prior, ``ad.std_normal_logpdf_rows``, and
+``_log_weight_vjp`` takes the gradients back through the likelihood and
+the decoder, then through the reparameterization, the prior and log q
+(``GaussianReparam.vjp``, which BLR and BNN share) and the encoder, once
+per backward pass.
 
 ``log_weight_matrix`` is the value-only path of held-out evaluation, where K
 runs to thousands: it takes a noise generator and a draw count, encodes once
@@ -48,8 +48,9 @@ from ..gradients import GaussianReparam
 # on 2 cores, a 5000-draw call on 100 points of width 64 took about 5% longer
 # at 1 MiB (20 draws a chunk) than at 1.5 MiB (30), and about as long at
 # 2 MiB. A chunk holds three arrays of the noise's width at once (the noise,
-# the latents and a product), so at latent width 50 two workers peaked at
-# 9.4 MiB at 1.5 MiB and 11.5-12.5 MiB at 2 MiB. Evaluating 100 points at
+# the latents, and the square of one of them that the prior or log q
+# takes), so at latent width 50 two workers peaked at 7.3-9.4 MiB at 1.5 MiB
+# and 11.5-12.5 MiB at 2 MiB. Evaluating 100 points at
 # k_ref 5000 twice in a fresh process (``tests/test_training.py``'s fault
 # probe) took 3.0-3.2k, 3.8k, 4.6k and 7.3k minor page faults at 1, 1.5, 2
 # and 4 MiB.
@@ -129,9 +130,10 @@ class VAEModel:
         x = np.asarray(x, dtype=float)
         eps = np.asarray(eps, dtype=float)
         hid_e, mu, rho = self._encode(params, x)
-        out, saved = self._forward(params, x, GaussianReparam(mu, rho), eps)
+        reparam = GaussianReparam(mu, rho)
+        out, saved = self._forward(params, x, reparam, eps)
         return ad.fused(
-            out, nodes, lambda g: self._log_weight_vjp(params, x, eps, (hid_e, rho, *saved), g)
+            out, nodes, lambda g: self._log_weight_vjp(params, x, eps, (hid_e, reparam, *saved), g)
         )
 
     def _encode(self, params: dict[str, np.ndarray], x: np.ndarray):
@@ -171,37 +173,23 @@ class VAEModel:
         back through ``log_weight_rows``'s forward pass, whose arrays
         ``saved`` holds. The weight gradient of a stacked (K, n, .) layer is
         one product over its flattened rows."""
-        hid_e, rho, h, hid, state = saved
-        g_rows = g[..., None]
+        hid_e, reparam, h, hid, state = saved
         grads = {}
         if self.likelihood == "bernoulli":
             g_out = ad.bernoulli_rows_at_logits(*state, x, g)
         else:
-            # dec_log_noise is one log scale s (``init_params`` makes it of
-            # shape (1,), and a larger one fails to reshape below):
-            # log p = -|z|^2 / 2 - d s - d/2 log(2 pi), z = (x - means) exp(-s)
-            log_noise = params["dec_log_noise"]
-            scale = np.exp(-log_noise)
-            z = (x - state) * scale
-            g_out = z * scale
-            g_out *= g_rows
-            g_noise = np.sum(z * z * g_rows) - x.shape[-1] * np.sum(g)
-            grads["dec_log_noise"] = np.reshape(g_noise, log_noise.shape)
+            # dec_log_noise is one log scale (``init_params`` makes it of
+            # shape (1,), and a larger one fails to reshape)
+            g_out, grads["dec_log_noise"] = ad.normal_rows_vjp(
+                x, state, params["dec_log_noise"], g
+            )
         grads["dec_w2"] = _rows(hid).T @ _rows(g_out)
         grads["dec_b2"] = _rows(g_out).sum(axis=0)
         g_pre = g_out @ params["dec_w2"].T
         g_pre *= 1.0 - hid * hid
         grads["dec_w1"] = _rows(h).T @ _rows(g_pre)
         grads["dec_b1"] = _rows(g_pre).sum(axis=0)
-        g_h = g_pre @ params["dec_w1"].T
-        g_h -= h * g_rows  # the log prior's
-        # h = mu + exp(rho) eps, and -log q = sum(rho) + a constant; the
-        # draws, if any, share mu and rho
-        draws = (-1, *rho.shape)
-        g_mu = g_h.reshape(draws).sum(axis=0)
-        g_rho = (g_h * eps).reshape(draws).sum(axis=0)
-        g_rho *= np.exp(rho)
-        g_rho += np.reshape(g, draws[:-1]).sum(axis=0)[..., None]
+        g_mu, g_rho = reparam.vjp(h, eps, g, g_pre @ params["dec_w1"].T)
         grads["enc_w_mu"] = _rows(hid_e).T @ _rows(g_mu)
         grads["enc_b_mu"] = _rows(g_mu).sum(axis=0)
         grads["enc_w_rho"] = _rows(hid_e).T @ _rows(g_rho)

@@ -1,0 +1,408 @@
+"""Reference constructions that the library's written-out gradients are
+checked against.
+
+Every model's log weights are one tape node in the library, with a VJP
+written out by hand (``vrbound.autodiff.fused``). This module keeps what
+the tests compare those nodes to: a graph of generic operations, each with
+its own vector-Jacobian product, and the models' log weights built from it
+(``posterior_log_weights`` for BLR and BNN, ``vae_log_weights``); and
+``finite_diff_check``, central differences of any gradient.
+
+The operations: arithmetic with numpy broadcasting (also as the operators
+of this module's ``Node``), matrix products that batch over leading axes as
+``@`` does, exp/tanh/ReLU, sums, reshapes and last-axis slices, a dense
+layer and a Bernoulli output layer as single nodes, and Gaussian log
+densities summed over the last axis. Their values come from the same numpy
+operations, in the same order, as the library's array kernels. Numbers and
+arrays enter an operation as constants, which get no gradient, and an
+operation with no node operand folds to a plain ndarray. Broadcasting is
+undone by summing over the broadcast axes.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable
+
+import numpy as np
+
+from vrbound import autodiff as ad
+from vrbound.models.bnn import BNNModel
+
+LOG_2PI = math.log(2.0 * math.pi)
+
+
+class Node(ad.Node):
+    """A tape node with arithmetic operators; plain numbers and arrays are
+    constants."""
+
+    __slots__ = ()
+
+    # Make numpy defer to the reflected operators instead of coercing a Node
+    # into an object array.
+    __array_ufunc__ = None
+
+    def __add__(self, other):
+        return add(self, other)
+
+    def __radd__(self, other):
+        return add(other, self)
+
+    def __sub__(self, other):
+        return sub(self, other)
+
+    def __rsub__(self, other):
+        return sub(other, self)
+
+    def __mul__(self, other):
+        return mul(self, other)
+
+    def __rmul__(self, other):
+        return mul(other, self)
+
+    def __truediv__(self, other):
+        return div(self, other)
+
+    def __rtruediv__(self, other):
+        return div(other, self)
+
+    def __neg__(self):
+        return mul(self, -1.0)
+
+    def __matmul__(self, other):
+        return matmul(self, other)
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting); a
+    gradient that already has the shape comes back as it is."""
+    if grad.shape == shape:
+        return grad
+    grad = np.asarray(grad, dtype=float)
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, n in enumerate(shape):
+        if n == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad.reshape(shape)
+
+
+def _op(out, *edges):
+    """A node over ``out`` whose parents are the operands that are nodes.
+    Each edge is (operand, VJP); a constant operand (a number or an array)
+    gets none. With no node operand, ``out`` comes back as a float array."""
+    edges = [edge for edge in edges if isinstance(edge[0], ad.Node)]
+    if not edges:
+        return np.asarray(out, dtype=float)
+    return Node(out, tuple(edge[0] for edge in edges), lambda g: [vjp(g) for _, vjp in edges])
+
+
+def _fused(out, operands: dict, vjp):
+    """``ad.fused``, as a node with this module's operators."""
+    node = ad.fused(out, operands, vjp)
+    if isinstance(node, ad.Node):
+        node.__class__ = Node
+    return node
+
+
+# ----------------------------------------------------------------------
+# primitive operations; every operand may be a node or a constant
+
+
+def add(a, b):
+    va, vb = ad.value(a), ad.value(b)
+    return _op(
+        va + vb,
+        (a, lambda g: _unbroadcast(g, va.shape)),
+        (b, lambda g: _unbroadcast(g, vb.shape)),
+    )
+
+
+def sub(a, b):
+    va, vb = ad.value(a), ad.value(b)
+    return _op(
+        va - vb,
+        (a, lambda g: _unbroadcast(g, va.shape)),
+        (b, lambda g: _unbroadcast(-g, vb.shape)),
+    )
+
+
+def mul(a, b):
+    va, vb = ad.value(a), ad.value(b)
+    return _op(
+        va * vb,
+        (a, lambda g: _unbroadcast(g * vb, va.shape)),
+        (b, lambda g: _unbroadcast(g * va, vb.shape)),
+    )
+
+
+def div(a, b):
+    va, vb = ad.value(a), ad.value(b)
+    return _op(
+        va / vb,
+        (a, lambda g: _unbroadcast(g / vb, va.shape)),
+        (b, lambda g: _unbroadcast(-g * va / vb**2, vb.shape)),
+    )
+
+
+def _matmul_vjps(va: np.ndarray, vb: np.ndarray):
+    """VJPs of ``va @ vb`` with respect to each operand, as numpy's ``@``
+    defines the product: operands of two or more axes are stacks of matrices
+    broadcast over their leading axes, and a vector operand is promoted to a
+    matrix and its axis dropped from the result."""
+    # Work with the promoted matrices; the VJPs restore the dropped axes of
+    # g, undo the broadcasting of leading axes, and drop the promotion again.
+    ma = va[None, :] if va.ndim == 1 else va
+    mb = vb[:, None] if vb.ndim == 1 else vb
+
+    def promoted(g):
+        g = np.asarray(g)
+        if vb.ndim == 1:
+            g = np.expand_dims(g, -1)
+        if va.ndim == 1:
+            g = np.expand_dims(g, -2)
+        return g
+
+    def vjp_a(g):
+        return _unbroadcast(promoted(g) @ np.swapaxes(mb, -1, -2), ma.shape).reshape(va.shape)
+
+    def vjp_b(g):
+        return _unbroadcast(np.swapaxes(ma, -1, -2) @ promoted(g), mb.shape).reshape(vb.shape)
+
+    return vjp_a, vjp_b
+
+
+def matmul(a, b):
+    """``a @ b`` with numpy semantics (see ``_matmul_vjps``)."""
+    va, vb = ad.value(a), ad.value(b)
+    vjp_a, vjp_b = _matmul_vjps(va, vb)
+    return _op(va @ vb, (a, vjp_a), (b, vjp_b))
+
+
+def dense(x, w, b, act: str | None = None):
+    """``ad.dense`` as one node: the layer's value, and the gradients of
+    the inputs that are nodes, from the gradient at the pre-activation,
+    which is recovered from the output."""
+    xv, wv = ad.value(x), ad.value(w)
+    out = ad.dense(xv, wv, ad.value(b), act)
+
+    def pre(g):
+        if act == "tanh":
+            return g * (1.0 - out * out)
+        if act == "relu":
+            return g * (out > 0.0)
+        return g
+
+    product_shape = np.shape(xv @ wv)
+    return _fused(out, {"x": x, "w": w, "b": b}, _affine_vjp(x, w, b, product_shape, pre))
+
+
+def _affine_vjp(x, w, b, product_shape: tuple, pre):
+    """The VJP, for ``fused``, of a node over z = x @ w + b whose gradient at
+    z is ``pre(g)``: the gradients of those of x, w and b that are nodes."""
+
+    def vjp(g):
+        gz = pre(g)
+        grads = {}
+        if isinstance(x, ad.Node) or isinstance(w, ad.Node):
+            product_vjp_x, product_vjp_w = _matmul_vjps(ad.value(x), ad.value(w))
+            g_product = _unbroadcast(gz, product_shape)
+            if isinstance(x, ad.Node):
+                grads["x"] = product_vjp_x(g_product)
+            if isinstance(w, ad.Node):
+                grads["w"] = product_vjp_w(g_product)
+        if isinstance(b, ad.Node):
+            grads["b"] = _unbroadcast(gz, b.value.shape)
+        return grads
+
+    return vjp
+
+
+def exp(a):
+    out = np.exp(ad.value(a))
+    return _op(out, (a, lambda g: g * out))
+
+
+def tanh(a):
+    out = np.tanh(ad.value(a))
+    return _op(out, (a, lambda g: g * (1.0 - out * out)))
+
+
+def relu(a):
+    va = ad.value(a)
+    mask = va > 0.0
+    return _op(np.where(mask, va, 0.0), (a, lambda g: g * mask))
+
+
+def vsum(a, axis: int | None = None):
+    va = ad.value(a)
+
+    def vjp(g):
+        if axis is None:
+            return np.broadcast_to(g, va.shape).astype(float)
+        return np.broadcast_to(np.expand_dims(g, axis), va.shape).astype(float)
+
+    return _op(np.sum(va, axis=axis), (a, vjp))
+
+
+def reshape(a, shape: tuple[int, ...]):
+    return _op(ad.value(a).reshape(shape), (a, lambda g: np.asarray(g).reshape(a.value.shape)))
+
+
+def slice1d(a, start: int, stop: int):
+    """``a[..., start:stop]``: a slice of the last axis."""
+    va = ad.value(a)
+
+    def vjp(g):
+        out = np.zeros_like(va)
+        out[..., start:stop] = g
+        return out
+
+    return _op(va[..., start:stop], (a, vjp))
+
+
+# ----------------------------------------------------------------------
+# composite log densities
+
+
+def std_normal_logpdf_rows(x):
+    """The N(0, I) log density summed over the last axis, as
+    ``ad.std_normal_logpdf_rows`` computes it."""
+    return vsum(mul(x, x), axis=-1) * (-0.5) + (-0.5 * ad.value(x).shape[-1] * LOG_2PI)
+
+
+def normal_logpdf_rows(x, mean, log_std):
+    """Gaussian log density summed over the last axis, as
+    ``ad.normal_logpdf_rows`` computes it (which see for the shapes)."""
+    shape = np.broadcast_shapes(ad.value(x).shape, ad.value(mean).shape)
+    if not shape:
+        raise ValueError("normal_logpdf_rows expects observations with a last axis")
+    d = shape[-1]
+    z = sub(x, mean) * exp(mul(log_std, -1.0))
+    quad = vsum(z * z, axis=-1) * (-0.5)
+    scales = ad.value(log_std)
+    if scales.ndim >= 2:
+        row_logdet = vsum(log_std, axis=-1) * (d / scales.shape[-1])
+    else:
+        row_logdet = vsum(log_std) * (d / max(scales.size, 1))
+    return quad - row_logdet - 0.5 * d * LOG_2PI
+
+
+def bernoulli_dense_rows(x, w, b, targets: np.ndarray):
+    """Bernoulli log mass of ``targets`` on the logits z = x @ w + b, summed
+    over the last axis, as one node: the value is
+    ``ad.bernoulli_rows_forward``'s and the gradient at the logits
+    ``ad.bernoulli_rows_at_logits``'s, from which x, w and b get theirs as
+    through an affine layer."""
+    out, softplus, inside = ad.bernoulli_rows_forward(
+        ad.value(x), ad.value(w), ad.value(b), targets
+    )
+
+    def at_logits(g):
+        return ad.bernoulli_rows_at_logits(softplus, inside, targets, g)
+
+    return _fused(out, {"x": x, "w": w, "b": b}, _affine_vjp(x, w, b, softplus.shape, at_logits))
+
+
+# ----------------------------------------------------------------------
+# the models' log weights
+
+
+def gaussian_reparam(mu, rho, eps):
+    """theta = mu + exp(rho) * eps and log q(theta) = log N(eps; 0, I) -
+    sum(rho) over the last axis: what ``GaussianReparam`` computes."""
+    eps = np.asarray(eps, dtype=float)
+    theta = add(mu, mul(exp(rho), eps))
+    return theta, sub(std_normal_logpdf_rows(eps), vsum(rho, axis=-1))
+
+
+def _blr_log_lik(model, theta, params, x, y):
+    """BLR's summed Gaussian log likelihood of y at rows x, per draw."""
+    s2 = model.noise_std**2
+    resid = sub(y, matmul(theta, x.T))
+    const = -0.5 * x.shape[0] * (LOG_2PI + math.log(s2))
+    return vsum(resid * resid, axis=-1) * (-0.5 / s2) + const
+
+
+def bnn_predict(model, theta, x):
+    """BNN outputs for inputs x, theta unpacked as (W1, b1, W2, b2) by
+    slices of its last axis."""
+    d, h = model.in_dim, model.hidden
+    lead = ad.value(theta).shape[:-1]
+    w1 = reshape(slice1d(theta, 0, d * h), lead + (d, h))
+    b1 = reshape(slice1d(theta, d * h, d * h + h), lead + (1, h))
+    w2 = reshape(slice1d(theta, d * h + h, d * h + 2 * h), lead + (h, 1))
+    b2 = slice1d(theta, d * h + 2 * h, d * h + 2 * h + 1)
+    out = matmul(dense(x, w1, b1, "relu"), w2)
+    return reshape(out, ad.value(out).shape[:-1]) + b2
+
+
+def _bnn_log_lik(model, theta, params, x, y):
+    """BNN's summed Gaussian log likelihood of y at inputs x, per draw, with
+    noise scale exp(params["log_noise"])."""
+    preds = bnn_predict(model, theta, x)
+    return normal_logpdf_rows(np.asarray(y, dtype=float), preds, params["log_noise"])
+
+
+def posterior_log_weights(model, params, x, y, noise, scale):
+    """``training.posterior_log_weights`` as a graph: log p0(theta) + scale *
+    log p(y | x, theta) - log q(theta)."""
+    theta, log_q = gaussian_reparam(params["mu"], params["rho"], noise)
+    log_lik = (_bnn_log_lik if isinstance(model, BNNModel) else _blr_log_lik)(
+        model, theta, params, x, y
+    )
+    return sub(add(std_normal_logpdf_rows(theta), mul(log_lik, scale)), log_q)
+
+
+def vae_log_weights(vae, nodes, x, eps):
+    """``VAEModel.log_weight_rows`` as a graph: log p(x | h) + log p(h) -
+    log q(h | x) at h = mu(x) + exp(rho(x)) * eps."""
+    hid = dense(x, nodes["enc_w1"], nodes["enc_b1"], "tanh")
+    mu = dense(hid, nodes["enc_w_mu"], nodes["enc_b_mu"])
+    rho = dense(hid, nodes["enc_w_rho"], nodes["enc_b_rho"])
+    h, log_q = gaussian_reparam(mu, rho, eps)
+    dec = dense(h, nodes["dec_w1"], nodes["dec_b1"], "tanh")
+    if vae.likelihood == "bernoulli":
+        lik = bernoulli_dense_rows(dec, nodes["dec_w2"], nodes["dec_b2"], x)
+    else:
+        means = dense(dec, nodes["dec_w2"], nodes["dec_b2"])
+        lik = normal_logpdf_rows(x, means, nodes["dec_log_noise"])
+    return lik + std_normal_logpdf_rows(h) - log_q
+
+
+# ----------------------------------------------------------------------
+# central differences
+
+
+def finite_diff_check(
+    f: Callable[[np.ndarray], float],
+    x0: np.ndarray,
+    grad: np.ndarray,
+    step: float = 1e-5,
+    abs_floor: float = 1e-8,
+) -> float:
+    """Max relative error between ``grad`` and central differences of ``f``.
+
+    The relative error per coordinate uses max(|numeric|, |analytic|,
+    abs_floor) as denominator so exact zeros compare cleanly.
+    """
+    if not 1e-7 <= step <= 1e-3:
+        raise ValueError("step must lie in [1e-7, 1e-3]")
+    x0 = np.asarray(x0, dtype=float)
+    grad = np.asarray(grad, dtype=float)
+    if grad.shape != x0.shape:
+        raise ValueError("grad must match x0 in shape")
+    worst = 0.0
+    flat_x = x0.ravel()
+    flat_g = grad.ravel()
+    for i in range(flat_x.size):
+        bump = np.zeros_like(flat_x)
+        bump[i] = step
+        hi = f((flat_x + bump).reshape(x0.shape))
+        lo = f((flat_x - bump).reshape(x0.shape))
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            raise FloatingPointError(f"non-finite objective at coordinate {i}")
+        numeric = (hi - lo) / (2.0 * step)
+        denom = max(abs(numeric), abs(flat_g[i]), abs_floor)
+        worst = max(worst, abs(numeric - flat_g[i]) / denom)
+    return worst

@@ -1,4 +1,6 @@
-"""Every tape primitive against central finite differences."""
+"""The tape, the array kernels, and the operations of the reference graph
+(``reference.py``) that every written-out VJP is checked against, each
+against central finite differences or the reference."""
 
 import math
 import tracemalloc
@@ -7,8 +9,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import reference as ref
+from reference import finite_diff_check
 from vrbound import autodiff as ad
-from vrbound import finite_diff_check
 
 
 def numeric_grad(f, x, step=1e-6):
@@ -26,12 +29,12 @@ def numeric_grad(f, x, step=1e-6):
 
 def check_unary(op, x, tol=1e-6):
     def f(v):
-        return float(ad.vsum(op(ad.Node(v)) * weights).value)
+        return float(ref.vsum(op(ref.Node(v)) * weights).value)
 
     rng = np.random.default_rng(0)
-    weights = rng.standard_normal(np.shape(op(ad.Node(x)).value))
-    leaf = ad.Node(x)
-    root = ad.vsum(op(leaf) * weights)
+    weights = rng.standard_normal(np.shape(op(ref.Node(x)).value))
+    leaf = ref.Node(x)
+    root = ref.vsum(op(leaf) * weights)
     grads = ad.gradients(root, {"x": leaf})
     np.testing.assert_allclose(grads["x"], numeric_grad(f, x), atol=tol)
 
@@ -46,17 +49,17 @@ class TestPrimitives:
         def build(a, b):
             return ((a + b) * b - a / b) * w
 
-        a, b = ad.Node(a_val), ad.Node(b_val)
-        root = ad.vsum(build(a, b))
+        a, b = ref.Node(a_val), ref.Node(b_val)
+        root = ref.vsum(build(a, b))
         grads = ad.gradients(root, {"a": a, "b": b})
-        fa = lambda v: float(ad.vsum(build(ad.Node(v), ad.Node(b_val))).value)
-        fb = lambda v: float(ad.vsum(build(ad.Node(a_val), ad.Node(v))).value)
+        fa = lambda v: float(ref.vsum(build(ref.Node(v), ref.Node(b_val))).value)
+        fb = lambda v: float(ref.vsum(build(ref.Node(a_val), ref.Node(v))).value)
         np.testing.assert_allclose(grads["a"], numeric_grad(fa, a_val), atol=1e-6)
         np.testing.assert_allclose(grads["b"], numeric_grad(fb, b_val), atol=1e-6)
 
     def test_scalar_broadcast(self):
-        a = ad.Node(np.array([1.0, 2.0, 3.0]))
-        root = ad.vsum(a * 2.0 + 1.0)
+        a = ref.Node(np.array([1.0, 2.0, 3.0]))
+        root = ref.vsum(a * 2.0 + 1.0)
         grads = ad.gradients(root, {"a": a})
         np.testing.assert_allclose(grads["a"], [2.0, 2.0, 2.0])
 
@@ -83,28 +86,28 @@ class TestPrimitives:
         w = rng.standard_normal(np.shape(a_val @ b_val))
 
         def build(a, b):
-            return ad.matmul(a, b) * w
+            return ref.matmul(a, b) * w
 
-        a, b = ad.Node(a_val), ad.Node(b_val)
-        grads = ad.gradients(ad.vsum(build(a, b)), {"a": a, "b": b})
-        fa = lambda v: float(ad.vsum(build(ad.Node(v), ad.Node(b_val))).value)
-        fb = lambda v: float(ad.vsum(build(ad.Node(a_val), ad.Node(v))).value)
+        a, b = ref.Node(a_val), ref.Node(b_val)
+        grads = ad.gradients(ref.vsum(build(a, b)), {"a": a, "b": b})
+        fa = lambda v: float(ref.vsum(build(ref.Node(v), ref.Node(b_val))).value)
+        fb = lambda v: float(ref.vsum(build(ref.Node(a_val), ref.Node(v))).value)
         np.testing.assert_allclose(grads["a"], numeric_grad(fa, a_val), atol=1e-6)
         np.testing.assert_allclose(grads["b"], numeric_grad(fb, b_val), atol=1e-6)
 
     def test_elementwise_nonlinearities(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 5)) * 2.0
-        check_unary(ad.exp, x * 0.3)
-        check_unary(ad.tanh, x)
-        check_unary(ad.relu, x + 0.05)  # keep clear of the kink
+        check_unary(ref.exp, x * 0.3)
+        check_unary(ref.tanh, x)
+        check_unary(ref.relu, x + 0.05)  # keep clear of the kink
 
     def test_sum_axis(self):
         rng = np.random.default_rng(4)
         x_val = rng.standard_normal((3, 4))
         w = rng.standard_normal(3)
-        x = ad.Node(x_val)
-        root = ad.vsum(ad.vsum(x, axis=1) * w)
+        x = ref.Node(x_val)
+        root = ref.vsum(ref.vsum(x, axis=1) * w)
         grads = ad.gradients(root, {"x": x})
         np.testing.assert_allclose(grads["x"], np.tile(w[:, None], (1, 4)))
 
@@ -112,9 +115,9 @@ class TestPrimitives:
         rng = np.random.default_rng(7)
         x_val = rng.standard_normal(12)
         w = rng.standard_normal((2, 3))
-        x = ad.Node(x_val)
-        part = ad.reshape(ad.slice1d(x, 4, 10), (2, 3))
-        grads = ad.gradients(ad.vsum(part * w), {"x": x})
+        x = ref.Node(x_val)
+        part = ref.reshape(ref.slice1d(x, 4, 10), (2, 3))
+        grads = ad.gradients(ref.vsum(part * w), {"x": x})
         expected = np.zeros(12)
         expected[4:10] = w.ravel()
         np.testing.assert_allclose(grads["x"], expected)
@@ -123,10 +126,10 @@ class TestPrimitives:
         rng = np.random.default_rng(14)
         x_val = rng.standard_normal((3, 7))
         w = rng.standard_normal((3, 2, 2))
-        x = ad.Node(x_val)
-        part = ad.reshape(ad.slice1d(x, 2, 6), (3, 2, 2))
+        x = ref.Node(x_val)
+        part = ref.reshape(ref.slice1d(x, 2, 6), (3, 2, 2))
         np.testing.assert_array_equal(part.value, x_val[:, 2:6].reshape(3, 2, 2))
-        grads = ad.gradients(ad.vsum(part * w), {"x": x})
+        grads = ad.gradients(ref.vsum(part * w), {"x": x})
         f = lambda v: float(np.sum(v[:, 2:6].reshape(3, 2, 2) * w))
         assert finite_diff_check(f, x_val, grads["x"]) < 1e-6
         expected = np.zeros((3, 7))
@@ -134,18 +137,18 @@ class TestPrimitives:
         np.testing.assert_array_equal(grads["x"], expected)
 
     def test_gradient_accumulation_diamond(self):
-        x = ad.Node(np.array(2.0))
+        x = ref.Node(np.array(2.0))
         y = x * x  # both parents are the same node
         grads = ad.gradients(y, {"x": x})
         np.testing.assert_allclose(grads["x"], 4.0)
 
     def test_backward_requires_scalar(self):
-        x = ad.Node(np.array([1.0, 2.0]))
+        x = ref.Node(np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="scalar"):
             ad.backward(x + 1.0)
 
     def test_seed_is_the_gradient_at_the_root(self):
-        x = ad.Node(np.array([1.0, 2.0, 3.0]))
+        x = ref.Node(np.array([1.0, 2.0, 3.0]))
         grads = ad.gradients(x * 2.0, {"x": x}, np.array([1.0, -1.0, 0.5]))
         assert np.array_equal(grads["x"], [2.0, -2.0, 1.0])
         for seed in (np.ones(2), np.ones((3, 1)), 1.0):
@@ -153,35 +156,35 @@ class TestPrimitives:
                 ad.gradients(x * 2.0, {"x": x}, seed)
 
     def test_unreached_leaf_gets_zero(self):
-        x = ad.Node(np.array(1.0))
-        z = ad.Node(np.array(5.0))
+        x = ref.Node(np.array(1.0))
+        z = ref.Node(np.array(5.0))
         grads = ad.gradients(x * 2.0, {"x": x, "z": z})
         np.testing.assert_allclose(grads["z"], 0.0)
 
     def test_gradients_land_in_a_flat_vector(self):
         # in the order of the leaves; an unreached leaf's slice is zeroed
-        x = ad.Node(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        y = ad.Node(np.array([5.0]))
-        z = ad.Node(np.array(6.0))
+        x = ref.Node(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        y = ref.Node(np.array([5.0]))
+        z = ref.Node(np.array(6.0))
         out = np.full(6, np.nan)
-        grads = ad.gradients(ad.vsum(x * y), {"x": x, "z": z, "y": y}, out=out)
+        grads = ad.gradients(ref.vsum(x * y), {"x": x, "z": z, "y": y}, out=out)
         assert np.array_equal(out, [5.0, 5.0, 5.0, 5.0, 0.0, 10.0])
         for name, node in (("x", x), ("z", z), ("y", y)):
             assert grads[name].shape == node.value.shape
             assert np.shares_memory(grads[name], out)
         # without ``out``, into a new vector
-        again = ad.gradients(ad.vsum(x * y), {"x": x, "z": z, "y": y})
+        again = ad.gradients(ref.vsum(x * y), {"x": x, "z": z, "y": y})
         assert again["x"].base is again["y"].base is again["z"].base
         assert np.array_equal(again["y"], grads["y"]) and not np.shares_memory(again["y"], out)
 
     def test_unbroadcast_passes_a_matching_gradient_on(self):
         g = np.arange(6.0).reshape(2, 3)
-        assert ad._unbroadcast(g, (2, 3)) is g
-        assert np.array_equal(ad._unbroadcast(g, (1, 3)), [[3.0, 5.0, 7.0]])
-        assert np.array_equal(ad._unbroadcast(g, (3,)), [3.0, 5.0, 7.0])
+        assert ref._unbroadcast(g, (2, 3)) is g
+        assert np.array_equal(ref._unbroadcast(g, (1, 3)), [[3.0, 5.0, 7.0]])
+        assert np.array_equal(ref._unbroadcast(g, (3,)), [3.0, 5.0, 7.0])
 
     def test_a_fused_node_runs_its_vjp_once_per_backward_pass(self):
-        a, b = ad.Node(np.array([1.0, 2.0])), ad.Node(np.array(3.0))
+        a, b = ref.Node(np.array([1.0, 2.0])), ref.Node(np.array(3.0))
         calls = []
 
         def vjp(g):
@@ -190,10 +193,10 @@ class TestPrimitives:
 
         node = ad.fused(a.value * b.value, {"a": a, "c": np.ones(2), "b": b}, vjp)
         assert node.parents == (a, b)
-        grads = ad.gradients(ad.vsum(node), {"a": a, "b": b})
+        grads = ad.gradients(ref.vsum(node), {"a": a, "b": b})
         assert len(calls) == 1
         assert np.array_equal(grads["a"], [3.0, 3.0]) and grads["b"] == 3.0
-        ad.gradients(ad.vsum(node), {"a": a, "b": b})
+        ad.gradients(ref.vsum(node), {"a": a, "b": b})
         assert len(calls) == 2
         assert isinstance(ad.fused(np.ones(2), {"c": np.ones(2)}, vjp), np.ndarray)
 
@@ -205,33 +208,38 @@ class TestComposites:
         x = rng.standard_normal(7)
         mean = rng.standard_normal(7)
         log_std = rng.standard_normal(7) * 0.3
-        node = ad.normal_logpdf_rows(x, ad.Node(mean), ad.Node(log_std))
+        node = ref.normal_logpdf_rows(x, ref.Node(mean), ref.Node(log_std))
         expected = float(
             np.sum(stats.norm.logpdf(x, loc=mean, scale=np.exp(log_std)))
         )
         assert float(node.value) == pytest.approx(expected, abs=1e-10)
+        assert ad.normal_logpdf_rows(x, mean, log_std).tobytes() == node.value.tobytes()
 
     def test_normal_logpdf_sum_scalar_scale(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal(5)
         mean = rng.standard_normal(5)
-        node = ad.normal_logpdf_rows(x, ad.Node(mean), ad.Node(np.array(0.2)))
+        node = ref.normal_logpdf_rows(x, ref.Node(mean), ref.Node(np.array(0.2)))
         expected = float(np.sum(stats.norm.logpdf(x, loc=mean, scale=math.exp(0.2))))
         assert float(node.value) == pytest.approx(expected, abs=1e-10)
+        assert ad.normal_logpdf_rows(x, mean, 0.2).tobytes() == node.value.tobytes()
 
     def test_normal_logpdf_sum_gradients(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal(6)
         mean_val = rng.standard_normal(6)
         ls_val = np.array(0.1)
-        mean, ls = ad.Node(mean_val), ad.Node(ls_val)
-        grads = ad.gradients(ad.normal_logpdf_rows(x, mean, ls), {"mean": mean, "ls": ls})
+        mean, ls = ref.Node(mean_val), ref.Node(ls_val)
+        grads = ad.gradients(ref.normal_logpdf_rows(x, mean, ls), {"mean": mean, "ls": ls})
         fm = lambda v: float(np.sum(stats.norm.logpdf(x, loc=v, scale=math.exp(0.1))))
         fs = lambda v: float(
             np.sum(stats.norm.logpdf(x, loc=mean_val, scale=np.exp(float(v))))
         )
-        np.testing.assert_allclose(grads["mean"], numeric_grad(fm, mean_val), atol=1e-6)
-        np.testing.assert_allclose(grads["ls"], numeric_grad(fs, ls_val), atol=1e-6)
+        # the library's written-out VJP at a single log scale too
+        g_mean, g_ls = ad.normal_rows_vjp(x, mean_val, ls_val, np.ones(()))
+        for got in (grads, {"mean": g_mean, "ls": g_ls}):
+            np.testing.assert_allclose(got["mean"], numeric_grad(fm, mean_val), atol=1e-6)
+            np.testing.assert_allclose(got["ls"], numeric_grad(fs, ls_val), atol=1e-6)
 
     def test_normal_logpdf_rows(self):
         rng = np.random.default_rng(11)
@@ -245,11 +253,12 @@ class TestComposites:
 
         # a scalar log std is counted once per coordinate
         for ls_val in (per_coordinate, np.array(0.2)):
-            mean, ls = ad.Node(mean_val), ad.Node(ls_val)
-            node = ad.normal_logpdf_rows(x, mean, ls)
+            mean, ls = ref.Node(mean_val), ref.Node(ls_val)
+            node = ref.normal_logpdf_rows(x, mean, ls)
             expected = stats.norm.logpdf(x, loc=mean_val, scale=np.exp(ls_val)).sum(axis=1)
             np.testing.assert_allclose(node.value, expected, atol=1e-10)
-            grads = ad.gradients(ad.vsum(node * w), {"mean": mean, "ls": ls})
+            assert ad.normal_logpdf_rows(x, mean_val, ls_val).tobytes() == node.value.tobytes()
+            grads = ad.gradients(ref.vsum(node * w), {"mean": mean, "ls": ls})
             fm = lambda v: f(v, ls_val)
             fs = lambda v: f(mean_val, v)
             np.testing.assert_allclose(grads["mean"], numeric_grad(fm, mean_val), atol=1e-6)
@@ -258,14 +267,15 @@ class TestComposites:
     @pytest.mark.parametrize("shape", [(3,), (5, 3), (5, 4, 2)])
     def test_std_normal_logpdf_rows_keeps_the_bits_of_the_written_out_priors(self, shape):
         # the prior expression the models wrote out, and the constant of
-        # log q over its noise, against scipy and against each other
+        # log q over its noise, against scipy and against each other; the
+        # library's array kernel and the reference graph
         x = np.random.default_rng(12).standard_normal(shape) * 3.0
         log_2pi = math.log(2.0 * math.pi)
-        written = ad.vsum(x * x, axis=-1) * (-0.5) + (-0.5 * shape[-1] * log_2pi)
+        written = ref.vsum(x * x, axis=-1) * (-0.5) + (-0.5 * shape[-1] * log_2pi)
         log_q_const = -0.5 * np.sum(x * x, axis=-1) - 0.5 * shape[-1] * log_2pi
         on_arrays = ad.std_normal_logpdf_rows(x)
-        leaf = ad.Node(x)
-        on_nodes = ad.std_normal_logpdf_rows(leaf)
+        leaf = ref.Node(x)
+        on_nodes = ref.std_normal_logpdf_rows(leaf)
         assert not isinstance(on_arrays, ad.Node) and isinstance(on_nodes, ad.Node)
         for value in (on_arrays, on_nodes.value):
             assert value.shape == shape[:-1]
@@ -280,13 +290,13 @@ class TestComposites:
         x_val, w_val = rng.standard_normal((3, 4)), rng.standard_normal((4, 6))
         b_val = rng.standard_normal(6)
         targets = (rng.random((3, 6)) > 0.5).astype(float)
-        leaves = {"x": ad.Node(x_val), "w": ad.Node(w_val), "b": ad.Node(b_val)}
-        node = ad.bernoulli_dense_rows(leaves["x"], leaves["w"], leaves["b"], targets)
+        leaves = {"x": ref.Node(x_val), "w": ref.Node(w_val), "b": ref.Node(b_val)}
+        node = ref.bernoulli_dense_rows(leaves["x"], leaves["w"], leaves["b"], targets)
         probs = 1.0 / (1.0 + np.exp(-(x_val @ w_val + b_val)))
         expected = (targets * np.log(probs) + (1 - targets) * np.log1p(-probs)).sum(axis=1)
         np.testing.assert_allclose(node.value, expected, atol=1e-9)
         weight = rng.standard_normal(3)
-        grads = ad.gradients(ad.vsum(node * weight), leaves)
+        grads = ad.gradients(ref.vsum(node * weight), leaves)
         at_logits = (targets - probs) * weight[:, None]
         np.testing.assert_allclose(grads["x"], at_logits @ w_val.T, atol=1e-9)
         np.testing.assert_allclose(grads["w"], x_val.T @ at_logits, atol=1e-9)
@@ -299,7 +309,7 @@ class TestComposites:
             (np.ones((1, 1)), np.array([[60.0, -60.0, 500.0, -500.0]])),
             (np.full((1, 1), 1e10), np.array([[1e300, -1e300, 1e300, 0.5]])),
         ]:
-            node = ad.bernoulli_dense_rows(x, w, np.zeros(4), targets)
+            node = ref.bernoulli_dense_rows(x, w, np.zeros(4), targets)
             assert np.all(np.isfinite(node))
 
     def test_bernoulli_extreme_logits_hit_the_probability_floor(self):
@@ -311,7 +321,7 @@ class TestComposites:
         for x, logit in [(1.0, 500.0), (1e10, 1e300)]:
             for sign, target, expected in signs:
                 w, t = np.array([[sign * logit]]), np.array([[target]])
-                node = ad.bernoulli_dense_rows(np.array([[x]]), w, np.zeros(1), t)
+                node = ref.bernoulli_dense_rows(np.array([[x]]), w, np.zeros(1), t)
                 assert abs(float(node[0]) - expected) <= 1e-12, (x, w, target)
 
     def test_bernoulli_batched_gradient_matches_finite_diff_check(self):
@@ -324,21 +334,21 @@ class TestComposites:
         b_val[0] = 40.0
         targets = (rng.random((2, 5)) > 0.5).astype(float)
         weight = rng.standard_normal((3, 2))
-        leaves = {"x": ad.Node(x_val), "w": ad.Node(w_val), "b": ad.Node(b_val)}
-        node = ad.bernoulli_dense_rows(leaves["x"], leaves["w"], leaves["b"], targets)
+        leaves = {"x": ref.Node(x_val), "w": ref.Node(w_val), "b": ref.Node(b_val)}
+        node = ref.bernoulli_dense_rows(leaves["x"], leaves["w"], leaves["b"], targets)
         assert node.value.shape == (3, 2)
         # log p and log(1 - p) on logits clipped to +-logit(1 - 1e-7)
         cap = math.log((1.0 - 1e-7) / 1e-7)
         z = np.clip(x_val @ w_val + b_val, -cap, cap)
         expected = (-targets * np.logaddexp(0.0, -z) - (1 - targets) * np.logaddexp(0.0, z)).sum(-1)
         np.testing.assert_allclose(node.value, expected, rtol=1e-12, atol=1e-12)
-        grads = ad.gradients(ad.vsum(node * weight), leaves)
+        grads = ad.gradients(ref.vsum(node * weight), leaves)
         inputs = {"x": x_val, "w": w_val, "b": b_val}
         for name in inputs:
 
             def f(v, name=name):
                 args = {**inputs, name: v}
-                return float(np.sum(ad.bernoulli_dense_rows(*args.values(), targets) * weight))
+                return float(np.sum(ref.bernoulli_dense_rows(*args.values(), targets) * weight))
 
             assert finite_diff_check(f, inputs[name], grads[name]) < 1e-6, name
         assert grads["b"][0] == 0.0 and np.all(grads["w"][:, 0] == 0.0)
@@ -350,17 +360,17 @@ class TestComposites:
         cap = ad._LOGIT_CAP
         logits = np.array([[cap, -cap, cap + 1.0, -cap - 1.0, 1e3, -1e3, 0.3, cap - 0.5]])
         targets = np.array([[0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0]])
-        b = ad.Node(np.zeros(8))
-        node = ad.bernoulli_dense_rows(np.ones((1, 1)), logits, b, targets)
-        grads = ad.gradients(ad.vsum(node), {"b": b})
+        b = ref.Node(np.zeros(8))
+        node = ref.bernoulli_dense_rows(np.ones((1, 1)), logits, b, targets)
+        grads = ad.gradients(ref.vsum(node), {"b": b})
         assert np.array_equal(grads["b"][:6], np.zeros(6))
         probs = 1.0 / (1.0 + np.exp(-logits[0, 6:]))
         np.testing.assert_allclose(grads["b"][6:], targets[0, 6:] - probs, rtol=1e-12)
         assert np.all(grads["b"][6:] != 0.0)
         # 1e10 * +-1e300 overflows; the third logit is about 0.3
-        b, x = ad.Node(np.zeros(3)), np.full((1, 1), 1e10)
+        b, x = ref.Node(np.zeros(3)), np.full((1, 1), 1e10)
         w = np.array([[1e300, -1e300, 0.3e-10]])
-        grads = ad.gradients(ad.vsum(ad.bernoulli_dense_rows(x, w, b, targets[:, :3])), {"b": b})
+        grads = ad.gradients(ref.vsum(ref.bernoulli_dense_rows(x, w, b, targets[:, :3])), {"b": b})
         assert np.array_equal(grads["b"][:2], np.zeros(2))
         p = 1.0 / (1.0 + math.exp(-float(x[0, 0] * w[0, 2])))
         np.testing.assert_allclose(grads["b"][2], targets[0, 2] - p, rtol=1e-12)
@@ -382,7 +392,7 @@ class TestComposites:
             b[0] = bias
             tracemalloc.start()
             try:
-                ad.bernoulli_dense_rows(x, w, b, targets)
+                ref.bernoulli_dense_rows(x, w, b, targets)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -399,15 +409,15 @@ class TestDense:
             rng.standard_normal(shape) for shape in [(3, 4, 5), (5, 6), (6,)]
         )
         w_out = rng.standard_normal((3, 4, 6))
-        activation = {None: lambda n: n, "tanh": ad.tanh, "relu": ad.relu}[act]
+        activation = {None: lambda n: n, "tanh": ref.tanh, "relu": ref.relu}[act]
 
         def run(fused):
-            leaves = {"x": ad.Node(x_val), "w": ad.Node(w_val), "b": ad.Node(b_val)}
+            leaves = {"x": ref.Node(x_val), "w": ref.Node(w_val), "b": ref.Node(b_val)}
             if fused:
-                out = ad.dense(leaves["x"], leaves["w"], leaves["b"], act)
+                out = ref.dense(leaves["x"], leaves["w"], leaves["b"], act)
             else:
-                out = activation(ad.matmul(leaves["x"], leaves["w"]) + leaves["b"])
-            return out.value, ad.gradients(ad.vsum(out * w_out), leaves)
+                out = activation(ref.matmul(leaves["x"], leaves["w"]) + leaves["b"])
+            return out.value, ad.gradients(ref.vsum(out * w_out), leaves)
 
         (fused, fused_grads), (plain, plain_grads) = run(True), run(False)
         assert np.array_equal(fused, plain)
@@ -415,11 +425,11 @@ class TestDense:
             assert np.array_equal(fused_grads[name], plain_grads[name]), name
 
     def test_constant_operands_get_no_parent(self):
-        w, b = ad.Node(np.ones((2, 3))), ad.Node(np.zeros(3))
-        node = ad.dense(np.ones((4, 2)), w, b, "tanh")
+        w, b = ref.Node(np.ones((2, 3))), ref.Node(np.zeros(3))
+        node = ref.dense(np.ones((4, 2)), w, b, "tanh")
         assert node.parents == (w, b)
         np.testing.assert_allclose(node.value, np.tanh(2.0))
-        for combined in (w * 2.0, 2.0 - w, w / np.ones(3), ad.matmul(np.ones((4, 2)), w)):
+        for combined in (w * 2.0, 2.0 - w, w / np.ones(3), ref.matmul(np.ones((4, 2)), w)):
             assert combined.parents == (w,)
         # with no node operand an op folds: a plain array with the node's bits
         rng = np.random.default_rng(22)
@@ -427,29 +437,39 @@ class TestDense:
         bias, scale = rng.standard_normal(5), rng.standard_normal(4)
         targets = (rng.random((2, 3, 4)) > 0.5).astype(float)
         folds = [
-            (ad.add, x, scale),
-            (ad.sub, x, scale),
-            (ad.mul, x, scale),
-            (ad.div, x, scale),
-            (ad.matmul, x, y),
-            (lambda u, v, c: ad.dense(u, v, c, "tanh"), x, y, bias),
-            (lambda u, v, c: ad.dense(u, v, c, "relu"), x, y, bias),
-            (ad.exp, x),
-            (ad.tanh, x),
-            (ad.relu, x),
-            (ad.vsum, x),
-            (lambda u: ad.vsum(u, axis=-1), x),
-            (lambda u: ad.reshape(u, (6, 4)), x),
-            (lambda u: ad.slice1d(u, 1, 3), x),
-            (ad.normal_logpdf_rows, x, scale, scale),
-            (lambda u, v, c: ad.bernoulli_dense_rows(u, v, c, targets), x, y[..., :4], scale),
+            (ref.add, x, scale),
+            (ref.sub, x, scale),
+            (ref.mul, x, scale),
+            (ref.div, x, scale),
+            (ref.matmul, x, y),
+            (lambda u, v, c: ref.dense(u, v, c, "tanh"), x, y, bias),
+            (lambda u, v, c: ref.dense(u, v, c, "relu"), x, y, bias),
+            (ref.exp, x),
+            (ref.tanh, x),
+            (ref.relu, x),
+            (ref.vsum, x),
+            (lambda u: ref.vsum(u, axis=-1), x),
+            (lambda u: ref.reshape(u, (6, 4)), x),
+            (lambda u: ref.slice1d(u, 1, 3), x),
+            (ref.normal_logpdf_rows, x, scale, scale),
+            (ref.std_normal_logpdf_rows, x),
+            (lambda u, v, c: ref.bernoulli_dense_rows(u, v, c, targets), x, y[..., :4], scale),
         ]
         for op, *args in folds:
-            folded, node = op(*args), op(*map(ad.Node, args))
+            folded, node = op(*args), op(*map(ref.Node, args))
             assert type(folded) is np.ndarray
             assert folded.shape == node.value.shape
             assert folded.tobytes() == node.value.tobytes()
+        # the library's array kernels have the bits of the reference graph
+        kernels = [
+            (ad.dense, ref.dense, x, y, bias, "tanh"),
+            (ad.normal_logpdf_rows, ref.normal_logpdf_rows, x, scale, scale),
+            (ad.std_normal_logpdf_rows, ref.std_normal_logpdf_rows, x),
+        ]
+        for kernel, graph, *args in kernels:
+            nodes = [ref.Node(a) if isinstance(a, np.ndarray) else a for a in args]
+            assert kernel(*args).tobytes() == graph(*nodes).value.tobytes()
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError, match="act"):
-            ad.dense(np.ones((1, 2)), ad.Node(np.ones((2, 2))), ad.Node(np.zeros(2)), "sigmoid")
+            ad.dense(np.ones((1, 2)), np.ones((2, 2)), np.zeros(2), "sigmoid")

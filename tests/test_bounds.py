@@ -179,7 +179,7 @@ class TestExactBlrBound:
         theta = q.sample(rng, 40000)
         log_joint = ad.std_normal_logpdf_rows(theta) + model.log_lik_node(
             theta, {}, model.design, model.targets
-        )
+        )[0]
         log_w = log_joint - q.logpdf(theta)
         se = float(np.std(log_w, ddof=1) / math.sqrt(log_w.shape[0]))
         assert abs(float(np.mean(log_w)) - exact) < 3.0 * se

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import reference as ref
+from reference import finite_diff_check
 from vrbound import (
     GaussianReparam,
     VAEModel,
-    finite_diff_check,
     mc_vr_estimate,
     normalize_weights,
     posterior_log_weights,
@@ -120,10 +121,9 @@ def _toy_builder():
     """1-D Gaussian variational fit of a fixed 1-D Gaussian joint density."""
 
     def build(nodes, eps):
-        reparam = GaussianReparam(nodes["mu"], nodes["rho"])
-        theta = reparam.theta(eps)
-        log_joint = ad.normal_logpdf_rows(theta, np.array([0.7]), np.array([0.3]))
-        return log_joint - reparam.log_q(eps)
+        theta, log_q = ref.gaussian_reparam(nodes["mu"], nodes["rho"], eps)
+        log_joint = ref.normal_logpdf_rows(theta, np.array([0.7]), np.array([0.3]))
+        return log_joint - log_q
 
     params = {"mu": np.array([-0.4]), "rho": np.array([0.2])}
     return build, params
@@ -225,7 +225,7 @@ class TestVrGrad:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_log_weight_reports_sample(self):
         def build(nodes, eps):
-            return nodes["mu"] * eps[:, 0] / 0.0  # manufactures inf
+            return ref.div(ref.mul(nodes["mu"], eps[:, 0]), 0.0)  # manufactures inf
 
         with pytest.raises(FloatingPointError, match="sample 0"):
             vr_grad(build, {"mu": np.array(1.0)}, np.ones((1, 1)), 0.5)
@@ -303,7 +303,7 @@ class TestVrGradWeightSets:
     def test_builder_must_return_the_draws_on_axis_0(self):
         model, params, x, eps, build = _vae_problem()
         with pytest.raises(ValueError, match="4 draws on axis 0"):
-            vr_grad(lambda nodes, noise: ad.vsum(build(nodes, noise)), params, eps, 0.5)
+            vr_grad(lambda nodes, noise: ref.vsum(build(nodes, noise)), params, eps, 0.5)
         with pytest.raises(ValueError, match="4 draws on axis 0"):
             vr_grad(lambda nodes, noise: build(nodes, noise[0]), params, eps, 0.5)
 
@@ -343,7 +343,7 @@ class TestVrGradChecks:
     @staticmethod
     def _grad(offsets, alpha=0.5, select=False):
         def build(nodes, noise):
-            return nodes["mu"] * noise + offsets
+            return ref.add(ref.mul(nodes["mu"], noise), offsets)
 
         rng = np.random.default_rng(0) if select else None
         return vr_grad(build, {"mu": np.array(0.5)}, TestVrGradChecks.NOISE, alpha, rng)
@@ -382,29 +382,33 @@ class TestVrGradChecks:
 
 class TestGaussianReparam:
     def test_log_q_matches_gaussian_density(self):
+        # and theta and log q have the bits of the reference graph's
         rng = np.random.default_rng(6)
         mu_val = rng.standard_normal(3)
         rho_val = rng.standard_normal(3) * 0.4
-        mu, rho = ad.Node(mu_val), ad.Node(rho_val)
-        reparam = GaussianReparam(mu, rho)
+        reparam = GaussianReparam(mu_val, rho_val)
         eps = rng.standard_normal(3)
         theta = reparam.theta(eps)
         expected = float(
-            np.sum(stats.norm.logpdf(theta.value, loc=mu_val, scale=np.exp(rho_val)))
+            np.sum(stats.norm.logpdf(theta, loc=mu_val, scale=np.exp(rho_val)))
         )
-        assert float(reparam.log_q(eps).value) == pytest.approx(expected, abs=1e-10)
+        assert float(reparam.log_q(eps)) == pytest.approx(expected, abs=1e-10)
+        graph_theta, graph_log_q = ref.gaussian_reparam(ref.Node(mu_val), ref.Node(rho_val), eps)
+        assert theta.tobytes() == graph_theta.value.tobytes()
+        assert reparam.log_q(eps).tobytes() == graph_log_q.value.tobytes()
 
     def test_pushforward_moments(self):
         rng = np.random.default_rng(8)
         mu_val = np.array([0.5, -1.0])
         rho_val = np.array([-0.3, 0.2])
-        reparam = GaussianReparam(ad.Node(mu_val), ad.Node(rho_val))
+        reparam = GaussianReparam(mu_val, rho_val)
         n = 100_000
         draws = np.empty((n, 2))
         eps = rng.standard_normal((n, 2))
         sd = np.exp(rho_val)
         for i in range(2):
             draws[:, i] = mu_val[i] + sd[i] * eps[:, i]
+        assert draws.tobytes() == reparam.theta(eps).tobytes()
         mean_se = sd / math.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - mu_val) < 3.0 * mean_se)
         var_se = sd**2 * math.sqrt(2.0 / (n - 1))
@@ -412,17 +416,17 @@ class TestGaussianReparam:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="same shape"):
-            GaussianReparam(ad.Node(np.zeros(2)), ad.Node(np.zeros(3)))
+            GaussianReparam(np.zeros(2), np.zeros(3))
 
     def test_leading_draw_axis_matches_single_draws(self):
         rng = np.random.default_rng(9)
-        reparam = GaussianReparam(ad.Node(rng.standard_normal((4, 3))), ad.Node(rng.standard_normal((4, 3))))
+        reparam = GaussianReparam(rng.standard_normal((4, 3)), rng.standard_normal((4, 3)))
         eps = rng.standard_normal((5, 4, 3))
         theta, log_q = reparam.theta(eps), reparam.log_q(eps)
-        assert theta.value.shape == (5, 4, 3) and log_q.value.shape == (5, 4)
+        assert theta.shape == (5, 4, 3) and log_q.shape == (5, 4)
         for k in range(5):
-            np.testing.assert_array_equal(theta.value[k], reparam.theta(eps[k]).value)
-            np.testing.assert_allclose(log_q.value[k], reparam.log_q(eps[k]).value, rtol=1e-15)
+            np.testing.assert_array_equal(theta[k], reparam.theta(eps[k]))
+            np.testing.assert_allclose(log_q[k], reparam.log_q(eps[k]), rtol=1e-15)
         with pytest.raises(ValueError, match="eps must have shape"):
             reparam.theta(rng.standard_normal((5, 3, 4)))
 

@@ -2,7 +2,9 @@
 module or listed in its ``__all__``, and every private module-level name is
 used in its module or imported by another (no linter is needed to check
 this); no package module imports scipy at module level, so importing the
-package or the CLI loads no scipy module; and importing starts no thread."""
+package or the CLI loads no scipy module; and importing starts no thread.
+The tape keeps its core and the array kernels, and the generic operations
+live in the tests' reference module, which keeps only what a test uses."""
 
 import ast
 import os
@@ -13,6 +15,7 @@ from pathlib import Path
 import vrbound
 
 PACKAGE = Path(vrbound.__file__).parent
+REFERENCE = Path(__file__).with_name("reference.py")
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -182,3 +185,47 @@ def test_importing_starts_no_thread():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert proc.stdout.strip() == "1"
+
+
+def test_the_tape_keeps_its_core_and_the_array_kernels_only():
+    # the generic operations, and the operators of Node, build the reference
+    # graphs of the tests (reference.py), not the library's log weights
+    from vrbound import autodiff
+
+    kept = {"Node", "fused", "backward", "gradients", "value"}
+    kernels = {
+        "dense",
+        "normal_logpdf_rows",
+        "normal_rows_vjp",
+        "std_normal_logpdf_rows",
+        "bernoulli_rows_forward",
+        "bernoulli_rows_at_logits",
+    }
+    assert set(autodiff.__all__) == kept | kernels
+    public = {
+        name
+        for name, value in vars(autodiff).items()
+        if callable(value) and not name.startswith("_") and value.__module__ == autodiff.__name__
+    }
+    assert public == kept | kernels
+    arithmetic = {"add", "sub", "mul", "truediv", "matmul"}
+    operators = {f"__{r}{op}__" for op in arithmetic for r in ("", "r")} | {"__neg__"}
+    assert operators.isdisjoint(vars(autodiff.Node))
+
+
+def test_every_public_reference_function_is_used_by_a_test():
+    tree = ast.parse(REFERENCE.read_text())
+    public = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    used = set()
+    for path in REFERENCE.parent.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in ("ref", "reference"):
+                    used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "reference":
+                used.update(alias.name for alias in node.names)
+    assert sorted(public - used) == []

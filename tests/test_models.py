@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import reference as ref
+from reference import finite_diff_check
 from vrbound import (
     BLRModel,
     BNNModel,
@@ -19,15 +21,18 @@ from vrbound import (
     blr_exact_posterior,
     blr_mean_field_fit,
     exact_vr_bound_blr,
-    finite_diff_check,
+    normalize_weights,
     renyi_gaussian,
+    select_backprop_sample,
     synthetic_binary_images,
     synthetic_blr_instance,
     synthetic_regression,
+    vr_grad,
 )
 from vrbound import autodiff as ad
 from vrbound.models import vae as vae_module
 from vrbound.models.data import dataset_content_hash, load_csv, save_csv
+from vrbound.training import posterior_log_weights
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -65,7 +70,7 @@ class TestBlrPosterior:
         theta_grid = np.column_stack([xx.ravel(), yy.ravel()])
         log_joint = ad.std_normal_logpdf_rows(theta_grid) + model.log_lik_node(
             theta_grid, {}, model.design, model.targets
-        )
+        )[0]
         peak = log_joint.max()
         integral = np.sum(np.exp(log_joint - peak)) * 0.01 * 0.01
         quad_evidence = peak + math.log(integral)
@@ -80,7 +85,7 @@ class TestBlrPosterior:
         )
         log_joint = ad.std_normal_logpdf_rows(zero) + model.log_lik_node(
             zero, {}, model.design, model.targets
-        )
+        )[0]
         assert float(log_joint) == pytest.approx(expected, abs=1e-12)
 
     def test_tape_log_joint_matches_conjugate_identity(self):
@@ -88,12 +93,11 @@ class TestBlrPosterior:
         model = synthetic_blr_instance(seed=3, n_data=7)
         posterior, log_evidence = blr_exact_posterior(model)
         thetas = np.array([[0.5, 0.2], [-1.0, 0.3], [0.0, 0.0]])
-        theta = ad.Node(thetas)
-        node = ad.std_normal_logpdf_rows(theta) + model.log_lik_node(
-            theta, {}, model.design, model.targets
-        )
+        log_joint = ad.std_normal_logpdf_rows(thetas) + model.log_lik_node(
+            thetas, {}, model.design, model.targets
+        )[0]
         np.testing.assert_allclose(
-            node.value, log_evidence + posterior.logpdf(thetas), rtol=0, atol=1e-12
+            log_joint, log_evidence + posterior.logpdf(thetas), rtol=0, atol=1e-12
         )
 
     def test_batched_log_weights_match_draws(self):
@@ -101,19 +105,19 @@ class TestBlrPosterior:
         thetas = np.random.default_rng(9).standard_normal((4, model.dim))
         idx = np.array([0, 2, 5])
         x, y = model.design[idx], model.targets[idx]
-        prior = ad.std_normal_logpdf_rows(ad.Node(thetas))
-        lik = model.log_lik_node(ad.Node(thetas), {}, x, y)
-        assert prior.value.shape == lik.value.shape == (4,)
+        prior = ad.std_normal_logpdf_rows(thetas)
+        lik = model.log_lik_node(thetas, {}, x, y)[0]
+        assert prior.shape == lik.shape == (4,)
         for k in range(4):
-            theta = ad.Node(thetas[k])
+            theta = thetas[k]
             np.testing.assert_allclose(
-                prior.value[k], ad.std_normal_logpdf_rows(theta).value, rtol=1e-12, atol=1e-12
+                prior[k], ad.std_normal_logpdf_rows(theta), rtol=1e-12, atol=1e-12
             )
             np.testing.assert_allclose(
-                lik.value[k], model.log_lik_node(theta, {}, x, y).value, rtol=1e-12, atol=1e-12
+                lik[k], model.log_lik_node(theta, {}, x, y)[0], rtol=1e-12, atol=1e-12
             )
             expected = np.sum(stats.norm.logpdf(y, loc=x @ thetas[k], scale=model.noise_std))
-            assert float(lik.value[k]) == pytest.approx(float(expected), abs=1e-10)
+            assert float(lik[k]) == pytest.approx(float(expected), abs=1e-10)
 
     def test_singular_precision_rejected(self):
         # A design with enormous colinear columns cannot break Cholesky for
@@ -373,9 +377,8 @@ class TestBnn:
         theta = rng.standard_normal(bnn.n_weights)
         log_noise = 0.3
 
-        params = {"log_noise": ad.Node(np.array(log_noise))}
-        leaf = ad.Node(theta)
-        node = ad.std_normal_logpdf_rows(leaf) + bnn.log_lik_node(leaf, params, x, y)
+        params = {"log_noise": np.array(log_noise)}
+        log_joint = ad.std_normal_logpdf_rows(theta) + bnn.log_lik_node(theta, params, x, y)[0]
 
         w1 = theta[:3].reshape(1, 3)
         b1 = theta[3:6]
@@ -389,44 +392,44 @@ class TestBnn:
             for i in range(2)
         )
         expected += sum(-0.5 * t * t - 0.5 * _LOG_2PI for t in theta)
-        assert float(node.value) == pytest.approx(float(expected), abs=1e-10)
+        assert float(log_joint) == pytest.approx(float(expected), abs=1e-10)
 
     def test_log_joint_gradient_matches_fd(self):
+        # the written-out likelihood VJP of one weight vector, with the
+        # prior's gradient -theta added, against central differences
         rng = np.random.default_rng(3)
         bnn = BNNModel(in_dim=2, hidden=4)
         x = rng.standard_normal((6, 2))
         y = rng.standard_normal(6)
         theta0 = 0.5 * rng.standard_normal(bnn.n_weights)
 
-        params = {"log_noise": ad.Node(np.array(0.1))}
+        params = {"log_noise": np.array(0.1)}
 
         def f(t):
             prior = ad.std_normal_logpdf_rows(t)
-            return float(ad.value(prior + bnn.log_lik_node(t, params, x, y)))
+            return float(prior + bnn.log_lik_node(t, params, x, y)[0])
 
-        leaf = ad.Node(theta0)
-        node = ad.std_normal_logpdf_rows(leaf) + bnn.log_lik_node(leaf, params, x, y)
-        grads = ad.gradients(node, {"theta": leaf})
-        assert finite_diff_check(f, theta0, grads["theta"]) < 1e-4
+        g_theta, _ = bnn.log_lik_node(theta0, params, x, y)[1](np.ones(()))
+        assert finite_diff_check(f, theta0, g_theta - theta0) < 1e-4
 
     def test_batched_log_weights_match_draws(self):
-        # (K, W) stacked draws give the K per-draw values in one graph.
+        # (K, W) stacked draws give the K per-draw values in one call.
         rng = np.random.default_rng(8)
         bnn = BNNModel(in_dim=2, hidden=4)
         x = rng.standard_normal((6, 2))
         y = rng.standard_normal(6)
         thetas = rng.standard_normal((5, bnn.n_weights))
-        params = {"log_noise": ad.Node(np.array([0.2]))}
-        prior = ad.std_normal_logpdf_rows(ad.Node(thetas))
-        lik = bnn.log_lik_node(ad.Node(thetas), params, x, y)
-        assert prior.value.shape == lik.value.shape == (5,)
+        params = {"log_noise": np.array([0.2])}
+        prior = ad.std_normal_logpdf_rows(thetas)
+        lik = bnn.log_lik_node(thetas, params, x, y)[0]
+        assert prior.shape == lik.shape == (5,)
         for k in range(5):
-            theta = ad.Node(thetas[k])
+            theta = thetas[k]
             np.testing.assert_allclose(
-                prior.value[k], ad.std_normal_logpdf_rows(theta).value, rtol=1e-12, atol=1e-12
+                prior[k], ad.std_normal_logpdf_rows(theta), rtol=1e-12, atol=1e-12
             )
             np.testing.assert_allclose(
-                lik.value[k], bnn.log_lik_node(theta, params, x, y).value, rtol=1e-12, atol=1e-12
+                lik[k], bnn.log_lik_node(theta, params, x, y)[0], rtol=1e-12, atol=1e-12
             )
 
     def test_predict_matches_node_forward(self):
@@ -434,12 +437,14 @@ class TestBnn:
         bnn = BNNModel(in_dim=2, hidden=3)
         theta = rng.standard_normal(bnn.n_weights)
         x = rng.standard_normal((4, 2))
-        node = bnn.predict_node(ad.Node(theta), x)
-        # the documented layout (W1, b1, W2, b2), unpacked by hand
+        preds = bnn.predict(theta, x)
+        # the documented layout (W1, b1, W2, b2), unpacked by hand, and the
+        # reference graph's slices of it
         w1, b1 = theta[:6].reshape(2, 3), theta[6:9]
         w2, b2 = theta[9:12], theta[12]
         expected = np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
-        np.testing.assert_allclose(node.value, expected, atol=1e-12)
+        np.testing.assert_allclose(preds, expected, atol=1e-12)
+        assert preds.tobytes() == ref.bnn_predict(bnn, ref.Node(theta), x).value.tobytes()
 
 
 class TestVae:
@@ -477,10 +482,10 @@ class TestVae:
 
         def f(v):
             nodes = {k: ad.Node(val) for k, val in unflatten(v).items()}
-            return float(ad.vsum(vae.log_weight_rows(nodes, x, eps)).value)
+            return float(ref.vsum(vae.log_weight_rows(nodes, x, eps)).value)
 
         nodes = {k: ad.Node(v) for k, v in params.items()}
-        root = ad.vsum(vae.log_weight_rows(nodes, x, eps))
+        root = ref.vsum(vae.log_weight_rows(nodes, x, eps))
         grads = ad.gradients(root, nodes)
         err = finite_diff_check(f, flatten(params), flatten(grads))
         assert err < 1e-4
@@ -568,8 +573,9 @@ def _clipped_share(vae, params, x, eps) -> float:
 
 class TestVaeNode:
     """On leaves, ``log_weight_rows`` is one tape node whose VJP is written
-    out; its values and gradients are checked against a graph of the tape's
-    own operations, and its gradients against central differences."""
+    out; its values and gradients are checked against the reference graph
+    of generic operations (``reference.vae_log_weights``), and its
+    gradients against central differences."""
 
     @staticmethod
     def _inputs(likelihood, draws, clip=False):
@@ -587,23 +593,6 @@ class TestVaeNode:
             # pixel 0 of every row lies beyond +cap, pixel 1 beyond -cap
             params["dec_b2"][:2] = [40.0, -40.0]
         return vae, params, x, eps
-
-    @staticmethod
-    def _composite(vae, nodes, x, eps):
-        """The log weights as a graph of the tape's operations."""
-        hid = ad.dense(x, nodes["enc_w1"], nodes["enc_b1"], "tanh")
-        mu = ad.dense(hid, nodes["enc_w_mu"], nodes["enc_b_mu"])
-        rho = ad.dense(hid, nodes["enc_w_rho"], nodes["enc_b_rho"])
-        reparam = vae_module.GaussianReparam(mu, rho)
-        h = reparam.theta(eps)
-        dec = ad.dense(h, nodes["dec_w1"], nodes["dec_b1"], "tanh")
-        if vae.likelihood == "bernoulli":
-            lik = ad.bernoulli_dense_rows(dec, nodes["dec_w2"], nodes["dec_b2"], x)
-        else:
-            means = ad.dense(dec, nodes["dec_w2"], nodes["dec_b2"])
-            lik = ad.normal_logpdf_rows(x, means, nodes["dec_log_noise"])
-        prior = ad.vsum(h * h, axis=-1) * (-0.5) + (-0.5 * vae.latent_dim * _LOG_2PI)
-        return lik + prior - reparam.log_q(eps)
 
     CASES = [
         ("bernoulli", None, False),
@@ -647,7 +636,7 @@ class TestVaeNode:
             return node.value, ad.gradients(node, nodes, seed)
 
         got_value, got = run(lambda nodes: vae.log_weight_rows(nodes, x, eps))
-        want_value, want = run(lambda nodes: self._composite(vae, nodes, x, eps))
+        want_value, want = run(lambda nodes: ref.vae_log_weights(vae, nodes, x, eps))
         assert np.array_equal(got_value, want_value)
         for name, g in want.items():
             assert got[name].shape == g.shape
@@ -694,6 +683,102 @@ class TestVaeNode:
             vae.log_weight_rows(nodes, x, eps[:, :2])
         with pytest.raises(ValueError, match="targets"):
             vae.log_weight_rows(nodes, x[0], eps[:, 0])
+
+
+class TestPosteriorNode:
+    """On leaves, ``posterior_log_weights`` is one tape node whose VJP chains
+    the model's written-out likelihood VJP into ``GaussianReparam.vjp``. For
+    BLR and BNN, at one draw and at five, with normalized weights and with
+    single-backprop selection, its log weights and gradients are checked
+    against the reference graph (``reference.posterior_log_weights``), and
+    its gradients against central differences."""
+
+    SCALE = {"blr": 12 / 7, "bnn": 3.0}
+    CASES = [(kind, k, select) for kind in ("blr", "bnn") for k in (1, 5) for select in (0, 1)]
+
+    @staticmethod
+    def _inputs(kind, k):
+        rng = np.random.default_rng(41)
+        if kind == "blr":
+            model = synthetic_blr_instance(seed=5, n_data=12)
+            params = {"mu": 0.5 * rng.standard_normal(2), "rho": 0.3 * rng.standard_normal(2) - 1.0}
+            x, y = model.design[:7], model.targets[:7]
+        else:
+            model = BNNModel(in_dim=2, hidden=4)
+            params = model.init_params(seed=3)
+            params["mu"] = 0.5 * rng.standard_normal(model.n_weights)
+            params["log_noise"] = np.array([-0.4])
+            x, y = rng.standard_normal((6, 2)), rng.standard_normal(6)
+        return model, params, x, y, rng.standard_normal((k, params["mu"].size))
+
+    def _vr_grad(self, kind, k, select, builder=posterior_log_weights):
+        model, params, x, y, noise = self._inputs(kind, k)
+
+        def build(nodes, eps):
+            return builder(model, nodes, x, y, eps, self.SCALE[kind])
+
+        rng = np.random.default_rng(8) if select else None
+        return vr_grad(build, params, noise, 0.5, rng)
+
+    @pytest.mark.parametrize("kind, k, select", CASES)
+    def test_equal_to_the_reference_graph(self, kind, k, select):
+        got, got_log_w = self._vr_grad(kind, k, select)
+        want, want_log_w = self._vr_grad(kind, k, select, ref.posterior_log_weights)
+        assert got_log_w.tobytes() == want_log_w.tobytes()
+        assert list(got) == list(want)
+        for name, g in want.items():
+            assert got[name].shape == g.shape
+            assert np.max(np.abs(got[name] - g)) <= 1e-13 * np.max(np.abs(g)), name
+
+    @pytest.mark.parametrize("kind, k, select", CASES)
+    def test_gradients_match_central_differences(self, kind, k, select):
+        # the step's gradient is that of the log weights summed with the
+        # step's weights held fixed: the normalized ones, or one-hot at the
+        # selected draw
+        model, params, x, y, noise = self._inputs(kind, k)
+        grads, log_w = self._vr_grad(kind, k, select)
+        if select:
+            pick = select_backprop_sample(log_w, 0.5, np.random.default_rng(8))
+            weights = np.arange(k) == pick
+        else:
+            weights = normalize_weights(log_w, 0.5)
+        names = list(params)
+        sizes = [params[name].size for name in names]
+
+        def f(v):
+            parts = np.split(v, np.cumsum(sizes)[:-1])
+            values = {name: part.reshape(params[name].shape) for name, part in zip(names, parts)}
+            log_w = posterior_log_weights(model, values, x, y, noise, self.SCALE[kind])
+            return float(np.sum(weights * log_w))
+
+        flat = np.concatenate([params[name].ravel() for name in names])
+        analytic = np.concatenate([grads[name].ravel() for name in names])
+        assert finite_diff_check(f, flat, analytic) < 1e-6
+
+
+@pytest.mark.parametrize("kind, built", [("blr", 3), ("bnn", 4), ("vae", 11)])
+def test_a_vr_grad_call_builds_the_leaves_and_one_node(monkeypatch, kind, built):
+    if kind == "vae":
+        vae, params, x, eps = TestVaeNode._inputs("bernoulli", 4)
+
+        def step():
+            vr_grad(lambda nodes, noise: vae.log_weight_rows(nodes, x, noise), params, eps, 0.5)
+
+    else:
+
+        def step():
+            TestPosteriorNode()._vr_grad(kind, 5, select=False)
+
+    nodes = []
+    init = ad.Node.__init__
+
+    def counted(self, *args, **kwargs):
+        nodes.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Node, "__init__", counted)
+    step()
+    assert len(nodes) == built
 
 
 class TestLogWeightMatrixWorkers:

@@ -8,9 +8,10 @@ per-row calls do.
 
 The estimate is non-increasing in alpha, alpha-free for one sample and
 moves with a shift of the log weights; the normalized weights lie on the
-simplex and ignore such a shift. Every tape operation's vector-Jacobian
-product, the fused dense layer's included, matches central differences on
-drawn broadcast shapes. The Bernoulli log mass matches 40-digit mpmath on
+simplex and ignore such a shift. The vector-Jacobian product of every
+operation of the reference graph (``reference.py``), which the library's
+written-out gradients are checked against, the dense layer's included,
+matches central differences on drawn broadcast shapes. The Bernoulli log mass matches 40-digit mpmath on
 logits anywhere in the float range, and a row's bits do not depend on the
 other draws computed with it. Parameter files round-trip exactly, and
 corrupted ones load or raise ValueError.
@@ -27,10 +28,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import special, stats
 
+import reference as ref
+from reference import finite_diff_check
 from vrbound import (
     AlphaKind,
     classify_alpha,
-    finite_diff_check,
     mc_vr_estimate,
     normalize_weights,
     select_backprop_sample,
@@ -368,7 +370,7 @@ def test_huge_orders_match_mpmath(lw, alpha):
 
 
 # ----------------------------------------------------------------------
-# tape vector-Jacobian products on drawn broadcast shapes
+# the reference graph's vector-Jacobian products on drawn broadcast shapes
 
 TAPE = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -384,14 +386,14 @@ MATMUL_PAIRS = hnp.mutually_broadcastable_shapes(
 def _check_vjps(build, inputs, seed):
     """Back-propagate sum(build(*leaves) * w) for a random w, and check each
     leaf's gradient against central differences of the same sum."""
-    leaves = [ad.Node(value) for value in inputs]
+    leaves = [ref.Node(value) for value in inputs]
     out = build(*leaves)
     w = np.random.default_rng(seed).standard_normal(out.value.shape)
-    grads = ad.gradients(ad.vsum(out * w), dict(enumerate(leaves)))
+    grads = ad.gradients(ref.vsum(out * w), dict(enumerate(leaves)))
     for i, value in enumerate(inputs):
 
         def f(v, i=i):
-            args = [ad.Node(v if j == i else x) for j, x in enumerate(inputs)]
+            args = [ref.Node(v if j == i else x) for j, x in enumerate(inputs)]
             return float(np.sum(build(*args).value * w))
 
         # Relative error, with components below 1e-3 held to 1e-9 absolute:
@@ -419,7 +421,7 @@ def test_arithmetic_vjps(shapes, op, seed):
 def test_matmul_vjps(shapes, seed):
     rng = np.random.default_rng(seed)
     a, b = (rng.standard_normal(shape) for shape in shapes.input_shapes)
-    _check_vjps(ad.matmul, [a, b], seed)
+    _check_vjps(ref.matmul, [a, b], seed)
 
 
 @TAPE
@@ -432,9 +434,9 @@ def test_dense_vjps(shapes, data, act, seed):
     x, w = (rng.standard_normal(shape) for shape in shapes.input_shapes)
     b = rng.standard_normal(bias_shape)
     layer = {None: lambda n: n, "tanh": np.tanh, "relu": lambda n: np.maximum(n, 0.0)}[act]
-    node = ad.dense(ad.Node(x), ad.Node(w), ad.Node(b), act)
+    node = ref.dense(ref.Node(x), ref.Node(w), ref.Node(b), act)
     np.testing.assert_allclose(node.value, layer(x @ w + b), rtol=1e-14, atol=1e-14)
-    _check_vjps(lambda xn, wn, bn: ad.dense(xn, wn, bn, act), [x, w, b], seed)
+    _check_vjps(lambda xn, wn, bn: ref.dense(xn, wn, bn, act), [x, w, b], seed)
 
 
 @TAPE
@@ -442,7 +444,7 @@ def test_dense_vjps(shapes, data, act, seed):
 def test_elementwise_vjps(shape, op, seed):
     x = np.random.default_rng(seed).standard_normal(shape)
     x = np.where(np.abs(x) < 1e-3, 0.5, x)  # clear of the ReLU kink
-    _check_vjps(getattr(ad, op), [x], seed)
+    _check_vjps(getattr(ref, op), [x], seed)
 
 
 @TAPE
@@ -452,12 +454,12 @@ def test_shape_op_vjps(shape, data, seed):
     axis = None
     if shape:
         axis = data.draw(st.one_of(st.none(), st.integers(-len(shape), len(shape) - 1)))
-    _check_vjps(lambda a: ad.vsum(a, axis=axis), [x], seed)
-    _check_vjps(lambda a: ad.reshape(a, shape[::-1]), [x], seed)
+    _check_vjps(lambda a: ref.vsum(a, axis=axis), [x], seed)
+    _check_vjps(lambda a: ref.reshape(a, shape[::-1]), [x], seed)
     if shape:
         start = data.draw(st.integers(0, shape[-1]))
         stop = data.draw(st.integers(start, shape[-1]))
-        _check_vjps(lambda a: ad.slice1d(a, start, stop), [x], seed)
+        _check_vjps(lambda a: ref.slice1d(a, start, stop), [x], seed)
 
 
 @TAPE
@@ -469,10 +471,10 @@ def test_normal_logpdf_rows_vjps(shapes, data, seed):
     # a scalar, one value per coordinate, one per element, or one per row
     shapes_of_log_std = [(), full[-1:], full, full[:-1] + (1,)]
     log_std = 0.3 * rng.standard_normal(data.draw(st.sampled_from(shapes_of_log_std)))
-    node = ad.normal_logpdf_rows(x, ad.Node(mean), ad.Node(log_std))
+    node = ref.normal_logpdf_rows(x, ref.Node(mean), ref.Node(log_std))
     expected = stats.norm.logpdf(x, loc=mean, scale=np.exp(log_std)).sum(axis=-1)
     np.testing.assert_allclose(node.value, expected, rtol=1e-12, atol=1e-12)
-    _check_vjps(ad.normal_logpdf_rows, [x, mean, log_std], seed)
+    _check_vjps(ref.normal_logpdf_rows, [x, mean, log_std], seed)
 
 
 @TAPE
@@ -494,11 +496,11 @@ def test_bernoulli_logpmf_rows_vjps(shapes, data, clip, seed):
     logits_shape = (x @ w).shape
     target_shape = logits_shape[data.draw(st.integers(0, len(logits_shape) - 2)) :]
     targets = (rng.random(target_shape) < 0.5).astype(float)
-    node = ad.bernoulli_dense_rows(ad.Node(x), ad.Node(w), ad.Node(b), targets)
+    node = ref.bernoulli_dense_rows(ref.Node(x), ref.Node(w), ref.Node(b), targets)
     z = np.clip(x @ w + b, -CAP, CAP)
     expected = (targets * z - np.logaddexp(0.0, z)).sum(axis=-1)
     np.testing.assert_allclose(node.value, expected, rtol=1e-12, atol=1e-12)
-    _check_vjps(lambda xn, wn, bn: ad.bernoulli_dense_rows(xn, wn, bn, targets), [x, w, b], seed)
+    _check_vjps(lambda xn, wn, bn: ref.bernoulli_dense_rows(xn, wn, bn, targets), [x, w, b], seed)
 
 
 # ----------------------------------------------------------------------
@@ -560,7 +562,7 @@ def test_bernoulli_logpmf_rows_match_40_digits(layer):
     # formed in floats; the clip is exact. Rounding may cost a few ulps of
     # each term and of each product x_i w_ij in the row.
     x, w, b, targets = layer
-    got = ad.bernoulli_dense_rows(x, w, b, targets)
+    got = ref.bernoulli_dense_rows(x, w, b, targets)
     with np.errstate(all="ignore"):
         logits = x @ w + b
     z = np.clip(logits, -CAP, CAP)
@@ -598,10 +600,10 @@ def test_bernoulli_rows_of_a_draw_alone_equal_them_among_others(k, n, seed, spre
     w[0, :3] = spread * rng.standard_normal(3)
     b = rng.standard_normal(64)
     targets = (rng.random((n, 64)) < 0.5).astype(float)
-    rows = ad.bernoulli_dense_rows(x, w, b, targets)
+    rows = ref.bernoulli_dense_rows(x, w, b, targets)
     for i in range(k):
-        assert ad.bernoulli_dense_rows(x[i], w, b, targets).tobytes() == rows[i].tobytes()
-        alone = ad.bernoulli_dense_rows(x[i : i + 1], w, b, targets)
+        assert ref.bernoulli_dense_rows(x[i], w, b, targets).tobytes() == rows[i].tobytes()
+        alone = ref.bernoulli_dense_rows(x[i : i + 1], w, b, targets)
         assert alone.tobytes() == rows[i : i + 1].tobytes()
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference as ref
 from vrbound import (
     Adam,
     BLRModel,
@@ -117,7 +118,7 @@ class TestEnergyApproximation:
             theta = q.mean + np.sqrt(q.variances) * noise
             log_joint = ad.std_normal_logpdf_rows(theta) + model.log_lik_node(
                 theta, {}, model.design, model.targets
-            )
+            )[0]
             log_w = log_joint - q.logpdf(theta)
             assert via_energy == pytest.approx(mc_vr_estimate(log_w, alpha), abs=1e-10)
 
@@ -127,9 +128,9 @@ class TestEnergyApproximation:
         model = synthetic_blr_instance(seed=2, n_data=4)
         theta = np.array([0.3, -0.7])
         n, m = 4, 2
-        total = model.log_lik_node(theta, {}, model.design, model.targets)
+        total = model.log_lik_node(theta, {}, model.design, model.targets)[0]
         subset_values = [
-            (n / m) * model.log_lik_node(theta, {}, model.design[rows], model.targets[rows])
+            (n / m) * model.log_lik_node(theta, {}, model.design[rows], model.targets[rows])[0]
             for rows in map(list, itertools.combinations(range(n), m))
         ]
         assert float(np.mean(subset_values)) == pytest.approx(float(total), abs=1e-12)
@@ -237,7 +238,7 @@ class TestTrainBehavior:
             calls.append(None)
             offsets = np.zeros(3)
             offsets[1] = bad if len(calls) == 3 else 0.0
-            return draw_shape, lambda nodes, noise: build(nodes, noise) + offsets
+            return draw_shape, lambda nodes, noise: ref.add(build(nodes, noise), offsets)
 
         monkeypatch.setattr(training, "_batch_builder", spoiled)
         cfg = TrainConfig(alpha=0.5, k=3, minibatch=5, steps=4, learning_rate=0.01, seed=2)
@@ -391,7 +392,8 @@ class TestEvaluateVae:
         # 2000 draws of 20 points at latent width 50 are 16 MB of noise, and
         # the (20, 2000) log weights 0.3 MB. Each of two workers holds one
         # chunk's arrays: three of the noise's width (the noise, the latents
-        # and a product, at most _CHUNK_BYTES each) and narrower ones.
+        # and the square of one of them that the prior or log q takes, at
+        # most _CHUNK_BYTES each) and narrower ones.
         monkeypatch.setattr(vae_module, "_usable_cores", lambda: 2)
         vae = VAEModel(data_dim=8, latent_dim=50, hidden=16)
         x = (np.random.default_rng(0).random((20, 8)) > 0.5).astype(float)
@@ -473,7 +475,7 @@ def test_value_paths_build_no_tape_node(monkeypatch):
     )
     _bnn_test_metrics(bnn, params, data, stats, seed=0, samples=5)
     assert built == []
-    ad.exp(ad.Node(np.zeros(2)))  # the counter does see the tape
+    ad.fused(np.zeros(2), {"a": ad.Node(np.zeros(2))}, None)  # the counter does see the tape
     assert len(built) == 2
 
 
