@@ -16,7 +16,7 @@ from .bounds import (
     mc_vr_estimate,
     validate_log_weights,
 )
-from .divergence import GridSpec, gaussian_kl, quadrature_oracle, renyi_gaussian
+from .divergence import GridSpec, quadrature_oracle, renyi_gaussian
 from .gaussian import GaussianDist
 from .gradients import (
     GaussianReparam,
@@ -66,7 +66,6 @@ __all__ = [
     "classify_alpha",
     "evaluate_vae",
     "exact_vr_bound_blr",
-    "gaussian_kl",
     "mc_vr_estimate",
     "normalize_weights",
     "parse_alpha",

@@ -10,6 +10,8 @@ V^-T diag(1 + t (lam - 1)) V^-1, and
 
 where the log1p term is lam_i - 1 at t = 0, giving KL[p||q]: one expression
 for every finite order, accurate next to alpha = 1 and continuous through it.
+The generalized eigenproblem is solved with numpy.linalg by LAPACK sygv's
+Cholesky reduction, so the closed form loads no scipy package.
 The defining integral converges exactly when M is positive definite; when
 some 1 + t (lam_i - 1) <= 0 the value is reported as +inf, a sentinel
 meaning "the integral diverges / the divergence is undefined here". This keeps
@@ -24,7 +26,7 @@ Two orders are explicit branches rather than the closed form:
 
 ``quadrature_oracle`` integrates the defining integral on a dense trapezoidal
 grid (dimension <= 2) and is the independent reference implementation the
-closed form is tested against.
+closed form is tested against; it alone imports scipy (scipy.stats).
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .gaussian import GaussianDist
 
 __all__ = [
     "GridSpec",
-    "gaussian_kl",
     "quadrature_oracle",
     "quadrature_oracle_batch",
     "renyi_gaussian",
@@ -50,19 +51,6 @@ __all__ = [
 def _check_same_dim(p: GaussianDist, q: GaussianDist) -> None:
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: p has dim {p.dim}, q has dim {q.dim}")
-
-
-def gaussian_kl(p: GaussianDist, q: GaussianDist) -> float:
-    """KL[p||q] between Gaussians, always finite for SPD covariances."""
-    from scipy.linalg import cho_factor, cho_solve
-
-    _check_same_dim(p, q)
-    d = p.dim
-    cq = cho_factor(q.cov, lower=True)
-    trace = float(np.trace(cho_solve(cq, p.cov)))
-    diff = q.mean - p.mean
-    quad = float(diff @ cho_solve(cq, diff))
-    return 0.5 * (trace + quad - d + q.log_det_cov - p.log_det_cov)
 
 
 def sup_log_density_ratio(p: GaussianDist, q: GaussianDist) -> float:
@@ -111,6 +99,20 @@ def renyi_gaussian(p: GaussianDist, q: GaussianDist, alpha: float) -> float:
     return renyi_gaussian_terms(p.mean - q.mean, p.cov, q.cov, float(alpha))[0]
 
 
+def _generalized_eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, V) with a V = b V diag(lam) and V' b V = I, for symmetric a and
+    symmetric positive definite b (LinAlgError otherwise).
+
+    LAPACK sygv's reduction: with b = L L', the eigenpairs (lam, W) of
+    C = L^-1 a L^-T give V = L^-T W. The solves run inside LAPACK, so a lam
+    beyond the float range comes out 0 or inf without a warning; eigh reads
+    the lower triangle of C only, which makes C symmetric.
+    """
+    low = np.linalg.cholesky(b)
+    lam, w = np.linalg.eigh(np.linalg.solve(low, np.linalg.solve(low, a).T))
+    return lam, np.linalg.solve(low.T, w)
+
+
 def renyi_gaussian_terms(
     diff: np.ndarray, cov_p: np.ndarray, cov_q: np.ndarray, alpha: float
 ) -> tuple[float, np.ndarray | None]:
@@ -120,9 +122,7 @@ def renyi_gaussian_terms(
     cov_p is (diag(M^-1) - 1 / diag(cov_p)) / 2. (+inf, None) where M is not
     positive definite.
     """
-    from scipy.linalg import eigh
-
-    lam, vec = eigh(cov_p, cov_q)
+    lam, vec = _generalized_eigh(cov_p, cov_q)
     t = 1.0 - alpha
     # overflow here means an infinite divergence, which the value carries
     with np.errstate(over="ignore"):

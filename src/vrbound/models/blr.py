@@ -139,7 +139,7 @@ def exact_vr_bound_blr(model: BLRModel, q: GaussianDist, alpha: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# mean-field fit: closed forms at orders 0, 1 and +inf, L-BFGS-B elsewhere
+# mean-field fit: closed forms at orders 0, 1 and +inf, BFGS elsewhere
 
 
 @dataclass
@@ -150,12 +150,61 @@ class MeanFieldFitResult:
     converged: bool
 
 
-# L-BFGS-B stops on a relative objective change below ftol or a largest
-# gradient entry below gtol; much tighter values fall under the rounding
-# noise of the objective, where the line search ends abnormally.
-_LBFGS_OPTIONS = {"maxiter": 20000, "gtol": 1e-7, "ftol": 1e-12}
+# The solver stops on L-BFGS-B's two tests, at the values scipy's gtol and
+# ftol took here: a largest gradient entry at most _GTOL, or a relative
+# decrease at most _FTOL; much tighter values fall under the rounding noise
+# of the objective, where no step decreases it any more.
+_GTOL, _FTOL, _MAXITER = 1e-7, 1e-12, 20000
+# Armijo's sufficient-decrease constant (Nocedal & Wright, eq. 3.4), and
+# the trial points of one line search (L-BFGS-B's maxls)
+_ARMIJO, _MAXLS = 1e-4, 20
 # Relative margin on the +inf fit's precisions, so that q is strictly feasible.
 _INF_MARGIN = 1e-10
+
+
+def _minimize(objective, x0: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
+    """Minimize ``objective(x) -> (value, gradient)`` by dense BFGS with
+    Armijo backtracking (Nocedal & Wright, Numerical Optimization, Alg. 6.1).
+
+    A trial point whose value or gradient is not finite, or that does not
+    decrease the value enough, halves the step, so the iterates stay where
+    the objective is finite. Returns (x, value, iterations, success):
+    success on either stopping test; failure after _MAXITER iterations, when
+    _MAXLS trial points in a row fail, or at once when the value at x0 is
+    not finite.
+    """
+    x = np.asarray(x0, dtype=float)
+    f, g = objective(x)
+    if not math.isfinite(f):
+        return x, f, 0, False
+    h = np.eye(x.size)
+    for it in range(_MAXITER):
+        if np.max(np.abs(g)) <= _GTOL:
+            return x, f, it, True
+        p = -h @ g
+        # the first direction is the gradient's; its first step is at most 1 long
+        step = min(1.0, 1.0 / float(np.linalg.norm(p))) if it == 0 else 1.0
+        slope = _ARMIJO * float(g @ p)
+        for _ in range(_MAXLS):
+            x_new = x + step * p
+            f_new, g_new = objective(x_new)
+            if math.isfinite(f_new) and f_new <= f + step * slope and np.all(np.isfinite(g_new)):
+                break
+            step *= 0.5
+        else:
+            return x, f, it, False
+        s, y = x_new - x, g_new - g
+        decrease, scale = f - f_new, max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if decrease <= _FTOL * scale:
+            return x, f, it + 1, True
+        sy = float(s @ y)
+        if sy > 0.0:
+            if it == 0:
+                h *= sy / float(y @ y)  # Nocedal & Wright, eq. 6.20
+            v = np.eye(x.size) - np.outer(s, y) / sy
+            h = v @ h @ v.T + np.outer(s, s) / sy
+    return x, f, _MAXITER, False
 
 
 def _feasible_variances(log_pivots: np.ndarray, lam: np.ndarray, c: float):
@@ -184,11 +233,10 @@ def _inf_precisions(lam: np.ndarray):
 
     Over r = log s2, rescaling s2 by 1 / lambda_max(S^1/2 lam S^1/2) onto the
     boundary gives the unconstrained sum(log d) = dim log lambda_max - sum(r),
-    with gradient dim v^2 - 1 for the unit top eigenvector v. Returns d and
-    the solver result.
+    with gradient dim v^2 - 1 for the unit top eigenvector v; ``_minimize``
+    searches it from r = -log diag(lam). Returns d and the search's
+    iteration count and success flag.
     """
-    from scipy.optimize import minimize
-
     dim = lam.shape[0]
 
     def objective(r):
@@ -196,11 +244,9 @@ def _inf_precisions(lam: np.ndarray):
         eigvals, eigvecs = np.linalg.eigh(h[:, None] * lam * h[None, :])
         return dim * math.log(eigvals[-1]) - float(np.sum(r)), dim * eigvecs[:, -1] ** 2 - 1.0
 
-    res = minimize(
-        objective, -np.log(np.diag(lam)), jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS
-    )
+    r, value, iterations, success = _minimize(objective, -np.log(np.diag(lam)))
     # d = exp(-r) lambda_max, and the objective value holds log lambda_max
-    return np.exp((res.fun + np.sum(res.x)) / dim - res.x), res
+    return np.exp((value + np.sum(r)) / dim - r), iterations, success
 
 
 def blr_mean_field_fit(model: BLRModel, alpha: float) -> MeanFieldFitResult:
@@ -222,12 +268,13 @@ def blr_mean_field_fit(model: BLRModel, alpha: float) -> MeanFieldFitResult:
           they give a strictly feasible q.
 
     Other orders minimize D_alpha[q || posterior] over the variances alone by
-    L-BFGS-B on its analytic gradient; ``converged`` is the solver's success
-    flag. Below order 1 the search runs over the log standard deviations.
-    Above order 1 the divergence is finite only where diag(1/s2) - (1 -
-    1/alpha) Lam is positive definite and the line search cannot step back
-    from points outside, so the search runs over the log Cholesky pivots of
-    that matrix, from the +inf fit. Orders next to 1 are searched too, so
+    BFGS (``_minimize``) on its analytic gradient; ``iterations`` counts the
+    BFGS iterations, and ``converged`` is the search's success flag. Below
+    order 1 the search runs over the log standard deviations. Above order 1
+    the divergence is finite only where diag(1/s2) - (1 - 1/alpha) Lam is
+    positive definite, so the search runs over the log Cholesky pivots of
+    that matrix, which map onto exactly that region, from the +inf fit (its
+    iterations and success flag count too). Orders next to 1 are searched too, so
     the fit is continuous through alpha = 1. The bound is
     ``exact_vr_bound_blr`` of the fit (the log evidence at alpha = 0).
     Dimension <= 3.
@@ -236,8 +283,6 @@ def blr_mean_field_fit(model: BLRModel, alpha: float) -> MeanFieldFitResult:
     the evidence whose supremum over q is +inf (approached at the boundary
     where the defining integral starts to diverge), so no maximizer exists.
     """
-    from scipy.optimize import minimize
-
     if model.dim > 3:
         raise ValueError("mean-field fit is desk-scale only (dim <= 3)")
     posterior = blr_exact_posterior(model)[0]
@@ -255,8 +300,8 @@ def blr_mean_field_fit(model: BLRModel, alpha: float) -> MeanFieldFitResult:
     else:
         mode_seeking = alpha > 1.0
         if mode_seeking:
-            prec, res = _inf_precisions(lam)
-            prec, iterations, converged = prec * (1.0 + _INF_MARGIN), res.nit, res.success
+            prec, iterations, converged = _inf_precisions(lam)
+            prec = prec * (1.0 + _INF_MARGIN)
             s2 = 1.0 / prec
         if kind is AlphaKind.FINITE:
             if mode_seeking:
@@ -276,11 +321,10 @@ def blr_mean_field_fit(model: BLRModel, alpha: float) -> MeanFieldFitResult:
                     return value, np.zeros_like(z)
                 return value, ds2_dz.T @ (0.5 * (diag_inv_mix - 1.0 / s2))
 
-            res = minimize(objective, z0, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS)
-            s2 = variances(res.x)[0]
-            iterations += res.nit
-            # an objective that is +inf at the start stops the solver "converged"
-            converged = converged and res.success and math.isfinite(res.fun)
+            z, _, nit, success = _minimize(objective, z0)
+            s2 = variances(z)[0]
+            iterations += nit
+            converged = converged and success
 
     q = GaussianDist.diagonal(posterior.mean, s2)
     bound = exact_vr_bound_blr(model, q, alpha)

@@ -5,8 +5,10 @@ Every model's log weights are one tape node in the library, with a VJP
 written out by hand (``vrbound.autodiff.fused``). This module keeps what
 the tests compare those nodes to: a graph of generic operations, each with
 its own vector-Jacobian product, and the models' log weights built from it
-(``posterior_log_weights`` for BLR and BNN, ``vae_log_weights``); and
-``finite_diff_check``, central differences of any gradient.
+(``posterior_log_weights`` for BLR and BNN, ``vae_log_weights``);
+``finite_diff_check``, central differences of any gradient; and
+``gaussian_kl``, a second formula for KL[p||q] between Gaussians, which the
+library's closed-form divergence is checked against at order 1.
 
 The operations: arithmetic with numpy broadcasting (also as the operators
 of this module's ``Node``), matrix products that batch over leading axes as
@@ -27,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from vrbound import autodiff as ad
+from vrbound.gaussian import GaussianDist
 from vrbound.models.bnn import BNNModel
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -406,3 +409,21 @@ def finite_diff_check(
         denom = max(abs(numeric), abs(flat_g[i]), abs_floor)
         worst = max(worst, abs(numeric - flat_g[i]) / denom)
     return worst
+
+
+# ----------------------------------------------------------------------
+# KL divergence between Gaussians
+
+
+def gaussian_kl(p: GaussianDist, q: GaussianDist) -> float:
+    """KL[p||q] between Gaussians by Cholesky solves, always finite for SPD
+    covariances."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    if p.dim != q.dim:
+        raise ValueError(f"dimension mismatch: p has dim {p.dim}, q has dim {q.dim}")
+    cq = cho_factor(q.cov, lower=True)
+    trace = float(np.trace(cho_solve(cq, p.cov)))
+    diff = q.mean - p.mean
+    quad = float(diff @ cho_solve(cq, diff))
+    return 0.5 * (trace + quad - p.dim + q.log_det_cov - p.log_det_cov)

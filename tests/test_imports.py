@@ -2,11 +2,14 @@
 module or listed in its ``__all__``, and every private module-level name is
 used in its module or imported by another (no linter is needed to check
 this); no package module imports scipy at module level, so importing the
-package or the CLI loads no scipy module; and importing starts no thread.
+package or the CLI loads no scipy module, and none imports scipy.linalg or
+scipy.optimize at all, so the analytic commands run on numpy alone; and
+importing starts no thread.
 The tape keeps its core and the array kernels, and the generic operations
 live in the tests' reference module, which keeps only what a test uses."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -94,6 +97,29 @@ def _module_level_scipy_imports(source: str) -> list[int]:
     return lines
 
 
+def _scipy_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of each import of scipy or a scipy module, at any
+    level; ``from scipy import linalg`` imports scipy.linalg."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "scipy":
+            names = [f"scipy.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        found += [
+            (node.lineno, name) for name in names if name == "scipy" or name.startswith("scipy.")
+        ]
+    return found
+
+
+def _under(module: str, packages: tuple[str, ...]) -> bool:
+    return any(module == p or module.startswith(p + ".") for p in packages)
+
+
 def test_every_import_is_used_or_exported():
     unused = [
         f"{path.relative_to(PACKAGE)}: {name}"
@@ -119,6 +145,59 @@ def test_no_module_imports_scipy_at_module_level():
         for line in _module_level_scipy_imports(path.read_text())
     ]
     assert found == []
+
+
+def test_no_module_imports_scipy_linalg_or_optimize():
+    # the generalized eigenproblem and the mean-field fits run on numpy.linalg
+    found = [
+        f"{path.relative_to(PACKAGE)}:{line} {module}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line, module in _scipy_imports(path.read_text())
+        if _under(module, ("scipy.linalg", "scipy.optimize"))
+    ]
+    assert found == []
+
+
+def test_the_analytic_commands_load_no_scipy_package(tmp_path):
+    # each command in a fresh interpreter; bare scipy is loaded for the
+    # version that the manifest records
+    configs = {
+        "divergence": {
+            "p": {"mean": [0.0, 0.0], "variances": [1.0, 1.5]},
+            "q": {"mean": [0.5, -0.3], "cov": [[1.0, 0.3], [0.3, 1.2]]},
+            "alphas": ["-inf", 0.5, 1, 2, "inf"],
+        },
+        "bias-sim": {
+            "p": {"mean": [0.0], "variances": [1.0]},
+            "q": {"mean": [1.0], "variances": [2.0]},
+            "alphas": [0.5, 1, 2],
+            "ks": [1, 5],
+            "repeats": 4,
+        },
+        "blr-demo": {
+            "fit_alphas": [1, 0.5, 0, 2, "inf"],
+            "sigma_grid": {"lo": 0.5, "hi": 1.0, "points": 2},
+        },
+    }
+    packages = ("scipy.linalg", "scipy.optimize", "scipy.special", "scipy.sparse")
+    env = os.environ | {"PYTHONPATH": str(PACKAGE.parent)}
+    for kind, section in configs.items():
+        config = tmp_path / f"{kind}.json"
+        config.write_text(json.dumps({kind.replace("-", "_"): section}))
+        code = (
+            "import sys\n"
+            "from vrbound.cli import main\n"
+            f"code = main([{kind!r}, '--config', {str(config)!r}, "
+            f"'--output-dir', {str(tmp_path / kind)!r}])\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        exit_code, loaded = proc.stdout.split(" ", 1)
+        assert exit_code == "0", (kind, proc.stderr)
+        assert "'scipy'" in loaded, kind
+        assert [m for m in ast.literal_eval(loaded) if _under(m, packages)] == [], kind
 
 
 def test_the_check_sees_unused_and_exported_names():
@@ -162,10 +241,29 @@ def test_the_check_sees_module_level_scipy_imports():
     assert _module_level_scipy_imports(source) == [1, 2, 6, 8]
 
 
+def test_the_check_sees_scipy_imports_at_any_level():
+    source = (
+        "import scipy, numpy.linalg\n"
+        "from scipy import linalg, stats\n"
+        "from .scipy import optimize\n"
+        "class Fit:\n"
+        "    def solve(self):\n"
+        "        from scipy.optimize import minimize\n"
+        "        import scipy.linalg as sl\n"
+    )
+    assert _scipy_imports(source) == [
+        (1, "scipy"),
+        (2, "scipy.linalg"),
+        (2, "scipy.stats"),
+        (6, "scipy.optimize"),
+        (7, "scipy.linalg"),
+    ]
+
+
 def test_importing_loads_no_scipy_module():
-    # scipy.stats, scipy.special, scipy.linalg and scipy.optimize are what a
-    # command loads when it needs them; the version recorded in manifests
-    # imports bare scipy only when a manifest is written
+    # only the quadrature oracle, a reference, loads a scipy package
+    # (scipy.stats); the version recorded in manifests imports bare scipy
+    # only when a manifest is written
     code = (
         "import sys, vrbound, vrbound.cli\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"

@@ -30,6 +30,7 @@ from vrbound import (
     vr_grad,
 )
 from vrbound import autodiff as ad
+from vrbound.models import blr as blr_module
 from vrbound.models import vae as vae_module
 from vrbound.models.data import dataset_content_hash, load_csv, save_csv
 from vrbound.training import posterior_log_weights
@@ -344,6 +345,89 @@ class TestMeanFieldFit:
         model = synthetic_blr_instance(seed=0)
         with pytest.raises(ValueError, match="alpha >= 0"):
             blr_mean_field_fit(model, -1.0)
+
+
+class TestMinimize:
+    """The fit's solver on objectives whose minimizers are known."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_convex_quadratic_reaches_its_minimizer(self, dim):
+        # the stopping tests bound the gradient and the decrease, not the
+        # distance to the minimizer; a curvature of at least 1e8 turns them
+        # into a distance of at most about 1e-10
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal((dim, dim))
+        hess = 1e8 * (a @ a.T / dim + np.eye(dim))
+        center = rng.normal(size=dim)
+
+        def objective(x):
+            return 0.5 * float((x - center) @ hess @ (x - center)), hess @ (x - center)
+
+        x, f, iterations, success = blr_module._minimize(objective, rng.normal(size=dim))
+        assert success and iterations > 0
+        np.testing.assert_allclose(x, center, rtol=0.0, atol=1e-10)
+        assert 0.0 <= f < 1e-12
+
+    def test_rosenbrock_converges(self):
+        x, f, _, success = blr_module._minimize(_rosenbrock, np.array([-1.2, 1.0]))
+        assert success
+        np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-6)
+        assert f < 1e-12
+
+    def test_backs_off_where_the_objective_is_infinite(self):
+        # +inf outside the box |x_i| < 1, minimizer log 2.5 = 0.916 next to
+        # its edge: steps that leave the box are halved, never returned
+        calls = []
+
+        def objective(x):
+            calls.append(x.copy())
+            if np.max(np.abs(x)) >= 1.0:
+                return math.inf, np.zeros_like(x)
+            return float(np.sum(np.exp(x) - 2.5 * x)), np.exp(x) - 2.5
+
+        x, f, _, success = blr_module._minimize(objective, np.array([-0.9, 0.0, 0.5]))
+        assert success and math.isfinite(f) and np.max(np.abs(x)) < 1.0
+        np.testing.assert_allclose(x, math.log(2.5), atol=1e-7)
+        assert any(np.max(np.abs(c)) >= 1.0 for c in calls)
+
+    def test_stops_unsuccessful_after_the_iteration_budget(self, monkeypatch):
+        monkeypatch.setattr(blr_module, "_MAXITER", 5)
+        x, f, iterations, success = blr_module._minimize(_rosenbrock, np.array([-1.2, 1.0]))
+        assert (iterations, success) == (5, False)
+        assert f == _rosenbrock(x)[0] < _rosenbrock(np.array([-1.2, 1.0]))[0]
+
+    def test_stops_unsuccessful_when_no_trial_point_decreases(self):
+        # a gradient of the wrong sign points uphill: the line search gives
+        # up after its trial points and the start is returned
+        calls = []
+
+        def objective(x):
+            calls.append(x)
+            return float(x @ x), -2.0 * x
+
+        x0 = np.array([0.5, -1.0])
+        x, f, iterations, success = blr_module._minimize(objective, x0)
+        np.testing.assert_array_equal(x, x0)
+        assert (f, iterations, success) == (1.25, 0, False)
+        assert len(calls) == 1 + blr_module._MAXLS
+
+    def test_returns_at_once_from_an_infinite_start(self):
+        calls = []
+
+        def objective(x):
+            calls.append(x)
+            return math.inf, np.zeros_like(x)
+
+        x0 = np.array([0.3, -0.2])
+        x, f, iterations, success = blr_module._minimize(objective, x0)
+        np.testing.assert_array_equal(x, x0)
+        assert (f, iterations, success, len(calls)) == (math.inf, 0, False, 1)
+
+
+def _rosenbrock(x):
+    value = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+    grad = np.array([-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]), 200.0 * (x[1] - x[0] ** 2)])
+    return float(value), grad
 
 
 class TestSigmaSweep:
