@@ -1,20 +1,15 @@
-"""Minimal reverse-mode differentiation over numpy arrays, and the array
-kernels that the models' forward passes and written-out gradients share.
+"""The array kernels that the models' forward passes and written-out
+gradients share, and ``gradients``, which lays out the parameter gradients
+that one of those written-out gradients returns.
 
-Each model's log weights on its parameter leaves are one tape node:
-``fused(out, operands, vjp)`` makes a node over ``out`` whose parents are
-the operands that are nodes, and whose gradients one written-out function
-returns, run once per backward pass (``training.posterior_log_weights`` for
-BLR and BNN, ``VAEModel.log_weight_rows``). So a training step's graph is
-its parameter leaves and one node, and the tape has no generic operation:
-the forward passes are numpy. Called with no node operand, ``fused`` returns
-``out`` as a float array and makes no node, so the same builders give the
-value paths, and ``value(x)`` reads a node or an array alike. One backward
-pass from a seed (ones at a scalar root) accumulates vector-Jacobian
-products in decreasing creation number: a node is always made after its
-operands, so no order is computed. A fused node may work in place on the
-buffers it allocates itself, but never changes the value of another node.
-There is deliberately no general graph compiler and no higher-order support.
+Each model's log-weight builder runs on arrays and returns its log weights
+with their vector-Jacobian product: ``vjp(g)`` maps the gradient ``g`` at
+the log weights to ``{name: gradient}`` of the parameters
+(``training.posterior_log_weights`` for BLR and BNN,
+``VAEModel.log_weight_rows``). ``gradients(vjp, seed, params, out)`` runs it
+once and writes the result into one flat vector in the order of
+``params``. There is no tape and no graph: the forward passes are numpy, and
+the chain rule is written out in each VJP.
 
 The array kernels: ``dense``, an affine layer act(x @ w + b) in one buffer;
 the Gaussian log density summed over the last axis (``normal_logpdf_rows``,
@@ -25,82 +20,32 @@ of its logits summed over the last axis, as an array forward
 (``bernoulli_rows_forward``) and its gradient at the logits
 (``bernoulli_rows_at_logits``). Matrix products follow numpy's ``@``, so a
 model evaluates K stacked draws at once. The tests check every written-out
-gradient against a graph of generic operations kept beside them
+gradient against a reverse-mode tape of generic operations kept beside them
 (``tests/reference.py``).
 
 Typical use::
 
-    mu = Node(np.array([1.0, 2.0]))
-    node = fused(mu.value**2, {"mu": mu}, lambda g: {"mu": 2.0 * g * mu.value})
-    grads = gradients(node, {"mu": mu}, seed=np.ones(2))
+    mu = np.array([1.0, 2.0])
+    grads = gradients(lambda g: {"mu": 2.0 * g * mu}, np.ones(2), {"mu": mu}, np.empty(2))
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 
 import numpy as np
 
 __all__ = [
-    "Node",
-    "backward",
     "bernoulli_rows_at_logits",
     "bernoulli_rows_forward",
     "dense",
-    "fused",
     "gradients",
     "normal_logpdf_rows",
     "normal_rows_vjp",
     "std_normal_logpdf_rows",
-    "value",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-class Node:
-    """A value in the computation graph; leaves carry the parameters.
-
-    ``parents`` holds the operands that are nodes, and ``vjp(g)`` returns
-    their gradients, in the same order, from ``g`` at this node. A leaf has
-    neither."""
-
-    __slots__ = ("value", "parents", "vjp", "number")
-
-    _numbers = itertools.count()  # creation order, which backward() visits
-
-    def __init__(self, value, parents=(), vjp=None):
-        self.value = np.asarray(value, dtype=float)
-        self.parents = parents
-        self.vjp = vjp
-        self.number = next(Node._numbers)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Node(shape={self.value.shape})"
-
-
-def value(x) -> np.ndarray:
-    """The float array of a node, or of a constant."""
-    return x.value if isinstance(x, Node) else np.asarray(x, dtype=float)
-
-
-def fused(out, operands: dict, vjp):
-    """A node over ``out`` whose parents are the operands that are nodes, for
-    an operation whose gradients are written out as one function: ``vjp(g)``
-    returns the gradient of each operand that is a node, as a dict with the
-    keys of ``operands``. With no node operand, ``out`` comes back as a
-    float array."""
-    names = [name for name, operand in operands.items() if isinstance(operand, Node)]
-    if not names:
-        return np.asarray(out, dtype=float)
-
-    def node_vjp(g):
-        grads = vjp(g)
-        return [grads[name] for name in names]
-
-    return Node(out, tuple(operands[name] for name in names), node_vjp)
 
 
 # ----------------------------------------------------------------------
@@ -260,54 +205,18 @@ def _clip_logits(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# backward pass
+# gradient layout
 
 
-def backward(root: Node, seed=None) -> dict[Node, np.ndarray]:
-    """The gradient of every leaf reachable from ``root`` (a node without a
-    VJP), starting from ``seed``, the gradient at the root (by default ones
-    at a scalar root). Another node's gradient is dropped once its VJP has
-    run."""
-    if seed is None and root.value.size != 1:
-        raise ValueError("backward expects a scalar root, or a seed")
-    seed = np.ones_like(root.value) if seed is None else np.asarray(seed, dtype=float)
-    if seed.shape != root.value.shape:
-        raise ValueError(f"seed shape {seed.shape} differs from the root's {root.value.shape}")
-    # A node is made after its parents, so visiting the nodes that have a
-    # gradient pending in decreasing creation number visits each after every
-    # node it feeds: its gradient is complete when it is taken.
-    grads: dict[Node, np.ndarray] = {root: seed}
-    at_leaves = {}
-    pending = [(-root.number, root)]
-    while pending:
-        node = heapq.heappop(pending)[1]
-        g = grads.pop(node)
-        if node.vjp is None:
-            at_leaves[node] = g
-            continue
-        for parent, contribution in zip(node.parents, node.vjp(g)):
-            contribution = np.asarray(contribution, dtype=float)
-            if parent in grads:
-                grads[parent] = grads[parent] + contribution
-            else:
-                grads[parent] = contribution
-                heapq.heappush(pending, (-parent.number, parent))
-    return at_leaves
-
-
-def gradients(
-    root: Node, leaves: dict[str, Node], seed=None, out: np.ndarray | None = None
-) -> dict[str, np.ndarray]:
-    """Backward pass from ``seed`` (see ``backward``); each named leaf's
-    gradient, as a view of one float vector of the leaves' total size that
-    holds them in the order of ``leaves``: ``out`` if given, else a new one.
-    A leaf the pass does not reach gets zeros."""
-    at_leaves = backward(root, seed)
-    if out is None:
-        out = np.empty(sum(node.value.size for node in leaves.values()))
+def gradients(vjp, seed: np.ndarray, params: dict[str, np.ndarray], out: np.ndarray):
+    """Run ``vjp(seed)`` once and write each parameter's gradient into
+    ``out``, a float vector of the parameters' total size, in the order of
+    ``params``; returns them by name as views of ``out``. A parameter the
+    VJP leaves out gets zeros."""
+    at_params = vjp(seed)
     grads, start = {}, 0
-    for name, node in leaves.items():
-        grads[name] = view = out[start : start + node.value.size].reshape(node.value.shape)
-        view[...] = at_leaves.get(node, 0.0)
-        start += node.value.size
+    for name, value in params.items():
+        grads[name] = view = out[start : start + value.size].reshape(value.shape)
+        view[...] = at_params.get(name, 0.0)
+        start += value.size
     return grads

@@ -19,7 +19,7 @@ sweeps over alpha total. Callers that need the signed limit of the underlying
 objective (e.g. the exact variational bound) must interpret the sentinel
 themselves.
 
-Two orders are explicit branches rather than the closed form:
+Three orders are explicit branches rather than the closed form:
   alpha  = 0   -log(mass of q on the support of p), identically 0 for Gaussians
   alpha -> +inf  sup_x log p(x)/q(x)  (+inf when the ratio is unbounded)
   alpha -> -inf  -sup_x log q(x)/p(x)  (skew symmetry limit)

@@ -11,14 +11,14 @@ Its gradient is the convex combination
 with the normalized weights held constant: they are exactly the partial
 derivatives of the estimate with respect to the log weights. At alpha = -inf
 and +inf the weights are one-hot at the largest or smallest log weight, the
-subgradient of max/min. ``vr_grad`` computes this with one backward pass:
-the log-weight builder gets all K draws and returns them on axis 0, and any
-further axes are independent weight sets (one per VAE datapoint) whose
-gradients are averaged. Every model's builder returns its log weights as one
-node over the parameter leaves (``ad.fused``) with a written-out VJP, and
-the part those VJPs share, through the reparameterization, the N(0, I)
-prior and log q, is ``GaussianReparam.vjp``. The single-backward-pass variant
-puts a one-hot weight on the index that ``select_backprop_sample`` draws from
+subgradient of max/min. ``vr_grad`` computes this with one vector-Jacobian
+product: the log-weight builder gets the parameters and all K draws, and
+returns the log weights, with the draws on axis 0 and any further axes
+independent weight sets (one per VAE datapoint) whose gradients are
+averaged, together with their VJP, written out for each model. The part
+those VJPs share, through the reparameterization, the N(0, I) prior and
+log q, is ``GaussianReparam.vjp``. The single-backward-pass variant puts a
+one-hot weight on the index that ``select_backprop_sample`` draws from
 each set with probability w_hat_j, which is unbiased for the full weighted
 gradient at finite alpha.
 """
@@ -166,7 +166,10 @@ class GaussianReparam:
         return g_mu, g_rho
 
 
-LogWeightBuilder = Callable[[dict[str, ad.Node], np.ndarray], ad.Node]
+LogWeightBuilder = Callable[
+    [dict[str, np.ndarray], np.ndarray],
+    tuple[np.ndarray, Callable[[np.ndarray], dict[str, np.ndarray]]],
+]
 
 
 def vr_grad(
@@ -179,23 +182,24 @@ def vr_grad(
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Gradient of the K-sample bound estimate under fixed noise.
 
-    ``build_log_weights(nodes, noise)`` gets one leaf node per parameter and
-    the whole noise array, and returns the log-weight node: axis 0 holds the
-    K draws, any further axes independent weight sets. One backward pass
-    yields the gradient of the mean over sets of the normalized-weighted log
-    weights, or, with ``select_rng``, of the log weight that
-    ``select_backprop_sample`` picks in each set. Returns the gradient for
-    every parameter and the log weights. The gradients are views of one
-    float vector of the parameters' total size, in the order of ``params``:
-    ``out`` when given (a training step's buffer), else a new one. NaN or
-    +inf log weights and non-finite gradient components raise
+    ``build_log_weights(params, noise)`` gets the parameters as float arrays
+    and the whole noise array, and returns the log weights, whose axis 0
+    holds the K draws and any further axes independent weight sets, and
+    their VJP: ``vjp(g)`` gives the gradient of sum(g * log_w) for every
+    parameter, as a dict by name (a name left out has gradient zero). One
+    VJP call yields the gradient of the mean over sets of the
+    normalized-weighted log weights, or, with ``select_rng``, of the log
+    weight that ``select_backprop_sample`` picks in each set. Returns the
+    gradient for every parameter and the log weights. The gradients are
+    views of one float vector of the parameters' total size, in the order
+    of ``params``: ``out`` when given (a training step's buffer), else a new
+    one. NaN or +inf log weights and non-finite gradient components raise
     ``FloatingPointError`` naming the sample; zero-density (-inf) samples
     are allowed.
     """
     noise = np.asarray(noise, dtype=float)
-    nodes = {name: ad.Node(np.asarray(value, dtype=float)) for name, value in params.items()}
-    lw_node = build_log_weights(nodes, noise)
-    log_w = lw_node.value
+    params = {name: np.asarray(value, dtype=float) for name, value in params.items()}
+    log_w, vjp = build_log_weights(params, noise)
     if log_w.shape[:1] != noise.shape[:1]:
         raise ValueError(f"log weights {log_w.shape} must hold the {len(noise)} draws on axis 0")
     sets = np.ascontiguousarray(np.moveaxis(log_w, 0, -1))
@@ -211,11 +215,11 @@ def vr_grad(
     else:
         weights = _one_hot(_select(sets, alpha, select_rng), sets.shape[-1])
     if out is None:
-        out = np.empty(sum(np.size(value) for value in params.values()))
+        out = np.empty(sum(value.size for value in params.values()))
     n_sets = log_w.size // log_w.shape[0]
-    # Seeded at the log weights: their weighted sum, the root it stands for,
-    # is NaN where a zero weight meets a -inf log weight.
-    grads = ad.gradients(lw_node, nodes, np.moveaxis(weights, -1, 0) * (1.0 / n_sets), out)
+    # Seeded at the log weights: their weighted sum, the objective it stands
+    # for, is NaN where a zero weight meets a -inf log weight.
+    grads = ad.gradients(vjp, np.moveaxis(weights, -1, 0) * (1.0 / n_sets), params, out)
     if not np.isfinite(out).all():
         name = next(name for name, g in grads.items() if not np.isfinite(g).all())
         suspects = np.unique(np.nonzero(~np.isfinite(log_w))[0]).tolist()

@@ -234,15 +234,22 @@ def _inf_precisions(lam: np.ndarray):
     Over r = log s2, rescaling s2 by 1 / lambda_max(S^1/2 lam S^1/2) onto the
     boundary gives the unconstrained sum(log d) = dim log lambda_max - sum(r),
     with gradient dim v^2 - 1 for the unit top eigenvector v; ``_minimize``
-    searches it from r = -log diag(lam). Returns d and the search's
-    iteration count and success flag.
+    searches it from r = -log diag(lam). Where the top eigenvalue is repeated
+    to within rounding, v is any unit vector of its eigenspace, so the
+    subgradient taken is the mean of dim v^2 - 1 over the eigenvectors whose
+    eigenvalues lie within 8 dim eps of it (relative): 0 when
+    S^1/2 lam S^1/2 is a multiple of I, the minimum. Returns d and the
+    search's iteration count and success flag.
     """
     dim = lam.shape[0]
+    tie = 8.0 * dim * np.finfo(float).eps
 
     def objective(r):
         h = np.exp(0.5 * r)
         eigvals, eigvecs = np.linalg.eigh(h[:, None] * lam * h[None, :])
-        return dim * math.log(eigvals[-1]) - float(np.sum(r)), dim * eigvecs[:, -1] ** 2 - 1.0
+        top = eigvals[-1] - eigvals <= tie * eigvals[-1]
+        grad = dim * np.mean(eigvecs[:, top] ** 2, axis=1) - 1.0
+        return dim * math.log(eigvals[-1]) - float(np.sum(r)), grad
 
     r, value, iterations, success = _minimize(objective, -np.log(np.diag(lam)))
     # d = exp(-r) lambda_max, and the objective value holds log lambda_max

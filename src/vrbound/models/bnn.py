@@ -9,8 +9,8 @@ approximation over the flattened weight vector. The flattened layout is
 give one value per draw and point, or per draw. ``log_lik_node`` returns
 its VJP with it, written out through the Gaussian likelihood, the output
 layer and the ReLU layer; ``training.posterior_log_weights`` chains it into
-the VJP of the reparameterization, the N(0, I) prior and log q, so a
-training step's graph is the parameter leaves and one node.
+the VJP of the reparameterization, the N(0, I) prior and log q, and returns
+the training step's log weights with that one VJP.
 """
 
 from __future__ import annotations

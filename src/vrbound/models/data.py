@@ -132,22 +132,6 @@ def load_csv(
     return Dataset.from_arrays(features, targets, split_seed, test_fraction)
 
 
-def save_csv(path, features: np.ndarray, targets: np.ndarray | None = None) -> None:
-    """Write a dataset as a headered CSV (x0..xd / pixel columns plus y)."""
-    features = np.asarray(features)
-    header = [f"x{i}" for i in range(features.shape[1])]
-    if targets is not None:
-        header.append("y")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for i in range(features.shape[0]):
-            row = [repr(float(v)) for v in features[i]]
-            if targets is not None:
-                row.append(repr(float(targets[i])))
-            writer.writerow(row)
-
-
 # ----------------------------------------------------------------------
 # synthetic generators
 

@@ -4,19 +4,17 @@ Encoder: x -> tanh layer -> (mu, rho) for the Gaussian recognition density
 q(h|x) = N(mu(x), diag(exp(2 rho(x)))). Decoder: h -> tanh layer -> logits
 (Bernoulli likelihood) or means (Gaussian likelihood with a learnable log
 scale). The latent prior is the standard normal. Parameters are a dict of
-named arrays (the trainer keeps them as views of one vector).
-``log_weight_rows`` accepts the matching dict of leaf nodes, or the arrays
-themselves for a value without a tape. Noise may carry a leading axis of K
-draws, which is carried through to the outputs, so K log weights per
-datapoint come from one encoder pass.
+named arrays (the trainer keeps them as views of one vector). Noise may
+carry a leading axis of K draws, which is carried through to the outputs,
+so K log weights per datapoint come from one encoder pass.
 
-On leaves the log weights are one tape node with a written-out VJP: the
+``log_weight_rows`` returns the log weights with their written-out VJP: the
 forward pass runs the array pieces ``_encode``, ``_decode``,
 ``GaussianReparam`` and, for the prior, ``ad.std_normal_logpdf_rows``, and
 ``_log_weight_vjp`` takes the gradients back through the likelihood and
 the decoder, then through the reparameterization, the prior and log q
 (``GaussianReparam.vjp``, which BLR and BNN share) and the encoder, once
-per backward pass.
+per VJP call.
 
 ``log_weight_matrix`` is the value-only path of held-out evaluation, where K
 runs to thousands: it takes a noise generator and a draw count, encodes once
@@ -113,28 +111,22 @@ class VAEModel:
     # the log weights (x is always a constant (n, data_dim) array; latents
     # h are (n, latent_dim) or (K, n, latent_dim), and outputs keep the K)
 
-    def log_weight_rows(
-        self, nodes: dict[str, ad.Node], x: np.ndarray, eps: np.ndarray
-    ) -> ad.Node:
-        """Per-datapoint log p(h, x) - log q(h|x), as one node on the
-        parameter leaves (``ad.fused``), or an array for array parameters.
+    def log_weight_rows(self, params: dict[str, np.ndarray], x: np.ndarray, eps: np.ndarray):
+        """Per-datapoint log p(h, x) - log q(h|x), and its VJP: ``vjp(g)``
+        gives the gradient of every parameter by name (see ``vr_grad``).
 
         ``eps`` of shape (n, latent_dim) is one noise draw and gives (n,);
         (K, n, latent_dim) is K draws and gives (K, n). The encoder runs once
         either way; the latent is the reparameterized
         h = mu(x) + exp(rho(x)) * eps. The value is ``_forward``'s, which
-        ``log_weight_matrix`` runs too, and the gradients of every parameter
-        come from ``_log_weight_vjp``.
+        ``log_weight_matrix`` runs too, and the VJP is ``_log_weight_vjp``.
         """
-        params = {name: ad.value(node) for name, node in nodes.items()}
         x = np.asarray(x, dtype=float)
         eps = np.asarray(eps, dtype=float)
         hid_e, mu, rho = self._encode(params, x)
         reparam = GaussianReparam(mu, rho)
         out, saved = self._forward(params, x, reparam, eps)
-        return ad.fused(
-            out, nodes, lambda g: self._log_weight_vjp(params, x, eps, (hid_e, reparam, *saved), g)
-        )
+        return out, lambda g: self._log_weight_vjp(params, x, eps, (hid_e, reparam, *saved), g)
 
     def _encode(self, params: dict[str, np.ndarray], x: np.ndarray):
         """The encoder's tanh layer and the recognition parameters (mu, rho)."""
@@ -213,7 +205,7 @@ class VAEModel:
     ) -> np.ndarray:
         """Log weights of ``k`` noise draws per row of ``x``; returns (n, k).
 
-        Equal bit for bit to ``log_weight_rows(params, x, eps).T`` with eps
+        Equal bit for bit to ``log_weight_rows(params, x, eps)[0].T`` with eps
         the one-shot draw ``rng.standard_normal((k, n, latent_dim))``, and
         ``rng`` is left in the state that draw leaves it in: the noise is
         drawn chunk by chunk, in chunk order, and consecutive draws of a

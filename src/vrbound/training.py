@@ -6,11 +6,10 @@ Two training regimes share one loop:
   the mini-batch energy approximation, the K-sample bound estimate applied to
   log w = log p0(theta) + (N/M) * sum_{x in S} log p(x|theta) - log q(theta),
   which coincides with the full-data estimate when the batch is the whole
-  dataset. ``posterior_log_weights`` forms them from the standard-normal
-  prior ``ad.std_normal_logpdf_rows(theta)`` and the model's
-  ``log_lik_node(theta, params, x, y)``, which BLR and BNN share: it gives
-  the likelihood of every draw and its VJP, and the log weights on the
-  parameter leaves are one tape node;
+  dataset. ``posterior_log_weights`` forms them, with their VJP, from the
+  standard-normal prior ``ad.std_normal_logpdf_rows(theta)`` and the
+  model's ``log_lik_node(theta, params, x, y)``, which BLR and BNN share:
+  it gives the likelihood of every draw and its VJP;
 * maximum likelihood for latent-variable models (VAE): the per-datapoint
   K-sample bound, averaged over the mini-batch, with each datapoint getting
   its own noise draws.
@@ -22,10 +21,10 @@ only log w_j is back-propagated.
 
 The models differ only in their initial parameters (``init_params(seed)``),
 training rows, noise shape and log-weight builder. Every step draws the noise
-for all K draws and makes one ``vr_grad`` call (one graph of the parameter
-leaves and one node, one backward pass through the model's written-out VJP,
-one check of the log weights and one of the gradients, which land in
-the trainer's flat gradient vector, ``out``), stops the run on a -inf log
+for all K draws and makes one ``vr_grad`` call (one forward pass that
+returns the log weights and their written-out VJP, one check of the log
+weights, one VJP call and one check of the gradients, which land in the
+trainer's flat gradient vector, ``out``), stops the run on a -inf log
 weight, which ``vr_grad`` allows, takes an Adam step on one flat vector
 that holds every parameter in the same layout (``params`` are named views
 of it), and keeps the log weights, without a second check: at the end of
@@ -207,15 +206,14 @@ def posterior_log_weights(model, params, x, y, noise, scale):
     rows (x, y) at scale N/M, whose bound estimate is
     ``mc_vr_estimate(log_w, alpha)``.
 
-    ``params`` (q's mu and rho, BNN's log_noise) are arrays or tape leaves.
-    On leaves the result is one node (``ad.fused``) whose VJP chains the
-    model's likelihood VJP, from ``log_lik_node``, into
-    ``GaussianReparam.vjp``; on arrays it is the array of its values.
+    ``params`` are q's mu and rho, and BNN's log_noise. Returns the log
+    weights and their VJP, which chains the model's likelihood VJP, from
+    ``log_lik_node``, into ``GaussianReparam.vjp``: ``vjp(g)`` gives the
+    gradient of every parameter by name (see ``vr_grad``).
     """
-    values = {name: ad.value(param) for name, param in params.items()}
-    reparam = GaussianReparam(values["mu"], values["rho"])
+    reparam = GaussianReparam(params["mu"], params["rho"])
     theta = reparam.theta(noise)
-    log_lik, log_lik_vjp = model.log_lik_node(theta, values, x, y)
+    log_lik, log_lik_vjp = model.log_lik_node(theta, params, x, y)
     out = ad.std_normal_logpdf_rows(theta) + log_lik * scale - reparam.log_q(noise)
 
     def vjp(g):
@@ -223,7 +221,7 @@ def posterior_log_weights(model, params, x, y, noise, scale):
         grads["mu"], grads["rho"] = reparam.vjp(theta, noise, g, g_theta)
         return grads
 
-    return ad.fused(out, params, vjp)
+    return out, vjp
 
 
 # ----------------------------------------------------------------------
@@ -336,12 +334,12 @@ def _batch_builder(model, params, x, y, batch_idx, held: list):
     (K, rows) per-datapoint log weights for the VAE, (K,) energy-approximation
     log weights for BLR and BNN.
 
-    The builder stores its node in ``held[0]``, so the previous step's node,
-    and the forward arrays its VJP keeps, are freed only once the new one
-    exists. Freed first, that memory went back to the system and was faulted
-    in again: 200 BNN steps at K = 50 (hidden 50) took 38.6k minor page
-    faults rather than 18.8k, and 0.52 s rather than 0.48 s (medians of 8
-    interleaved runs on a 2-vCPU host).
+    The builder stores its (log weights, VJP) pair in ``held[0]``, so the
+    previous step's pair, and the forward arrays its VJP keeps, are freed
+    only once the new one exists. Freed first, that memory went back to the
+    system and was faulted in again: 200 BNN steps at K = 50 (hidden 50)
+    took 38.6k minor page faults rather than 18.8k, and 0.52 s rather than
+    0.48 s (medians of 8 interleaved runs on a 2-vCPU host).
     """
     vae = isinstance(model, VAEModel)
     rows = x[batch_idx]
@@ -351,11 +349,11 @@ def _batch_builder(model, params, x, y, batch_idx, held: list):
         draw_shape = params["mu"].shape
         targets, scale = y[batch_idx], float(x.shape[0]) / batch_idx.shape[0]
 
-    def build(nodes, noise):
+    def build(values, noise):
         if vae:
-            held[0] = model.log_weight_rows(nodes, rows, noise)
+            held[0] = model.log_weight_rows(values, rows, noise)
         else:
-            held[0] = posterior_log_weights(model, nodes, rows, targets, noise, scale)
+            held[0] = posterior_log_weights(model, values, rows, targets, noise, scale)
         return held[0]
 
     return draw_shape, build

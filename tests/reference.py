@@ -1,28 +1,39 @@
 """Reference constructions that the library's written-out gradients are
 checked against.
 
-Every model's log weights are one tape node in the library, with a VJP
-written out by hand (``vrbound.autodiff.fused``). This module keeps what
-the tests compare those nodes to: a graph of generic operations, each with
-its own vector-Jacobian product, and the models' log weights built from it
-(``posterior_log_weights`` for BLR and BNN, ``vae_log_weights``);
-``finite_diff_check``, central differences of any gradient; and
-``gaussian_kl``, a second formula for KL[p||q] between Gaussians, which the
-library's closed-form divergence is checked against at order 1.
+The library has no tape: each model's log-weight builder returns its log
+weights with a vector-Jacobian product written out by hand. This module
+keeps what the tests compare those to: a minimal reverse-mode tape of
+generic operations, each with its own vector-Jacobian product, and the
+models' log weights built on it (``posterior_log_weights`` for BLR and BNN,
+``vae_log_weights``); ``as_builder``, which gives a graph the builders'
+(log weights, VJP) contract so that ``vr_grad`` runs on it;
+``finite_diff_check``, central differences of any gradient; ``gaussian_kl``,
+a second formula for KL[p||q] between Gaussians, which the library's
+closed-form divergence is checked against at order 1; and ``save_csv``,
+which writes the CSV datasets that the CLI tests load.
 
-The operations: arithmetic with numpy broadcasting (also as the operators
-of this module's ``Node``), matrix products that batch over leading axes as
-``@`` does, exp/tanh/ReLU, sums, reshapes and last-axis slices, a dense
-layer and a Bernoulli output layer as single nodes, and Gaussian log
-densities summed over the last axis. Their values come from the same numpy
-operations, in the same order, as the library's array kernels. Numbers and
-arrays enter an operation as constants, which get no gradient, and an
-operation with no node operand folds to a plain ndarray. Broadcasting is
-undone by summing over the broadcast axes.
+The tape: ``Node`` holds a value and, unless it is a leaf, its parents and
+a VJP; ``fused(out, operands, vjp)`` makes a node over ``out`` whose
+gradients one function returns; ``backward`` accumulates vector-Jacobian
+products from a seed in decreasing creation number (a node is always made
+after its operands, so no order is computed); ``gradients`` gives the named
+leaves' gradients in one flat vector. The operations: arithmetic with numpy
+broadcasting (also as ``Node``'s operators), matrix products that batch over
+leading axes as ``@`` does, exp/tanh/ReLU, sums, reshapes and last-axis
+slices, a dense layer and a Bernoulli output layer as single nodes, and
+Gaussian log densities summed over the last axis. Their values come from
+the same numpy operations, in the same order, as the library's array
+kernels. Numbers and arrays enter an operation as constants, which get no
+gradient, and an operation with no node operand folds to a plain ndarray.
+Broadcasting is undone by summing over the broadcast axes.
 """
 
 from __future__ import annotations
 
+import csv
+import heapq
+import itertools
 import math
 from typing import Callable
 
@@ -35,15 +46,30 @@ from vrbound.models.bnn import BNNModel
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-class Node(ad.Node):
-    """A tape node with arithmetic operators; plain numbers and arrays are
-    constants."""
+class Node:
+    """A value in the computation graph, with arithmetic operators; leaves
+    carry the parameters, and plain numbers and arrays are constants.
 
-    __slots__ = ()
+    ``parents`` holds the operands that are nodes, and ``vjp(g)`` returns
+    their gradients, in the same order, from ``g`` at this node. A leaf has
+    neither."""
+
+    __slots__ = ("value", "parents", "vjp", "number")
+
+    _numbers = itertools.count()  # creation order, which backward() visits
 
     # Make numpy defer to the reflected operators instead of coercing a Node
     # into an object array.
     __array_ufunc__ = None
+
+    def __init__(self, value, parents=(), vjp=None):
+        self.value = np.asarray(value, dtype=float)
+        self.parents = parents
+        self.vjp = vjp
+        self.number = next(Node._numbers)
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"Node(shape={self.value.shape})"
 
     def __add__(self, other):
         return add(self, other)
@@ -76,6 +102,97 @@ class Node(ad.Node):
         return matmul(self, other)
 
 
+def _value(x) -> np.ndarray:
+    """The float array of a node, or of a constant."""
+    return x.value if isinstance(x, Node) else np.asarray(x, dtype=float)
+
+
+def fused(out, operands: dict, vjp):
+    """A node over ``out`` whose parents are the operands that are nodes, for
+    an operation whose gradients are written out as one function: ``vjp(g)``
+    returns the gradient of each operand that is a node, as a dict with the
+    keys of ``operands``. With no node operand, ``out`` comes back as a
+    float array."""
+    names = [name for name, operand in operands.items() if isinstance(operand, Node)]
+    if not names:
+        return np.asarray(out, dtype=float)
+
+    def node_vjp(g):
+        grads = vjp(g)
+        return [grads[name] for name in names]
+
+    return Node(out, tuple(operands[name] for name in names), node_vjp)
+
+
+def backward(root: Node, seed=None) -> dict[Node, np.ndarray]:
+    """The gradient of every leaf reachable from ``root`` (a node without a
+    VJP), starting from ``seed``, the gradient at the root (by default ones
+    at a scalar root). Another node's gradient is dropped once its VJP has
+    run."""
+    if seed is None and root.value.size != 1:
+        raise ValueError("backward expects a scalar root, or a seed")
+    seed = np.ones_like(root.value) if seed is None else np.asarray(seed, dtype=float)
+    if seed.shape != root.value.shape:
+        raise ValueError(f"seed shape {seed.shape} differs from the root's {root.value.shape}")
+    # A node is made after its parents, so visiting the nodes that have a
+    # gradient pending in decreasing creation number visits each after every
+    # node it feeds: its gradient is complete when it is taken.
+    grads: dict[Node, np.ndarray] = {root: seed}
+    at_leaves = {}
+    pending = [(-root.number, root)]
+    while pending:
+        node = heapq.heappop(pending)[1]
+        g = grads.pop(node)
+        if node.vjp is None:
+            at_leaves[node] = g
+            continue
+        for parent, contribution in zip(node.parents, node.vjp(g)):
+            contribution = np.asarray(contribution, dtype=float)
+            if parent in grads:
+                grads[parent] = grads[parent] + contribution
+            else:
+                grads[parent] = contribution
+                heapq.heappush(pending, (-parent.number, parent))
+    return at_leaves
+
+
+def gradients(
+    root: Node, leaves: dict[str, Node], seed=None, out: np.ndarray | None = None
+) -> dict[str, np.ndarray]:
+    """Backward pass from ``seed`` (see ``backward``); each named leaf's
+    gradient, as a view of one float vector of the leaves' total size that
+    holds them in the order of ``leaves``: ``out`` if given, else a new one.
+    A leaf the pass does not reach gets zeros."""
+    at_leaves = backward(root, seed)
+    if out is None:
+        out = np.empty(sum(node.value.size for node in leaves.values()))
+    grads, start = {}, 0
+    for name, node in leaves.items():
+        grads[name] = view = out[start : start + node.value.size].reshape(node.value.shape)
+        view[...] = at_leaves.get(node, 0.0)
+        start += node.value.size
+    return grads
+
+
+def as_builder(graph_fn):
+    """A log-weight builder for ``vr_grad`` from a reference graph:
+    ``graph_fn(leaves, noise)`` gets one leaf per parameter and returns the
+    log-weight node, and the builder returns its value and a VJP that runs
+    one backward pass from ``g``, giving every leaf it reaches."""
+
+    def build(params, noise):
+        leaves = {name: Node(v) for name, v in params.items()}
+        root = graph_fn(leaves, noise)
+
+        def vjp(g):
+            at_leaves = backward(root, g)
+            return {name: at_leaves[leaf] for name, leaf in leaves.items() if leaf in at_leaves}
+
+        return root.value, vjp
+
+    return build
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting); a
     gradient that already has the shape comes back as it is."""
@@ -94,18 +211,10 @@ def _op(out, *edges):
     """A node over ``out`` whose parents are the operands that are nodes.
     Each edge is (operand, VJP); a constant operand (a number or an array)
     gets none. With no node operand, ``out`` comes back as a float array."""
-    edges = [edge for edge in edges if isinstance(edge[0], ad.Node)]
+    edges = [edge for edge in edges if isinstance(edge[0], Node)]
     if not edges:
         return np.asarray(out, dtype=float)
     return Node(out, tuple(edge[0] for edge in edges), lambda g: [vjp(g) for _, vjp in edges])
-
-
-def _fused(out, operands: dict, vjp):
-    """``ad.fused``, as a node with this module's operators."""
-    node = ad.fused(out, operands, vjp)
-    if isinstance(node, ad.Node):
-        node.__class__ = Node
-    return node
 
 
 # ----------------------------------------------------------------------
@@ -113,7 +222,7 @@ def _fused(out, operands: dict, vjp):
 
 
 def add(a, b):
-    va, vb = ad.value(a), ad.value(b)
+    va, vb = _value(a), _value(b)
     return _op(
         va + vb,
         (a, lambda g: _unbroadcast(g, va.shape)),
@@ -122,7 +231,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    va, vb = ad.value(a), ad.value(b)
+    va, vb = _value(a), _value(b)
     return _op(
         va - vb,
         (a, lambda g: _unbroadcast(g, va.shape)),
@@ -131,7 +240,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    va, vb = ad.value(a), ad.value(b)
+    va, vb = _value(a), _value(b)
     return _op(
         va * vb,
         (a, lambda g: _unbroadcast(g * vb, va.shape)),
@@ -140,7 +249,7 @@ def mul(a, b):
 
 
 def div(a, b):
-    va, vb = ad.value(a), ad.value(b)
+    va, vb = _value(a), _value(b)
     return _op(
         va / vb,
         (a, lambda g: _unbroadcast(g / vb, va.shape)),
@@ -177,7 +286,7 @@ def _matmul_vjps(va: np.ndarray, vb: np.ndarray):
 
 def matmul(a, b):
     """``a @ b`` with numpy semantics (see ``_matmul_vjps``)."""
-    va, vb = ad.value(a), ad.value(b)
+    va, vb = _value(a), _value(b)
     vjp_a, vjp_b = _matmul_vjps(va, vb)
     return _op(va @ vb, (a, vjp_a), (b, vjp_b))
 
@@ -186,8 +295,8 @@ def dense(x, w, b, act: str | None = None):
     """``ad.dense`` as one node: the layer's value, and the gradients of
     the inputs that are nodes, from the gradient at the pre-activation,
     which is recovered from the output."""
-    xv, wv = ad.value(x), ad.value(w)
-    out = ad.dense(xv, wv, ad.value(b), act)
+    xv, wv = _value(x), _value(w)
+    out = ad.dense(xv, wv, _value(b), act)
 
     def pre(g):
         if act == "tanh":
@@ -197,7 +306,7 @@ def dense(x, w, b, act: str | None = None):
         return g
 
     product_shape = np.shape(xv @ wv)
-    return _fused(out, {"x": x, "w": w, "b": b}, _affine_vjp(x, w, b, product_shape, pre))
+    return fused(out, {"x": x, "w": w, "b": b}, _affine_vjp(x, w, b, product_shape, pre))
 
 
 def _affine_vjp(x, w, b, product_shape: tuple, pre):
@@ -207,14 +316,14 @@ def _affine_vjp(x, w, b, product_shape: tuple, pre):
     def vjp(g):
         gz = pre(g)
         grads = {}
-        if isinstance(x, ad.Node) or isinstance(w, ad.Node):
-            product_vjp_x, product_vjp_w = _matmul_vjps(ad.value(x), ad.value(w))
+        if isinstance(x, Node) or isinstance(w, Node):
+            product_vjp_x, product_vjp_w = _matmul_vjps(_value(x), _value(w))
             g_product = _unbroadcast(gz, product_shape)
-            if isinstance(x, ad.Node):
+            if isinstance(x, Node):
                 grads["x"] = product_vjp_x(g_product)
-            if isinstance(w, ad.Node):
+            if isinstance(w, Node):
                 grads["w"] = product_vjp_w(g_product)
-        if isinstance(b, ad.Node):
+        if isinstance(b, Node):
             grads["b"] = _unbroadcast(gz, b.value.shape)
         return grads
 
@@ -222,23 +331,23 @@ def _affine_vjp(x, w, b, product_shape: tuple, pre):
 
 
 def exp(a):
-    out = np.exp(ad.value(a))
+    out = np.exp(_value(a))
     return _op(out, (a, lambda g: g * out))
 
 
 def tanh(a):
-    out = np.tanh(ad.value(a))
+    out = np.tanh(_value(a))
     return _op(out, (a, lambda g: g * (1.0 - out * out)))
 
 
 def relu(a):
-    va = ad.value(a)
+    va = _value(a)
     mask = va > 0.0
     return _op(np.where(mask, va, 0.0), (a, lambda g: g * mask))
 
 
 def vsum(a, axis: int | None = None):
-    va = ad.value(a)
+    va = _value(a)
 
     def vjp(g):
         if axis is None:
@@ -249,12 +358,12 @@ def vsum(a, axis: int | None = None):
 
 
 def reshape(a, shape: tuple[int, ...]):
-    return _op(ad.value(a).reshape(shape), (a, lambda g: np.asarray(g).reshape(a.value.shape)))
+    return _op(_value(a).reshape(shape), (a, lambda g: np.asarray(g).reshape(a.value.shape)))
 
 
 def slice1d(a, start: int, stop: int):
     """``a[..., start:stop]``: a slice of the last axis."""
-    va = ad.value(a)
+    va = _value(a)
 
     def vjp(g):
         out = np.zeros_like(va)
@@ -271,19 +380,19 @@ def slice1d(a, start: int, stop: int):
 def std_normal_logpdf_rows(x):
     """The N(0, I) log density summed over the last axis, as
     ``ad.std_normal_logpdf_rows`` computes it."""
-    return vsum(mul(x, x), axis=-1) * (-0.5) + (-0.5 * ad.value(x).shape[-1] * LOG_2PI)
+    return vsum(mul(x, x), axis=-1) * (-0.5) + (-0.5 * _value(x).shape[-1] * LOG_2PI)
 
 
 def normal_logpdf_rows(x, mean, log_std):
     """Gaussian log density summed over the last axis, as
     ``ad.normal_logpdf_rows`` computes it (which see for the shapes)."""
-    shape = np.broadcast_shapes(ad.value(x).shape, ad.value(mean).shape)
+    shape = np.broadcast_shapes(_value(x).shape, _value(mean).shape)
     if not shape:
         raise ValueError("normal_logpdf_rows expects observations with a last axis")
     d = shape[-1]
     z = sub(x, mean) * exp(mul(log_std, -1.0))
     quad = vsum(z * z, axis=-1) * (-0.5)
-    scales = ad.value(log_std)
+    scales = _value(log_std)
     if scales.ndim >= 2:
         row_logdet = vsum(log_std, axis=-1) * (d / scales.shape[-1])
     else:
@@ -298,13 +407,13 @@ def bernoulli_dense_rows(x, w, b, targets: np.ndarray):
     ``ad.bernoulli_rows_at_logits``'s, from which x, w and b get theirs as
     through an affine layer."""
     out, softplus, inside = ad.bernoulli_rows_forward(
-        ad.value(x), ad.value(w), ad.value(b), targets
+        _value(x), _value(w), _value(b), targets
     )
 
     def at_logits(g):
         return ad.bernoulli_rows_at_logits(softplus, inside, targets, g)
 
-    return _fused(out, {"x": x, "w": w, "b": b}, _affine_vjp(x, w, b, softplus.shape, at_logits))
+    return fused(out, {"x": x, "w": w, "b": b}, _affine_vjp(x, w, b, softplus.shape, at_logits))
 
 
 # ----------------------------------------------------------------------
@@ -331,13 +440,13 @@ def bnn_predict(model, theta, x):
     """BNN outputs for inputs x, theta unpacked as (W1, b1, W2, b2) by
     slices of its last axis."""
     d, h = model.in_dim, model.hidden
-    lead = ad.value(theta).shape[:-1]
+    lead = _value(theta).shape[:-1]
     w1 = reshape(slice1d(theta, 0, d * h), lead + (d, h))
     b1 = reshape(slice1d(theta, d * h, d * h + h), lead + (1, h))
     w2 = reshape(slice1d(theta, d * h + h, d * h + 2 * h), lead + (h, 1))
     b2 = slice1d(theta, d * h + 2 * h, d * h + 2 * h + 1)
     out = matmul(dense(x, w1, b1, "relu"), w2)
-    return reshape(out, ad.value(out).shape[:-1]) + b2
+    return reshape(out, _value(out).shape[:-1]) + b2
 
 
 def _bnn_log_lik(model, theta, params, x, y):
@@ -427,3 +536,23 @@ def gaussian_kl(p: GaussianDist, q: GaussianDist) -> float:
     diff = q.mean - p.mean
     quad = float(diff @ cho_solve(cq, diff))
     return 0.5 * (trace + quad - p.dim + q.log_det_cov - p.log_det_cov)
+
+
+# ----------------------------------------------------------------------
+# CSV datasets
+
+
+def save_csv(path, features: np.ndarray, targets: np.ndarray | None = None) -> None:
+    """Write a dataset as a headered CSV (x0..xd / pixel columns plus y)."""
+    features = np.asarray(features)
+    header = [f"x{i}" for i in range(features.shape[1])]
+    if targets is not None:
+        header.append("y")
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for i in range(features.shape[0]):
+            row = [repr(float(v)) for v in features[i]]
+            if targets is not None:
+                row.append(repr(float(targets[i])))
+            writer.writerow(row)

@@ -17,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrbound
+from reference import save_csv
 from vrbound import GaussianDist, TrainingDiverged, cli, renyi_gaussian
 from vrbound.cli import main
 from vrbound.io import load_params, save_params
-from vrbound.models.data import save_csv, synthetic_regression
+from vrbound.models.data import synthetic_regression
 from vrbound.models.vae import VAEModel
 
 

@@ -18,7 +18,6 @@ from vrbound import (
     synthetic_blr_instance,
     vr_grad,
 )
-from vrbound import autodiff as ad
 from vrbound.gradients import log_weight_ratio
 
 ALL_BRANCH_ALPHAS = (-math.inf, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf)
@@ -120,19 +119,18 @@ class TestSelectBackpropSample:
 def _toy_builder():
     """1-D Gaussian variational fit of a fixed 1-D Gaussian joint density."""
 
-    def build(nodes, eps):
+    def graph(nodes, eps):
         theta, log_q = ref.gaussian_reparam(nodes["mu"], nodes["rho"], eps)
         log_joint = ref.normal_logpdf_rows(theta, np.array([0.7]), np.array([0.3]))
         return log_joint - log_q
 
     params = {"mu": np.array([-0.4]), "rho": np.array([0.2])}
-    return build, params
+    return ref.as_builder(graph), params
 
 
 def _estimate(build, params, noises, alpha):
     """The bound estimate over the builder's log weights, one per noise draw."""
-    nodes = {name: ad.Node(value) for name, value in params.items()}
-    return mc_vr_estimate([float(build(nodes, eps).value) for eps in noises], alpha)
+    return mc_vr_estimate([float(build(params, eps)[0]) for eps in noises], alpha)
 
 
 def _flatten(params, names):
@@ -166,8 +164,8 @@ class TestVrGrad:
     def test_all_alpha_branches_match_fd(self):
         model = synthetic_blr_instance(seed=5, n_data=10)
 
-        def build(nodes, eps):
-            return posterior_log_weights(model, nodes, model.design, model.targets, eps, 1.0)
+        def build(params, eps):
+            return posterior_log_weights(model, params, model.design, model.targets, eps, 1.0)
 
         rng = np.random.default_rng(3)
         params = {"mu": rng.standard_normal(2) * 0.5, "rho": rng.standard_normal(2) * 0.3}
@@ -224,11 +222,33 @@ class TestVrGrad:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_log_weight_reports_sample(self):
-        def build(nodes, eps):
+        def graph(nodes, eps):
             return ref.div(ref.mul(nodes["mu"], eps[:, 0]), 0.0)  # manufactures inf
 
         with pytest.raises(FloatingPointError, match="sample 0"):
-            vr_grad(build, {"mu": np.array(1.0)}, np.ones((1, 1)), 0.5)
+            vr_grad(ref.as_builder(graph), {"mu": np.array(1.0)}, np.ones((1, 1)), 0.5)
+
+    def test_a_plain_builder_needs_no_graph(self):
+        # log w = mu * eps with its VJP written out, and a parameter the VJP
+        # leaves out: the closed-form gradient sum_k w_hat_k eps_k, and zeros
+        noise = np.array([0.3, -1.2, 2.0])
+        calls = []
+
+        def build(params, eps):
+            def vjp(g):
+                calls.append(g)
+                return {"mu": np.sum(g * eps)}
+
+            return params["mu"] * eps, vjp
+
+        params = {"mu": np.array(0.7), "unused": np.ones(2)}
+        for alpha in (0.5, -math.inf):
+            grads, log_w = vr_grad(build, params, noise, alpha)
+            assert np.array_equal(log_w, 0.7 * noise)
+            expected = np.sum(normalize_weights(0.7 * noise, alpha) * noise)
+            assert grads["mu"] == pytest.approx(expected, rel=1e-15)
+            assert np.array_equal(grads["unused"], np.zeros(2))
+        assert len(calls) == 2
 
 
 def _vae_problem():
@@ -239,8 +259,8 @@ def _vae_problem():
     x = (rng.random((3, 3)) < 0.5).astype(float)
     eps = rng.standard_normal((4, 3, 2))
 
-    def build(nodes, noise):
-        return model.log_weight_rows(nodes, x, noise)
+    def build(params, noise):
+        return model.log_weight_rows(params, x, noise)
 
     return model, params, x, eps, build
 
@@ -257,8 +277,8 @@ class TestVrGradWeightSets:
             assert log_w.shape == (4, 3)
 
             def f(v, a=alpha):
-                nodes = {n: ad.Node(w) for n, w in _unflatten(v, params, names).items()}
-                return float(np.mean(mc_vr_estimate(build(nodes, eps).value, a, axis=0)))
+                log_w = build(_unflatten(v, params, names), eps)[0]
+                return float(np.mean(mc_vr_estimate(log_w, a, axis=0)))
 
             err = finite_diff_check(f, flat, _flatten(grads, names), step=1e-5)
             assert err < 1e-4, f"alpha={alpha}: rel err {err}"
@@ -271,7 +291,7 @@ class TestVrGradWeightSets:
             accum = {name: np.zeros_like(value) for name, value in params.items()}
             for i, j in enumerate(picks):
                 gi, _ = vr_grad(
-                    lambda nodes, noise, i=i: model.log_weight_rows(nodes, x[i : i + 1], noise),
+                    lambda values, noise, i=i: model.log_weight_rows(values, x[i : i + 1], noise),
                     params,
                     eps[j : j + 1, i : i + 1],
                     alpha,
@@ -302,10 +322,15 @@ class TestVrGradWeightSets:
 
     def test_builder_must_return_the_draws_on_axis_0(self):
         model, params, x, eps, build = _vae_problem()
+
+        def summed(values, noise):
+            log_w, vjp = build(values, noise)
+            return np.sum(log_w), vjp
+
         with pytest.raises(ValueError, match="4 draws on axis 0"):
-            vr_grad(lambda nodes, noise: ref.vsum(build(nodes, noise)), params, eps, 0.5)
+            vr_grad(summed, params, eps, 0.5)
         with pytest.raises(ValueError, match="4 draws on axis 0"):
-            vr_grad(lambda nodes, noise: build(nodes, noise[0]), params, eps, 0.5)
+            vr_grad(lambda values, noise: build(values, noise[0]), params, eps, 0.5)
 
     def test_nonfinite_log_weight_reports_sample_and_set(self):
         model, params, x, eps, build = _vae_problem()
@@ -330,7 +355,7 @@ def test_a_non_finite_vae_gradient_names_the_parameter_and_the_suspects():
     message = r"^non-finite gradient for parameter 'enc_w1' \(suspect samples: \[1\]\)$"
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match=message):
-            vr_grad(lambda nodes, eps: vae.log_weight_rows(nodes, x, eps), params, noise, 0.5)
+            vr_grad(lambda values, eps: vae.log_weight_rows(values, x, eps), params, noise, 0.5)
 
 
 class TestVrGradChecks:
@@ -342,10 +367,11 @@ class TestVrGradChecks:
 
     @staticmethod
     def _grad(offsets, alpha=0.5, select=False):
-        def build(nodes, noise):
+        def graph(nodes, noise):
             return ref.add(ref.mul(nodes["mu"], noise), offsets)
 
         rng = np.random.default_rng(0) if select else None
+        build = ref.as_builder(graph)
         return vr_grad(build, {"mu": np.array(0.5)}, TestVrGradChecks.NOISE, alpha, rng)
 
     @pytest.mark.parametrize("select", [False, True], ids=["weighted", "selected"])

@@ -11,7 +11,7 @@ import pytest
 from scipy import stats
 
 import reference as ref
-from reference import finite_diff_check
+from reference import finite_diff_check, save_csv
 from vrbound import (
     BLRModel,
     BNNModel,
@@ -32,7 +32,7 @@ from vrbound import (
 from vrbound import autodiff as ad
 from vrbound.models import blr as blr_module
 from vrbound.models import vae as vae_module
-from vrbound.models.data import dataset_content_hash, load_csv, save_csv
+from vrbound.models.data import dataset_content_hash, load_csv
 from vrbound.training import posterior_log_weights
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -285,6 +285,18 @@ class TestMeanFieldFit:
         closed = np.diag(lam) + abs(lam[0, 1]) * np.array([ratio, 1.0 / ratio])
         np.testing.assert_allclose(1.0 / fit.q.variances, closed, rtol=1e-9)
         assert fit.bound <= blr_mean_field_fit(model, 512.0).bound
+
+    def test_mode_seeking_fits_converge_where_the_posterior_is_the_prior(self):
+        # At noise 1e9 and above, Lam = I to within rounding: the +inf fit
+        # starts at its minimum, where the top eigenvalue of its objective
+        # is repeated, and stops there with variances 1 and zero iterations.
+        model = synthetic_blr_instance(seed=0)
+        for sigma in (1e9, 1e10, 1e11, 1e12, 1e13):
+            at_sigma = model.with_noise(sigma)
+            for alpha in (2.0, 30.0, math.inf):
+                fit = blr_mean_field_fit(at_sigma, alpha)
+                assert fit.converged, (sigma, alpha, fit.iterations)
+                np.testing.assert_allclose(fit.q.variances, 1.0, rtol=1e-9)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, math.inf])
     def test_fit_bound_is_the_exact_bound_of_its_q(self, alpha):
@@ -565,12 +577,10 @@ class TestVae:
             return out
 
         def f(v):
-            nodes = {k: ad.Node(val) for k, val in unflatten(v).items()}
-            return float(ref.vsum(vae.log_weight_rows(nodes, x, eps)).value)
+            return float(np.sum(vae.log_weight_rows(unflatten(v), x, eps)[0]))
 
-        nodes = {k: ad.Node(v) for k, v in params.items()}
-        root = ref.vsum(vae.log_weight_rows(nodes, x, eps))
-        grads = ad.gradients(root, nodes)
+        log_w, vjp = vae.log_weight_rows(params, x, eps)
+        grads = vjp(np.ones(log_w.shape))
         err = finite_diff_check(f, flatten(params), flatten(grads))
         assert err < 1e-4
 
@@ -591,10 +601,9 @@ class TestVae:
         x = (rng.random((5, 8)) > 0.5).astype(float)
         eps = np.random.default_rng(60).standard_normal((3, 5, 2))
         lw = vae.log_weight_matrix(params, x, np.random.default_rng(60), 3)
-        nodes = {k: ad.Node(v) for k, v in params.items()}
         for k in range(3):
             np.testing.assert_allclose(
-                lw[:, k], vae.log_weight_rows(nodes, x, eps[k]).value, atol=1e-12
+                lw[:, k], vae.log_weight_rows(params, x, eps[k])[0], atol=1e-12
             )
 
     # (K, n, chunks): one draw's (n, data_dim = 8) array takes 64 n bytes,
@@ -624,7 +633,7 @@ class TestVae:
         decoded = _count_kernel_calls(monkeypatch)
         lw = vae.log_weight_matrix(params, x, np.random.default_rng(70), k)
         assert len(decoded) == chunks and sum(decoded) == k
-        assert np.array_equal(lw, vae.log_weight_rows(params, x, eps).T)
+        assert np.array_equal(lw, vae.log_weight_rows(params, x, eps)[0].T)
 
     def test_bad_likelihood_rejected(self):
         with pytest.raises(ValueError, match="likelihood"):
@@ -656,8 +665,8 @@ def _clipped_share(vae, params, x, eps) -> float:
 
 
 class TestVaeNode:
-    """On leaves, ``log_weight_rows`` is one tape node whose VJP is written
-    out; its values and gradients are checked against the reference graph
+    """``log_weight_rows`` returns the log weights and their written-out
+    VJP; its values and gradients are checked against the reference graph
     of generic operations (``reference.vae_log_weights``), and its
     gradients against central differences."""
 
@@ -698,10 +707,9 @@ class TestVaeNode:
             return {name: part.reshape(params[name].shape) for name, part in zip(names, parts)}
 
         def f(v):
-            return float(np.sum(vae.log_weight_rows(unflatten(v), x, eps) * seed))
+            return float(np.sum(vae.log_weight_rows(unflatten(v), x, eps)[0] * seed))
 
-        nodes = {name: ad.Node(v) for name, v in params.items()}
-        grads = ad.gradients(vae.log_weight_rows(nodes, x, eps), nodes, seed)
+        grads = vae.log_weight_rows(params, x, eps)[1](seed)
         flat = np.concatenate([params[name].ravel() for name in names])
         analytic = np.concatenate([grads[name].ravel() for name in names])
         assert finite_diff_check(f, flat, analytic) < 1e-6
@@ -715,63 +723,59 @@ class TestVaeNode:
         seed = np.random.default_rng(6).standard_normal(eps.shape[:-1])
 
         def run(build):
-            nodes = {name: ad.Node(v) for name, v in params.items()}
-            node = build(nodes)
-            return node.value, ad.gradients(node, nodes, seed)
+            log_w, vjp = build(params, eps)
+            return log_w, vjp(seed)
 
-        got_value, got = run(lambda nodes: vae.log_weight_rows(nodes, x, eps))
-        want_value, want = run(lambda nodes: ref.vae_log_weights(vae, nodes, x, eps))
+        got_value, got = run(lambda values, noise: vae.log_weight_rows(values, x, noise))
+        want_value, want = run(
+            ref.as_builder(lambda nodes, noise: ref.vae_log_weights(vae, nodes, x, noise))
+        )
         assert np.array_equal(got_value, want_value)
         for name, g in want.items():
             assert got[name].shape == g.shape
             assert np.max(np.abs(got[name] - g)) <= 1e-13 * np.max(np.abs(g)), name
 
-    def test_one_node_on_the_leaves(self, monkeypatch):
-        vae, params, x, eps = self._inputs("bernoulli", 4)
-        nodes = {name: ad.Node(v) for name, v in params.items()}
-        built = []
-        init = ad.Node.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(None)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(ad.Node, "__init__", counted)
-        node = vae.log_weight_rows(nodes, x, eps)
-        assert len(built) == 1
-        assert {id(parent) for parent in node.parents} == {id(leaf) for leaf in nodes.values()}
+    @pytest.mark.parametrize("likelihood", ["bernoulli", "gaussian"])
+    def test_an_array_and_a_vjp_of_every_parameter(self, likelihood):
+        vae, params, x, eps = self._inputs(likelihood, 4)
+        log_w, vjp = vae.log_weight_rows(params, x, eps)
+        assert type(log_w) is np.ndarray and log_w.shape == (4, 3)
+        grads = vjp(np.ones(log_w.shape))
+        assert set(grads) == set(params)
+        for name, value in params.items():
+            assert grads[name].shape == value.shape, name
 
     def test_the_vjp_runs_once_per_backward_pass(self, monkeypatch):
         vae, params, x, eps = self._inputs("gaussian", 4)
         calls = []
-        vjp = VAEModel._log_weight_vjp
+        written = VAEModel._log_weight_vjp
 
         def counted(self, *args):
             calls.append(None)
-            return vjp(self, *args)
+            return written(self, *args)
 
         monkeypatch.setattr(VAEModel, "_log_weight_vjp", counted)
-        nodes = {name: ad.Node(v) for name, v in params.items()}
-        node = vae.log_weight_rows(nodes, x, eps)
-        first = ad.gradients(node, nodes, np.ones(node.value.shape))
+        log_w, vjp = vae.log_weight_rows(params, x, eps)
+        assert calls == []
+        first = vjp(np.ones(log_w.shape))
         assert len(calls) == 1
-        again = ad.gradients(node, nodes, np.full(node.value.shape, 2.0))
+        again = vjp(np.full(log_w.shape, 2.0))
         assert len(calls) == 2
         for name in params:
             np.testing.assert_allclose(again[name], 2.0 * first[name], rtol=1e-15)
 
     def test_input_checks_are_kept(self):
         vae, params, x, eps = self._inputs("bernoulli", 4)
-        nodes = {name: ad.Node(v) for name, v in params.items()}
         with pytest.raises(ValueError, match="eps must have shape"):
-            vae.log_weight_rows(nodes, x, eps[:, :2])
+            vae.log_weight_rows(params, x, eps[:, :2])
         with pytest.raises(ValueError, match="targets"):
-            vae.log_weight_rows(nodes, x[0], eps[:, 0])
+            vae.log_weight_rows(params, x[0], eps[:, 0])
 
 
 class TestPosteriorNode:
-    """On leaves, ``posterior_log_weights`` is one tape node whose VJP chains
-    the model's written-out likelihood VJP into ``GaussianReparam.vjp``. For
+    """``posterior_log_weights`` returns the log weights and a VJP that
+    chains the model's written-out likelihood VJP into
+    ``GaussianReparam.vjp``. For
     BLR and BNN, at one draw and at five, with normalized weights and with
     single-backprop selection, its log weights and gradients are checked
     against the reference graph (``reference.posterior_log_weights``), and
@@ -795,19 +799,22 @@ class TestPosteriorNode:
             x, y = rng.standard_normal((6, 2)), rng.standard_normal(6)
         return model, params, x, y, rng.standard_normal((k, params["mu"].size))
 
-    def _vr_grad(self, kind, k, select, builder=posterior_log_weights):
+    def _vr_grad(self, kind, k, select, reference=False):
         model, params, x, y, noise = self._inputs(kind, k)
-
-        def build(nodes, eps):
-            return builder(model, nodes, x, y, eps, self.SCALE[kind])
-
+        scale = self.SCALE[kind]
+        if reference:
+            build = ref.as_builder(
+                lambda nodes, eps: ref.posterior_log_weights(model, nodes, x, y, eps, scale)
+            )
+        else:
+            build = lambda values, eps: posterior_log_weights(model, values, x, y, eps, scale)
         rng = np.random.default_rng(8) if select else None
         return vr_grad(build, params, noise, 0.5, rng)
 
     @pytest.mark.parametrize("kind, k, select", CASES)
     def test_equal_to_the_reference_graph(self, kind, k, select):
         got, got_log_w = self._vr_grad(kind, k, select)
-        want, want_log_w = self._vr_grad(kind, k, select, ref.posterior_log_weights)
+        want, want_log_w = self._vr_grad(kind, k, select, reference=True)
         assert got_log_w.tobytes() == want_log_w.tobytes()
         assert list(got) == list(want)
         for name, g in want.items():
@@ -832,7 +839,7 @@ class TestPosteriorNode:
         def f(v):
             parts = np.split(v, np.cumsum(sizes)[:-1])
             values = {name: part.reshape(params[name].shape) for name, part in zip(names, parts)}
-            log_w = posterior_log_weights(model, values, x, y, noise, self.SCALE[kind])
+            log_w = posterior_log_weights(model, values, x, y, noise, self.SCALE[kind])[0]
             return float(np.sum(weights * log_w))
 
         flat = np.concatenate([params[name].ravel() for name in names])
@@ -840,29 +847,43 @@ class TestPosteriorNode:
         assert finite_diff_check(f, flat, analytic) < 1e-6
 
 
-@pytest.mark.parametrize("kind, built", [("blr", 3), ("bnn", 4), ("vae", 11)])
-def test_a_vr_grad_call_builds_the_leaves_and_one_node(monkeypatch, kind, built):
+@pytest.mark.parametrize("kind", ["blr", "bnn", "vae"])
+def test_a_vr_grad_call_runs_the_vjp_once(monkeypatch, kind):
+    # one forward pass, one call of the builder's VJP, and within it one of
+    # the VJP that every model chains into
+    calls = {"build": 0, "vjp": 0, "reparam": 0}
+    reparam_vjp = vae_module.GaussianReparam.vjp
+
+    def counted_reparam(self, *args):
+        calls["reparam"] += 1
+        return reparam_vjp(self, *args)
+
+    def counted(build):
+        def counted_build(values, noise):
+            calls["build"] += 1
+            log_w, vjp = build(values, noise)
+
+            def counted_vjp(g):
+                calls["vjp"] += 1
+                return vjp(g)
+
+            return log_w, counted_vjp
+
+        return counted_build
+
+    monkeypatch.setattr(vae_module.GaussianReparam, "vjp", counted_reparam)
     if kind == "vae":
         vae, params, x, eps = TestVaeNode._inputs("bernoulli", 4)
-
-        def step():
-            vr_grad(lambda nodes, noise: vae.log_weight_rows(nodes, x, noise), params, eps, 0.5)
-
+        build = counted(lambda values, noise: vae.log_weight_rows(values, x, noise))
+        vr_grad(build, params, eps, 0.5)
     else:
-
-        def step():
-            TestPosteriorNode()._vr_grad(kind, 5, select=False)
-
-    nodes = []
-    init = ad.Node.__init__
-
-    def counted(self, *args, **kwargs):
-        nodes.append(None)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ad.Node, "__init__", counted)
-    step()
-    assert len(nodes) == built
+        model, params, x, y, noise = TestPosteriorNode._inputs(kind, 5)
+        scale = TestPosteriorNode.SCALE[kind]
+        build = counted(
+            lambda values, eps: posterior_log_weights(model, values, x, y, eps, scale)
+        )
+        vr_grad(build, params, noise, 0.5)
+    assert calls == {"build": 1, "vjp": 1, "reparam": 1}
 
 
 class TestLogWeightMatrixWorkers:
@@ -920,7 +941,7 @@ class TestLogWeightMatrixWorkers:
         lw = self._matrix(params, x, k)
         assert len(threads) == min(workers, chunks)
         assert len(decoded) == chunks and sum(decoded) == k
-        assert np.array_equal(lw, self.VAE.log_weight_rows(params, x, eps).T)
+        assert np.array_equal(lw, self.VAE.log_weight_rows(params, x, eps)[0].T)
 
     def _check_chunks(self, monkeypatch, vae, x, k, budget, want):
         """``log_weight_matrix`` runs in chunks of ``want`` draws at
@@ -940,7 +961,7 @@ class TestLogWeightMatrixWorkers:
         eps = np.random.default_rng(self.NOISE_SEED).standard_normal(shape)
         lw = vae.log_weight_matrix(params, x, np.random.default_rng(self.NOISE_SEED), k)
         assert sorted(draws) == sorted(want)
-        assert np.array_equal(lw, vae.log_weight_rows(params, x, eps).T)
+        assert np.array_equal(lw, vae.log_weight_rows(params, x, eps)[0].T)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_gaussian_likelihood_equal_to_rows_at_any_worker_count(self, monkeypatch, workers):
@@ -973,7 +994,7 @@ class TestLogWeightMatrixWorkers:
             lw = self._matrix(params, x, 700)
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(lw, self.VAE.log_weight_rows(params, x, eps).T)
+        assert np.array_equal(lw, self.VAE.log_weight_rows(params, x, eps)[0].T)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_an_exception_in_a_later_block_propagates(self, monkeypatch, workers):
@@ -1058,7 +1079,7 @@ class TestLogWeightMatrixWorkers:
         eps = twin.standard_normal((300, 50, 2))
         rng = np.random.default_rng(self.NOISE_SEED)
         lw = self.VAE.log_weight_matrix(params, x, rng, 300)
-        assert np.array_equal(lw, self.VAE.log_weight_rows(params, x, eps).T)
+        assert np.array_equal(lw, self.VAE.log_weight_rows(params, x, eps)[0].T)
         assert rng.bit_generator.state == twin.bit_generator.state
 
 

@@ -389,7 +389,7 @@ def _check_vjps(build, inputs, seed):
     leaves = [ref.Node(value) for value in inputs]
     out = build(*leaves)
     w = np.random.default_rng(seed).standard_normal(out.value.shape)
-    grads = ad.gradients(ref.vsum(out * w), dict(enumerate(leaves)))
+    grads = ref.gradients(ref.vsum(out * w), dict(enumerate(leaves)))
     for i, value in enumerate(inputs):
 
         def f(v, i=i):
