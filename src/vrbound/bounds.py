@@ -235,7 +235,8 @@ def bias_simulation(
     the estimates converge to as K grows (-inf where the divergence is
     infinite). Every (alpha, K, repeat) cell draws its weight set from a
     generator derived from (seed, indices), so any evaluation schedule
-    produces identical numbers; each cell's sets are estimated in one call.
+    produces identical numbers; each cell's sets are scored by p and q, and
+    estimated, in one call each.
     """
     if repeats < 2:
         raise ValueError("repeats must be at least 2 to report a standard error")
@@ -250,10 +251,10 @@ def bias_simulation(
         exact = -renyi_gaussian(q, p, alpha)
         for ki, k in enumerate(ks):
             k = int(k)
-            log_w = np.empty((repeats, k))
-            for r in range(repeats):
-                theta = q.sample(np.random.default_rng([seed, ai, ki, r]), k)
-                log_w[r] = p.logpdf(theta) - q.logpdf(theta)
+            theta = np.stack(
+                [q.sample(np.random.default_rng([seed, ai, ki, r]), k) for r in range(repeats)]
+            )
+            log_w = p.logpdf(theta) - q.logpdf(theta)
             estimates = mc_vr_estimate(log_w, alpha, axis=1)
             mean = float(np.mean(estimates))
             stderr = float(np.std(estimates, ddof=1) / math.sqrt(repeats))

@@ -112,18 +112,21 @@ class GaussianDist:
     # evaluation and sampling
 
     def logpdf(self, x) -> np.ndarray | float:
-        """Log density at ``x`` with shape (d,) or (n, d)."""
+        """Log density at ``x`` with shape (d,), giving a float, or (..., d),
+        giving one value per point. A full covariance's solve takes each
+        (n, d) matrix of points, one after the other, whatever the leading
+        axes."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = np.atleast_2d(x)
-        if pts.shape[1] != self.dim:
+        if pts.shape[-1] != self.dim:
             raise ValueError(f"points must have {self.dim} columns")
         diff = pts - self.mean
         if self._variances is not None:
-            quad = np.sum(diff * diff / self._variances, axis=1)
+            quad = np.sum(diff * diff / self._variances, axis=-1)
         else:
-            z = np.linalg.solve(self._chol, diff.T)
-            quad = np.sum(z * z, axis=0)
+            z = np.linalg.solve(self._chol, np.swapaxes(diff, -1, -2))
+            quad = np.sum(z * z, axis=-2)
         out = -0.5 * (self.dim * _LOG_2PI + self._logdet + quad)
         return float(out[0]) if single else out
 

@@ -135,6 +135,9 @@ class GaussianReparam:
         self.rho = np.asarray(rho, dtype=float)
         if self.mu.shape != self.rho.shape:
             raise ValueError("mu and rho must have the same shape")
+        # what theta, log_q and vjp take of rho, whatever the noise
+        self.scale = np.exp(self.rho)
+        self.rho_sum = np.sum(self.rho, axis=-1)
 
     def theta(self, eps: np.ndarray) -> np.ndarray:
         eps = np.asarray(eps, dtype=float)
@@ -142,14 +145,17 @@ class GaussianReparam:
         if eps.shape not in (shape, eps.shape[:1] + shape):
             raise ValueError(f"eps must have shape {shape}, or (K, *{shape})")
         # the product's buffer takes mu in place: one array of the noise's size
-        theta = np.exp(self.rho) * eps
+        theta = self.scale * eps
         theta += self.mu
         return theta
 
-    def log_q(self, eps: np.ndarray) -> np.ndarray:
+    def log_q(self, eps: np.ndarray, squares=None, out=None) -> np.ndarray:
         """log q(theta(eps)) summed over the last axis: a scalar for a vector
-        ``mu``, (n,) for (n, d) rows, with a leading K axis from ``eps``."""
-        return ad.std_normal_logpdf_rows(eps) - np.sum(self.rho, axis=-1)
+        ``mu``, (n,) for (n, d) rows, with a leading K axis from ``eps``.
+        ``squares`` and ``out`` are ``ad.std_normal_logpdf_rows``'s."""
+        rows = ad.std_normal_logpdf_rows(eps, squares, out)
+        rows -= self.rho_sum
+        return rows
 
     def vjp(self, theta, eps, g, g_theta) -> tuple[np.ndarray, np.ndarray]:
         """The gradients of mu and rho, given ``g`` at the log weights
@@ -161,7 +167,7 @@ class GaussianReparam:
         draws = (-1, *self.mu.shape)
         g_mu = g_theta.reshape(draws).sum(axis=0)
         g_rho = (g_theta * eps).reshape(draws).sum(axis=0)
-        g_rho *= np.exp(self.rho)
+        g_rho *= self.scale
         g_rho += np.reshape(g, draws[:-1]).sum(axis=0)[..., None]
         return g_mu, g_rho
 

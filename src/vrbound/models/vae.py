@@ -19,11 +19,17 @@ per VJP call.
 ``log_weight_matrix`` is the value-only path of held-out evaluation, where K
 runs to thousands: it takes a noise generator and a draw count, encodes once
 and runs the rest over chunks of draws small enough to stay in cache, pulled
-by a worker per usable core. The worker that takes a chunk draws its noise
-under the lock that hands the chunk out, so the draws come in chunk order,
-and computes the chunk's log weights with the forward pass that
-``log_weight_rows`` runs. Each chunk writes its own columns of the result,
-so the result is the same, bit for bit, at any worker count.
+by a worker per usable core. What does not depend on the draws is made once
+per call: the encoding, exp(rho) and sum(rho), the decoder's biases repeated
+for every point, the likelihood's products of the data with the decoder's
+output layer, and whether that layer's logits can reach the probability
+floor's cap at all. Each worker makes one
+workspace of chunk arrays per call. The worker that takes a chunk draws its
+noise into it under the lock that hands the chunk out, so the draws come in
+chunk order, and computes the chunk's log weights in it with the forward
+pass that ``log_weight_rows`` runs on new arrays. Each chunk writes its own
+columns of the result, so the result is the same, bit for bit, at any
+worker count.
 """
 
 from __future__ import annotations
@@ -42,16 +48,17 @@ from ..gradients import GaussianReparam
 # Byte budget of one float64 (rows, n * max(data_dim, hidden, latent_dim))
 # array of a chunk of draws in ``log_weight_matrix``. A chunk is a few dozen
 # numpy operations, and a worker holds the GIL between them, so a chunk must
-# be long enough for the arithmetic, which runs without the GIL, to dominate:
-# on 2 cores, a 5000-draw call on 100 points of width 64 took about 5% longer
-# at 1 MiB (20 draws a chunk) than at 1.5 MiB (30), and about as long at
-# 2 MiB. A chunk holds three arrays of the noise's width at once (the noise,
-# the latents, and the square of one of them that the prior or log q
-# takes), so at latent width 50 two workers peaked at 7.3-9.4 MiB at 1.5 MiB
-# and 11.5-12.5 MiB at 2 MiB. Evaluating 100 points at
-# k_ref 5000 twice in a fresh process (``tests/test_training.py``'s fault
-# probe) took 3.0-3.2k, 3.8k, 4.6k and 7.3k minor page faults at 1, 1.5, 2
-# and 4 MiB.
+# be long enough for the arithmetic, which runs without the GIL, to dominate.
+# On 2 cores, a 5000-draw call on 100 points of width 64 took about as long
+# at 1, 1.5 and 2 MiB (20, 30 and 40 draws a chunk; medians of 125-128 ms
+# over 6 fresh processes each). A chunk holds two arrays of the noise's
+# width at once (the noise, and the latents that the prior squares in
+# place), so at latent width 50 two workers peaked at 5.6, 8.1 and 10.7 MiB
+# at 1, 1.5 and 2 MiB, against the 10.3 MiB bound of
+# ``test_memory_does_not_grow_with_the_latent_width``. Evaluating 100 points
+# at k_ref 5000 twice in a fresh process (``tests/test_training.py``'s fault
+# probe) took 3.2k, 3.8k, 4.6k and 7.3k minor page faults at 1, 1.5, 2 and
+# 4 MiB.
 _CHUNK_BYTES = 1536 * 1024
 
 
@@ -119,13 +126,14 @@ class VAEModel:
         (K, n, latent_dim) is K draws and gives (K, n). The encoder runs once
         either way; the latent is the reparameterized
         h = mu(x) + exp(rho(x)) * eps. The value is ``_forward``'s, which
-        ``log_weight_matrix`` runs too, and the VJP is ``_log_weight_vjp``.
+        ``log_weight_matrix`` runs too, here on new arrays that the VJP,
+        ``_log_weight_vjp``, keeps.
         """
         x = np.asarray(x, dtype=float)
         eps = np.asarray(eps, dtype=float)
         hid_e, mu, rho = self._encode(params, x)
         reparam = GaussianReparam(mu, rho)
-        out, saved = self._forward(params, x, reparam, eps)
+        out, saved = self._forward(params, x, self._fixed(params, x), reparam, eps)
         return out, lambda g: self._log_weight_vjp(params, x, eps, (hid_e, reparam, *saved), g)
 
     def _encode(self, params: dict[str, np.ndarray], x: np.ndarray):
@@ -135,30 +143,61 @@ class VAEModel:
         rho = ad.dense(hid, params["enc_w_rho"], params["enc_b_rho"])
         return hid, mu, rho
 
-    def _forward(self, params, x: np.ndarray, reparam: GaussianReparam, eps: np.ndarray):
+    def _fixed(self, params: dict[str, np.ndarray], x: np.ndarray) -> dict:
+        """What the decoder takes of the parameters and the data whatever the
+        draws: its biases repeated for every point, so that adding them
+        loops over whole matrices (see ``b_rows`` of ``ad.bernoulli_layer``),
+        and for the Bernoulli likelihood ``ad.bernoulli_layer`` of the
+        output layer, whose input is a tanh layer's."""
+        lead = (*x.shape[:-1], 1)
+        fixed = {"dec_b1": np.tile(params["dec_b1"], lead)}
+        if self.likelihood == "bernoulli":
+            fixed["layer"] = ad.bernoulli_layer(
+                params["dec_w2"], params["dec_b2"], x, unit_inputs=True
+            )
+        else:
+            fixed["dec_b2"] = np.tile(params["dec_b2"], lead)
+        return fixed
+
+    def _forward(self, params, x, fixed: dict, reparam: GaussianReparam, eps, ws=None):
         """The log weights of the noise ``eps`` under the encoder's
         ``reparam``, and what their gradient needs: (the latents, the
-        decoder's tanh layer, the likelihood's state). Each row's value
-        depends on that row's draw alone."""
-        h = reparam.theta(eps)
-        # before the decoder, so that their squares of the noise's width are
-        # freed before its arrays are made
-        prior, log_q = ad.std_normal_logpdf_rows(h), reparam.log_q(eps)
-        lik, hid, state = self._decode(params, h, x)
-        return lik + prior - log_q, (h, hid, state)
+        decoder's tanh layer, the likelihood's state). ``fixed`` is
+        ``_fixed``'s. Each row's value depends on that row's draw alone.
 
-    def _decode(self, params: dict[str, np.ndarray], h: np.ndarray, x: np.ndarray):
+        Without ``ws`` every array is new and kept. ``ws`` is a chunk's
+        workspace (``_workspace``), and ``eps`` its noise: every array of
+        the chunk's size but the latents is written into it, and the
+        latents and the noise are squared in place for the prior and log q
+        once the decoder has read them, so what is returned is the
+        workspace's and only the log weights hold their values.
+        """
+        reuse, ws = ws is not None, ws or {}
+        h = reparam.theta(eps)
+        lik, hid, state = self._decode(params, h, x, fixed, ws)
+        prior = ad.std_normal_logpdf_rows(h, h if reuse else None, ws.get("prior"))
+        lik += prior
+        lik -= reparam.log_q(eps, eps if reuse else None, ws.get("log_q"))
+        return lik, (h, hid, state)
+
+    def _decode(self, params, h: np.ndarray, x: np.ndarray, fixed=None, ws=None):
         """Per-datapoint log p(x | h), shape (..., n); the decoder's tanh
         layer; and what the likelihood's gradient needs: the softplus buffer
-        and cap mask of ``ad.bernoulli_rows_forward``, or the Gaussian means."""
-        hid = ad.dense(h, params["dec_w1"], params["dec_b1"], "tanh")
+        and cap mask of ``ad.bernoulli_rows_forward``, or the Gaussian means.
+        ``fixed`` and ``ws`` are ``_forward``'s, or none."""
+        fixed, ws = fixed or self._fixed(params, x), ws or {}
+        hid = ad.dense(h, params["dec_w1"], fixed["dec_b1"], "tanh", ws.get("hid"))
         if self.likelihood == "bernoulli":
             rows, softplus, inside = ad.bernoulli_rows_forward(
-                hid, params["dec_w2"], params["dec_b2"], x
+                hid, params["dec_w2"], params["dec_b2"], x, fixed["layer"],
+                (ws["decoded"], ws["t_dot_z"], ws["rows"]) if ws else None,
             )
             return rows, hid, (softplus, inside)
-        means = ad.dense(hid, params["dec_w2"], params["dec_b2"])
-        return ad.normal_logpdf_rows(x, means, params["dec_log_noise"]), hid, means
+        means = ad.dense(hid, params["dec_w2"], fixed["dec_b2"], None, ws.get("decoded"))
+        rows = ad.normal_logpdf_rows(
+            x, means, params["dec_log_noise"], ws.get("decoded"), ws.get("rows")
+        )
+        return rows, hid, means
 
     def _log_weight_vjp(self, params, x, eps, saved, g) -> dict[str, np.ndarray]:
         """The gradient of every parameter from ``g`` at the log weights,
@@ -214,25 +253,46 @@ class VAEModel:
         log weights. A chunk holds at most ``_CHUNK_BYTES`` in a float64
         (rows, max(data_dim, hidden, latent_dim)) array, or one draw when n
         rows are already more. The chunks are pulled by one worker per
-        usable core (see ``_deal``), each of which holds the arrays of one
-        chunk at a time, so the memory is the (n, k) result and a few chunks,
-        whatever the latent width. Chunk bounds do not depend on the worker
-        count, and neither does the result.
+        usable core (see ``_deal``), each of which writes its chunks into
+        one workspace (``_workspace``), sized by the first chunk and made
+        once per call; a shorter last chunk takes views of it. So the memory
+        is the (n, k) result and a few chunks, whatever the latent width.
+        Chunk bounds do not depend on the worker count, and neither does the
+        result. k = 0 gives an empty (n, 0) matrix.
         """
         x = np.asarray(x, dtype=float)
         n = x.shape[0]
         reparam = GaussianReparam(*self._encode(params, x)[1:])
+        fixed = self._fixed(params, x)
         out = np.empty((n, k))
 
-        def draw(chunk: slice) -> np.ndarray:
-            return rng.standard_normal((chunk.stop - chunk.start, n, self.latent_dim))
+        def draw(chunk: slice, ws: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+            views = {name: a[: chunk.stop - chunk.start] for name, a in ws.items()}
+            rng.standard_normal(out=views["eps"])
+            return views
 
-        def fill(chunk: slice, eps: np.ndarray) -> None:
-            out[:, chunk] = self._forward(params, x, reparam, eps)[0].T
+        def fill(chunk: slice, views: dict[str, np.ndarray]) -> None:
+            out[:, chunk] = self._forward(params, x, fixed, reparam, views["eps"], views)[0].T
 
         width = n * max(self.data_dim, self.hidden, self.latent_dim)
-        _deal(fill, _draw_slices(k, width, _CHUNK_BYTES), draw)
+        chunks = _draw_slices(k, width, _CHUNK_BYTES)
+        if chunks:
+            draws = chunks[0].stop - chunks[0].start
+            _deal(chunks, lambda: self._workspace(draws, n), draw, fill)
         return out
+
+    def _workspace(self, draws: int, n: int) -> dict[str, np.ndarray]:
+        """A worker's arrays for chunks of up to ``draws`` draws of ``n``
+        points, the draws on axis 0: the noise, the decoder's tanh layer,
+        its output (the logits or the Gaussian means), and rows for the
+        prior, log q, the likelihood and the Bernoulli sums of t z."""
+        shapes = {
+            "eps": (draws, n, self.latent_dim),
+            "hid": (draws, n, self.hidden),
+            "decoded": (draws, n, self.data_dim),
+        }
+        shapes.update(dict.fromkeys(("prior", "log_q", "t_dot_z", "rows"), (draws, n)))
+        return {name: np.empty(shape) for name, shape in shapes.items()}
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -255,31 +315,32 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _deal(fill, chunks: list[slice], draw) -> None:
-    """Run ``fill(chunk, draw(chunk))`` on every chunk, on min(cores, chunks)
-    workers that pull the chunks in order: one lock hands out the next chunk
-    and runs ``draw`` on it, so the draws happen in chunk order whichever
-    worker takes them, and a worker that is done early takes the next chunk
-    rather than waiting for the others at the end. A worker drops a chunk's
-    draw before it pulls the next. The calling thread is one worker; the
-    others are threads of a pool that lives for this call only, each running
-    in a copy of the caller's context, so the caller's ``np.errstate`` holds
-    in every worker. Once a worker raises, no worker pulls another chunk,
-    and the exception is raised here once all workers have stopped."""
+def _deal(chunks: list[slice], workspace, draw, fill) -> None:
+    """Run ``fill(chunk, draw(chunk, ws))`` on every chunk, on min(cores,
+    chunks) workers that pull the chunks in order, each with its own ``ws =
+    workspace()``, made once: one lock hands out the next chunk and runs
+    ``draw`` on it, so the draws happen in chunk order whichever worker
+    takes them, and a worker that is done early takes the next chunk rather
+    than waiting for the others at the end. The calling thread is one
+    worker; the others are threads of a pool that lives for this call only,
+    each running in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds in every worker. Once a worker raises, no worker
+    pulls another chunk, and the exception is raised here once all workers
+    have stopped."""
     pending = iter(chunks)
     lock = threading.Lock()
     failed = threading.Event()
 
     def work() -> None:
         try:
+            ws = workspace()
             while True:
                 with lock:
                     chunk = None if failed.is_set() else next(pending, None)
                     if chunk is None:
                         return
-                    drawn = draw(chunk)
+                    drawn = draw(chunk, ws)
                 fill(chunk, drawn)
-                del drawn
         except BaseException:
             failed.set()
             raise

@@ -35,10 +35,12 @@ Held-out evaluation (``evaluate_vae``) needs no gradient: per repeat it
 takes the (n, K) log weights of max(K, k_ref) samples from
 ``VAEModel.log_weight_matrix``, the model's value-only path, which encodes
 once and runs the rest in cache-sized chunks of draws, pulled by a worker
-per usable core, each drawing its chunk's noise as it takes the chunk. So
-at most one chunk's arrays per worker are alive, whatever the latent width,
-and the result is the same at any worker count. A repeat's matrix is
-freed before the next one is made.
+per usable core, each drawing its chunk's noise as it takes the chunk. Each
+worker writes its chunks into one workspace of chunk arrays made once per
+call, so a chunk allocates nothing of its size but its latents, at most one
+chunk's arrays per worker are alive, whatever the latent width, and the
+result is the same at any worker count. A repeat's matrix is freed before
+the next one is made.
 
 Randomness is organized in named streams derived from (seed, stream id,
 index), so shuffling, noise, and evaluation draws are reproducible

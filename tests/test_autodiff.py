@@ -394,6 +394,45 @@ class TestComposites:
         p = 1.0 / (1.0 + math.exp(-float(x[0, 0] * w[0, 2])))
         np.testing.assert_allclose(grads["b"][2], targets[0, 2] - p, rtol=1e-12)
 
+    def test_the_logit_cap_is_ruled_out_only_by_a_bound_below_it(self):
+        # For inputs in [-1, 1], |z_j| <= sum_i |w_ij| + |b_j|; the largest
+        # bound must stay below the cap by a relative 1e-6.
+        cap = ad._LOGIT_CAP
+        targets = np.ones((3, 2))
+
+        def inside(w, b, unit_inputs=True):
+            return ad.bernoulli_layer(np.array(w), np.array(b), targets, unit_inputs)[2]
+
+        assert inside([[4.0, -1.0], [-3.0, 2.0]], [1.0, 0.5])  # bounds 8 and 3.5
+        below = cap * (1.0 - 2e-6)
+        assert inside([[below / 2, 0.0], [-below / 2, 1.0]], [0.0, 0.0])
+        assert not inside([[cap / 2, 0.0], [-cap / 2, 1.0]], [0.0, 0.0])
+        assert not inside([[cap * (1.0 - 5e-7), 0.0], [0.0, 1.0]], [0.0, 0.0])
+        assert not inside([[4.0, 0.0], [0.0, 1.0]], [cap, 0.0])
+        assert not inside([[4.0, math.nan], [0.0, 1.0]], [0.0, 0.0])
+        assert not inside([[4.0, 0.0], [0.0, 1.0]], [0.0, -math.inf])
+        # no bound on the inputs, no bound on the logits
+        assert not inside([[4.0, -1.0], [-3.0, 2.0]], [1.0, 0.5], unit_inputs=False)
+        w, b = np.array([[4.0, -1.0], [-3.0, 2.0]]), np.array([1.0, 0.5])
+        t_w, t_b, _, b_rows = ad.bernoulli_layer(w, b, targets)
+        assert t_w.tobytes() == (targets @ w.T).tobytes() and t_b.tobytes() == (targets @ b).tobytes()
+        assert b_rows.shape == targets.shape and np.all(b_rows == b)
+
+    def test_a_layer_made_once_gives_the_bits_of_one_made_per_call(self):
+        # rows of inputs in [-1, 1] whose layer rules the cap out, written
+        # into given buffers, against the same call making its own layer
+        rng = np.random.default_rng(23)
+        x = np.tanh(rng.standard_normal((5, 7, 4)))
+        w, b = rng.standard_normal((4, 6)), rng.standard_normal(6)
+        targets = (rng.random((7, 6)) < 0.5).astype(float)
+        layer = ad.bernoulli_layer(w, b, targets, unit_inputs=True)
+        assert layer[2]
+        bufs = (np.empty((5, 7, 6)), np.empty((5, 7)), np.empty((5, 7)))
+        rows, softplus, inside = ad.bernoulli_rows_forward(x, w, b, targets, layer, bufs)
+        assert rows is bufs[2] and softplus is bufs[0] and inside is None
+        fresh = ad.bernoulli_rows_forward(x, w, b, targets)
+        assert rows.tobytes() == fresh[0].tobytes() and softplus.tobytes() == fresh[1].tobytes()
+
     def test_bernoulli_rows_peak_under_one_and_a_half_logit_arrays(self):
         # The forward pass allocates the logits and works in place on them;
         # the row sums of t z, taken over the 16-wide layer input, add a

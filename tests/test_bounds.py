@@ -231,18 +231,30 @@ class TestBiasSimulation:
                 assert g_hi <= g_lo + 3.0 * math.sqrt(s_lo**2 + s_hi**2)
 
     def test_cells_are_the_per_repeat_estimates(self):
-        p = GaussianDist.diagonal([0.0, 0.0], [1.0, 2.0])
-        q = GaussianDist.full([0.5, 0.0], [[1.0, 0.3], [0.3, 1.0]])
-        table = bias_simulation(p, q, [-1.0, 0.5], [1, 3], repeats=4, seed=2)
-        for ai, alpha in enumerate((-1.0, 0.5)):
-            for ki, k in enumerate((1, 3)):
-                estimates = []
-                for r in range(4):
-                    theta = q.sample(np.random.default_rng([2, ai, ki, r]), k)
-                    estimates.append(mc_vr_estimate(p.logpdf(theta) - q.logpdf(theta), alpha))
-                cell = table.cell(alpha, k)
-                assert cell.mean == float(np.mean(estimates))
-                assert cell.stderr == float(np.std(estimates, ddof=1) / 2.0)
+        # a cell scores its stacked (repeats, K, d) draws in one call per
+        # density, with the bits of scoring each repeat's draws alone: at a
+        # full-covariance q and at the README's diagonal pair
+        pairs = [
+            (
+                GaussianDist.diagonal([0.0, 0.0], [1.0, 2.0]),
+                GaussianDist.full([0.5, 0.0], [[1.0, 0.3], [0.3, 1.0]]),
+            ),
+            (
+                GaussianDist.diagonal([0.0, 0.0], [1.0, 1.0]),
+                GaussianDist.diagonal([1.0, 1.0], [1.0, 1.0]),
+            ),
+        ]
+        for p, q in pairs:
+            table = bias_simulation(p, q, [-1.0, 0.5], [1, 3, 50], repeats=4, seed=2)
+            for ai, alpha in enumerate((-1.0, 0.5)):
+                for ki, k in enumerate((1, 3, 50)):
+                    estimates = []
+                    for r in range(4):
+                        theta = q.sample(np.random.default_rng([2, ai, ki, r]), k)
+                        estimates.append(mc_vr_estimate(p.logpdf(theta) - q.logpdf(theta), alpha))
+                    cell = table.cell(alpha, k)
+                    assert cell.mean == float(np.mean(estimates))
+                    assert cell.stderr == float(np.std(estimates, ddof=1) / 2.0)
 
     def test_seeded_determinism(self):
         p = GaussianDist.diagonal([0.0], [1.0])

@@ -347,3 +347,19 @@ class TestInputValidation:
         g = GaussianDist.standard(1)
         with pytest.raises(ValueError, match="NaN"):
             renyi_gaussian(g, g, math.nan)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["diagonal", "full"])
+def test_logpdf_of_stacked_points_keeps_the_bits_of_each_matrix(full):
+    # (repeats, K, d) points give (repeats, K), each matrix of points as a
+    # call of its own gives it; a single point gives a float
+    rng = np.random.default_rng(21)
+    g = _full_pair(rng, 3)[0] if full else _seeded_pair(rng, 3)[0]
+    points = rng.standard_normal((4, 7, 3))
+    stacked = g.logpdf(points)
+    assert stacked.shape == (4, 7)
+    for r in range(4):
+        assert stacked[r].tobytes() == g.logpdf(points[r]).tobytes()
+    assert g.logpdf(points[0, 0]) == stacked[0, 0]
+    with pytest.raises(ValueError, match="3 columns"):
+        g.logpdf(points[..., :2])

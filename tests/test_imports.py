@@ -297,6 +297,7 @@ def test_the_tape_keeps_its_core_and_the_array_kernels_only():
         "normal_logpdf_rows",
         "normal_rows_vjp",
         "std_normal_logpdf_rows",
+        "bernoulli_layer",
         "bernoulli_rows_forward",
         "bernoulli_rows_at_logits",
     }

@@ -402,6 +402,24 @@ class TestMinimize:
         np.testing.assert_allclose(x, math.log(2.5), atol=1e-7)
         assert any(np.max(np.abs(c)) >= 1.0 for c in calls)
 
+    @pytest.mark.parametrize("outside", ["zeros", "nan", "finite"])
+    def test_reports_no_success_against_the_edge_of_the_finite_region(self, outside):
+        # f = sum((x - 0.95)^4) / 4 inside |x_i| < 1, +inf outside, whatever
+        # gradient comes with it: the iterates press against x_0 = 1 while
+        # the minimizer, 0.95, lies inside, and the line search runs out of
+        # trial points before the relative-decrease test can claim success
+        def objective(x):
+            inside = (x - 0.95) ** 3
+            if np.max(np.abs(x)) < 1.0:
+                return float(np.sum((x - 0.95) ** 4) / 4.0), inside
+            grads = {"zeros": np.zeros_like(x), "nan": np.full_like(x, math.nan)}
+            return math.inf, grads.get(outside, inside)
+
+        x, f, iterations, success = blr_module._minimize(objective, np.array([-0.9, 0.0, 0.5]))
+        assert not success
+        assert 0.0 < 1.0 - x[0] < 1e-6 and f > 1e-4
+        assert iterations == 19
+
     def test_stops_unsuccessful_after_the_iteration_budget(self, monkeypatch):
         monkeypatch.setattr(blr_module, "_MAXITER", 5)
         x, f, iterations, success = blr_module._minimize(_rosenbrock, np.array([-1.2, 1.0]))
@@ -1066,6 +1084,62 @@ class TestLogWeightMatrixWorkers:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             self._matrix(params, x, 43)
         assert list(seen.values()) == ["raise"] * workers
+
+    # Chunks of 10 draws of 50 points: one draw's (50, data_dim = 8) array
+    # takes 3200 bytes.
+    EDGE_BUDGET = 10 * 3200
+
+    def _check_edge(self, monkeypatch, workers, params, k):
+        """``log_weight_matrix`` at ``workers`` workers in chunks of 10
+        draws of 50 points equals the rows of the one-shot noise bit for
+        bit, NaN included, and leaves the generator where that draw does;
+        returns the rows."""
+        monkeypatch.setattr(vae_module, "_usable_cores", lambda: workers)
+        monkeypatch.setattr(vae_module, "_CHUNK_BYTES", self.EDGE_BUDGET)
+        _, x, _ = self._inputs(k, 50)
+        twin = np.random.default_rng(self.NOISE_SEED)
+        eps = twin.standard_normal((k, 50, 2))
+        decoded = _count_kernel_calls(monkeypatch)
+        rng = np.random.default_rng(self.NOISE_SEED)
+        lw = self.VAE.log_weight_matrix(params, x, rng, k)
+        assert sorted(decoded) == sorted([10] * (k // 10) + [k % 10] * (k % 10 > 0))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        rows = self.VAE.log_weight_rows(params, x, eps)[0].T
+        assert lw.shape == rows.shape == (50, k) and lw.tobytes() == rows.tobytes()
+        return rows
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_logits_inside_a_bound_above_the_cap(self, monkeypatch, workers):
+        # sum_i |w_i0| + |b_0| is at least 18, above the cap, so the logits
+        # are checked chunk by chunk; the two weights pull against each
+        # other, and no logit reaches the cap
+        params, x, eps = self._inputs(23, 50)
+        params["dec_w2"][:2, 0] = [9.0, -9.0]
+        params["dec_b2"][0] = 0.0
+        assert not ad.bernoulli_layer(params["dec_w2"], params["dec_b2"], x, unit_inputs=True)[2]
+        assert _clipped_share(self.VAE, params, x, eps) == 0.0
+        assert np.isfinite(self._check_edge(monkeypatch, workers, params, 23)).all()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_nan_latents_give_nan_rows(self, monkeypatch, workers):
+        # an infinite encoder weight on the first pixel: 0 * inf makes the
+        # encoding, and every draw's latents, NaN at the points whose first
+        # pixel is 0; the decoder's weights leave its logits inside the cap
+        params, x, _ = self._inputs(23, 50)
+        params["enc_w1"][0, 0] = math.inf
+        assert ad.bernoulli_layer(params["dec_w2"], params["dec_b2"], x, unit_inputs=True)[2]
+        with np.errstate(invalid="ignore"):
+            rows = self._check_edge(monkeypatch, workers, params, 23)
+        blank = x[:, 0] == 0.0
+        assert 0 < blank.sum() < 50
+        assert np.isnan(rows[blank]).all() and np.isfinite(rows[~blank]).all()
+
+    # fewer draws than a chunk, two full chunks and a short one, and none
+    # (an empty (50, 0) matrix)
+    @pytest.mark.parametrize("k", [7, 23, 0])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_short_calls_and_chunks(self, monkeypatch, workers, k):
+        self._check_edge(monkeypatch, workers, self._inputs(k, 50)[0], k)
 
     # Budgets of one draw per chunk, of 4 draws of 50 points, and of the
     # whole call in one chunk.
