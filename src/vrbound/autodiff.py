@@ -51,6 +51,9 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# The shortest row that numpy's pairwise sum does not add in order.
+_PAIRWISE_MIN = 8
+
 
 # ----------------------------------------------------------------------
 # array kernels
@@ -96,7 +99,15 @@ def std_normal_logpdf_rows(x, squares=None, out=None) -> np.ndarray:
     ``out`` the rows; each is a new array when not given.
     """
     x = np.asarray(x, dtype=float)
-    rows = np.sum(np.multiply(x, x, out=squares), axis=-1, out=out)
+    squares = np.multiply(x, x, out=squares)
+    if 0 < x.shape[-1] < _PAIRWISE_MIN:
+        # numpy adds a row this short in order, from 0, so adding the columns
+        # gives its bits without running one reduction per row
+        rows = np.add(squares[..., 0], 0.0, out=out)
+        for j in range(1, x.shape[-1]):
+            rows += squares[..., j]
+    else:
+        rows = np.sum(squares, axis=-1, out=out)
     rows *= -0.5
     rows += -0.5 * x.shape[-1] * _LOG_2PI
     return rows

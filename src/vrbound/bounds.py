@@ -22,7 +22,8 @@ q and log w = log p - log q, the population value of the bound is minus the
 Renyi divergence from q to p, which the simulation reports alongside the
 empirical mean and standard error for each (alpha, K) cell. Each repeat of
 a cell draws from its own seed-derived generator, so results do not depend on
-evaluation order, and a cell's repeats are estimated in one call.
+evaluation order, and a cell's repeats are estimated in blocks under one
+byte budget.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .gaussian import GaussianDist
 # _logsumexp overwrites, and at _logsumexp's peak 0.38 of a block more (the
 # tie mask and numpy's cast buffer, by tracemalloc on a (32, 1000) block;
 # scipy's logsumexp peaked at 5.1 blocks).
-_BLOCK_BYTES = 256 * 1024
+_BLOCK_BYTES = 64 * 1024
 
 __all__ = [
     "BiasCell",
@@ -95,8 +96,16 @@ def mc_vr_estimate(log_w, alpha: float, axis: int | None = None):
     return float(est) if axis is None else est
 
 
-def _estimate(log_w: np.ndarray, alpha: float) -> np.ndarray:
-    """``mc_vr_estimate`` of each row of a checked, C-ordered (..., K) array."""
+def _estimate(log_w: np.ndarray, alpha: float, counts: np.ndarray | None = None) -> np.ndarray:
+    """``mc_vr_estimate`` of each row of a checked, C-ordered (..., K) array.
+
+    With ``counts``, a (K,) array of positive sizes, entry j of a row is the
+    estimate of a segment of counts[j] log weights, and the row's result is
+    the estimate of all its segments' weights together: the power mean of
+    the segments' power means weighted by their sizes, which is the power
+    mean of the whole set up to rounding, and exactly it at alpha = +-inf.
+    A row without a finite entry gives -inf.
+    """
     k = log_w.shape[-1]
     kind = classify_alpha(alpha)
     if k == 1:
@@ -104,7 +113,10 @@ def _estimate(log_w: np.ndarray, alpha: float) -> np.ndarray:
         # directly keeps the one-sample estimate bit-exactly alpha-free.
         est = log_w[..., 0]
     elif kind is AlphaKind.ONE:
-        est = np.mean(log_w, axis=-1)
+        if counts is None:
+            est = np.mean(log_w, axis=-1)
+        else:
+            est = np.sum(log_w * counts, axis=-1) / np.sum(counts)
     elif kind is AlphaKind.NEG_INF:
         est = np.max(log_w, axis=-1)
     elif kind is AlphaKind.POS_INF:
@@ -116,25 +128,35 @@ def _estimate(log_w: np.ndarray, alpha: float) -> np.ndarray:
         step = max(1, _BLOCK_BYTES // (8 * k))
         est = np.empty(sets.shape[0])
         for start in range(0, sets.shape[0], step):
-            est[start : start + step] = _power_mean(sets[start : start + step], 1.0 - float(alpha))
+            block = sets[start : start + step]
+            est[start : start + step] = _power_mean(block, 1.0 - float(alpha), counts)
         est = est.reshape(log_w.shape[:-1])
     return est
 
 
-def _power_mean(log_w: np.ndarray, one_minus: float) -> np.ndarray:
+def _power_mean(log_w: np.ndarray, one_minus: float, counts: np.ndarray | None) -> np.ndarray:
     """The finite-order estimate of each row of a (rows, K) array, K >= 2,
     as a + log(mean(exp(s))) / (1 - alpha) with s and the anchor a of
-    ``_scaled_log_weights``."""
+    ``_scaled_log_weights``; with ``counts`` (``_estimate``'s), the mean
+    weighs entry j by counts[j]."""
     # For alpha > 1 a -inf log weight scales to +inf, so logsumexp is +inf
     # and the estimate -inf. Dividing by 1 - alpha scales up the rounding of
     # logsumexp, so rows with |1 - alpha| ptp(log w) <= 1 (all of them next
-    # to alpha = 1) take log1p(mean(expm1(s))) instead.
+    # to alpha = 1) take log1p(mean(expm1(s))) instead. A spread past the
+    # float range, and the NaN spread of a row without a finite entry, are
+    # not near.
     scaled, anchor = _scaled_log_weights(log_w, one_minus)
-    with np.errstate(over="ignore"):  # a spread past the float range is not near
+    with np.errstate(over="ignore", invalid="ignore"):
         near = np.ptp(log_w, axis=-1) <= 1.0 / abs(one_minus)
-    near_scaled = scaled[near]  # before _logsumexp overwrites scaled
-    log_mean = _logsumexp(scaled) - math.log(log_w.shape[-1])
-    log_mean[near] = np.log1p(np.mean(np.expm1(near_scaled), axis=-1))
+    near_powers = np.expm1(scaled[near])  # before _logsumexp overwrites scaled
+    if counts is None:
+        log_mean = _logsumexp(scaled) - math.log(log_w.shape[-1])
+        log_mean[near] = np.log1p(np.mean(near_powers, axis=-1))
+    else:
+        total = np.sum(counts)
+        scaled += np.log(counts)
+        log_mean = _logsumexp(scaled) - math.log(total)
+        log_mean[near] = np.log1p(np.sum(near_powers * counts, axis=-1) / total)
     return anchor[:, 0] + log_mean / one_minus
 
 
@@ -145,16 +167,28 @@ def _scaled_log_weights(log_w: np.ndarray, one_minus: float) -> tuple[np.ndarray
     the anchor and at most 0 at every finite log weight, which no finite
     order can overflow; a product past the float range is -inf, a weight
     too small to count. A -inf log weight gives -inf, or +inf for alpha > 1,
-    where a zero-density sample dominates."""
+    where a zero-density sample dominates. A row without a finite entry (a
+    checked set has one, but a segment of it need not) takes the anchor 0,
+    so that its s is all -inf, or all +inf, and its estimate -inf."""
     if one_minus > 0.0:
         anchor = np.max(log_w, axis=-1, keepdims=True)
     else:
         finite = log_w > -math.inf
         anchor = np.min(log_w, axis=-1, keepdims=True, where=finite, initial=math.inf)
+    np.copyto(anchor, 0.0, where=np.isinf(anchor))
     with np.errstate(over="ignore"):
         scaled = np.subtract(log_w, anchor)
         scaled *= one_minus
     return scaled, anchor
+
+
+def _segment_counts(k: int, width: int) -> np.ndarray:
+    """The sizes of the consecutive segments of ``width`` draws, the last
+    one shorter where ``width`` does not divide ``k``, that ``k`` draws
+    split into."""
+    counts = np.full(-(-k // width), width)
+    counts[-1] = k - width * (counts.size - 1)
+    return counts
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -235,8 +269,10 @@ def bias_simulation(
     the estimates converge to as K grows (-inf where the divergence is
     infinite). Every (alpha, K, repeat) cell draws its weight set from a
     generator derived from (seed, indices), so any evaluation schedule
-    produces identical numbers; each cell's sets are scored by p and q, and
-    estimated, in one call each.
+    produces identical numbers; a cell's sets are scored by p and q, and
+    estimated, in blocks of repeats whose draws take at most
+    ``_BLOCK_BYTES``, one call per block each, and each set keeps the bits
+    of a call on it alone.
     """
     if repeats < 2:
         raise ValueError("repeats must be at least 2 to report a standard error")
@@ -251,11 +287,20 @@ def bias_simulation(
         exact = -renyi_gaussian(q, p, alpha)
         for ki, k in enumerate(ks):
             k = int(k)
-            theta = np.stack(
-                [q.sample(np.random.default_rng([seed, ai, ki, r]), k) for r in range(repeats)]
-            )
-            log_w = p.logpdf(theta) - q.logpdf(theta)
-            estimates = mc_vr_estimate(log_w, alpha, axis=1)
+            # repeats are scored in blocks whose stacked draws take at most
+            # _BLOCK_BYTES, or one repeat each
+            step = max(1, _BLOCK_BYTES // (8 * k * q.dim))
+            blocks = []
+            for start in range(0, repeats, step):
+                theta = np.stack(
+                    [
+                        q.sample(np.random.default_rng([seed, ai, ki, r]), k)
+                        for r in range(start, min(start + step, repeats))
+                    ]
+                )
+                log_w = p.logpdf(theta) - q.logpdf(theta)
+                blocks.append(mc_vr_estimate(log_w, alpha, axis=1))
+            estimates = np.concatenate(blocks)
             mean = float(np.mean(estimates))
             stderr = float(np.std(estimates, ddof=1) / math.sqrt(repeats))
             rows.append(BiasCell(alpha=alpha, k=k, mean=mean, stderr=stderr, exact=exact))

@@ -29,7 +29,10 @@ noise into it under the lock that hands the chunk out, so the draws come in
 chunk order, and computes the chunk's log weights in it with the forward
 pass that ``log_weight_rows`` runs on new arrays. Each chunk writes its own
 columns of the result, so the result is the same, bit for bit, at any
-worker count.
+worker count. The chunk loop, ``_log_weight_chunks``, hands each chunk's
+log weights to a consumer instead: ``log_weight_matrix``'s writes them into
+its result, and held-out evaluation's into a segment buffer
+(``training.evaluate_vae``), over calls that share the workers' workspaces.
 """
 
 from __future__ import annotations
@@ -50,15 +53,16 @@ from ..gradients import GaussianReparam
 # numpy operations, and a worker holds the GIL between them, so a chunk must
 # be long enough for the arithmetic, which runs without the GIL, to dominate.
 # On 2 cores, a 5000-draw call on 100 points of width 64 took about as long
-# at 1, 1.5 and 2 MiB (20, 30 and 40 draws a chunk; medians of 125-128 ms
-# over 6 fresh processes each). A chunk holds two arrays of the noise's
-# width at once (the noise, and the latents that the prior squares in
-# place), so at latent width 50 two workers peaked at 5.6, 8.1 and 10.7 MiB
-# at 1, 1.5 and 2 MiB, against the 10.3 MiB bound of
-# ``test_memory_does_not_grow_with_the_latent_width``. Evaluating 100 points
-# at k_ref 5000 twice in a fresh process (``tests/test_training.py``'s fault
-# probe) took 3.2k, 3.8k, 4.6k and 7.3k minor page faults at 1, 1.5, 2 and
-# 4 MiB.
+# at 1, 1.5 and 2 MiB (20, 30 and 40 draws a chunk; medians of 10 calls in
+# each of 2 fresh processes: 275-357, 276-310 and 288-304 ms on a slow spell
+# of the host, where an earlier measurement read 125-128 ms at each). A
+# chunk holds two arrays of the noise's width at once (the noise, and the
+# latents that the prior squares in place), so at latent width 50 two
+# workers peaked at 5.5, 8.0 and 10.6 MiB at 1, 1.5 and 2 MiB, against the
+# 10.3 MiB bound of ``test_memory_does_not_grow_with_the_latent_width``.
+# Evaluating 100 points at k_ref 5000 twice in a fresh process
+# (``tests/test_training.py``'s fault probe) took 1.1k, 1.4k, 1.8k and 3.2k
+# minor page faults at 1, 1.5, 2 and 4 MiB.
 _CHUNK_BYTES = 1536 * 1024
 
 
@@ -261,10 +265,33 @@ class VAEModel:
         result. k = 0 gives an empty (n, 0) matrix.
         """
         x = np.asarray(x, dtype=float)
+        out = np.empty((x.shape[0], k))
+
+        def write(chunk: slice, log_w: np.ndarray) -> None:
+            out[:, chunk] = log_w.T
+
+        self._log_weight_chunks(params, x, rng, k, write, [])
+        return out
+
+    def _log_weight_chunks(self, params, x: np.ndarray, rng, k: int, consume, spare: list):
+        """``log_weight_matrix``'s chunk loop over ``k`` draws: runs
+        ``consume(chunk, log_w)`` on the (draws, n) log weights of every
+        chunk, ``chunk`` being the slice of the draws they hold, in the worker
+        that computed them. ``log_w`` is that worker's workspace, which its
+        next chunk overwrites. A worker takes its workspace from ``spare``,
+        which holds those that earlier calls on the same points left there,
+        or makes one where ``spare`` has none large enough; the call leaves
+        every worker's workspace in ``spare``."""
         n = x.shape[0]
         reparam = GaussianReparam(*self._encode(params, x)[1:])
         fixed = self._fixed(params, x)
-        out = np.empty((n, k))
+
+        def workspace() -> dict[str, np.ndarray]:
+            try:
+                ws = spare.pop()
+            except IndexError:
+                return self._workspace(draws, n)
+            return ws if len(ws["eps"]) >= draws else self._workspace(draws, n)
 
         def draw(chunk: slice, ws: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
             views = {name: a[: chunk.stop - chunk.start] for name, a in ws.items()}
@@ -272,14 +299,13 @@ class VAEModel:
             return views
 
         def fill(chunk: slice, views: dict[str, np.ndarray]) -> None:
-            out[:, chunk] = self._forward(params, x, fixed, reparam, views["eps"], views)[0].T
+            consume(chunk, self._forward(params, x, fixed, reparam, views["eps"], views)[0])
 
         width = n * max(self.data_dim, self.hidden, self.latent_dim)
         chunks = _draw_slices(k, width, _CHUNK_BYTES)
         if chunks:
             draws = chunks[0].stop - chunks[0].start
-            _deal(chunks, lambda: self._workspace(draws, n), draw, fill)
-        return out
+            spare.extend(_deal(chunks, workspace, draw, fill))
 
     def _workspace(self, draws: int, n: int) -> dict[str, np.ndarray]:
         """A worker's arrays for chunks of up to ``draws`` draws of ``n``
@@ -315,25 +341,27 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _deal(chunks: list[slice], workspace, draw, fill) -> None:
+def _deal(chunks: list[slice], workspace, draw, fill) -> list:
     """Run ``fill(chunk, draw(chunk, ws))`` on every chunk, on min(cores,
     chunks) workers that pull the chunks in order, each with its own ``ws =
-    workspace()``, made once: one lock hands out the next chunk and runs
-    ``draw`` on it, so the draws happen in chunk order whichever worker
-    takes them, and a worker that is done early takes the next chunk rather
-    than waiting for the others at the end. The calling thread is one
-    worker; the others are threads of a pool that lives for this call only,
-    each running in a copy of the caller's context, so the caller's
-    ``np.errstate`` holds in every worker. Once a worker raises, no worker
-    pulls another chunk, and the exception is raised here once all workers
-    have stopped."""
+    workspace()``, taken once, and return the workers' ``ws``. One lock
+    hands out the next chunk and runs ``draw`` on it, so the draws happen in
+    chunk order whichever worker takes them, and a worker that is done early
+    takes the next chunk rather than waiting for the others at the end. The
+    calling thread is one worker; the others are threads of a pool that
+    lives for this call only, each running in a copy of the caller's
+    context, so the caller's ``np.errstate`` holds in every worker. Once a
+    worker raises, no worker pulls another chunk, and the exception is
+    raised here once all workers have stopped."""
     pending = iter(chunks)
     lock = threading.Lock()
     failed = threading.Event()
+    taken = []
 
     def work() -> None:
         try:
             ws = workspace()
+            taken.append(ws)
             while True:
                 with lock:
                     chunk = None if failed.is_set() else next(pending, None)
@@ -348,9 +376,10 @@ def _deal(chunks: list[slice], workspace, draw, fill) -> None:
     workers = min(_usable_cores(), len(chunks))
     if workers <= 1:
         work()
-        return
+        return taken
     with ThreadPoolExecutor(max_workers=workers - 1) as pool:
         futures = [pool.submit(contextvars.copy_context().run, work) for _ in range(1, workers)]
         work()
         for future in futures:
             future.result()
+    return taken

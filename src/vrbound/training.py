@@ -31,16 +31,18 @@ of it), and keeps the log weights, without a second check: at the end of
 each epoch the run record gets every step's estimate and log R, averaged
 over its weight sets, from one reduction over the epoch's sets.
 
-Held-out evaluation (``evaluate_vae``) needs no gradient: per repeat it
-takes the (n, K) log weights of max(K, k_ref) samples from
-``VAEModel.log_weight_matrix``, the model's value-only path, which encodes
-once and runs the rest in cache-sized chunks of draws, pulled by a worker
-per usable core, each drawing its chunk's noise as it takes the chunk. Each
-worker writes its chunks into one workspace of chunk arrays made once per
-call, so a chunk allocates nothing of its size but its latents, at most one
-chunk's arrays per worker are alive, whatever the latent width, and the
-result is the same at any worker count. A repeat's matrix is freed before
-the next one is made.
+Held-out evaluation (``evaluate_vae``) needs no gradient. Per repeat it
+draws max(K, k_ref) samples per point through ``VAEModel.log_weight_matrix``'s
+chunk loop, the model's value-only path, which encodes once and runs the
+rest in cache-sized chunks of draws, pulled by a worker per usable core,
+each drawing its chunk's noise as it takes the chunk into a workspace of
+chunk arrays. It does so in segments of ``_SEGMENT`` draws and keeps no
+(n, max(K, k_ref)) matrix: a segment's log weights go to one buffer, the
+first columns to a prefix buffer for the cells with fewer draws, and each
+point's estimate of the segment to the cells at K = max(K, k_ref), which
+merge them at the end of the repeat. The buffers and the workspaces are
+made once per call, whatever the latent width and k_ref, and the table is
+the same at any chunk size and worker count.
 
 Randomness is organized in named streams derived from (seed, stream id,
 index), so shuffling, noise, and evaluation draws are reproducible
@@ -57,7 +59,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .alpha import classify_alpha
-from .bounds import _estimate, mc_vr_estimate, validate_log_weights
+from .bounds import _estimate, _segment_counts, mc_vr_estimate, validate_log_weights
 from .gradients import GaussianReparam, _log_ratio, vr_grad
 from .models.blr import BLRModel
 from .models.bnn import BNNModel
@@ -81,6 +83,18 @@ _STREAM_SHUFFLE = 1
 _STREAM_NOISE = 2
 _STREAM_SELECT = 3
 _STREAM_EVAL = 4
+
+# Held-out evaluation draws the max(K, k_ref) samples of a repeat in
+# segments of this many, and keeps each segment's estimate rather than its
+# log weights (see ``evaluate_vae``). A segment's (n, _SEGMENT) buffer is the
+# eval block's largest array: `vr vae-train` (200 points, k_ref 5000) peaked
+# at 43.6, 43.7, 44.8 and 48.4 MB (ru_maxrss, in process) at 256, 512, 1024
+# and 2048, against 51.9 MB with a repeat's (200, 5000) matrix. Each segment
+# is one pass of the chunk loop, whose workers meet at its end, so shorter
+# segments wait more: over 4 alternating rounds of `evaluate_vae` at `vr
+# eval`'s config, 512 took 1.55-2.01 s and 1024 1.57-1.64 s, against
+# 1.46-1.66 s with the matrix (2-vCPU host).
+_SEGMENT = 1024
 
 # The largest log R whose exp is a finite float.
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -399,6 +413,12 @@ def evaluate_vae(
     (alpha=0, K=k_ref) identically zero and sharpens every comparison.
     Rows report means over datapoints and repeats, with standard errors over
     the per-datapoint averages.
+
+    The block is drawn in segments of ``_SEGMENT`` draws. A cell with fewer
+    draws than the block is estimated from the block's first columns, as
+    from the block itself; a cell at the block's size merges its segments'
+    estimates (``bounds._estimate`` with the segments' sizes), which is the
+    estimate of the whole block up to rounding.
     """
     if repeats < 2:
         raise ValueError("repeats must be at least 2")
@@ -412,19 +432,46 @@ def evaluate_vae(
         (float(a), int(k)): np.zeros((repeats, n)) for a in alphas for k in ks
     }
     refs = per_point.setdefault((0.0, int(k_ref)), np.zeros((repeats, n)))
+    shorter = {k for _, k in per_point if k < k_block}
+    prefix = np.empty((n, max(shorter, default=0)))
+    # the (n, segments) arrays first: n times the size of the counts, they
+    # make a k_block too large for memory fail at once, not while the counts
+    # are filled
+    tops = np.empty((n, -(-k_block // _SEGMENT)))  # each segment's largest log weight
+    segments = {a: np.empty(tops.shape) for a, k in per_point if k == k_block}
+    counts = _segment_counts(k_block, _SEGMENT)
+    memory = np.empty(n * counts[0])  # a segment's (n, size) log weights
+    spare = []  # the workers' workspaces, kept across segments and repeats
 
     for r in range(repeats):
         rng = np.random.default_rng([seed, _STREAM_EVAL, r])
-        lw = model.log_weight_matrix(params, x, rng, k_block)
-        # each prefix of draws is checked once, then estimated at every order
-        for k in {k for _, k in per_point}:
-            sets = validate_log_weights(lw[:, :k], 1)
+        for s, size in enumerate(counts):
+            # the segment's draws, its first columns to the prefix, and its
+            # estimate at every order of K = k_block
+            sets = memory[: n * size].reshape(n, size)
+
+            def write(chunk: slice, log_w: np.ndarray) -> None:
+                sets[:, chunk] = log_w.T
+
+            model._log_weight_chunks(params, x, rng, size, write, spare)
+            head = prefix[:, s * _SEGMENT : s * _SEGMENT + size]
+            head[...] = sets[:, : head.shape[1]]
+            tops[:, s] = np.max(sets, axis=-1)
+            for a, store in segments.items():
+                store[:, s] = _estimate(sets, a)
+        # checks the whole block: a NaN or +inf log weight is its segment's
+        # largest, and a point has a finite log weight where a segment's
+        # largest is finite
+        validate_log_weights(tops, 1)
+        # each shorter prefix of draws is checked once, then estimated at
+        # every order
+        for k in shorter:
+            sets = validate_log_weights(prefix[:, :k], 1)
             for (a, cell_k), store in per_point.items():
                 if cell_k == k:
                     store[r] = _estimate(sets, a)
-        # at k = k_block, sets is a view of lw: both go before the next
-        # repeat's matrix is made
-        del lw, sets
+        for a, store in segments.items():
+            per_point[(a, k_block)][r] = _estimate(store, a, counts)
 
     rows = []
     for a in alphas:

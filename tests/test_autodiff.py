@@ -303,6 +303,26 @@ class TestComposites:
         grads = ref.gradients(on_nodes, {"x": leaf}, np.ones(shape[:-1]))
         assert grads["x"].tobytes() == (-x).tobytes()
 
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_std_normal_logpdf_rows_sums_rows_with_numpy_bits(self, width):
+        # Rows shorter than 8 are summed column by column, which keeps the
+        # bits only while numpy adds such rows in order; np.sum's rows are
+        # the reference at every width, so a numpy release that sums short
+        # rows otherwise fails here. Into new arrays, into buffers, and with
+        # x squared in place.
+        rng = np.random.default_rng(width)
+        for shape in [(30, 100, width), (7, width), (width,)]:
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+            expected = np.sum(x * x, axis=-1)
+            expected *= -0.5
+            expected += -0.5 * width * math.log(2.0 * math.pi)
+            assert ad.std_normal_logpdf_rows(x).tobytes() == expected.tobytes()
+            if len(shape) > 1:
+                rows, squared = np.empty(shape[:-1]), x.copy()
+                got = ad.std_normal_logpdf_rows(squared, squared, rows)
+                assert got is rows and rows.tobytes() == expected.tobytes()
+                assert squared.tobytes() == (x * x).tobytes()
+
     def test_bernoulli_rows_value_and_grad(self):
         # logits x @ w + b of a (3, 4) layer input, a (4, 6) weight and a bias
         rng = np.random.default_rng(12)

@@ -17,6 +17,7 @@ from vrbound import (
     validate_log_weights,
 )
 from vrbound import autodiff as ad
+from vrbound import bounds
 
 ALL_BRANCH_ALPHAS = (-math.inf, -2.0, 0.0, 0.5, 1.0, 2.0, math.inf)
 
@@ -255,6 +256,54 @@ class TestBiasSimulation:
                     cell = table.cell(alpha, k)
                     assert cell.mean == float(np.mean(estimates))
                     assert cell.stderr == float(np.std(estimates, ddof=1) / 2.0)
+
+    # Budgets of one repeat per block, of 3 repeats of K = 50 in 2-D, of 2 in
+    # 3-D, and the default.
+    @pytest.mark.parametrize("budget", [1, 3 * 50 * 2 * 8, 2 * 50 * 3 * 8, None])
+    def test_cells_keep_their_bits_at_any_block_budget(self, monkeypatch, budget):
+        # repeats are scored in blocks under bounds._BLOCK_BYTES, each with
+        # the bits of scoring it alone: the README's diagonal pair and a 3-D
+        # full-covariance q
+        if budget is not None:
+            monkeypatch.setattr(bounds, "_BLOCK_BYTES", budget)
+        pairs = [
+            (
+                GaussianDist.diagonal([0.0, 0.0], [1.0, 1.0]),
+                GaussianDist.diagonal([1.0, 1.0], [1.0, 1.0]),
+            ),
+            (
+                GaussianDist.diagonal([0.0, 0.0, 0.0], [1.0, 2.0, 0.5]),
+                GaussianDist.full(
+                    [0.3, -0.2, 0.1], [[1.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 0.8]]
+                ),
+            ),
+        ]
+        alphas, ks = [-1.0, 0.0, 0.5, 1.0, 2.0], [1, 5, 50]
+        for p, q in pairs:
+            table = bias_simulation(p, q, alphas, ks, repeats=7, seed=3)
+            for ai, alpha in enumerate(alphas):
+                for ki, k in enumerate(ks):
+                    estimates = []
+                    for r in range(7):
+                        theta = q.sample(np.random.default_rng([3, ai, ki, r]), k)
+                        estimates.append(mc_vr_estimate(p.logpdf(theta) - q.logpdf(theta), alpha))
+                    cell = table.cell(alpha, k)
+                    assert cell.mean == float(np.mean(estimates))
+                    assert cell.stderr == float(np.std(estimates, ddof=1) / math.sqrt(7))
+
+    def test_memory_holds_a_block_of_repeats(self):
+        # 200 repeats of K = 2000 draws in 10-D are 32 MB of draws. Scored a
+        # repeat at a time the cell peaked at 5.1 MiB, and stacked at once at
+        # 125.9 MiB; in blocks under _BLOCK_BYTES it peaks at 1.5 MiB.
+        p = GaussianDist.diagonal(np.zeros(10), np.ones(10))
+        q = GaussianDist.diagonal(np.full(10, 0.3), np.full(10, 1.5))
+        tracemalloc.start()
+        try:
+            bias_simulation(p, q, [0.5], [2000], repeats=200, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 5.1 * 1024 * 1024
 
     def test_seeded_determinism(self):
         p = GaussianDist.diagonal([0.0], [1.0])

@@ -8,7 +8,10 @@ per-row calls do.
 
 The estimate is non-increasing in alpha, alpha-free for one sample and
 moves with a shift of the log weights; the normalized weights lie on the
-simplex and ignore such a shift. The vector-Jacobian product of every
+simplex and ignore such a shift. A row's segment estimates, merged by the
+estimator weighted by the segments' sizes, give the row's estimate: bit for
+bit at alpha = +-inf and when one segment holds the row, within rounding
+elsewhere, whatever chunks the segments were estimated in. The vector-Jacobian product of every
 operation of the reference graph (``reference.py``), which the library's
 written-out gradients are checked against, the dense layer's included,
 matches central differences on drawn broadcast shapes. The Bernoulli log mass matches 40-digit mpmath on
@@ -38,7 +41,8 @@ from vrbound import (
     select_backprop_sample,
 )
 from vrbound import autodiff as ad
-from vrbound.bounds import _logsumexp
+from vrbound import validate_log_weights
+from vrbound.bounds import _estimate, _logsumexp, _segment_counts
 from vrbound.gradients import log_weight_ratio
 from vrbound.io import load_params, save_params
 
@@ -367,6 +371,77 @@ def test_huge_orders_match_mpmath(lw, alpha):
     else:
         assert abs(got - estimate) <= _slack(lw, estimate)
     np.testing.assert_allclose(got_weights, weights, rtol=0.0, atol=1e-15)
+
+
+# ----------------------------------------------------------------------
+# held-out evaluation at large K: segment estimates and their merge
+
+
+@st.composite
+def segmented_rows(draw):
+    """(n, K) log weights, some -inf (whole segments of them too), each row
+    with a finite entry; a segment width; and cuts of the segments into
+    chunks, as a list of segment counts."""
+    n, k, width = draw(st.integers(1, 3)), draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    entries = st.one_of(QUARTERS, st.just(-math.inf))
+    lw = np.array(draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=n, max_size=n)))
+    for i in range(n):
+        lw[i, draw(st.integers(0, k - 1))] = draw(QUARTERS)
+    segments = -(-k // width)
+    cuts = []
+    while sum(cuts) < segments:
+        cuts.append(draw(st.integers(1, segments - sum(cuts))))
+    return lw, width, cuts
+
+
+def _segment_estimates(lw, alpha, width, cuts):
+    """The estimate of each segment of ``width`` draws of each row, each chunk
+    of ``cuts`` whole segments estimated in one call, as evaluation's
+    workers would; the last segment is short where ``width`` does not
+    divide K."""
+    n, k = lw.shape
+    found, start = [], 0
+    for count in cuts:
+        stop = min(start + count * width, k)
+        full = (stop - start) // width
+        if full:
+            block = np.ascontiguousarray(lw[:, start : start + full * width])
+            found.append(_estimate(block.reshape(n, full, width), alpha))
+        if start + full * width < stop:
+            found.append(_estimate(np.ascontiguousarray(lw[:, start + full * width : stop]), alpha)[:, None])
+        start = stop
+    return np.concatenate(found, axis=1)
+
+
+@PROPERTY
+@given(segmented_rows(), st.lists(ALPHAS, min_size=1, max_size=3))
+def test_segment_merge_is_the_estimate_of_the_whole_row(drawn, orders):
+    # The merge is the one estimator with segment counts. It has the whole
+    # row's bits at alpha = +-inf and where one segment holds the row, and is
+    # within 8 times _slack elsewhere; its bits do not depend on how the
+    # segments were cut into chunks; and it is non-increasing in alpha.
+    lw, width, cuts = drawn
+    k = lw.shape[1]
+    counts = _segment_counts(k, width)
+    alphas = sorted(BRANCH_ALPHAS + tuple(orders))
+    merged = []
+    for alpha in alphas:
+        segments = _segment_estimates(lw, alpha, width, cuts)
+        one_at_a_time = _segment_estimates(lw, alpha, width, [1] * counts.size)
+        assert segments.tobytes() == one_at_a_time.tobytes(), alpha
+        got = _estimate(segments, alpha, counts)
+        whole = _estimate(validate_log_weights(lw, 1), alpha)
+        if k <= width or classify_alpha(alpha) in (AlphaKind.NEG_INF, AlphaKind.POS_INF):
+            assert got.tobytes() == whole.tobytes(), alpha
+        for row, g, w in zip(lw, got, whole):
+            if math.isinf(w):
+                assert g == w, alpha
+            else:
+                assert abs(g - w) <= 8.0 * _slack(row, g, w), (alpha, g, w)
+        merged.append(got)
+    for i in range(len(alphas) - 1):
+        for row, hi, lo in zip(lw, merged[i], merged[i + 1]):
+            assert hi >= lo - 8.0 * _slack(row, hi, lo), (alphas[i], alphas[i + 1])
 
 
 # ----------------------------------------------------------------------

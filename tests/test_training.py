@@ -376,6 +376,17 @@ class TestEvaluateVae:
         with pytest.raises(ValueError, match="2 points"):
             evaluate_vae(vae, params, data.test_features[:1], [0.0], [2], repeats=2)
 
+    def test_nan_log_weights_are_rejected(self, trained):
+        # an infinite encoder weight makes the latents of the points whose
+        # first pixel is 0 NaN (0 * inf), and so their log weights
+        vae, params, data = trained
+        params = {name: value.copy() for name, value in params.items()}
+        params["enc_w1"][0, 0] = math.inf
+        x = data.test_features[:20]
+        assert 0 < (x[:, 0] == 0.0).sum() < 20
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
+            evaluate_vae(vae, params, x, [0.0], [2], repeats=2, seed=0, k_ref=1500)
+
     def test_rows_do_not_depend_on_the_chunk_budget(self, trained, monkeypatch):
         vae, params, data = trained
 
@@ -392,13 +403,93 @@ class TestEvaluateVae:
             monkeypatch.setattr(vae_module, "_CHUNK_BYTES", budget)
             assert table() == default, budget
 
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_rows_do_not_depend_on_the_worker_count(self, trained, monkeypatch, workers):
+        vae, params, data = trained
+
+        def table():
+            rows = evaluate_vae(
+                vae, params, data.test_features[:30], alphas=[-math.inf, 0.0, 0.5, 2.0],
+                ks=[1, 7, 100], repeats=2, seed=4, k_ref=300,
+            )
+            return np.array([dataclasses.astuple(row) for row in rows]).tobytes()
+
+        monkeypatch.setattr(vae_module, "_usable_cores", lambda: 1)
+        serial = table()
+        monkeypatch.setattr(vae_module, "_usable_cores", lambda: workers)
+        # chunks of 4 draws of 30 points, so that every worker takes some
+        monkeypatch.setattr(vae_module, "_CHUNK_BYTES", 4 * 30 * 64 * 8)
+        assert table() == serial
+
+    # Segments of 16 draws: k_block = 70 is four full segments and a short
+    # one of 6; K = 20 spans two segments.
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cells_are_the_estimates_of_the_log_weight_matrix(
+        self, trained, monkeypatch, workers
+    ):
+        # the cells below k_block have the bits of estimating the prefixes of
+        # each repeat's log_weight_matrix; a cell at k_block is the weighted
+        # power mean of its segments' estimates
+        vae, params, data = trained
+        monkeypatch.setattr(training, "_SEGMENT", 16)
+        monkeypatch.setattr(vae_module, "_usable_cores", lambda: workers)
+        x = data.test_features[:12]
+        alphas, ks, k_ref = [-math.inf, -1.0, 0.0, 0.5, 1.0, 3.0, math.inf], [1, 20, 70], 50
+        rows = evaluate_vae(vae, params, x, alphas, ks, repeats=3, seed=9, k_ref=k_ref)
+        counts = np.array([16.0, 16.0, 16.0, 16.0, 6.0])
+        cells = {(a, k): [] for a in alphas for k in ks}
+        cells[(0.0, k_ref)] = []
+        for r in range(3):
+            rng = np.random.default_rng([9, training._STREAM_EVAL, r])
+            lw = vae.log_weight_matrix(params, x, rng, 70)
+            for a, k in cells:
+                if k < 70:
+                    cells[(a, k)].append(mc_vr_estimate(lw[:, :k], a, axis=1))
+                else:
+                    segments = np.stack(
+                        [mc_vr_estimate(lw[:, s : s + 16], a, axis=1) for s in range(0, 70, 16)],
+                        axis=1,
+                    )
+                    cells[(a, k)].append(training._estimate(segments, a, counts))
+        refs = np.array(cells[(0.0, k_ref)])
+        for row in rows:
+            cell = np.array(cells[(row.alpha, row.k)])
+            assert row.mean_bound == float(cell.mean(axis=0).mean())
+            assert row.mean_gap == float((cell - refs).mean(axis=0).mean())
+
+    def test_memory_does_not_grow_with_k(self, monkeypatch):
+        # The peak of two workers evaluating 20 points grows by 19 KB from
+        # k_ref 5000 to 40000; an (n, k) matrix of log weights would grow it
+        # by n * dk * 8 = 5.6 MB. What grows is two per-segment arrays of
+        # n * dk / _SEGMENT * 8 bytes: each point's estimate at the one order
+        # at k_block, and its largest log weight. The margin, 256 KiB, covers
+        # the peak's spread from the workers' timing: repeated calls at one
+        # k_ref read up to 80 KB apart.
+        monkeypatch.setattr(vae_module, "_usable_cores", lambda: 2)
+        vae = VAEModel(data_dim=8, latent_dim=2, hidden=16)
+        x = (np.random.default_rng(0).random((20, 8)) > 0.5).astype(float)
+        params = vae.init_params(seed=0)
+        # a first call makes what lives on after it outside the peaks
+        evaluate_vae(vae, params, x, [0.0, 0.5], [1, 10], repeats=2, seed=0, k_ref=5000)
+        peaks = []
+        for k_ref in (5000, 40000):
+            tracemalloc.start()
+            try:
+                evaluate_vae(vae, params, x, [0.0, 0.5], [1, 10], repeats=2, seed=0, k_ref=k_ref)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 2 * 20 * 35000 / training._SEGMENT * 8 + 256 * 1024
+
     def test_memory_does_not_grow_with_the_latent_width(self, monkeypatch):
         # 2000 draws of 20 points at latent width 50 are 16 MB of noise, and
         # the (20, 2000) log weights 0.3 MB. Each of two workers holds one
         # chunk's arrays: two of the noise's width (the noise and the
         # latents, which the prior and log q square in place, at most
-        # _CHUNK_BYTES each) and narrower ones. The call peaked at 8.1 MiB;
-        # with a third array for the squares it peaked at 7.3-9.4 MiB.
+        # _CHUNK_BYTES each) and narrower ones. The call peaked at 6.8 MiB,
+        # and at 6.9 MiB with the (n, k) log weights of a repeat in memory
+        # (8.1 MiB on a slower host; 7.3-9.4 MiB with a third array for the
+        # squares).
         monkeypatch.setattr(vae_module, "_usable_cores", lambda: 2)
         vae = VAEModel(data_dim=8, latent_dim=50, hidden=16)
         x = (np.random.default_rng(0).random((20, 8)) > 0.5).astype(float)
@@ -413,10 +504,10 @@ class TestEvaluateVae:
 
 
 # A fresh interpreter evaluates 100 points at k_ref 5000 with 2 repeats, as
-# `vr eval` does per pair of repeats, and prints the minor page faults the
-# call took. Evaluated in (draw, point) blocks of 5 MB arrays, it took about
-# 400k: every block handed its memory back to the system and faulted it in
-# again. Chunks of draws whose arrays take at most 1, 1.5, 2 and 4 MiB took
+# `vr eval` does per pair of repeats, or with `vr eval`'s 10, and prints the
+# minor page faults the call took. Evaluated in (draw, point) blocks of 5 MB
+# arrays, it took about 400k: every block handed its memory back to the
+# system and faulted it in again. Chunks of draws whose arrays take at most 1, 1.5, 2 and 4 MiB took
 # 3.0-3.2k, 3.8k, 4.6k and 7.3k.
 _FAULT_PROBE = """
 import math, resource
@@ -430,23 +521,27 @@ x = synthetic_binary_images(seed=0).test_features[:100]
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 evaluate_vae(
     model, params, x, [-math.inf, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf], [1, 5, 50, 500],
-    repeats=2, seed=0, k_ref=5000,
+    repeats={repeats}, seed=0, k_ref=5000,
 )
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-# glibc settings under which the probe runs besides the defaults. Each makes
-# freed memory go back to the system sooner, so that an evaluation which
-# frees and remakes its chunk arrays faults them in again: with one workspace
-# per worker and call, the probe took 4.0k, 8.2k, 8.2-10.9k and 3.9k faults,
-# where chunks that made their own arrays took 3.5k, 169k, 168-176k and
-# 37-40k.
-_ALLOCATOR_SETTINGS = [
-    {},
-    {"MALLOC_TRIM_THRESHOLD_": "0"},
-    {"MALLOC_MMAP_THRESHOLD_": "65536"},
-    {"MALLOC_ARENA_MAX": "1"},
+# glibc settings under which the probe runs, the repeats and the most faults
+# allowed. Each setting but the defaults makes freed memory go back to the
+# system sooner, so that an evaluation which frees and remakes its arrays
+# faults them in again. At 2 repeats, with one workspace per worker and call,
+# the probe took 4.0k, 8.2k, 8.2-10.9k and 3.9k faults, where chunks that made
+# their own arrays took 3.5k, 169k, 168-176k and 37-40k; with the workspaces
+# kept across repeats and no (n, k) matrix of log weights, 1.4-1.5k under
+# each. At 10 repeats under MALLOC_TRIM_THRESHOLD_=0 it took 38.8-40.7k with
+# a matrix per repeat, and 2.0k without.
+_ALLOCATOR_CASES = [
+    ({}, 2, 50_000),
+    ({"MALLOC_TRIM_THRESHOLD_": "0"}, 2, 50_000),
+    ({"MALLOC_MMAP_THRESHOLD_": "65536"}, 2, 50_000),
+    ({"MALLOC_ARENA_MAX": "1"}, 2, 50_000),
+    ({"MALLOC_TRIM_THRESHOLD_": "0"}, 10, 10_000),
 ]
 
 
@@ -454,13 +549,13 @@ _ALLOCATOR_SETTINGS = [
 def test_evaluation_does_not_churn_page_faults():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    for setting in _ALLOCATOR_SETTINGS:
+    for setting, repeats, most in _ALLOCATOR_CASES:
         done = subprocess.run(
-            [sys.executable, "-c", _FAULT_PROBE], env=env | setting, capture_output=True,
-            text=True, timeout=300,
+            [sys.executable, "-c", _FAULT_PROBE.format(repeats=repeats)], env=env | setting,
+            capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, (setting, done.stderr)
-        assert int(done.stdout.strip()) < 50_000, setting
+        assert int(done.stdout.strip()) < most, (setting, repeats)
 
 
 def test_value_paths_build_no_tape_node(monkeypatch):
