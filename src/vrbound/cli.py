@@ -75,7 +75,8 @@ def _check_value(value, spec: dict, path: str):
     resolved section.
 
     A spec holds the value's ``type`` and may add ``min`` (with a ``why``),
-    ``finite`` and ``choices`` for a scalar (an alpha is checked as parsed);
+    ``max``, ``finite`` and ``choices`` for a scalar (an alpha is checked as
+    parsed);
     ``items`` (every item's spec) and ``min_items`` for a list; and for a
     dict its ``schema``, or ``variants``: a schema per key that selects it.
     """
@@ -99,6 +100,9 @@ def _check_value(value, spec: dict, path: str):
     if "min" in spec and not number >= spec["min"]:
         why = f": {spec['why']}" if "why" in spec else ""
         raise ConfigError(f"config key '{path}' must be >= {spec['min']}{why}")
+    if "max" in spec and not number <= spec["max"]:
+        why = "the most draws or repeats a config may set"
+        raise ConfigError(f"config key '{path}' must be <= {spec['max']}: {why}")
     if spec.get("finite") and not math.isfinite(number):
         raise ConfigError(f"config key '{path}' must be finite")
     if "choices" in spec and value not in spec["choices"]:
@@ -134,11 +138,17 @@ def _resolve_section(section: dict, schema: dict, path: str) -> dict:
     return out
 
 
+# The most draws per point or step, and the most repeats, that a config may
+# set (README, "Config sizes"). A run's memory grows with them, so a larger
+# count is a config error, found before the output directory is made rather
+# than as a failed allocation midway through the run.
+_MAX_COUNT = 100_000
 _SEED = {"type": "int", "min": 0, "default": 0}
 _NUMBERS = {"type": "list", "items": {"type": "number"}}
 _ALPHAS = {"type": "list", "items": {"type": "alpha"}, "required": True}
-_KS = {"type": "list", "items": {"type": "int", "min": 1}, "min_items": 1, "required": True}
-_REPEATS = {"type": "int", "min": 2, "why": "each row reports a standard error"}
+_DRAWS = {"type": "int", "min": 1, "max": _MAX_COUNT}
+_KS = {"type": "list", "items": _DRAWS, "min_items": 1, "required": True}
+_REPEATS = {"type": "int", "min": 2, "why": "each row reports a standard error", "max": _MAX_COUNT}
 # Held-out rows a bound table needs: its standard errors are over the points.
 _SE_POINTS = 2
 _GAUSSIAN = {"type": "dict", "required": True, "schema": {
@@ -180,7 +190,7 @@ _TRAIN = {"type": "dict", "default": {}, "schema": {
     f.name: {
         "type": "alpha" if f.name == "alpha" else _FIELD_TYPES[type(f.default)],
         "default": f.default,
-    }
+    } | ({"max": _MAX_COUNT} if f.name == "k" else {})
     for f in dataclasses.fields(TrainConfig)
     if f.name != "seed"
 }}
@@ -216,7 +226,7 @@ _SCHEMAS = {
         **_VAE_SCHEMA,
         "train": _TRAIN,
         # draws per point of the held-out reference bound, at least train.k
-        "eval_k": {"type": "int", "min": 1, "default": 5000},
+        "eval_k": _DRAWS | {"default": 5000},
     },
     "eval": {
         "params": {"type": "string", "required": True},
@@ -227,7 +237,7 @@ _SCHEMAS = {
         "alphas": _ALPHAS,
         "ks": _KS,
         "repeats": _REPEATS | {"default": 10},
-        "k_ref": {"type": "int", "min": 1, "default": 5000},
+        "k_ref": _DRAWS | {"default": 5000},
         "max_points": {
             "type": "int",
             "min": _SE_POINTS,

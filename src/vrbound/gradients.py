@@ -12,15 +12,15 @@ with the normalized weights held constant: they are exactly the partial
 derivatives of the estimate with respect to the log weights. At alpha = -inf
 and +inf the weights are one-hot at the largest or smallest log weight, the
 subgradient of max/min. ``vr_grad`` computes this with one vector-Jacobian
-product: the log-weight builder gets the parameters and all K draws, and
-returns the log weights, with the draws on axis 0 and any further axes
-independent weight sets (one per VAE datapoint) whose gradients are
-averaged, together with their VJP, written out for each model. The part
-those VJPs share, through the reparameterization, the N(0, I) prior and
-log q, is ``GaussianReparam.vjp``. The single-backward-pass variant puts a
-one-hot weight on the index that ``select_backprop_sample`` draws from
-each set with probability w_hat_j, which is unbiased for the full weighted
-gradient at finite alpha.
+product. It takes what a model's log-weight builder returns for the
+parameters and all K draws: the log weights, with the draws on axis 0 and
+any further axes independent weight sets (one per VAE datapoint) whose
+gradients are averaged, and their VJP, written out for each model. The
+part those VJPs share, through the reparameterization, the N(0, I) prior
+and log q, is ``GaussianReparam.vjp``. The single-backward-pass variant
+puts a one-hot weight on the index that ``select_backprop_sample`` draws
+from each set with probability w_hat_j, which is unbiased for the full
+weighted gradient at finite alpha.
 """
 
 from __future__ import annotations
@@ -172,42 +172,30 @@ class GaussianReparam:
         return g_mu, g_rho
 
 
-LogWeightBuilder = Callable[
-    [dict[str, np.ndarray], np.ndarray],
-    tuple[np.ndarray, Callable[[np.ndarray], dict[str, np.ndarray]]],
-]
-
-
 def vr_grad(
-    build_log_weights: LogWeightBuilder,
+    log_w: np.ndarray,
+    vjp: Callable[[np.ndarray], dict[str, np.ndarray]],
     params: dict[str, np.ndarray],
-    noise: np.ndarray,
     alpha: float,
     select_rng: np.random.Generator | None = None,
     out: np.ndarray | None = None,
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
+) -> dict[str, np.ndarray]:
     """Gradient of the K-sample bound estimate under fixed noise.
 
-    ``build_log_weights(params, noise)`` gets the parameters as float arrays
-    and the whole noise array, and returns the log weights, whose axis 0
-    holds the K draws and any further axes independent weight sets, and
-    their VJP: ``vjp(g)`` gives the gradient of sum(g * log_w) for every
-    parameter, as a dict by name (a name left out has gradient zero). One
-    VJP call yields the gradient of the mean over sets of the
-    normalized-weighted log weights, or, with ``select_rng``, of the log
-    weight that ``select_backprop_sample`` picks in each set. Returns the
-    gradient for every parameter and the log weights. The gradients are
-    views of one float vector of the parameters' total size, in the order
-    of ``params``: ``out`` when given (a training step's buffer), else a new
-    one. NaN or +inf log weights and non-finite gradient components raise
+    ``log_w`` are a model's log weights, whose axis 0 holds the K draws and
+    any further axes independent weight sets, and ``vjp`` their VJP, as a
+    log-weight builder returns them: ``vjp(g)`` gives the gradient of
+    sum(g * log_w) for every parameter, as a dict by name (a name left out
+    has gradient zero). One VJP call yields the gradient of the mean over
+    sets of the normalized-weighted log weights, or, with ``select_rng``, of
+    the log weight that ``select_backprop_sample`` picks in each set.
+    Returns the gradient of every parameter of ``params`` (arrays by name),
+    as views of one float vector of their total size, in their order:
+    ``out`` when given (a training step's buffer), else a new one. NaN or
+    +inf log weights and non-finite gradient components raise
     ``FloatingPointError`` naming the sample; zero-density (-inf) samples
     are allowed.
     """
-    noise = np.asarray(noise, dtype=float)
-    params = {name: np.asarray(value, dtype=float) for name, value in params.items()}
-    log_w, vjp = build_log_weights(params, noise)
-    if log_w.shape[:1] != noise.shape[:1]:
-        raise ValueError(f"log weights {log_w.shape} must hold the {len(noise)} draws on axis 0")
     sets = np.ascontiguousarray(np.moveaxis(log_w, 0, -1))
     if not (sets.shape[-1] > 0 and np.all(np.isfinite(sets))):
         bad = np.isnan(log_w) | np.isposinf(log_w)
@@ -232,7 +220,7 @@ def vr_grad(
         raise FloatingPointError(
             f"non-finite gradient for parameter '{name}' (suspect samples: {suspects})"
         )
-    return grads, log_w
+    return grads
 
 
 def log_weight_ratio(log_w: np.ndarray, axis: int | None = None):

@@ -21,11 +21,11 @@ only log w_j is back-propagated.
 
 The models differ only in their initial parameters (``init_params(seed)``),
 training rows, noise shape and log-weight builder. Every step draws the noise
-for all K draws and makes one ``vr_grad`` call (one forward pass that
-returns the log weights and their written-out VJP, one check of the log
-weights, one VJP call and one check of the gradients, which land in the
-trainer's flat gradient vector, ``out``), stops the run on a -inf log
-weight, which ``vr_grad`` allows, takes an Adam step on one flat vector
+for all K draws, runs the builder once (one forward pass that returns the log
+weights and their written-out VJP), makes one ``vr_grad`` call on them (one
+check of the log weights, one VJP call and one check of the gradients, which
+land in the trainer's flat gradient vector, ``out``), stops the run on a -inf
+log weight, which ``vr_grad`` allows, takes an Adam step on one flat vector
 that holds every parameter in the same layout (``params`` are named views
 of it), and keeps the log weights, without a second check: at the end of
 each epoch the run record gets every step's estimate and log R, averaged
@@ -259,10 +259,10 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
     squares, squares_by_name = _flat_views(params)  # a buffer in the same layout
     n = x.shape[0]
     m = min(config.minibatch, n)
+    vae = isinstance(model, VAEModel)
     adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
     record = RunRecord(seed=config.seed, alpha=config.alpha)
     start = time.perf_counter()
-    held = [None]
     step = 0
     epoch = 0
     while step < config.steps:
@@ -270,14 +270,28 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
         for batch_idx in _epoch_batches(n, m, config.seed, epoch):
             if step >= config.steps:
                 break
-            draw_shape, build = _batch_builder(model, params, x, y, batch_idx, held)
+            rows = x[batch_idx]
             noise_rng = np.random.default_rng([config.seed, _STREAM_NOISE, step])
-            noise = noise_rng.standard_normal((config.k, *draw_shape))
+            # (K, rows) per-datapoint log weights for the VAE, (K,) energy
+            # log weights at scale N/M for BLR and BNN. The previous step's
+            # pair, with the forward arrays its VJP keeps, is freed only once
+            # this one exists. Freed first, that memory went back to the
+            # system and was faulted in again: in a fresh process, 200 BNN
+            # steps (K = 50, hidden 50, minibatch 32) took 62.0k minor faults
+            # rather than 0.8k under glibc's defaults, and 0.44-0.60 s rather
+            # than 0.30-0.43 s (6 runs each, 2-vCPU host).
+            if vae:
+                noise = noise_rng.standard_normal((config.k, rows.shape[0], model.latent_dim))
+                log_w, vjp = model.log_weight_rows(params, rows, noise)
+            else:
+                noise = noise_rng.standard_normal((config.k, *params["mu"].shape))
+                scale = n / batch_idx.shape[0]
+                log_w, vjp = posterior_log_weights(model, params, rows, y[batch_idx], noise, scale)
             select_rng = None
             if config.single_backprop:
                 select_rng = np.random.default_rng([config.seed, _STREAM_SELECT, step])
             try:
-                _, log_w = vr_grad(build, params, noise, config.alpha, select_rng, flat_grads)
+                vr_grad(log_w, vjp, params, config.alpha, select_rng, flat_grads)
             except FloatingPointError as exc:
                 raise TrainingDiverged(step, str(exc), params) from exc
             # vr_grad allows zero-density (-inf) samples; a training step does not.
@@ -343,36 +357,6 @@ def _initial_state(model, config: TrainConfig, dataset: Dataset | None):
         x = dataset.train_features
         y = None if isinstance(model, VAEModel) else dataset.train_targets
     return model.init_params(config.seed), x, y
-
-
-def _batch_builder(model, params, x, y, batch_idx, held: list):
-    """Shape of one noise draw and the log-weight builder of one minibatch:
-    (K, rows) per-datapoint log weights for the VAE, (K,) energy-approximation
-    log weights for BLR and BNN.
-
-    The builder stores its (log weights, VJP) pair in ``held[0]``, so the
-    previous step's pair, and the forward arrays its VJP keeps, are freed
-    only once the new one exists. Freed first, that memory went back to the
-    system and was faulted in again: 200 BNN steps at K = 50 (hidden 50)
-    took 38.6k minor page faults rather than 18.8k, and 0.52 s rather than
-    0.48 s (medians of 8 interleaved runs on a 2-vCPU host).
-    """
-    vae = isinstance(model, VAEModel)
-    rows = x[batch_idx]
-    if vae:
-        draw_shape = (rows.shape[0], model.latent_dim)
-    else:
-        draw_shape = params["mu"].shape
-        targets, scale = y[batch_idx], float(x.shape[0]) / batch_idx.shape[0]
-
-    def build(values, noise):
-        if vae:
-            held[0] = model.log_weight_rows(values, rows, noise)
-        else:
-            held[0] = posterior_log_weights(model, values, rows, targets, noise, scale)
-        return held[0]
-
-    return draw_shape, build
 
 
 def _epoch_batches(n: int, batch: int, seed: int, epoch: int) -> list[np.ndarray]:

@@ -7,7 +7,7 @@ keeps what the tests compare those to: a minimal reverse-mode tape of
 generic operations, each with its own vector-Jacobian product, and the
 models' log weights built on it (``posterior_log_weights`` for BLR and BNN,
 ``vae_log_weights``); ``as_builder``, which gives a graph the builders'
-(log weights, VJP) contract so that ``vr_grad`` runs on it;
+(log weights, VJP) contract, whose pair ``vr_grad`` takes;
 ``finite_diff_check``, central differences of any gradient; ``gaussian_kl``,
 a second formula for KL[p||q] between Gaussians, which the library's
 closed-form divergence is checked against at order 1; and ``save_csv``,
@@ -175,7 +175,7 @@ def gradients(
 
 
 def as_builder(graph_fn):
-    """A log-weight builder for ``vr_grad`` from a reference graph:
+    """A log-weight builder from a reference graph, whose pair ``vr_grad`` takes:
     ``graph_fn(leaves, noise)`` gets one leaf per parameter and returns the
     log-weight node, and the builder returns its value and a VJP that runs
     one backward pass from ``g``, giving every leaf it reaches."""

@@ -50,6 +50,8 @@ _BIAS_SIM = {
     "ks": [2],
 }
 
+_VAE_TRAIN = {"dataset": {"synthetic": "binary-images"}}
+
 _DIVERGENCE = {
     "p": {"mean": [0.0], "variances": [1.0]},
     "q": {"mean": [1.0], "variances": [1.0]},
@@ -206,6 +208,21 @@ class TestConfigValidation:
             ("bias-sim", _BIAS_SIM | {"alphas": [0.5, "inf"]}, "bias_sim.alphas"),
             # a standard error needs two held-out points
             ("eval", _EVAL | {"max_points": 1}, "eval.max_points"),
+            # counts of draws and repeats above cli._MAX_COUNT, which at 10^12
+            # would fail to allocate
+            ("eval", _EVAL | {"k_ref": 10**12, "repeats": 2}, "eval.k_ref"),
+            ("eval", _EVAL | {"k_ref": 100_001}, "eval.k_ref"),
+            ("eval", _EVAL | {"ks": [2, 10**12]}, "eval.ks[1]"),
+            ("eval", _EVAL | {"repeats": 10**12}, "eval.repeats"),
+            ("vae-train", _VAE_TRAIN | {"eval_k": 10**12}, "vae_train.eval_k"),
+            ("vae-train", _VAE_TRAIN | {"train": {"k": 10**12}}, "vae_train.train.k"),
+            (
+                "bnn-train",
+                {"dataset": {"synthetic": "regression"}, "train": {"k": 10**12}},
+                "bnn_train.train.k",
+            ),
+            ("bias-sim", _BIAS_SIM | {"ks": [10**12]}, "bias_sim.ks[0]"),
+            ("bias-sim", _BIAS_SIM | {"repeats": 10**12}, "bias_sim.repeats"),
         ],
     )
     def test_invalid_value_is_config_error(self, tmp_path, capsys, kind, section, key):
@@ -217,6 +234,14 @@ class TestConfigValidation:
         assert (err["exit_code"], err["type"]) == (2, "config")
         assert key in err["message"]
         assert not (tmp_path / "out").exists()
+
+
+def test_counts_up_to_the_limit_pass_the_schema():
+    # resolved only: no run starts
+    most = cli._MAX_COUNT
+    section = _EVAL | {"ks": [1, most], "k_ref": most, "repeats": most}
+    cfg = cli.resolve_config({"kind": "eval", "output_dir": "out", "eval": section})
+    assert (cfg["eval"]["ks"], cfg["eval"]["k_ref"], cfg["eval"]["repeats"]) == ([1, most], most, most)
 
 
 def _csv_dataset(tmp_path: Path, **extra) -> dict:

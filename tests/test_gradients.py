@@ -152,7 +152,7 @@ class TestVrGrad:
         rng = np.random.default_rng(17)
         noises = rng.standard_normal((4, 1))
         names = sorted(params)
-        grads, log_w = vr_grad(build, params, noises, 0.0)
+        grads = vr_grad(*build(params, noises), params, 0.0)
         flat = _flatten(params, names)
         gflat = _flatten(grads, names)
 
@@ -173,7 +173,7 @@ class TestVrGrad:
         names = sorted(params)
         flat = _flatten(params, names)
         for alpha in ALL_BRANCH_ALPHAS:
-            grads, _ = vr_grad(build, params, noises, alpha)
+            grads = vr_grad(*build(params, noises), params, alpha)
 
             def f(x, a=alpha):
                 return _estimate(build, _unflatten(x, params, names), noises, a)
@@ -184,9 +184,9 @@ class TestVrGrad:
     def test_k1_gradient_is_alpha_free(self):
         build, params = _toy_builder()
         noise = np.random.default_rng(2).standard_normal((1, 1))
-        reference, _ = vr_grad(build, params, noise, 1.0)
+        reference = vr_grad(*build(params, noise), params, 1.0)
         for alpha in (-1.0, 0.0, 0.5, 2.0):
-            grads, _ = vr_grad(build, params, noise, alpha)
+            grads = vr_grad(*build(params, noise), params, alpha)
             for name in reference:
                 np.testing.assert_array_equal(grads[name], reference[name])
 
@@ -194,11 +194,11 @@ class TestVrGrad:
         build, params = _toy_builder()
         rng = np.random.default_rng(4)
         noises = rng.standard_normal((6, 1))
-        grads, _ = vr_grad(build, params, noises, 1.0)
+        grads = vr_grad(*build(params, noises), params, 1.0)
         # average of per-sample gradients
         accum = {name: np.zeros_like(value) for name, value in params.items()}
         for j in range(noises.shape[0]):
-            gj, _ = vr_grad(build, params, noises[j : j + 1], 1.0)
+            gj = vr_grad(*build(params, noises[j : j + 1]), params, 1.0)
             for name in accum:
                 accum[name] += gj[name] / noises.shape[0]
         for name in grads:
@@ -210,11 +210,12 @@ class TestVrGrad:
         rng = np.random.default_rng(5)
         noises = rng.standard_normal((3, 1))
         for alpha in (-1.0, 0.0, 0.5, 2.0):
-            full, log_w = vr_grad(build, params, noises, alpha)
+            log_w, vjp = build(params, noises)
+            full = vr_grad(log_w, vjp, params, alpha)
             probs = normalize_weights(log_w, alpha)
             accum = {name: np.zeros_like(value) for name, value in params.items()}
             for j in range(3):
-                gj, _ = vr_grad(build, params, noises[j : j + 1], alpha)
+                gj = vr_grad(*build(params, noises[j : j + 1]), params, alpha)
                 for name in accum:
                     accum[name] += probs[j] * gj[name]
             for name in full:
@@ -226,7 +227,8 @@ class TestVrGrad:
             return ref.div(ref.mul(nodes["mu"], eps[:, 0]), 0.0)  # manufactures inf
 
         with pytest.raises(FloatingPointError, match="sample 0"):
-            vr_grad(ref.as_builder(graph), {"mu": np.array(1.0)}, np.ones((1, 1)), 0.5)
+            params = {"mu": np.array(1.0)}
+            vr_grad(*ref.as_builder(graph)(params, np.ones((1, 1))), params, 0.5)
 
     def test_a_plain_builder_needs_no_graph(self):
         # log w = mu * eps with its VJP written out, and a parameter the VJP
@@ -243,7 +245,8 @@ class TestVrGrad:
 
         params = {"mu": np.array(0.7), "unused": np.ones(2)}
         for alpha in (0.5, -math.inf):
-            grads, log_w = vr_grad(build, params, noise, alpha)
+            log_w, vjp = build(params, noise)
+            grads = vr_grad(log_w, vjp, params, alpha)
             assert np.array_equal(log_w, 0.7 * noise)
             expected = np.sum(normalize_weights(0.7 * noise, alpha) * noise)
             assert grads["mu"] == pytest.approx(expected, rel=1e-15)
@@ -273,7 +276,8 @@ class TestVrGradWeightSets:
         names = sorted(params)
         flat = _flatten(params, names)
         for alpha in ALL_BRANCH_ALPHAS:
-            grads, log_w = vr_grad(build, params, eps, alpha)
+            log_w, vjp = build(params, eps)
+            grads = vr_grad(log_w, vjp, params, alpha)
             assert log_w.shape == (4, 3)
 
             def f(v, a=alpha):
@@ -286,16 +290,13 @@ class TestVrGradWeightSets:
     def test_selection_equals_mean_of_selected_draws(self):
         model, params, x, eps, build = _vae_problem()
         for alpha in (-math.inf, 0.0, 0.5, 2.0, math.inf):
-            grads, log_w = vr_grad(build, params, eps, alpha, np.random.default_rng(8))
+            log_w, vjp = build(params, eps)
+            grads = vr_grad(log_w, vjp, params, alpha, np.random.default_rng(8))
             picks = select_backprop_sample(log_w, alpha, np.random.default_rng(8), axis=0)
             accum = {name: np.zeros_like(value) for name, value in params.items()}
             for i, j in enumerate(picks):
-                gi, _ = vr_grad(
-                    lambda values, noise, i=i: model.log_weight_rows(values, x[i : i + 1], noise),
-                    params,
-                    eps[j : j + 1, i : i + 1],
-                    alpha,
-                )
+                pair = model.log_weight_rows(params, x[i : i + 1], eps[j : j + 1, i : i + 1])
+                gi = vr_grad(*pair, params, alpha)
                 for name in accum:
                     accum[name] += gi[name] / len(picks)
             for name in grads:
@@ -307,9 +308,11 @@ class TestVrGradWeightSets:
         size = sum(value.size for value in params.values())
         for alpha in (0.5, math.inf):
             rng = (lambda: np.random.default_rng(8)) if select else (lambda: None)
-            fresh, fresh_log_w = vr_grad(build, params, eps, alpha, rng())
+            fresh_log_w, vjp = build(params, eps)
+            fresh = vr_grad(fresh_log_w, vjp, params, alpha, rng())
             buf = np.full(size, math.nan)
-            grads, log_w = vr_grad(build, params, eps, alpha, rng(), out=buf)
+            log_w, vjp = build(params, eps)
+            grads = vr_grad(log_w, vjp, params, alpha, rng(), out=buf)
             assert log_w.tobytes() == fresh_log_w.tobytes()
             assert list(grads) == list(params)
             start = 0
@@ -320,25 +323,13 @@ class TestVrGradWeightSets:
                 start += value.size
             assert buf.tobytes() == np.concatenate([g.ravel() for g in fresh.values()]).tobytes()
 
-    def test_builder_must_return_the_draws_on_axis_0(self):
-        model, params, x, eps, build = _vae_problem()
-
-        def summed(values, noise):
-            log_w, vjp = build(values, noise)
-            return np.sum(log_w), vjp
-
-        with pytest.raises(ValueError, match="4 draws on axis 0"):
-            vr_grad(summed, params, eps, 0.5)
-        with pytest.raises(ValueError, match="4 draws on axis 0"):
-            vr_grad(lambda values, noise: build(values, noise[0]), params, eps, 0.5)
-
     def test_nonfinite_log_weight_reports_sample_and_set(self):
         model, params, x, eps, build = _vae_problem()
         noise = eps.copy()
         noise[2, 1, 0] = math.nan
         message = r"sample 2 in weight set \(1,\) is nan"
         with pytest.raises(FloatingPointError, match=message):
-            vr_grad(build, params, noise, 0.5)
+            vr_grad(*build(params, noise), params, 0.5)
 
 
 def test_a_non_finite_vae_gradient_names_the_parameter_and_the_suspects():
@@ -355,7 +346,7 @@ def test_a_non_finite_vae_gradient_names_the_parameter_and_the_suspects():
     message = r"^non-finite gradient for parameter 'enc_w1' \(suspect samples: \[1\]\)$"
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match=message):
-            vr_grad(lambda values, eps: vae.log_weight_rows(values, x, eps), params, noise, 0.5)
+            vr_grad(*vae.log_weight_rows(params, x, noise), params, 0.5)
 
 
 class TestVrGradChecks:
@@ -371,8 +362,9 @@ class TestVrGradChecks:
             return ref.add(ref.mul(nodes["mu"], noise), offsets)
 
         rng = np.random.default_rng(0) if select else None
-        build = ref.as_builder(graph)
-        return vr_grad(build, {"mu": np.array(0.5)}, TestVrGradChecks.NOISE, alpha, rng)
+        params = {"mu": np.array(0.5)}
+        log_w, vjp = ref.as_builder(graph)(params, TestVrGradChecks.NOISE)
+        return vr_grad(log_w, vjp, params, alpha, rng), log_w
 
     @pytest.mark.parametrize("select", [False, True], ids=["weighted", "selected"])
     @pytest.mark.parametrize("alpha", [0.5, 2.0])

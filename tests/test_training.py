@@ -21,7 +21,9 @@ from vrbound import (
     TrainingDiverged,
     VAEModel,
     blr_exact_posterior,
+    blr_mean_field_fit,
     evaluate_vae,
+    exact_vr_bound_blr,
     mc_vr_estimate,
     normalize_weights,
     synthetic_binary_images,
@@ -229,22 +231,17 @@ class TestTrainBehavior:
     )
     def test_a_non_finite_log_weight_stops_the_run(self, monkeypatch, bad, message):
         # vr_grad allows a -inf log weight; a training step does not
-        batch_builder = training._batch_builder
+        build = training.posterior_log_weights
         calls = []
 
         def spoiled(*args):
-            draw_shape, build = batch_builder(*args)
+            log_w, vjp = build(*args)
             calls.append(None)
             offsets = np.zeros(3)
             offsets[1] = bad if len(calls) == 3 else 0.0
+            return log_w + offsets, vjp
 
-            def shifted(values, noise):
-                log_w, vjp = build(values, noise)
-                return log_w + offsets, vjp
-
-            return draw_shape, shifted
-
-        monkeypatch.setattr(training, "_batch_builder", spoiled)
+        monkeypatch.setattr(training, "posterior_log_weights", spoiled)
         cfg = TrainConfig(alpha=0.5, k=3, minibatch=5, steps=4, learning_rate=0.01, seed=2)
         with pytest.raises(TrainingDiverged, match=rf"^{message}$") as exc_info:
             train(synthetic_blr_instance(seed=1, n_data=10), cfg)
@@ -311,7 +308,7 @@ class TestTrainBehavior:
         def no_step(*args, **kwargs):
             raise AssertionError("a step ran")
 
-        monkeypatch.setattr(training, "_batch_builder", no_step)
+        monkeypatch.setattr(training, "posterior_log_weights", no_step)
         cfg = TrainConfig(alpha=0.5, k=2, minibatch=8, steps=3, seed=0)
         with pytest.raises(ValueError, match="no targets"):
             train(BNNModel(in_dim=1, hidden=4), cfg, data)
@@ -321,6 +318,46 @@ class TestTrainBehavior:
             TrainConfig(k=0)
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=0.0)
+
+
+# SGD on BLR against the deterministic mean-field fit at each order: the
+# default instance (25 points, 2-D), full batch, learning rate 0.01, 1500
+# steps, seed 0, and K by order. The gap fit.bound - exact_vr_bound_blr(model,
+# trained q, alpha) comes from the final iterate of noisy SGD and, at alpha
+# != 1, from the bias of the K-sample objective, which shrinks as K grows
+# (Li & Turner, arXiv 1602.02311, section 4). Over seeds 0-19 it lay in
+# 0.0004-0.0199 nats at alpha 1, 0.0004-0.0253 at 0.5 and 0.0001-0.0209 at 2;
+# the bound, 0.05, is about twice the worst. The trained variances kept the
+# fit's order in alpha, per coordinate, on every seed. Order 0 is left out:
+# its exact bound is log Z for every q.
+_BLR_SGD_K = {1.0: 10, 0.5: 50, 2.0: 50}
+_BLR_SGD_GAP = 0.05
+
+
+@pytest.fixture(scope="module")
+def blr_sgd():
+    model = synthetic_blr_instance(seed=0)
+    fits, trained_qs = {}, {}
+    for alpha, k in _BLR_SGD_K.items():
+        cfg = TrainConfig(alpha=alpha, k=k, minibatch=25, steps=1500, learning_rate=0.01, seed=0)
+        params, _ = train(model, cfg)
+        fits[alpha] = blr_mean_field_fit(model, alpha)
+        trained_qs[alpha] = GaussianDist(params["mu"], variances=np.exp(2.0 * params["rho"]))
+    return model, fits, trained_qs
+
+
+@pytest.mark.parametrize("alpha", list(_BLR_SGD_K))
+def test_blr_sgd_meets_the_mean_field_fit(blr_sgd, alpha):
+    model, fits, trained_qs = blr_sgd
+    # the fit is the optimum: the trained q scores no better, up to rounding
+    gap = fits[alpha].bound - exact_vr_bound_blr(model, trained_qs[alpha], alpha)
+    assert -1e-9 <= gap < _BLR_SGD_GAP
+    # smaller orders cover more mass: each coordinate's trained variance sits
+    # above or below every other order's as the fit's does
+    for other in _BLR_SGD_K:
+        fit_side = np.sign(fits[alpha].q.variances - fits[other].q.variances)
+        sgd_side = np.sign(trained_qs[alpha].variances - trained_qs[other].variances)
+        np.testing.assert_array_equal(sgd_side, fit_side, err_msg=f"{alpha} against {other}")
 
 
 @pytest.fixture(scope="module")
@@ -545,17 +582,48 @@ _ALLOCATOR_CASES = [
 ]
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
-def test_evaluation_does_not_churn_page_faults():
+def _faults(probe: str, setting: dict) -> int:
+    """The minor faults that ``probe`` prints, run in a fresh interpreter on
+    this checkout's source, with ``setting`` added to the environment."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env | setting, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, (setting, done.stderr)
+    return int(done.stdout.strip())
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+def test_evaluation_does_not_churn_page_faults():
     for setting, repeats, most in _ALLOCATOR_CASES:
-        done = subprocess.run(
-            [sys.executable, "-c", _FAULT_PROBE.format(repeats=repeats)], env=env | setting,
-            capture_output=True, text=True, timeout=300,
-        )
-        assert done.returncode == 0, (setting, done.stderr)
-        assert int(done.stdout.strip()) < most, (setting, repeats)
+        assert _faults(_FAULT_PROBE.format(repeats=repeats), setting) < most, (setting, repeats)
+
+
+# A fresh interpreter runs 200 BNN steps (K = 50, hidden 50, minibatch 32)
+# under glibc's defaults and prints the minor page faults they took. `train`
+# frees a step's log weights and VJP only once the next step's exist, and the
+# probe took 779-780 faults in 6 runs (1,580 in 6 runs with the pair held in
+# a list by a per-step closure). Freed before the next step built, the pair's
+# memory went back to the system and was faulted in again: 61,963. The bound
+# is over 6 times the larger count, and a sixth of the churning one.
+_TRAIN_FAULT_PROBE = """
+import resource
+from vrbound.models.bnn import BNNModel
+from vrbound.models.data import synthetic_regression
+from vrbound.training import TrainConfig, train
+
+data, _ = synthetic_regression(seed=0, n=900).standardized()
+cfg = TrainConfig(alpha=0.5, k=50, minibatch=32, steps=200, learning_rate=1e-3, seed=0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train(BNNModel(in_dim=1, hidden=50), cfg, data)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+def test_training_does_not_churn_page_faults():
+    assert _faults(_TRAIN_FAULT_PROBE, {}) < 10_000
 
 
 def test_value_paths_build_no_tape_node(monkeypatch):
@@ -594,6 +662,50 @@ def test_value_paths_build_no_tape_node(monkeypatch):
     assert ran == []
     vjp(np.ones(log_w.shape))  # the counter does see a VJP
     assert len(ran) == 1
+
+
+@pytest.mark.parametrize("kind", ["blr", "bnn", "vae"])
+def test_a_training_step_runs_the_builder_and_its_vjp_once(monkeypatch, kind):
+    # each step: one forward pass, one call of its VJP, and within it one of
+    # the VJP that every model chains into
+    from vrbound.gradients import GaussianReparam
+
+    calls = []
+    reparam_vjp = GaussianReparam.vjp
+
+    def counted_reparam(self, *args):
+        calls.append("reparam")
+        return reparam_vjp(self, *args)
+
+    def counted(build):
+        def counted_build(*args):
+            calls.append("build")
+            log_w, vjp = build(*args)
+
+            def counted_vjp(g):
+                calls.append("vjp")
+                return vjp(g)
+
+            return log_w, counted_vjp
+
+        return counted_build
+
+    monkeypatch.setattr(GaussianReparam, "vjp", counted_reparam)
+    cfg = TrainConfig(alpha=0.5, k=3, minibatch=8, steps=4, learning_rate=0.01, seed=1)
+    if kind == "vae":
+        monkeypatch.setattr(VAEModel, "log_weight_rows", counted(VAEModel.log_weight_rows))
+        data = synthetic_binary_images(seed=0, n=220, side=4)
+        train(VAEModel(data_dim=16, latent_dim=2, hidden=4), cfg, data)
+    else:
+        monkeypatch.setattr(
+            training, "posterior_log_weights", counted(training.posterior_log_weights)
+        )
+        if kind == "blr":
+            train(synthetic_blr_instance(seed=1, n_data=10), cfg)
+        else:
+            data, _ = synthetic_regression(seed=2, n=30).standardized()
+            train(BNNModel(in_dim=1, hidden=4), cfg, data)
+    assert calls == ["build", "vjp", "reparam"] * 4
 
 
 class TestWeightDiagnostics:
@@ -642,10 +754,9 @@ class TestWeightDiagnostics:
         step_sets = []
         vr_grad = training.vr_grad
 
-        def keeping(*args, **kwargs):
-            out = vr_grad(*args, **kwargs)
-            step_sets.append(np.moveaxis(out[1], 0, -1).copy())
-            return out
+        def keeping(log_w, *args, **kwargs):
+            step_sets.append(np.moveaxis(log_w, 0, -1).copy())
+            return vr_grad(log_w, *args, **kwargs)
 
         monkeypatch.setattr(training, "vr_grad", keeping)
         cfg = TrainConfig(alpha=alpha, k=5, minibatch=32, steps=22, learning_rate=0.01, seed=2)
