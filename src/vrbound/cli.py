@@ -101,7 +101,7 @@ def _check_value(value, spec: dict, path: str):
         why = f": {spec['why']}" if "why" in spec else ""
         raise ConfigError(f"config key '{path}' must be >= {spec['min']}{why}")
     if "max" in spec and not number <= spec["max"]:
-        why = "the most draws or repeats a config may set"
+        why = "the largest count or size a config may set"
         raise ConfigError(f"config key '{path}' must be <= {spec['max']}: {why}")
     if spec.get("finite") and not math.isfinite(number):
         raise ConfigError(f"config key '{path}' must be finite")
@@ -138,15 +138,17 @@ def _resolve_section(section: dict, schema: dict, path: str) -> dict:
     return out
 
 
-# The most draws per point or step, and the most repeats, that a config may
-# set (README, "Config sizes"). A run's memory grows with them, so a larger
-# count is a config error, found before the output directory is made rather
-# than as a failed allocation midway through the run.
+# The largest count (of draws per point or step, of repeats) and the largest
+# size (of a dataset, a layer, a grid) that a config may set (README, "Config
+# sizes"). A run's memory grows with each, so a larger value is a config
+# error, found before the output directory is made rather than as a failed
+# allocation midway through the run.
 _MAX_COUNT = 100_000
 _SEED = {"type": "int", "min": 0, "default": 0}
 _NUMBERS = {"type": "list", "items": {"type": "number"}}
 _ALPHAS = {"type": "list", "items": {"type": "alpha"}, "required": True}
-_DRAWS = {"type": "int", "min": 1, "max": _MAX_COUNT}
+_SIZE = {"type": "int", "max": _MAX_COUNT}
+_DRAWS = _SIZE | {"min": 1}
 _KS = {"type": "list", "items": _DRAWS, "min_items": 1, "required": True}
 _REPEATS = {"type": "int", "min": 2, "why": "each row reports a standard error", "max": _MAX_COUNT}
 # Held-out rows a bound table needs: its standard errors are over the points.
@@ -163,7 +165,7 @@ _GENERATORS = {"regression": synthetic_regression, "binary-images": synthetic_bi
 _DATASET = {"type": "dict", "required": True, "variants": {
     "synthetic": {
         "synthetic": {"type": "string", "required": True, "choices": sorted(_GENERATORS)},
-        "n": {"type": "int", "default": 900},
+        "n": _SIZE | {"default": 900},
         "seed": _SEED,
     },
     "path": {
@@ -178,9 +180,9 @@ _DATASET = {"type": "dict", "required": True, "variants": {
 }}
 
 _VAE_SCHEMA = {
-    "latent_dim": {"type": "int", "default": 2},
-    "hidden": {"type": "int", "default": 16},
-    "encoder_hidden": {"type": "int"},
+    "latent_dim": _SIZE | {"default": 2},
+    "hidden": _SIZE | {"default": 16},
+    "encoder_hidden": _SIZE,
     "likelihood": {"type": "string", "default": "bernoulli"},
 }
 
@@ -206,7 +208,7 @@ _SCHEMAS = {
     },
     "blr-demo": {
         "instance_seed": _SEED,
-        "n_data": {"type": "int", "default": 25},
+        "n_data": _SIZE | {"default": 25},
         "noise_std": {"type": "number", "default": 1.0},
         "correlation": {"type": "number", "default": 0.9},
         "fit_alphas": {"type": "list", "default": [1.0, 0.5, 0.0, "inf"], "items": {
@@ -217,10 +219,10 @@ _SCHEMAS = {
         "sigma_grid": {"type": "dict", "default": {}, "schema": {
             "lo": {"type": "number", "default": 0.5},
             "hi": {"type": "number", "default": 3.0},
-            "points": {"type": "int", "default": 50},
+            "points": _SIZE | {"default": 50},
         }},
     },
-    "bnn-train": {"dataset": _DATASET, "hidden": {"type": "int", "default": 50}, "train": _TRAIN},
+    "bnn-train": {"dataset": _DATASET, "hidden": _SIZE | {"default": 50}, "train": _TRAIN},
     "vae-train": {
         "dataset": _DATASET,
         **_VAE_SCHEMA,
@@ -231,7 +233,7 @@ _SCHEMAS = {
     "eval": {
         "params": {"type": "string", "required": True},
         "model": {"type": "dict", "required": True, "schema": {
-            "data_dim": {"type": "int", "required": True}, **_VAE_SCHEMA
+            "data_dim": _SIZE | {"required": True}, **_VAE_SCHEMA
         }},
         "dataset": _DATASET,
         "alphas": _ALPHAS,

@@ -17,22 +17,21 @@ the decoder, then through the reparameterization, the prior and log q
 per VJP call.
 
 ``log_weight_matrix`` is the value-only path of held-out evaluation, where K
-runs to thousands: it takes a noise generator and a draw count, encodes once
-and runs the rest over chunks of draws small enough to stay in cache, pulled
-by a worker per usable core. What does not depend on the draws is made once
-per call: the encoding, exp(rho) and sum(rho), the decoder's biases repeated
-for every point, the likelihood's products of the data with the decoder's
-output layer, and whether that layer's logits can reach the probability
-floor's cap at all. Each worker makes one
-workspace of chunk arrays per call. The worker that takes a chunk draws its
-noise into it under the lock that hands the chunk out, so the draws come in
-chunk order, and computes the chunk's log weights in it with the forward
-pass that ``log_weight_rows`` runs on new arrays. Each chunk writes its own
-columns of the result, so the result is the same, bit for bit, at any
-worker count. The chunk loop, ``_log_weight_chunks``, hands each chunk's
-log weights to a consumer instead: ``log_weight_matrix``'s writes them into
-its result, and held-out evaluation's into a segment buffer
-(``training.evaluate_vae``), over calls that share the workers' workspaces.
+runs to thousands: it takes a noise generator and a draw count, and makes
+one sampler (``_sampler``) for them. A sampler is made once per call, of
+``log_weight_matrix`` or of ``training.evaluate_vae``, and makes what does
+not depend on the draws: the encoding, exp(rho) and sum(rho), the decoder's
+biases repeated for every point, the likelihood's products of the data with
+the decoder's output layer, and whether that layer's logits can reach the
+probability floor's cap at all. Its ``fill(rng, out)`` writes the log
+weights of ``out``'s columns of new draws over chunks of draws small enough
+to stay in cache, pulled by a worker per usable core. The worker that takes
+a chunk draws its noise under the lock that hands the chunk out, so the
+draws come in chunk order, into its workspace of chunk arrays, which the
+sampler keeps for its later ``fill`` calls, and computes the chunk's log
+weights in it with the forward pass that ``log_weight_rows`` runs on new
+arrays. Each chunk writes its own columns of ``out``, so ``out`` is the
+same, bit for bit, at any worker count.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .. import autodiff as ad
 from ..gradients import GaussianReparam
 
 # Byte budget of one float64 (rows, n * max(data_dim, hidden, latent_dim))
-# array of a chunk of draws in ``log_weight_matrix``. A chunk is a few dozen
+# array of a chunk of draws in a ``_sampler``'s ``fill``. A chunk is a few dozen
 # numpy operations, and a worker holds the GIL between them, so a chunk must
 # be long enough for the arithmetic, which runs without the GIL, to dominate.
 # On 2 cores, a 5000-draw call on 100 points of width 64 took about as long
@@ -250,62 +249,91 @@ class VAEModel:
 
         Equal bit for bit to ``log_weight_rows(params, x, eps)[0].T`` with eps
         the one-shot draw ``rng.standard_normal((k, n, latent_dim))``, and
-        ``rng`` is left in the state that draw leaves it in: the noise is
-        drawn chunk by chunk, in chunk order, and consecutive draws of a
-        generator are one draw split. The encoder runs once; each chunk of
-        draws runs ``log_weight_rows``'s forward pass from its noise to its
-        log weights. A chunk holds at most ``_CHUNK_BYTES`` in a float64
-        (rows, max(data_dim, hidden, latent_dim)) array, or one draw when n
-        rows are already more. The chunks are pulled by one worker per
-        usable core (see ``_deal``), each of which writes its chunks into
-        one workspace (``_workspace``), sized by the first chunk and made
-        once per call; a shorter last chunk takes views of it. So the memory
-        is the (n, k) result and a few chunks, whatever the latent width.
-        Chunk bounds do not depend on the worker count, and neither does the
-        result. k = 0 gives an empty (n, 0) matrix.
+        ``rng`` is left in the state that draw leaves it in. One ``_sampler``
+        call makes the draws, so the memory is the (n, k) result and a few
+        chunks, whatever the latent width, and the result does not depend on
+        the worker count. k = 0 gives an empty (n, 0) matrix.
         """
         x = np.asarray(x, dtype=float)
         out = np.empty((x.shape[0], k))
-
-        def write(chunk: slice, log_w: np.ndarray) -> None:
-            out[:, chunk] = log_w.T
-
-        self._log_weight_chunks(params, x, rng, k, write, [])
+        self._sampler(params, x)(rng, out)
         return out
 
-    def _log_weight_chunks(self, params, x: np.ndarray, rng, k: int, consume, spare: list):
-        """``log_weight_matrix``'s chunk loop over ``k`` draws: runs
-        ``consume(chunk, log_w)`` on the (draws, n) log weights of every
-        chunk, ``chunk`` being the slice of the draws they hold, in the worker
-        that computed them. ``log_w`` is that worker's workspace, which its
-        next chunk overwrites. A worker takes its workspace from ``spare``,
-        which holds those that earlier calls on the same points left there,
-        or makes one where ``spare`` has none large enough; the call leaves
-        every worker's workspace in ``spare``."""
+    def _sampler(self, params: dict[str, np.ndarray], x: np.ndarray):
+        """``fill(rng, out)``, which writes the log weights of
+        ``out.shape[1]`` new draws of ``rng`` into the columns of the
+        (n, draws) array ``out``, in draw order, as ``log_weight_matrix``
+        returns them. The encoding, ``GaussianReparam`` and ``_fixed`` are
+        made here, once for every ``fill`` call.
+
+        ``fill`` runs ``log_weight_rows``'s forward pass over chunks of
+        draws whose float64 (rows, n * max(data_dim, hidden, latent_dim))
+        arrays take at most ``_CHUNK_BYTES``, or one draw each, on min(cores,
+        chunks) workers that pull the chunks in order. One lock hands out
+        the next chunk and draws its noise, so the draws come in chunk order
+        whichever worker takes them, and a worker that is done early takes
+        the next chunk rather than waiting for the others at the end. Each
+        worker computes its chunks in one workspace (``_workspace``), sized
+        by the first chunk of the call that makes it and kept for the later
+        calls; a shorter chunk takes views of it. The calling thread is one
+        worker; the others are threads of a pool that lives for one call,
+        each running in a copy of the caller's context, so the caller's
+        ``np.errstate`` holds in every worker. Once a worker raises, no
+        worker pulls another chunk, and the exception is raised once all
+        workers have stopped. Chunk bounds do not depend on the worker
+        count, and neither does ``out``.
+        """
         n = x.shape[0]
         reparam = GaussianReparam(*self._encode(params, x)[1:])
         fixed = self._fixed(params, x)
-
-        def workspace() -> dict[str, np.ndarray]:
-            try:
-                ws = spare.pop()
-            except IndexError:
-                return self._workspace(draws, n)
-            return ws if len(ws["eps"]) >= draws else self._workspace(draws, n)
-
-        def draw(chunk: slice, ws: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-            views = {name: a[: chunk.stop - chunk.start] for name, a in ws.items()}
-            rng.standard_normal(out=views["eps"])
-            return views
-
-        def fill(chunk: slice, views: dict[str, np.ndarray]) -> None:
-            consume(chunk, self._forward(params, x, fixed, reparam, views["eps"], views)[0])
-
         width = n * max(self.data_dim, self.hidden, self.latent_dim)
-        chunks = _draw_slices(k, width, _CHUNK_BYTES)
-        if chunks:
-            draws = chunks[0].stop - chunks[0].start
-            spare.extend(_deal(chunks, workspace, draw, fill))
+        step = max(1, _CHUNK_BYTES // (8 * width))
+        kept = []  # the workspaces of earlier calls' workers
+
+        def fill(rng: np.random.Generator, out: np.ndarray) -> None:
+            k = out.shape[1]
+            draws = min(step, k)  # the largest chunk
+            starts = range(0, k, step)
+            pending = iter(starts)
+            lock = threading.Lock()
+            failed = threading.Event()
+
+            def work() -> None:
+                ws = None
+                try:
+                    while True:
+                        with lock:
+                            start = None if failed.is_set() else next(pending, None)
+                            if start is None:
+                                return
+                            if ws is None:
+                                ws = kept.pop() if kept else None
+                                if ws is None or len(ws["eps"]) < draws:
+                                    ws = self._workspace(draws, n)
+                            chunk = {name: a[: min(draws, k - start)] for name, a in ws.items()}
+                            rng.standard_normal(out=chunk["eps"])
+                        log_w = self._forward(params, x, fixed, reparam, chunk["eps"], chunk)[0]
+                        out[:, start : start + len(log_w)] = log_w.T
+                except BaseException:
+                    failed.set()
+                    raise
+                finally:
+                    if ws is not None:
+                        kept.append(ws)
+
+            workers = min(_usable_cores(), len(starts))
+            if workers <= 1:
+                work()
+                return
+            with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+                futures = [
+                    pool.submit(contextvars.copy_context().run, work) for _ in range(1, workers)
+                ]
+                work()
+                for future in futures:
+                    future.result()
+
+        return fill
 
     def _workspace(self, draws: int, n: int) -> dict[str, np.ndarray]:
         """A worker's arrays for chunks of up to ``draws`` draws of ``n``
@@ -326,13 +354,6 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
-def _draw_slices(k: int, row_width: int, budget: int) -> list[slice]:
-    """Consecutive slices of ``k`` draws whose float64 (rows, row_width)
-    arrays take at most ``budget`` bytes each, or one draw each."""
-    step = max(1, budget // (8 * row_width))
-    return [slice(start, min(start + step, k)) for start in range(0, k, step)]
-
-
 def _usable_cores() -> int:
     """Cores this process may run on."""
     try:
@@ -340,46 +361,3 @@ def _usable_cores() -> int:
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
 
-
-def _deal(chunks: list[slice], workspace, draw, fill) -> list:
-    """Run ``fill(chunk, draw(chunk, ws))`` on every chunk, on min(cores,
-    chunks) workers that pull the chunks in order, each with its own ``ws =
-    workspace()``, taken once, and return the workers' ``ws``. One lock
-    hands out the next chunk and runs ``draw`` on it, so the draws happen in
-    chunk order whichever worker takes them, and a worker that is done early
-    takes the next chunk rather than waiting for the others at the end. The
-    calling thread is one worker; the others are threads of a pool that
-    lives for this call only, each running in a copy of the caller's
-    context, so the caller's ``np.errstate`` holds in every worker. Once a
-    worker raises, no worker pulls another chunk, and the exception is
-    raised here once all workers have stopped."""
-    pending = iter(chunks)
-    lock = threading.Lock()
-    failed = threading.Event()
-    taken = []
-
-    def work() -> None:
-        try:
-            ws = workspace()
-            taken.append(ws)
-            while True:
-                with lock:
-                    chunk = None if failed.is_set() else next(pending, None)
-                    if chunk is None:
-                        return
-                    drawn = draw(chunk, ws)
-                fill(chunk, drawn)
-        except BaseException:
-            failed.set()
-            raise
-
-    workers = min(_usable_cores(), len(chunks))
-    if workers <= 1:
-        work()
-        return taken
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, work) for _ in range(1, workers)]
-        work()
-        for future in futures:
-            future.result()
-    return taken

@@ -31,18 +31,20 @@ of it), and keeps the log weights, without a second check: at the end of
 each epoch the run record gets every step's estimate and log R, averaged
 over its weight sets, from one reduction over the epoch's sets.
 
-Held-out evaluation (``evaluate_vae``) needs no gradient. Per repeat it
-draws max(K, k_ref) samples per point through ``VAEModel.log_weight_matrix``'s
-chunk loop, the model's value-only path, which encodes once and runs the
-rest in cache-sized chunks of draws, pulled by a worker per usable core,
-each drawing its chunk's noise as it takes the chunk into a workspace of
-chunk arrays. It does so in segments of ``_SEGMENT`` draws and keeps no
-(n, max(K, k_ref)) matrix: a segment's log weights go to one buffer, the
-first columns to a prefix buffer for the cells with fewer draws, and each
-point's estimate of the segment to the cells at K = max(K, k_ref), which
-merge them at the end of the repeat. The buffers and the workspaces are
-made once per call, whatever the latent width and k_ref, and the table is
-the same at any chunk size and worker count.
+Held-out evaluation (``evaluate_vae``) needs no gradient. It makes one
+sampler per call (``VAEModel._sampler``, the model's value-only path, which
+``log_weight_matrix`` runs too): the encoding once, and then cache-sized
+chunks of draws, pulled by a worker per usable core, each drawing its
+chunk's noise as it takes the chunk into the workspace of chunk arrays that
+it keeps across the sampler's calls. Per repeat it draws max(K, k_ref)
+samples per point through the sampler, in segments of ``_SEGMENT`` draws,
+and keeps no (n, max(K, k_ref)) matrix: a segment's log weights go to one
+buffer, the first columns to a prefix buffer for the cells with fewer
+draws, and each point's estimate of the segment to the cells at
+K = max(K, k_ref), which merge them at the end of the repeat. The buffers,
+the sampler and its workspaces are made once per call, whatever the latent
+width and k_ref, and the table is the same at any chunk size and worker
+count.
 
 Randomness is organized in named streams derived from (seed, stream id,
 index), so shuffling, noise, and evaluation draws are reproducible
@@ -90,9 +92,9 @@ _STREAM_EVAL = 4
 # eval block's largest array: `vr vae-train` (200 points, k_ref 5000) peaked
 # at 43.6, 43.7, 44.8 and 48.4 MB (ru_maxrss, in process) at 256, 512, 1024
 # and 2048, against 51.9 MB with a repeat's (200, 5000) matrix. Each segment
-# is one pass of the chunk loop, whose workers meet at its end, so shorter
-# segments wait more: over 4 alternating rounds of `evaluate_vae` at `vr
-# eval`'s config, 512 took 1.55-2.01 s and 1024 1.57-1.64 s, against
+# is one ``fill`` call of the sampler, whose workers meet at its end, so
+# shorter segments wait more: over 4 alternating rounds of `evaluate_vae` at
+# `vr eval`'s config, 512 took 1.55-2.01 s and 1024 1.57-1.64 s, against
 # 1.46-1.66 s with the matrix (2-vCPU host).
 _SEGMENT = 1024
 
@@ -425,7 +427,7 @@ def evaluate_vae(
     segments = {a: np.empty(tops.shape) for a, k in per_point if k == k_block}
     counts = _segment_counts(k_block, _SEGMENT)
     memory = np.empty(n * counts[0])  # a segment's (n, size) log weights
-    spare = []  # the workers' workspaces, kept across segments and repeats
+    fill = model._sampler(params, x)
 
     for r in range(repeats):
         rng = np.random.default_rng([seed, _STREAM_EVAL, r])
@@ -433,11 +435,7 @@ def evaluate_vae(
             # the segment's draws, its first columns to the prefix, and its
             # estimate at every order of K = k_block
             sets = memory[: n * size].reshape(n, size)
-
-            def write(chunk: slice, log_w: np.ndarray) -> None:
-                sets[:, chunk] = log_w.T
-
-            model._log_weight_chunks(params, x, rng, size, write, spare)
+            fill(rng, sets)
             head = prefix[:, s * _SEGMENT : s * _SEGMENT + size]
             head[...] = sets[:, : head.shape[1]]
             tops[:, s] = np.max(sets, axis=-1)

@@ -223,6 +223,35 @@ class TestConfigValidation:
             ),
             ("bias-sim", _BIAS_SIM | {"ks": [10**12]}, "bias_sim.ks[0]"),
             ("bias-sim", _BIAS_SIM | {"repeats": 10**12}, "bias_sim.repeats"),
+            # sizes of a dataset, a layer and a grid above the same limit; at
+            # 10^12 each would fail to allocate
+            (
+                "bnn-train",
+                {"dataset": {"synthetic": "regression", "n": 10**12}},
+                "bnn_train.dataset.n",
+            ),
+            (
+                "bnn-train",
+                {"dataset": {"synthetic": "regression"}, "hidden": 10**12},
+                "bnn_train.hidden",
+            ),
+            ("vae-train", _VAE_TRAIN | {"latent_dim": 10**12}, "vae_train.latent_dim"),
+            ("vae-train", _VAE_TRAIN | {"hidden": 10**12}, "vae_train.hidden"),
+            ("vae-train", _VAE_TRAIN | {"encoder_hidden": 10**12}, "vae_train.encoder_hidden"),
+            ("eval", _EVAL | {"model": {"data_dim": 10**12}}, "eval.model.data_dim"),
+            (
+                "eval",
+                _EVAL | {"model": {"data_dim": 64, "latent_dim": 10**12}},
+                "eval.model.latent_dim",
+            ),
+            ("eval", _EVAL | {"model": {"data_dim": 64, "hidden": 10**12}}, "eval.model.hidden"),
+            (
+                "eval",
+                _EVAL | {"model": {"data_dim": 64, "encoder_hidden": 10**12}},
+                "eval.model.encoder_hidden",
+            ),
+            ("blr-demo", {"n_data": 10**12}, "blr_demo.n_data"),
+            ("blr-demo", {"sigma_grid": {"points": 10**12}}, "blr_demo.sigma_grid.points"),
         ],
     )
     def test_invalid_value_is_config_error(self, tmp_path, capsys, kind, section, key):
@@ -242,6 +271,57 @@ def test_counts_up_to_the_limit_pass_the_schema():
     section = _EVAL | {"ks": [1, most], "k_ref": most, "repeats": most}
     cfg = cli.resolve_config({"kind": "eval", "output_dir": "out", "eval": section})
     assert (cfg["eval"]["ks"], cfg["eval"]["k_ref"], cfg["eval"]["repeats"]) == ([1, most], most, most)
+    # and every size at the limit: none raises
+    layers = {"latent_dim": most, "hidden": most, "encoder_hidden": most}
+    sections = {
+        "eval": _EVAL | {"model": {"data_dim": most} | layers},
+        "vae-train": {"dataset": {"synthetic": "binary-images", "n": most}} | layers,
+        "bnn-train": {"dataset": {"synthetic": "regression", "n": most}, "hidden": most},
+        "blr-demo": {"n_data": most, "sigma_grid": {"points": most}},
+    }
+    for kind, section in sections.items():
+        cli.resolve_config({"kind": kind, "output_dir": "out", kind.replace("-", "_"): section})
+
+
+# The int keys of the schemas that need no ``max``, with the reason: every
+# other int key sizes an array or a loop, so a config could ask for more
+# memory than any machine has.
+_UNSIZED_INTS = {
+    "seed": "selects a random stream; it sizes nothing",
+    "instance_seed": "selects the bundled regression instance; it sizes nothing",
+    "split_seed": "selects a CSV dataset's split; it sizes nothing",
+    "steps": "a count of optimizer steps: a run's time grows with it, its memory "
+    "by one run-record row a step",
+    "minibatch": "capped at the training rows, which dataset.n bounds",
+    "max_points": "caps the held-out rows, which dataset.n bounds",
+}
+
+
+def _int_keys(spec: dict, path: str):
+    """(path, spec) of every int key of the schema entry ``spec``, list items
+    and every variant of a dict included."""
+    if spec["type"] == "int":
+        yield path, spec
+    elif spec["type"] == "list":
+        yield from _int_keys(spec["items"], path + "[]")
+    elif spec["type"] == "dict":
+        for schema in [spec["schema"]] if "schema" in spec else spec["variants"].values():
+            for key, child in schema.items():
+                yield from _int_keys(child, f"{path}.{key}")
+
+
+def test_every_int_key_that_sizes_something_has_a_max():
+    exempt = set()
+    for kind, schema in cli._SCHEMAS.items():
+        for path, spec in _int_keys({"type": "dict", "schema": schema}, kind):
+            key = path.rsplit(".", 1)[-1]
+            if key in _UNSIZED_INTS:
+                exempt.add(key)
+                continue
+            assert "max" in spec, f"config key '{path}' has no max"
+            assert spec.get("default", 0) <= spec["max"], path
+    # no reason above outlives its key
+    assert exempt == set(_UNSIZED_INTS)
 
 
 def _csv_dataset(tmp_path: Path, **extra) -> dict:

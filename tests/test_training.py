@@ -494,6 +494,35 @@ class TestEvaluateVae:
             assert row.mean_bound == float(cell.mean(axis=0).mean())
             assert row.mean_gap == float((cell - refs).mean(axis=0).mean())
 
+    # Segments of 16 draws: k_ref 70 is five segments a repeat, over three
+    # repeats; chunks of 4 draws of 12 points, four a segment, so that more
+    # than one worker can take some.
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_set_up_is_made_once_per_call(self, trained, monkeypatch, workers):
+        # the encoding once, and a worker's workspace kept across segments
+        # and repeats
+        vae, params, data = trained
+        monkeypatch.setattr(training, "_SEGMENT", 16)
+        monkeypatch.setattr(vae_module, "_usable_cores", lambda: workers)
+        monkeypatch.setattr(vae_module, "_CHUNK_BYTES", 4 * 12 * 64 * 8)
+        calls = {"_encode": 0, "_workspace": 0}
+
+        def counted(name):
+            method = getattr(VAEModel, name)
+
+            def counting(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+
+            return counting
+
+        for name in calls:
+            monkeypatch.setattr(VAEModel, name, counted(name))
+        x = data.test_features[:12]
+        evaluate_vae(vae, params, x, [0.0, 0.5], [1, 20], repeats=3, seed=9, k_ref=70)
+        assert calls["_encode"] == 1
+        assert 1 <= calls["_workspace"] <= workers
+
     def test_memory_does_not_grow_with_k(self, monkeypatch):
         # The peak of two workers evaluating 20 points grows by 19 KB from
         # k_ref 5000 to 40000; an (n, k) matrix of log weights would grow it
