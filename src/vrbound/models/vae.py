@@ -183,12 +183,12 @@ class VAEModel:
         lik -= reparam.log_q(eps, eps if reuse else None, ws.get("log_q"))
         return lik, (h, hid, state)
 
-    def _decode(self, params, h: np.ndarray, x: np.ndarray, fixed=None, ws=None):
+    def _decode(self, params, h: np.ndarray, x: np.ndarray, fixed: dict, ws=None):
         """Per-datapoint log p(x | h), shape (..., n); the decoder's tanh
         layer; and what the likelihood's gradient needs: the softplus buffer
         and cap mask of ``ad.bernoulli_rows_forward``, or the Gaussian means.
-        ``fixed`` and ``ws`` are ``_forward``'s, or none."""
-        fixed, ws = fixed or self._fixed(params, x), ws or {}
+        ``fixed`` and ``ws`` are ``_forward``'s; ``ws`` may be none."""
+        ws = ws or {}
         hid = ad.dense(h, params["dec_w1"], fixed["dec_b1"], "tanh", ws.get("hid"))
         if self.likelihood == "bernoulli":
             rows, softplus, inside = ad.bernoulli_rows_forward(

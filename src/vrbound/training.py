@@ -39,12 +39,12 @@ chunk's noise as it takes the chunk into the workspace of chunk arrays that
 it keeps across the sampler's calls. Per repeat it draws max(K, k_ref)
 samples per point through the sampler, in segments of ``_SEGMENT`` draws,
 and keeps no (n, max(K, k_ref)) matrix: a segment's log weights go to one
-buffer, the first columns to a prefix buffer for the cells with fewer
-draws, and each point's estimate of the segment to the cells at
-K = max(K, k_ref), which merge them at the end of the repeat. The buffers,
-the sampler and its workspaces are made once per call, whatever the latent
-width and k_ref, and the table is the same at any chunk size and worker
-count.
+buffer, and each (alpha, K) cell keeps each point's estimate of the
+segment's columns among its first K draws, which it merges at the end of
+the repeat. The buffer, the sampler and its workspaces are made once per
+call, whatever the latent width, the K shown and k_ref; what grows with a
+K is its cells' (n, K / _SEGMENT) estimates. The table is the same at any
+chunk size and worker count.
 
 Randomness is organized in named streams derived from (seed, stream id,
 index), so shuffling, noise, and evaluation draws are reproducible
@@ -400,60 +400,55 @@ def evaluate_vae(
     Rows report means over datapoints and repeats, with standard errors over
     the per-datapoint averages.
 
-    The block is drawn in segments of ``_SEGMENT`` draws. A cell with fewer
-    draws than the block is estimated from the block's first columns, as
-    from the block itself; a cell at the block's size merges its segments'
-    estimates (``bounds._estimate`` with the segments' sizes), which is the
-    estimate of the whole block up to rounding.
+    The block is drawn in segments of ``_SEGMENT`` draws, and every cell is
+    estimated one way: it keeps each point's estimate of every segment's
+    columns among its first K draws, and merges them at the end of the
+    repeat (``bounds._estimate`` with the segments' sizes). That is the
+    estimate of the first K draws up to rounding, and exactly it when they
+    lie in one segment.
     """
     if repeats < 2:
         raise ValueError("repeats must be at least 2")
+    if not ks or min(int(k) for k in ks) < 1 or int(k_ref) < 1:
+        raise ValueError("sample counts must be positive")
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     if n < 2:
         raise ValueError(f"standard errors need at least 2 points, got {n}")
-    k_block = max(max(int(k) for k in ks), int(k_ref))
 
     per_point: dict[tuple[float, int], np.ndarray] = {
         (float(a), int(k)): np.zeros((repeats, n)) for a in alphas for k in ks
     }
     refs = per_point.setdefault((0.0, int(k_ref)), np.zeros((repeats, n)))
-    shorter = {k for _, k in per_point if k < k_block}
-    prefix = np.empty((n, max(shorter, default=0)))
-    # the (n, segments) arrays first: n times the size of the counts, they
-    # make a k_block too large for memory fail at once, not while the counts
-    # are filled
-    tops = np.empty((n, -(-k_block // _SEGMENT)))  # each segment's largest log weight
-    segments = {a: np.empty(tops.shape) for a, k in per_point if k == k_block}
-    counts = _segment_counts(k_block, _SEGMENT)
-    memory = np.empty(n * counts[0])  # a segment's (n, size) log weights
+    # Per K, largest first, each point's largest log weight in every segment
+    # of its first K draws, for the checks; per cell, each point's estimate
+    # of those segments. These (n, segments) arrays come first: n times the
+    # size of the counts, they make a K too large for memory fail at once.
+    tops = {k: np.empty((n, -(-k // _SEGMENT))) for k in sorted({k for _, k in per_point})[::-1]}
+    parts = {cell: np.empty(tops[cell[1]].shape) for cell in per_point}
+    k_block = max(tops)
+    memory = np.empty(n * min(k_block, _SEGMENT))  # a segment's (n, size) log weights
     fill = model._sampler(params, x)
 
     for r in range(repeats):
         rng = np.random.default_rng([seed, _STREAM_EVAL, r])
-        for s, size in enumerate(counts):
-            # the segment's draws, its first columns to the prefix, and its
-            # estimate at every order of K = k_block
+        for s, size in enumerate(_segment_counts(k_block, _SEGMENT)):
             sets = memory[: n * size].reshape(n, size)
             fill(rng, sets)
-            head = prefix[:, s * _SEGMENT : s * _SEGMENT + size]
-            head[...] = sets[:, : head.shape[1]]
-            tops[:, s] = np.max(sets, axis=-1)
-            for a, store in segments.items():
-                store[:, s] = _estimate(sets, a)
-        # checks the whole block: a NaN or +inf log weight is its segment's
-        # largest, and a point has a finite log weight where a segment's
-        # largest is finite
-        validate_log_weights(tops, 1)
-        # each shorter prefix of draws is checked once, then estimated at
-        # every order
-        for k in shorter:
-            sets = validate_log_weights(prefix[:, :k], 1)
-            for (a, cell_k), store in per_point.items():
-                if cell_k == k:
-                    store[r] = _estimate(sets, a)
-        for a, store in segments.items():
-            per_point[(a, k_block)][r] = _estimate(store, a, counts)
+            for k, top in tops.items():
+                if k <= s * _SEGMENT:
+                    break
+                head = sets[:, : k - s * _SEGMENT]
+                top[:, s] = np.max(head, axis=-1)
+                for (a, cell_k), part in parts.items():
+                    if cell_k == k:
+                        part[:, s] = _estimate(head, a)
+        # a NaN or +inf log weight is its segment's largest, and a point has
+        # a finite log weight where a segment's largest is finite
+        for top in tops.values():
+            validate_log_weights(top, 1)
+        for (a, k), part in parts.items():
+            per_point[(a, k)][r] = _estimate(part, a, _segment_counts(k, _SEGMENT))
 
     rows = []
     for a in alphas:

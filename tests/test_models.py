@@ -572,7 +572,7 @@ class TestVae:
         rng = np.random.default_rng(1)
         x = (rng.random((3, 10)) > 0.5).astype(float)
         h = rng.standard_normal((3, 2))
-        rows = vae._decode(params, h, x)[0]
+        rows = vae._decode(params, h, x, vae._fixed(params, x))[0]
         np.testing.assert_allclose(rows, -10.0 * math.log(2.0), atol=1e-12)
 
     def test_log_weight_gradient_matches_fd(self):

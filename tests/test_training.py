@@ -413,6 +413,12 @@ class TestEvaluateVae:
         with pytest.raises(ValueError, match="2 points"):
             evaluate_vae(vae, params, data.test_features[:1], [0.0], [2], repeats=2)
 
+    @pytest.mark.parametrize("ks, k_ref", [([], 8), ([0, 2], 8), ([2, -1], 8), ([2], 0)])
+    def test_sample_counts_validated(self, trained, ks, k_ref):
+        vae, params, data = trained
+        with pytest.raises(ValueError, match="sample counts must be positive"):
+            evaluate_vae(vae, params, data.test_features[:5], [0.0], ks, repeats=2, k_ref=k_ref)
+
     def test_nan_log_weights_are_rejected(self, trained):
         # an infinite encoder weight makes the latents of the points whose
         # first pixel is 0 NaN (0 * inf), and so their log weights
@@ -423,6 +429,37 @@ class TestEvaluateVae:
         assert 0 < (x[:, 0] == 0.0).sum() < 20
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
             evaluate_vae(vae, params, x, [0.0], [2], repeats=2, seed=0, k_ref=1500)
+
+    # Segments of 16 draws and k_ref 70: the first point's first 20 draws of
+    # every repeat are -inf, its later ones finite. A cell of at most 20
+    # draws, inside the first segment or across two, has no finite log
+    # weight for that point; at 21 it has one.
+    @pytest.mark.parametrize("k, rejected", [(1, True), (16, True), (20, True), (21, False)])
+    def test_a_cell_without_a_finite_log_weight_is_rejected(
+        self, trained, monkeypatch, k, rejected
+    ):
+        vae, params, data = trained
+        monkeypatch.setattr(training, "_SEGMENT", 16)
+        sampler = VAEModel._sampler
+
+        def minus_inf_sampler(self, params, x):
+            fill, drawn = sampler(self, params, x), [0]
+
+            def minus_inf_fill(rng, out):
+                fill(rng, out)
+                out[0, : max(0, 20 - drawn[0] % 70)] = -math.inf
+                drawn[0] += out.shape[1]
+
+            return minus_inf_fill
+
+        monkeypatch.setattr(VAEModel, "_sampler", minus_inf_sampler)
+        x = data.test_features[:12]
+        if rejected:
+            with pytest.raises(ValueError, match="at least one log weight must be finite"):
+                evaluate_vae(vae, params, x, [0.0, 0.5], [k], repeats=2, k_ref=70)
+        else:
+            rows = evaluate_vae(vae, params, x, [0.0, 0.5], [k], repeats=2, k_ref=70)
+            assert all(math.isfinite(row.mean_bound) for row in rows)
 
     def test_rows_do_not_depend_on_the_chunk_budget(self, trained, monkeypatch):
         vae, params, data = trained
@@ -459,35 +496,41 @@ class TestEvaluateVae:
         assert table() == serial
 
     # Segments of 16 draws: k_block = 70 is four full segments and a short
-    # one of 6; K = 20 spans two segments.
+    # one of 6; K = 20 spans a full segment and 4 draws of the next, and the
+    # reference at 50 three full segments and 2 draws; K = 1 and 7 lie in the
+    # first segment.
     @pytest.mark.parametrize("workers", [1, 2])
     def test_cells_are_the_estimates_of_the_log_weight_matrix(
         self, trained, monkeypatch, workers
     ):
-        # the cells below k_block have the bits of estimating the prefixes of
-        # each repeat's log_weight_matrix; a cell at k_block is the weighted
-        # power mean of its segments' estimates
+        # every cell is the weighted power mean of its segments' estimates,
+        # of the segments of each repeat's log_weight_matrix that lie in its
+        # first K columns; a cell inside one segment is that segment's
+        # estimate, the estimate of its first K columns
         vae, params, data = trained
         monkeypatch.setattr(training, "_SEGMENT", 16)
         monkeypatch.setattr(vae_module, "_usable_cores", lambda: workers)
         x = data.test_features[:12]
-        alphas, ks, k_ref = [-math.inf, -1.0, 0.0, 0.5, 1.0, 3.0, math.inf], [1, 20, 70], 50
+        alphas, ks, k_ref = [-math.inf, -1.0, 0.0, 0.5, 1.0, 3.0, math.inf], [1, 7, 20, 70], 50
         rows = evaluate_vae(vae, params, x, alphas, ks, repeats=3, seed=9, k_ref=k_ref)
-        counts = np.array([16.0, 16.0, 16.0, 16.0, 6.0])
         cells = {(a, k): [] for a in alphas for k in ks}
         cells[(0.0, k_ref)] = []
         for r in range(3):
             rng = np.random.default_rng([9, training._STREAM_EVAL, r])
             lw = vae.log_weight_matrix(params, x, rng, 70)
             for a, k in cells:
-                if k < 70:
+                if k <= 16:
                     cells[(a, k)].append(mc_vr_estimate(lw[:, :k], a, axis=1))
-                else:
-                    segments = np.stack(
-                        [mc_vr_estimate(lw[:, s : s + 16], a, axis=1) for s in range(0, 70, 16)],
-                        axis=1,
-                    )
-                    cells[(a, k)].append(training._estimate(segments, a, counts))
+                    continue
+                segments = np.stack(
+                    [
+                        mc_vr_estimate(lw[:, s : min(s + 16, k)], a, axis=1)
+                        for s in range(0, k, 16)
+                    ],
+                    axis=1,
+                )
+                counts = training._segment_counts(k, 16)
+                cells[(a, k)].append(training._estimate(segments, a, counts))
         refs = np.array(cells[(0.0, k_ref)])
         for row in rows:
             cell = np.array(cells[(row.alpha, row.k)])
@@ -546,6 +589,28 @@ class TestEvaluateVae:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 2 * 20 * 35000 / training._SEGMENT * 8 + 256 * 1024
+
+    def test_memory_does_not_grow_with_the_shown_k(self, monkeypatch):
+        # At k_ref 5000, showing K = 4999 rather than 10 adds two cells'
+        # (n, ceil(K / _SEGMENT)) segment estimates and the largest log
+        # weight of each segment of K's draws: 2.4 KB for 20 points (1.6-2.0
+        # KB measured). A prefix buffer of the shorter cells' draws would add
+        # n * K * 8 = 800 KB (797-800 KB measured). The margin, 256 KiB, is
+        # test_memory_does_not_grow_with_k's.
+        monkeypatch.setattr(vae_module, "_usable_cores", lambda: 2)
+        vae = VAEModel(data_dim=8, latent_dim=2, hidden=16)
+        x = (np.random.default_rng(0).random((20, 8)) > 0.5).astype(float)
+        params = vae.init_params(seed=0)
+        evaluate_vae(vae, params, x, [0.0, 0.5], [1, 10], repeats=2, seed=0, k_ref=5000)
+        peaks = []
+        for ks in ([1, 10], [1, 4999]):
+            tracemalloc.start()
+            try:
+                evaluate_vae(vae, params, x, [0.0, 0.5], ks, repeats=2, seed=0, k_ref=5000)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 3 * 20 * math.ceil(4999 / training._SEGMENT) * 8 + 256 * 1024
 
     def test_memory_does_not_grow_with_the_latent_width(self, monkeypatch):
         # 2000 draws of 20 points at latent width 50 are 16 MB of noise, and
