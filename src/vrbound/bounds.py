@@ -38,11 +38,19 @@ from .divergence import renyi_gaussian
 from .gaussian import GaussianDist
 
 # Byte budget of one block of weight sets in the finite-order estimate: 32
-# sets of K = 1000. A block's temporaries are its scaled copy, which
-# _logsumexp overwrites, and at _logsumexp's peak 0.38 of a block more (the
-# tie mask and numpy's cast buffer, by tracemalloc on a (32, 1000) block;
-# scipy's logsumexp peaked at 5.1 blocks).
-_BLOCK_BYTES = 64 * 1024
+# sets of K = 1024, large enough that numpy's work, not the dozen or so calls
+# a block makes, sets its cost. On 50 segments of (100, 1024) log weights, as
+# `vr eval` estimates them, the orders -1, 0, 0.5 and 2 took 0.208 s against
+# 0.337 s at 64 KiB, whose blocks were 8 sets (medians of 6 rounds, 2-vCPU
+# host); each set is reduced on its own, so the results are the same. A
+# block's temporaries are its scaled copy, which _logsumexp overwrites and
+# ``_estimate`` takes from a caller's work buffer when given one, and at
+# _logsumexp's peak 0.38 of a block more (the tie mask and numpy's cast
+# buffer, by tracemalloc on a (32, 1000) block; scipy's logsumexp peaked at
+# 5.1 blocks). Without that buffer, `vr eval`'s evaluation under
+# MALLOC_TRIM_THRESHOLD_=0 took 15.2k minor faults at this size (6.4k at
+# 64 KiB), each block's copy faulted in anew; with it, 1.7k.
+_BLOCK_BYTES = 256 * 1024
 
 __all__ = [
     "BiasCell",
@@ -96,7 +104,9 @@ def mc_vr_estimate(log_w, alpha: float, axis: int | None = None):
     return float(est) if axis is None else est
 
 
-def _estimate(log_w: np.ndarray, alpha: float, counts: np.ndarray | None = None) -> np.ndarray:
+def _estimate(
+    log_w: np.ndarray, alpha: float, counts: np.ndarray | None = None, work=None
+) -> np.ndarray:
     """``mc_vr_estimate`` of each row of a checked, C-ordered (..., K) array.
 
     With ``counts``, a (K,) array of positive sizes, entry j of a row is the
@@ -104,7 +114,9 @@ def _estimate(log_w: np.ndarray, alpha: float, counts: np.ndarray | None = None)
     the estimate of all its segments' weights together: the power mean of
     the segments' power means weighted by their sizes, which is the power
     mean of the whole set up to rounding, and exactly it at alpha = +-inf.
-    A row without a finite entry gives -inf.
+    A row without a finite entry gives -inf. ``work``, a float vector, takes
+    each block's scaled copy when it holds as many entries, so that a
+    caller that estimates many arrays makes that memory once.
     """
     k = log_w.shape[-1]
     kind = classify_alpha(alpha)
@@ -126,26 +138,29 @@ def _estimate(log_w: np.ndarray, alpha: float, counts: np.ndarray | None = None)
         # _power_mean reduces stays within a block.
         sets = log_w.reshape(-1, k)
         step = max(1, _BLOCK_BYTES // (8 * k))
+        if work is None or work.size < min(step, sets.shape[0]) * k:
+            work = np.empty(min(step, sets.shape[0]) * k)
         est = np.empty(sets.shape[0])
         for start in range(0, sets.shape[0], step):
             block = sets[start : start + step]
-            est[start : start + step] = _power_mean(block, 1.0 - float(alpha), counts)
+            scaled = work[: block.size].reshape(block.shape)
+            est[start : start + step] = _power_mean(block, 1.0 - float(alpha), counts, scaled)
         est = est.reshape(log_w.shape[:-1])
     return est
 
 
-def _power_mean(log_w: np.ndarray, one_minus: float, counts: np.ndarray | None) -> np.ndarray:
+def _power_mean(log_w: np.ndarray, one_minus: float, counts: np.ndarray | None, scaled=None):
     """The finite-order estimate of each row of a (rows, K) array, K >= 2,
     as a + log(mean(exp(s))) / (1 - alpha) with s and the anchor a of
-    ``_scaled_log_weights``; with ``counts`` (``_estimate``'s), the mean
-    weighs entry j by counts[j]."""
+    ``_scaled_log_weights``, formed in ``scaled`` when given; with
+    ``counts`` (``_estimate``'s), the mean weighs entry j by counts[j]."""
     # For alpha > 1 a -inf log weight scales to +inf, so logsumexp is +inf
     # and the estimate -inf. Dividing by 1 - alpha scales up the rounding of
     # logsumexp, so rows with |1 - alpha| ptp(log w) <= 1 (all of them next
     # to alpha = 1) take log1p(mean(expm1(s))) instead. A spread past the
     # float range, and the NaN spread of a row without a finite entry, are
     # not near.
-    scaled, anchor = _scaled_log_weights(log_w, one_minus)
+    scaled, anchor = _scaled_log_weights(log_w, one_minus, scaled)
     with np.errstate(over="ignore", invalid="ignore"):
         near = np.ptp(log_w, axis=-1) <= 1.0 / abs(one_minus)
     near_powers = np.expm1(scaled[near])  # before _logsumexp overwrites scaled
@@ -160,10 +175,13 @@ def _power_mean(log_w: np.ndarray, one_minus: float, counts: np.ndarray | None) 
     return anchor[:, 0] + log_mean / one_minus
 
 
-def _scaled_log_weights(log_w: np.ndarray, one_minus: float) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_log_weights(
+    log_w: np.ndarray, one_minus: float, out=None
+) -> tuple[np.ndarray, np.ndarray]:
     """s = (1 - alpha) (log w - a) of each row of a checked (..., K) array,
-    and the anchor a of each row, shape (..., 1): its largest log weight for
-    1 - alpha > 0, its smallest finite one for 1 - alpha < 0. So s is 0 at
+    in ``out`` when given, and the anchor a of each row, shape (..., 1): its
+    largest log weight for 1 - alpha > 0, its smallest finite one for
+    1 - alpha < 0. So s is 0 at
     the anchor and at most 0 at every finite log weight, which no finite
     order can overflow; a product past the float range is -inf, a weight
     too small to count. A -inf log weight gives -inf, or +inf for alpha > 1,
@@ -177,7 +195,7 @@ def _scaled_log_weights(log_w: np.ndarray, one_minus: float) -> tuple[np.ndarray
         anchor = np.min(log_w, axis=-1, keepdims=True, where=finite, initial=math.inf)
     np.copyto(anchor, 0.0, where=np.isinf(anchor))
     with np.errstate(over="ignore"):
-        scaled = np.subtract(log_w, anchor)
+        scaled = np.subtract(log_w, anchor, out=out)
         scaled *= one_minus
     return scaled, anchor
 

@@ -196,7 +196,7 @@ def vr_grad(
     ``FloatingPointError`` naming the sample; zero-density (-inf) samples
     are allowed.
     """
-    sets = np.ascontiguousarray(np.moveaxis(log_w, 0, -1))
+    sets = np.ascontiguousarray(log_w.transpose((*range(1, log_w.ndim), 0)))
     if not (sets.shape[-1] > 0 and np.all(np.isfinite(sets))):
         bad = np.isnan(log_w) | np.isposinf(log_w)
         if np.any(bad):
@@ -213,7 +213,8 @@ def vr_grad(
     n_sets = log_w.size // log_w.shape[0]
     # Seeded at the log weights: their weighted sum, the objective it stands
     # for, is NaN where a zero weight meets a -inf log weight.
-    grads = ad.gradients(vjp, np.moveaxis(weights, -1, 0) * (1.0 / n_sets), params, out)
+    seed = weights.transpose((-1, *range(weights.ndim - 1))) * (1.0 / n_sets)
+    grads = ad.gradients(vjp, seed, params, out)
     if not np.isfinite(out).all():
         name = next(name for name, g in grads.items() if not np.isfinite(g).all())
         suspects = np.unique(np.nonzero(~np.isfinite(log_w))[0]).tolist()

@@ -4,9 +4,13 @@ Encoder: x -> tanh layer -> (mu, rho) for the Gaussian recognition density
 q(h|x) = N(mu(x), diag(exp(2 rho(x)))). Decoder: h -> tanh layer -> logits
 (Bernoulli likelihood) or means (Gaussian likelihood with a learnable log
 scale). The latent prior is the standard normal. Parameters are a dict of
-named arrays (the trainer keeps them as views of one vector). Noise may
-carry a leading axis of K draws, which is carried through to the outputs,
-so K log weights per datapoint come from one encoder pass.
+named arrays, each layer's weights followed by its bias (the trainer keeps
+them as views of one vector in that order). Each layer is one matrix
+product: its inputs end in a column of ones, and its weights and bias form
+one block [W; b] (``layers``), so no pass adds a bias or sums one's
+gradient. Noise may carry a leading axis of K draws, which is carried
+through to the outputs, so K log weights per datapoint come from one
+encoder pass.
 
 ``log_weight_rows`` returns the log weights with their written-out VJP: the
 forward pass runs the array pieces ``_encode``, ``_decode``,
@@ -20,10 +24,10 @@ per VJP call.
 runs to thousands: it takes a noise generator and a draw count, and makes
 one sampler (``_sampler``) for them. A sampler is made once per call, of
 ``log_weight_matrix`` or of ``training.evaluate_vae``, and makes what does
-not depend on the draws: the encoding, exp(rho) and sum(rho), the decoder's
-biases repeated for every point, the likelihood's products of the data with
-the decoder's output layer, and whether that layer's logits can reach the
-probability floor's cap at all. Its ``fill(rng, out)`` writes the log
+not depend on the draws: the layer blocks, the encoding, exp(rho) and
+sum(rho), the likelihood's products of the data with the decoder's output
+layer, and whether that layer's logits can reach the probability floor's
+cap at all. Its ``fill(rng, out)`` writes the log
 weights of ``out``'s columns of new draws over chunks of draws small enough
 to stay in cache, pulled by a worker per usable core. The worker that takes
 a chunk draws its noise under the lock that hands the chunk out, so the
@@ -63,6 +67,16 @@ from ..gradients import GaussianReparam
 # (``tests/test_training.py``'s fault probe) took 1.1k, 1.4k, 1.8k and 3.2k
 # minor page faults at 1, 1.5, 2 and 4 MiB.
 _CHUNK_BYTES = 1536 * 1024
+
+# Each layer's weights and bias by layer name, in ``init_params``'s order;
+# ``VAEModel.layers`` makes of each pair one block [W; b].
+_LAYERS = {
+    "enc_1": ("enc_w1", "enc_b1"),
+    "enc_mu": ("enc_w_mu", "enc_b_mu"),
+    "enc_rho": ("enc_w_rho", "enc_b_rho"),
+    "dec_1": ("dec_w1", "dec_b1"),
+    "dec_2": ("dec_w2", "dec_b2"),
+}
 
 
 class VAEModel:
@@ -117,122 +131,153 @@ class VAEModel:
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         return {name: value.shape for name, value in self.init_params(0).items()}
 
-    # ------------------------------------------------------------------
-    # the log weights (x is always a constant (n, data_dim) array; latents
-    # h are (n, latent_dim) or (K, n, latent_dim), and outputs keep the K)
+    def layers(self, params) -> dict[str, np.ndarray]:
+        """Each layer's weights W and bias b as one block [W; b], its last
+        row the bias, by layer name (``_LAYERS``), and ``dec_log_noise`` for
+        the Gaussian likelihood: a layer is then one product of its inputs,
+        which end in a column of ones, with its block.
 
-    def log_weight_rows(self, params: dict[str, np.ndarray], x: np.ndarray, eps: np.ndarray):
+        ``params`` are by name, copied into new blocks, or one float vector
+        that holds them in ``init_params``'s order, where each bias follows
+        its weights, as ``train`` keeps them: then the blocks are views of
+        it. Blocks come back as they are.
+        """
+        if isinstance(params, dict):
+            if "dec_2" in params:
+                return params
+            params = np.concatenate([np.ravel(params[name]) for name in self.param_shapes()])
+        shapes = self.param_shapes()
+        blocks, start = {}, 0
+        for layer, (weights, _) in _LAYERS.items():
+            n_in, n_out = shapes[weights]
+            blocks[layer] = params[start : start + (n_in + 1) * n_out].reshape(n_in + 1, n_out)
+            start += (n_in + 1) * n_out
+        if self.likelihood == "gaussian":
+            blocks["dec_log_noise"] = params[start:]
+        return blocks
+
+    def with_ones(self, x) -> np.ndarray:
+        """The data rows ``x`` (..., data_dim) with a column of ones after
+        their last, as the encoder's first layer takes them (see
+        ``layers``). Rows of data_dim + 1 columns are taken to have it
+        already, as ``train`` adds it once per run, and come back as they
+        are."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] == (self.data_dim + 1,):
+            return x
+        out = np.ones((*x.shape[:-1], x.shape[-1] + 1))
+        out[..., :-1] = x
+        return out
+
+    # ------------------------------------------------------------------
+    # the log weights (x is always a constant (n, data_dim + 1) array of
+    # rows that end in ones; latents h are (n, latent_dim) or (K, n,
+    # latent_dim), the decoder's input is them with a column of ones, and
+    # outputs keep the K)
+
+    def log_weight_rows(self, params, x: np.ndarray, eps: np.ndarray):
         """Per-datapoint log p(h, x) - log q(h|x), and its VJP: ``vjp(g)``
         gives the gradient of every parameter by name (see ``vr_grad``).
 
         ``eps`` of shape (n, latent_dim) is one noise draw and gives (n,);
         (K, n, latent_dim) is K draws and gives (K, n). The encoder runs once
         either way; the latent is the reparameterized
-        h = mu(x) + exp(rho(x)) * eps. The value is ``_forward``'s, which
-        ``log_weight_matrix`` runs too, here on new arrays that the VJP,
-        ``_log_weight_vjp``, keeps.
+        h = mu(x) + exp(rho(x)) * eps. ``params`` are by name, or
+        ``layers``'s blocks, and ``x`` the data rows, or ``with_ones``'s, as
+        ``train`` passes them, made once per run. The value is
+        ``_forward``'s, which ``log_weight_matrix`` runs too, here on new
+        arrays that the VJP, ``_log_weight_vjp``, keeps.
         """
-        x = np.asarray(x, dtype=float)
+        layers, x = self.layers(params), self.with_ones(x)
         eps = np.asarray(eps, dtype=float)
-        hid_e, mu, rho = self._encode(params, x)
+        hid_e, mu, rho = self._encode(layers, x)
         reparam = GaussianReparam(mu, rho)
-        out, saved = self._forward(params, x, self._fixed(params, x), reparam, eps)
-        return out, lambda g: self._log_weight_vjp(params, x, eps, (hid_e, reparam, *saved), g)
+        out, saved = self._forward(layers, x[..., :-1], reparam, eps)
+        return out, lambda g: self._log_weight_vjp(layers, x, eps, (hid_e, reparam, *saved), g)
 
-    def _encode(self, params: dict[str, np.ndarray], x: np.ndarray):
-        """The encoder's tanh layer and the recognition parameters (mu, rho)."""
-        hid = ad.dense(x, params["enc_w1"], params["enc_b1"], "tanh")
-        mu = ad.dense(hid, params["enc_w_mu"], params["enc_b_mu"])
-        rho = ad.dense(hid, params["enc_w_rho"], params["enc_b_rho"])
-        return hid, mu, rho
+    def _encode(self, layers: dict[str, np.ndarray], x: np.ndarray):
+        """The encoder's tanh layer, with its column of ones, and the
+        recognition parameters (mu, rho), of rows ``x`` that end in ones."""
+        hid = _tanh_layer(x, layers["enc_1"])
+        return hid, hid @ layers["enc_mu"], hid @ layers["enc_rho"]
 
-    def _fixed(self, params: dict[str, np.ndarray], x: np.ndarray) -> dict:
-        """What the decoder takes of the parameters and the data whatever the
-        draws: its biases repeated for every point, so that adding them
-        loops over whole matrices (see ``b_rows`` of ``ad.bernoulli_layer``),
-        and for the Bernoulli likelihood ``ad.bernoulli_layer`` of the
-        output layer, whose input is a tanh layer's."""
-        lead = (*x.shape[:-1], 1)
-        fixed = {"dec_b1": np.tile(params["dec_b1"], lead)}
-        if self.likelihood == "bernoulli":
-            fixed["layer"] = ad.bernoulli_layer(
-                params["dec_w2"], params["dec_b2"], x, unit_inputs=True
-            )
-        else:
-            fixed["dec_b2"] = np.tile(params["dec_b2"], lead)
-        return fixed
-
-    def _forward(self, params, x, fixed: dict, reparam: GaussianReparam, eps, ws=None):
+    def _forward(self, layers, targets, reparam: GaussianReparam, eps, layer=None, ws=None):
         """The log weights of the noise ``eps`` under the encoder's
-        ``reparam``, and what their gradient needs: (the latents, the
-        decoder's tanh layer, the likelihood's state). ``fixed`` is
-        ``_fixed``'s. Each row's value depends on that row's draw alone.
+        ``reparam``, for the data rows ``targets``, and what their gradient
+        needs: (the latents, a copy of them with a column of ones, the
+        decoder's tanh layer with its own, the likelihood's state). The
+        latents are made whole and then copied: numpy buffers a ufunc whose
+        output rows are not contiguous. ``layer`` is ``ad.bernoulli_layer``
+        of the output layer, or None. Each row's value depends on that row's
+        draw alone.
 
         Without ``ws`` every array is new and kept. ``ws`` is a chunk's
         workspace (``_workspace``), and ``eps`` its noise: every array of
-        the chunk's size but the latents is written into it, and the
-        latents and the noise are squared in place for the prior and log q
-        once the decoder has read them, so what is returned is the
-        workspace's and only the log weights hold their values.
+        the chunk's size but the latents is written into it. The noise is
+        squared in place for log q, and its memory then takes the latents
+        with their column of ones, which the decoder reads; the latents are
+        then squared in place for the prior. So what is returned is the
+        workspace's, and only the log weights hold their values.
         """
         reuse, ws = ws is not None, ws or {}
         h = reparam.theta(eps)
-        lik, hid, state = self._decode(params, h, x, fixed, ws)
-        prior = ad.std_normal_logpdf_rows(h, h if reuse else None, ws.get("prior"))
-        lik += prior
-        lik -= reparam.log_q(eps, eps if reuse else None, ws.get("log_q"))
-        return lik, (h, hid, state)
+        log_q = reparam.log_q(eps, eps if reuse else None, ws.get("log_q"))
+        h1 = ws["h"] if reuse else np.empty((*h.shape[:-1], h.shape[-1] + 1))
+        h1[..., :-1] = h
+        h1[..., -1] = 1.0
+        lik, hid, state = self._decode(layers, h1, targets, layer, ws)
+        lik += ad.std_normal_logpdf_rows(h, h if reuse else None, ws.get("prior"))
+        lik -= log_q
+        return lik, (h, h1, hid, state)
 
-    def _decode(self, params, h: np.ndarray, x: np.ndarray, fixed: dict, ws=None):
-        """Per-datapoint log p(x | h), shape (..., n); the decoder's tanh
-        layer; and what the likelihood's gradient needs: the softplus buffer
+    def _decode(self, layers, h: np.ndarray, targets: np.ndarray, layer=None, ws=None):
+        """Per-datapoint log p(targets | h) of latents ``h`` that end in
+        ones, shape (..., n); the decoder's tanh layer, with its column of
+        ones; and what the likelihood's gradient needs: the softplus buffer
         and cap mask of ``ad.bernoulli_rows_forward``, or the Gaussian means.
-        ``fixed`` and ``ws`` are ``_forward``'s; ``ws`` may be none."""
+        ``layer`` and ``ws`` are ``_forward``'s; ``ws`` may be none."""
         ws = ws or {}
-        hid = ad.dense(h, params["dec_w1"], fixed["dec_b1"], "tanh", ws.get("hid"))
+        hid = _tanh_layer(h, layers["dec_1"], ws.get("hid"))
         if self.likelihood == "bernoulli":
             rows, softplus, inside = ad.bernoulli_rows_forward(
-                hid, params["dec_w2"], params["dec_b2"], x, fixed["layer"],
+                hid, layers["dec_2"], None, targets, layer,
                 (ws["decoded"], ws["t_dot_z"], ws["rows"]) if ws else None,
             )
             return rows, hid, (softplus, inside)
-        means = ad.dense(hid, params["dec_w2"], fixed["dec_b2"], None, ws.get("decoded"))
+        means = np.matmul(hid, layers["dec_2"], out=ws.get("decoded"))
         rows = ad.normal_logpdf_rows(
-            x, means, params["dec_log_noise"], ws.get("decoded"), ws.get("rows")
+            targets, means, layers["dec_log_noise"], ws.get("decoded"), ws.get("rows")
         )
         return rows, hid, means
 
-    def _log_weight_vjp(self, params, x, eps, saved, g) -> dict[str, np.ndarray]:
+    def _log_weight_vjp(self, layers, x, eps, saved, g) -> dict[str, np.ndarray]:
         """The gradient of every parameter from ``g`` at the log weights,
         back through ``log_weight_rows``'s forward pass, whose arrays
-        ``saved`` holds. The weight gradient of a stacked (K, n, .) layer is
-        one product over its flattened rows."""
-        hid_e, reparam, h, hid, state = saved
+        ``saved`` holds. The gradient of a layer's block [W; b] is one
+        product over its stacked (K, n, .) input rows, which end in ones
+        (``_block_grads``). The gradient at a tanh layer's pre-activations
+        is formed over its whole output, column of ones included, whose
+        tanh' = 1 - 1 * 1 is 0, so that every elementwise step runs on a
+        whole array."""
+        hid_e, reparam, h, h1, hid, state = saved
         grads = {}
         if self.likelihood == "bernoulli":
-            g_out = ad.bernoulli_rows_at_logits(*state, x, g)
+            g_out = ad.bernoulli_rows_at_logits(*state, x[..., :-1], g)
         else:
             # dec_log_noise is one log scale (``init_params`` makes it of
             # shape (1,), and a larger one fails to reshape)
             g_out, grads["dec_log_noise"] = ad.normal_rows_vjp(
-                x, state, params["dec_log_noise"], g
+                x[..., :-1], state, layers["dec_log_noise"], g
             )
-        grads["dec_w2"] = _rows(hid).T @ _rows(g_out)
-        grads["dec_b2"] = _rows(g_out).sum(axis=0)
-        g_pre = g_out @ params["dec_w2"].T
-        g_pre *= 1.0 - hid * hid
-        grads["dec_w1"] = _rows(h).T @ _rows(g_pre)
-        grads["dec_b1"] = _rows(g_pre).sum(axis=0)
-        g_mu, g_rho = reparam.vjp(h, eps, g, g_pre @ params["dec_w1"].T)
-        grads["enc_w_mu"] = _rows(hid_e).T @ _rows(g_mu)
-        grads["enc_b_mu"] = _rows(g_mu).sum(axis=0)
-        grads["enc_w_rho"] = _rows(hid_e).T @ _rows(g_rho)
-        grads["enc_b_rho"] = _rows(g_rho).sum(axis=0)
-        g_pre = g_mu @ params["enc_w_mu"].T
-        g_pre += g_rho @ params["enc_w_rho"].T
-        g_pre *= 1.0 - hid_e * hid_e
-        grads["enc_w1"] = _rows(x).T @ _rows(g_pre)
-        grads["enc_b1"] = _rows(g_pre).sum(axis=0)
+        _block_grads(grads, "dec_2", hid, g_out)
+        g_pre = _tanh_grad(g_out @ layers["dec_2"].T, hid)
+        _block_grads(grads, "dec_1", h1, g_pre)
+        g_mu, g_rho = reparam.vjp(h, eps, g, g_pre @ layers["dec_1"][:-1].T)
+        _block_grads(grads, "enc_mu", hid_e, g_mu)
+        _block_grads(grads, "enc_rho", hid_e, g_rho)
+        g_pre = g_mu @ layers["enc_mu"].T
+        g_pre += g_rho @ layers["enc_rho"].T
+        _block_grads(grads, "enc_1", x, _tanh_grad(g_pre, hid_e))
         return grads
 
     # ------------------------------------------------------------------
@@ -263,8 +308,10 @@ class VAEModel:
         """``fill(rng, out)``, which writes the log weights of
         ``out.shape[1]`` new draws of ``rng`` into the columns of the
         (n, draws) array ``out``, in draw order, as ``log_weight_matrix``
-        returns them. The encoding, ``GaussianReparam`` and ``_fixed`` are
-        made here, once for every ``fill`` call.
+        returns them. The layer blocks, the rows with their column of ones,
+        the encoding, ``GaussianReparam`` and, for the Bernoulli likelihood,
+        ``ad.bernoulli_layer`` of the output layer are made here, once for
+        every ``fill`` call.
 
         ``fill`` runs ``log_weight_rows``'s forward pass over chunks of
         draws whose float64 (rows, n * max(data_dim, hidden, latent_dim))
@@ -284,8 +331,11 @@ class VAEModel:
         count, and neither does ``out``.
         """
         n = x.shape[0]
-        reparam = GaussianReparam(*self._encode(params, x)[1:])
-        fixed = self._fixed(params, x)
+        layers = self.layers(params)
+        reparam = GaussianReparam(*self._encode(layers, self.with_ones(x))[1:])
+        layer = None
+        if self.likelihood == "bernoulli":  # its input is a tanh layer's
+            layer = ad.bernoulli_layer(layers["dec_2"], None, x, unit_inputs=True)
         width = n * max(self.data_dim, self.hidden, self.latent_dim)
         step = max(1, _CHUNK_BYTES // (8 * width))
         kept = []  # the workspaces of earlier calls' workers
@@ -312,7 +362,7 @@ class VAEModel:
                                     ws = self._workspace(draws, n)
                             chunk = {name: a[: min(draws, k - start)] for name, a in ws.items()}
                             rng.standard_normal(out=chunk["eps"])
-                        log_w = self._forward(params, x, fixed, reparam, chunk["eps"], chunk)[0]
+                        log_w = self._forward(layers, x, reparam, chunk["eps"], layer, chunk)[0]
                         out[:, start : start + len(log_w)] = log_w.T
                 except BaseException:
                     failed.set()
@@ -337,21 +387,56 @@ class VAEModel:
 
     def _workspace(self, draws: int, n: int) -> dict[str, np.ndarray]:
         """A worker's arrays for chunks of up to ``draws`` draws of ``n``
-        points, the draws on axis 0: the noise, the decoder's tanh layer,
-        its output (the logits or the Gaussian means), and rows for the
-        prior, log q, the likelihood and the Bernoulli sums of t z."""
-        shapes = {
-            "eps": (draws, n, self.latent_dim),
-            "hid": (draws, n, self.hidden),
-            "decoded": (draws, n, self.data_dim),
+        points, the draws on axis 0: the noise, and in its memory the
+        latents with their column of ones (``_forward``); the decoder's tanh
+        layer, with its column; its output (the logits or the Gaussian
+        means); and rows for the prior, log q, the likelihood and the
+        Bernoulli sums of t z. A chunk of fewer draws takes the first draws
+        of each, so that its noise and latents share memory too."""
+        lead = (draws, n)
+        latents = np.empty(draws * n * (self.latent_dim + 1))
+        ws = {
+            "eps": latents[: draws * n * self.latent_dim].reshape(*lead, self.latent_dim),
+            "h": latents.reshape(*lead, self.latent_dim + 1),
+            "hid": np.ones((*lead, self.hidden + 1)),
+            "decoded": np.empty((*lead, self.data_dim)),
         }
-        shapes.update(dict.fromkeys(("prior", "log_q", "t_dot_z", "rows"), (draws, n)))
-        return {name: np.empty(shape) for name, shape in shapes.items()}
+        ws.update({name: np.empty(lead) for name in ("prior", "log_q", "t_dot_z", "rows")})
+        return ws
 
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    """``a`` as a matrix of its last axis, its other axes flattened."""
-    return a.reshape(-1, a.shape[-1])
+def _tanh_layer(x: np.ndarray, block: np.ndarray, out=None) -> np.ndarray:
+    """tanh(x @ block) followed by a column of ones, in ``out`` (an array
+    of that shape whose last column holds finite values) when given, else
+    in a new one. The tanh runs over the whole array and the ones are then
+    written back: numpy buffers a ufunc over the outputs alone, whose rows
+    are not contiguous, and took several times as long."""
+    if out is None:
+        out = np.ones((*x.shape[:-1], block.shape[-1] + 1))
+    np.matmul(x, block, out=out[..., :-1])
+    np.tanh(out, out=out)
+    out[..., -1] = 1.0
+    return out
+
+
+def _tanh_grad(g: np.ndarray, hid: np.ndarray) -> np.ndarray:
+    """``g`` times tanh' = 1 - hid^2 in place, over a tanh layer's whole
+    output ``hid`` (see ``_tanh_layer``): 0 at its column of ones. Returns
+    the gradient at the pre-activations, without that column."""
+    slope = hid * hid
+    np.subtract(1.0, slope, out=slope)
+    g *= slope
+    return g[..., :-1]
+
+
+def _block_grads(grads: dict, layer: str, inputs: np.ndarray, g_out: np.ndarray) -> None:
+    """Put the gradients of ``layer``'s weights and bias into ``grads`` by
+    name: one product of its input rows, which end in ones, with the
+    gradient ``g_out`` at its outputs, their leading axes flattened, gives
+    its block's, whose last row is the bias's."""
+    weights, bias = _LAYERS[layer]
+    block = inputs.reshape(-1, inputs.shape[-1]).T @ g_out.reshape(-1, g_out.shape[-1])
+    grads[weights], grads[bias] = block[:-1], block[-1]
 
 
 def _usable_cores() -> int:

@@ -25,11 +25,15 @@ for all K draws, runs the builder once (one forward pass that returns the log
 weights and their written-out VJP), makes one ``vr_grad`` call on them (one
 check of the log weights, one VJP call and one check of the gradients, which
 land in the trainer's flat gradient vector, ``out``), stops the run on a -inf
-log weight, which ``vr_grad`` allows, takes an Adam step on one flat vector
+log weight, which ``vr_grad`` allows, takes the gradient norm as one
+reduction over the flat gradient, takes an Adam step on one flat vector
 that holds every parameter in the same layout (``params`` are named views
 of it), and keeps the log weights, without a second check: at the end of
 each epoch the run record gets every step's estimate and log R, averaged
-over its weight sets, from one reduction over the epoch's sets.
+over its weight sets, from one reduction over the epoch's sets. For the
+VAE, what a step would otherwise make for one use is made once per run:
+each layer's block [W; b] is a view of the flat vector (``VAEModel.layers``),
+and every training row gets its column of ones (``VAEModel.with_ones``).
 
 Held-out evaluation (``evaluate_vae``) needs no gradient. It makes one
 sampler per call (``VAEModel._sampler``, the model's value-only path, which
@@ -42,9 +46,10 @@ and keeps no (n, max(K, k_ref)) matrix: a segment's log weights go to one
 buffer, and each (alpha, K) cell keeps each point's estimate of the
 segment's columns among its first K draws, which it merges at the end of
 the repeat. The buffer, the sampler and its workspaces are made once per
-call, whatever the latent width, the K shown and k_ref; what grows with a
-K is its cells' (n, K / _SEGMENT) estimates. The table is the same at any
-chunk size and worker count.
+call, whatever the latent width, the K shown and k_ref, as is the work
+buffer of the estimator's blocks; what grows with a K is its cells'
+(n, K / _SEGMENT) estimates. The table is the same at any chunk size,
+worker count and estimator block size.
 
 Randomness is organized in named streams derived from (seed, stream id,
 index), so shuffling, noise, and evaluation draws are reproducible
@@ -53,6 +58,7 @@ independently of each other.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -61,7 +67,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .alpha import classify_alpha
-from .bounds import _estimate, _segment_counts, mc_vr_estimate, validate_log_weights
+from .bounds import _BLOCK_BYTES, _estimate, _segment_counts, mc_vr_estimate, validate_log_weights
 from .gradients import GaussianReparam, _log_ratio, vr_grad
 from .models.blr import BLRModel
 from .models.bnn import BNNModel
@@ -258,10 +264,11 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
     params, x, y = _initial_state(model, config, dataset)
     flat, params = _flat_views(params)
     flat_grads = np.empty_like(flat)
-    squares, squares_by_name = _flat_views(params)  # a buffer in the same layout
     n = x.shape[0]
     m = min(config.minibatch, n)
     vae = isinstance(model, VAEModel)
+    if vae:  # each layer's block [W; b] is a view of flat, and each row ends in a one
+        layers, x = model.layers(flat), model.with_ones(x)
     adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
     record = RunRecord(seed=config.seed, alpha=config.alpha)
     start = time.perf_counter()
@@ -284,7 +291,7 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
             # than 0.30-0.43 s (6 runs each, 2-vCPU host).
             if vae:
                 noise = noise_rng.standard_normal((config.k, rows.shape[0], model.latent_dim))
-                log_w, vjp = model.log_weight_rows(params, rows, noise)
+                log_w, vjp = model.log_weight_rows(layers, rows, noise)
             else:
                 noise = noise_rng.standard_normal((config.k, *params["mu"].shape))
                 scale = n / batch_idx.shape[0]
@@ -299,8 +306,7 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
             # vr_grad allows zero-density (-inf) samples; a training step does not.
             if not np.isfinite(log_w).all():
                 raise TrainingDiverged(step, "non-finite objective", params)
-            np.multiply(flat_grads, flat_grads, out=squares)
-            gnorm = math.sqrt(sum(float(g2.sum()) for g2 in squares_by_name.values()))
+            gnorm = math.sqrt(flat_grads @ flat_grads)
             if not math.isfinite(gnorm):
                 raise TrainingDiverged(step, "non-finite gradient", params)
             adam.step(flat, flat_grads)
@@ -319,20 +325,19 @@ def _record_steps(record: RunRecord, done: list, alpha: float) -> None:
     its weight sets, from one ``_estimate`` and one ``_log_ratio`` call over
     the (sets, K) rows of every step's (K, ...) log weights: each set is
     reduced on its own, so a step's values have the bits of a call on its
-    sets alone."""
+    sets alone. The means of a run of steps with as many sets each are the
+    row means of one (steps, sets) array, each with the bits of its row's
+    mean alone."""
     k = done[0][3].shape[0]
-    sets = np.concatenate([np.moveaxis(log_w, 0, -1).reshape(-1, k) for *_, log_w in done])
-    estimates, log_rs = _estimate(sets, alpha), _log_ratio(sets)
+    sets = np.concatenate([log_w.reshape(k, -1) for *_, log_w in done], axis=1).T.copy()
+    values = np.stack([_estimate(sets, alpha), _log_ratio(sets)])
     stop = 0
-    for step, gnorm, wall, log_w in done:
-        start, stop = stop, stop + log_w.size // k
-        record.append(
-            step,
-            float(np.mean(estimates[start:stop])),
-            gnorm,
-            float(np.mean(log_rs[start:stop])),
-            wall,
-        )
+    for size, steps in itertools.groupby(done, key=lambda step: step[3].size // k):
+        steps = list(steps)
+        start, stop = stop, stop + size * len(steps)
+        means = values[:, start:stop].reshape(2, len(steps), size).mean(axis=-1)
+        for (step, gnorm, wall, _), objective, log_r in zip(steps, *means.tolist()):
+            record.append(step, objective, gnorm, log_r, wall)
 
 
 def _flat_views(params: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -428,6 +433,7 @@ def evaluate_vae(
     parts = {cell: np.empty(tops[cell[1]].shape) for cell in per_point}
     k_block = max(tops)
     memory = np.empty(n * min(k_block, _SEGMENT))  # a segment's (n, size) log weights
+    work = np.empty(_BLOCK_BYTES // 8)  # for _estimate's blocks
     fill = model._sampler(params, x)
 
     for r in range(repeats):
@@ -442,13 +448,13 @@ def evaluate_vae(
                 top[:, s] = np.max(head, axis=-1)
                 for (a, cell_k), part in parts.items():
                     if cell_k == k:
-                        part[:, s] = _estimate(head, a)
+                        part[:, s] = _estimate(head, a, work=work)
         # a NaN or +inf log weight is its segment's largest, and a point has
         # a finite log weight where a segment's largest is finite
         for top in tops.values():
             validate_log_weights(top, 1)
         for (a, k), part in parts.items():
-            per_point[(a, k)][r] = _estimate(part, a, _segment_counts(k, _SEGMENT))
+            per_point[(a, k)][r] = _estimate(part, a, _segment_counts(k, _SEGMENT), work)
 
     rows = []
     for a in alphas:

@@ -21,8 +21,10 @@ after its operands, so no order is computed); ``gradients`` gives the named
 leaves' gradients in one flat vector. The operations: arithmetic with numpy
 broadcasting (also as ``Node``'s operators), matrix products that batch over
 leading axes as ``@`` does, exp/tanh/ReLU, sums, reshapes and last-axis
-slices, a dense layer and a Bernoulli output layer as single nodes, and
-Gaussian log densities summed over the last axis. Their values come from
+slices, a dense layer and a Bernoulli output layer as single nodes, a
+column of ones after a node's last and a bias as one more row of a weight
+matrix (the VAE's layers are each one product of the two), and Gaussian
+log densities summed over the last axis. Their values come from
 the same numpy operations, in the same order, as the library's array
 kernels. Numbers and arrays enter an operation as constants, which get no
 gradient, and an operation with no node operand folds to a plain ndarray.
@@ -330,6 +332,27 @@ def _affine_vjp(x, w, b, product_shape: tuple, pre):
     return vjp
 
 
+def _with_ones(a):
+    """``a`` with a column of ones after its last: the input of a layer
+    whose bias is the last row of its weights (``_bias_row``)."""
+    va = _value(a)
+    out = np.concatenate([va, np.ones((*va.shape[:-1], 1))], axis=-1)
+    return _op(out, (a, lambda g: g[..., :-1]))
+
+
+def _bias_row(w, b):
+    """[w; b]: the matrix ``w`` with the vector ``b`` as one more row."""
+    vw, vb = _value(w), _value(b)
+    return _op(np.concatenate([vw, vb[None]]), (w, lambda g: g[:-1]), (b, lambda g: g[-1]))
+
+
+def _folded_layer(x, w, b, act=None):
+    """A layer as the VAE computes it, one product: [x, 1] @ [w; b], and
+    ``act`` of it."""
+    product = matmul(_with_ones(x), _bias_row(w, b))
+    return product if act is None else act(product)
+
+
 def exp(a):
     out = np.exp(_value(a))
     return _op(out, (a, lambda g: g * out))
@@ -401,13 +424,13 @@ def normal_logpdf_rows(x, mean, log_std):
 
 
 def bernoulli_dense_rows(x, w, b, targets: np.ndarray):
-    """Bernoulli log mass of ``targets`` on the logits z = x @ w + b, summed
-    over the last axis, as one node: the value is
+    """Bernoulli log mass of ``targets`` on the logits z = x @ w + b (x @ w
+    with ``b`` None), summed over the last axis, as one node: the value is
     ``ad.bernoulli_rows_forward``'s and the gradient at the logits
     ``ad.bernoulli_rows_at_logits``'s, from which x, w and b get theirs as
     through an affine layer."""
     out, softplus, inside = ad.bernoulli_rows_forward(
-        _value(x), _value(w), _value(b), targets
+        _value(x), _value(w), None if b is None else _value(b), targets
     )
 
     def at_logits(g):
@@ -468,16 +491,19 @@ def posterior_log_weights(model, params, x, y, noise, scale):
 
 def vae_log_weights(vae, nodes, x, eps):
     """``VAEModel.log_weight_rows`` as a graph: log p(x | h) + log p(h) -
-    log q(h | x) at h = mu(x) + exp(rho(x)) * eps."""
-    hid = dense(x, nodes["enc_w1"], nodes["enc_b1"], "tanh")
-    mu = dense(hid, nodes["enc_w_mu"], nodes["enc_b_mu"])
-    rho = dense(hid, nodes["enc_w_rho"], nodes["enc_b_rho"])
+    log q(h | x) at h = mu(x) + exp(rho(x)) * eps, each layer one product
+    of its inputs and a column of ones with its weights and bias
+    (``_folded_layer``), as the model computes it."""
+    hid = _folded_layer(x, nodes["enc_w1"], nodes["enc_b1"], tanh)
+    mu = _folded_layer(hid, nodes["enc_w_mu"], nodes["enc_b_mu"])
+    rho = _folded_layer(hid, nodes["enc_w_rho"], nodes["enc_b_rho"])
     h, log_q = gaussian_reparam(mu, rho, eps)
-    dec = dense(h, nodes["dec_w1"], nodes["dec_b1"], "tanh")
+    dec = _folded_layer(h, nodes["dec_w1"], nodes["dec_b1"], tanh)
     if vae.likelihood == "bernoulli":
-        lik = bernoulli_dense_rows(dec, nodes["dec_w2"], nodes["dec_b2"], x)
+        output = _bias_row(nodes["dec_w2"], nodes["dec_b2"])
+        lik = bernoulli_dense_rows(_with_ones(dec), output, None, x)
     else:
-        means = dense(dec, nodes["dec_w2"], nodes["dec_b2"])
+        means = _folded_layer(dec, nodes["dec_w2"], nodes["dec_b2"])
         lik = normal_logpdf_rows(x, means, nodes["dec_log_noise"])
     return lik + std_normal_logpdf_rows(h) - log_q
 

@@ -434,9 +434,13 @@ class TestComposites:
         # no bound on the inputs, no bound on the logits
         assert not inside([[4.0, -1.0], [-3.0, 2.0]], [1.0, 0.5], unit_inputs=False)
         w, b = np.array([[4.0, -1.0], [-3.0, 2.0]]), np.array([1.0, 0.5])
-        t_w, t_b, _, b_rows = ad.bernoulli_layer(w, b, targets)
+        t_w, t_b, _ = ad.bernoulli_layer(w, b, targets)
         assert t_w.tobytes() == (targets @ w.T).tobytes() and t_b.tobytes() == (targets @ b).tobytes()
-        assert b_rows.shape == targets.shape and np.all(b_rows == b)
+        # the bias folded into the weights' last row: the same bound, and no t . b
+        block = np.vstack([w, b])
+        t_wb, no_t_b, inside_block = ad.bernoulli_layer(block, None, targets, unit_inputs=True)
+        assert t_wb.tobytes() == (targets @ block.T).tobytes() and no_t_b is None
+        assert inside_block and not ad.bernoulli_layer(block * cap, None, targets, True)[2]
 
     def test_a_layer_made_once_gives_the_bits_of_one_made_per_call(self):
         # rows of inputs in [-1, 1] whose layer rules the cap out, written

@@ -1,5 +1,6 @@
 """Monte Carlo bound estimator, exact linear-regression bound, bias table."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,11 +9,14 @@ import pytest
 
 from vrbound import (
     GaussianDist,
+    VAEModel,
     bias_simulation,
     blr_exact_posterior,
+    evaluate_vae,
     exact_vr_bound_blr,
     mc_vr_estimate,
     renyi_gaussian,
+    synthetic_binary_images,
     synthetic_blr_instance,
     validate_log_weights,
 )
@@ -290,6 +294,34 @@ class TestBiasSimulation:
                     cell = table.cell(alpha, k)
                     assert cell.mean == float(np.mean(estimates))
                     assert cell.stderr == float(np.std(estimates, ddof=1) / math.sqrt(7))
+
+    def test_tables_do_not_depend_on_the_block_budget(self, monkeypatch):
+        # Held-out evaluation and the bias simulation estimate their weight
+        # sets in blocks under _BLOCK_BYTES, each set reduced on its own: at
+        # 8 KiB a (40, 1024) segment is 40 blocks of one set, at 4 MiB one
+        # block, and the bias table's 40 repeats of K = 500 in 2-D are 40
+        # blocks or one.
+        vae = VAEModel(data_dim=16, latent_dim=2, hidden=4)
+        x = synthetic_binary_images(seed=1, n=260, side=4).train_features[:40]
+        p = GaussianDist.diagonal([0.0, 0.0], [1.0, 1.0])
+        q = GaussianDist.full([0.3, -0.2], [[1.5, 0.3], [0.3, 0.8]])
+
+        def tables():
+            rows = evaluate_vae(
+                vae, vae.init_params(seed=2), x, [-1.0, 0.0, 0.5, 2.0], [1, 5, 1100],
+                repeats=2, seed=3, k_ref=1500,
+            )
+            table = bias_simulation(p, q, [-1.0, 0.0, 0.5, 1.0, 2.0], [1, 5, 50, 500], 40, 4)
+            return (
+                np.array([dataclasses.astuple(row) for row in rows]).tobytes(),
+                np.array([(cell.mean, cell.stderr) for cell in table.rows]).tobytes(),
+            )
+
+        found = {}
+        for budget in (8 * 1024, 64 * 1024, 256 * 1024, 4 * 1024 * 1024):
+            monkeypatch.setattr(bounds, "_BLOCK_BYTES", budget)
+            found[budget] = tables()
+        assert len(set(found.values())) == 1
 
     def test_memory_holds_a_block_of_repeats(self):
         # 200 repeats of K = 2000 draws in 10-D are 32 MB of draws. Scored a

@@ -571,8 +571,8 @@ class TestVae:
         params["dec_b2"] = np.zeros_like(params["dec_b2"])
         rng = np.random.default_rng(1)
         x = (rng.random((3, 10)) > 0.5).astype(float)
-        h = rng.standard_normal((3, 2))
-        rows = vae._decode(params, h, x, vae._fixed(params, x))[0]
+        h = np.concatenate([rng.standard_normal((3, 2)), np.ones((3, 1))], axis=1)
+        rows = vae._decode(vae.layers(params), h, x)[0]
         np.testing.assert_allclose(rows, -10.0 * math.log(2.0), atol=1e-12)
 
     def test_log_weight_gradient_matches_fd(self):
@@ -676,7 +676,8 @@ def _count_kernel_calls(monkeypatch, on_call=None) -> list:
 
 def _clipped_share(vae, params, x, eps) -> float:
     """Share of (draw, point) rows holding a logit at or beyond the cap."""
-    h = vae_module.GaussianReparam(*vae._encode(params, x)[1:]).theta(eps)
+    encoded = vae._encode(vae.layers(params), vae.with_ones(x))
+    h = vae_module.GaussianReparam(*encoded[1:]).theta(eps)
     hid = np.tanh(h @ params["dec_w1"] + params["dec_b1"])
     logits = hid @ params["dec_w2"] + params["dec_b2"]
     return float(np.mean(np.any(np.abs(logits) >= ad._LOGIT_CAP, axis=-1)))

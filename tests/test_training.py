@@ -802,6 +802,43 @@ def test_a_training_step_runs_the_builder_and_its_vjp_once(monkeypatch, kind):
     assert calls == ["build", "vjp", "reparam"] * 4
 
 
+def test_a_vae_step_makes_nothing_for_one_use(monkeypatch):
+    # Each layer's block [W; b] is a view of the trainer's flat vector, made
+    # once per run, as the training rows' column of ones is: a step tiles no
+    # bias, makes no bernoulli_layer of the output layer and moves no axis.
+    calls = {"tile": 0, "moveaxis": 0, "bernoulli_layer": 0}
+
+    def count(module, name):
+        function = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(np, "tile")
+    count(np, "moveaxis")
+    count(ad, "bernoulli_layer")
+    seen = []
+    forward = VAEModel._forward
+
+    def keeping(self, layers, *args):
+        seen.append(layers)
+        return forward(self, layers, *args)
+
+    monkeypatch.setattr(VAEModel, "_forward", keeping)
+    data = synthetic_binary_images(seed=0, n=220, side=4)
+    cfg = TrainConfig(k=3, minibatch=8, steps=4, learning_rate=0.01, seed=1)
+    params, _ = train(VAEModel(data_dim=16, latent_dim=2, hidden=4), cfg, data)
+    assert calls == {"tile": 0, "moveaxis": 0, "bernoulli_layer": 0}
+    assert len(seen) == 4 and all(layers is seen[0] for layers in seen)
+    flat = params["enc_w1"].base
+    assert flat.size == sum(value.size for value in params.values())
+    for name, block in seen[0].items():
+        assert np.shares_memory(block, flat), name
+
+
 class TestWeightDiagnostics:
     """R = w_max / (1 - w_max) of the normalized weights, which `train`
     records per step as log R, one weight set per column of the K draws."""
