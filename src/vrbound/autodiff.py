@@ -19,9 +19,9 @@ noise term of every log q); and an output layer with the Bernoulli log mass
 of its logits summed over the last axis, as an array forward
 (``bernoulli_rows_forward``, with ``bernoulli_layer`` what it takes of the
 layer and the targets whatever the input) and its gradient at the logits
-(``bernoulli_rows_at_logits``), whose bias may be folded into the last row
-of its weights, the inputs then ending in a column of ones, so that the
-logits are one product. Matrix products follow numpy's ``@``, so a
+(``bernoulli_rows_at_logits``), whose logits are one product: a bias is
+the last row of its weights, and the inputs end in a column of ones.
+Matrix products follow numpy's ``@``, so a
 model evaluates K stacked draws at once. The forward kernels take optional
 buffers to write into, so that a caller that runs them over many chunks of
 draws allocates each chunk's arrays once. The tests check every written-out
@@ -83,12 +83,9 @@ def dense(
     return out
 
 
-def _affine(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray | None, out=None) -> np.ndarray:
-    """``xv @ wv + bv``, or ``xv @ wv`` without ``bv``, in one buffer: ``out``
-    when given, else a new one."""
+def _affine(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray, out=None) -> np.ndarray:
+    """``xv @ wv + bv`` in one buffer: ``out`` when given, else a new one."""
     out = np.asarray(np.matmul(xv, wv, out=out))
-    if bv is None:
-        return out
     try:
         out += bv
     except ValueError:  # the bias adds leading axes to the product
@@ -165,38 +162,28 @@ _PROB_FLOOR = 1e-7
 _LOGIT_CAP = math.log1p(-_PROB_FLOOR) - math.log(_PROB_FLOOR)
 
 
-def bernoulli_layer(wv: np.ndarray, bv: np.ndarray | None, targets, unit_inputs: bool = False):
-    """What ``bernoulli_rows_forward`` needs of an output layer (wv, bv) and
-    its ``targets`` whatever the layer's input x: (t w^T, t . b, inside).
-    The rows' sums of t z are x . (t w^T) + t . b; without ``bv`` (a bias
-    folded into wv's last row) they are x . (t w^T), and t . b is None.
-    ``inside`` is True when every logit is known to lie strictly inside the
-    cap. That is known only for ``unit_inputs`` (every |x_i| <= 1, as a tanh
-    layer gives, and a column of ones): there |z_j| <= sum_i |w_ij| + |b_j|,
-    and the largest such bound must stay below the cap by a relative 1e-6,
-    far more than the rounding of the logits or of the bound. A NaN or inf
-    weight, or a bound at or above that, leaves it unknown."""
+def bernoulli_layer(wv: np.ndarray, targets, unit_inputs: bool = False):
+    """What ``bernoulli_rows_forward`` needs of an output layer's weights
+    ``wv`` and its ``targets`` whatever the layer's input x: (t w^T, inside).
+    The rows' sums of t z are x . (t w^T). ``inside`` is True when every
+    logit is known to lie strictly inside the cap. That is known only for
+    ``unit_inputs`` (every |x_i| <= 1, as a tanh layer with its column of
+    ones gives): there |z_j| <= sum_i |w_ij|, and the largest such bound
+    must stay below the cap by a relative 1e-6, far more than the rounding
+    of the logits or of the bound. A NaN or inf weight, or a bound at or
+    above that, leaves it unknown."""
     targets = np.asarray(targets, dtype=float)
     inside = False
     # overflows give an infinite product, and then rows that are clipped
     with np.errstate(over="ignore", invalid="ignore"):
         if unit_inputs:
-            bound = np.sum(np.abs(wv), axis=-2)
-            if bv is not None:
-                bound += np.abs(bv)
-            inside = bool(np.max(bound, initial=0.0) < _LOGIT_CAP * (1.0 - 1e-6))
-        return (*_target_products(wv, bv, targets), inside)
+            bound = np.max(np.sum(np.abs(wv), axis=-2), initial=0.0)
+            inside = bool(bound < _LOGIT_CAP * (1.0 - 1e-6))
+        return targets @ np.swapaxes(wv, -1, -2), inside
 
 
-def _target_products(wv: np.ndarray, bv: np.ndarray | None, targets: np.ndarray):
-    """(t w^T, t . b), or (t w^T, None) without ``bv``."""
-    return targets @ np.swapaxes(wv, -1, -2), None if bv is None else targets @ bv
-
-
-def bernoulli_rows_forward(
-    xv: np.ndarray, wv: np.ndarray, bv: np.ndarray | None, targets, layer=None, out=None
-):
-    """The Bernoulli log mass of ``targets`` on the logits z = x @ w + b of an
+def bernoulli_rows_forward(xv: np.ndarray, wv: np.ndarray, targets, layer=None, out=None):
+    """The Bernoulli log mass of ``targets`` on the logits z = x @ w of an
     output layer, summed over the last axis, with what its gradient needs:
     (rows, softplus, inside). ``softplus`` holds log1p(exp(z)) of the
     logits, clipped where they are, and ``inside`` is the mask of the logits
@@ -204,18 +191,16 @@ def bernoulli_rows_forward(
 
     Per element the mass is t z - log1p(exp(z)) = t log p + (1 - t) log(1 - p)
     with p = sigmoid(z). ``xv`` holds rows and ``wv`` is a matrix (each may
-    be a stack of them), the product follows numpy's ``@`` and ``bv`` is a
-    vector, or None for a layer whose bias is the last row of ``wv``, its
-    inputs ending in a column of ones: then z = x @ w, one product, and
-    t . b is part of x . (t w^T). ``targets`` has the shape of
-    the logits' last two or more axes. z is formed in one buffer, which
-    then holds log1p(exp(z)) in place, and the row sum of t z is taken as
-    x . (t w^T) + t . b, over the width of x rather than of z. ``layer`` is
-    ``bernoulli_layer(wv, bv, targets)``; a caller that runs one layer on
-    many inputs makes it once, and without it t w^T is made here and the
-    logits are looked at for the cap. ``out`` is None or three buffers, for
-    the logits, the row sums of t z and the rows; the buffers are written
-    whole, and their shapes are those of the logits and of the rows.
+    be a stack of them), and the product follows numpy's ``@``; a layer's
+    bias is the last row of ``wv``, and its inputs end in a column of ones.
+    ``targets`` has the shape of the logits' last two or more axes. z is
+    formed in one buffer, which then holds log1p(exp(z)) in place, and the
+    row sum of t z is taken as x . (t w^T), over the width of x rather than
+    of z. ``layer`` is ``bernoulli_layer(wv, targets)``, whose t w^T is
+    made here when not given; a caller that runs one layer on many inputs
+    makes it once. ``out`` is None or three buffers, for the logits, the
+    row sums of t z and the rows; the buffers are written whole, and their
+    shapes are those of the logits and of the rows.
 
     Rows holding a logit at or beyond +-logit(1 - 1e-7) (``_LOGIT_CAP``), or
     a NaN, take the same mass on logits clipped to the cap
@@ -227,29 +212,27 @@ def bernoulli_rows_forward(
     a draw has the same bits whether the draw is computed alone or among
     others.
     """
-    if xv.ndim < 2 or wv.ndim < 2 or (bv is not None and bv.ndim != 1):
-        raise ValueError("x must hold rows, w must be a matrix or a stack of them, b a vector")
+    if xv.ndim < 2 or wv.ndim < 2:
+        raise ValueError("x must hold rows, and w must be a matrix or a stack of them")
     targets = np.asarray(targets, dtype=float)
     z_buf, t_dot_z_buf, rows_buf = (None, None, None) if out is None else out
     # Logits that overflow, and rows whose sum_j t_j z_j does, are clipped
     # below, silently.
     with np.errstate(over="ignore", invalid="ignore"):
-        z = _affine(xv, wv, bv, z_buf)
+        z = np.matmul(xv, wv, out=z_buf)
         if targets.ndim < 2 or targets.shape != z.shape[z.ndim - targets.ndim :]:
             raise ValueError(f"targets {targets.shape} must be trailing rows of logits {z.shape}")
         inside = unclipped = None  # once a logit is not strictly inside the cap: the
         # mask of those that are, and of the rows that hold only such logits
-        known_inside = layer is not None and layer[2]
+        known_inside = layer is not None and layer[1]
         if not known_inside and z.size and not (z.max() < _LOGIT_CAP and z.min() > -_LOGIT_CAP):
             inside = (z > -_LOGIT_CAP) & (z < _LOGIT_CAP)
             unclipped = inside.all(axis=-1)
         t_dot_z = None
         if unclipped is None or unclipped.any():
-            t_w, t_b = _target_products(wv, bv, targets) if layer is None else layer[:2]
+            t_w = targets @ np.swapaxes(wv, -1, -2) if layer is None else layer[0]
             t_dot_z = np.einsum("...i,...i->...", xv, t_w, out=t_dot_z_buf)
-            if t_b is not None:
-                t_dot_z += t_b
-            del t_w, t_b  # t w^T made here goes before the clipping's arrays are made
+            del t_w  # t w^T made here goes before the clipping's arrays are made
             if not math.isfinite(t_dot_z.sum()):
                 finite = np.isfinite(t_dot_z)
                 unclipped = finite if unclipped is None else unclipped & finite

@@ -40,16 +40,17 @@ from .gaussian import GaussianDist
 # Byte budget of one block of weight sets in the finite-order estimate: 32
 # sets of K = 1024, large enough that numpy's work, not the dozen or so calls
 # a block makes, sets its cost. On 50 segments of (100, 1024) log weights, as
-# `vr eval` estimates them, the orders -1, 0, 0.5 and 2 took 0.208 s against
-# 0.337 s at 64 KiB, whose blocks were 8 sets (medians of 6 rounds, 2-vCPU
+# `vr eval` estimates them, the orders -1, 0, 0.5 and 2 took 0.14 s against
+# 0.24 s at 64 KiB, whose blocks were 8 sets (medians of 7 rounds, 2-vCPU
 # host); each set is reduced on its own, so the results are the same. A
 # block's temporaries are its scaled copy, which _logsumexp overwrites and
-# ``_estimate`` takes from a caller's work buffer when given one, and at
+# every block of an ``_estimate`` call takes from one buffer, and at
 # _logsumexp's peak 0.38 of a block more (the tie mask and numpy's cast
 # buffer, by tracemalloc on a (32, 1000) block; scipy's logsumexp peaked at
-# 5.1 blocks). Without that buffer, `vr eval`'s evaluation under
-# MALLOC_TRIM_THRESHOLD_=0 took 15.2k minor faults at this size (6.4k at
-# 64 KiB), each block's copy faulted in anew; with it, 1.7k.
+# 5.1 blocks). Under MALLOC_TRIM_THRESHOLD_=0 glibc maps a buffer this size
+# anew for each call, and `tests/test_training.py`'s fault probe at 10
+# repeats took 7.5k minor faults (2.3k at 64 KiB; 15.2k with a new copy per
+# block), under its 10k bound.
 _BLOCK_BYTES = 256 * 1024
 
 __all__ = [
@@ -104,9 +105,7 @@ def mc_vr_estimate(log_w, alpha: float, axis: int | None = None):
     return float(est) if axis is None else est
 
 
-def _estimate(
-    log_w: np.ndarray, alpha: float, counts: np.ndarray | None = None, work=None
-) -> np.ndarray:
+def _estimate(log_w: np.ndarray, alpha: float, counts: np.ndarray | None = None) -> np.ndarray:
     """``mc_vr_estimate`` of each row of a checked, C-ordered (..., K) array.
 
     With ``counts``, a (K,) array of positive sizes, entry j of a row is the
@@ -114,9 +113,7 @@ def _estimate(
     the estimate of all its segments' weights together: the power mean of
     the segments' power means weighted by their sizes, which is the power
     mean of the whole set up to rounding, and exactly it at alpha = +-inf.
-    A row without a finite entry gives -inf. ``work``, a float vector, takes
-    each block's scaled copy when it holds as many entries, so that a
-    caller that estimates many arrays makes that memory once.
+    A row without a finite entry gives -inf.
     """
     k = log_w.shape[-1]
     kind = classify_alpha(alpha)
@@ -135,11 +132,11 @@ def _estimate(
         est = np.min(log_w, axis=-1)
     else:
         # Each block of rows is reduced on its own, so the scaled copy that
-        # _power_mean reduces stays within a block.
+        # _power_mean reduces stays within a block; every block's is made in
+        # one buffer.
         sets = log_w.reshape(-1, k)
         step = max(1, _BLOCK_BYTES // (8 * k))
-        if work is None or work.size < min(step, sets.shape[0]) * k:
-            work = np.empty(min(step, sets.shape[0]) * k)
+        work = np.empty(min(step, sets.shape[0]) * k)
         est = np.empty(sets.shape[0])
         for start in range(0, sets.shape[0], step):
             block = sets[start : start + step]
@@ -149,10 +146,12 @@ def _estimate(
     return est
 
 
-def _power_mean(log_w: np.ndarray, one_minus: float, counts: np.ndarray | None, scaled=None):
+def _power_mean(
+    log_w: np.ndarray, one_minus: float, counts: np.ndarray | None, scaled: np.ndarray
+) -> np.ndarray:
     """The finite-order estimate of each row of a (rows, K) array, K >= 2,
     as a + log(mean(exp(s))) / (1 - alpha) with s and the anchor a of
-    ``_scaled_log_weights``, formed in ``scaled`` when given; with
+    ``_scaled_log_weights``, formed in ``scaled``, an array of its shape; with
     ``counts`` (``_estimate``'s), the mean weighs entry j by counts[j]."""
     # For alpha > 1 a -inf log weight scales to +inf, so logsumexp is +inf
     # and the estimate -inf. Dividing by 1 - alpha scales up the rounding of

@@ -7,8 +7,8 @@ scale). The latent prior is the standard normal. Parameters are a dict of
 named arrays, each layer's weights followed by its bias (the trainer keeps
 them as views of one vector in that order). Each layer is one matrix
 product: its inputs end in a column of ones, and its weights and bias form
-one block [W; b] (``layers``), so no pass adds a bias or sums one's
-gradient. Noise may carry a leading axis of K draws, which is carried
+one block [W; b] (``layers``, views of the trainer's vector), so no pass
+adds a bias or sums one's gradient. Noise may carry a leading axis of K draws, which is carried
 through to the outputs, so K log weights per datapoint come from one
 encoder pass.
 
@@ -18,7 +18,8 @@ forward pass runs the array pieces ``_encode``, ``_decode``,
 ``_log_weight_vjp`` takes the gradients back through the likelihood and
 the decoder, then through the reparameterization, the prior and log q
 (``GaussianReparam.vjp``, which BLR and BNN share) and the encoder, once
-per VJP call.
+per VJP call. ``train`` calls ``_log_weight_rows``, which takes the blocks
+and the rows with their column of ones that it makes once per run.
 
 ``log_weight_matrix`` is the value-only path of held-out evaluation, where K
 runs to thousands: it takes a noise generator and a draw count, and makes
@@ -131,64 +132,71 @@ class VAEModel:
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         return {name: value.shape for name, value in self.init_params(0).items()}
 
-    def layers(self, params) -> dict[str, np.ndarray]:
+    def layers(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each layer's weights W and bias b as one block [W; b], its last
         row the bias, by layer name (``_LAYERS``), and ``dec_log_noise`` for
-        the Gaussian likelihood: a layer is then one product of its inputs,
-        which end in a column of ones, with its block.
-
-        ``params`` are by name, copied into new blocks, or one float vector
-        that holds them in ``init_params``'s order, where each bias follows
-        its weights, as ``train`` keeps them: then the blocks are views of
-        it. Blocks come back as they are.
-        """
-        if isinstance(params, dict):
-            if "dec_2" in params:
-                return params
-            params = np.concatenate([np.ravel(params[name]) for name in self.param_shapes()])
+        the Gaussian likelihood: views of ``flat``, one float vector of
+        every parameter in ``init_params``'s order, where each bias follows
+        its weights, as ``train`` keeps them. A layer is then one product of
+        its inputs, which end in a column of ones (``with_ones``), with its
+        block."""
         shapes = self.param_shapes()
+        if flat.shape != (sum(math.prod(shape) for shape in shapes.values()),):
+            raise ValueError(f"flat parameters of shape {flat.shape} do not fit this model")
         blocks, start = {}, 0
         for layer, (weights, _) in _LAYERS.items():
             n_in, n_out = shapes[weights]
-            blocks[layer] = params[start : start + (n_in + 1) * n_out].reshape(n_in + 1, n_out)
+            blocks[layer] = flat[start : start + (n_in + 1) * n_out].reshape(n_in + 1, n_out)
             start += (n_in + 1) * n_out
         if self.likelihood == "gaussian":
-            blocks["dec_log_noise"] = params[start:]
+            blocks["dec_log_noise"] = flat[start:]
         return blocks
+
+    def _layers_of(self, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """``layers`` of parameters by name, in new blocks. Each parameter
+        must have its shape in ``param_shapes``."""
+        shapes = self.param_shapes()
+        for name, shape in shapes.items():
+            if np.shape(params[name]) != shape:
+                raise ValueError(f"{name} has shape {np.shape(params[name])}, not {shape}")
+        return self.layers(np.concatenate([np.ravel(params[name]) for name in shapes], dtype=float))
 
     def with_ones(self, x) -> np.ndarray:
         """The data rows ``x`` (..., data_dim) with a column of ones after
         their last, as the encoder's first layer takes them (see
-        ``layers``). Rows of data_dim + 1 columns are taken to have it
-        already, as ``train`` adds it once per run, and come back as they
-        are."""
+        ``layers``)."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1:] == (self.data_dim + 1,):
-            return x
-        out = np.ones((*x.shape[:-1], x.shape[-1] + 1))
+        if x.shape[-1:] != (self.data_dim,):
+            raise ValueError(f"data rows of shape {x.shape} must have {self.data_dim} columns")
+        out = np.ones((*x.shape[:-1], self.data_dim + 1))
         out[..., :-1] = x
         return out
 
     # ------------------------------------------------------------------
-    # the log weights (x is always a constant (n, data_dim + 1) array of
-    # rows that end in ones; latents h are (n, latent_dim) or (K, n,
-    # latent_dim), the decoder's input is them with a column of ones, and
-    # outputs keep the K)
+    # the log weights (past ``log_weight_rows``, x is always a constant
+    # (n, data_dim + 1) array of rows that end in ones; latents h are
+    # (n, latent_dim) or (K, n, latent_dim), the decoder's input is them
+    # with a column of ones, and outputs keep the K)
 
-    def log_weight_rows(self, params, x: np.ndarray, eps: np.ndarray):
+    def log_weight_rows(self, params: dict[str, np.ndarray], x: np.ndarray, eps: np.ndarray):
         """Per-datapoint log p(h, x) - log q(h|x), and its VJP: ``vjp(g)``
         gives the gradient of every parameter by name (see ``vr_grad``).
 
         ``eps`` of shape (n, latent_dim) is one noise draw and gives (n,);
         (K, n, latent_dim) is K draws and gives (K, n). The encoder runs once
         either way; the latent is the reparameterized
-        h = mu(x) + exp(rho(x)) * eps. ``params`` are by name, or
-        ``layers``'s blocks, and ``x`` the data rows, or ``with_ones``'s, as
-        ``train`` passes them, made once per run. The value is
-        ``_forward``'s, which ``log_weight_matrix`` runs too, here on new
-        arrays that the VJP, ``_log_weight_vjp``, keeps.
+        h = mu(x) + exp(rho(x)) * eps. ``params`` are by name, each of its
+        shape in ``param_shapes``, and ``x`` holds rows of data_dim
+        columns; each is checked and copied (``_layers_of``,
+        ``with_ones``). The value is ``_forward``'s, which
+        ``log_weight_matrix`` runs too, here on new arrays that the VJP,
+        ``_log_weight_vjp``, keeps.
         """
-        layers, x = self.layers(params), self.with_ones(x)
+        return self._log_weight_rows(self._layers_of(params), self.with_ones(x), eps)
+
+    def _log_weight_rows(self, layers: dict[str, np.ndarray], x: np.ndarray, eps):
+        """``log_weight_rows`` of the ``layers`` blocks and the rows ``x``
+        with their column of ones, as ``train`` makes them once per run."""
         eps = np.asarray(eps, dtype=float)
         hid_e, mu, rho = self._encode(layers, x)
         reparam = GaussianReparam(mu, rho)
@@ -240,7 +248,7 @@ class VAEModel:
         hid = _tanh_layer(h, layers["dec_1"], ws.get("hid"))
         if self.likelihood == "bernoulli":
             rows, softplus, inside = ad.bernoulli_rows_forward(
-                hid, layers["dec_2"], None, targets, layer,
+                hid, layers["dec_2"], targets, layer,
                 (ws["decoded"], ws["t_dot_z"], ws["rows"]) if ws else None,
             )
             return rows, hid, (softplus, inside)
@@ -331,11 +339,11 @@ class VAEModel:
         count, and neither does ``out``.
         """
         n = x.shape[0]
-        layers = self.layers(params)
+        layers = self._layers_of(params)
         reparam = GaussianReparam(*self._encode(layers, self.with_ones(x))[1:])
         layer = None
         if self.likelihood == "bernoulli":  # its input is a tanh layer's
-            layer = ad.bernoulli_layer(layers["dec_2"], None, x, unit_inputs=True)
+            layer = ad.bernoulli_layer(layers["dec_2"], x, unit_inputs=True)
         width = n * max(self.data_dim, self.hidden, self.latent_dim)
         step = max(1, _CHUNK_BYTES // (8 * width))
         kept = []  # the workspaces of earlier calls' workers

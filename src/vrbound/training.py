@@ -46,10 +46,9 @@ and keeps no (n, max(K, k_ref)) matrix: a segment's log weights go to one
 buffer, and each (alpha, K) cell keeps each point's estimate of the
 segment's columns among its first K draws, which it merges at the end of
 the repeat. The buffer, the sampler and its workspaces are made once per
-call, whatever the latent width, the K shown and k_ref, as is the work
-buffer of the estimator's blocks; what grows with a K is its cells'
-(n, K / _SEGMENT) estimates. The table is the same at any chunk size,
-worker count and estimator block size.
+call, whatever the latent width, the K shown and k_ref; what grows with a
+K is its cells' (n, K / _SEGMENT) estimates. The table is the same at any
+chunk size, worker count and estimator block size.
 
 Randomness is organized in named streams derived from (seed, stream id,
 index), so shuffling, noise, and evaluation draws are reproducible
@@ -67,7 +66,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .alpha import classify_alpha
-from .bounds import _BLOCK_BYTES, _estimate, _segment_counts, mc_vr_estimate, validate_log_weights
+from .bounds import _estimate, _segment_counts, mc_vr_estimate, validate_log_weights
 from .gradients import GaussianReparam, _log_ratio, vr_grad
 from .models.blr import BLRModel
 from .models.bnn import BNNModel
@@ -291,7 +290,7 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
             # than 0.30-0.43 s (6 runs each, 2-vCPU host).
             if vae:
                 noise = noise_rng.standard_normal((config.k, rows.shape[0], model.latent_dim))
-                log_w, vjp = model.log_weight_rows(layers, rows, noise)
+                log_w, vjp = model._log_weight_rows(layers, rows, noise)
             else:
                 noise = noise_rng.standard_normal((config.k, *params["mu"].shape))
                 scale = n / batch_idx.shape[0]
@@ -433,7 +432,6 @@ def evaluate_vae(
     parts = {cell: np.empty(tops[cell[1]].shape) for cell in per_point}
     k_block = max(tops)
     memory = np.empty(n * min(k_block, _SEGMENT))  # a segment's (n, size) log weights
-    work = np.empty(_BLOCK_BYTES // 8)  # for _estimate's blocks
     fill = model._sampler(params, x)
 
     for r in range(repeats):
@@ -448,13 +446,13 @@ def evaluate_vae(
                 top[:, s] = np.max(head, axis=-1)
                 for (a, cell_k), part in parts.items():
                     if cell_k == k:
-                        part[:, s] = _estimate(head, a, work=work)
+                        part[:, s] = _estimate(head, a)
         # a NaN or +inf log weight is its segment's largest, and a point has
         # a finite log weight where a segment's largest is finite
         for top in tops.values():
             validate_log_weights(top, 1)
         for (a, k), part in parts.items():
-            per_point[(a, k)][r] = _estimate(part, a, _segment_counts(k, _SEGMENT), work)
+            per_point[(a, k)][r] = _estimate(part, a, _segment_counts(k, _SEGMENT))
 
     rows = []
     for a in alphas:

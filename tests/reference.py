@@ -332,24 +332,28 @@ def _affine_vjp(x, w, b, product_shape: tuple, pre):
     return vjp
 
 
-def _with_ones(a):
+def with_ones(a):
     """``a`` with a column of ones after its last: the input of a layer
-    whose bias is the last row of its weights (``_bias_row``)."""
+    whose bias is the last row of its weights (``bias_row``)."""
     va = _value(a)
     out = np.concatenate([va, np.ones((*va.shape[:-1], 1))], axis=-1)
     return _op(out, (a, lambda g: g[..., :-1]))
 
 
-def _bias_row(w, b):
-    """[w; b]: the matrix ``w`` with the vector ``b`` as one more row."""
+def bias_row(w, b):
+    """[w; b]: the matrix ``w``, or each of a stack of them, with the vector
+    ``b`` as one more row."""
     vw, vb = _value(w), _value(b)
-    return _op(np.concatenate([vw, vb[None]]), (w, lambda g: g[:-1]), (b, lambda g: g[-1]))
+    out = np.concatenate([vw, np.broadcast_to(vb, (*vw.shape[:-2], 1, vb.shape[-1]))], axis=-2)
+    return _op(
+        out, (w, lambda g: g[..., :-1, :]), (b, lambda g: _unbroadcast(g[..., -1, :], vb.shape))
+    )
 
 
 def _folded_layer(x, w, b, act=None):
     """A layer as the VAE computes it, one product: [x, 1] @ [w; b], and
     ``act`` of it."""
-    product = matmul(_with_ones(x), _bias_row(w, b))
+    product = matmul(with_ones(x), bias_row(w, b))
     return product if act is None else act(product)
 
 
@@ -423,20 +427,19 @@ def normal_logpdf_rows(x, mean, log_std):
     return quad - row_logdet - 0.5 * d * LOG_2PI
 
 
-def bernoulli_dense_rows(x, w, b, targets: np.ndarray):
-    """Bernoulli log mass of ``targets`` on the logits z = x @ w + b (x @ w
-    with ``b`` None), summed over the last axis, as one node: the value is
-    ``ad.bernoulli_rows_forward``'s and the gradient at the logits
-    ``ad.bernoulli_rows_at_logits``'s, from which x, w and b get theirs as
-    through an affine layer."""
-    out, softplus, inside = ad.bernoulli_rows_forward(
-        _value(x), _value(w), None if b is None else _value(b), targets
-    )
+def bernoulli_dense_rows(x, w, targets: np.ndarray):
+    """Bernoulli log mass of ``targets`` on the logits z = x @ w, summed over
+    the last axis, as one node: the value is ``ad.bernoulli_rows_forward``'s
+    and the gradient at the logits ``ad.bernoulli_rows_at_logits``'s, from
+    which x and w get theirs as through a product. A layer with a bias takes
+    it as the last row of ``w`` (``bias_row``), its inputs ending in a
+    column of ones (``with_ones``)."""
+    out, softplus, inside = ad.bernoulli_rows_forward(_value(x), _value(w), targets)
 
     def at_logits(g):
         return ad.bernoulli_rows_at_logits(softplus, inside, targets, g)
 
-    return fused(out, {"x": x, "w": w, "b": b}, _affine_vjp(x, w, b, softplus.shape, at_logits))
+    return fused(out, {"x": x, "w": w}, _affine_vjp(x, w, None, softplus.shape, at_logits))
 
 
 # ----------------------------------------------------------------------
@@ -500,8 +503,8 @@ def vae_log_weights(vae, nodes, x, eps):
     h, log_q = gaussian_reparam(mu, rho, eps)
     dec = _folded_layer(h, nodes["dec_w1"], nodes["dec_b1"], tanh)
     if vae.likelihood == "bernoulli":
-        output = _bias_row(nodes["dec_w2"], nodes["dec_b2"])
-        lik = bernoulli_dense_rows(_with_ones(dec), output, None, x)
+        output = bias_row(nodes["dec_w2"], nodes["dec_b2"])
+        lik = bernoulli_dense_rows(with_ones(dec), output, x)
     else:
         means = _folded_layer(dec, nodes["dec_w2"], nodes["dec_b2"])
         lik = normal_logpdf_rows(x, means, nodes["dec_log_noise"])

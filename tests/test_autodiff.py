@@ -324,13 +324,16 @@ class TestComposites:
                 assert squared.tobytes() == (x * x).tobytes()
 
     def test_bernoulli_rows_value_and_grad(self):
-        # logits x @ w + b of a (3, 4) layer input, a (4, 6) weight and a bias
+        # logits [x, 1] @ [w; b] of a (3, 4) layer input, a (4, 6) weight and
+        # a bias
         rng = np.random.default_rng(12)
         x_val, w_val = rng.standard_normal((3, 4)), rng.standard_normal((4, 6))
         b_val = rng.standard_normal(6)
         targets = (rng.random((3, 6)) > 0.5).astype(float)
         leaves = {"x": ref.Node(x_val), "w": ref.Node(w_val), "b": ref.Node(b_val)}
-        node = ref.bernoulli_dense_rows(leaves["x"], leaves["w"], leaves["b"], targets)
+        node = ref.bernoulli_dense_rows(
+            ref.with_ones(leaves["x"]), ref.bias_row(leaves["w"], leaves["b"]), targets
+        )
         probs = 1.0 / (1.0 + np.exp(-(x_val @ w_val + b_val)))
         expected = (targets * np.log(probs) + (1 - targets) * np.log1p(-probs)).sum(axis=1)
         np.testing.assert_allclose(node.value, expected, atol=1e-9)
@@ -348,7 +351,7 @@ class TestComposites:
             (np.ones((1, 1)), np.array([[60.0, -60.0, 500.0, -500.0]])),
             (np.full((1, 1), 1e10), np.array([[1e300, -1e300, 1e300, 0.5]])),
         ]:
-            node = ref.bernoulli_dense_rows(x, w, np.zeros(4), targets)
+            node = ref.bernoulli_dense_rows(ref.with_ones(x), ref.bias_row(w, np.zeros(4)), targets)
             assert np.all(np.isfinite(node))
 
     def test_bernoulli_extreme_logits_hit_the_probability_floor(self):
@@ -360,7 +363,8 @@ class TestComposites:
         for x, logit in [(1.0, 500.0), (1e10, 1e300)]:
             for sign, target, expected in signs:
                 w, t = np.array([[sign * logit]]), np.array([[target]])
-                node = ref.bernoulli_dense_rows(np.array([[x]]), w, np.zeros(1), t)
+                x1, block = ref.with_ones(np.array([[x]])), ref.bias_row(w, np.zeros(1))
+                node = ref.bernoulli_dense_rows(x1, block, t)
                 assert abs(float(node[0]) - expected) <= 1e-12, (x, w, target)
 
     def test_bernoulli_batched_gradient_matches_finite_diff_check(self):
@@ -374,7 +378,11 @@ class TestComposites:
         targets = (rng.random((2, 5)) > 0.5).astype(float)
         weight = rng.standard_normal((3, 2))
         leaves = {"x": ref.Node(x_val), "w": ref.Node(w_val), "b": ref.Node(b_val)}
-        node = ref.bernoulli_dense_rows(leaves["x"], leaves["w"], leaves["b"], targets)
+
+        def rows(x, w, b):
+            return ref.bernoulli_dense_rows(ref.with_ones(x), ref.bias_row(w, b), targets)
+
+        node = rows(**leaves)
         assert node.value.shape == (3, 2)
         # log p and log(1 - p) on logits clipped to +-logit(1 - 1e-7)
         cap = math.log((1.0 - 1e-7) / 1e-7)
@@ -387,20 +395,22 @@ class TestComposites:
 
             def f(v, name=name):
                 args = {**inputs, name: v}
-                return float(np.sum(ref.bernoulli_dense_rows(*args.values(), targets) * weight))
+                return float(np.sum(rows(**args) * weight))
 
             assert finite_diff_check(f, inputs[name], grads[name]) < 1e-6, name
         assert grads["b"][0] == 0.0 and np.all(grads["w"][:, 0] == 0.0)
 
     def test_bernoulli_gradient_is_zero_at_and_beyond_the_cap(self):
-        # With x = 1 and a zero bias the logits are the weights, bit for bit:
+        # With x = 1 and a zero bias the logits [1, 1] @ [w; 0] are the
+        # weights, bit for bit:
         # logits at exactly +-cap, beyond it and overflowed to +-inf get
         # exactly zero gradient, the others targets - p.
         cap = ad._LOGIT_CAP
         logits = np.array([[cap, -cap, cap + 1.0, -cap - 1.0, 1e3, -1e3, 0.3, cap - 0.5]])
         targets = np.array([[0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0]])
         b = ref.Node(np.zeros(8))
-        node = ref.bernoulli_dense_rows(np.ones((1, 1)), logits, b, targets)
+        ones = ref.with_ones(np.ones((1, 1)))
+        node = ref.bernoulli_dense_rows(ones, ref.bias_row(logits, b), targets)
         grads = ref.gradients(ref.vsum(node), {"b": b})
         assert np.array_equal(grads["b"][:6], np.zeros(6))
         probs = 1.0 / (1.0 + np.exp(-logits[0, 6:]))
@@ -409,19 +419,21 @@ class TestComposites:
         # 1e10 * +-1e300 overflows; the third logit is about 0.3
         b, x = ref.Node(np.zeros(3)), np.full((1, 1), 1e10)
         w = np.array([[1e300, -1e300, 0.3e-10]])
-        grads = ref.gradients(ref.vsum(ref.bernoulli_dense_rows(x, w, b, targets[:, :3])), {"b": b})
+        node = ref.bernoulli_dense_rows(ref.with_ones(x), ref.bias_row(w, b), targets[:, :3])
+        grads = ref.gradients(ref.vsum(node), {"b": b})
         assert np.array_equal(grads["b"][:2], np.zeros(2))
         p = 1.0 / (1.0 + math.exp(-float(x[0, 0] * w[0, 2])))
         np.testing.assert_allclose(grads["b"][2], targets[0, 2] - p, rtol=1e-12)
 
     def test_the_logit_cap_is_ruled_out_only_by_a_bound_below_it(self):
-        # For inputs in [-1, 1], |z_j| <= sum_i |w_ij| + |b_j|; the largest
-        # bound must stay below the cap by a relative 1e-6.
+        # For inputs in [-1, 1] and a column of ones, |z_j| <= sum_i |w_ij| +
+        # |b_j| of the block [w; b]; the largest bound must stay below the
+        # cap by a relative 1e-6.
         cap = ad._LOGIT_CAP
         targets = np.ones((3, 2))
 
         def inside(w, b, unit_inputs=True):
-            return ad.bernoulli_layer(np.array(w), np.array(b), targets, unit_inputs)[2]
+            return ad.bernoulli_layer(np.vstack([w, b]), targets, unit_inputs)[1]
 
         assert inside([[4.0, -1.0], [-3.0, 2.0]], [1.0, 0.5])  # bounds 8 and 3.5
         below = cap * (1.0 - 2e-6)
@@ -433,48 +445,44 @@ class TestComposites:
         assert not inside([[4.0, 0.0], [0.0, 1.0]], [0.0, -math.inf])
         # no bound on the inputs, no bound on the logits
         assert not inside([[4.0, -1.0], [-3.0, 2.0]], [1.0, 0.5], unit_inputs=False)
-        w, b = np.array([[4.0, -1.0], [-3.0, 2.0]]), np.array([1.0, 0.5])
-        t_w, t_b, _ = ad.bernoulli_layer(w, b, targets)
-        assert t_w.tobytes() == (targets @ w.T).tobytes() and t_b.tobytes() == (targets @ b).tobytes()
-        # the bias folded into the weights' last row: the same bound, and no t . b
-        block = np.vstack([w, b])
-        t_wb, no_t_b, inside_block = ad.bernoulli_layer(block, None, targets, unit_inputs=True)
-        assert t_wb.tobytes() == (targets @ block.T).tobytes() and no_t_b is None
-        assert inside_block and not ad.bernoulli_layer(block * cap, None, targets, True)[2]
+        block = np.array([[4.0, -1.0], [-3.0, 2.0], [1.0, 0.5]])
+        t_w, _ = ad.bernoulli_layer(block, targets)
+        assert t_w.tobytes() == (targets @ block.T).tobytes()
 
     def test_a_layer_made_once_gives_the_bits_of_one_made_per_call(self):
         # rows of inputs in [-1, 1] whose layer rules the cap out, written
         # into given buffers, against the same call making its own layer
         rng = np.random.default_rng(23)
-        x = np.tanh(rng.standard_normal((5, 7, 4)))
-        w, b = rng.standard_normal((4, 6)), rng.standard_normal(6)
+        x = ref.with_ones(np.tanh(rng.standard_normal((5, 7, 4))))
+        w = ref.bias_row(rng.standard_normal((4, 6)), rng.standard_normal(6))
         targets = (rng.random((7, 6)) < 0.5).astype(float)
-        layer = ad.bernoulli_layer(w, b, targets, unit_inputs=True)
-        assert layer[2]
+        layer = ad.bernoulli_layer(w, targets, unit_inputs=True)
+        assert layer[1]
         bufs = (np.empty((5, 7, 6)), np.empty((5, 7)), np.empty((5, 7)))
-        rows, softplus, inside = ad.bernoulli_rows_forward(x, w, b, targets, layer, bufs)
+        rows, softplus, inside = ad.bernoulli_rows_forward(x, w, targets, layer, bufs)
         assert rows is bufs[2] and softplus is bufs[0] and inside is None
-        fresh = ad.bernoulli_rows_forward(x, w, b, targets)
+        fresh = ad.bernoulli_rows_forward(x, w, targets)
         assert rows.tobytes() == fresh[0].tobytes() and softplus.tobytes() == fresh[1].tobytes()
 
     def test_bernoulli_rows_peak_under_one_and_a_half_logit_arrays(self):
         # The forward pass allocates the logits and works in place on them;
-        # the row sums of t z, taken over the 16-wide layer input, add a
-        # quarter of an array. When a logit is clipped (a bias of 100), the
-        # mask of clipped logits adds an eighth and the two comparisons that
-        # build it a quarter. The layer input, the weights and the targets
-        # are the caller's.
+        # the row sums of t z, taken over the 17-wide layer input (16 and its
+        # column of ones), add a quarter of an array. When a logit is clipped
+        # (a bias of 100), the mask of clipped logits adds an eighth and the
+        # two comparisons that build it a quarter. The layer input, the
+        # weights with their bias row and the targets are the caller's.
         rng = np.random.default_rng(16)
-        x = np.tanh(rng.standard_normal((6, 100, 16)))
+        x = ref.with_ones(np.tanh(rng.standard_normal((6, 100, 16))))
         w = rng.standard_normal((16, 64)) / 4.0
         targets = (rng.random((100, 64)) < 0.5).astype(float)
         logit_bytes = 6 * 100 * 64 * 8
         for bias, arrays in [(0.0, 1.3), (100.0, 1.4)]:
             b = np.zeros(64)
             b[0] = bias
+            block = ref.bias_row(w, b)
             tracemalloc.start()
             try:
-                ref.bernoulli_dense_rows(x, w, b, targets)
+                ref.bernoulli_dense_rows(x, block, targets)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -535,7 +543,9 @@ class TestDense:
             (lambda u: ref.slice1d(u, 1, 3), x),
             (ref.normal_logpdf_rows, x, scale, scale),
             (ref.std_normal_logpdf_rows, x),
-            (lambda u, v, c: ref.bernoulli_dense_rows(u, v, c, targets), x, y[..., :4], scale),
+            (ref.with_ones, x),
+            (ref.bias_row, y, bias),
+            (lambda u, v: ref.bernoulli_dense_rows(u, v, targets), x, y[..., :4]),
         ]
         for op, *args in folds:
             folded, node = op(*args), op(*map(ref.Node, args))

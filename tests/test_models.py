@@ -572,7 +572,7 @@ class TestVae:
         rng = np.random.default_rng(1)
         x = (rng.random((3, 10)) > 0.5).astype(float)
         h = np.concatenate([rng.standard_normal((3, 2)), np.ones((3, 1))], axis=1)
-        rows = vae._decode(vae.layers(params), h, x)[0]
+        rows = vae._decode(vae._layers_of(params), h, x)[0]
         np.testing.assert_allclose(rows, -10.0 * math.log(2.0), atol=1e-12)
 
     def test_log_weight_gradient_matches_fd(self):
@@ -676,7 +676,7 @@ def _count_kernel_calls(monkeypatch, on_call=None) -> list:
 
 def _clipped_share(vae, params, x, eps) -> float:
     """Share of (draw, point) rows holding a logit at or beyond the cap."""
-    encoded = vae._encode(vae.layers(params), vae.with_ones(x))
+    encoded = vae._encode(vae._layers_of(params), vae.with_ones(x))
     h = vae_module.GaussianReparam(*encoded[1:]).theta(eps)
     hid = np.tanh(h @ params["dec_w1"] + params["dec_b1"])
     logits = hid @ params["dec_w2"] + params["dec_b2"]
@@ -789,6 +789,21 @@ class TestVaeNode:
             vae.log_weight_rows(params, x, eps[:, :2])
         with pytest.raises(ValueError, match="targets"):
             vae.log_weight_rows(params, x[0], eps[:, 0])
+
+    def test_rows_and_parameters_of_another_shape_are_rejected(self):
+        # Rows one column wider than the data would make their last feature
+        # the input of the encoder's bias, and a transposed weight of the
+        # same size would be read as other parameters: each raises.
+        vae, params, x, eps = self._inputs("bernoulli", 4)
+        wide = np.concatenate([x, np.ones((3, 1))], axis=1)
+        with pytest.raises(ValueError, match="must have 6 columns"):
+            vae.log_weight_rows(params, wide, eps)
+        with pytest.raises(ValueError, match="must have 6 columns"):
+            vae.log_weight_matrix(params, wide, np.random.default_rng(0), 5)
+        with pytest.raises(ValueError, match="enc_w1 has shape"):
+            vae.log_weight_rows({**params, "enc_w1": params["enc_w1"].T}, x, eps)
+        with pytest.raises(ValueError, match="do not fit"):
+            vae.layers(np.zeros(3))
 
 
 class TestPosteriorNode:
@@ -1079,7 +1094,8 @@ class TestLogWeightMatrixWorkers:
         params, x, eps = self._inputs(23, 50)
         params["dec_w2"][:2, 0] = [9.0, -9.0]
         params["dec_b2"][0] = 0.0
-        assert not ad.bernoulli_layer(params["dec_w2"], params["dec_b2"], x, unit_inputs=True)[2]
+        output = np.vstack([params["dec_w2"], params["dec_b2"]])
+        assert not ad.bernoulli_layer(output, x, unit_inputs=True)[1]
         assert _clipped_share(self.VAE, params, x, eps) == 0.0
         assert np.isfinite(self._check_edge(monkeypatch, workers, params, 23)).all()
 
@@ -1090,7 +1106,8 @@ class TestLogWeightMatrixWorkers:
         # pixel is 0; the decoder's weights leave its logits inside the cap
         params, x, _ = self._inputs(23, 50)
         params["enc_w1"][0, 0] = math.inf
-        assert ad.bernoulli_layer(params["dec_w2"], params["dec_b2"], x, unit_inputs=True)[2]
+        output = np.vstack([params["dec_w2"], params["dec_b2"]])
+        assert ad.bernoulli_layer(output, x, unit_inputs=True)[1]
         with np.errstate(invalid="ignore"):
             rows = self._check_edge(monkeypatch, workers, params, 23)
         blank = x[:, 0] == 0.0

@@ -555,10 +555,11 @@ def test_normal_logpdf_rows_vjps(shapes, data, seed):
 @TAPE
 @given(MATMUL_PAIRS, st.data(), st.booleans(), SEEDS)
 def test_bernoulli_logpmf_rows_vjps(shapes, data, clip, seed):
-    # Logits x @ w + b of any matmul shapes, with rows in x and a matrix w
-    # (vectors are promoted); the targets are the logits' last two or more
-    # axes. With ``clip`` one column of logits sits at 40, beyond the cap,
-    # and gets zero gradient.
+    # Logits [x, 1] @ [w; b] of any matmul shapes, with rows in x and a
+    # matrix w (vectors are promoted), and the bias the last row of each
+    # matrix; the targets are the logits' last two or more axes. With
+    # ``clip`` one column of logits sits at 40, beyond the cap, and gets zero
+    # gradient.
     rng = np.random.default_rng(seed)
     x_shape, w_shape = shapes.input_shapes
     x_shape = x_shape if len(x_shape) >= 2 else (2, *x_shape)
@@ -571,11 +572,15 @@ def test_bernoulli_logpmf_rows_vjps(shapes, data, clip, seed):
     logits_shape = (x @ w).shape
     target_shape = logits_shape[data.draw(st.integers(0, len(logits_shape) - 2)) :]
     targets = (rng.random(target_shape) < 0.5).astype(float)
-    node = ref.bernoulli_dense_rows(ref.Node(x), ref.Node(w), ref.Node(b), targets)
+
+    def rows(xn, wn, bn):
+        return ref.bernoulli_dense_rows(ref.with_ones(xn), ref.bias_row(wn, bn), targets)
+
+    node = rows(ref.Node(x), ref.Node(w), ref.Node(b))
     z = np.clip(x @ w + b, -CAP, CAP)
     expected = (targets * z - np.logaddexp(0.0, z)).sum(axis=-1)
     np.testing.assert_allclose(node.value, expected, rtol=1e-12, atol=1e-12)
-    _check_vjps(lambda xn, wn, bn: ref.bernoulli_dense_rows(xn, wn, bn, targets), [x, w, b], seed)
+    _check_vjps(rows, [x, w, b], seed)
 
 
 # ----------------------------------------------------------------------
@@ -633,13 +638,15 @@ def bernoulli_layers(draw):
     )
 )
 def test_bernoulli_logpmf_rows_match_40_digits(layer):
-    # Each row sums t z - log1p(exp(z)) over the logits z = clip(x @ w + b)
-    # formed in floats; the clip is exact. Rounding may cost a few ulps of
-    # each term and of each product x_i w_ij in the row.
+    # Each row sums t z - log1p(exp(z)) over the logits z = clip([x, 1] @
+    # [w; b]) formed in floats, one product as the VAE's output layer forms
+    # them; the clip is exact. Rounding may cost a few ulps of each term and
+    # of each product x_i w_ij in the row, the bias's 1 * b_j among them.
     x, w, b, targets = layer
-    got = ref.bernoulli_dense_rows(x, w, b, targets)
+    x, w = ref.with_ones(x), ref.bias_row(w, b)
+    got = ref.bernoulli_dense_rows(x, w, targets)
     with np.errstate(all="ignore"):
-        logits = x @ w + b
+        logits = x @ w
     z = np.clip(logits, -CAP, CAP)
     with mpmath.workdps(40):
         for i in range(logits.shape[0]):
@@ -653,7 +660,6 @@ def test_bernoulli_logpmf_rows_match_40_digits(layer):
             exact = mpmath.fsum(tz - sp for tz, sp in terms)
             products = [
                 mpmath.fsum(abs(mpmath.mpf(xk) * mpmath.mpf(wk)) for xk, wk in zip(x[i], w[:, j]))
-                + abs(mpmath.mpf(b[j]))
                 for j in range(w.shape[1])
             ]
             scale = mpmath.fsum(abs(tz) + sp for tz, sp in terms)
@@ -665,20 +671,20 @@ def test_bernoulli_logpmf_rows_match_40_digits(layer):
 @PROPERTY
 @given(st.integers(1, 5), st.integers(1, 6), SEEDS, st.floats(0.0, 60.0))
 def test_bernoulli_rows_of_a_draw_alone_equal_them_among_others(k, n, seed, spread):
-    # K draws of a (n, 16) layer input against (n, 64) targets, as the VAE
-    # evaluates them in chunks of any size. Weights drawn at up to ``spread``
-    # clip the logits of some rows and not of others; each draw computed
-    # alone must give its rows' bits.
+    # K draws of a (n, 16) layer input with its column of ones against
+    # (n, 64) targets, as the VAE evaluates them in chunks of any size.
+    # Weights drawn at up to ``spread`` clip the logits of some rows and not
+    # of others; each draw computed alone must give its rows' bits.
     rng = np.random.default_rng(seed)
-    x = np.tanh(rng.standard_normal((k, n, 16)) * 2.0)
+    x = ref.with_ones(np.tanh(rng.standard_normal((k, n, 16)) * 2.0))
     w = rng.standard_normal((16, 64)) * 0.25
     w[0, :3] = spread * rng.standard_normal(3)
-    b = rng.standard_normal(64)
+    w = ref.bias_row(w, rng.standard_normal(64))
     targets = (rng.random((n, 64)) < 0.5).astype(float)
-    rows = ref.bernoulli_dense_rows(x, w, b, targets)
+    rows = ref.bernoulli_dense_rows(x, w, targets)
     for i in range(k):
-        assert ref.bernoulli_dense_rows(x[i], w, b, targets).tobytes() == rows[i].tobytes()
-        alone = ref.bernoulli_dense_rows(x[i : i + 1], w, b, targets)
+        assert ref.bernoulli_dense_rows(x[i], w, targets).tobytes() == rows[i].tobytes()
+        alone = ref.bernoulli_dense_rows(x[i : i + 1], w, targets)
         assert alone.tobytes() == rows[i : i + 1].tobytes()
 
 

@@ -787,7 +787,9 @@ def test_a_training_step_runs_the_builder_and_its_vjp_once(monkeypatch, kind):
     monkeypatch.setattr(GaussianReparam, "vjp", counted_reparam)
     cfg = TrainConfig(alpha=0.5, k=3, minibatch=8, steps=4, learning_rate=0.01, seed=1)
     if kind == "vae":
-        monkeypatch.setattr(VAEModel, "log_weight_rows", counted(VAEModel.log_weight_rows))
+        # train builds the blocks and rows once per run and calls the
+        # builder that takes them
+        monkeypatch.setattr(VAEModel, "_log_weight_rows", counted(VAEModel._log_weight_rows))
         data = synthetic_binary_images(seed=0, n=220, side=4)
         train(VAEModel(data_dim=16, latent_dim=2, hidden=4), cfg, data)
     else:
@@ -837,6 +839,15 @@ def test_a_vae_step_makes_nothing_for_one_use(monkeypatch):
     assert flat.size == sum(value.size for value in params.values())
     for name, block in seen[0].items():
         assert np.shares_memory(block, flat), name
+
+
+def test_vae_training_rejects_rows_of_another_width():
+    # rows one column wider than the model's data, whose last feature would
+    # otherwise be taken as the column of ones of the encoder's bias
+    data = synthetic_binary_images(seed=0, n=220, side=4)
+    cfg = TrainConfig(k=3, minibatch=8, steps=2, learning_rate=0.01, seed=1)
+    with pytest.raises(ValueError, match="must have 15 columns"):
+        train(VAEModel(data_dim=15, latent_dim=2, hidden=4), cfg, data)
 
 
 class TestWeightDiagnostics:
