@@ -11,17 +11,19 @@ once and writes the result into one flat vector in the order of
 ``params``. There is no tape and no graph: the forward passes are numpy, and
 the chain rule is written out in each VJP.
 
-The array kernels: ``dense``, an affine layer act(x @ w + b) in one buffer;
-the Gaussian log density summed over the last axis (``normal_logpdf_rows``,
+Every layer is one product: its inputs end in a column of ones, and its
+weights W and bias b form one block [W; b]. The array kernels: a hidden
+layer, tanh or ReLU of that product followed by the column of ones the
+next layer takes (``layer``), and its gradient at the pre-activations
+(``layer_grad``), which the VAE's and the BNN's hidden layers share; the
+Gaussian log density summed over the last axis (``normal_logpdf_rows``,
 with ``normal_rows_vjp`` its gradient at the means and a single log scale)
 and the standard normal's (``std_normal_logpdf_rows``, every prior and the
 noise term of every log q); and an output layer with the Bernoulli log mass
 of its logits summed over the last axis, as an array forward
 (``bernoulli_rows_forward``, with ``bernoulli_layer`` what it takes of the
 layer and the targets whatever the input) and its gradient at the logits
-(``bernoulli_rows_at_logits``), whose logits are one product: a bias is
-the last row of its weights, and the inputs end in a column of ones.
-Matrix products follow numpy's ``@``, so a
+(``bernoulli_rows_at_logits``). Matrix products follow numpy's ``@``, so a
 model evaluates K stacked draws at once. The forward kernels take optional
 buffers to write into, so that a caller that runs them over many chunks of
 draws allocates each chunk's arrays once. The tests check every written-out
@@ -44,8 +46,9 @@ __all__ = [
     "bernoulli_layer",
     "bernoulli_rows_at_logits",
     "bernoulli_rows_forward",
-    "dense",
     "gradients",
+    "layer",
+    "layer_grad",
     "normal_logpdf_rows",
     "normal_rows_vjp",
     "std_normal_logpdf_rows",
@@ -60,37 +63,42 @@ _PAIRWISE_MIN = 8
 # ----------------------------------------------------------------------
 # array kernels
 
-_ACTIVATIONS = (None, "tanh", "relu")
 
-
-def dense(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, act: str | None = None, out=None
-) -> np.ndarray:
-    """``act(x @ w + b)``: an affine layer and its activation.
-
-    The product follows numpy's ``@`` and ``b`` broadcasts against it. The
-    bias and the activation are applied in place on the product's buffer,
-    ``out`` when given, so a layer allocates at most one output array.
-    ``act`` is None (affine), "tanh" or "relu".
-    """
-    if act not in _ACTIVATIONS:
-        raise ValueError(f"act must be one of {_ACTIVATIONS}")
-    out = _affine(x, w, b, out)
+def layer(x: np.ndarray, block: np.ndarray, act: str, out=None) -> np.ndarray:
+    """``act(x @ block)`` followed by a column of ones: a layer of inputs
+    ``x`` that end in a column of ones, whose weights and bias are one block
+    [W; b] (each may be a stack of them; the product follows numpy's ``@``),
+    as the next layer takes it. ``act`` is "tanh" or "relu"; the ReLU maps a
+    NaN to 0. The result goes in ``out`` (an array of that shape whose last
+    column holds finite values) when given, else in a new one. The
+    activation runs over the whole array and the ones are then written
+    back: numpy buffers a ufunc over the outputs alone, whose rows are not
+    contiguous, and took several times as long."""
+    if act not in ("tanh", "relu"):
+        raise ValueError(f"act must be 'tanh' or 'relu', not {act!r}")
+    if out is None:
+        lead = np.broadcast_shapes(x.shape[:-2], block.shape[:-2]) + x.shape[-2:-1]
+        out = np.ones((*lead, block.shape[-1] + 1))
+    np.matmul(x, block, out=out[..., :-1])
     if act == "tanh":
         np.tanh(out, out=out)
-    elif act == "relu":
+    else:
         np.copyto(out, 0.0, where=~(out > 0.0))
+    out[..., -1] = 1.0
     return out
 
 
-def _affine(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray, out=None) -> np.ndarray:
-    """``xv @ wv + bv`` in one buffer: ``out`` when given, else a new one."""
-    out = np.asarray(np.matmul(xv, wv, out=out))
-    try:
-        out += bv
-    except ValueError:  # the bias adds leading axes to the product
-        out = out + bv
-    return out
+def layer_grad(g: np.ndarray, hid: np.ndarray, act: str) -> np.ndarray:
+    """The gradient at the pre-activations of ``layer``'s output ``hid``,
+    given ``g`` at the whole of it: ``g`` times tanh' = 1 - hid^2, or times
+    relu' = [hid > 0], in place. Returns it without the column of ones."""
+    if act == "tanh":
+        slope = hid * hid
+        np.subtract(1.0, slope, out=slope)
+        g *= slope
+    else:
+        g *= hid > 0.0
+    return g[..., :-1]
 
 
 def std_normal_logpdf_rows(x, squares=None, out=None) -> np.ndarray:

@@ -37,20 +37,17 @@ from .alpha import AlphaKind, classify_alpha
 from .divergence import renyi_gaussian
 from .gaussian import GaussianDist
 
-# Byte budget of one block of weight sets in the finite-order estimate: 32
-# sets of K = 1024, large enough that numpy's work, not the dozen or so calls
-# a block makes, sets its cost. On 50 segments of (100, 1024) log weights, as
-# `vr eval` estimates them, the orders -1, 0, 0.5 and 2 took 0.14 s against
-# 0.24 s at 64 KiB, whose blocks were 8 sets (medians of 7 rounds, 2-vCPU
-# host); each set is reduced on its own, so the results are the same. A
-# block's temporaries are its scaled copy, which _logsumexp overwrites and
-# every block of an ``_estimate`` call takes from one buffer, and at
-# _logsumexp's peak 0.38 of a block more (the tie mask and numpy's cast
-# buffer, by tracemalloc on a (32, 1000) block; scipy's logsumexp peaked at
-# 5.1 blocks). Under MALLOC_TRIM_THRESHOLD_=0 glibc maps a buffer this size
-# anew for each call, and `tests/test_training.py`'s fault probe at 10
-# repeats took 7.5k minor faults (2.3k at 64 KiB; 15.2k with a new copy per
-# block), under its 10k bound.
+# Byte budget of one block of weight sets in the finite-order estimate (32
+# sets of K = 1024), and of one block of the bias simulation's stacked
+# draws: large enough that numpy's work, not the dozen or so calls a block
+# makes, sets its cost. Each set is reduced on its own, so the results do
+# not depend on it. A block's temporaries are its scaled copy, which every
+# block of an ``_estimate`` call takes from one buffer, and 0.38 of a block
+# more at _logsumexp's peak; the bias simulation's cells stay under the
+# bounds of ``tests/test_bounds.py``'s memory tests, and held-out evaluation
+# under the 10k faults of ``tests/test_training.py``'s 10-repeat fault probe.
+# The timings and fault counts at 64 and 256 KiB are in ``BENCH_30.json``
+# and its CHANGES.md entry.
 _BLOCK_BYTES = 256 * 1024
 
 __all__ = [

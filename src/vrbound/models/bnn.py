@@ -4,13 +4,18 @@ The network is f(x) = W2 relu(x W1 + b1) + b2 with a standard-normal prior
 on every weight, a Gaussian likelihood whose noise scale is a learnable
 hyper-parameter (kept in the log domain), and a mean-field Gaussian
 approximation over the flattened weight vector. The flattened layout is
-(W1, b1, W2, b2). Everything runs on arrays: ``predict`` and
-``log_lik_node`` take one weight vector (W,) or K stacked draws (K, W), and
-give one value per draw and point, or per draw. ``log_lik_node`` returns
-its VJP with it, written out through the Gaussian likelihood, the output
-layer and the ReLU layer; ``training.posterior_log_weights`` chains it into
-the VJP of the reparameterization, the N(0, I) prior and log q, and returns
-the training step's log weights with that one VJP.
+(W1, b1, W2, b2), so each layer's weights and bias are one contiguous
+block [W; b], and a layer is one product of its inputs, which end in a
+column of ones, with its block (``ad.layer`` for the ReLU layer), as the
+VAE's layers are. Everything runs on arrays: ``predict`` and
+``log_lik_node`` take one weight vector (W,) or K stacked draws (K, W),
+and give one value per draw and point, or per draw. ``log_lik_node``
+returns its VJP with it, written out through the Gaussian likelihood, the
+output layer and the ReLU layer: each block's gradient is one product,
+written into its view of one array of theta's shape.
+``training.posterior_log_weights`` chains it into the VJP of the
+reparameterization, the N(0, I) prior and log q, and returns the training
+step's log weights with that one VJP.
 """
 
 from __future__ import annotations
@@ -36,25 +41,30 @@ class BNNModel:
         return self.in_dim * self.hidden + self.hidden + self.hidden + 1
 
     def _split(self, theta: np.ndarray):
-        """Views W1 (..., d, h), b1 (..., 1, h), w2 (..., h, 1), b2 (..., 1)."""
-        d, h = self.in_dim, self.hidden
+        """Views of the layers' blocks [W1; b1] (..., d + 1, h) and
+        [W2; b2] (..., h + 1, 1), each layer's bias the last row of its
+        block."""
+        cut = (self.in_dim + 1) * self.hidden
         lead = theta.shape[:-1]
-        w1 = theta[..., : d * h].reshape(lead + (d, h))
-        b1 = theta[..., d * h : d * h + h].reshape(lead + (1, h))
-        w2 = theta[..., d * h + h : d * h + 2 * h].reshape(lead + (h, 1))
-        return w1, b1, w2, theta[..., -1:]
+        return (
+            theta[..., :cut].reshape(lead + (self.in_dim + 1, self.hidden)),
+            theta[..., cut:].reshape(lead + (self.hidden + 1, 1)),
+        )
 
     def _forward(self, theta: np.ndarray, x: np.ndarray):
-        """The ReLU layer (..., n, h) and the outputs (..., n)."""
-        w1, b1, w2, b2 = self._split(theta)
-        hidden = ad.dense(x, w1, b1, "relu")
-        out = hidden @ w2
-        return hidden, out.reshape(out.shape[:-1]) + b2
+        """The inputs with their column of ones (n, d + 1), the ReLU layer
+        with its own (..., n, h + 1), and the outputs (..., n): one product
+        per layer."""
+        block1, block2 = self._split(theta)
+        x1 = np.ones((x.shape[0], self.in_dim + 1))
+        x1[:, :-1] = x
+        hidden = ad.layer(x1, block1, "relu")
+        return x1, hidden, (hidden @ block2)[..., 0]
 
     def predict(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Network outputs for inputs x (n, in_dim): shape (n,) for theta
         (W,), (K, n) for theta (K, W)."""
-        return self._forward(np.asarray(theta, dtype=float), x)[1]
+        return self._forward(np.asarray(theta, dtype=float), x)[2]
 
     def log_lik_node(self, theta: np.ndarray, params: dict, x: np.ndarray, y: np.ndarray):
         """Summed Gaussian log likelihood of targets y at inputs x, per draw,
@@ -63,23 +73,17 @@ class BNNModel:
         The prior is the caller's (``training.posterior_log_weights``)."""
         y = np.asarray(y, dtype=float)
         log_noise = params["log_noise"]
-        hidden, preds = self._forward(theta, x)
+        x1, hidden, preds = self._forward(theta, x)
         rows = ad.normal_logpdf_rows(y, preds, log_noise)
 
         def vjp(g):
             g_preds, g_noise = ad.normal_rows_vjp(y, preds, log_noise, g)
-            g_out = g_preds[..., None]  # at hidden @ w2, (..., n, 1)
-            g_pre = g_out @ np.swapaxes(self._split(theta)[2], -1, -2)
-            g_pre *= hidden > 0.0
-            g_theta = np.concatenate(
-                [
-                    (x.T @ g_pre).reshape(theta.shape[:-1] + (-1,)),
-                    g_pre.sum(axis=-2),
-                    (np.swapaxes(hidden, -1, -2) @ g_out)[..., 0],
-                    g_preds.sum(axis=-1, keepdims=True),
-                ],
-                axis=-1,
-            )
+            g_out = g_preds[..., None]  # at hidden @ [W2; b2], (..., n, 1)
+            g_theta = np.empty(theta.shape)
+            g_block1, g_block2 = self._split(g_theta)
+            np.matmul(np.swapaxes(hidden, -1, -2), g_out, out=g_block2)
+            g_hidden = g_out @ np.swapaxes(self._split(theta)[1], -1, -2)
+            np.matmul(x1.T, ad.layer_grad(g_hidden, hidden, "relu"), out=g_block1)
             return g_theta, {"log_noise": g_noise}
 
         return rows, vjp

@@ -8,9 +8,10 @@ named arrays, each layer's weights followed by its bias (the trainer keeps
 them as views of one vector in that order). Each layer is one matrix
 product: its inputs end in a column of ones, and its weights and bias form
 one block [W; b] (``layers``, views of the trainer's vector), so no pass
-adds a bias or sums one's gradient. Noise may carry a leading axis of K draws, which is carried
-through to the outputs, so K log weights per datapoint come from one
-encoder pass.
+adds a bias or sums one's gradient; the tanh layers are ``ad.layer``, as
+the BNN's ReLU layer is. Noise may carry a leading axis of K draws, which
+is carried through to the outputs, so K log weights per datapoint come
+from one encoder pass.
 
 ``log_weight_rows`` returns the log weights with their written-out VJP: the
 forward pass runs the array pieces ``_encode``, ``_decode``,
@@ -53,20 +54,15 @@ from .. import autodiff as ad
 from ..gradients import GaussianReparam
 
 # Byte budget of one float64 (rows, n * max(data_dim, hidden, latent_dim))
-# array of a chunk of draws in a ``_sampler``'s ``fill``. A chunk is a few dozen
-# numpy operations, and a worker holds the GIL between them, so a chunk must
-# be long enough for the arithmetic, which runs without the GIL, to dominate.
-# On 2 cores, a 5000-draw call on 100 points of width 64 took about as long
-# at 1, 1.5 and 2 MiB (20, 30 and 40 draws a chunk; medians of 10 calls in
-# each of 2 fresh processes: 275-357, 276-310 and 288-304 ms on a slow spell
-# of the host, where an earlier measurement read 125-128 ms at each). A
-# chunk holds two arrays of the noise's width at once (the noise, and the
-# latents that the prior squares in place), so at latent width 50 two
-# workers peaked at 5.5, 8.0 and 10.6 MiB at 1, 1.5 and 2 MiB, against the
-# 10.3 MiB bound of ``test_memory_does_not_grow_with_the_latent_width``.
-# Evaluating 100 points at k_ref 5000 twice in a fresh process
-# (``tests/test_training.py``'s fault probe) took 1.1k, 1.4k, 1.8k and 3.2k
-# minor page faults at 1, 1.5, 2 and 4 MiB.
+# array of a chunk of draws in a ``_sampler``'s ``fill``. A worker holds the
+# GIL between a chunk's few dozen numpy operations, so a chunk must be long
+# enough for the arithmetic, which runs without the GIL, to dominate; and it
+# must be short enough for two workers' chunks, each holding two arrays of
+# the noise's width, to stay under the 10.3 MiB bound of
+# ``test_memory_does_not_grow_with_the_latent_width``, and for the held-out
+# fault probes of ``tests/test_training.py`` to stay under theirs. The
+# timings, peaks and fault counts at 1 to 4 MiB are in CHANGES.md, in the
+# entries that re-measured this comment.
 _CHUNK_BYTES = 1536 * 1024
 
 # Each layer's weights and bias by layer name, in ``init_params``'s order;
@@ -206,7 +202,7 @@ class VAEModel:
     def _encode(self, layers: dict[str, np.ndarray], x: np.ndarray):
         """The encoder's tanh layer, with its column of ones, and the
         recognition parameters (mu, rho), of rows ``x`` that end in ones."""
-        hid = _tanh_layer(x, layers["enc_1"])
+        hid = ad.layer(x, layers["enc_1"], "tanh")
         return hid, hid @ layers["enc_mu"], hid @ layers["enc_rho"]
 
     def _forward(self, layers, targets, reparam: GaussianReparam, eps, layer=None, ws=None):
@@ -245,7 +241,7 @@ class VAEModel:
         and cap mask of ``ad.bernoulli_rows_forward``, or the Gaussian means.
         ``layer`` and ``ws`` are ``_forward``'s; ``ws`` may be none."""
         ws = ws or {}
-        hid = _tanh_layer(h, layers["dec_1"], ws.get("hid"))
+        hid = ad.layer(h, layers["dec_1"], "tanh", ws.get("hid"))
         if self.likelihood == "bernoulli":
             rows, softplus, inside = ad.bernoulli_rows_forward(
                 hid, layers["dec_2"], targets, layer,
@@ -264,9 +260,9 @@ class VAEModel:
         ``saved`` holds. The gradient of a layer's block [W; b] is one
         product over its stacked (K, n, .) input rows, which end in ones
         (``_block_grads``). The gradient at a tanh layer's pre-activations
-        is formed over its whole output, column of ones included, whose
-        tanh' = 1 - 1 * 1 is 0, so that every elementwise step runs on a
-        whole array."""
+        (``ad.layer_grad``) is formed over its whole output, column of ones
+        included, whose tanh' = 1 - 1 * 1 is 0, so that every elementwise
+        step runs on a whole array."""
         hid_e, reparam, h, h1, hid, state = saved
         grads = {}
         if self.likelihood == "bernoulli":
@@ -278,14 +274,14 @@ class VAEModel:
                 x[..., :-1], state, layers["dec_log_noise"], g
             )
         _block_grads(grads, "dec_2", hid, g_out)
-        g_pre = _tanh_grad(g_out @ layers["dec_2"].T, hid)
+        g_pre = ad.layer_grad(g_out @ layers["dec_2"].T, hid, "tanh")
         _block_grads(grads, "dec_1", h1, g_pre)
         g_mu, g_rho = reparam.vjp(h, eps, g, g_pre @ layers["dec_1"][:-1].T)
         _block_grads(grads, "enc_mu", hid_e, g_mu)
         _block_grads(grads, "enc_rho", hid_e, g_rho)
         g_pre = g_mu @ layers["enc_mu"].T
         g_pre += g_rho @ layers["enc_rho"].T
-        _block_grads(grads, "enc_1", x, _tanh_grad(g_pre, hid_e))
+        _block_grads(grads, "enc_1", x, ad.layer_grad(g_pre, hid_e, "tanh"))
         return grads
 
     # ------------------------------------------------------------------
@@ -411,30 +407,6 @@ class VAEModel:
         }
         ws.update({name: np.empty(lead) for name in ("prior", "log_q", "t_dot_z", "rows")})
         return ws
-
-
-def _tanh_layer(x: np.ndarray, block: np.ndarray, out=None) -> np.ndarray:
-    """tanh(x @ block) followed by a column of ones, in ``out`` (an array
-    of that shape whose last column holds finite values) when given, else
-    in a new one. The tanh runs over the whole array and the ones are then
-    written back: numpy buffers a ufunc over the outputs alone, whose rows
-    are not contiguous, and took several times as long."""
-    if out is None:
-        out = np.ones((*x.shape[:-1], block.shape[-1] + 1))
-    np.matmul(x, block, out=out[..., :-1])
-    np.tanh(out, out=out)
-    out[..., -1] = 1.0
-    return out
-
-
-def _tanh_grad(g: np.ndarray, hid: np.ndarray) -> np.ndarray:
-    """``g`` times tanh' = 1 - hid^2 in place, over a tanh layer's whole
-    output ``hid`` (see ``_tanh_layer``): 0 at its column of ones. Returns
-    the gradient at the pre-activations, without that column."""
-    slope = hid * hid
-    np.subtract(1.0, slope, out=slope)
-    g *= slope
-    return g[..., :-1]
 
 
 def _block_grads(grads: dict, layer: str, inputs: np.ndarray, g_out: np.ndarray) -> None:

@@ -94,13 +94,10 @@ _STREAM_EVAL = 4
 # Held-out evaluation draws the max(K, k_ref) samples of a repeat in
 # segments of this many, and keeps each segment's estimate rather than its
 # log weights (see ``evaluate_vae``). A segment's (n, _SEGMENT) buffer is the
-# eval block's largest array: `vr vae-train` (200 points, k_ref 5000) peaked
-# at 43.6, 43.7, 44.8 and 48.4 MB (ru_maxrss, in process) at 256, 512, 1024
-# and 2048, against 51.9 MB with a repeat's (200, 5000) matrix. Each segment
-# is one ``fill`` call of the sampler, whose workers meet at its end, so
-# shorter segments wait more: over 4 alternating rounds of `evaluate_vae` at
-# `vr eval`'s config, 512 took 1.55-2.01 s and 1024 1.57-1.64 s, against
-# 1.46-1.66 s with the matrix (2-vCPU host).
+# eval block's largest array, so a shorter segment holds less; but each
+# segment is one ``fill`` call of the sampler, whose workers meet at its end,
+# so a shorter one waits more. Peaks and timings at 256 to 2048 draws are in
+# ``BENCH_26.json`` and its CHANGES.md entry.
 _SEGMENT = 1024
 
 # The largest log R whose exp is a finite float.
@@ -283,11 +280,10 @@ def train(model, config: TrainConfig, dataset: Dataset | None = None):
             # (K, rows) per-datapoint log weights for the VAE, (K,) energy
             # log weights at scale N/M for BLR and BNN. The previous step's
             # pair, with the forward arrays its VJP keeps, is freed only once
-            # this one exists. Freed first, that memory went back to the
-            # system and was faulted in again: in a fresh process, 200 BNN
-            # steps (K = 50, hidden 50, minibatch 32) took 62.0k minor faults
-            # rather than 0.8k under glibc's defaults, and 0.44-0.60 s rather
-            # than 0.30-0.43 s (6 runs each, 2-vCPU host).
+            # this one exists, so that its memory is taken again rather than
+            # handed back to the system and faulted in anew:
+            # ``test_training_does_not_churn_page_faults`` bounds the faults,
+            # and its comment gives the counts.
             if vae:
                 noise = noise_rng.standard_normal((config.k, rows.shape[0], model.latent_dim))
                 log_w, vjp = model._log_weight_rows(layers, rows, noise)

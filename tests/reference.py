@@ -21,10 +21,10 @@ after its operands, so no order is computed); ``gradients`` gives the named
 leaves' gradients in one flat vector. The operations: arithmetic with numpy
 broadcasting (also as ``Node``'s operators), matrix products that batch over
 leading axes as ``@`` does, exp/tanh/ReLU, sums, reshapes and last-axis
-slices, a dense layer and a Bernoulli output layer as single nodes, a
-column of ones after a node's last and a bias as one more row of a weight
-matrix (the VAE's layers are each one product of the two), and Gaussian
-log densities summed over the last axis. Their values come from
+slices, a Bernoulli output layer as a single node, a column of ones after
+a node's last and a bias as one more row of a weight matrix (the VAE's and
+the BNN's layers are each one product of the two, ``_folded_layer``), and
+Gaussian log densities summed over the last axis. Their values come from
 the same numpy operations, in the same order, as the library's array
 kernels. Numbers and arrays enter an operation as constants, which get no
 gradient, and an operation with no node operand folds to a plain ndarray.
@@ -293,45 +293,6 @@ def matmul(a, b):
     return _op(va @ vb, (a, vjp_a), (b, vjp_b))
 
 
-def dense(x, w, b, act: str | None = None):
-    """``ad.dense`` as one node: the layer's value, and the gradients of
-    the inputs that are nodes, from the gradient at the pre-activation,
-    which is recovered from the output."""
-    xv, wv = _value(x), _value(w)
-    out = ad.dense(xv, wv, _value(b), act)
-
-    def pre(g):
-        if act == "tanh":
-            return g * (1.0 - out * out)
-        if act == "relu":
-            return g * (out > 0.0)
-        return g
-
-    product_shape = np.shape(xv @ wv)
-    return fused(out, {"x": x, "w": w, "b": b}, _affine_vjp(x, w, b, product_shape, pre))
-
-
-def _affine_vjp(x, w, b, product_shape: tuple, pre):
-    """The VJP, for ``fused``, of a node over z = x @ w + b whose gradient at
-    z is ``pre(g)``: the gradients of those of x, w and b that are nodes."""
-
-    def vjp(g):
-        gz = pre(g)
-        grads = {}
-        if isinstance(x, Node) or isinstance(w, Node):
-            product_vjp_x, product_vjp_w = _matmul_vjps(_value(x), _value(w))
-            g_product = _unbroadcast(gz, product_shape)
-            if isinstance(x, Node):
-                grads["x"] = product_vjp_x(g_product)
-            if isinstance(w, Node):
-                grads["w"] = product_vjp_w(g_product)
-        if isinstance(b, Node):
-            grads["b"] = _unbroadcast(gz, b.value.shape)
-        return grads
-
-    return vjp
-
-
 def with_ones(a):
     """``a`` with a column of ones after its last: the input of a layer
     whose bias is the last row of its weights (``bias_row``)."""
@@ -342,17 +303,18 @@ def with_ones(a):
 
 def bias_row(w, b):
     """[w; b]: the matrix ``w``, or each of a stack of them, with the vector
-    ``b`` as one more row."""
+    ``b``, or each of a stack of them, as one more row."""
     vw, vb = _value(w), _value(b)
-    out = np.concatenate([vw, np.broadcast_to(vb, (*vw.shape[:-2], 1, vb.shape[-1]))], axis=-2)
+    row = np.broadcast_to(vb[..., None, :], (*vw.shape[:-2], 1, vb.shape[-1]))
+    out = np.concatenate([vw, row], axis=-2)
     return _op(
         out, (w, lambda g: g[..., :-1, :]), (b, lambda g: _unbroadcast(g[..., -1, :], vb.shape))
     )
 
 
 def _folded_layer(x, w, b, act=None):
-    """A layer as the VAE computes it, one product: [x, 1] @ [w; b], and
-    ``act`` of it."""
+    """A layer as the VAE and the BNN compute it, one product: [x, 1] @
+    [w; b], and ``act`` of it."""
     product = matmul(with_ones(x), bias_row(w, b))
     return product if act is None else act(product)
 
@@ -427,7 +389,7 @@ def normal_logpdf_rows(x, mean, log_std):
     return quad - row_logdet - 0.5 * d * LOG_2PI
 
 
-def bernoulli_dense_rows(x, w, targets: np.ndarray):
+def bernoulli_rows(x, w, targets: np.ndarray):
     """Bernoulli log mass of ``targets`` on the logits z = x @ w, summed over
     the last axis, as one node: the value is ``ad.bernoulli_rows_forward``'s
     and the gradient at the logits ``ad.bernoulli_rows_at_logits``'s, from
@@ -435,11 +397,13 @@ def bernoulli_dense_rows(x, w, targets: np.ndarray):
     it as the last row of ``w`` (``bias_row``), its inputs ending in a
     column of ones (``with_ones``)."""
     out, softplus, inside = ad.bernoulli_rows_forward(_value(x), _value(w), targets)
+    vjp_x, vjp_w = _matmul_vjps(_value(x), _value(w))
 
-    def at_logits(g):
-        return ad.bernoulli_rows_at_logits(softplus, inside, targets, g)
+    def vjp(g):
+        at_logits = ad.bernoulli_rows_at_logits(softplus, inside, targets, g)
+        return {"x": vjp_x(at_logits), "w": vjp_w(at_logits)}
 
-    return fused(out, {"x": x, "w": w}, _affine_vjp(x, w, None, softplus.shape, at_logits))
+    return fused(out, {"x": x, "w": w}, vjp)
 
 
 # ----------------------------------------------------------------------
@@ -464,15 +428,17 @@ def _blr_log_lik(model, theta, params, x, y):
 
 def bnn_predict(model, theta, x):
     """BNN outputs for inputs x, theta unpacked as (W1, b1, W2, b2) by
-    slices of its last axis."""
+    slices of its last axis, each layer one product of its inputs and a
+    column of ones with its weights and bias (``_folded_layer``), as the
+    model computes it."""
     d, h = model.in_dim, model.hidden
     lead = _value(theta).shape[:-1]
     w1 = reshape(slice1d(theta, 0, d * h), lead + (d, h))
-    b1 = reshape(slice1d(theta, d * h, d * h + h), lead + (1, h))
+    b1 = slice1d(theta, d * h, d * h + h)
     w2 = reshape(slice1d(theta, d * h + h, d * h + 2 * h), lead + (h, 1))
     b2 = slice1d(theta, d * h + 2 * h, d * h + 2 * h + 1)
-    out = matmul(dense(x, w1, b1, "relu"), w2)
-    return reshape(out, _value(out).shape[:-1]) + b2
+    out = _folded_layer(_folded_layer(x, w1, b1, relu), w2, b2)
+    return reshape(out, _value(out).shape[:-1])
 
 
 def _bnn_log_lik(model, theta, params, x, y):
@@ -504,7 +470,7 @@ def vae_log_weights(vae, nodes, x, eps):
     dec = _folded_layer(h, nodes["dec_w1"], nodes["dec_b1"], tanh)
     if vae.likelihood == "bernoulli":
         output = bias_row(nodes["dec_w2"], nodes["dec_b2"])
-        lik = bernoulli_dense_rows(with_ones(dec), output, x)
+        lik = bernoulli_rows(with_ones(dec), output, x)
     else:
         means = _folded_layer(dec, nodes["dec_w2"], nodes["dec_b2"])
         lik = normal_logpdf_rows(x, means, nodes["dec_log_noise"])

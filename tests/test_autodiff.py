@@ -331,7 +331,7 @@ class TestComposites:
         b_val = rng.standard_normal(6)
         targets = (rng.random((3, 6)) > 0.5).astype(float)
         leaves = {"x": ref.Node(x_val), "w": ref.Node(w_val), "b": ref.Node(b_val)}
-        node = ref.bernoulli_dense_rows(
+        node = ref.bernoulli_rows(
             ref.with_ones(leaves["x"]), ref.bias_row(leaves["w"], leaves["b"]), targets
         )
         probs = 1.0 / (1.0 + np.exp(-(x_val @ w_val + b_val)))
@@ -351,7 +351,7 @@ class TestComposites:
             (np.ones((1, 1)), np.array([[60.0, -60.0, 500.0, -500.0]])),
             (np.full((1, 1), 1e10), np.array([[1e300, -1e300, 1e300, 0.5]])),
         ]:
-            node = ref.bernoulli_dense_rows(ref.with_ones(x), ref.bias_row(w, np.zeros(4)), targets)
+            node = ref.bernoulli_rows(ref.with_ones(x), ref.bias_row(w, np.zeros(4)), targets)
             assert np.all(np.isfinite(node))
 
     def test_bernoulli_extreme_logits_hit_the_probability_floor(self):
@@ -364,7 +364,7 @@ class TestComposites:
             for sign, target, expected in signs:
                 w, t = np.array([[sign * logit]]), np.array([[target]])
                 x1, block = ref.with_ones(np.array([[x]])), ref.bias_row(w, np.zeros(1))
-                node = ref.bernoulli_dense_rows(x1, block, t)
+                node = ref.bernoulli_rows(x1, block, t)
                 assert abs(float(node[0]) - expected) <= 1e-12, (x, w, target)
 
     def test_bernoulli_batched_gradient_matches_finite_diff_check(self):
@@ -380,7 +380,7 @@ class TestComposites:
         leaves = {"x": ref.Node(x_val), "w": ref.Node(w_val), "b": ref.Node(b_val)}
 
         def rows(x, w, b):
-            return ref.bernoulli_dense_rows(ref.with_ones(x), ref.bias_row(w, b), targets)
+            return ref.bernoulli_rows(ref.with_ones(x), ref.bias_row(w, b), targets)
 
         node = rows(**leaves)
         assert node.value.shape == (3, 2)
@@ -410,7 +410,7 @@ class TestComposites:
         targets = np.array([[0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0]])
         b = ref.Node(np.zeros(8))
         ones = ref.with_ones(np.ones((1, 1)))
-        node = ref.bernoulli_dense_rows(ones, ref.bias_row(logits, b), targets)
+        node = ref.bernoulli_rows(ones, ref.bias_row(logits, b), targets)
         grads = ref.gradients(ref.vsum(node), {"b": b})
         assert np.array_equal(grads["b"][:6], np.zeros(6))
         probs = 1.0 / (1.0 + np.exp(-logits[0, 6:]))
@@ -419,7 +419,7 @@ class TestComposites:
         # 1e10 * +-1e300 overflows; the third logit is about 0.3
         b, x = ref.Node(np.zeros(3)), np.full((1, 1), 1e10)
         w = np.array([[1e300, -1e300, 0.3e-10]])
-        node = ref.bernoulli_dense_rows(ref.with_ones(x), ref.bias_row(w, b), targets[:, :3])
+        node = ref.bernoulli_rows(ref.with_ones(x), ref.bias_row(w, b), targets[:, :3])
         grads = ref.gradients(ref.vsum(node), {"b": b})
         assert np.array_equal(grads["b"][:2], np.zeros(2))
         p = 1.0 / (1.0 + math.exp(-float(x[0, 0] * w[0, 2])))
@@ -482,42 +482,61 @@ class TestComposites:
             block = ref.bias_row(w, b)
             tracemalloc.start()
             try:
-                ref.bernoulli_dense_rows(x, block, targets)
+                ref.bernoulli_rows(x, block, targets)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak <= arrays * logit_bytes, (bias, peak / logit_bytes)
 
 
-class TestDense:
-    @pytest.mark.parametrize("act", [None, "tanh", "relu"])
-    def test_value_and_gradients_equal_the_unfused_layer(self, act):
-        # (K, n, m) inputs against (m, p) weights and a (p,) bias, as in the
-        # VAE decoder: the fused node must give the composition's bits.
+class TestLayer:
+    """``ad.layer`` and ``ad.layer_grad``, the hidden layer that the VAE
+    (tanh, one block shared by K draws' inputs) and the BNN (ReLU, K blocks
+    on one set of inputs) share, against the reference graph's layer
+    (``reference._folded_layer``)."""
+
+    SHAPES = {"shared": [(3, 4, 5), (5, 6), (6,)], "stacked": [(4, 5), (3, 5, 6), (3, 6)]}
+
+    @pytest.mark.parametrize("act", ["tanh", "relu"])
+    @pytest.mark.parametrize("layout", ["shared", "stacked"])
+    def test_value_and_gradients_equal_the_reference_layer(self, layout, act):
+        # the layer's bits, a last column of exact ones, and the gradient at
+        # the pre-activations with the bits of the reference graph's
         rng = np.random.default_rng(21)
-        x_val, w_val, b_val = (
-            rng.standard_normal(shape) for shape in [(3, 4, 5), (5, 6), (6,)]
-        )
-        w_out = rng.standard_normal((3, 4, 6))
-        activation = {None: lambda n: n, "tanh": ref.tanh, "relu": ref.relu}[act]
+        x, w, b = (rng.standard_normal(shape) for shape in self.SHAPES[layout])
+        hid = ad.layer(ref.with_ones(x), ref.bias_row(w, b), act)
+        pre = ref.Node(ref.matmul(ref.with_ones(x), ref.bias_row(w, b)))
+        out = getattr(ref, act)(pre)
+        assert hid[..., :-1].tobytes() == ref._folded_layer(x, w, b, getattr(ref, act)).tobytes()
+        assert np.all(hid[..., -1] == 1.0)
+        g = rng.standard_normal(hid.shape)
+        want = ref.gradients(ref.vsum(out * g[..., :-1]), {"pre": pre})["pre"]
+        assert ad.layer_grad(g, hid, act).tobytes() == want.tobytes()
 
-        def run(fused):
-            leaves = {"x": ref.Node(x_val), "w": ref.Node(w_val), "b": ref.Node(b_val)}
-            if fused:
-                out = ref.dense(leaves["x"], leaves["w"], leaves["b"], act)
-            else:
-                out = activation(ref.matmul(leaves["x"], leaves["w"]) + leaves["b"])
-            return out.value, ref.gradients(ref.vsum(out * w_out), leaves)
+    @pytest.mark.parametrize("act", ["tanh", "relu"])
+    def test_a_given_buffer_takes_the_layer(self, act):
+        # a buffer whose last column holds any finite values gets the bits
+        # of a new array; a row of inputs gives one row
+        rng = np.random.default_rng(23)
+        x1, block = ref.with_ones(rng.standard_normal((3, 4, 5))), rng.standard_normal((6, 2))
+        out = np.full((3, 4, 3), 7.0)
+        assert ad.layer(x1, block, act, out) is out
+        assert out.tobytes() == ad.layer(x1, block, act).tobytes()
+        assert ad.layer(x1[0, 0], block, act).tobytes() == out[0, 0].tobytes()
 
-        (fused, fused_grads), (plain, plain_grads) = run(True), run(False)
-        assert np.array_equal(fused, plain)
-        for name in ("x", "w", "b"):
-            assert np.array_equal(fused_grads[name], plain_grads[name]), name
+    def test_a_nan_pre_activation_gives_zero_under_relu(self):
+        x1 = np.array([[np.nan, 1.0], [2.0, 1.0]])
+        block = np.array([[1.0, -1.0], [0.5, 0.5]])
+        hid = ad.layer(x1, block, "relu")
+        np.testing.assert_array_equal(hid, [[0.0, 0.0, 1.0], [2.5, 0.0, 1.0]])
+        assert np.isnan(ad.layer(x1, block, "tanh")[0, :-1]).all()
 
     def test_constant_operands_get_no_parent(self):
         w, b = ref.Node(np.ones((2, 3))), ref.Node(np.zeros(3))
-        node = ref.dense(np.ones((4, 2)), w, b, "tanh")
-        assert node.parents == (w, b)
+        node = ref._folded_layer(np.ones((4, 2)), w, b, ref.tanh)
+        (product,) = node.parents  # the inputs and their ones are constants
+        (block,) = product.parents
+        assert block.parents == (w, b)
         np.testing.assert_allclose(node.value, np.tanh(2.0))
         for combined in (w * 2.0, 2.0 - w, w / np.ones(3), ref.matmul(np.ones((4, 2)), w)):
             assert combined.parents == (w,)
@@ -532,8 +551,8 @@ class TestDense:
             (ref.mul, x, scale),
             (ref.div, x, scale),
             (ref.matmul, x, y),
-            (lambda u, v, c: ref.dense(u, v, c, "tanh"), x, y, bias),
-            (lambda u, v, c: ref.dense(u, v, c, "relu"), x, y, bias),
+            (lambda u, v, c: ref._folded_layer(u, v, c, ref.tanh), x, y, bias),
+            (lambda u, v, c: ref._folded_layer(u, v, c, ref.relu), x, y, bias),
             (ref.exp, x),
             (ref.tanh, x),
             (ref.relu, x),
@@ -545,7 +564,7 @@ class TestDense:
             (ref.std_normal_logpdf_rows, x),
             (ref.with_ones, x),
             (ref.bias_row, y, bias),
-            (lambda u, v: ref.bernoulli_dense_rows(u, v, targets), x, y[..., :4]),
+            (lambda u, v: ref.bernoulli_rows(u, v, targets), x, y[..., :4]),
         ]
         for op, *args in folds:
             folded, node = op(*args), op(*map(ref.Node, args))
@@ -554,7 +573,16 @@ class TestDense:
             assert folded.tobytes() == node.value.tobytes()
         # the library's array kernels have the bits of the reference graph
         kernels = [
-            (ad.dense, ref.dense, x, y, bias, "tanh"),
+            (
+                lambda u, v, c: ad.layer(ref.with_ones(u), ref.bias_row(v, c), "tanh"),
+                lambda u, v, c: ref.with_ones(ref._folded_layer(u, v, c, ref.tanh)),
+                x, y, bias,
+            ),
+            (
+                lambda u, v, c: ad.layer(ref.with_ones(u), ref.bias_row(v, c), "relu"),
+                lambda u, v, c: ref.with_ones(ref._folded_layer(u, v, c, ref.relu)),
+                x, y, bias,
+            ),
             (ad.normal_logpdf_rows, ref.normal_logpdf_rows, x, scale, scale),
             (ad.std_normal_logpdf_rows, ref.std_normal_logpdf_rows, x),
         ]
@@ -564,4 +592,4 @@ class TestDense:
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError, match="act"):
-            ad.dense(np.ones((1, 2)), np.ones((2, 2)), np.zeros(2), "sigmoid")
+            ad.layer(np.ones((1, 2)), np.ones((2, 2)), "sigmoid")

@@ -326,7 +326,8 @@ class TestBiasSimulation:
     def test_memory_holds_a_block_of_repeats(self):
         # 200 repeats of K = 2000 draws in 10-D are 32 MB of draws. Scored a
         # repeat at a time the cell peaked at 5.1 MiB, and stacked at once at
-        # 125.9 MiB; in blocks under _BLOCK_BYTES it peaks at 1.5 MiB.
+        # 125.9 MiB; in blocks under _BLOCK_BYTES, here one repeat each, it
+        # peaks at 0.77 MiB (1.5 MiB as a process's first bias simulation).
         p = GaussianDist.diagonal(np.zeros(10), np.ones(10))
         q = GaussianDist.diagonal(np.full(10, 0.3), np.full(10, 1.5))
         tracemalloc.start()
@@ -336,6 +337,22 @@ class TestBiasSimulation:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 5.1 * 1024 * 1024
+
+    def test_memory_holds_a_block_of_several_repeats(self):
+        # One repeat of K = 200 draws in 10-D is 16 KB, so a block holds 16
+        # at the default budget. Stacked at once the 200 repeats peaked at
+        # 12.6 MiB; in blocks the cell peaks at 4.4 blocks (1.1 MiB): the
+        # draws, and the log densities' temporaries of their size.
+        assert bounds._BLOCK_BYTES // (8 * 200 * 10) >= 2
+        p = GaussianDist.diagonal(np.zeros(10), np.ones(10))
+        q = GaussianDist.diagonal(np.full(10, 0.3), np.full(10, 1.5))
+        tracemalloc.start()
+        try:
+            bias_simulation(p, q, [0.5], [200], repeats=200, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * bounds._BLOCK_BYTES
 
     def test_seeded_determinism(self):
         p = GaussianDist.diagonal([0.0], [1.0])

@@ -5,8 +5,9 @@ this); no package module imports scipy at module level, so importing the
 package or the CLI loads no scipy module, and none imports scipy.linalg or
 scipy.optimize at all, so the analytic commands run on numpy alone; and
 importing starts no thread.
-The tape keeps its core and the array kernels, and the generic operations
-live in the tests' reference module, which keeps only what a test uses."""
+The tape keeps its core and the array kernels, each of which a module of
+the package runs, and the generic operations live in the tests' reference
+module, which keeps only what a test uses."""
 
 import ast
 import json
@@ -75,6 +76,39 @@ def _dead_private_names(sources: dict[str, str]) -> list[str]:
     return dead
 
 
+def _uncalled_exports(module: str, sources: dict[str, str]) -> list[str]:
+    """The names in the ``__all__`` of ``module``, a path of ``sources``
+    (path -> source), that no other module there uses: by ``from ..module
+    import name``, or as an attribute of the name that ``from .. import
+    module as alias`` binds."""
+    stem = Path(module).stem
+    exported = []
+    for node in ast.parse(sources[module]).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported += ast.literal_eval(node.value)
+    used = set()
+    for path, source in sources.items():
+        if path == module:
+            continue
+        tree = ast.parse(source)
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                if (node.module or "").split(".")[-1] == stem:
+                    used.update(alias.name for alias in node.names)
+                aliases.update(alias.asname or stem for alias in node.names if alias.name == stem)
+        used.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        )
+    return [name for name in exported if name not in used]
+
+
 def _module_level_scipy_imports(source: str) -> list[int]:
     """Lines of the imports of scipy or a scipy package outside any function."""
     lines = []
@@ -134,6 +168,15 @@ def test_every_private_module_level_name_is_used():
         str(path.relative_to(PACKAGE)): path.read_text() for path in sorted(PACKAGE.rglob("*.py"))
     }
     assert _dead_private_names(sources) == []
+
+
+def test_every_array_kernel_has_a_caller_in_the_package():
+    # a kernel that no model or trainer runs is dead code, whatever the
+    # tests run it for
+    sources = {
+        str(path.relative_to(PACKAGE)): path.read_text() for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert _uncalled_exports("autodiff.py", sources) == []
 
 
 def test_no_module_imports_scipy_at_module_level():
@@ -222,6 +265,18 @@ def test_the_check_sees_dead_private_names():
     ]
 
 
+def test_the_check_sees_uncalled_exports():
+    sources = {
+        "kernels.py": (
+            "__all__ = ['imported', 'called', 'aliased', 'dead', 'self_only']\n"
+            "def self_only(): return dead()\n"
+        ),
+        "models/a.py": "from ..kernels import imported\nfrom .. import kernels as k\nk.called()\n",
+        "models/b.py": "from .. import kernels\nkernels.aliased\nother.dead()\n",
+    }
+    assert _uncalled_exports("kernels.py", sources) == ["dead", "self_only"]
+
+
 def test_the_check_sees_module_level_scipy_imports():
     source = (
         "import scipy\n"
@@ -293,7 +348,8 @@ def test_the_tape_keeps_its_core_and_the_array_kernels_only():
 
     kept = {"gradients"}
     kernels = {
-        "dense",
+        "layer",
+        "layer_grad",
         "normal_logpdf_rows",
         "normal_rows_vjp",
         "std_normal_logpdf_rows",

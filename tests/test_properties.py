@@ -13,8 +13,10 @@ estimator weighted by the segments' sizes, give the row's estimate: bit for
 bit at alpha = +-inf and when one segment holds the row, within rounding
 elsewhere, whatever chunks the segments were estimated in. The vector-Jacobian product of every
 operation of the reference graph (``reference.py``), which the library's
-written-out gradients are checked against, the dense layer's included,
-matches central differences on drawn broadcast shapes. The Bernoulli log mass matches 40-digit mpmath on
+written-out gradients are checked against, the folded layer's included,
+matches central differences on drawn broadcast shapes, and the library's
+hidden layer (``ad.layer``, ``ad.layer_grad``) gives the reference layer's
+gradients. The Bernoulli log mass matches 40-digit mpmath on
 logits anywhere in the float range, and a row's bits do not depend on the
 other draws computed with it. Parameter files round-trip exactly, and
 corrupted ones load or raise ValueError.
@@ -500,18 +502,36 @@ def test_matmul_vjps(shapes, seed):
 
 
 @TAPE
-@given(MATMUL_PAIRS, st.data(), st.sampled_from([None, "tanh", "relu"]), SEEDS)
-def test_dense_vjps(shapes, data, act, seed):
-    # The bias may broadcast against the product or add leading axes to it.
-    product = shapes.result_shape
-    bias_shape = data.draw(hnp.broadcastable_shapes(product, max_dims=len(product) + 1, max_side=3))
+@given(
+    st.sampled_from(["shared", "stacked"]),
+    st.tuples(*[st.integers(1, 3)] * 4),
+    st.sampled_from(["tanh", "relu"]),
+    SEEDS,
+)
+def test_layer_vjps(layout, sizes, act, seed):
+    # A VAE layer's (K, n, m) inputs share one block; a BNN layer's (n, m)
+    # inputs meet a stack of K. The reference graph's layer matches central
+    # differences, and ad.layer_grad, carried back through the product, gives
+    # its gradients of the inputs, the weights and the bias, bit for bit.
+    k, n, m, p = sizes
+    shapes = [(k, n, m), (m, p), (p,)] if layout == "shared" else [(n, m), (k, m, p), (k, p)]
     rng = np.random.default_rng(seed)
-    x, w = (rng.standard_normal(shape) for shape in shapes.input_shapes)
-    b = rng.standard_normal(bias_shape)
-    layer = {None: lambda n: n, "tanh": np.tanh, "relu": lambda n: np.maximum(n, 0.0)}[act]
-    node = ref.dense(ref.Node(x), ref.Node(w), ref.Node(b), act)
-    np.testing.assert_allclose(node.value, layer(x @ w + b), rtol=1e-14, atol=1e-14)
-    _check_vjps(lambda xn, wn, bn: ref.dense(xn, wn, bn, act), [x, w, b], seed)
+    x, w, b = (rng.standard_normal(shape) for shape in shapes)
+
+    def build(xn, wn, bn):
+        return ref._folded_layer(xn, wn, bn, getattr(ref, act))
+
+    _check_vjps(build, [x, w, b], seed)
+    leaves = [ref.Node(value) for value in (x, w, b)]
+    g = rng.standard_normal((*np.broadcast_shapes(shapes[0][:-2], shapes[1][:-2]), n, p + 1))
+    want = ref.gradients(ref.vsum(build(*leaves) * g[..., :-1]), dict(enumerate(leaves)))
+    x1, block = ref.with_ones(x), ref.bias_row(w, b)
+    g_pre = ad.layer_grad(g, ad.layer(x1, block, act), act)
+    g_x1 = ref._unbroadcast(g_pre @ np.swapaxes(block, -1, -2), x1.shape)
+    g_block = ref._unbroadcast(np.swapaxes(x1, -1, -2) @ g_pre, block.shape)
+    got = [g_x1[..., :-1], g_block[..., :-1, :], g_block[..., -1, :]]
+    for i in range(3):
+        assert got[i].tobytes() == want[i].tobytes(), i
 
 
 @TAPE
@@ -574,7 +594,7 @@ def test_bernoulli_logpmf_rows_vjps(shapes, data, clip, seed):
     targets = (rng.random(target_shape) < 0.5).astype(float)
 
     def rows(xn, wn, bn):
-        return ref.bernoulli_dense_rows(ref.with_ones(xn), ref.bias_row(wn, bn), targets)
+        return ref.bernoulli_rows(ref.with_ones(xn), ref.bias_row(wn, bn), targets)
 
     node = rows(ref.Node(x), ref.Node(w), ref.Node(b))
     z = np.clip(x @ w + b, -CAP, CAP)
@@ -644,7 +664,7 @@ def test_bernoulli_logpmf_rows_match_40_digits(layer):
     # of each product x_i w_ij in the row, the bias's 1 * b_j among them.
     x, w, b, targets = layer
     x, w = ref.with_ones(x), ref.bias_row(w, b)
-    got = ref.bernoulli_dense_rows(x, w, targets)
+    got = ref.bernoulli_rows(x, w, targets)
     with np.errstate(all="ignore"):
         logits = x @ w
     z = np.clip(logits, -CAP, CAP)
@@ -681,10 +701,10 @@ def test_bernoulli_rows_of_a_draw_alone_equal_them_among_others(k, n, seed, spre
     w[0, :3] = spread * rng.standard_normal(3)
     w = ref.bias_row(w, rng.standard_normal(64))
     targets = (rng.random((n, 64)) < 0.5).astype(float)
-    rows = ref.bernoulli_dense_rows(x, w, targets)
+    rows = ref.bernoulli_rows(x, w, targets)
     for i in range(k):
-        assert ref.bernoulli_dense_rows(x[i], w, targets).tobytes() == rows[i].tobytes()
-        alone = ref.bernoulli_dense_rows(x[i : i + 1], w, targets)
+        assert ref.bernoulli_rows(x[i], w, targets).tobytes() == rows[i].tobytes()
+        alone = ref.bernoulli_rows(x[i : i + 1], w, targets)
         assert alone.tobytes() == rows[i : i + 1].tobytes()
 
 

@@ -697,10 +697,11 @@ def test_evaluation_does_not_churn_page_faults():
 # A fresh interpreter runs 200 BNN steps (K = 50, hidden 50, minibatch 32)
 # under glibc's defaults and prints the minor page faults they took. `train`
 # frees a step's log weights and VJP only once the next step's exist, and the
-# probe took 779-780 faults in 6 runs (1,580 in 6 runs with the pair held in
-# a list by a per-step closure). Freed before the next step built, the pair's
-# memory went back to the system and was faulted in again: 61,963. The bound
-# is over 6 times the larger count, and a sixth of the churning one.
+# probe took 1,965-1,966 faults in 6 runs; the count moves with the heap the
+# interpreter starts with, and read 1.0k-3.0k when the same steps were run
+# from a script file. Freed before the next step built, the pair's memory
+# went back to the system and was faulted in again: 61,729-61,731 in 6 runs.
+# The bound is 5 times the first count, and a sixth of the churning one.
 _TRAIN_FAULT_PROBE = """
 import resource
 from vrbound.models.bnn import BNNModel
