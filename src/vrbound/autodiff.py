@@ -16,18 +16,21 @@ weights W and bias b form one block [W; b]. The array kernels: a hidden
 layer, tanh or ReLU of that product followed by the column of ones the
 next layer takes (``layer``), and its gradient at the pre-activations
 (``layer_grad``), which the VAE's and the BNN's hidden layers share; the
-Gaussian log density summed over the last axis (``normal_logpdf_rows``,
-with ``normal_rows_vjp`` its gradient at the means and a single log scale)
-and the standard normal's (``std_normal_logpdf_rows``, every prior and the
-noise term of every log q); and an output layer with the Bernoulli log mass
-of its logits summed over the last axis, as an array forward
-(``bernoulli_rows_forward``, with ``bernoulli_layer`` what it takes of the
-layer and the targets whatever the input) and its gradient at the logits
-(``bernoulli_rows_at_logits``). Matrix products follow numpy's ``@``, so a
-model evaluates K stacked draws at once. The forward kernels take optional
-buffers to write into, so that a caller that runs them over many chunks of
-draws allocates each chunk's arrays once. The tests check every written-out
-gradient against a reverse-mode tape of generic operations kept beside them
+standard normal's log density summed over the last axis
+(``std_normal_logpdf_rows``), the one place where the Gaussian quadratic
+form and log(2 pi) are written: every other Gaussian log density of the
+package whitens its residuals into z and takes it of z, among them the
+Gaussian log density with a diagonal scale (``normal_logpdf_rows``, with
+``normal_rows_vjp`` its gradient at the means and a single log scale); and
+an output layer with the Bernoulli log mass of its logits summed over the
+last axis, as an array forward (``bernoulli_rows_forward``, with
+``bernoulli_layer`` what it takes of the layer and the targets whatever the
+input) and its gradient at the logits (``bernoulli_rows_at_logits``).
+Matrix products follow numpy's ``@``, so a model evaluates K stacked draws
+at once. The forward kernels take optional buffers to write into, so that
+a caller that runs them over many chunks of draws allocates each chunk's
+arrays once. The tests check every written-out gradient against a
+reverse-mode tape of generic operations kept beside them
 (``tests/reference.py``).
 
 Typical use::
@@ -103,7 +106,9 @@ def layer_grad(g: np.ndarray, hid: np.ndarray, act: str) -> np.ndarray:
 
 def std_normal_logpdf_rows(x, squares=None, out=None) -> np.ndarray:
     """The N(0, I) log density summed over the last axis: -|x|^2 / 2 - d/2
-    log(2 pi) for rows x (..., d), one value per row.
+    log(2 pi) for rows x (..., d), one value per row. Every Gaussian log
+    density of the package is this of its whitened residuals, less its
+    log-determinant.
 
     ``squares`` takes x * x (it may be x itself, squared in place) and
     ``out`` the rows; each is a new array when not given.
@@ -124,13 +129,16 @@ def std_normal_logpdf_rows(x, squares=None, out=None) -> np.ndarray:
 
 
 def normal_logpdf_rows(x, mean, log_std, work=None, out=None) -> np.ndarray:
-    """Gaussian log density summed over the last axis.
+    """Gaussian log density summed over the last axis: the standard
+    normal's (``std_normal_logpdf_rows``) of the whitened residuals
+    z = (x - mean) exp(-log_std), minus each row's sum of log scales.
 
     ``x`` and ``mean`` broadcast together, e.g. (n, d) observations against
     (K, n, d) means give shape (K, n). ``log_std`` is a scalar or one value
     per coordinate of the last axis (counted once per coordinate), or an
     array of two or more axes whose last axis holds one value per coordinate
-    or a single value for the whole row (then counted d times). ``work``
+    or a single value for the whole row (then counted d times), whose
+    leading axes broadcast into the rows'. ``work``
     takes the whitened residuals and their squares (it may be ``mean``,
     overwritten) and ``out`` the rows; each is a new array when not given.
     """
@@ -140,14 +148,12 @@ def normal_logpdf_rows(x, mean, log_std, work=None, out=None) -> np.ndarray:
         raise ValueError("normal_logpdf_rows expects observations with a last axis")
     d = shape[-1]
     z = np.multiply(np.subtract(x, mean, out=work), np.exp(-log_std), out=work)
-    quad = np.sum(np.multiply(z, z, out=work), axis=-1, out=out)
-    quad *= -0.5
+    rows = std_normal_logpdf_rows(z, z, out)
     if log_std.ndim >= 2:
         row_logdet = np.sum(log_std, axis=-1) * (d / log_std.shape[-1])
     else:
         row_logdet = np.sum(log_std) * (d / max(log_std.size, 1))
-    rows = np.subtract(quad, row_logdet, out=out)
-    rows -= 0.5 * d * _LOG_2PI
+    rows -= row_logdet
     return rows
 
 

@@ -28,10 +28,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import io as vio
 from .alpha import parse_alpha
 from .bounds import bias_simulation, mc_vr_estimate
 from .divergence import renyi_gaussian
+from .gradients import GaussianReparam
 from .gaussian import GaussianDist
 from .models.blr import blr_exact_posterior, blr_mean_field_fit, synthetic_blr_instance
 from .models.bnn import BNNModel
@@ -455,9 +457,9 @@ def _bnn_test_metrics(
     rng = np.random.default_rng([seed, 101])
     x_test = (data.test_features - stats["x_mean"]) / stats["x_std"]
     y_test = data.test_targets
-    mu, rho = params["mu"], params["rho"]
+    mu = params["mu"]
     noise = math.exp(float(params["log_noise"][0]))
-    thetas = mu + np.exp(rho) * rng.standard_normal((samples, mu.shape[0]))
+    thetas = GaussianReparam(mu, params["rho"]).theta(rng.standard_normal((samples, mu.shape[0])))
     # one draw at a time: a batched call would hold samples x n x hidden floats
     preds = np.stack([model.predict(theta, x_test) for theta in thetas])
     y_sd, y_mu = stats["y_std"], stats["y_mean"]
@@ -465,8 +467,7 @@ def _bnn_test_metrics(
     rmse = float(np.sqrt(np.mean((preds_orig.mean(axis=0) - y_test) ** 2)))
     # predictive density: mixture over posterior samples (the order-0 estimate,
     # the log of the mean density), rescaled to raw units
-    resid = (y_test - preds_orig) / (noise * y_sd)
-    point_ll = -0.5 * resid**2 - math.log(noise * y_sd) - 0.5 * math.log(2 * math.pi)
+    point_ll = ad.normal_logpdf_rows(y_test[:, None], preds_orig[..., None], math.log(noise * y_sd))
     mix_ll = mc_vr_estimate(point_ll, 0.0, axis=0)
     return {"test_rmse": rmse, "test_predictive_ll": float(np.mean(mix_ll))}
 
@@ -528,19 +529,9 @@ def _run_eval(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
         )
     with _building("eval.params"):
         params = vio.load_params(section["params"])
-    shapes = model.param_shapes()
-    if set(params) != set(shapes):
-        raise ConfigError(
-            f"'eval.params': the file's tensors do not match the model: missing "
-            f"{sorted(set(shapes) - set(params))}, unexpected {sorted(set(params) - set(shapes))}"
-        )
-    for name, shape in shapes.items():
-        if params[name].shape != shape:
-            raise ConfigError(
-                f"'eval.params': tensor '{name}' has shape {params[name].shape}, "
-                f"the model needs {shape}"
-            )
-        if not np.isfinite(params[name]).all():
+        model._layers_of(params)
+    for name, value in params.items():
+        if not np.isfinite(value).all():
             raise ConfigError(f"'eval.params': tensor '{name}' has a NaN or infinite entry")
     alphas = [parse_alpha(a) for a in section["alphas"]]
     x = data.test_features[: section["max_points"]]

@@ -4,16 +4,17 @@ A small container used throughout the package: the two distributions compared
 by the divergence routines, the mean-field variational approximations, and
 the exact posteriors of the linear-Gaussian models. Covariances are validated
 at construction (positive variances, or a symmetric matrix whose Cholesky
-factorization succeeds), so downstream code can rely on SPD inputs.
+factorization succeeds), so downstream code can rely on SPD inputs. The log
+density whitens the residuals into z, by the standard deviations or by a
+solve with the Cholesky factor, and is the standard normal's of z
+(``autodiff.std_normal_logpdf_rows``) minus half the log-determinant.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-_LOG_2PI = math.log(2.0 * math.pi)
+from . import autodiff as ad
 
 
 class GaussianDist:
@@ -46,7 +47,8 @@ class GaussianDist:
                 raise ValueError("cov must be finite")
             if not np.allclose(c, c.T, rtol=1e-10, atol=1e-12):
                 raise ValueError("cov must be symmetric")
-            c = 0.5 * (c + c.T)
+            if not np.array_equal(c, c.T):
+                c = 0.5 * c + 0.5 * c.T  # halved first, so that no sum overflows
             try:
                 chol = np.linalg.cholesky(c)
             except np.linalg.LinAlgError as exc:
@@ -115,19 +117,28 @@ class GaussianDist:
         """Log density at ``x`` with shape (d,), giving a float, or (..., d),
         giving one value per point. A full covariance's solve takes each
         (n, d) matrix of points, one after the other, whatever the leading
-        axes."""
+        axes. A point whose -|z|^2 / 2 lies below the float range gets
+        -inf, without a warning."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = np.atleast_2d(x)
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points must have {self.dim} columns")
-        diff = pts - self.mean
-        if self._variances is not None:
-            quad = np.sum(diff * diff / self._variances, axis=-1)
-        else:
-            z = np.linalg.solve(self._chol, np.swapaxes(diff, -1, -2))
-            quad = np.sum(z * z, axis=-2)
-        out = -0.5 * (self.dim * _LOG_2PI + self._logdet + quad)
+        # a point whose residual or whitened coordinates leave the float
+        # range gets -inf, its correctly rounded value
+        with np.errstate(over="ignore"):
+            diff = pts - self.mean
+            if self._variances is not None:
+                z = diff / np.sqrt(self._variances)
+            else:
+                z = np.swapaxes(np.linalg.solve(self._chol, np.swapaxes(diff, -1, -2)), -1, -2)
+                # such a point makes NaN of 0 * inf in the solve
+                z[np.isnan(z) & ~np.isnan(diff).any(axis=-1, keepdims=True)] = np.inf
+            out = ad.std_normal_logpdf_rows(z)
+            # a row whose |z|^2 overflows, and |z|^2 / 2 may not: 4 times z / 2's
+            big = np.isneginf(out) & np.isfinite(z).all(axis=-1)
+            out[big] = 4.0 * ad.std_normal_logpdf_rows(z[big] * 0.5)
+        out -= 0.5 * self._logdet
         return float(out[0]) if single else out
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:

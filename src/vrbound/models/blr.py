@@ -12,10 +12,13 @@ Because both the posterior and the evidence are exact, this model is the test
 bed for the variational bound: the bound equals the evidence minus the Renyi
 divergence from q to the exact posterior, with no approximation anywhere.
 
-For training, ``log_lik_node`` gives the likelihood of K stacked weight
-draws on arrays together with its VJP, the residual form (X'(y - X theta)) /
-sigma^2; ``training.posterior_log_weights`` chains it into the VJP that
-every model shares, of the reparameterization, the N(0, I) prior and log q.
+The first two terms are the N(0, sigma^2 I) log density of y,
+``autodiff.normal_logpdf_rows(y, 0, log sigma)``. For training,
+``log_lik_node`` gives the likelihood of K stacked weight draws on arrays,
+``normal_logpdf_rows(y, theta X', log sigma)``, together with its VJP,
+``autodiff.normal_rows_vjp``'s gradient at the means carried back through
+X; ``training.posterior_log_weights`` chains it into the VJP that every
+model shares, of the reparameterization, the N(0, I) prior and log q.
 """
 
 from __future__ import annotations
@@ -26,11 +29,10 @@ from functools import partial
 
 import numpy as np
 
+from .. import autodiff as ad
 from ..alpha import AlphaKind, classify_alpha
 from ..divergence import renyi_gaussian, renyi_gaussian_terms
 from ..gaussian import GaussianDist
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 class BLRModel:
@@ -84,13 +86,11 @@ class BLRModel:
         values, the gradient at theta and of the parameters (none; the noise
         is fixed and ``params`` unused). The prior is the caller's
         (``training.posterior_log_weights``)."""
-        s2 = self.noise_std**2
-        resid = y - theta @ x.T
-        const = -0.5 * x.shape[0] * (_LOG_2PI + math.log(s2))
-        rows = np.sum(resid * resid, axis=-1) * (-0.5 / s2) + const
+        mean, log_std = theta @ x.T, math.log(self.noise_std)
+        rows = ad.normal_logpdf_rows(y, mean, log_std)
 
         def vjp(g):
-            return (resid * (g[..., None] / s2)) @ x, {}
+            return ad.normal_rows_vjp(y, mean, log_std, g)[0] @ x, {}
 
         return rows, vjp
 
@@ -114,8 +114,7 @@ def blr_exact_posterior(model: BLRModel) -> tuple[GaussianDist, float]:
     cov = 0.5 * (cov + cov.T)
     logdet_lam = 2.0 * float(np.sum(np.log(np.diag(chol))))
     log_evidence = (
-        -0.5 * model.n_data * (_LOG_2PI + math.log(s2))
-        - 0.5 * float(y @ y) / s2
+        float(ad.normal_logpdf_rows(y, 0.0, math.log(model.noise_std)))
         + 0.5 * float(m @ lam @ m)
         - 0.5 * logdet_lam
     )

@@ -149,12 +149,15 @@ class VAEModel:
         return blocks
 
     def _layers_of(self, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """``layers`` of parameters by name, in new blocks. Each parameter
-        must have its shape in ``param_shapes``."""
+        """``layers`` of parameters by name, in new blocks. The parameters
+        must be those of ``param_shapes``, each of its shape there."""
         shapes = self.param_shapes()
+        missing, extra = sorted(set(shapes) - set(params)), sorted(set(params) - set(shapes))
+        if missing or extra:
+            raise ValueError(f"tensors not the model's: missing {missing}, unexpected {extra}")
         for name, shape in shapes.items():
             if np.shape(params[name]) != shape:
-                raise ValueError(f"{name} has shape {np.shape(params[name])}, not {shape}")
+                raise ValueError(f"tensor '{name}' has shape {np.shape(params[name])}, not {shape}")
         return self.layers(np.concatenate([np.ravel(params[name]) for name in shapes], dtype=float))
 
     def with_ones(self, x) -> np.ndarray:
@@ -181,10 +184,10 @@ class VAEModel:
         ``eps`` of shape (n, latent_dim) is one noise draw and gives (n,);
         (K, n, latent_dim) is K draws and gives (K, n). The encoder runs once
         either way; the latent is the reparameterized
-        h = mu(x) + exp(rho(x)) * eps. ``params`` are by name, each of its
-        shape in ``param_shapes``, and ``x`` holds rows of data_dim
-        columns; each is checked and copied (``_layers_of``,
-        ``with_ones``). The value is ``_forward``'s, which
+        h = mu(x) + exp(rho(x)) * eps. ``params`` are those of
+        ``param_shapes`` by name, each of its shape there, and ``x`` holds
+        rows of data_dim columns; each is checked and copied
+        (``_layers_of``, ``with_ones``). The value is ``_forward``'s, which
         ``log_weight_matrix`` runs too, here on new arrays that the VJP,
         ``_log_weight_vjp``, keeps.
         """

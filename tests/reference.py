@@ -380,13 +380,12 @@ def normal_logpdf_rows(x, mean, log_std):
         raise ValueError("normal_logpdf_rows expects observations with a last axis")
     d = shape[-1]
     z = sub(x, mean) * exp(mul(log_std, -1.0))
-    quad = vsum(z * z, axis=-1) * (-0.5)
     scales = _value(log_std)
     if scales.ndim >= 2:
         row_logdet = vsum(log_std, axis=-1) * (d / scales.shape[-1])
     else:
         row_logdet = vsum(log_std) * (d / max(scales.size, 1))
-    return quad - row_logdet - 0.5 * d * LOG_2PI
+    return std_normal_logpdf_rows(z) - row_logdet
 
 
 def bernoulli_rows(x, w, targets: np.ndarray):
@@ -419,11 +418,9 @@ def gaussian_reparam(mu, rho, eps):
 
 
 def _blr_log_lik(model, theta, params, x, y):
-    """BLR's summed Gaussian log likelihood of y at rows x, per draw."""
-    s2 = model.noise_std**2
-    resid = sub(y, matmul(theta, x.T))
-    const = -0.5 * x.shape[0] * (LOG_2PI + math.log(s2))
-    return vsum(resid * resid, axis=-1) * (-0.5 / s2) + const
+    """BLR's summed Gaussian log likelihood of y at rows x, per draw, with
+    the fixed noise scale as a constant."""
+    return normal_logpdf_rows(y, matmul(theta, x.T), np.array(math.log(model.noise_std)))
 
 
 def bnn_predict(model, theta, x):

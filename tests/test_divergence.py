@@ -1,8 +1,10 @@
-"""Closed-form Gaussian Renyi divergence against the quadrature ground truth."""
+"""Closed-form Gaussian Renyi divergence against the quadrature ground truth,
+and the Gaussian log density against 50-digit mpmath over the float range."""
 
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -363,3 +365,50 @@ def test_logpdf_of_stacked_points_keeps_the_bits_of_each_matrix(full):
     assert g.logpdf(points[0, 0]) == stacked[0, 0]
     with pytest.raises(ValueError, match="3 columns"):
         g.logpdf(points[..., :2])
+
+
+# Variances from the smallest subnormal to 1e308, and offsets from the mean
+# up to 1e160, some whose |z|^2 alone overflows (1.5e154 at variance 1).
+_VARIANCES = [5e-324, 1e-300, 2.5e-100, 0.3, 1.0, 7e10, 1e300, 1e308]
+_OFFSETS = [0.0, 1e-300, -3.7e-50, 1.0, -2.5, 1e20, 1.5e154, -1e160, 1e160]
+# values below this round to -inf (the float literal 1.8e308 is inf itself)
+_BELOW_THE_FLOATS = mpmath.mpf("-1.8e308")
+
+
+def _logpdf_50_digits(mean, variances, point):
+    """log N(point; mean, diag(variances)) at 50 digits, of the floats given."""
+    with mpmath.workdps(50):
+        quad = sum(
+            (mpmath.mpf(x) - mpmath.mpf(m)) ** 2 / mpmath.mpf(v)
+            for x, m, v in zip(point, mean, variances)
+        )
+        logdet = sum(mpmath.log(mpmath.mpf(v)) for v in variances)
+        return -(quad + len(point) * mpmath.log(2 * mpmath.pi) + logdet) / 2
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("form", ["variances", "cov"])
+def test_logpdf_matches_mpmath_over_the_float_range(dim, form):
+    # every variance against every offset in 1-D, drawn pairs of them in 2-
+    # and 3-D; where the true value is finite, to rtol 1e-12, and below
+    # -1.8e308, -inf; never NaN, and no RuntimeWarning (pytest makes each an
+    # error)
+    rng = np.random.default_rng([31, dim])
+    if dim == 1:
+        variance_sets = [np.array([v]) for v in _VARIANCES]
+        offsets = np.array(_OFFSETS)[:, None]
+    else:
+        variance_sets = [rng.choice(_VARIANCES, dim) for _ in range(12)]
+        offsets = rng.choice(_OFFSETS, (40, dim))
+    for mean in (np.zeros(dim), np.full(dim, -4.25), np.full(dim, 3e155)):
+        points = mean + offsets
+        for variances in variance_sets:
+            cov = {"variances": variances} if form == "variances" else {"cov": np.diag(variances)}
+            got = GaussianDist(mean, **cov).logpdf(points)
+            assert not np.isnan(got).any()
+            for point, value in zip(points, got):
+                want = _logpdf_50_digits(mean, variances, point)
+                if want < _BELOW_THE_FLOATS:
+                    assert value == -math.inf, (variances, point)
+                else:
+                    assert abs(mpmath.mpf(value) - want) <= 1e-12 * abs(want), (variances, point)

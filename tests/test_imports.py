@@ -3,14 +3,16 @@ module or listed in its ``__all__``, and every private module-level name is
 used in its module or imported by another (no linter is needed to check
 this); no package module imports scipy at module level, so importing the
 package or the CLI loads no scipy module, and none imports scipy.linalg or
-scipy.optimize at all, so the analytic commands run on numpy alone; and
-importing starts no thread.
+scipy.optimize at all, so the analytic commands run on numpy alone; no
+module but the array kernels computes log(2 pi); and importing starts no
+thread.
 The tape keeps its core and the array kernels, each of which a module of
 the package runs, and the generic operations live in the tests' reference
 module, which keeps only what a test uses."""
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -150,6 +152,33 @@ def _scipy_imports(source: str) -> list[tuple[int, str]]:
     return found
 
 
+# log(2 pi) and half of it, as float literals
+_LOG_2PI_LITERALS = (math.log(2.0 * math.pi), 0.5 * math.log(2.0 * math.pi))
+
+
+def _log_2pi_lines(source: str) -> list[int]:
+    """Lines that compute log(2 pi): a call of a function named ``log``
+    (``math.log``, ``np.log``, a bare ``log``) whose arguments name ``pi``,
+    or a float literal within 1e-9 of log(2 pi) or of half of it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            names = {
+                n.attr if isinstance(n, ast.Attribute) else n.id
+                for arg in node.args
+                for n in ast.walk(arg)
+                if isinstance(n, (ast.Attribute, ast.Name))
+            }
+            if name == "log" and "pi" in names:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            if any(math.isclose(node.value, c, rel_tol=1e-9) for c in _LOG_2PI_LITERALS):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
 def _under(module: str, packages: tuple[str, ...]) -> bool:
     return any(module == p or module.startswith(p + ".") for p in packages)
 
@@ -177,6 +206,18 @@ def test_every_array_kernel_has_a_caller_in_the_package():
         str(path.relative_to(PACKAGE)): path.read_text() for path in sorted(PACKAGE.rglob("*.py"))
     }
     assert _uncalled_exports("autodiff.py", sources) == []
+
+
+def test_log_2pi_is_written_in_the_array_kernels_alone():
+    # every Gaussian log density of the package is the standard normal's of
+    # its whitened residuals, ``autodiff.std_normal_logpdf_rows``
+    found = [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path != PACKAGE / "autodiff.py"
+        for line in _log_2pi_lines(path.read_text())
+    ]
+    assert found == []
 
 
 def test_no_module_imports_scipy_at_module_level():
@@ -275,6 +316,21 @@ def test_the_check_sees_uncalled_exports():
         "models/b.py": "from .. import kernels\nkernels.aliased\nother.dead()\n",
     }
     assert _uncalled_exports("kernels.py", sources) == ["dead", "self_only"]
+
+
+def test_the_check_sees_log_2pi():
+    source = (
+        "import math\nimport numpy as np\nfrom math import log, pi\n"
+        "A = math.log(2.0 * math.pi)\n"
+        "B = -0.5 * d * np.log(2 * np.pi * s2)\n"
+        "C = log(pi + pi)\n"
+        "D = 1.8378770664093453\n"
+        "E = 0.9189385332046727\n"
+        "theta = np.linspace(0.0, 2.0 * math.pi, 5)\n"
+        "F = math.log(2.0) + math.exp(pi)\n"
+        "G = 1.8378\n"
+    )
+    assert _log_2pi_lines(source) == [4, 5, 6, 7, 8]
 
 
 def test_the_check_sees_module_level_scipy_imports():

@@ -800,8 +800,14 @@ class TestVaeNode:
             vae.log_weight_rows(params, wide, eps)
         with pytest.raises(ValueError, match="must have 6 columns"):
             vae.log_weight_matrix(params, wide, np.random.default_rng(0), 5)
-        with pytest.raises(ValueError, match="enc_w1 has shape"):
+        with pytest.raises(ValueError, match="tensor 'enc_w1' has shape"):
             vae.log_weight_rows({**params, "enc_w1": params["enc_w1"].T}, x, eps)
+        # a missing or an extra tensor is named
+        without = {name: value for name, value in params.items() if name != "enc_w1"}
+        with pytest.raises(ValueError, match=r"missing \['enc_w1'\], unexpected \[\]"):
+            vae.log_weight_rows(without, x, eps)
+        with pytest.raises(ValueError, match=r"missing \[\], unexpected \['extra'\]"):
+            vae.log_weight_matrix({**params, "extra": np.zeros(2)}, x, np.random.default_rng(0), 5)
         with pytest.raises(ValueError, match="do not fit"):
             vae.layers(np.zeros(3))
 
