@@ -315,7 +315,12 @@ def bias_simulation(
                 log_w = p.logpdf(theta) - q.logpdf(theta)
                 blocks.append(mc_vr_estimate(log_w, alpha, axis=1))
             estimates = np.concatenate(blocks)
-            mean = float(np.mean(estimates))
-            stderr = float(np.std(estimates, ddof=1) / math.sqrt(repeats))
+            # reduced below 1 by a power of two, which is exact, so that the
+            # sums of estimates near the float range do not overflow; a -inf
+            # estimate stays -inf
+            e = int(np.frexp(np.max(np.abs(estimates[np.isfinite(estimates)]), initial=0.0))[1])
+            scaled = np.ldexp(estimates, -e)
+            mean = float(np.ldexp(np.mean(scaled), e))
+            stderr = float(np.ldexp(np.std(scaled, ddof=1) / math.sqrt(repeats), e))
             rows.append(BiasCell(alpha=alpha, k=k, mean=mean, stderr=stderr, exact=exact))
     return BiasTable(rows=rows, repeats=repeats, seed=seed)

@@ -19,10 +19,15 @@ sweeps over alpha total. Callers that need the signed limit of the underlying
 objective (e.g. the exact variational bound) must interpret the sentinel
 themselves.
 
-Three orders are explicit branches rather than the closed form:
-  alpha  = 0   -log(mass of q on the support of p), identically 0 for Gaussians
-  alpha -> +inf  sup_x log p(x)/q(x)  (+inf when the ratio is unbounded)
-  alpha -> -inf  -sup_x log q(x)/p(x)  (skew symmetry limit)
+At alpha -> +inf the same eigenpairs give sup_x log p(x)/q(x), the closed
+form's limit
+
+    D_inf[p||q] = (1/2) sum z_i^2 / (1 - lam_i) + (1/2)(log|S_q| - log|S_p|)
+
+with the log-determinants of the two Gaussians, and +inf (an unbounded
+ratio) where some lam_i > 1, or lam_i = 1 with z_i != 0. Order -inf is the
+skew-symmetry limit -D_inf[q||p]. Only alpha = 0 is an explicit branch:
+-log(mass of q on the support of p), identically 0 for Gaussians.
 
 ``quadrature_oracle`` integrates the defining integral on a dense trapezoidal
 grid (dimension <= 2) and is the independent reference implementation the
@@ -36,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha import AlphaKind, classify_alpha
 from .gaussian import GaussianDist
 
 __all__ = [
@@ -44,7 +48,6 @@ __all__ = [
     "quadrature_oracle",
     "quadrature_oracle_batch",
     "renyi_gaussian",
-    "sup_log_density_ratio",
 ]
 
 
@@ -53,50 +56,61 @@ def _check_same_dim(p: GaussianDist, q: GaussianDist) -> None:
         raise ValueError(f"dimension mismatch: p has dim {p.dim}, q has dim {q.dim}")
 
 
-def sup_log_density_ratio(p: GaussianDist, q: GaussianDist) -> float:
-    """sup_x log p(x)/q(x); +inf when the ratio is unbounded.
-
-    The log ratio is the quadratic -x'Ax/2 + b'x + c with A = S_p^-1 - S_q^-1.
-    It is bounded above iff A is positive semidefinite and b lies in the range
-    of A; the supremum is then c + b'A^+b / 2.
-    """
-    _check_same_dim(p, q)
-    prec_p = p.precision()
-    prec_q = q.precision()
-    a = prec_p - prec_q
-    b = prec_p @ p.mean - prec_q @ q.mean
-    c0 = 0.5 * (q.log_det_cov - p.log_det_cov)
-    c0 -= 0.5 * float(p.mean @ prec_p @ p.mean - q.mean @ prec_q @ q.mean)
-
-    eigvals, eigvecs = np.linalg.eigh(a)
-    scale = max(float(np.max(np.abs(eigvals))), 1.0)
-    tol = 1e-12 * scale
-    if np.any(eigvals < -tol):
-        return math.inf
-    b_rot = eigvecs.T @ b
-    b_scale = max(float(np.max(np.abs(b_rot), initial=0.0)), 1.0)
-    null = eigvals <= tol
-    if np.any(np.abs(b_rot[null]) > 1e-9 * b_scale):
-        return math.inf
-    pos = ~null
-    return c0 + 0.5 * float(np.sum(b_rot[pos] ** 2 / eigvals[pos]))
+# A generalized eigenvalue within this of 1 counts as 1 at alpha = +-inf:
+# two equal covariances give eigenvalues that are 1 only to about
+# eps cond(S_q) (1e-13 at cond 1e3), and past 1 such a rounding would make the
+# 0 of two equal Gaussians +inf. It stays below the margin of 1e-10 by which
+# the +inf mean-field fit keeps lam inside 1, so that a rounding of its mean
+# does not make its finite bound -inf.
+_AT_ONE = 1e-12
 
 
 def renyi_gaussian(p: GaussianDist, q: GaussianDist, alpha: float) -> float:
     """Renyi divergence of order ``alpha`` between two Gaussians.
 
-    Returns +inf when the defining integral diverges (non-SPD mixture
-    covariance, or an unbounded density ratio at alpha = +-inf).
+    Returns +inf at a finite order whose defining integral diverges (a
+    mixture covariance that is not positive definite). Orders +-inf are the
+    closed form's limit (see the module docstring), +-inf where the density
+    ratio is unbounded.
     """
     _check_same_dim(p, q)
-    kind = classify_alpha(alpha)
-    if kind is AlphaKind.POS_INF:
-        return sup_log_density_ratio(p, q)
-    if kind is AlphaKind.NEG_INF:
-        return -sup_log_density_ratio(q, p)
+    if math.isnan(alpha):
+        raise ValueError("alpha must not be NaN")
     if alpha == 0.0:
         return 0.0
-    return renyi_gaussian_terms(p.mean - q.mean, p.cov, q.cov, float(alpha))[0]
+    if math.isfinite(alpha):
+        return renyi_gaussian_terms(p.mean - q.mean, p.cov, q.cov, float(alpha))[0]
+    # the swap leaves every lam of a finite value in [0, 1], where one that
+    # underflows to 0 costs nothing; a lam that overflows, or a reduction
+    # that overflows (NaN lam, or no convergence), lies above 1, where the
+    # value is +inf anyway
+    sign = math.copysign(1.0, alpha)
+    p, q = (p, q) if sign > 0.0 else (q, p)
+    try:
+        lam, vec = _generalized_eigh(p.cov, q.cov)
+    except np.linalg.LinAlgError:
+        return sign * math.inf
+    at_one = np.abs(lam - 1.0) <= _AT_ONE
+    if np.any(~(lam < 1.0) & ~at_one):
+        return sign * math.inf
+    # z / 2^(1 + k), scaled by powers of two, which is exact: half of
+    # mu_p - mu_q never overflows, and 2^-k more keeps every product of V' by
+    # it in range
+    half_diff = np.ldexp(p.mean, -1) - np.ldexp(q.mean, -1)
+    k = max(0, _exponent(half_diff) + _exponent(vec) - 1000)
+    z = vec.T @ np.ldexp(half_diff, -k)
+    if np.any(z[at_one] != 0.0):
+        return sign * math.inf
+    # every term is positive, so a z_i^2 or a sum that overflows means a value
+    # beyond the float range, +inf
+    with np.errstate(over="ignore"):
+        half_quad = np.ldexp(np.sum(z[~at_one] ** 2 / (1.0 - lam[~at_one])), 2 * k + 1)
+    return sign * (float(half_quad) + 0.5 * (q.log_det_cov - p.log_det_cov))
+
+
+def _exponent(x: np.ndarray) -> int:
+    """The k with the largest |x| / 2^k in [0.5, 1); 0 for x = 0."""
+    return int(np.frexp(np.max(np.abs(x)))[1])
 
 
 def _generalized_eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,8 +119,9 @@ def _generalized_eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     LAPACK sygv's reduction: with b = L L', the eigenpairs (lam, W) of
     C = L^-1 a L^-T give V = L^-T W. The solves run inside LAPACK, so a lam
-    beyond the float range comes out 0 or inf without a warning; eigh reads
-    the lower triangle of C only, which makes C symmetric.
+    beyond the float range comes out 0 or inf without a warning (or, where C
+    overflows in more than one dimension, NaN or eigh's LinAlgError); eigh
+    reads the lower triangle of C only, which makes C symmetric.
     """
     low = np.linalg.cholesky(b)
     lam, w = np.linalg.eigh(np.linalg.solve(low, np.linalg.solve(low, a).T))

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -260,6 +261,25 @@ class TestBiasSimulation:
                     cell = table.cell(alpha, k)
                     assert cell.mean == float(np.mean(estimates))
                     assert cell.stderr == float(np.std(estimates, ddof=1) / 2.0)
+
+    def test_estimates_near_the_float_range_keep_a_finite_mean(self):
+        # every estimate is finite, about -1e307 at K = 5: their mean and
+        # standard error at 50 digits, where a plain sum or square of them
+        # overflows (pytest makes its RuntimeWarning an error)
+        p, q = GaussianDist.diagonal([0.0], [1.0]), GaussianDist.diagonal([0.0], [1.7e308])
+        table = bias_simulation(p, q, [0.5], [5, 50], repeats=20)
+        for ki, k in enumerate((5, 50)):
+            estimates = [
+                mc_vr_estimate(p.logpdf(theta) - q.logpdf(theta), 0.5)
+                for theta in (q.sample(np.random.default_rng([0, 0, ki, r]), k) for r in range(20))
+            ]
+            with mpmath.workdps(50):
+                values = [mpmath.mpf(x) for x in estimates]
+                mean = mpmath.fsum(values) / 20
+                stderr = mpmath.sqrt(mpmath.fsum((x - mean) ** 2 for x in values) / 19 / 20)
+            cell = table.cell(0.5, k)
+            assert abs(cell.mean - mean) <= 1e-14 * abs(mean)
+            assert abs(cell.stderr - stderr) <= 1e-12 * stderr
 
     # Budgets of one repeat per block, of 3 repeats of K = 50 in 2-D, of 2 in
     # 3-D, and the default.

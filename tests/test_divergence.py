@@ -135,8 +135,10 @@ class TestClosedFormValues:
         q = GaussianDist.diagonal([-1.7e308], [5e-324])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = [renyi_gaussian(p, q, alpha) for alpha in (-1.0, 0.5, 1.0, 2.0)]
-        assert values == [-math.inf, math.inf, math.inf, math.inf]
+            values = [
+                renyi_gaussian(p, q, alpha) for alpha in (-1.0, 0.5, 1.0, 2.0, math.inf, -math.inf)
+            ]
+        assert values == [-math.inf, math.inf, math.inf, math.inf, math.inf, -math.inf]
 
     @pytest.mark.parametrize(
         "var_p, var_q, expected, messages",
@@ -166,6 +168,24 @@ class TestClosedFormValues:
             values = [renyi_gaussian(p, q, alpha) for alpha in (-1.0, 0.5, 1.0, 2.0)]
         np.testing.assert_array_equal(values, expected)
         assert [str(w.message) for w in caught] == messages
+
+    @pytest.mark.parametrize(
+        "var_p, var_q, at_pos_inf, at_neg_inf",
+        [
+            (1.0, 5e-324, math.inf, -372.2200359606906),
+            (1e-300, 1e300, 690.7755278982137, -math.inf),
+        ],
+        ids=["ratio-overflows", "ratio-underflows"],
+    )
+    def test_infinite_orders_beyond_the_float_range_are_true(
+        self, var_p, var_q, at_pos_inf, at_neg_inf
+    ):
+        # the pairs above, whose lam leaves the float range: +inf where the
+        # density ratio is unbounded, else half the log-determinant ratio
+        p = GaussianDist.diagonal([0.0], [var_p])
+        q = GaussianDist.diagonal([0.0], [var_q])
+        assert renyi_gaussian(p, q, math.inf) == pytest.approx(at_pos_inf, rel=1e-15)
+        assert renyi_gaussian(p, q, -math.inf) == pytest.approx(at_neg_inf, rel=1e-15)
 
     def test_divergent_mixture_reports_inf(self):
         # alpha = -2 with a wider q: the mixture covariance loses positivity.
@@ -341,6 +361,15 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="positive definite"):
             GaussianDist.full([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
 
+    def test_asymmetric_covariance_near_the_float_range_is_rejected_without_a_warning(self):
+        # |c - c'| overflows here; the check must fail, and warn of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="cov must be symmetric"):
+                GaussianDist.full([0.0, 0.0], [[1.0, 1e308], [-1e308, 1.0]])
+            g = GaussianDist.full([0.0, 0.0], [[1.7e308, 1e308], [1e308, 1.7e308]])
+        assert g.cov[0, 1] == g.cov[1, 0] == 1e308
+
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             GaussianDist.diagonal([0.0], [-1.0])
@@ -412,3 +441,134 @@ def test_logpdf_matches_mpmath_over_the_float_range(dim, form):
                     assert value == -math.inf, (variances, point)
                 else:
                     assert abs(mpmath.mpf(value) - want) <= 1e-12 * abs(want), (variances, point)
+
+
+def _sup_log_ratio_50_digits(p, q):
+    """max_x log p(x)/q(x) at 50 digits, of the floats given: the quadratic
+    -x'Ax/2 + b'x + c with A = P_p - P_q from the precisions, and +inf where
+    A is not positive definite (the quadratic is unbounded above)."""
+    with mpmath.workdps(50):
+        cov_p, cov_q = mpmath.matrix(p.cov.tolist()), mpmath.matrix(q.cov.tolist())
+        prec_p, prec_q = cov_p**-1, cov_q**-1
+        mean_p, mean_q = mpmath.matrix(p.mean.tolist()), mpmath.matrix(q.mean.tolist())
+        a = prec_p - prec_q
+        if min(mpmath.eigsy(a)[0]) <= 0:
+            return mpmath.inf
+        b = prec_p * mean_p - prec_q * mean_q
+        quad = (
+            (b.T * mpmath.lu_solve(a, b))[0]
+            - (mean_p.T * prec_p * mean_p)[0]
+            + (mean_q.T * prec_q * mean_q)[0]
+        )
+        return (quad + mpmath.log(mpmath.det(cov_q)) - mpmath.log(mpmath.det(cov_p))) / 2
+
+
+def _pair_with_eigenvalues(rng, dim, full, offset):
+    """p, q with generalized eigenvalues lam all in [0.01, 0.5] (D_inf
+    finite), all in [2, 100] (D_-inf finite) or of both kinds, means a unit
+    apart around ``offset`` and covariances M M' and M diag(lam) M'."""
+    low, high = rng.uniform(0.01, 0.5, dim), rng.uniform(2.0, 100.0, dim)
+    lam = [low, high, np.where(rng.uniform(size=dim) < 0.5, low, high)][rng.integers(3)]
+    if full:
+        m = (rng.standard_normal((dim, dim)) + 2.0 * np.eye(dim)) * 10.0 ** rng.uniform(-2.0, 2.0)
+    else:
+        m = np.diag(10.0 ** rng.uniform(-2.0, 2.0, dim))
+    cov_p, cov_q = (m * lam) @ m.T, m @ m.T
+    if not full:
+        return (
+            GaussianDist.diagonal(offset + rng.standard_normal(dim), np.diag(cov_p)),
+            GaussianDist.diagonal(offset + rng.standard_normal(dim), np.diag(cov_q)),
+        )
+    return (
+        GaussianDist.full(offset + rng.standard_normal(dim), 0.5 * (cov_p + cov_p.T)),
+        GaussianDist.full(offset + rng.standard_normal(dim), 0.5 * (cov_q + cov_q.T)),
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("full", [False, True], ids=["diagonal", "full"])
+def test_infinite_orders_match_mpmath(dim, full):
+    # D_inf = sup log p/q and D_-inf = -sup log q/p against 50-digit mpmath,
+    # with means far from the origin too: to rtol 1e-10 where finite, +-inf
+    # where the ratio is unbounded; never NaN, and no RuntimeWarning (pytest
+    # makes each an error). At alpha = +-1e8 the finite closed form lies
+    # within rtol 1e-6 of its limit.
+    rng = np.random.default_rng([91, dim, full])
+    for offset in (0.0, 1e4, 1e8):
+        for _ in range(12):
+            p, q = _pair_with_eigenvalues(rng, dim, full, offset)
+            limits = [(math.inf, _sup_log_ratio_50_digits(p, q))]
+            limits.append((-math.inf, -_sup_log_ratio_50_digits(q, p)))
+            for alpha, want in limits:
+                got = renyi_gaussian(p, q, alpha)
+                assert not math.isnan(got)
+                if mpmath.isinf(want):
+                    assert got == want, (offset, alpha, p.cov, q.cov)
+                    continue
+                assert abs(mpmath.mpf(got) - want) <= 1e-10 * abs(want), (offset, alpha, got, want)
+                near = renyi_gaussian(p, q, math.copysign(1e8, alpha))
+                if math.isfinite(near):
+                    assert near == pytest.approx(got, rel=1e-6), (offset, alpha)
+
+
+def test_every_nonzero_order_solves_one_generalized_eigenproblem(monkeypatch):
+    from vrbound import divergence
+
+    calls = []
+    solve = divergence._generalized_eigh
+    monkeypatch.setattr(
+        divergence, "_generalized_eigh", lambda a, b: calls.append(1) or solve(a, b)
+    )
+    p = GaussianDist.diagonal([0.0, 0.0], [1.0, 1.5])
+    q = GaussianDist.full([0.5, -0.3], [[1.0, 0.3], [0.3, 1.2]])
+    orders = (-math.inf, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf)
+    for alpha in orders:
+        renyi_gaussian(p, q, alpha)
+    assert len(calls) == len(orders) - 1
+
+
+_MEANS = [0.0, 1.0, -2.5, 1e20, 1.5e154, -1e160, 1e300, -1.7e308]
+
+
+def _sup_log_ratio_diagonal_50_digits(mean_p, var_p, mean_q, var_q):
+    """max_x log p(x)/q(x) at 50 digits for diagonal Gaussians, of the floats
+    given: per coordinate (m_p - m_q)^2 / (v_q - v_p) + log(v_q / v_p), over
+    2; +inf where some v_p > v_q, or v_p = v_q with m_p != m_q."""
+    with mpmath.workdps(50):
+        total = mpmath.mpf(0)
+        floats = (mean_p, var_p, mean_q, var_q)
+        for m_p, v_p, m_q, v_q in zip(*([mpmath.mpf(v) for v in x] for x in floats)):
+            if v_p > v_q or (v_p == v_q and m_p != m_q):
+                return mpmath.inf
+            if v_p < v_q:
+                total += (m_p - m_q) ** 2 / (v_q - v_p)
+            total += mpmath.log(v_q) - mpmath.log(v_p)
+        return total / 2
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_infinite_orders_match_mpmath_over_the_float_range(dim):
+    # variances from the smallest subnormal to 1e308 and means up to 1.7e308,
+    # where lam, z and the difference of the means leave the float range: to
+    # rtol 1e-10 where the true value is finite, +-inf where it is not (or
+    # lies beyond the floats); never NaN, and no RuntimeWarning
+    rng = np.random.default_rng([92, dim])
+    if dim == 1:
+        cases = [
+            ([m_p], [v_p], [m_q], [v_q])
+            for m_p in _MEANS for v_p in _VARIANCES for m_q in _MEANS[::2] for v_q in _VARIANCES
+        ]
+    else:
+        cases = [tuple(rng.choice(x, dim) for x in (_MEANS, _VARIANCES) * 2) for _ in range(300)]
+    top = mpmath.mpf(np.finfo(float).max)
+    for mean_p, var_p, mean_q, var_q in cases:
+        p, q = GaussianDist.diagonal(mean_p, var_p), GaussianDist.diagonal(mean_q, var_q)
+        for sign in (1, -1):
+            a, b = (p, q) if sign > 0 else (q, p)
+            want = _sup_log_ratio_diagonal_50_digits(a.mean, a.variances, b.mean, b.variances)
+            want *= sign
+            got = renyi_gaussian(p, q, sign * math.inf)
+            if abs(want) > top:
+                assert got == sign * math.inf, (mean_p, var_p, mean_q, var_q, sign)
+            else:
+                assert abs(mpmath.mpf(got) - want) <= 1e-10 * abs(want), (mean_p, var_p, sign)

@@ -4,7 +4,8 @@ used in its module or imported by another (no linter is needed to check
 this); no package module imports scipy at module level, so importing the
 package or the CLI loads no scipy module, and none imports scipy.linalg or
 scipy.optimize at all, so the analytic commands run on numpy alone; no
-module but the array kernels computes log(2 pi); and importing starts no
+module but the array kernels computes log(2 pi); the divergence runs one
+eigensolver, in its generalized eigenproblem; and importing starts no
 thread.
 The tape keeps its core and the array kernels, each of which a module of
 the package runs, and the generic operations live in the tests' reference
@@ -179,6 +180,27 @@ def _log_2pi_lines(source: str) -> list[int]:
     return sorted(lines)
 
 
+def _eigensolves_outside(source: str, owner: str) -> list[int]:
+    """Lines of the calls of an eigensolver (a function named ``eig``,
+    ``eigh``, ``eigvals`` or ``eigvalsh``, bare or as an attribute such as
+    ``np.linalg.eigh``) outside the function named ``owner``."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and func.name == owner
+        for node in ast.walk(func)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in inside:
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("eig", "eigh", "eigvals", "eigvalsh"):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
 def _under(module: str, packages: tuple[str, ...]) -> bool:
     return any(module == p or module.startswith(p + ".") for p in packages)
 
@@ -218,6 +240,13 @@ def test_log_2pi_is_written_in_the_array_kernels_alone():
         for line in _log_2pi_lines(path.read_text())
     ]
     assert found == []
+
+
+def test_the_divergence_solves_one_eigenproblem():
+    # every order of renyi_gaussian, +-inf included, takes its eigenpairs
+    # from the generalized eigenproblem of the two covariances
+    source = (PACKAGE / "divergence.py").read_text()
+    assert _eigensolves_outside(source, "_generalized_eigh") == []
 
 
 def test_no_module_imports_scipy_at_module_level():
@@ -331,6 +360,25 @@ def test_the_check_sees_log_2pi():
         "G = 1.8378\n"
     )
     assert _log_2pi_lines(source) == [4, 5, 6, 7, 8]
+
+
+def test_the_check_sees_eigensolves_outside_their_owner():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import eigvalsh\n"
+        "def _generalized_eigh(a, b):\n"
+        "    def inner(c):\n"
+        "        return np.linalg.eigh(c)\n"
+        "    return np.linalg.eigh(a), inner(b)\n"
+        "def sup_ratio(a):\n"
+        "    return np.linalg.eigh(a)\n"
+        "SPECTRUM = eigvalsh(np.eye(2))\n"
+        "solver = np.linalg.eig\n"
+        "class Fit:\n"
+        "    def spread(self, a):\n"
+        "        return numpy.linalg.eigvals(a), self.eigenvalues(a)\n"
+    )
+    assert _eigensolves_outside(source, "_generalized_eigh") == [8, 9, 13]
 
 
 def test_the_check_sees_module_level_scipy_imports():

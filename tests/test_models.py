@@ -286,6 +286,16 @@ class TestMeanFieldFit:
         np.testing.assert_allclose(1.0 / fit.q.variances, closed, rtol=1e-9)
         assert fit.bound <= blr_mean_field_fit(model, 512.0).bound
 
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
+    def test_inf_fit_bound_holds_at_a_mean_one_rounding_away(self, sigma):
+        # the fit's q sits its margin of 1e-10 inside lam = 1, which the
+        # divergence at +inf must not count as lam = 1: a mean one rounding
+        # off the posterior's moves the bound by rounding, not to -inf
+        model = synthetic_blr_instance(seed=0).with_noise(sigma)
+        fit = blr_mean_field_fit(model, math.inf)
+        q = GaussianDist.diagonal(np.nextafter(fit.q.mean, math.inf), fit.q.variances)
+        assert exact_vr_bound_blr(model, q, math.inf) == pytest.approx(fit.bound, rel=1e-12)
+
     def test_mode_seeking_fits_converge_where_the_posterior_is_the_prior(self):
         # At noise 1e9 and above, Lam = I to within rounding: the +inf fit
         # starts at its minimum, where the top eigenvalue of its objective
