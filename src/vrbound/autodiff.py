@@ -29,9 +29,13 @@ input) and its gradient at the logits (``bernoulli_rows_at_logits``).
 Matrix products follow numpy's ``@``, so a model evaluates K stacked draws
 at once. The forward kernels take optional buffers to write into, so that
 a caller that runs them over many chunks of draws allocates each chunk's
-arrays once. The tests check every written-out gradient against a
-reverse-mode tape of generic operations kept beside them
-(``tests/reference.py``).
+arrays once. Every sum over a draw's row (the Gaussian sum of squares,
+the Bernoulli sums of t z and of softplus(z)) is one ``np.einsum`` over
+the last axis (``_row_sums``), which reads its factors once and, for rows
+laid out along the innermost axis, gives each row bits that depend on that
+row alone; nothing is squared in place. The tests check every written-out
+gradient against a reverse-mode tape of generic operations kept beside
+them (``tests/reference.py``).
 
 Typical use::
 
@@ -59,9 +63,13 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# The shortest row that numpy's pairwise sum does not add in order.
-_PAIRWISE_MIN = 8
 
+def _row_sums(*factors, out=None) -> np.ndarray:
+    """Each row's sum of the factors' product over the last axis, in ``out``
+    when given: one einsum, which reads each factor once. Where every
+    factor's last axis is its innermost (not a transposed view's), a row's
+    bits are its own, alone, among other draws or in a larger buffer."""
+    return np.einsum(",".join(["...i"] * len(factors)) + "->...", *factors, out=out)
 
 # ----------------------------------------------------------------------
 # array kernels
@@ -104,25 +112,14 @@ def layer_grad(g: np.ndarray, hid: np.ndarray, act: str) -> np.ndarray:
     return g[..., :-1]
 
 
-def std_normal_logpdf_rows(x, squares=None, out=None) -> np.ndarray:
+def std_normal_logpdf_rows(x, out=None) -> np.ndarray:
     """The N(0, I) log density summed over the last axis: -|x|^2 / 2 - d/2
-    log(2 pi) for rows x (..., d), one value per row. Every Gaussian log
-    density of the package is this of its whitened residuals, less its
-    log-determinant.
-
-    ``squares`` takes x * x (it may be x itself, squared in place) and
-    ``out`` the rows; each is a new array when not given.
-    """
+    log(2 pi) for rows x (..., d), in ``out`` when given, else a new array.
+    |x|^2 is ``_row_sums(x, x)``: x is read once and squared nowhere. Every
+    Gaussian log density of the package is this of its whitened residuals,
+    less its log-determinant."""
     x = np.asarray(x, dtype=float)
-    squares = np.multiply(x, x, out=squares)
-    if 0 < x.shape[-1] < _PAIRWISE_MIN:
-        # numpy adds a row this short in order, from 0, so adding the columns
-        # gives its bits without running one reduction per row
-        rows = np.add(squares[..., 0], 0.0, out=out)
-        for j in range(1, x.shape[-1]):
-            rows += squares[..., j]
-    else:
-        rows = np.sum(squares, axis=-1, out=out)
+    rows = _row_sums(x, x, out=out)
     rows *= -0.5
     rows += -0.5 * x.shape[-1] * _LOG_2PI
     return rows
@@ -134,26 +131,20 @@ def normal_logpdf_rows(x, mean, log_std, work=None, out=None) -> np.ndarray:
     z = (x - mean) exp(-log_std), minus each row's sum of log scales.
 
     ``x`` and ``mean`` broadcast together, e.g. (n, d) observations against
-    (K, n, d) means give shape (K, n). ``log_std`` is a scalar or one value
-    per coordinate of the last axis (counted once per coordinate), or an
-    array of two or more axes whose last axis holds one value per coordinate
-    or a single value for the whole row (then counted d times), whose
-    leading axes broadcast into the rows'. ``work``
-    takes the whitened residuals and their squares (it may be ``mean``,
-    overwritten) and ``out`` the rows; each is a new array when not given.
+    (K, n, d) means give shape (K, n). ``log_std`` is a scalar (counted d
+    times) or one value per coordinate of the last axis. ``work`` takes the
+    whitened residuals (it may be ``mean``, overwritten) and ``out`` the
+    rows; each is a new array when not given.
     """
     x, mean, log_std = (np.asarray(a, dtype=float) for a in (x, mean, log_std))
     shape = np.broadcast_shapes(x.shape, mean.shape)
     if not shape:
         raise ValueError("normal_logpdf_rows expects observations with a last axis")
-    d = shape[-1]
+    if log_std.ndim > 1:
+        raise ValueError("log_std must be a scalar or one value per coordinate")
     z = np.multiply(np.subtract(x, mean, out=work), np.exp(-log_std), out=work)
-    rows = std_normal_logpdf_rows(z, z, out)
-    if log_std.ndim >= 2:
-        row_logdet = np.sum(log_std, axis=-1) * (d / log_std.shape[-1])
-    else:
-        row_logdet = np.sum(log_std) * (d / max(log_std.size, 1))
-    rows -= row_logdet
+    rows = std_normal_logpdf_rows(z, out)
+    rows -= np.sum(log_std) * (shape[-1] / max(log_std.size, 1))
     return rows
 
 
@@ -245,7 +236,7 @@ def bernoulli_rows_forward(xv: np.ndarray, wv: np.ndarray, targets, layer=None, 
         t_dot_z = None
         if unclipped is None or unclipped.any():
             t_w = targets @ np.swapaxes(wv, -1, -2) if layer is None else layer[0]
-            t_dot_z = np.einsum("...i,...i->...", xv, t_w, out=t_dot_z_buf)
+            t_dot_z = _row_sums(xv, t_w, out=t_dot_z_buf)
             del t_w  # t w^T made here goes before the clipping's arrays are made
             if not math.isfinite(t_dot_z.sum()):
                 finite = np.isfinite(t_dot_z)
@@ -255,7 +246,7 @@ def bernoulli_rows_forward(xv: np.ndarray, wv: np.ndarray, targets, layer=None, 
         t_dot_z = t_dot_clipped if t_dot_z is None else np.where(unclipped, t_dot_z, t_dot_clipped)
     np.exp(z, out=z)
     np.log1p(z, out=z)
-    rows = np.sum(z, axis=-1, out=rows_buf)
+    rows = _row_sums(z, out=rows_buf)
     return np.subtract(t_dot_z, rows, out=rows), z, inside
 
 
@@ -277,7 +268,7 @@ def _clip_logits(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
     below 1e7 and p in [1e-7, 1 - 1e-7], and return the row sums of
     targets * z over the clipped logits."""
     z.clip(-_LOGIT_CAP, _LOGIT_CAP, out=z)
-    return np.einsum("...j,...j->...", z, targets)
+    return _row_sums(z, targets)
 
 
 # ----------------------------------------------------------------------

@@ -134,7 +134,9 @@ class GaussianDist:
             if self._variances is not None:
                 z = diff / np.sqrt(self._variances)
             else:
-                z = np.swapaxes(np.linalg.solve(self._chol, np.swapaxes(diff, -1, -2)), -1, -2)
+                # contiguous rows, whose sums of squares are each row's own
+                z = np.linalg.solve(self._chol, np.swapaxes(diff, -1, -2))
+                z = np.ascontiguousarray(np.swapaxes(z, -1, -2))
                 # such a point makes NaN of 0 * inf in the solve
                 z[np.isnan(z) & ~np.isnan(diff).any(axis=-1, keepdims=True)] = np.inf
             out = ad.std_normal_logpdf_rows(z)

@@ -66,8 +66,8 @@ def _normalize(log_w: np.ndarray, alpha: float) -> np.ndarray:
     elif kind is AlphaKind.POS_INF:
         probs = _one_hot(np.argmin(log_w, axis=-1), k)
     else:
-        # exp(s) with s of _scaled_log_weights: 1 at the anchor and at most 1
-        # at every finite log weight
+        # exp(s) with s of _scaled_log_weights, 1 at the anchor and at most 1
+        # at every finite log weight; summed pairwise, as bounds._estimate is
         scaled = _scaled_log_weights(log_w, 1.0 - float(alpha))[0]
         with np.errstate(invalid="ignore"):
             probs = np.exp(scaled)
@@ -149,11 +149,11 @@ class GaussianReparam:
         theta += self.mu
         return theta
 
-    def log_q(self, eps: np.ndarray, squares=None, out=None) -> np.ndarray:
+    def log_q(self, eps: np.ndarray, out=None) -> np.ndarray:
         """log q(theta(eps)) summed over the last axis: a scalar for a vector
-        ``mu``, (n,) for (n, d) rows, with a leading K axis from ``eps``.
-        ``squares`` and ``out`` are ``ad.std_normal_logpdf_rows``'s."""
-        rows = ad.std_normal_logpdf_rows(eps, squares, out)
+        ``mu``, (n,) for (n, d) rows, with a leading K axis from ``eps``, in
+        ``out`` when given. It reads ``eps`` once and leaves it as it was."""
+        rows = ad.std_normal_logpdf_rows(eps, out)
         rows -= self.rho_sum
         return rows
 

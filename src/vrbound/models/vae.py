@@ -220,20 +220,20 @@ class VAEModel:
 
         Without ``ws`` every array is new and kept. ``ws`` is a chunk's
         workspace (``_workspace``), and ``eps`` its noise: every array of
-        the chunk's size but the latents is written into it. The noise is
-        squared in place for log q, and its memory then takes the latents
-        with their column of ones, which the decoder reads; the latents are
-        then squared in place for the prior. So what is returned is the
-        workspace's, and only the log weights hold their values.
+        the chunk's size but the latents is written into it. Once log q has
+        read the noise, its memory takes the latents with their column of
+        ones, which the decoder reads. Nothing is squared in place. What is
+        returned is the workspace's, and the caller reads only the log
+        weights.
         """
-        reuse, ws = ws is not None, ws or {}
+        ws = ws or {}
         h = reparam.theta(eps)
-        log_q = reparam.log_q(eps, eps if reuse else None, ws.get("log_q"))
-        h1 = ws["h"] if reuse else np.empty((*h.shape[:-1], h.shape[-1] + 1))
+        log_q = reparam.log_q(eps, ws.get("log_q"))
+        h1 = ws["h"] if ws else np.empty((*h.shape[:-1], h.shape[-1] + 1))
         h1[..., :-1] = h
         h1[..., -1] = 1.0
         lik, hid, state = self._decode(layers, h1, targets, layer, ws)
-        lik += ad.std_normal_logpdf_rows(h, h if reuse else None, ws.get("prior"))
+        lik += ad.std_normal_logpdf_rows(h, ws.get("prior"))
         lik -= log_q
         return lik, (h, h1, hid, state)
 
@@ -394,12 +394,12 @@ class VAEModel:
 
     def _workspace(self, draws: int, n: int) -> dict[str, np.ndarray]:
         """A worker's arrays for chunks of up to ``draws`` draws of ``n``
-        points, the draws on axis 0: the noise, and in its memory the
-        latents with their column of ones (``_forward``); the decoder's tanh
-        layer, with its column; its output (the logits or the Gaussian
-        means); and rows for the prior, log q, the likelihood and the
-        Bernoulli sums of t z. A chunk of fewer draws takes the first draws
-        of each, so that its noise and latents share memory too."""
+        points, the draws on axis 0: the noise, and in its memory, once log
+        q has read it, the latents with their column of ones (``_forward``);
+        the decoder's tanh layer, with its column; its output (the logits or
+        the Gaussian means); and rows for the prior, log q, the likelihood
+        and the Bernoulli sums of t z, but no squares. A chunk of fewer draws
+        takes the first draws of each, so its noise and latents share memory."""
         lead = (draws, n)
         latents = np.empty(draws * n * (self.latent_dim + 1))
         ws = {

@@ -368,23 +368,22 @@ def slice1d(a, start: int, stop: int):
 
 def std_normal_logpdf_rows(x):
     """The N(0, I) log density summed over the last axis, as
-    ``ad.std_normal_logpdf_rows`` computes it."""
-    return vsum(mul(x, x), axis=-1) * (-0.5) + (-0.5 * _value(x).shape[-1] * LOG_2PI)
+    ``ad.std_normal_logpdf_rows`` computes it: each row's |x|^2 is one
+    einsum of the row with itself, a node whose VJP is 2 g x."""
+    vx = _value(x)
+    squares = _op(np.einsum("...i,...i->...", vx, vx), (x, lambda g: 2.0 * g[..., None] * vx))
+    return squares * (-0.5) + (-0.5 * vx.shape[-1] * LOG_2PI)
 
 
 def normal_logpdf_rows(x, mean, log_std):
     """Gaussian log density summed over the last axis, as
-    ``ad.normal_logpdf_rows`` computes it (which see for the shapes)."""
+    ``ad.normal_logpdf_rows`` computes it, for a scalar ``log_std`` or one
+    value per coordinate."""
     shape = np.broadcast_shapes(_value(x).shape, _value(mean).shape)
     if not shape:
         raise ValueError("normal_logpdf_rows expects observations with a last axis")
-    d = shape[-1]
     z = sub(x, mean) * exp(mul(log_std, -1.0))
-    scales = _value(log_std)
-    if scales.ndim >= 2:
-        row_logdet = vsum(log_std, axis=-1) * (d / scales.shape[-1])
-    else:
-        row_logdet = vsum(log_std) * (d / max(scales.size, 1))
+    row_logdet = vsum(log_std) * (shape[-1] / max(_value(log_std).size, 1))
     return std_normal_logpdf_rows(z) - row_logdet
 
 
@@ -484,11 +483,16 @@ def finite_diff_check(
     grad: np.ndarray,
     step: float = 1e-5,
     abs_floor: float = 1e-8,
+    five_point: bool = False,
 ) -> float:
     """Max relative error between ``grad`` and central differences of ``f``.
 
     The relative error per coordinate uses max(|numeric|, |analytic|,
-    abs_floor) as denominator so exact zeros compare cleanly.
+    abs_floor) as denominator so exact zeros compare cleanly. With
+    ``five_point`` the difference is the five-point stencil
+    (8 (f(x + h) - f(x - h)) - (f(x + 2h) - f(x - 2h))) / 12h, whose error
+    is O(h^4) rather than O(h^2), so that a larger step can leave less of
+    f's rounding in it.
     """
     if not 1e-7 <= step <= 1e-3:
         raise ValueError("step must lie in [1e-7, 1e-3]")
@@ -497,16 +501,18 @@ def finite_diff_check(
     if grad.shape != x0.shape:
         raise ValueError("grad must match x0 in shape")
     worst = 0.0
+    steps = (1.0, -1.0, 2.0, -2.0) if five_point else (1.0, -1.0)
     flat_x = x0.ravel()
     flat_g = grad.ravel()
     for i in range(flat_x.size):
         bump = np.zeros_like(flat_x)
         bump[i] = step
-        hi = f((flat_x + bump).reshape(x0.shape))
-        lo = f((flat_x - bump).reshape(x0.shape))
-        if not (math.isfinite(hi) and math.isfinite(lo)):
+        at = [f((flat_x + s * bump).reshape(x0.shape)) for s in steps]
+        if not all(math.isfinite(value) for value in at):
             raise FloatingPointError(f"non-finite objective at coordinate {i}")
-        numeric = (hi - lo) / (2.0 * step)
+        numeric = (at[0] - at[1]) / (2.0 * step)
+        if five_point:
+            numeric = (8.0 * (at[0] - at[1]) - (at[2] - at[3])) / (12.0 * step)
         denom = max(abs(numeric), abs(flat_g[i]), abs_floor)
         worst = max(worst, abs(numeric - flat_g[i]) / denom)
     return worst

@@ -282,46 +282,49 @@ class TestComposites:
             fs = lambda v: f(mean_val, v)
             np.testing.assert_allclose(grads["mean"], numeric_grad(fm, mean_val), atol=1e-6)
             np.testing.assert_allclose(grads["ls"], numeric_grad(fs, ls_val), atol=1e-6)
+        # and nothing else: a log std of two or more axes is refused
+        with pytest.raises(ValueError, match="log_std"):
+            ad.normal_logpdf_rows(x, mean_val, np.zeros((4, 3)))
 
     @pytest.mark.parametrize("shape", [(3,), (5, 3), (5, 4, 2)])
     def test_std_normal_logpdf_rows_keeps_the_bits_of_the_written_out_priors(self, shape):
-        # the prior expression the models wrote out, and the constant of
-        # log q over its noise, against scipy and against each other; the
-        # library's array kernel and the reference graph
+        # the prior written out as one einsum of each row with itself, whose
+        # bits the library's array kernel and the reference graph keep,
+        # against scipy; the graph's gradient is -x
         x = np.random.default_rng(12).standard_normal(shape) * 3.0
-        log_2pi = math.log(2.0 * math.pi)
-        written = ref.vsum(x * x, axis=-1) * (-0.5) + (-0.5 * shape[-1] * log_2pi)
-        log_q_const = -0.5 * np.sum(x * x, axis=-1) - 0.5 * shape[-1] * log_2pi
+        written = np.einsum("...i,...i->...", x, x) * (-0.5)
+        written += -0.5 * shape[-1] * math.log(2.0 * math.pi)
         on_arrays = ad.std_normal_logpdf_rows(x)
         leaf = ref.Node(x)
         on_nodes = ref.std_normal_logpdf_rows(leaf)
         assert not isinstance(on_arrays, ref.Node) and isinstance(on_nodes, ref.Node)
         for value in (on_arrays, on_nodes.value):
             assert value.shape == shape[:-1]
-            assert value.tobytes() == written.tobytes() == log_q_const.tobytes()
+            assert value.tobytes() == written.tobytes()
         np.testing.assert_allclose(on_arrays, stats.norm.logpdf(x).sum(axis=-1), rtol=1e-13)
         grads = ref.gradients(on_nodes, {"x": leaf}, np.ones(shape[:-1]))
         assert grads["x"].tobytes() == (-x).tobytes()
 
     @pytest.mark.parametrize("width", range(1, 13))
     def test_std_normal_logpdf_rows_sums_rows_with_numpy_bits(self, width):
-        # Rows shorter than 8 are summed column by column, which keeps the
-        # bits only while numpy adds such rows in order; np.sum's rows are
-        # the reference at every width, so a numpy release that sums short
-        # rows otherwise fails here. Into new arrays, into buffers, and with
-        # x squared in place.
+        # Each row's |x|^2 has the bits of numpy's einsum of the row with
+        # itself, which reads x once, at every width: into new arrays and
+        # into buffers, and for each draw alone. x is left as it was.
         rng = np.random.default_rng(width)
         for shape in [(30, 100, width), (7, width), (width,)]:
             x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
-            expected = np.sum(x * x, axis=-1)
-            expected *= -0.5
+            kept = x.copy()
+            expected = np.einsum("...i,...i->...", x, x) * (-0.5)
             expected += -0.5 * width * math.log(2.0 * math.pi)
             assert ad.std_normal_logpdf_rows(x).tobytes() == expected.tobytes()
+            np.testing.assert_allclose(expected, stats.norm.logpdf(x).sum(axis=-1), rtol=1e-13)
             if len(shape) > 1:
-                rows, squared = np.empty(shape[:-1]), x.copy()
-                got = ad.std_normal_logpdf_rows(squared, squared, rows)
-                assert got is rows and rows.tobytes() == expected.tobytes()
-                assert squared.tobytes() == (x * x).tobytes()
+                rows = np.empty(shape[:-1])
+                assert ad.std_normal_logpdf_rows(x, rows) is rows
+                assert rows.tobytes() == expected.tobytes()
+                for i in range(shape[0]):
+                    assert ad.std_normal_logpdf_rows(x[i]).tobytes() == expected[i].tobytes()
+            assert x.tobytes() == kept.tobytes()
 
     def test_bernoulli_rows_value_and_grad(self):
         # logits [x, 1] @ [w; b] of a (3, 4) layer input, a (4, 6) weight and

@@ -281,6 +281,23 @@ class TestBiasSimulation:
             assert abs(cell.mean - mean) <= 1e-14 * abs(mean)
             assert abs(cell.stderr - stderr) <= 1e-12 * stderr
 
+    def test_a_cell_with_a_zero_density_estimate_has_infinite_stderr(self):
+        # at alpha = 2 a draw of zero density under p (|theta|^2 / 2 past the
+        # float range) makes its set's estimate -inf: at K = 5 some repeats'
+        # and at K = 50 all. The cell's mean is -inf and its stderr inf, the
+        # limit of the spread as one estimate goes to -inf, with no warning
+        # (pytest makes numpy's RuntimeWarning an error)
+        p, q = GaussianDist.diagonal([0.0], [1.0]), GaussianDist.diagonal([0.0], [1.7e308])
+        table = bias_simulation(p, q, [2.0], [5, 50], repeats=20)
+        for ki, k in enumerate((5, 50)):
+            estimates = np.array([
+                mc_vr_estimate(p.logpdf(theta) - q.logpdf(theta), 2.0)
+                for theta in (q.sample(np.random.default_rng([0, 0, ki, r]), k) for r in range(20))
+            ])
+            assert np.isneginf(estimates).any() and np.isfinite(estimates).any() == (k == 5)
+            cell = table.cell(2.0, k)
+            assert cell.mean == -math.inf and cell.stderr == math.inf
+
     # Budgets of one repeat per block, of 3 repeats of K = 50 in 2-D, of 2 in
     # 3-D, and the default.
     @pytest.mark.parametrize("budget", [1, 3 * 50 * 2 * 8, 2 * 50 * 3 * 8, None])

@@ -4,8 +4,9 @@ used in its module or imported by another (no linter is needed to check
 this); no package module imports scipy at module level, so importing the
 package or the CLI loads no scipy module, and none imports scipy.linalg or
 scipy.optimize at all, so the analytic commands run on numpy alone; no
-module but the array kernels computes log(2 pi); the divergence runs one
-eigensolver, in its generalized eigenproblem; and importing starts no
+module but the array kernels computes log(2 pi), and some caller in the
+package passes every optional parameter of a kernel; the divergence runs
+one eigensolver, in its generalized eigenproblem; and importing starts no
 thread.
 The tape keeps its core and the array kernels, each of which a module of
 the package runs, and the generic operations live in the tests' reference
@@ -110,6 +111,71 @@ def _uncalled_exports(module: str, sources: dict[str, str]) -> list[str]:
             and node.value.id in aliases
         )
     return [name for name in exported if name not in used]
+
+
+def _unpassed_options(module: str, sources: dict[str, str]) -> list[str]:
+    """``name: parameter`` for each parameter with a default of each function
+    in the ``__all__`` of ``module``, a path of ``sources`` (path -> source),
+    that no call there passes, by position, by keyword or through ``*`` or
+    ``**``. A call is ``name(...)`` in ``module`` or after ``from ..module
+    import name``, or ``alias.name(...)`` after ``from .. import module as
+    alias``."""
+    stem = Path(module).stem
+    tree = ast.parse(sources[module])
+    exported = [
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+        for name in ast.literal_eval(node.value)
+    ]
+    options = {}  # name -> [(position or None, parameter)]
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in exported:
+            args = node.args
+            positional = args.posonlyargs + args.args
+            options[node.name] = [
+                (i, arg.arg) for i, arg in enumerate(positional)
+                if i >= len(positional) - len(args.defaults)
+            ] + [
+                (None, arg.arg)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            ]
+    passed = set()
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        names = {name: name for name in options} if path == module else {}
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                if (node.module or "").split(".")[-1] == stem:
+                    names.update({alias.asname or alias.name: alias.name for alias in node.names})
+                aliases.update(alias.asname or stem for alias in node.names if alias.name == stem)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = names.get(func.id)
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                name = func.attr if func.value.id in aliases else None
+            else:
+                name = None
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            keywords = {keyword.arg for keyword in node.keywords}
+            for position, parameter in options.get(name, []):
+                if (
+                    starred or None in keywords or parameter in keywords
+                    or (position is not None and position < len(node.args))
+                ):
+                    passed.add((name, parameter))
+    return [
+        f"{name}: {parameter}"
+        for name, found in options.items()
+        for _, parameter in found
+        if (name, parameter) not in passed
+    ]
 
 
 def _module_level_scipy_imports(source: str) -> list[int]:
@@ -230,6 +296,15 @@ def test_every_array_kernel_has_a_caller_in_the_package():
     assert _uncalled_exports("autodiff.py", sources) == []
 
 
+def test_every_kernel_option_is_passed_in_the_package():
+    # an optional parameter of a kernel that no caller in the package passes
+    # is a path that only the tests run
+    sources = {
+        str(path.relative_to(PACKAGE)): path.read_text() for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert _unpassed_options("autodiff.py", sources) == []
+
+
 def test_log_2pi_is_written_in_the_array_kernels_alone():
     # every Gaussian log density of the package is the standard normal's of
     # its whitened residuals, ``autodiff.std_normal_logpdf_rows``
@@ -345,6 +420,26 @@ def test_the_check_sees_uncalled_exports():
         "models/b.py": "from .. import kernels\nkernels.aliased\nother.dead()\n",
     }
     assert _uncalled_exports("kernels.py", sources) == ["dead", "self_only"]
+
+
+def test_the_check_sees_unpassed_options():
+    sources = {
+        "kernels.py": (
+            "__all__ = ['rows', 'both', 'starred', 'kw', 'spread']\n"
+            "def rows(x, out=None, work=None): return x\n"
+            "def both(x, out=None): return x\n"
+            "def starred(x, out=None): return x\n"
+            "def kw(x, *, out=None, scale=1.0, need): return rows(x, None)\n"
+            "def spread(x, out=None): return x\n"
+            "def _private(x, out=None): return x\n"
+        ),
+        "models/a.py": (
+            "from .. import kernels as k\nk.both(1, out=2)\nk.starred(*args)\n"
+            "k.spread(1, **options)\n"
+        ),
+        "models/b.py": "from ..kernels import kw as f\nf(1, scale=2.0)\nother.rows(1, 2, 3)\n",
+    }
+    assert _unpassed_options("kernels.py", sources) == ["rows: work", "kw: out"]
 
 
 def test_the_check_sees_log_2pi():

@@ -45,7 +45,7 @@ from vrbound import (
 from vrbound import autodiff as ad
 from vrbound import validate_log_weights
 from vrbound.bounds import _estimate, _logsumexp, _segment_counts
-from vrbound.gradients import log_weight_ratio
+from vrbound.gradients import GaussianReparam, log_weight_ratio
 from vrbound.io import load_params, save_params
 
 # Deterministic examples, and no example database written to disk.
@@ -563,8 +563,8 @@ def test_normal_logpdf_rows_vjps(shapes, data, seed):
     rng = np.random.default_rng(seed)
     x, mean = (rng.standard_normal(shape) for shape in shapes.input_shapes)
     full = shapes.result_shape
-    # a scalar, one value per coordinate, one per element, or one per row
-    shapes_of_log_std = [(), full[-1:], full, full[:-1] + (1,)]
+    # a scalar, or one value per coordinate
+    shapes_of_log_std = [(), full[-1:]]
     log_std = 0.3 * rng.standard_normal(data.draw(st.sampled_from(shapes_of_log_std)))
     node = ref.normal_logpdf_rows(x, ref.Node(mean), ref.Node(log_std))
     expected = stats.norm.logpdf(x, loc=mean, scale=np.exp(log_std)).sum(axis=-1)
@@ -689,12 +689,17 @@ def test_bernoulli_logpmf_rows_match_40_digits(layer):
 
 
 @PROPERTY
-@given(st.integers(1, 5), st.integers(1, 6), SEEDS, st.floats(0.0, 60.0))
-def test_bernoulli_rows_of_a_draw_alone_equal_them_among_others(k, n, seed, spread):
+@given(st.integers(1, 5), st.integers(1, 6), SEEDS, st.floats(0.0, 60.0), st.integers(1, 20))
+def test_bernoulli_rows_of_a_draw_alone_equal_them_among_others(k, n, seed, spread, width):
     # K draws of a (n, 16) layer input with its column of ones against
     # (n, 64) targets, as the VAE evaluates them in chunks of any size.
     # Weights drawn at up to ``spread`` clip the logits of some rows and not
-    # of others; each draw computed alone must give its rows' bits.
+    # of others; each draw computed alone must give its rows' bits. So must
+    # the standard-normal rows and log q of K draws of (n, width) noise: into
+    # the rows of a longer buffer, from noise at the head of one, as a
+    # sampler's workspace gives them to a chunk of fewer draws, and from
+    # strided rows, the latents' before their column of ones. Each reads its
+    # noise and leaves it as it was.
     rng = np.random.default_rng(seed)
     x = ref.with_ones(np.tanh(rng.standard_normal((k, n, 16)) * 2.0))
     w = rng.standard_normal((16, 64)) * 0.25
@@ -706,6 +711,22 @@ def test_bernoulli_rows_of_a_draw_alone_equal_them_among_others(k, n, seed, spre
         assert ref.bernoulli_rows(x[i], w, targets).tobytes() == rows[i].tobytes()
         alone = ref.bernoulli_rows(x[i : i + 1], w, targets)
         assert alone.tobytes() == rows[i : i + 1].tobytes()
+    eps = rng.standard_normal((k, n, width)) * 10.0 ** rng.integers(-3, 4, size=(k, n, width))
+    reparam = GaussianReparam(rng.standard_normal((n, width)), rng.standard_normal((n, width)))
+    head = np.empty((k + 1) * n * width)[: k * n * width].reshape(k, n, width)
+    head[...] = eps
+    before_ones = np.ones((k, n, width + 1))
+    before_ones[..., :-1] = eps
+    out = np.empty((k + 1, n))[:k]
+    for rows_of in (ad.std_normal_logpdf_rows, reparam.log_q):
+        among = rows_of(eps)
+        for noise in (head, before_ones[..., :-1]):
+            assert rows_of(noise, out) is out and out.tobytes() == among.tobytes()
+        for i in range(k):
+            assert rows_of(eps[i]).tobytes() == among[i].tobytes()
+            alone = rows_of(head[i : i + 1], out[i : i + 1])
+            assert alone.tobytes() == among[i : i + 1].tobytes()
+    assert head.tobytes() == eps.tobytes() == before_ones[..., :-1].copy().tobytes()
 
 
 # ----------------------------------------------------------------------
