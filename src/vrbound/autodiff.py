@@ -22,15 +22,14 @@ form and log(2 pi) are written: every other Gaussian log density of the
 package whitens its residuals into z and takes it of z, among them the
 Gaussian log density with a diagonal scale (``normal_logpdf_rows``, with
 ``normal_rows_vjp`` its gradient at the means and a single log scale); and
-an output layer with the Bernoulli log mass of its logits summed over the
-last axis, as an array forward (``bernoulli_rows_forward``, with
-``bernoulli_layer`` what it takes of the layer and the targets whatever the
-input) and its gradient at the logits (``bernoulli_rows_at_logits``).
+an output layer with the Bernoulli log mass of its logits, exact at any
+logit for targets of 0 or 1, summed over the last axis
+(``bernoulli_rows_forward``), and its gradient (``bernoulli_rows_at_logits``).
 Matrix products follow numpy's ``@``, so a model evaluates K stacked draws
 at once. The forward kernels take optional buffers to write into, so that
 a caller that runs them over many chunks of draws allocates each chunk's
 arrays once. Every sum over a draw's row (the Gaussian sum of squares,
-the Bernoulli sums of t z and of softplus(z)) is one ``np.einsum`` over
+the Bernoulli sums of t z, of z and of softplus(z)) is one ``np.einsum`` over
 the last axis (``_row_sums``), which reads its factors once and, for rows
 laid out along the innermost axis, gives each row bits that depend on that
 row alone; nothing is squared in place. The tests check every written-out
@@ -50,7 +49,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "bernoulli_layer",
     "bernoulli_rows_at_logits",
     "bernoulli_rows_forward",
     "gradients",
@@ -162,113 +160,86 @@ def normal_rows_vjp(x, mean, log_std: np.ndarray, g: np.ndarray):
     return g_mean, np.reshape(g_log_std, np.shape(log_std))
 
 
-_PROB_FLOOR = 1e-7
-# logit(1 - 1e-7): clipping the logits to +-this is the probability floor.
-_LOGIT_CAP = math.log1p(-_PROB_FLOOR) - math.log(_PROB_FLOOR)
-
-
-def bernoulli_layer(wv: np.ndarray, targets, unit_inputs: bool = False):
-    """What ``bernoulli_rows_forward`` needs of an output layer's weights
-    ``wv`` and its ``targets`` whatever the layer's input x: (t w^T, inside).
-    The rows' sums of t z are x . (t w^T). ``inside`` is True when every
-    logit is known to lie strictly inside the cap. That is known only for
-    ``unit_inputs`` (every |x_i| <= 1, as a tanh layer with its column of
-    ones gives): there |z_j| <= sum_i |w_ij|, and the largest such bound
-    must stay below the cap by a relative 1e-6, far more than the rounding
-    of the logits or of the bound. A NaN or inf weight, or a bound at or
-    above that, leaves it unknown."""
-    targets = np.asarray(targets, dtype=float)
-    inside = False
-    # overflows give an infinite product, and then rows that are clipped
-    with np.errstate(over="ignore", invalid="ignore"):
-        if unit_inputs:
-            bound = np.max(np.sum(np.abs(wv), axis=-2), initial=0.0)
-            inside = bool(bound < _LOGIT_CAP * (1.0 - 1e-6))
-        return targets @ np.swapaxes(wv, -1, -2), inside
-
-
-def bernoulli_rows_forward(xv: np.ndarray, wv: np.ndarray, targets, layer=None, out=None):
+def bernoulli_rows_forward(xv: np.ndarray, wv: np.ndarray, targets, t_w=None, out=None):
     """The Bernoulli log mass of ``targets`` on the logits z = x @ w of an
-    output layer, summed over the last axis, with what its gradient needs:
-    (rows, softplus, inside). ``softplus`` holds log1p(exp(z)) of the
-    logits, clipped where they are, and ``inside`` is the mask of the logits
-    strictly inside the cap, or None when all are.
+    output layer, summed over the last axis, and the logits' buffer, which
+    then holds log1p(exp(z)) for the gradient: (rows, softplus).
 
     Per element the mass is t z - log1p(exp(z)) = t log p + (1 - t) log(1 - p)
-    with p = sigmoid(z). ``xv`` holds rows and ``wv`` is a matrix (each may
-    be a stack of them), and the product follows numpy's ``@``; a layer's
-    bias is the last row of ``wv``, and its inputs end in a column of ones.
-    ``targets`` has the shape of the logits' last two or more axes. z is
-    formed in one buffer, which then holds log1p(exp(z)) in place, and the
-    row sum of t z is taken as x . (t w^T), over the width of x rather than
-    of z. ``layer`` is ``bernoulli_layer(wv, targets)``, whose t w^T is
-    made here when not given; a caller that runs one layer on many inputs
-    makes it once. ``out`` is None or three buffers, for the logits, the
-    row sums of t z and the rows; the buffers are written whole, and their
-    shapes are those of the logits and of the rows.
+    with p = sigmoid(z): a log mass for the targets of 0 or 1 that the models
+    take, exact at any logit. ``xv`` holds rows and ``wv`` is a matrix (each
+    may be a stack; the product follows numpy's ``@``), a layer's bias its
+    last row against a column of ones; ``targets`` has the shape of the
+    logits' last two or more axes. The row sum of t z is x . (t w^T), over
+    the width of x; ``t_w`` is t w^T, made here when not given. ``out`` is
+    None or three buffers, written whole, for the logits, the row sums of
+    t z and the rows.
 
-    Rows holding a logit at or beyond +-logit(1 - 1e-7) (``_LOGIT_CAP``), or
-    a NaN, take the same mass on logits clipped to the cap
-    (``_clip_logits``): p stays in [1e-7, 1 - 1e-7], so the value is finite
-    for any non-NaN logits, and NaN gives a NaN row. They are looked for
-    only when ``layer`` does not rule them out and the largest or smallest
-    logit says one exists; a row whose sum of t z is not finite is looked
-    at either way. Each row's value depends on that row alone, so a row of
-    a draw has the same bits whether the draw is computed alone or among
-    others.
+    A row that holds a logit of +-inf or NaN, or whose value is not finite
+    (an overflowed exp(z) or product, or inf - inf), is taken again
+    (``_take_again``): each row is the mass of its float logits, one of
+    +-inf taken as its limit, and for targets of 0 and 1 it is -inf only
+    where its mass lies below the float range. Each row's value depends on
+    that row alone.
     """
     if xv.ndim < 2 or wv.ndim < 2:
         raise ValueError("x must hold rows, and w must be a matrix or a stack of them")
     targets = np.asarray(targets, dtype=float)
     z_buf, t_dot_z_buf, rows_buf = (None, None, None) if out is None else out
-    # Logits that overflow, and rows whose sum_j t_j z_j does, are clipped
-    # below, silently.
+    # overflows and inf - inf are found in the rows and taken again, silently
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.matmul(xv, wv, out=z_buf)
         if targets.ndim < 2 or targets.shape != z.shape[z.ndim - targets.ndim :]:
             raise ValueError(f"targets {targets.shape} must be trailing rows of logits {z.shape}")
-        inside = unclipped = None  # once a logit is not strictly inside the cap: the
-        # mask of those that are, and of the rows that hold only such logits
-        known_inside = layer is not None and layer[1]
-        if not known_inside and z.size and not (z.max() < _LOGIT_CAP and z.min() > -_LOGIT_CAP):
-            inside = (z > -_LOGIT_CAP) & (z < _LOGIT_CAP)
-            unclipped = inside.all(axis=-1)
-        t_dot_z = None
-        if unclipped is None or unclipped.any():
-            t_w = targets @ np.swapaxes(wv, -1, -2) if layer is None else layer[0]
-            t_dot_z = _row_sums(xv, t_w, out=t_dot_z_buf)
-            del t_w  # t w^T made here goes before the clipping's arrays are made
-            if not math.isfinite(t_dot_z.sum()):
-                finite = np.isfinite(t_dot_z)
-                unclipped = finite if unclipped is None else unclipped & finite
-    if unclipped is not None:
-        t_dot_clipped = _clip_logits(z, targets)
-        t_dot_z = t_dot_clipped if t_dot_z is None else np.where(unclipped, t_dot_z, t_dot_clipped)
-    np.exp(z, out=z)
-    np.log1p(z, out=z)
-    rows = _row_sums(z, out=rows_buf)
-    return np.subtract(t_dot_z, rows, out=rows), z, inside
+        if t_w is None:
+            t_w = targets @ np.swapaxes(wv, -1, -2)
+        t_dot_z = _row_sums(xv, t_w, out=t_dot_z_buf)
+        z_sums = _row_sums(z)  # before exp, which takes a logit of -inf to 0
+        np.exp(z, out=z)
+        np.log1p(z, out=z)
+        rows = _row_sums(z, out=rows_buf)
+        np.subtract(t_dot_z, rows, out=rows)
+        if not (math.isfinite(rows.sum()) and math.isfinite(z_sums.sum())):
+            _take_again(rows, xv, wv, targets, ~(np.isfinite(rows) & np.isfinite(z_sums)))
+    return rows, z
 
 
-def bernoulli_rows_at_logits(softplus, inside, targets: np.ndarray, g) -> np.ndarray:
+def _take_again(rows, xv, wv, targets, again) -> None:
+    """Write into ``rows``, where the mask ``again`` is True, the sum over
+    each row's logits, formed anew, of (t - 1) max(z, 0) + t min(z, 0) -
+    log1p(exp(-|z|)): terms at most 0 that do not cancel, and 0 at a logit
+    of +-inf on its target's side. The logits are formed by the product of
+    one block of rows at a time, about 4096 logits, where it holds such a
+    row, so that this takes little memory."""
+    xs = np.broadcast_to(xv, rows.shape + xv.shape[-1:])
+    ws = np.broadcast_to(wv, rows.shape[:-1] + wv.shape[-2:])  # by stack member
+    ts = np.broadcast_to(targets, rows.shape + targets.shape[-1:])
+    step = max(1, 4096 // max(1, wv.shape[-1]))
+    for s in map(tuple, np.argwhere(again.any(axis=-1))):
+        for lo in range(0, rows.shape[-1], step):
+            at = np.flatnonzero(again[s][lo : lo + step])
+            if at.size:
+                z = (xs[s][lo : lo + step] @ ws[s])[at]
+                terms = ts[s][lo + at]  # t - 1 where z >= 0, t where z < 0, times z
+                terms -= z >= 0.0
+                np.multiply(terms, z, out=terms, where=terms != 0.0)
+                np.negative(np.abs(z, out=z), out=z)
+                terms -= np.log1p(np.exp(z, out=z), out=z)
+                # one NaN for a NaN row: its terms' NaNs differ in sign, and
+                # which one a sum keeps depends on the order it adds them in
+                sums = _row_sums(terms)
+                rows[s][lo + at] = np.where(np.isnan(sums), math.nan, sums)
+
+
+def bernoulli_rows_at_logits(softplus, targets: np.ndarray, g) -> np.ndarray:
     """The gradient at the logits of ``bernoulli_rows_forward``'s rows, given
-    ``g`` at the rows: g (t - sigmoid(z)), with sigmoid(z) recovered from the
-    buffer as -expm1(-log1p(exp(z))), and 0 at the clipped logits."""
+    ``g`` at the rows: g (t - sigmoid(z)), sigmoid(z) taken from the buffer
+    as -expm1(-log1p(exp(z))), 1 at z = +inf and 0 at -inf."""
     r = np.negative(softplus)
     np.expm1(r, out=r)
     r += targets
-    if inside is not None:
-        r *= inside
     r *= g[..., None]
     return r
-
-
-def _clip_logits(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Clip the logits z in place to +-_LOGIT_CAP, so that exp(z) stays
-    below 1e7 and p in [1e-7, 1 - 1e-7], and return the row sums of
-    targets * z over the clipped logits."""
-    z.clip(-_LOGIT_CAP, _LOGIT_CAP, out=z)
-    return _row_sums(z, targets)
 
 
 # ----------------------------------------------------------------------

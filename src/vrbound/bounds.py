@@ -316,7 +316,9 @@ def bias_simulation(
                     ]
                 )
                 log_w = p.logpdf(theta) - q.logpdf(theta)
-                blocks.append(mc_vr_estimate(log_w, alpha, axis=1))
+                if np.isnan(log_w).any() or np.isposinf(log_w).any():
+                    raise ValueError("log weights must not contain NaN or +inf")
+                blocks.append(_estimate(log_w, alpha))  # -inf for no finite weight
             estimates = np.concatenate(blocks)
             # reduced below 1 by a power of two, which is exact, so that the
             # sums of estimates near the float range do not overflow; a -inf

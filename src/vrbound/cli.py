@@ -267,16 +267,17 @@ def resolve_config(raw: dict) -> dict:
 
 
 @contextmanager
-def _building(path: str):
-    """Report a ValueError or TypeError raised while an object is built from
-    config section ``path`` as a ConfigError naming that section. Wrap only
-    the construction, never a computation, so that a bug keeps its
-    traceback."""
+def _building(path: str, errors=(TypeError, ValueError)):
+    """Report an error of ``errors`` raised while an object is built from
+    config section ``path``, or its values checked, as a ConfigError naming
+    that section. Wrap only the construction and the checks, never a
+    computation, so that a bug keeps its traceback; a computation wraps
+    LAPACK's LinAlgError alone (a pair too far apart for floats)."""
     try:
         yield
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except errors as exc:
         raise ConfigError(f"'{path}': {exc}") from exc
 
 
@@ -359,7 +360,8 @@ def _run_divergence(cfg: dict, out: Path, seed: int) -> tuple[list[str], None]:
     section = cfg["divergence"]
     p, q = _gaussian_pair(section, "divergence")
     alphas = [parse_alpha(a) for a in section["alphas"]]
-    rows = [{"alpha": a, "value": renyi_gaussian(p, q, a)} for a in alphas]
+    with _building("divergence", np.linalg.LinAlgError):
+        rows = [{"alpha": a, "value": renyi_gaussian(p, q, a)} for a in alphas]
     vio.write_csv(out / "divergence.csv", ["alpha", "value"], rows)
     return ["divergence.csv"], None
 
@@ -368,7 +370,8 @@ def _run_bias_sim(cfg: dict, out: Path, seed: int) -> tuple[list[str], None]:
     section = cfg["bias_sim"]
     p, q = _gaussian_pair(section, "bias_sim")
     alphas = [parse_alpha(a) for a in section["alphas"]]
-    table = bias_simulation(p, q, alphas, section["ks"], repeats=section["repeats"], seed=seed)
+    with _building("bias_sim", np.linalg.LinAlgError):
+        table = bias_simulation(p, q, alphas, section["ks"], repeats=section["repeats"], seed=seed)
     vio.write_csv(
         out / "bias_table.csv", ["alpha", "K", "mean", "stderr", "exact"], table.as_records()
     )
@@ -496,6 +499,8 @@ def _run_vae_train(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
     section = cfg["vae_train"]
     data, data_hash = _dataset_from(section["dataset"], "vae_train.dataset", _SE_POINTS)
     model = _vae_from(section, data.features.shape[1], "vae_train")
+    with _building("vae_train.dataset"):  # the likelihood's data
+        model.with_ones(data.features)
     tcfg = _train_config(section["train"], seed, "vae_train.train")
     if section["eval_k"] < tcfg.k:
         raise ConfigError(
@@ -527,6 +532,8 @@ def _run_eval(cfg: dict, out: Path, seed: int) -> tuple[list[str], str]:
             f"'eval.model.data_dim' is {model.data_dim}, but the dataset has "
             f"{data.features.shape[1]} columns"
         )
+    with _building("eval.dataset"):  # the likelihood's data
+        model.with_ones(data.features)
     with _building("eval.params"):
         params = vio.load_params(section["params"])
         model._layers_of(params)

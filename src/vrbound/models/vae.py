@@ -27,9 +27,8 @@ runs to thousands: it takes a noise generator and a draw count, and makes
 one sampler (``_sampler``) for them. A sampler is made once per call, of
 ``log_weight_matrix`` or of ``training.evaluate_vae``, and makes what does
 not depend on the draws: the layer blocks, the encoding, exp(rho) and
-sum(rho), the likelihood's products of the data with the decoder's output
-layer, and whether that layer's logits can reach the probability floor's
-cap at all. Its ``fill(rng, out)`` writes the log
+sum(rho), and the Bernoulli likelihood's products t w^T of the data with
+the decoder's output layer. Its ``fill(rng, out)`` writes the log
 weights of ``out``'s columns of new draws over chunks of draws small enough
 to stay in cache, pulled by a worker per usable core. The worker that takes
 a chunk draws its noise under the lock that hands the chunk out, so the
@@ -163,10 +162,13 @@ class VAEModel:
     def with_ones(self, x) -> np.ndarray:
         """The data rows ``x`` (..., data_dim) with a column of ones after
         their last, as the encoder's first layer takes them (see
-        ``layers``)."""
+        ``layers``). Bernoulli data must be 0 or 1, the mass's support."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.data_dim,):
             raise ValueError(f"data rows of shape {x.shape} must have {self.data_dim} columns")
+        if self.likelihood == "bernoulli" and not ((x == 0.0) | (x == 1.0)).all():
+            other = x[(x != 0.0) & (x != 1.0)][0]
+            raise ValueError(f"the Bernoulli likelihood takes data of 0 and 1 only, not {other}")
         out = np.ones((*x.shape[:-1], self.data_dim + 1))
         out[..., :-1] = x
         return out
@@ -208,15 +210,15 @@ class VAEModel:
         hid = ad.layer(x, layers["enc_1"], "tanh")
         return hid, hid @ layers["enc_mu"], hid @ layers["enc_rho"]
 
-    def _forward(self, layers, targets, reparam: GaussianReparam, eps, layer=None, ws=None):
+    def _forward(self, layers, targets, reparam: GaussianReparam, eps, t_w=None, ws=None):
         """The log weights of the noise ``eps`` under the encoder's
         ``reparam``, for the data rows ``targets``, and what their gradient
         needs: (the latents, a copy of them with a column of ones, the
         decoder's tanh layer with its own, the likelihood's state). The
         latents are made whole and then copied: numpy buffers a ufunc whose
-        output rows are not contiguous. ``layer`` is ``ad.bernoulli_layer``
-        of the output layer, or None. Each row's value depends on that row's
-        draw alone.
+        output rows are not contiguous. ``t_w`` is the Bernoulli
+        likelihood's t w^T of the targets and the output layer, or None.
+        Each row's value depends on that row's draw alone.
 
         Without ``ws`` every array is new and kept. ``ws`` is a chunk's
         workspace (``_workspace``), and ``eps`` its noise: every array of
@@ -232,25 +234,25 @@ class VAEModel:
         h1 = ws["h"] if ws else np.empty((*h.shape[:-1], h.shape[-1] + 1))
         h1[..., :-1] = h
         h1[..., -1] = 1.0
-        lik, hid, state = self._decode(layers, h1, targets, layer, ws)
+        lik, hid, state = self._decode(layers, h1, targets, t_w, ws)
         lik += ad.std_normal_logpdf_rows(h, ws.get("prior"))
         lik -= log_q
         return lik, (h, h1, hid, state)
 
-    def _decode(self, layers, h: np.ndarray, targets: np.ndarray, layer=None, ws=None):
+    def _decode(self, layers, h: np.ndarray, targets: np.ndarray, t_w=None, ws=None):
         """Per-datapoint log p(targets | h) of latents ``h`` that end in
         ones, shape (..., n); the decoder's tanh layer, with its column of
         ones; and what the likelihood's gradient needs: the softplus buffer
-        and cap mask of ``ad.bernoulli_rows_forward``, or the Gaussian means.
-        ``layer`` and ``ws`` are ``_forward``'s; ``ws`` may be none."""
+        of ``ad.bernoulli_rows_forward``, whose mass is exact at any logit,
+        or the Gaussian means. ``t_w`` and ``ws`` are ``_forward``'s."""
         ws = ws or {}
         hid = ad.layer(h, layers["dec_1"], "tanh", ws.get("hid"))
         if self.likelihood == "bernoulli":
-            rows, softplus, inside = ad.bernoulli_rows_forward(
-                hid, layers["dec_2"], targets, layer,
+            rows, softplus = ad.bernoulli_rows_forward(
+                hid, layers["dec_2"], targets, t_w,
                 (ws["decoded"], ws["t_dot_z"], ws["rows"]) if ws else None,
             )
-            return rows, hid, (softplus, inside)
+            return rows, hid, softplus
         means = np.matmul(hid, layers["dec_2"], out=ws.get("decoded"))
         rows = ad.normal_logpdf_rows(
             targets, means, layers["dec_log_noise"], ws.get("decoded"), ws.get("rows")
@@ -269,7 +271,7 @@ class VAEModel:
         hid_e, reparam, h, h1, hid, state = saved
         grads = {}
         if self.likelihood == "bernoulli":
-            g_out = ad.bernoulli_rows_at_logits(*state, x[..., :-1], g)
+            g_out = ad.bernoulli_rows_at_logits(state, x[..., :-1], g)
         else:
             # dec_log_noise is one log scale (``init_params`` makes it of
             # shape (1,), and a larger one fails to reshape)
@@ -317,8 +319,8 @@ class VAEModel:
         (n, draws) array ``out``, in draw order, as ``log_weight_matrix``
         returns them. The layer blocks, the rows with their column of ones,
         the encoding, ``GaussianReparam`` and, for the Bernoulli likelihood,
-        ``ad.bernoulli_layer`` of the output layer are made here, once for
-        every ``fill`` call.
+        the data's t w^T with the output layer are made here, once for every
+        ``fill`` call.
 
         ``fill`` runs ``log_weight_rows``'s forward pass over chunks of
         draws whose float64 (rows, n * max(data_dim, hidden, latent_dim))
@@ -340,9 +342,7 @@ class VAEModel:
         n = x.shape[0]
         layers = self._layers_of(params)
         reparam = GaussianReparam(*self._encode(layers, self.with_ones(x))[1:])
-        layer = None
-        if self.likelihood == "bernoulli":  # its input is a tanh layer's
-            layer = ad.bernoulli_layer(layers["dec_2"], x, unit_inputs=True)
+        t_w = x @ layers["dec_2"].T if self.likelihood == "bernoulli" else None
         width = n * max(self.data_dim, self.hidden, self.latent_dim)
         step = max(1, _CHUNK_BYTES // (8 * width))
         kept = []  # the workspaces of earlier calls' workers
@@ -369,7 +369,7 @@ class VAEModel:
                                     ws = self._workspace(draws, n)
                             chunk = {name: a[: min(draws, k - start)] for name, a in ws.items()}
                             rng.standard_normal(out=chunk["eps"])
-                        log_w = self._forward(layers, x, reparam, chunk["eps"], layer, chunk)[0]
+                        log_w = self._forward(layers, x, reparam, chunk["eps"], t_w, chunk)[0]
                         out[:, start : start + len(log_w)] = log_w.T
                 except BaseException:
                     failed.set()

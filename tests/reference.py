@@ -394,11 +394,11 @@ def bernoulli_rows(x, w, targets: np.ndarray):
     which x and w get theirs as through a product. A layer with a bias takes
     it as the last row of ``w`` (``bias_row``), its inputs ending in a
     column of ones (``with_ones``)."""
-    out, softplus, inside = ad.bernoulli_rows_forward(_value(x), _value(w), targets)
+    out, softplus = ad.bernoulli_rows_forward(_value(x), _value(w), targets)
     vjp_x, vjp_w = _matmul_vjps(_value(x), _value(w))
 
     def vjp(g):
-        at_logits = ad.bernoulli_rows_at_logits(softplus, inside, targets, g)
+        at_logits = ad.bernoulli_rows_at_logits(softplus, targets, g)
         return {"x": vjp_x(at_logits), "w": vjp_w(at_logits)}
 
     return fused(out, {"x": x, "w": w}, vjp)

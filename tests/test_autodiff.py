@@ -347,33 +347,45 @@ class TestComposites:
         np.testing.assert_allclose(grads["w"], x_val.T @ at_logits, atol=1e-9)
         np.testing.assert_allclose(grads["b"], at_logits.sum(axis=0), atol=1e-9)
 
-    def test_bernoulli_rows_finite_for_extreme_logits(self):
-        # logits of +-60 and +-500, and weights that overflow a logit to +-inf
+    def test_bernoulli_rows_exact_for_extreme_logits(self):
+        # logits of +-60 and +-500 score their exact masses; weights that
+        # overflow a logit to +-inf give 0 on the target's side and -inf on
+        # the other, where the mass, -1e310, lies below the float range
         targets = np.array([[0.0, 1.0, 0.0, 1.0]])
-        for x, w in [
-            (np.ones((1, 1)), np.array([[60.0, -60.0, 500.0, -500.0]])),
-            (np.full((1, 1), 1e10), np.array([[1e300, -1e300, 1e300, 0.5]])),
-        ]:
-            node = ref.bernoulli_rows(ref.with_ones(x), ref.bias_row(w, np.zeros(4)), targets)
-            assert np.all(np.isfinite(node))
+        x, w = np.ones((1, 1)), np.array([[60.0, -60.0, 500.0, -500.0]])
+        node = ref.bernoulli_rows(ref.with_ones(x), ref.bias_row(w, np.zeros(4)), targets)
+        expected = -2.0 * (np.logaddexp(0.0, 60.0) + np.logaddexp(0.0, 500.0))
+        assert math.isfinite(float(node[0]))
+        np.testing.assert_allclose(node, [expected], rtol=1e-15)
+        x, w = np.full((1, 1), 1e10), np.array([[1e300, -1e300, 1e300, 0.5]])
+        block = ref.bias_row(w, np.zeros(4))
+        for t, expected in [(targets, -math.inf), (np.array([[1.0, 0.0, 1.0, 1.0]]), 0.0)]:
+            node = ref.bernoulli_rows(ref.with_ones(x), block, t)
+            assert float(node[0]) == expected, t
 
-    def test_bernoulli_extreme_logits_hit_the_probability_floor(self):
-        # p is clipped to [1e-7, 1 - 1e-7]: a wrong-side target at +-500, or
-        # at a logit that overflows (1e10 * +-1e300), scores log(1e-7), a
-        # right-side one log(1 - 1e-7).
-        floor, top = math.log(1e-7), math.log1p(-1e-7)
-        signs = [(1, 0.0, floor), (-1, 1.0, floor), (1, 1.0, top), (-1, 0.0, top)]
+    def test_bernoulli_extreme_logits_score_their_exact_mass(self):
+        # A wrong-side target at +-500 scores -softplus(500) = -500 to the
+        # last bit, a right-side one -exp(-500); at a logit that overflows
+        # (1e10 * +-1e300) the mass lies beyond the float range: -inf on
+        # the wrong side, 0 on the right one.
+        wrong, right = -np.logaddexp(0.0, 500.0), -math.exp(-500.0)
+        signs = [(1, 0.0, wrong), (-1, 1.0, wrong), (1, 1.0, right), (-1, 0.0, right)]
         for x, logit in [(1.0, 500.0), (1e10, 1e300)]:
             for sign, target, expected in signs:
+                if x > 1.0:
+                    expected = -math.inf if expected == wrong else 0.0
                 w, t = np.array([[sign * logit]]), np.array([[target]])
                 x1, block = ref.with_ones(np.array([[x]])), ref.bias_row(w, np.zeros(1))
-                node = ref.bernoulli_rows(x1, block, t)
-                assert abs(float(node[0]) - expected) <= 1e-12, (x, w, target)
+                got = float(ref.bernoulli_rows(x1, block, t)[0])
+                if math.isinf(expected):
+                    assert got == expected, (x, w, target)
+                else:
+                    assert abs(got - expected) <= 1e-12, (x, w, target)
 
     def test_bernoulli_batched_gradient_matches_finite_diff_check(self):
         # (K, n, h) inputs against (n, d) targets, as in the K-batched VAE;
-        # a bias of 40 clips logit 0 of every row, whose weights and bias
-        # then get zero gradient.
+        # a bias of 40 puts logit 0 of every row far out, where its weights
+        # and bias still get the gradient t - sigmoid(z).
         rng = np.random.default_rng(15)
         x_val, w_val = rng.standard_normal((3, 2, 4)), rng.standard_normal((4, 5))
         b_val = rng.standard_normal(5)
@@ -387,9 +399,8 @@ class TestComposites:
 
         node = rows(**leaves)
         assert node.value.shape == (3, 2)
-        # log p and log(1 - p) on logits clipped to +-logit(1 - 1e-7)
-        cap = math.log((1.0 - 1e-7) / 1e-7)
-        z = np.clip(x_val @ w_val + b_val, -cap, cap)
+        # log p and log(1 - p) of the logits as they are
+        z = x_val @ w_val + b_val
         expected = (-targets * np.logaddexp(0.0, -z) - (1 - targets) * np.logaddexp(0.0, z)).sum(-1)
         np.testing.assert_allclose(node.value, expected, rtol=1e-12, atol=1e-12)
         grads = ref.gradients(ref.vsum(node * weight), leaves)
@@ -401,85 +412,126 @@ class TestComposites:
                 return float(np.sum(rows(**args) * weight))
 
             assert finite_diff_check(f, inputs[name], grads[name]) < 1e-6, name
-        assert grads["b"][0] == 0.0 and np.all(grads["w"][:, 0] == 0.0)
+        at_logit_0 = weight * (targets[:, 0] - np.exp(-np.logaddexp(0.0, -z[..., 0])))
+        np.testing.assert_allclose(grads["b"][0], at_logit_0.sum(), rtol=1e-12)
+        assert grads["b"][0] != 0.0 and np.all(grads["w"][:, 0] != 0.0)
 
-    def test_bernoulli_gradient_is_zero_at_and_beyond_the_cap(self):
+    def test_bernoulli_gradient_is_t_minus_sigmoid_at_any_logit(self):
         # With x = 1 and a zero bias the logits [1, 1] @ [w; 0] are the
-        # weights, bit for bit:
-        # logits at exactly +-cap, beyond it and overflowed to +-inf get
-        # exactly zero gradient, the others targets - p.
-        cap = ad._LOGIT_CAP
+        # weights, bit for bit: at +-logit(1 - 1e-7), where a floor of 1e-7
+        # on p would bind, beyond it and at +-1e3, the gradient is targets - p,
+        # and at logits overflowed to +-inf it is targets - 1 and targets.
+        cap = math.log1p(-1e-7) - math.log(1e-7)
         logits = np.array([[cap, -cap, cap + 1.0, -cap - 1.0, 1e3, -1e3, 0.3, cap - 0.5]])
         targets = np.array([[0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0]])
         b = ref.Node(np.zeros(8))
         ones = ref.with_ones(np.ones((1, 1)))
         node = ref.bernoulli_rows(ones, ref.bias_row(logits, b), targets)
         grads = ref.gradients(ref.vsum(node), {"b": b})
-        assert np.array_equal(grads["b"][:6], np.zeros(6))
-        probs = 1.0 / (1.0 + np.exp(-logits[0, 6:]))
-        np.testing.assert_allclose(grads["b"][6:], targets[0, 6:] - probs, rtol=1e-12)
-        assert np.all(grads["b"][6:] != 0.0)
+        probs = np.exp(-np.logaddexp(0.0, -logits[0]))
+        np.testing.assert_allclose(grads["b"], targets[0] - probs, rtol=1e-12)
+        assert np.all(grads["b"] != 0.0)
         # 1e10 * +-1e300 overflows; the third logit is about 0.3
         b, x = ref.Node(np.zeros(3)), np.full((1, 1), 1e10)
         w = np.array([[1e300, -1e300, 0.3e-10]])
         node = ref.bernoulli_rows(ref.with_ones(x), ref.bias_row(w, b), targets[:, :3])
         grads = ref.gradients(ref.vsum(node), {"b": b})
-        assert np.array_equal(grads["b"][:2], np.zeros(2))
+        assert np.array_equal(grads["b"][:2], [-1.0, 1.0])
         p = 1.0 / (1.0 + math.exp(-float(x[0, 0] * w[0, 2])))
         np.testing.assert_allclose(grads["b"][2], targets[0, 2] - p, rtol=1e-12)
 
-    def test_the_logit_cap_is_ruled_out_only_by_a_bound_below_it(self):
-        # For inputs in [-1, 1] and a column of ones, |z_j| <= sum_i |w_ij| +
-        # |b_j| of the block [w; b]; the largest bound must stay below the
-        # cap by a relative 1e-6.
-        cap = ad._LOGIT_CAP
-        targets = np.ones((3, 2))
-
-        def inside(w, b, unit_inputs=True):
-            return ad.bernoulli_layer(np.vstack([w, b]), targets, unit_inputs)[1]
-
-        assert inside([[4.0, -1.0], [-3.0, 2.0]], [1.0, 0.5])  # bounds 8 and 3.5
+    def test_only_rows_that_are_not_finite_are_taken_again(self):
+        # Inputs in [-1, 1] and a column of ones against blocks [w; b] whose
+        # logits lie on either side of logit(1 - 1e-7), or hold a NaN or a
+        # -inf: a row of finite logits keeps the bits of t z - log1p(exp(z))
+        # summed as the kernel sums it, whatever its size; a NaN gives NaN;
+        # and a logit of -inf scores 0 against a target of 0, -inf against
+        # 1. A t w^T given is the one made in the call, bit for bit.
+        cap = math.log1p(-1e-7) - math.log(1e-7)
         below = cap * (1.0 - 2e-6)
-        assert inside([[below / 2, 0.0], [-below / 2, 1.0]], [0.0, 0.0])
-        assert not inside([[cap / 2, 0.0], [-cap / 2, 1.0]], [0.0, 0.0])
-        assert not inside([[cap * (1.0 - 5e-7), 0.0], [0.0, 1.0]], [0.0, 0.0])
-        assert not inside([[4.0, 0.0], [0.0, 1.0]], [cap, 0.0])
-        assert not inside([[4.0, math.nan], [0.0, 1.0]], [0.0, 0.0])
-        assert not inside([[4.0, 0.0], [0.0, 1.0]], [0.0, -math.inf])
-        # no bound on the inputs, no bound on the logits
-        assert not inside([[4.0, -1.0], [-3.0, 2.0]], [1.0, 0.5], unit_inputs=False)
-        block = np.array([[4.0, -1.0], [-3.0, 2.0], [1.0, 0.5]])
-        t_w, _ = ad.bernoulli_layer(block, targets)
-        assert t_w.tobytes() == (targets @ block.T).tobytes()
+        x = ref.with_ones(np.array([[1.0, -1.0], [-1.0, 1.0], [0.5, 0.25]]))
+        blocks = [
+            ([[4.0, -1.0], [-3.0, 2.0]], [1.0, 0.5]),
+            ([[below / 2, 0.0], [-below / 2, 1.0]], [0.0, 0.0]),
+            ([[cap / 2, 0.0], [-cap / 2, 1.0]], [0.0, 0.0]),
+            ([[cap * (1.0 - 5e-7), 0.0], [0.0, 1.0]], [0.0, 0.0]),
+            ([[4.0, 0.0], [0.0, 1.0]], [cap, 0.0]),
+            ([[4.0, math.nan], [0.0, 1.0]], [0.0, 0.0]),
+            ([[4.0, 0.0], [0.0, 1.0]], [0.0, -math.inf]),
+        ]
+        for w, b in blocks:
+            block = np.vstack([w, b])
+            for targets in (np.ones((3, 2)), np.array([[1.0, 0.0]] * 3)):
+                rows, _ = ad.bernoulli_rows_forward(x, block, targets)
+                with np.errstate(invalid="ignore"):
+                    t_w, z = targets @ block.T, x @ block
+                given = ad.bernoulli_rows_forward(x, block, targets, t_w)[0]
+                assert given.tobytes() == rows.tobytes()
+                for i in range(3):
+                    if np.isnan(z[i]).any():
+                        assert np.isnan(rows[i]), (w, b, i)
+                    elif np.isinf(z[i]).any():
+                        if targets[i, 1]:
+                            assert rows[i] == -math.inf, (w, b, i)
+                        else:  # the mass of target 1 at logit 4
+                            assert math.isclose(rows[i], -np.logaddexp(0.0, -z[i, 0]), rel_tol=1e-15)
+                    else:
+                        fast = np.einsum("i,i->", x[i], targets[i] @ block.T)
+                        fast -= np.einsum("i->", np.log1p(np.exp(z[i])))
+                        assert rows[i].tobytes() == fast.tobytes(), (w, b, i)
 
-    def test_a_layer_made_once_gives_the_bits_of_one_made_per_call(self):
-        # rows of inputs in [-1, 1] whose layer rules the cap out, written
-        # into given buffers, against the same call making its own layer
+    def test_rows_taken_again_keep_their_bits_in_stacks_and_blocks(self):
+        # A stack of three blocks [w; b] against three sets of 300 rows, more
+        # than one block of rows taken again: the first member's logits are
+        # small, the second's logit 0 sits at 800 (past exp's edge) in every
+        # row, the third's at -inf. Each member's rows have the bits of that
+        # member computed alone, and the value of the stable form.
+        rng = np.random.default_rng(29)
+        x = ref.with_ones(np.tanh(rng.standard_normal((3, 300, 4))))
+        w = rng.standard_normal((3, 5, 64)) / 4.0
+        w[:, -1, 0] = [0.0, 800.0, -math.inf]
+        targets = (rng.random((300, 64)) < 0.5).astype(float)
+        rows, _ = ad.bernoulli_rows_forward(x, w, targets)
+        assert np.all(np.isfinite(rows[0]))
+        for k in (1, 2):
+            member = ad.bernoulli_rows_forward(x[k], w[k], targets)[0]
+            assert member.tobytes() == rows[k].tobytes()
+            with np.errstate(invalid="ignore"):
+                z = x[k] @ w[k]
+            on_side = np.where(targets == 1.0, z == math.inf, z == -math.inf)
+            with np.errstate(invalid="ignore"):
+                terms = targets * z - np.logaddexp(0.0, z)
+            expected = np.where(on_side, 0.0, terms).sum(axis=-1)
+            np.testing.assert_allclose(rows[k], expected, rtol=1e-13)
+
+    def test_a_t_w_made_once_gives_the_bits_of_one_made_per_call(self):
+        # rows of inputs in [-1, 1], with t w^T made once and written into
+        # given buffers, against the same call making its own t w^T
         rng = np.random.default_rng(23)
         x = ref.with_ones(np.tanh(rng.standard_normal((5, 7, 4))))
         w = ref.bias_row(rng.standard_normal((4, 6)), rng.standard_normal(6))
         targets = (rng.random((7, 6)) < 0.5).astype(float)
-        layer = ad.bernoulli_layer(w, targets, unit_inputs=True)
-        assert layer[1]
         bufs = (np.empty((5, 7, 6)), np.empty((5, 7)), np.empty((5, 7)))
-        rows, softplus, inside = ad.bernoulli_rows_forward(x, w, targets, layer, bufs)
-        assert rows is bufs[2] and softplus is bufs[0] and inside is None
+        rows, softplus = ad.bernoulli_rows_forward(x, w, targets, targets @ w.T, bufs)
+        assert rows is bufs[2] and softplus is bufs[0]
         fresh = ad.bernoulli_rows_forward(x, w, targets)
         assert rows.tobytes() == fresh[0].tobytes() and softplus.tobytes() == fresh[1].tobytes()
 
     def test_bernoulli_rows_peak_under_one_and_a_half_logit_arrays(self):
         # The forward pass allocates the logits and works in place on them;
         # the row sums of t z, taken over the 17-wide layer input (16 and its
-        # column of ones), add a quarter of an array. When a logit is clipped
-        # (a bias of 100), the mask of clipped logits adds an eighth and the
-        # two comparisons that build it a quarter. The layer input, the
-        # weights with their bias row and the targets are the caller's.
+        # column of ones), add at most a quarter of an array. A logit far out
+        # (a bias of 100) costs nothing more, as no mask of the logits is
+        # made. Rows taken again (a bias of 800, whose exp overflows, or a
+        # logit of -inf, in every row) are formed anew a block at a time,
+        # within half an array. The layer input, the weights with their bias
+        # row and the targets are the caller's.
         rng = np.random.default_rng(16)
         x = ref.with_ones(np.tanh(rng.standard_normal((6, 100, 16))))
         w = rng.standard_normal((16, 64)) / 4.0
         targets = (rng.random((100, 64)) < 0.5).astype(float)
         logit_bytes = 6 * 100 * 64 * 8
-        for bias, arrays in [(0.0, 1.3), (100.0, 1.4)]:
+        for bias, arrays in [(0.0, 1.3), (100.0, 1.3), (800.0, 1.5), (-math.inf, 1.5)]:
             b = np.zeros(64)
             b[0] = bias
             block = ref.bias_row(w, b)

@@ -334,6 +334,18 @@ def _csv_dataset(tmp_path: Path, **extra) -> dict:
     } | extra
 
 
+def _uniform_csv(tmp_path: Path) -> dict:
+    """A CSV dataset of 40 rows of 4 features uniform in [0, 3]: no
+    Bernoulli data."""
+    features = np.random.default_rng(0).uniform(0.0, 3.0, (40, 4))
+    save_csv(tmp_path / "uniform.csv", features, np.zeros(40))
+    return {
+        "path": str(tmp_path / "uniform.csv"),
+        "feature_columns": [f"x{i}" for i in range(4)],
+        "target_column": "y",
+    }
+
+
 def _images(n=320, **extra) -> dict:
     return {"dataset": {"synthetic": "binary-images", "n": n}} | extra
 
@@ -438,6 +450,37 @@ _REJECTED_BY_LIBRARY = {
     ),
     "vae-eval-k-below-k": (
         "vae-train", lambda t: _images(eval_k=4, train={"k": 5}), "vae_train.eval_k"
+    ),
+    # the Bernoulli likelihood takes data of 0 and 1 only
+    "vae-data-not-binary": (
+        "vae-train", lambda t: {"dataset": _uniform_csv(t)}, "vae_train.dataset"
+    ),
+    "eval-data-not-binary": (
+        "eval", lambda t: _eval_section(data_dim=4) | {"dataset": _uniform_csv(t)}, "eval.dataset"
+    ),
+    # 1e300 against 1e-300 in two dimensions: the covariances' eigenproblem
+    # does not converge
+    "divergence-past-floats": (
+        "divergence",
+        lambda t: {
+            "p": {"mean": [0.0] * 3, "variances": [1e300, 1.0, 1e300]},
+            "q": {"mean": [0.0] * 3, "variances": [1e-300, 1.0, 1e-300]},
+            "alphas": [0.5, 2.0],
+        },
+        "divergence",
+    ),
+    # the same pair swapped, whose exact column D(q || p) solves the same
+    # eigenproblem
+    "bias-sim-past-floats": (
+        "bias-sim",
+        lambda t: {
+            "p": {"mean": [0.0] * 3, "variances": [1e-300, 1.0, 1e-300]},
+            "q": {"mean": [0.0] * 3, "variances": [1e300, 1.0, 1e300]},
+            "alphas": [0.5, 2.0],
+            "ks": [1],
+            "repeats": 4,
+        },
+        "bias_sim",
     ),
 }
 
@@ -581,6 +624,21 @@ class TestBiasSimExactColumn:
         q = {"mean": [0.0], "variances": [4.0]}
         rows = self._run(tmp_path, p, q, [3.0])
         assert [row[4] for row in rows] == ["-inf", "-inf"]
+
+    def test_sets_without_a_finite_weight_estimate_minus_inf(self, tmp_path):
+        # draws of q = N(0, 1.79e308) lie past where p = N(0, 1) has any
+        # density in floats: every one-draw set is -inf, and so is the mean,
+        # whose spread is inf
+        p = {"mean": [0.0], "variances": [1.0]}
+        q = {"mean": [0.0], "variances": [1.79e308]}
+        section = {"p": p, "q": q, "alphas": [0.5], "ks": [1], "repeats": 200}
+        config = {"kind": "bias-sim", "output_dir": str(tmp_path / "out"), "bias_sim": section}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["bias-sim", "--config", write_config(tmp_path / "cfg.json", config)]) == 0
+        assert caught == []
+        lines = (tmp_path / "out" / "bias_table.csv").read_text().splitlines()
+        assert lines[1].split(",")[:4] == ["0.5", "1", "-inf", "inf"]
 
 
 class TestBlrDemo:

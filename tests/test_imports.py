@@ -6,8 +6,8 @@ package or the CLI loads no scipy module, and none imports scipy.linalg or
 scipy.optimize at all, so the analytic commands run on numpy alone; no
 module but the array kernels computes log(2 pi), and some caller in the
 package passes every optional parameter of a kernel; the divergence runs
-one eigensolver, in its generalized eigenproblem; and importing starts no
-thread.
+one eigensolver, in its generalized eigenproblem; no module clips a value;
+and importing starts no thread.
 The tape keeps its core and the array kernels, each of which a module of
 the package runs, and the generic operations live in the tests' reference
 module, which keeps only what a test uses."""
@@ -267,6 +267,19 @@ def _eigensolves_outside(source: str, owner: str) -> list[int]:
     return sorted(lines)
 
 
+def _clip_lines(source: str) -> list[int]:
+    """Lines of the calls of a function named ``clip``, bare or as an
+    attribute (``np.clip``, an array's ``.clip``)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "clip":
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
 def _under(module: str, packages: tuple[str, ...]) -> bool:
     return any(module == p or module.startswith(p + ".") for p in packages)
 
@@ -322,6 +335,17 @@ def test_the_divergence_solves_one_eigenproblem():
     # from the generalized eigenproblem of the two covariances
     source = (PACKAGE / "divergence.py").read_text()
     assert _eigensolves_outside(source, "_generalized_eigh") == []
+
+
+def test_no_module_clips_a_value():
+    # every value of the package is exact over the float range, the
+    # Bernoulli mass at any logit among them: none is clipped into a range
+    found = [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line in _clip_lines(path.read_text())
+    ]
+    assert found == []
 
 
 def test_no_module_imports_scipy_at_module_level():
@@ -457,6 +481,19 @@ def test_the_check_sees_log_2pi():
     assert _log_2pi_lines(source) == [4, 5, 6, 7, 8]
 
 
+def test_the_check_sees_clips():
+    source = (
+        "import numpy as np\nfrom numpy import clip\n"
+        "z = np.clip(x, -16.0, 16.0)\n"
+        "z.clip(-1.0, 1.0, out=z)\n"
+        "w = clip(y, 0, None)\n"
+        "def f(a):\n    return numpy.clip(a, 0.0, 1.0)\n"
+        "clipped = np.minimum(np.maximum(x, 0.0), 1.0)\n"
+        "clip_to = 3\n"
+    )
+    assert _clip_lines(source) == [3, 4, 5, 7]
+
+
 def test_the_check_sees_eigensolves_outside_their_owner():
     source = (
         "import numpy as np\n"
@@ -552,7 +589,6 @@ def test_the_tape_keeps_its_core_and_the_array_kernels_only():
         "normal_logpdf_rows",
         "normal_rows_vjp",
         "std_normal_logpdf_rows",
-        "bernoulli_layer",
         "bernoulli_rows_forward",
         "bernoulli_rows_at_logits",
     }

@@ -36,6 +36,11 @@ from vrbound.models.data import dataset_content_hash, load_csv
 from vrbound.training import posterior_log_weights
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# logit(1 - 1e-7): past it p lies within 1e-7 of 0 or 1, where a floor on p
+# of 1e-7 would change the mass; and log(float max), past which exp(z)
+# overflows and a row's mass is taken again from its logits
+_FAR = math.log1p(-1e-7) - math.log(1e-7)
+_OVERFLOW = math.log(sys.float_info.max)
 
 
 class TestBlrPosterior:
@@ -640,24 +645,33 @@ class TestVae:
     # is one draw.
     @pytest.mark.parametrize("k, n, chunks", [(27214, 5, 19), (3, 5000, 3), (1, 5, 1)])
     def test_log_weight_matrix_equals_rows_bit_for_bit(self, monkeypatch, k, n, chunks):
-        self._check_chunks_equal_rows(monkeypatch, k, n, chunks, clip=False)
+        self._check_chunks_equal_rows(monkeypatch, k, n, chunks)
 
+    # Rows holding a logit past logit(1 - 1e-7) (a weight of 40), and rows
+    # whose exp(z) overflows (1000), which are taken again, among rows that
+    # hold neither; each keeps its bits in any chunk.
     @pytest.mark.parametrize("k, n, chunks", [(27214, 5, 19), (3, 5000, 3)])
     def test_log_weight_matrix_with_clipped_rows_equals_rows_bit_for_bit(
         self, monkeypatch, k, n, chunks
     ):
-        self._check_chunks_equal_rows(monkeypatch, k, n, chunks, clip=True)
+        self._check_chunks_equal_rows(monkeypatch, k, n, chunks, far=(40.0, _FAR))
 
-    def _check_chunks_equal_rows(self, monkeypatch, k, n, chunks, clip):
+    @pytest.mark.parametrize("k, n, chunks", [(27214, 5, 19), (3, 5000, 3)])
+    def test_log_weight_matrix_with_overflowing_rows_equals_rows_bit_for_bit(
+        self, monkeypatch, k, n, chunks
+    ):
+        self._check_chunks_equal_rows(monkeypatch, k, n, chunks, far=(1000.0, _OVERFLOW))
+
+    def _check_chunks_equal_rows(self, monkeypatch, k, n, chunks, far=None):
         monkeypatch.setattr(vae_module, "_CHUNK_BYTES", 450 * 1024)
         rng = np.random.default_rng(7)
         vae = VAEModel(data_dim=8, latent_dim=2, hidden=4)
         params = vae.init_params(seed=5)
         x = (rng.random((n, 8)) > 0.5).astype(float)
         eps = np.random.default_rng(70).standard_normal((k, n, 2))
-        if clip:
-            params["dec_w2"][0, 0] = 40.0
-            assert 0.0 < _clipped_share(vae, params, x, eps) < 1.0
+        if far is not None:
+            params["dec_w2"][0, 0] = far[0]
+            assert 0.0 < _share_past(vae, params, x, eps, far[1]) < 1.0
         decoded = _count_kernel_calls(monkeypatch)
         lw = vae.log_weight_matrix(params, x, np.random.default_rng(70), k)
         assert len(decoded) == chunks and sum(decoded) == k
@@ -684,13 +698,13 @@ def _count_kernel_calls(monkeypatch, on_call=None) -> list:
     return draws
 
 
-def _clipped_share(vae, params, x, eps) -> float:
-    """Share of (draw, point) rows holding a logit at or beyond the cap."""
+def _share_past(vae, params, x, eps, bound) -> float:
+    """Share of (draw, point) rows holding a logit at or beyond +-``bound``."""
     encoded = vae._encode(vae._layers_of(params), vae.with_ones(x))
     h = vae_module.GaussianReparam(*encoded[1:]).theta(eps)
     hid = np.tanh(h @ params["dec_w1"] + params["dec_b1"])
     logits = hid @ params["dec_w2"] + params["dec_b2"]
-    return float(np.mean(np.any(np.abs(logits) >= ad._LOGIT_CAP, axis=-1)))
+    return float(np.mean(np.any(np.abs(logits) >= bound, axis=-1)))
 
 
 class TestVaeNode:
@@ -700,7 +714,7 @@ class TestVaeNode:
     gradients against central differences."""
 
     @staticmethod
-    def _inputs(likelihood, draws, clip=False):
+    def _inputs(likelihood, draws, far=False):
         rng = np.random.default_rng(21)
         vae = VAEModel(data_dim=6, latent_dim=2, hidden=3, likelihood=likelihood, encoder_hidden=4)
         params = vae.init_params(seed=4)
@@ -711,8 +725,9 @@ class TestVaeNode:
         else:
             x = rng.standard_normal((3, 6))
         eps = rng.standard_normal((3, 2) if draws is None else (draws, 3, 2))
-        if clip:
-            # pixel 0 of every row lies beyond +cap, pixel 1 beyond -cap
+        if far:
+            # pixel 0 of every row lies far beyond +logit(1 - 1e-7), pixel 1
+            # far beyond -logit(1 - 1e-7)
             params["dec_b2"][:2] = [40.0, -40.0]
         return vae, params, x, eps
 
@@ -724,9 +739,9 @@ class TestVaeNode:
         ("gaussian", 4, False),
     ]
 
-    @pytest.mark.parametrize("likelihood, draws, clip", CASES)
-    def test_gradients_match_central_differences(self, likelihood, draws, clip):
-        vae, params, x, eps = self._inputs(likelihood, draws, clip)
+    @pytest.mark.parametrize("likelihood, draws, far", CASES)
+    def test_gradients_match_central_differences(self, likelihood, draws, far):
+        vae, params, x, eps = self._inputs(likelihood, draws, far)
         seed = np.random.default_rng(5).standard_normal(eps.shape[:-1])
         names = list(params)
         sizes = [params[name].size for name in names]
@@ -741,17 +756,35 @@ class TestVaeNode:
         grads = vae.log_weight_rows(params, x, eps)[1](seed)
         flat = np.concatenate([params[name].ravel() for name in names])
         analytic = np.concatenate([grads[name].ravel() for name in names])
+        # Pixel 0's logits lie near +40 and its targets are all 1, so the
+        # gradient of its weights and bias, g (1 - sigmoid(z)), is about
+        # 4e-18: far below what f's rounding leaves in a difference. They
+        # are held to 1e-15 here, and to the reference graph in the next
+        # test; the differences check every other component.
+        tiny = np.zeros(flat.size, dtype=bool)
+        if far:
+            start = sum(sizes[: names.index("dec_w2")])
+            tiny[start : start + sizes[names.index("dec_w2")] : vae.data_dim] = True
+            tiny[sum(sizes[: names.index("dec_b2")])] = True
+            assert np.all(np.abs(analytic[tiny]) <= 1e-15)
+
+        def f_rest(v):
+            full = flat.copy()
+            full[~tiny] = v
+            return f(full)
+
         # Central differences at 1e-5 leave about 3e-10 of f's rounding in a
         # component, 5e-6 of the smallest here (5.6e-5); the five-point
         # stencil at 1e-3 leaves about 1e-7 at most, of any component.
-        assert finite_diff_check(f, flat, analytic, step=1e-3, five_point=True) < 1e-6
-        if clip:  # the clipped logits' weights and biases get no gradient
-            assert not grads["dec_b2"][:2].any() and not grads["dec_w2"][:, :2].any()
+        err = finite_diff_check(f_rest, flat[~tiny], analytic[~tiny], step=1e-3, five_point=True)
+        assert err < 1e-6
+        if far:  # pixel 1's logits, near -40, pull with t - sigmoid(z), about t
+            assert grads["dec_b2"][1] != 0.0 and grads["dec_w2"][:, 1].all()
             assert grads["dec_b2"][2:].all()
 
-    @pytest.mark.parametrize("likelihood, draws, clip", CASES)
-    def test_equal_to_a_graph_of_tape_operations(self, likelihood, draws, clip):
-        vae, params, x, eps = self._inputs(likelihood, draws, clip)
+    @pytest.mark.parametrize("likelihood, draws, far", CASES)
+    def test_equal_to_a_graph_of_tape_operations(self, likelihood, draws, far):
+        vae, params, x, eps = self._inputs(likelihood, draws, far)
         seed = np.random.default_rng(6).standard_normal(eps.shape[:-1])
 
         def run(build):
@@ -929,13 +962,14 @@ class TestLogWeightMatrixWorkers:
     )
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_equal_to_rows_at_any_worker_count(self, monkeypatch, workers, k, n, chunks):
-        self._check_workers(monkeypatch, workers, k, n, chunks, clip=False)
+        self._check_workers(monkeypatch, workers, k, n, chunks, far=False)
 
+    # rows holding a logit past logit(1 - 1e-7) among rows that hold none
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_clipped_rows_equal_to_rows_at_any_worker_count(self, monkeypatch, workers):
-        self._check_workers(monkeypatch, workers, 43, 3000, 3, clip=True)
+        self._check_workers(monkeypatch, workers, 43, 3000, 3, far=True)
 
-    def _check_workers(self, monkeypatch, workers, k, n, chunks, clip):
+    def _check_workers(self, monkeypatch, workers, k, n, chunks, far):
         monkeypatch.setattr(vae_module, "_CHUNK_BYTES", 4 * 1024 * 1024)
         monkeypatch.setattr(vae_module, "_usable_cores", lambda: workers)
         threads = set()
@@ -949,9 +983,9 @@ class TestLogWeightMatrixWorkers:
                 barrier.wait()
 
         params, x, eps = self._inputs(k, n)
-        if clip:
+        if far:
             params["dec_w2"][0, 0] = 40.0
-            assert 0.0 < _clipped_share(self.VAE, params, x, eps) < 1.0
+            assert 0.0 < _share_past(self.VAE, params, x, eps, _FAR) < 1.0
         decoded = _count_kernel_calls(monkeypatch, first_chunk_waits)
         lw = self._matrix(params, x, k)
         assert len(threads) == min(workers, chunks)
@@ -1107,26 +1141,24 @@ class TestLogWeightMatrixWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_logits_inside_a_bound_above_the_cap(self, monkeypatch, workers):
-        # sum_i |w_i0| + |b_0| is at least 18, above the cap, so the logits
-        # are checked chunk by chunk; the two weights pull against each
-        # other, and no logit reaches the cap
+        # sum_i |w_i0| + |b_0| is at least 18, above logit(1 - 1e-7), which
+        # the logits of a tanh layer could then reach; the two weights pull
+        # against each other, and no logit reaches it
         params, x, eps = self._inputs(23, 50)
         params["dec_w2"][:2, 0] = [9.0, -9.0]
         params["dec_b2"][0] = 0.0
         output = np.vstack([params["dec_w2"], params["dec_b2"]])
-        assert not ad.bernoulli_layer(output, x, unit_inputs=True)[1]
-        assert _clipped_share(self.VAE, params, x, eps) == 0.0
+        assert np.abs(output).sum(axis=0).max() > _FAR
+        assert _share_past(self.VAE, params, x, eps, _FAR) == 0.0
         assert np.isfinite(self._check_edge(monkeypatch, workers, params, 23)).all()
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_nan_latents_give_nan_rows(self, monkeypatch, workers):
         # an infinite encoder weight on the first pixel: 0 * inf makes the
         # encoding, and every draw's latents, NaN at the points whose first
-        # pixel is 0; the decoder's weights leave its logits inside the cap
+        # pixel is 0; their rows are taken again from their logits, NaN too
         params, x, _ = self._inputs(23, 50)
         params["enc_w1"][0, 0] = math.inf
-        output = np.vstack([params["dec_w2"], params["dec_b2"]])
-        assert ad.bernoulli_layer(output, x, unit_inputs=True)[1]
         with np.errstate(invalid="ignore"):
             rows = self._check_edge(monkeypatch, workers, params, 23)
         blank = x[:, 0] == 0.0

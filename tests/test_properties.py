@@ -574,19 +574,19 @@ def test_normal_logpdf_rows_vjps(shapes, data, seed):
 
 @TAPE
 @given(MATMUL_PAIRS, st.data(), st.booleans(), SEEDS)
-def test_bernoulli_logpmf_rows_vjps(shapes, data, clip, seed):
+def test_bernoulli_logpmf_rows_vjps(shapes, data, far, seed):
     # Logits [x, 1] @ [w; b] of any matmul shapes, with rows in x and a
     # matrix w (vectors are promoted), and the bias the last row of each
     # matrix; the targets are the logits' last two or more axes. With
-    # ``clip`` one column of logits sits at 40, beyond the cap, and gets zero
-    # gradient.
+    # ``far`` one column of logits sits at 40, far past logit(1 - 1e-7),
+    # and keeps its exact mass and gradient.
     rng = np.random.default_rng(seed)
     x_shape, w_shape = shapes.input_shapes
     x_shape = x_shape if len(x_shape) >= 2 else (2, *x_shape)
     w_shape = w_shape if len(w_shape) >= 2 else (*w_shape, 2)
     x, w = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
     b = rng.standard_normal(w_shape[-1])
-    if clip:
+    if far:
         w = np.concatenate([np.zeros(w_shape[:-1] + (1,)), w], axis=-1)
         b = np.concatenate([[40.0], b])
     logits_shape = (x @ w).shape
@@ -597,7 +597,7 @@ def test_bernoulli_logpmf_rows_vjps(shapes, data, clip, seed):
         return ref.bernoulli_rows(ref.with_ones(xn), ref.bias_row(wn, bn), targets)
 
     node = rows(ref.Node(x), ref.Node(w), ref.Node(b))
-    z = np.clip(x @ w + b, -CAP, CAP)
+    z = x @ w + b
     expected = (targets * z - np.logaddexp(0.0, z)).sum(axis=-1)
     np.testing.assert_allclose(node.value, expected, rtol=1e-12, atol=1e-12)
     _check_vjps(rows, [x, w, b], seed)
@@ -606,19 +606,26 @@ def test_bernoulli_logpmf_rows_vjps(shapes, data, clip, seed):
 # ----------------------------------------------------------------------
 # the Bernoulli node against 40-digit arithmetic
 
-CAP = ad._LOGIT_CAP
-# the cap and one ulp either side of it, of either sign
+# log of the largest float: exp(z) overflows past it
+EXP_EDGE = math.log(np.finfo(float).max)
+# that edge, one ulp either side of it, and infinity, of either sign
 EDGES = [
     sign * edge
     for sign in (1.0, -1.0)
-    for edge in (CAP, math.nextafter(CAP, 0.0), math.nextafter(CAP, math.inf))
+    for edge in (EXP_EDGE, math.nextafter(EXP_EDGE, 0.0), math.nextafter(EXP_EDGE, math.inf), math.inf)
 ]
-# Weights of every size, those that take a logit past the cap or overflow
-# it to +-inf (1e300 against an input of up to 1e10) included; inputs up to
-# 1e10, or exactly 1 so that an edge weight is a logit bit for bit.
+# logit(1 - 1e-7), past which p lies within 1e-7 of 0 or 1
+FAR = math.log1p(-1e-7) - math.log(1e-7)
+# Weights of every size, those that take a logit past exp's edge or
+# overflow it to +-inf (1e300 against an input of up to 1e10) included;
+# inputs up to 1e10, or exactly 1 so that an edge weight is a logit bit for
+# bit.
 WEIGHTS = st.one_of(st.floats(-30.0, 30.0), st.floats(-1e300, 1e300), st.sampled_from(EDGES))
 INPUTS = st.one_of(st.floats(-1e10, 1e10), st.just(1.0), st.just(0.0))
 TARGETS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# a mass beyond this is -inf; one below 2^-1074 in size rounds to +-0
+MASS_FLOOR = mpmath.mpf("-1.8e308")
+TINY = mpmath.mpf(2.0) ** -1074
 
 
 @st.composite
@@ -635,14 +642,24 @@ def bernoulli_layers(draw):
     return array((n, h), INPUTS), array((h, d), WEIGHTS), array((d,), bias), array((n, d), TARGETS)
 
 
+def _exact_mass(t, v):
+    """40-digit t z - log1p(exp(z)) at the logit ``v`` (a float or an mpf),
+    with its size for the error bound: (mass, |t z| + log1p(exp(z))). At
+    v = +-inf the mass is its limit, 0 where the target lies on the logit's
+    side (t = 1 at +inf, t = 0 at -inf) and -inf elsewhere."""
+    if mpmath.isinf(v):
+        on_side = t == (1.0 if v > 0 else 0.0)
+        return (mpmath.mpf(0) if on_side else mpmath.mpf("-inf")), mpmath.mpf(0)
+    tz, sp = mpmath.mpf(t) * mpmath.mpf(v), mpmath.log1p(mpmath.exp(mpmath.mpf(v)))
+    return tz - sp, abs(tz) + sp
+
+
 @PROPERTY
 @given(bernoulli_layers())
 @example(
     layer=(
         np.array([[1.0], [1e10]]),
-        np.array(
-            [[CAP, -CAP, math.nextafter(CAP, 0.0), -math.nextafter(CAP, math.inf), 1e300, -1e300]]
-        ),
+        np.array([[FAR, -FAR, math.nextafter(FAR, 0.0), -math.nextafter(FAR, math.inf), 1e300, -1e300]]),
         np.zeros(6),
         np.array([[0.0, 1.0, 0.5, 0.25, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0, 1.0, 1.0]]),
     )
@@ -657,35 +674,62 @@ def bernoulli_layers(draw):
         np.ones((1, 2)),
     )
 )
+@example(
+    # exp's edge either side, and infinite logits on and off their targets'
+    # sides
+    layer=(
+        np.array([[1.0], [1.0]]),
+        np.array([EDGES]),
+        np.zeros(8),
+        np.array([[1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.5, 0.0], [0.0, 0.0, 1.0, 0.5, 1.0, 0.0, 0.0, 1.0]]),
+    )
+)
+@example(
+    # a logit of -1e310, past the float range, and one of 0.01: the first
+    # is -inf as a float, and so is row 0's mass, though t times its
+    # product, taken as x . (t w^T), lies in range at -1e308; row 1's
+    # target of 0 there scores 0
+    layer=(
+        np.full((2, 1), 1e10),
+        np.array([[-1e300, 1e-12]]),
+        np.zeros(2),
+        np.array([[0.01, 0.0], [0.0, 1.0]]),
+    )
+)
 def test_bernoulli_logpmf_rows_match_40_digits(layer):
-    # Each row sums t z - log1p(exp(z)) over the logits z = clip([x, 1] @
-    # [w; b]) formed in floats, one product as the VAE's output layer forms
-    # them; the clip is exact. Rounding may cost a few ulps of each term and
-    # of each product x_i w_ij in the row, the bias's 1 * b_j among them.
+    # Each row sums t z - log1p(exp(z)) over the logits z = [x, 1] @ [w; b]
+    # formed in floats, one product as the VAE's output layer forms them,
+    # anywhere in the float range: at z = +-inf each term is its limit.
+    # Rounding may cost a few ulps of each term and of each product x_i w_ij
+    # in the row, the bias's 1 * b_j among them; a mass below 2^-1074 in
+    # size rounds to +-0, and one below -1.8e308 is -inf.
     x, w, b, targets = layer
     x, w = ref.with_ones(x), ref.bias_row(w, b)
     got = ref.bernoulli_rows(x, w, targets)
     with np.errstate(all="ignore"):
         logits = x @ w
-    z = np.clip(logits, -CAP, CAP)
     with mpmath.workdps(40):
         for i in range(logits.shape[0]):
             if np.isnan(logits[i]).any():
                 assert np.isnan(got[i])
                 continue
-            terms = [
-                (mpmath.mpf(t) * mpmath.mpf(v), mpmath.log1p(mpmath.exp(mpmath.mpf(v))))
-                for t, v in zip(targets[i], z[i])
-            ]
-            exact = mpmath.fsum(tz - sp for tz, sp in terms)
+            terms = [_exact_mass(t, v) for t, v in zip(targets[i], logits[i])]
+            exact = mpmath.fsum(mass for mass, _ in terms)
+            if exact < MASS_FLOOR:
+                assert got[i] == -math.inf, i
+                continue
             products = [
                 mpmath.fsum(abs(mpmath.mpf(xk) * mpmath.mpf(wk)) for xk, wk in zip(x[i], w[:, j]))
                 for j in range(w.shape[1])
             ]
-            scale = mpmath.fsum(abs(tz) + sp for tz, sp in terms)
-            scale += mpmath.fsum(mpmath.mpf(t) * p for t, p in zip(targets[i], products))
-            assert math.isfinite(got[i])
-            assert abs(mpmath.mpf(float(got[i])) - exact) <= mpmath.mpf(1e-14) * scale, i
+            # a logit of an infinite weight is its limit, exact
+            scale = mpmath.fsum(size for _, size in terms)
+            scale += mpmath.fsum(
+                mpmath.mpf(t) * p for t, p in zip(targets[i], products) if mpmath.isfinite(p)
+            )
+            assert math.isfinite(got[i]), i
+            tolerance = mpmath.mpf(1e-14) * scale + TINY
+            assert abs(mpmath.mpf(float(got[i])) - exact) <= tolerance, i
 
 
 @PROPERTY
@@ -693,8 +737,9 @@ def test_bernoulli_logpmf_rows_match_40_digits(layer):
 def test_bernoulli_rows_of_a_draw_alone_equal_them_among_others(k, n, seed, spread, width):
     # K draws of a (n, 16) layer input with its column of ones against
     # (n, 64) targets, as the VAE evaluates them in chunks of any size.
-    # Weights drawn at up to ``spread`` clip the logits of some rows and not
-    # of others; each draw computed alone must give its rows' bits. So must
+    # Weights drawn at up to ``spread`` take the logits of some rows past
+    # logit(1 - 1e-7) and not of others; each draw computed alone must give
+    # its rows' bits. So must
     # the standard-normal rows and log q of K draws of (n, width) noise: into
     # the rows of a longer buffer, from noise at the head of one, as a
     # sampler's workspace gives them to a chunk of fewer draws, and from
